@@ -69,8 +69,7 @@ type Node struct {
 	API     *nectarine.API // the application interface (paper §3.5)
 	Sockets *sockets.API   // the Berkeley-socket emulation (paper §5.2)
 
-	hubIdx int
-	port   int
+	idx int // attachment point in the cluster's topology
 }
 
 // Config adjusts cluster construction.
@@ -79,21 +78,15 @@ type Config struct {
 	// RxThreadMode selects the §3.1 ablation: protocol input processing
 	// in a high-priority thread instead of at interrupt time.
 	RxThreadMode bool
-	// HubPorts is the crossbar size (default hub.DefaultPorts). Ignored
-	// when Topology is set (the fabric defines per-HUB port counts).
-	HubPorts int
-
-	// Topology, when non-nil, builds the whole HUB fabric from data: the
-	// cluster creates every crossbar and trunk fiber of the fabric up
-	// front and registers each attachment point as a *compact* node — a
-	// few bytes of arena state (hub, port, shard) instead of a booted
-	// protocol stack. Node(i) materializes the full host/CAB pair at
-	// attachment point i on first use, so a 100k-node fabric fits in
-	// memory and only the nodes that actually carry traffic (declared by
-	// Flows, typically) pay for stacks. Hand-wiring (AddHub, ConnectHubs,
-	// AddNode) is unavailable on fabric clusters, and sharded execution
-	// over multiple HUBs is available only through a Topology (trunk
-	// ownership needs the whole fabric up front).
+	// Topology is the HUB fabric, as data. The cluster creates every
+	// crossbar and trunk fiber of the fabric up front and registers each
+	// attachment point as a *compact* node — a few bytes of arena state
+	// (hub, port, shard) instead of a booted protocol stack. Node(i)
+	// materializes the full host/CAB pair at attachment point i on first
+	// use, and AddNode at the lowest free one, so a 100k-node fabric fits
+	// in memory and only the nodes that actually carry traffic (declared
+	// by Flows, typically) pay for stacks. nil: fabric.Star(
+	// hub.DefaultPorts), the paper's single 16-port HUB.
 	Topology *fabric.Topology
 	// CABDataBytes overrides each CAB's packet-memory size (0: the
 	// default 1 MB). Scale experiments shrink it so tens of thousands of
@@ -105,26 +98,29 @@ type Config struct {
 	// threads under a conservative time-window scheduler (see
 	// internal/sim's Coupling). The HUB setup latency on cross-shard
 	// fiber paths is the scheduler's lookahead, so results are
-	// byte-identical to a sequential run. Sharded clusters are limited
-	// to a single HUB and cannot open circuits (zero lookahead).
+	// byte-identical to a sequential run. Sharded clusters cannot open
+	// circuits (zero lookahead).
 	// 0 or 1 means sequential execution on one kernel (the default).
 	Shards int
-	// ShardOf maps a node's index (in AddNode order) to its shard in
-	// [0, Shards). nil: round-robin (index % Shards). Placing the two
-	// ends of a busy flow on different shards is what buys parallelism;
-	// placing chatty neighbors together minimizes window overhead.
+	// ShardOf maps a node's attachment index to its shard in
+	// [0, Shards). nil: round-robin (index % Shards). It is consulted
+	// lazily, once per index, and only for materialized nodes and Flows
+	// endpoints. Placing the two ends of a busy flow on different shards
+	// is what buys parallelism; placing chatty neighbors together
+	// minimizes window overhead.
 	ShardOf func(nodeIdx int) int
 	// Flows, when non-nil, declares the COMPLETE communication graph of
 	// the workload as node-index pairs: node i may exchange frames with
 	// node j only if {i,j} (in either order) appears here. The
-	// declaration is a contract — a frame to an undeclared destination
-	// panics deterministically — and it is what makes sharded execution
-	// win: a gateway whose declared peers all live on its own shard can
-	// never emit cross-shard, so it stops constraining the safe bound
-	// entirely, and a flow-affinity partition (ShardByFlows over the
-	// same list) runs whole scheduling horizons per window instead of
-	// one transmit-latency margin. nil: any node may talk to any node
-	// (the conservative default).
+	// declaration is a contract — routes exist only between declared
+	// peers, and a send to an undeclared destination panics
+	// deterministically at the route miss — and it is what makes sharded
+	// execution win: a gateway whose declared peers all live on its own
+	// shard can never emit cross-shard, so it stops constraining the
+	// safe bound entirely, and a flow-affinity partition (ShardByFlows
+	// over the same list) runs whole scheduling horizons per window
+	// instead of one transmit-latency margin. nil: any node may talk to
+	// any node (the conservative default).
 	Flows [][2]int
 }
 
@@ -138,44 +134,40 @@ type Cluster struct {
 	Cost *model.CostModel
 	Hubs []*hub.Hub
 
+	// Nodes holds the materialized nodes in materialization order (wire
+	// ID i+1 is Nodes[i]).
 	Nodes []*Node
 
-	cfg      Config
-	hubLinks []hubLink
-	nextPort []int // per hub
+	cfg Config
 
-	// Shared deduplicated route table: every CAB route entry is a
-	// reference into it (one string per (srcHub, dstHub, dstPort)
-	// triple), built lazily over the topology's closed-form router or a
-	// BFS over hand-wired hub links.
+	// Shared deduplicated route table over the topology's closed-form
+	// router: every CAB route entry is a reference into it (one string
+	// per (srcHub, dstHub, dstPort) triple).
 	routeTab *fabric.RouteTable
 
-	// Fabric state (Config.Topology; nil/empty otherwise). mat holds the
-	// materialized node at each attachment point (nil = compact); trunks
-	// holds the directed inter-HUB links in fabric.Trunks order.
+	// Fabric state. mat holds the materialized node at each attachment
+	// point (nil = compact), free the lowest attachment point AddNode may
+	// still fill; trunks holds the directed inter-HUB links in
+	// fabric.Trunks order.
 	topo       *fabric.Topology
 	mat        []*Node
+	free       int
 	trunks     []*fiber.Link
 	trunkOwner []int32 // directed trunk -> owning shard (sharded fabrics)
 
 	// Sharded execution state (nil/empty when sequential).
 	coupling  *sim.Coupling
 	domains   []*sim.Domain // one per shard
-	nodeShard []int32       // node index -> shard (arena; all attachment points on fabrics)
+	nodeShard []int32       // node index -> shard+1, memoized by shard (0 = not yet asked)
 	uplinks   []*fiber.Link // node index -> its CAB->HUB link (the shard gateway); nil = compact
-
-	// Materialized wire IDs back to node indices (send-guard resolution).
-	idToIdx map[wire.NodeID]int32
 
 	// Declared traffic matrix (Config.Flows): node index -> set of peer
 	// node indices it may exchange frames with. nil when undeclared.
 	flowPeers []map[int]bool
 }
 
-type hubLink struct{ fromHub, fromPort, toHub, toPort int }
-
-// NewCluster creates a cluster with one HUB and the given configuration
-// (pass nil for defaults).
+// NewCluster creates a cluster over Config.Topology — one 16-port HUB by
+// default — with the given configuration (pass nil for defaults).
 func NewCluster(cfg *Config) *Cluster {
 	c := Config{}
 	if cfg != nil {
@@ -184,10 +176,10 @@ func NewCluster(cfg *Config) *Cluster {
 	if c.Cost == nil {
 		c.Cost = model.Default1990()
 	}
-	if c.HubPorts == 0 {
-		c.HubPorts = hub.DefaultPorts
+	if c.Topology == nil {
+		c.Topology = fabric.Star(hub.DefaultPorts)
 	}
-	cl := &Cluster{Cost: c.Cost, cfg: c, idToIdx: make(map[wire.NodeID]int32)}
+	cl := &Cluster{Cost: c.Cost, cfg: c}
 	if c.Flows != nil {
 		n := 0
 		for _, f := range c.Flows {
@@ -221,67 +213,26 @@ func NewCluster(cfg *Config) *Cluster {
 	} else {
 		cl.K = sim.NewKernel()
 	}
-	if c.Topology != nil {
-		cl.buildFabric(c.Topology)
-		return cl
-	}
-	cl.AddHub()
-	if cl.coupling != nil {
-		cl.Hubs[0].SetSharded()
-	}
+	cl.buildFabric(c.Topology)
 	return cl
 }
 
-// AddHub adds a crossbar to the installation and returns its index.
-func (cl *Cluster) AddHub() int {
-	if cl.topo != nil {
-		panic("nectar: the HUB fabric comes from Config.Topology; hand-wiring is unavailable")
+// AddNode materializes the node at the lowest attachment point that has
+// none yet — on the default star, the next free HUB port. It panics when
+// every attachment point holds a node.
+func (cl *Cluster) AddNode() *Node {
+	for cl.free < len(cl.mat) && cl.mat[cl.free] != nil {
+		cl.free++
 	}
-	if cl.coupling != nil && len(cl.Hubs) > 0 {
-		panic("nectar: sharded clusters hand-wire a single HUB; pass Config.Topology for a sharded multi-HUB fabric")
+	if cl.free == len(cl.mat) {
+		sim.Panicf("nectar: %s out of ports: all %d attachment points hold nodes", cl.topo.Name, len(cl.mat))
 	}
-	h := hub.New(cl.K, cl.Cost, fmt.Sprintf("hub%d", len(cl.Hubs)), cl.cfg.HubPorts)
-	cl.Hubs = append(cl.Hubs, h)
-	cl.nextPort = append(cl.nextPort, 0)
-	return len(cl.Hubs) - 1
+	return cl.materialize(cl.free)
 }
 
-// ConnectHubs joins two HUBs with a fiber pair, consuming one port on
-// each (large Nectar systems are built this way, paper §2.1).
-func (cl *Cluster) ConnectHubs(a, b int) {
-	if cl.topo != nil {
-		panic("nectar: the HUB fabric comes from Config.Topology; hand-wiring is unavailable")
-	}
-	if cl.coupling != nil {
-		panic("nectar: sharded clusters hand-wire a single HUB; pass Config.Topology for a sharded multi-HUB fabric")
-	}
-	pa := cl.allocPort(a)
-	pb := cl.allocPort(b)
-	cl.Hubs[a].ConnectOut(pa, fiber.NewLink(cl.K, cl.Cost,
-		fmt.Sprintf("hub%d.%d->hub%d", a, pa, b), cl.Hubs[b].InPort(pb)))
-	cl.Hubs[b].ConnectOut(pb, fiber.NewLink(cl.K, cl.Cost,
-		fmt.Sprintf("hub%d.%d->hub%d", b, pb, a), cl.Hubs[a].InPort(pa)))
-	cl.hubLinks = append(cl.hubLinks, hubLink{a, pa, b, pb}, hubLink{b, pb, a, pa})
-	if cl.routeTab != nil {
-		cl.routeTab.Reset() // hub paths changed; cached routes are stale
-	}
-	cl.recomputeRoutes()
-}
-
-func (cl *Cluster) allocPort(hubIdx int) int {
-	p := cl.nextPort[hubIdx]
-	if p >= cl.Hubs[hubIdx].Ports() {
-		sim.Panicf("nectar: hub %d out of ports", hubIdx)
-	}
-	cl.nextPort[hubIdx]++
-	return p
-}
-
-// AddNode attaches a new host/CAB pair to HUB 0.
-func (cl *Cluster) AddNode() *Node { return cl.AddNodeAt(0) }
-
-// AddNodeAt attaches a new host/CAB pair to the given HUB and boots its
-// runtime system and protocol stacks.
+// bootNode builds and boots the full host/CAB pair for attachment point
+// idx: hardware, fibers with their gateway role, runtime system and
+// protocol stacks. Route installation is the caller's job.
 //
 // Under sharded execution the whole node — CAB, host, interface, runtime,
 // protocol stacks, and both of its fiber endpoints — is built on its
@@ -289,34 +240,14 @@ func (cl *Cluster) AddNode() *Node { return cl.AddNodeAt(0) }
 // on the node's shard, and the HUB output link back to the CAB runs there
 // too, so the only events that ever cross shards are HUB forwards (which
 // carry the setup latency, the coupling's lookahead).
-func (cl *Cluster) AddNodeAt(hubIdx int) *Node {
-	if cl.topo != nil {
-		panic("nectar: fabric clusters attach nodes at topology-defined points; use Node(i)")
-	}
-	port := cl.allocPort(hubIdx)
-	idx := len(cl.Nodes)
-	shard := 0
-	if cl.coupling != nil {
-		shard = cl.shardOf(idx)
-	}
-	cl.nodeShard = append(cl.nodeShard, int32(shard))
-	n := cl.bootNode(idx, hubIdx, port)
-	cl.recomputeRoutes()
-	return n
-}
-
-// bootNode builds and boots the full host/CAB pair for node index idx at
-// (hubIdx, port): hardware, fibers with their gateway role, runtime system
-// and protocol stacks. cl.nodeShard[idx] must already be set. Route
-// installation is the caller's job (eager all-pairs for hand-wired
-// clusters, per-peer at materialization for fabrics).
-func (cl *Cluster) bootNode(idx, hubIdx, port int) *Node {
+func (cl *Cluster) bootNode(idx int) *Node {
 	id := wire.NodeID(len(cl.Nodes) + 1)
+	hubIdx, port := int(cl.topo.NodeHub[idx]), int(cl.topo.NodePort[idx])
 
 	k := cl.K
 	var dom *sim.Domain
 	if cl.coupling != nil {
-		dom = cl.domains[cl.nodeShard[idx]]
+		dom = cl.domains[cl.shard(idx)]
 		k = dom.Kernel()
 	}
 
@@ -368,50 +299,31 @@ func (cl *Cluster) bootNode(idx, hubIdx, port int) *Node {
 		})
 		if cl.flowPeers != nil {
 			// Declared channel topology: this gateway only constrains the
-			// safe bound of domains holding one of the node's declared
-			// peers. With a flow-affinity partition that is no domain at
-			// all, and windows stretch to the scheduling horizon.
-			if cl.topo != nil {
-				// Fabric: the domains the *first* forward after this
-				// node's HUB can enter (same-HUB peers resolve to their
-				// shard, farther peers to the owner of the path's first
-				// trunk; later hops are covered by trunk gateways).
-				// Precomputed into a bitmap — the closure runs per
-				// (gateway, destination) in every window choose phase.
-				reach := cl.firstHopReach(idx)
-				up.SetReach(func(dstDom int) bool {
-					return dstDom >= 0 && dstDom < len(reach) && reach[dstDom]
-				})
-			} else {
-				up.SetReach(func(dstDom int) bool {
-					if idx >= len(cl.flowPeers) {
-						return false
-					}
-					for peer := range cl.flowPeers[idx] {
-						if peer < len(cl.nodeShard) && int(cl.nodeShard[peer]) == dstDom {
-							return true
-						}
-					}
-					return false
-				})
-			}
+			// safe bound of the domains the *first* forward after this
+			// node's HUB can enter (same-HUB peers resolve to their shard,
+			// farther peers to the owner of the path's first trunk; later
+			// hops are covered by trunk gateways). With a flow-affinity
+			// partition that is no domain at all, and windows stretch to
+			// the scheduling horizon. Precomputed into a bitmap — the
+			// closure runs per (gateway, destination) in every window
+			// choose phase.
+			reach := cl.firstHopReach(idx)
+			up.SetReach(func(dstDom int) bool {
+				return dstDom >= 0 && dstDom < len(reach) && reach[dstDom]
+			})
 		}
 		dom.AddGateway(up)
 	}
-	if cl.topo != nil {
-		cl.uplinks[idx] = up
-	} else {
-		cl.uplinks = append(cl.uplinks, up)
-	}
+	cl.uplinks[idx] = up
 	if cl.flowPeers != nil {
-		// The declaration is enforced on every frame, sequential or
+		// The declaration is enforced on every send, sequential or
 		// sharded, so a violating workload fails identically in both
-		// modes instead of silently desynchronizing them. The destination
-		// comes from the frame's datalink header — on a fabric the first
-		// route byte names a trunk, not a node.
-		up.SetSendGuard(func(pkt *fiber.Packet) {
-			if dst, ok := cl.frameDst(pkt.Frame); ok && !cl.trafficAllowed(idx, dst) {
-				sim.Panicf("nectar: node %d sent a frame toward node %d, which Config.Flows does not declare", idx, dst)
+		// modes instead of silently desynchronizing them. Routes exist
+		// only between declared peers, so the violation shows as a
+		// route miss.
+		c.OnRouteMiss(func(dst wire.NodeID) {
+			if j := int(dst) - 1; j >= 0 && j < len(cl.Nodes) && !cl.trafficAllowed(idx, cl.Nodes[j].idx) {
+				sim.Panicf("nectar: node %d sent a frame toward node %d, which Config.Flows does not declare", idx, cl.Nodes[j].idx)
 			}
 		})
 	}
@@ -425,7 +337,7 @@ func (cl *Cluster) bootNode(idx, hubIdx, port int) *Node {
 	n := &Node{
 		ID: id, CAB: c, Host: h, IF: f,
 		Mailboxes: mrt, Syncs: pool, Datalink: dl,
-		hubIdx: hubIdx, port: port,
+		idx: idx,
 	}
 
 	// Protocol stacks.
@@ -437,7 +349,6 @@ func (cl *Cluster) bootNode(idx, hubIdx, port int) *Node {
 	n.Sockets = sockets.New(n.TCP, n.Mailboxes, n.IF, n.Syncs)
 
 	cl.Nodes = append(cl.Nodes, n)
-	cl.idToIdx[id] = int32(idx)
 	return n
 }
 
@@ -456,100 +367,37 @@ func crossFn(hb *hub.Hub, own *sim.Domain) func(out byte) (int, bool) {
 	}
 }
 
-// frameDst resolves a frame's datalink destination to a node index
-// (materialized nodes only; false for short frames or unknown IDs).
-func (cl *Cluster) frameDst(frame []byte) (int, bool) {
-	if len(frame) < wire.DatalinkHeaderLen {
-		return 0, false
-	}
-	id := wire.NodeID(uint16(frame[6])<<8 | uint16(frame[7]))
-	idx, ok := cl.idToIdx[id]
-	return int(idx), ok
-}
-
-// routes returns the cluster's shared route table, creating it on first
-// use over the fabric's closed-form router (Config.Topology) or a BFS over
-// the hand-wired hub links.
-func (cl *Cluster) routes() *fabric.RouteTable {
-	if cl.routeTab == nil {
-		if cl.topo != nil {
-			cl.routeTab = fabric.NewRouteTable(cl.topo.HubPath)
-		} else {
-			cl.routeTab = fabric.NewRouteTable(cl.bfsHubPath)
-		}
-	}
-	return cl.routeTab
-}
-
 // RouteTableStats reports the shared route table's deduplicated size:
 // distinct route strings and their total bytes. Every CAB route entry is a
 // reference into this table.
 func (cl *Cluster) RouteTableStats() (entries, bytes int) {
-	return cl.routes().Entries(), cl.routes().Bytes()
+	return cl.routeTab.Entries(), cl.routeTab.Bytes()
 }
 
-// recomputeRoutes rebuilds every CAB's source-route table for hand-wired
-// clusters. Entries are references into the shared route table, so nodes
-// on the same HUB pair share backing arrays. src == dst is loopback: the
-// crossbar routes the frame straight back down the sender's own port, so
-// node-local transport traffic needs no special casing in software.
-func (cl *Cluster) recomputeRoutes() {
-	rt := cl.routes()
-	for _, src := range cl.Nodes {
-		for _, dst := range cl.Nodes {
-			if route, ok := rt.Route(src.hubIdx, dst.hubIdx, dst.port); ok {
-				src.CAB.SetRoute(dst.ID, route)
-			}
-		}
+// shard returns node i's shard (0 when sequential): Config.ShardOf, or
+// round-robin, asked on first use and memoized, so only the nodes the
+// cluster actually touches — materialized nodes and declared-flow
+// endpoints — are ever looked up.
+func (cl *Cluster) shard(i int) int {
+	if cl.coupling == nil {
+		return 0
 	}
-}
-
-// bfsHubPath returns the output-port bytes from HUB `from` to HUB `to`
-// over the hand-wired hub links (excluding any final attachment port).
-func (cl *Cluster) bfsHubPath(from, to int) ([]byte, bool) {
-	if from == to {
-		return nil, true
+	if s := cl.nodeShard[i]; s != 0 {
+		return int(s) - 1
 	}
-	type hop struct {
-		hub  int
-		path []byte
-	}
-	visited := make([]bool, len(cl.Hubs))
-	visited[from] = true
-	queue := []hop{{from, nil}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range cl.hubLinks {
-			if l.fromHub != cur.hub || visited[l.toHub] {
-				continue
-			}
-			path := append(append([]byte(nil), cur.path...), byte(l.fromPort))
-			if l.toHub == to {
-				return path, true
-			}
-			visited[l.toHub] = true
-			queue = append(queue, hop{l.toHub, path})
-		}
-	}
-	return nil, false
-}
-
-// shardOf maps a node index to its shard.
-func (cl *Cluster) shardOf(nodeIdx int) int {
+	s := i % cl.cfg.Shards
 	if cl.cfg.ShardOf != nil {
-		s := cl.cfg.ShardOf(nodeIdx)
+		s = cl.cfg.ShardOf(i)
 		if s < 0 || s >= cl.cfg.Shards {
-			sim.Panicf("nectar: ShardOf(%d) = %d out of range [0,%d)", nodeIdx, s, cl.cfg.Shards)
+			sim.Panicf("nectar: ShardOf(%d) = %d out of range [0,%d)", i, s, cl.cfg.Shards)
 		}
-		return s
 	}
-	return nodeIdx % cl.cfg.Shards
+	cl.nodeShard[i] = int32(s) + 1
+	return s
 }
 
 // ShardByFlows builds a topology-aware Config.ShardOf assignment from the
-// traffic pattern: flows lists pairs of node indices (in AddNode order)
-// expected to exchange most of the traffic, and the builder places both
+// traffic pattern: flows lists pairs of node (attachment) indices expected to exchange most of the traffic, and the builder places both
 // endpoints of every flow — transitively, whole connected components of
 // the flow graph — on the same shard, balancing components across shards
 // by node count. Chatty neighbors thus never pay the cross-shard barrier,
@@ -709,12 +557,7 @@ func (cl *Cluster) MultiWindows() uint64 {
 }
 
 // ShardOfNode returns the shard executing node i (0 when sequential).
-func (cl *Cluster) ShardOfNode(i int) int {
-	if cl.coupling == nil {
-		return 0
-	}
-	return int(cl.nodeShard[i])
-}
+func (cl *Cluster) ShardOfNode(i int) int { return cl.shard(i) }
 
 // Kernels returns every simulation kernel of the cluster: one per shard,
 // or just K when sequential. Per-shard observability (trace sinks, wire

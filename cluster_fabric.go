@@ -9,10 +9,10 @@ import (
 	"nectar/internal/sim"
 )
 
-// This file realizes Config.Topology: the whole HUB fabric — crossbars and
-// trunk fibers — is built up front from data, while nodes stay *compact*
-// (a few bytes of arena state per attachment point) until Node(i)
-// materializes a full host/CAB pair on first use.
+// This file realizes the cluster's fabric.Topology: the whole HUB fabric —
+// crossbars and trunk fibers — is built up front from data, while nodes
+// stay *compact* (a few bytes of arena state per attachment point) until
+// Node(i) or AddNode materializes a full host/CAB pair.
 //
 // Sharded fabrics additionally assign every directed trunk an owning
 // shard: the trunk's link and the input port it feeds run on the owner's
@@ -30,6 +30,7 @@ func (cl *Cluster) buildFabric(topo *fabric.Topology) {
 		panic("nectar: " + err.Error())
 	}
 	cl.topo = topo
+	cl.routeTab = fabric.NewRouteTable(topo)
 	n := topo.NodeCount()
 	if cl.flowPeers != nil && len(cl.flowPeers) > n {
 		sim.Panicf("nectar: Config.Flows references node %d; the topology has %d attachment points",
@@ -41,19 +42,16 @@ func (cl *Cluster) buildFabric(topo *fabric.Topology) {
 			h.SetSharded()
 		}
 		cl.Hubs = append(cl.Hubs, h)
-		cl.nextPort = append(cl.nextPort, 0)
 	}
 
-	// The compact node arena: shard, materialized pointer and uplink slot
-	// per attachment point. Everything else a node needs before it first
-	// carries traffic lives in the topology's own arrays (hub, port).
+	// The compact node arena: materialized pointer, uplink slot and (when
+	// sharded) memoized shard per attachment point. Everything else a
+	// node needs before it first carries traffic lives in the topology's
+	// own arrays (hub, port).
 	cl.mat = make([]*Node, n)
 	cl.uplinks = make([]*fiber.Link, n)
-	cl.nodeShard = make([]int32, n)
 	if cl.coupling != nil {
-		for i := range cl.nodeShard {
-			cl.nodeShard[i] = int32(cl.shardOf(i))
-		}
+		cl.nodeShard = make([]int32, n)
 	}
 
 	var reach [][]bool
@@ -118,7 +116,7 @@ func (cl *Cluster) planTrunks() (owner []int32, reach [][]bool) {
 	shards := len(cl.domains)
 	votes := make([]int32, nt*shards)
 	cl.eachFlowDirection(func(src, dst int) {
-		s := int(cl.nodeShard[src])
+		s := cl.shard(src)
 		cl.walkTrunks(src, dst, func(ti int) {
 			votes[ti*shards+s]++
 		})
@@ -137,7 +135,7 @@ func (cl *Cluster) planTrunks() (owner []int32, reach [][]bool) {
 		var seq []int
 		cl.walkTrunks(src, dst, func(ti int) { seq = append(seq, ti) })
 		for pos, ti := range seq {
-			next := cl.nodeShard[dst]
+			next := int32(cl.shard(dst))
 			if pos+1 < len(seq) {
 				next = owner[seq[pos+1]]
 			}
@@ -196,7 +194,7 @@ func (cl *Cluster) firstHopReach(idx int) []bool {
 	if idx < len(cl.flowPeers) {
 		for peer := range cl.flowPeers[idx] {
 			if int(topo.NodeHub[peer]) == srcHub {
-				reach[cl.nodeShard[peer]] = true
+				reach[cl.shard(peer)] = true
 				continue
 			}
 			if path, ok := topo.HubPath(srcHub, int(topo.NodeHub[peer])); ok && len(path) > 0 {
@@ -209,17 +207,13 @@ func (cl *Cluster) firstHopReach(idx int) []bool {
 	return reach
 }
 
-// Node returns the node at index i. On a fabric cluster it materializes
-// the full host/CAB pair at attachment point i on first use — wire IDs,
-// trace names and routes follow materialization order, so workloads that
-// must compare byte-identically across runs materialize their nodes in
-// the same order. Under sharded execution, materialize before the first
-// Run/RunFor: gateways register with the coupling at boot. Hand-wired
-// clusters simply index Nodes.
+// Node returns the node at attachment point i, materializing the full
+// host/CAB pair on first use — wire IDs, trace names and routes follow
+// materialization order, so workloads that must compare byte-identically
+// across runs materialize their nodes in the same order. Under sharded
+// execution, materialize before the first Run/RunFor: gateways register
+// with the coupling at boot.
 func (cl *Cluster) Node(i int) *Node {
-	if cl.topo == nil {
-		return cl.Nodes[i]
-	}
 	if i < 0 || i >= len(cl.mat) {
 		sim.Panicf("nectar: node %d out of range; the topology has %d attachment points", i, len(cl.mat))
 	}
@@ -230,25 +224,18 @@ func (cl *Cluster) Node(i int) *Node {
 }
 
 // materialize boots the full node at attachment point i and installs the
-// routes between it and every relevant peer that is already materialized.
-// Routes depend only on attachment coordinates, so both directions can be
-// installed as soon as the second endpoint exists; compact nodes never
-// transmit (they have no stack), so they need no entries at all.
+// routes between it and every relevant peer that is already materialized:
+// its declared peers, or every node when Flows is nil. Routes depend only
+// on attachment coordinates, so both directions can be installed as soon
+// as the second endpoint exists; compact nodes never transmit (they have
+// no stack), so they need no entries at all.
 func (cl *Cluster) materialize(i int) *Node {
-	topo := cl.topo
-	n := cl.bootNode(i, int(topo.NodeHub[i]), int(topo.NodePort[i]))
+	n := cl.bootNode(i)
 	cl.mat[i] = n
-	rt := cl.routes()
-	if r, ok := rt.Route(n.hubIdx, n.hubIdx, n.port); ok {
-		n.CAB.SetRoute(n.ID, r) // loopback via the crossbar
-	}
+	cl.setRoute(n, n) // loopback via the crossbar
 	link := func(p *Node) {
-		if r, ok := rt.Route(n.hubIdx, p.hubIdx, p.port); ok {
-			n.CAB.SetRoute(p.ID, r)
-		}
-		if r, ok := rt.Route(p.hubIdx, n.hubIdx, n.port); ok {
-			p.CAB.SetRoute(n.ID, r)
-		}
+		cl.setRoute(n, p)
+		cl.setRoute(p, n)
 	}
 	if cl.flowPeers != nil {
 		if i < len(cl.flowPeers) {
@@ -268,21 +255,21 @@ func (cl *Cluster) materialize(i int) *Node {
 	return n
 }
 
-// NodeCount returns the number of attachment points of a fabric cluster,
-// or the number of added nodes of a hand-wired one.
-func (cl *Cluster) NodeCount() int {
-	if cl.topo != nil {
-		return len(cl.mat)
+// setRoute installs src's source route to dst from the shared route table.
+func (cl *Cluster) setRoute(src, dst *Node) {
+	t := cl.topo
+	if r, ok := cl.routeTab.Route(int(t.NodeHub[src.idx]), int(t.NodeHub[dst.idx]), int(t.NodePort[dst.idx])); ok {
+		src.CAB.SetRoute(dst.ID, r)
 	}
-	return len(cl.Nodes)
 }
 
-// MaterializedNodes reports how many nodes have a booted protocol stack
-// (equal to NodeCount on hand-wired clusters).
+// NodeCount returns the number of attachment points.
+func (cl *Cluster) NodeCount() int { return len(cl.mat) }
+
+// MaterializedNodes reports how many nodes have a booted protocol stack.
 func (cl *Cluster) MaterializedNodes() int { return len(cl.Nodes) }
 
-// Topology returns the fabric this cluster was built from (nil when
-// hand-wired).
+// Topology returns the fabric this cluster was built from.
 func (cl *Cluster) Topology() *fabric.Topology { return cl.topo }
 
 // TrunkLink returns the fiber link realizing directed trunk ti of the

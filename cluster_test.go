@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nectar/internal/fabric"
 	"nectar/internal/nectarine"
 	"nectar/internal/proto/nectar"
 	"nectar/internal/proto/wire"
@@ -33,17 +34,15 @@ func TestClusterRouting(t *testing.T) {
 }
 
 func TestMultiHubRouting(t *testing.T) {
-	cl := NewCluster(nil)
-	h2 := cl.AddHub()
-	cl.ConnectHubs(0, h2)
-	a := cl.AddNodeAt(0)
-	b := cl.AddNodeAt(h2)
+	// Two leaf HUBs joined through one spine, one node on each leaf.
+	cl := NewCluster(&Config{Topology: fabric.LeafSpine(2, 1, 1)})
+	a, b := cl.AddNode(), cl.AddNode()
 	route, ok := a.CAB.Route(b.ID)
 	if !ok {
 		t.Fatal("no inter-hub route")
 	}
-	if len(route) != 2 {
-		t.Fatalf("route len = %d, want 2 (one inter-hub hop + final port)", len(route))
+	if len(route) != 3 {
+		t.Fatalf("route len = %d, want 3 (leaf->spine, spine->leaf, final port)", len(route))
 	}
 	// And traffic actually flows.
 	done := false

@@ -6,7 +6,7 @@
 // Examples:
 //
 //	nectar-sim -nodes 4 -msgs 50 -size 1024 -proto rmp
-//	nectar-sim -nodes 6 -hubs 2 -proto datagram -size 256
+//	nectar-sim -nodes 6 -hubs 2 -proto datagram -size 256   # leaf-spine: 2 leaf HUBs, 1 spine
 package main
 
 import (
@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"nectar"
+	"nectar/internal/fabric"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/mailbox"
@@ -25,22 +26,22 @@ import (
 
 func main() {
 	nodes := flag.Int("nodes", 4, "number of host/CAB pairs")
-	hubs := flag.Int("hubs", 1, "number of HUBs (connected in a chain)")
+	hubs := flag.Int("hubs", 1, "number of leaf HUBs the nodes spread over; more than 1 adds a spine HUB joining them")
 	msgs := flag.Int("msgs", 20, "messages per source-destination pair")
 	size := flag.Int("size", 1024, "message size in bytes")
 	proto := flag.String("proto", "rmp", "transport: datagram | rmp")
 	rxThread := flag.Bool("rxthread", false, "protocol input in a thread instead of at interrupt time")
 	flag.Parse()
 
-	cl := nectar.NewCluster(&nectar.Config{RxThreadMode: *rxThread})
-	for h := 1; h < *hubs; h++ {
-		idx := cl.AddHub()
-		cl.ConnectHubs(idx-1, idx)
+	cfg := &nectar.Config{RxThreadMode: *rxThread}
+	if *hubs > 1 {
+		cfg.Topology = fabric.LeafSpine(*hubs, 1, (*nodes+*hubs-1) / *hubs)
 	}
+	cl := nectar.NewCluster(cfg)
 	var ns []*nectar.Node
 	var sinks []*mailbox.Mailbox
 	for i := 0; i < *nodes; i++ {
-		n := cl.AddNodeAt(i % *hubs)
+		n := cl.Node(i)
 		ns = append(ns, n)
 		sink := n.Mailboxes.Create(fmt.Sprintf("sim.sink%d", i))
 		sink.SetCapacity(1 << 20)
@@ -102,7 +103,7 @@ func main() {
 	elapsed := sim.Duration(cl.Now() - start)
 
 	totalBytes := *nodes * (*nodes - 1) * *msgs * *size
-	fmt.Printf("%d nodes on %d HUB(s), %s, %d x %dB per pair\n", *nodes, *hubs, *proto, *msgs, *size)
+	fmt.Printf("%d nodes on %d HUB(s), %s, %d x %dB per pair\n", *nodes, len(cl.Hubs), *proto, *msgs, *size)
 	fmt.Printf("virtual time: %v   aggregate goodput: %.1f Mbit/s\n",
 		elapsed, float64(totalBytes)*8/elapsed.Seconds()/1e6)
 	fmt.Printf("\n%-6s %10s %10s %10s %12s %12s\n", "node", "tx", "rx", "crcErr", "switches", "interrupts")

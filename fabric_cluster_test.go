@@ -277,25 +277,79 @@ func TestFabricCompactNodes(t *testing.T) {
 	}
 }
 
-// TestFabricHandWiringUnavailable pins the API contract: fabric clusters
-// define their wiring from data, so the hand-wiring surface panics.
-func TestFabricHandWiringUnavailable(t *testing.T) {
-	cl := NewCluster(&Config{Topology: fabric.LeafSpine(2, 1, 2)})
-	for name, fn := range map[string]func(){
-		"AddHub":      func() { cl.AddHub() },
-		"ConnectHubs": func() { cl.ConnectHubs(0, 1) },
-		"AddNode":     func() { cl.AddNode() },
+// TestAddNodeFillsFreeAttachmentPoints: AddNode takes the lowest
+// attachment point Node(i) has not already materialized, and panics once
+// the topology is full.
+func TestAddNodeFillsFreeAttachmentPoints(t *testing.T) {
+	cl := NewCluster(&Config{Topology: fabric.Star(4), CABDataBytes: 64 << 10})
+	n0, n2 := cl.Node(0), cl.Node(2)
+	if got := cl.AddNode(); got != cl.Node(1) || got == n0 || got == n2 {
+		t.Fatal("AddNode did not take free attachment point 1")
+	}
+	if got := cl.AddNode(); got != cl.Node(3) {
+		t.Fatal("AddNode did not skip materialized point 2 for point 3")
+	}
+	if got := cl.MaterializedNodes(); got != 4 {
+		t.Fatalf("MaterializedNodes = %d, want 4", got)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "out of ports") {
+			t.Fatalf("AddNode on a full topology: recovered %v, want an out-of-ports panic", r)
+		}
+	}()
+	cl.AddNode()
+}
+
+// TestShardOfConsultedLazily: a sharded default cluster (a 16-port star)
+// asks Config.ShardOf only about the nodes it touches, once each, so an
+// 8-node ShardByFlows assignment is never indexed past node 7.
+func TestShardOfConsultedLazily(t *testing.T) {
+	flows := [][2]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
+	assign := ShardByFlows(8, 2, flows)
+	asked := map[int]int{}
+	cl := NewCluster(&Config{Shards: 2, Flows: flows, ShardOf: func(i int) int {
+		asked[i]++
+		return assign(i)
+	}})
+	if cl.NodeCount() != 16 {
+		t.Fatalf("default cluster has %d attachment points, want 16", cl.NodeCount())
+	}
+	for i := 0; i < 8; i++ {
+		if n := cl.AddNode(); cl.ShardOfNode(i) != assign(i) {
+			t.Fatalf("node %d (wire %d) on shard %d, want %d", i, n.ID, cl.ShardOfNode(i), assign(i))
+		}
+	}
+	for i, times := range asked {
+		if i > 7 || times != 1 {
+			t.Errorf("ShardOf(%d) called %d times", i, times)
+		}
+	}
+	if len(asked) != 8 {
+		t.Errorf("ShardOf asked about %d nodes, want 8", len(asked))
+	}
+}
+
+// TestDeclaredStarRoutes: with Config.Flows on the default star, a CAB
+// holds routes only to its declared peers and itself. Star routes are one
+// destination-port byte shared by every sender, so the shared table holds
+// one entry per materialized node.
+func TestDeclaredStarRoutes(t *testing.T) {
+	cl := NewCluster(&Config{Flows: [][2]int{{0, 1}}})
+	a, b, c := cl.AddNode(), cl.AddNode(), cl.AddNode()
+	for _, tc := range []struct {
+		from, to *Node
+		want     bool
+	}{
+		{a, a, true}, {a, b, true}, {a, c, false},
+		{b, a, true}, {b, b, true}, {b, c, false},
+		{c, a, false}, {c, b, false}, {c, c, true},
 	} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil {
-					t.Errorf("%s did not panic on a fabric cluster", name)
-				} else if !strings.Contains(fmt.Sprint(r), "Topology") && !strings.Contains(fmt.Sprint(r), "Node(i)") {
-					t.Errorf("%s: wrong panic: %v", name, r)
-				}
-			}()
-			fn()
-		}()
+		if _, ok := tc.from.CAB.Route(tc.to.ID); ok != tc.want {
+			t.Errorf("route %d->%d present = %v, want %v", tc.from.ID, tc.to.ID, ok, tc.want)
+		}
+	}
+	if entries, bytes := cl.RouteTableStats(); entries != 3 || bytes != 3 {
+		t.Errorf("route table has %d entries (%d bytes), want 3 one-byte routes", entries, bytes)
 	}
 }
 

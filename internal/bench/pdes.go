@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nectar"
+	"nectar/internal/fabric"
 	"nectar/internal/model"
 	"nectar/internal/prof"
 	"nectar/internal/proto/wire"
@@ -169,7 +170,7 @@ func runPdesFlows(cost *model.CostModel, shards, nodes, perFlow, msgBytes int, a
 	var cfg nectar.Config
 	cfg.Cost = cost
 	if nodes > 16 {
-		cfg.HubPorts = nodes // one crossbar large enough for the scaling leg
+		cfg.Topology = fabric.Star(nodes) // one crossbar large enough for the scaling leg
 	}
 	// The flow list is the complete traffic matrix of this workload, so
 	// declare it: gateways whose declared peers are all local stop

@@ -1,10 +1,10 @@
 // Package fabric builds datacenter-scale HUB topologies as data: a
 // Topology names every crossbar, every trunk fiber between crossbars, and
 // every node attachment point, and computes hierarchical source routes in
-// closed form. The cluster builder consumes a Topology instead of
-// hand-wiring AddHub/ConnectHubs calls, which is what lets experiments
-// scale from the paper's handful of nodes to fat-tree fabrics with tens of
-// thousands of attachment points.
+// closed form. Every cluster is built from a Topology: the paper's
+// single-HUB installation is a Star, and the same builder scales to
+// leaf-spine and fat-tree fabrics with tens of thousands of attachment
+// points.
 //
 // Route port numbers ride in single bytes on the wire (the HUB consumes
 // one route byte per hop, paper §2.1), so every crossbar is limited to 256
@@ -32,18 +32,20 @@ type Trunk struct {
 	ToHub, ToPort     int
 }
 
+// kind is the fabric shape; kinds are ordered by tier count (see Tiers).
 type kind int
 
 const (
-	kindLeafSpine kind = iota
+	kindStar kind = iota
+	kindLeafSpine
 	kindFatTree
 )
 
 // Topology is a HUB fabric as data: crossbar sizes, trunk wiring, and node
 // attachment points, plus the closed-form router for its tier structure.
 type Topology struct {
-	// Name describes the fabric, e.g. "leaf-spine 32x128+8" or
-	// "fat-tree k=64".
+	// Name describes the fabric, e.g. "star 16", "leaf-spine 32x128+8"
+	// or "fat-tree k=64".
 	Name string
 	// HubPorts is the port count of each crossbar; len(HubPorts) is the
 	// number of HUBs.
@@ -65,6 +67,25 @@ type Topology struct {
 	// trunkAt[hub][port] is the index into Trunks of the trunk leaving
 	// hub at port, or -1. Built once by ensureIndex.
 	trunkAt [][]int32
+}
+
+// Star builds the paper's basic installation (§2.1): one crossbar of
+// `ports` ports with a node attachment point on every port and no trunks.
+func Star(ports int) *Topology {
+	if ports < 1 || ports > 256 {
+		sim.Panicf("fabric: star needs 1..256 ports; got %d", ports)
+	}
+	t := &Topology{
+		Name:     fmt.Sprintf("star %d", ports),
+		kind:     kindStar,
+		HubPorts: []int{ports},
+		NodeHub:  make([]int32, ports),
+		NodePort: make([]int32, ports),
+	}
+	for i := range t.NodePort {
+		t.NodePort[i] = int32(i)
+	}
+	return t
 }
 
 // LeafSpine builds a two-tier Clos fabric: `leaves` edge crossbars each
@@ -176,13 +197,10 @@ func (t *Topology) Hubs() int { return len(t.HubPorts) }
 // NodeCount returns the number of attachment points.
 func (t *Topology) NodeCount() int { return len(t.NodeHub) }
 
-// Tiers returns the number of switching tiers (2 for leaf-spine, 3 for
-// fat-tree).
+// Tiers returns the number of switching tiers (1 for a star, 2 for
+// leaf-spine, 3 for fat-tree).
 func (t *Topology) Tiers() int {
-	if t.kind == kindFatTree {
-		return 3
-	}
-	return 2
+	return int(t.kind) + 1
 }
 
 // HubPath returns the output-port bytes that carry a packet from crossbar

@@ -6,6 +6,23 @@ import (
 	"testing"
 )
 
+// A star is one crossbar with a node on every port: every route is the
+// single destination-port byte.
+func TestStarShape(t *testing.T) {
+	topo := Star(16)
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if topo.Hubs() != 1 || topo.NodeCount() != 16 || len(topo.Trunks) != 0 || topo.Tiers() != 1 {
+		t.Fatalf("star: %d hubs, %d nodes, %d trunks, %d tiers; want 1, 16, 0, 1",
+			topo.Hubs(), topo.NodeCount(), len(topo.Trunks), topo.Tiers())
+	}
+	rt := NewRouteTable(topo)
+	if r := nodeRoute(t, rt, topo, 3, 9); !bytes.Equal(r, []byte{9}) {
+		t.Fatalf("route 3->9 = %v, want [9]", r)
+	}
+}
+
 func TestLeafSpineShape(t *testing.T) {
 	topo := LeafSpine(4, 2, 16)
 	if err := topo.Validate(); err != nil {
@@ -79,7 +96,7 @@ func nodeRoute(t *testing.T, rt *RouteTable, topo *Topology, src, dst int) []byt
 // across two independent rebuilds.
 func TestFatTreeGoldenRoutes(t *testing.T) {
 	topo := FatTree(4)
-	rt := NewRouteTable(topo.HubPath)
+	rt := NewRouteTable(topo)
 	golden := []struct {
 		src, dst int
 		route    []byte
@@ -121,7 +138,7 @@ func TestFatTreeGoldenRoutes(t *testing.T) {
 func TestRoutesDeterministicAcrossRebuilds(t *testing.T) {
 	build := func() (*Topology, *RouteTable) {
 		topo := FatTree(4)
-		return topo, NewRouteTable(topo.HubPath)
+		return topo, NewRouteTable(topo)
 	}
 	t1, r1 := build()
 	t2, r2 := build()
@@ -141,7 +158,7 @@ func TestRoutesDeterministicAcrossRebuilds(t *testing.T) {
 
 func TestLeafSpineRoutes(t *testing.T) {
 	topo := LeafSpine(4, 2, 16)
-	rt := NewRouteTable(topo.HubPath)
+	rt := NewRouteTable(topo)
 	// Node 0 (leaf 0, port 0) -> node 35 (leaf 2, port 3): spine (0+2)%2=0.
 	if got := nodeRoute(t, rt, topo, 0, 35); !bytes.Equal(got, []byte{16, 2, 3}) {
 		t.Fatalf("route 0->35 = % x, want 10 02 03", got)
@@ -156,7 +173,7 @@ func TestLeafSpineRoutes(t *testing.T) {
 // computed once and all callers share the same backing array.
 func TestRouteTableDedup(t *testing.T) {
 	topo := LeafSpine(4, 2, 16)
-	rt := NewRouteTable(topo.HubPath)
+	rt := NewRouteTable(topo)
 	a := nodeRoute(t, rt, topo, 0, 35) // leaf 0 -> leaf 2 port 3
 	b := nodeRoute(t, rt, topo, 7, 35) // same leaf, same destination
 	if &a[0] != &b[0] {

@@ -14,17 +14,14 @@ package fabric
 // construction and node materialization — single-threaded by contract —
 // and only read (through CAB route maps) while the simulation runs.
 type RouteTable struct {
-	path    func(srcHub, dstHub int) ([]byte, bool)
+	topo    *Topology
 	entries map[uint64][]byte
 	bytes   int
 }
 
-// NewRouteTable creates a route table over the given hub-to-hub path
-// function (a Topology's HubPath, or a BFS over hand-wired hub links).
-// path must return the output-port bytes excluding the final attachment
-// port, and must be deterministic.
-func NewRouteTable(path func(srcHub, dstHub int) ([]byte, bool)) *RouteTable {
-	return &RouteTable{path: path, entries: make(map[uint64][]byte)}
+// NewRouteTable creates a route table over topo's closed-form router.
+func NewRouteTable(topo *Topology) *RouteTable {
+	return &RouteTable{topo: topo, entries: make(map[uint64][]byte)}
 }
 
 // Route returns the full source route from a node on srcHub to the node
@@ -35,7 +32,7 @@ func (rt *RouteTable) Route(srcHub, dstHub, dstPort int) ([]byte, bool) {
 	if r, ok := rt.entries[key]; ok {
 		return r, true
 	}
-	p, ok := rt.path(srcHub, dstHub)
+	p, ok := rt.topo.HubPath(srcHub, dstHub)
 	if !ok {
 		return nil, false
 	}
@@ -45,13 +42,6 @@ func (rt *RouteTable) Route(srcHub, dstHub, dstPort int) ([]byte, bool) {
 	rt.entries[key] = r
 	rt.bytes += len(r)
 	return r, true
-}
-
-// Reset drops every cached route (hand-wired clusters call it when the hub
-// graph changes).
-func (rt *RouteTable) Reset() {
-	rt.entries = make(map[uint64][]byte)
-	rt.bytes = 0
 }
 
 // Entries returns the number of distinct route strings in the table.

@@ -80,8 +80,9 @@ type CAB struct {
 	Heap *mem.Heap       // buffer heap over data memory (mailbox storage)
 	Prot *mem.Protection // protection domains
 
-	out    *fiber.Link // to the HUB
-	routes map[wire.NodeID][]byte
+	out       *fiber.Link // to the HUB
+	routes    map[wire.NodeID][]byte
+	routeMiss func(dst wire.NodeID) // Transmit found no route to dst; nil = just the error
 
 	rxHandler   func(t *threads.Thread, d *RxDesc) // start-of-packet, interrupt context
 	hostVector  func(t *threads.Thread)            // doorbell from host, interrupt context
@@ -173,6 +174,12 @@ func (c *CAB) OutLink() *fiber.Link { return c.out }
 func (c *CAB) SetRoute(dst wire.NodeID, route []byte) {
 	c.routes[dst] = route
 }
+
+// OnRouteMiss installs fn, called by Transmit before it fails for lack of
+// a route to dst. Clusters with a declared traffic matrix use it to panic
+// on undeclared traffic: they install routes only between declared peers,
+// so a route miss is where such a frame first shows. Pass nil to clear.
+func (c *CAB) OnRouteMiss(fn func(dst wire.NodeID)) { c.routeMiss = fn }
 
 // Route returns the source route to dst.
 func (c *CAB) Route(dst wire.NodeID) ([]byte, bool) {
@@ -267,6 +274,9 @@ func (c *CAB) Transmit(dst wire.NodeID, hdr wire.DatalinkHeader, circuit bool, p
 	}
 	route, ok := c.routes[dst]
 	if !ok {
+		if c.routeMiss != nil {
+			c.routeMiss(dst)
+		}
 		return fmt.Errorf("cab%d: no route to node %d", c.node, dst)
 	}
 	n := 0

@@ -72,7 +72,7 @@ type Link struct {
 
 	// Gateway role (sharded execution): when this link feeds a HUB input
 	// port whose forwards may cross shard boundaries, it doubles as the
-	// shard's sim.Gateway / sim.ChannelGateway, bounding the earliest
+	// shard's sim.Gateway, bounding the earliest
 	// possible cross-shard output. gwDelay is the HUB setup latency added
 	// to every forward; gwCross resolves a packet's next route hop to the
 	// destination domain it would leave the shard for (cross=false for
@@ -85,7 +85,6 @@ type Link struct {
 	gwCross   func(port byte) (dst int, cross bool)
 	gwTxFloor func(actFloor sim.Time) sim.Time
 	gwReach   func(dst int) bool
-	gwGuard   func(pkt *Packet)
 	gwPending []gwFrame
 
 	// Fault injection.
@@ -133,9 +132,6 @@ func (l *Link) Send(pkt *Packet) { l.SendAt(pkt, l.k.Now()) }
 //
 //nectar:takes-ownership pkt released on the drop path, otherwise handed to the receiving endpoint
 func (l *Link) SendAt(pkt *Packet, t sim.Time) {
-	if l.gwGuard != nil {
-		l.gwGuard(pkt)
-	}
 	if t < l.k.Now() {
 		t = l.k.Now()
 	}
@@ -208,7 +204,7 @@ type gwFrame struct {
 // packets arriving at its destination HUB port incur delay (the HUB setup
 // latency), and cross resolves a packet's next route hop to the domain it
 // would leave the shard for (cross=false when the forward stays local).
-// The link then implements sim.Gateway and sim.ChannelGateway.
+// The link then implements sim.Gateway.
 func (l *Link) SetGateway(delay sim.Duration, cross func(port byte) (dst int, crossShard bool)) {
 	l.gwDelay = delay
 	l.gwCross = cross
@@ -235,49 +231,17 @@ func (l *Link) SetTxFloor(fn func(actFloor sim.Time) sim.Time) { l.gwTxFloor = f
 // clear (every destination reachable — the conservative default).
 func (l *Link) SetReach(fn func(dst int) bool) { l.gwReach = fn }
 
-// SetSendGuard installs a check run on every packet presented for
-// transmission (before fault injection). Clusters with a declared traffic
-// matrix use it to panic deterministically on a frame to an undeclared
-// destination — the declaration is a contract, and a silent violation
-// would make the sharded bounds unsound. The guard sees the whole packet:
-// on multi-hop fabrics the first route byte names a trunk, not the
-// destination, so guards resolve the destination from the frame's
-// datalink header instead. Pass nil to clear.
-func (l *Link) SetSendGuard(fn func(pkt *Packet)) { l.gwGuard = fn }
-
-// EarliestOutput implements sim.Gateway: a lower bound on the timestamp of
-// any future cross-shard forward fed by this link, given the owning
-// domain's next event time. Two sources bound it: cross-capable deliveries
-// already in flight (gwPending), and hypothetical future sends, which
-// cannot start before the link is free nor before the domain's next event.
-// Every forward then adds the HUB setup delay — the lookahead that makes
-// conservative windows non-trivial even at zero queueing.
-func (l *Link) EarliestOutput(net sim.Time) sim.Time {
-	e := sim.MaxTime
-	if net < sim.MaxTime {
-		e = net
-		if l.freeAt > e {
-			e = l.freeAt
-		}
-	}
-	if len(l.gwPending) > 0 && l.gwPending[0].start < e {
-		e = l.gwPending[0].start
-	}
-	if e >= sim.MaxTime {
-		return sim.MaxTime
-	}
-	return e + sim.Time(l.gwDelay)
-}
-
-// EarliestOutputTo implements sim.ChannelGateway: a lower bound on the
-// timestamp of any future forward from this link into domain dst,
-// given actFloor — a lower bound on the earliest instant the owning
-// domain can execute any event. It sharpens EarliestOutput twice over:
-// in-flight deliveries destined to *other* domains no longer cap the
-// bound for dst, and future sends are pushed past the transmit floor
-// (the CPU time every frame send provably consumes before reaching the
-// fiber). Zero-allocation: called per (gateway, destination) pair in
-// every window choose phase.
+// EarliestOutputTo implements sim.Gateway: a lower bound on the timestamp
+// of any future forward from this link into domain dst, given actFloor —
+// a lower bound on the earliest instant the owning domain can execute any
+// event. Two sources bound it: cross-capable deliveries to dst already in
+// flight (gwPending; deliveries to *other* domains do not cap it), and
+// hypothetical future sends, which cannot start before the link is free
+// nor before the transmit floor (the CPU time every frame send provably
+// consumes before reaching the fiber). Every forward then adds the HUB
+// setup delay — the lookahead that makes conservative windows
+// non-trivial even at zero queueing. Zero-allocation: called per
+// (gateway, destination) pair in every window choose phase.
 //
 //nectar:hotpath
 func (l *Link) EarliestOutputTo(dst int, actFloor sim.Time) sim.Time {

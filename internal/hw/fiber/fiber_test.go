@@ -90,7 +90,6 @@ func TestEarliestOutputZeroAlloc(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, func() {
 			sum += l.EarliestOutputTo(1, k.Now())
 			sum += l.EarliestOutputTo(0, sim.MaxTime)
-			sum += l.EarliestOutput(k.Now())
 		}); avg != 0 {
 			k.Fatalf("safe-bound computation allocates: %.1f allocs/run", avg)
 		}

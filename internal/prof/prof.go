@@ -304,7 +304,7 @@ type Profile struct {
 	drainBytes []uint64 // per source shard
 
 	winSpan   Hist // safe-window width beyond the earliest event, virtual ns
-	lookahead Hist // per-gateway EarliestOutput(net) - net, virtual ns
+	lookahead Hist // per-gateway min over dst of EarliestOutputTo(dst, act) - act, virtual ns
 	winEvents Hist // kernel dispatches per window
 }
 

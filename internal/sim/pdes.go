@@ -2,48 +2,40 @@
 // Kernels ("domains") concurrently on OS threads under a synchronous
 // safe-window scheduler (the YAWNS/LBTS family of algorithms).
 //
-// The correctness argument is the classical conservative one. Each domain d
-// exposes, through its registered Gateways, an Earliest Output Time: a lower
-// bound on the virtual timestamp of any future inter-domain message it can
-// emit given that its next local event is at NET(d). The scheduler picks the
-// global bound
-//
-//	B = min over domains d, gateways g of g.EarliestOutput(NET(d))
-//
-// and lets every domain execute all events with timestamp strictly below B
-// in parallel — no message with timestamp < B can ever arrive, so the window
-// is safe. Inter-domain messages produced inside the window (Domain.Send)
-// carry timestamps >= B by construction; they are buffered in per-source
-// outboxes and injected into their destination kernels at the barrier, in
-// deterministic (source domain index, emission order) order, before the next
-// window is chosen.
-//
-// When every gateway implements ChannelGateway the scheduler sharpens this
-// to one bound per destination domain. It first computes activity floors
-// act(d) — a lower bound on when *any* event can execute in d — as the
-// fixpoint of
+// The correctness argument is the classical conservative one, applied per
+// destination domain. Each domain exposes, through its registered
+// Gateways, an Earliest Output Time per channel: a lower bound on the
+// virtual timestamp of any future message it can emit into domain dst. The
+// scheduler first computes activity floors act(d) — a lower bound on when
+// *any* event can execute in d — as the fixpoint of
 //
 //	act(d) = min(NET(d), min over d' != d, gateways g of d' of g.EarliestOutputTo(d, act(d')))
 //
-// (Bellman-Ford over the domain graph; raw NETs alone would be unsound,
-// because a domain that ran far ahead can be pulled back by an incoming
-// message and then emit into another domain's past — the fixpoint accounts
-// for such transitive wake-up chains). The per-destination bound is then
+// (Bellman-Ford over the domain graph; raw next-event times alone would be
+// unsound, because a domain that ran far ahead can be pulled back by an
+// incoming message and then emit into another domain's past — the
+// fixpoint accounts for such transitive wake-up chains). The
+// per-destination bound is then
 //
 //	B(A) = min over domains d != A, gateways g of d of g.EarliestOutputTo(A, act(d))
 //
-// and domain A executes events strictly below B(A). Safety is per channel:
-// any message arriving at A is emitted by some other domain's gateway g at
-// or after g.EarliestOutputTo(A, act(owner)) >= B(A). Excluding A's own
-// gateways means a domain never throttles itself on its own potential
-// emissions, which is what lets windows coalesce far past the single
-// global bound.
+// and domain A executes, in parallel with the others, every event with
+// timestamp strictly below B(A). Safety is per channel: any message
+// arriving at A is emitted by some other domain's gateway g at or after
+// g.EarliestOutputTo(A, act(owner)) >= B(A). Excluding A's own gateways
+// means a domain never throttles itself on its own potential emissions,
+// which is what lets windows coalesce. Inter-domain messages produced
+// inside the window (Domain.Send) are buffered in per-source outboxes and
+// injected into their destination kernels at the barrier, in deterministic
+// (source domain index, emission order) order, before the next window is
+// chosen.
 //
 // Progress is guaranteed whenever every gateway has strictly positive
-// lookahead (EarliestOutput(net) > net): then B > min NET and at least one
-// domain executes at least one event per window. A zero-lookahead gateway
-// (e.g. a Nectar circuit, which forwards with zero switch delay) would stall
-// the scheduler, which is reported as an error rather than spinning.
+// lookahead (EarliestOutputTo(dst, act) > act): then the domain holding
+// the earliest event has a bound above it and executes at least one event
+// per window. A zero-lookahead gateway (e.g. a Nectar circuit, which
+// forwards with zero switch delay) would stall the scheduler, which is
+// reported as an error rather than spinning.
 //
 // Determinism: within a domain the kernel's (time, seq) order is untouched;
 // across domains every scheduler decision (NET, B, outbox drain order) is a
@@ -72,33 +64,18 @@ import (
 // lookahead to it cannot overflow.
 const MaxTime Time = math.MaxInt64 / 4
 
-// Gateway is an inter-domain output port. EarliestOutput returns a lower
-// bound on the timestamp of any future inter-domain message emitted via
-// this gateway, given that the owning domain's next local event is at net
-// (MaxTime when the domain is idle). Implementations should saturate at
-// MaxTime rather than overflow. It is only called between windows, never
-// concurrently with domain execution.
+// Gateway is an inter-domain output port. EarliestOutputTo returns a lower
+// bound on the timestamp of any future inter-domain message this gateway
+// can emit *into domain dst*, given actFloor — a lower bound on the
+// earliest instant any event can execute in the gateway's owning domain
+// (its next event time; MaxTime when idle). Implementations typically
+// sharpen the bound two ways: traffic already committed to other
+// destinations does not cap the bound for dst, and hypothetical future
+// emissions can carry a preparation margin (CPU time provably consumed
+// between the triggering event and the emission). Implementations should
+// saturate at MaxTime rather than overflow. It is only called between
+// windows, never concurrently with domain execution.
 type Gateway interface {
-	EarliestOutput(net Time) Time
-}
-
-// ChannelGateway is a Gateway that can additionally bound its earliest
-// output per destination domain. EarliestOutputTo returns a lower bound on
-// the timestamp of any future inter-domain message this gateway can emit
-// *into domain dst*, given actFloor — a lower bound on the earliest
-// instant any event can execute in the gateway's owning domain (its next
-// event time; MaxTime when idle). Implementations typically sharpen the
-// global bound two ways: traffic already committed to other destinations
-// does not cap the bound for dst, and hypothetical future emissions can
-// carry a preparation margin (CPU time provably consumed between the
-// triggering event and the emission).
-//
-// When every gateway of every domain implements ChannelGateway, the
-// coupling scheduler computes one safe bound per destination domain
-// instead of a single global bound, so a domain no longer throttles
-// itself on its own potential emissions and windows coalesce.
-type ChannelGateway interface {
-	Gateway
 	EarliestOutputTo(dst int, actFloor Time) Time
 }
 
@@ -269,14 +246,11 @@ type Coupling struct {
 	sp      parker // scheduler's park/wake point (workers signal done)
 	spin    int    // barrier poll budget before parking (set per run)
 
-	// Per-destination safe bounds (the per-channel scheduler). bounds[i]
-	// is domain i's window bound for the current round; chans[i] caches
-	// domain i's gateways down-asserted to ChannelGateway. Both are
-	// (re)built at run start; chans is nil when any gateway lacks
-	// per-channel support, selecting the legacy single-bound path.
+	// Per-destination safe bounds: bounds[i] is domain i's window bound
+	// for the current round, acts[i] its activity floor. Both are sized
+	// at run start.
 	bounds []Time
 	acts   []Time
-	chans  [][]ChannelGateway
 
 	// pr is the attached wall-clock profile, nil unless profiling was
 	// requested. Every collector call below is nil-receiver tolerant, so
@@ -367,33 +341,9 @@ func (c *Coupling) run(horizon Time, drain bool) error {
 			d.out = append(d.out, nil)
 		}
 	}
-	// Per-channel mode: available only when every gateway can bound its
-	// output per destination. The assertion results are cached so the
-	// choose loop below stays free of interface type switches (and of
-	// allocations — see the AllocsPerRun guard in pdes_alloc_test.go).
 	if len(c.bounds) != len(c.domains) {
 		c.bounds = make([]Time, len(c.domains))
 		c.acts = make([]Time, len(c.domains))
-	}
-	c.chans = c.chans[:0]
-	perChan := true
-	for _, d := range c.domains {
-		var cgs []ChannelGateway
-		for _, g := range d.gateways {
-			cg, ok := g.(ChannelGateway)
-			if !ok {
-				perChan = false
-				break
-			}
-			cgs = append(cgs, cg)
-		}
-		if !perChan {
-			break
-		}
-		c.chans = append(c.chans, cgs)
-	}
-	if !perChan {
-		c.chans = nil
 	}
 	// One worker goroutine per domain for the duration of this run. The
 	// winSeq/doneSeq atomics give the barrier its happens-before edges:
@@ -540,106 +490,77 @@ func (c *Coupling) run(horizon Time, drain bool) error {
 			}
 			return nil
 		}
-		// Safe bounds. Per-channel mode computes one bound per destination
-		// domain: bounds[dst] = min over *other* domains' gateways of
-		// their earliest output into dst. Excluding dst's own gateways is
-		// what lets a shard run ahead of its own potential emissions —
-		// with a single global bound, any busy domain with an idle uplink
-		// pins every window at net+lookahead. Legacy mode keeps the global
-		// bound (bounds[i] identical for all i).
-		var bMin Time
-		if perChan {
-			// Activity floors: act[d] lower-bounds when *any* event can
-			// execute in d — not just d's pending events, but also events
-			// created by messages other domains may yet send it. A domain
-			// far ahead of the pack can be pulled back by an injection
-			// (its NET is not monotone across rounds!), so using raw NETs
-			// as emission floors is unsound: A could be woken by B and
-			// then emit into B's past. The fixpoint below (Bellman-Ford
-			// over the domain graph; every hop adds at least the gateway
-			// delay, so it converges in at most len(domains) passes)
-			// accounts for those transitive wake-up chains.
+		// Safe bounds: one per destination domain, bounds[dst] = min over
+		// *other* domains' gateways of their earliest output into dst.
+		// Excluding dst's own gateways is what lets a shard run ahead of
+		// its own potential emissions — with a single global bound, any
+		// busy domain with an idle uplink pins every window at
+		// net+lookahead.
+		//
+		// Activity floors: act[d] lower-bounds when *any* event can
+		// execute in d — not just d's pending events, but also events
+		// created by messages other domains may yet send it. A domain
+		// far ahead of the pack can be pulled back by an injection
+		// (its NET is not monotone across rounds!), so using raw NETs
+		// as emission floors is unsound: A could be woken by B and
+		// then emit into B's past. The fixpoint below (Bellman-Ford
+		// over the domain graph; every hop adds at least the gateway
+		// delay, so it converges in at most len(domains) passes)
+		// accounts for those transitive wake-up chains.
+		for _, d := range c.domains {
+			c.acts[d.id] = MaxTime
+			if at, ok := d.k.NextEventAt(); ok {
+				c.acts[d.id] = at
+			}
+		}
+		for changed := true; changed; {
+			changed = false
 			for _, d := range c.domains {
-				c.acts[d.id] = MaxTime
-				if at, ok := d.k.NextEventAt(); ok {
-					c.acts[d.id] = at
-				}
-			}
-			for changed := true; changed; {
-				changed = false
-				for _, d := range c.domains {
-					for _, g := range c.chans[d.id] {
-						for _, dst := range c.domains {
-							if dst == d {
-								continue
-							}
-							if e := g.EarliestOutputTo(dst.id, c.acts[d.id]); e < c.acts[dst.id] {
-								c.acts[dst.id] = e
-								changed = true
-							}
-						}
-					}
-				}
-			}
-			// Per-destination bounds from the converged floors: bounds[A]
-			// = min over other domains' gateways of their earliest output
-			// into A.
-			for i := range c.bounds {
-				c.bounds[i] = MaxTime
-			}
-			for _, d := range c.domains {
-				act := c.acts[d.id]
-				for _, g := range c.chans[d.id] {
-					emin := MaxTime
+				for _, g := range d.gateways {
 					for _, dst := range c.domains {
 						if dst == d {
 							continue
 						}
-						e := g.EarliestOutputTo(dst.id, act)
-						if e < c.bounds[dst.id] {
-							c.bounds[dst.id] = e
-						}
-						if e < emin {
-							emin = e
+						if e := g.EarliestOutputTo(dst.id, c.acts[d.id]); e < c.acts[dst.id] {
+							c.acts[dst.id] = e
+							changed = true
 						}
 					}
-					if c.pr != nil && act < MaxTime && emin < MaxTime {
-						c.pr.Lookahead(int64(emin - act))
+				}
+			}
+		}
+		// Per-destination bounds from the converged floors: bounds[A]
+		// = min over other domains' gateways of their earliest output
+		// into A.
+		for i := range c.bounds {
+			c.bounds[i] = MaxTime
+		}
+		for _, d := range c.domains {
+			act := c.acts[d.id]
+			for _, g := range d.gateways {
+				emin := MaxTime
+				for _, dst := range c.domains {
+					if dst == d {
+						continue
+					}
+					e := g.EarliestOutputTo(dst.id, act)
+					if e < c.bounds[dst.id] {
+						c.bounds[dst.id] = e
+					}
+					if e < emin {
+						emin = e
 					}
 				}
-			}
-			bMin = MaxTime
-			for _, b := range c.bounds {
-				if b < bMin {
-					bMin = b
+				if c.pr != nil && act < MaxTime && emin < MaxTime {
+					c.pr.Lookahead(int64(emin - act))
 				}
 			}
-		} else {
-			b := MaxTime
-			for _, d := range c.domains {
-				net := MaxTime
-				if at, ok := d.k.NextEventAt(); ok {
-					net = at
-				}
-				for _, g := range d.gateways {
-					e := g.EarliestOutput(net)
-					if c.pr != nil && net < MaxTime && e < MaxTime {
-						c.pr.Lookahead(int64(e - net))
-					}
-					if e < b {
-						b = e
-					}
-				}
+		}
+		bMin := MaxTime
+		for _, b := range c.bounds {
+			if b < bMin {
+				bMin = b
 			}
-			if b <= minNET {
-				c.pr.ChooseAbort(ts)
-				return fmt.Errorf("sim: coupling stalled at %v: safe bound %v <= next event %v (a gateway has zero lookahead)",
-					c.Now(), b, minNET)
-			}
-			for i := range c.bounds {
-				c.bounds[i] = b
-			}
-			bMin = b
 		}
 		span := int64(0) // virtual window width before horizon clamp
 		if bMin > minNET {

@@ -7,17 +7,17 @@ import (
 	"testing"
 )
 
-// fixedLookahead is the simplest Gateway: any future output is at least
-// lookahead after the domain's next event.
+// fixedLookahead is the simplest Gateway: any future output, to any
+// domain, is at least lookahead after the owning domain's activity floor.
 type fixedLookahead struct {
 	lookahead Duration
 }
 
-func (g fixedLookahead) EarliestOutput(net Time) Time {
-	if net >= MaxTime {
+func (g fixedLookahead) EarliestOutputTo(dst int, actFloor Time) Time {
+	if actFloor >= MaxTime {
 		return MaxTime
 	}
-	return net + Time(g.lookahead)
+	return actFloor + Time(g.lookahead)
 }
 
 // TestCouplingPingPong bounces a message between two domains with a fixed

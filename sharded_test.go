@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nectar/internal/fabric"
 	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
@@ -341,28 +342,42 @@ func TestShardedDeclaredFlows(t *testing.T) {
 
 // TestDeclaredFlowViolationPanics pins the enforcement contract: traffic
 // between nodes not declared in Config.Flows fails deterministically —
-// the uplink guard panics when the first frame is emitted, which the
-// proc runtime converts into a kernel-fatal error returned by RunFor.
-// Enforced in sequential mode too, so a bad declaration can never
-// silently desync a sharded run.
+// routes exist only between declared peers, and the CAB's route miss
+// panics on the first send, which the proc runtime converts into a
+// kernel-fatal error returned by RunFor. The contract holds on a single
+// HUB and across a leaf-spine fabric, sequential and sharded, so a bad
+// declaration can never silently desync a sharded run.
 func TestDeclaredFlowViolationPanics(t *testing.T) {
-	cl := NewCluster(&Config{Flows: [][2]int{{0, 1}}})
-	nodes := []*Node{cl.AddNode(), cl.AddNode(), cl.AddNode()}
-	sink := nodes[2].Mailboxes.Create("undeclared.sink")
-	addr := wire.MailboxAddr{Node: nodes[2].ID, Box: sink.ID()}
-	nodes[0].CAB.Sched.Fork("violate", threads.SystemPriority, func(th *threads.Thread) {
-		// 0 -> 2 is not declared: the send guard fires when the first
-		// frame hits the uplink.
-		nodes[0].Transports.RMP.SendBlocking(exec.OnCAB(th), addr, 0, []byte("x"))
-	})
-	err := cl.RunFor(sim.Second)
-	if err == nil {
-		t.Fatal("undeclared 0->2 traffic did not fail the run")
-	}
-	if !strings.Contains(err.Error(), "Config.Flows does not declare") {
-		t.Errorf("wrong failure: %v", err)
+	for _, topo := range []struct {
+		name string
+		topo func() *fabric.Topology
+	}{
+		{"star", func() *fabric.Topology { return nil }},
+		{"leafspine", func() *fabric.Topology { return fabric.LeafSpine(2, 1, 2) }},
+	} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", topo.name, shards), func(t *testing.T) {
+				cl := NewCluster(&Config{Topology: topo.topo(), Shards: shards, Flows: [][2]int{{0, 1}}})
+				nodes := []*Node{cl.Node(0), cl.Node(1), cl.Node(2)}
+				sink := nodes[2].Mailboxes.Create("undeclared.sink")
+				addr := wire.MailboxAddr{Node: nodes[2].ID, Box: sink.ID()}
+				nodes[0].CAB.Sched.Fork("violate", threads.SystemPriority, func(th *threads.Thread) {
+					// 0 -> 2 is not declared: the first frame finds no route.
+					nodes[0].Transports.RMP.SendBlocking(exec.OnCAB(th), addr, 0, []byte("x"))
+				})
+				err := cl.RunFor(sim.Second)
+				if err == nil {
+					t.Fatal("undeclared 0->2 traffic did not fail the run")
+				}
+				if !strings.Contains(err.Error(), "Config.Flows does not declare") {
+					t.Errorf("wrong failure: %v", err)
+				}
+			})
+		}
 	}
 }
+
+// TestShardByFlows checks the flow-affinity assignment: deterministic,
 // flow-co-locating, load-balanced.
 func TestShardByFlows(t *testing.T) {
 	flows := [][2]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
