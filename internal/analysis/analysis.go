@@ -8,26 +8,25 @@
 // go statement silently breaks reproducibility of Figures 6–8. These
 // analyzers turn the conventions into checked rules.
 //
-// The twelve analyzers are:
+// The seven analyzers are:
 //
-//	walltime   — no wall-clock time (time.Now/Sleep/...) in deterministic
-//	             packages; //nectar:allow-walltime <reason> escapes
-//	             measurement code.
-//	detrange   — no trace/metric/capture/outbox emission inside a range
-//	             over a map (iteration order is nondeterministic).
-//	seededrand — no global math/rand state in deterministic packages;
-//	             randomness must flow from an injected *rand.Rand.
-//	rawgo      — no go statements outside the approved concurrency
-//	             surfaces (the PDES scheduler, the parallel sweep pool,
-//	             and the kernel's Proc coroutine launcher).
-//	hotpath    — functions annotated //nectar:hotpath must avoid obvious
-//	             allocation sources (Sprintf/Markf, unsized append,
-//	             value-to-interface conversion, capturing closures).
-//	hotprop    — interprocedural extension of hotpath: every function
-//	             reachable from a //nectar:hotpath root through the call
-//	             graph (callgraph.go) must satisfy the same rules or
-//	             carry //nectar:hotpath-exempt <reason>; diagnostics
-//	             print the offending call chain.
+//	determinism — the reproducibility contract, one walk per file over a
+//	             rule table: in deterministic packages no wall-clock time
+//	             (//nectar:allow-walltime <reason> escapes measurement
+//	             code), no global math/rand state, and failures only
+//	             through Kernel.Fatalf or sim.Panicf (//nectar:diag-helper
+//	             <reason> marks the sanctioned surfaces); in every package
+//	             no go statements outside the approved concurrency
+//	             surfaces and no trace/metric/capture/outbox emission
+//	             inside a range over a map. It also runs the //nectar:
+//	             directive hygiene-and-placement pass (directives.go).
+//	hotpath    — functions annotated //nectar:hotpath, and every function
+//	             reachable from them through the call graph
+//	             (callgraph.go), must avoid obvious allocation sources
+//	             (Sprintf/Markf, unsized append, value-to-interface
+//	             conversion, capturing closures); reached functions'
+//	             diagnostics print the offending call chain, and
+//	             //nectar:hotpath-exempt <reason> prunes the walk.
 //	shardsafe  — static race detector for the PDES coupling model:
 //	             state annotated //nectar:shard-owned may only be reached
 //	             through a receiver/parameter ownership chain; audited
@@ -47,11 +46,6 @@
 //	             must charge a model.CostModel latency before the
 //	             transmit; //nectar:free-hop <reason> waives audited pure
 //	             forwarding steps.
-//	detfail    — failure-path determinism: deterministic packages fail
-//	             through Kernel.Fatalf or sim.Panicf, never os.Exit, the
-//	             global log package, or ad-hoc panic(fmt.Sprintf(...));
-//	             //nectar:diag-helper <reason> marks the sanctioned
-//	             diagnostic surfaces.
 //	poollife   — pooled-object lifecycle proofs, via the backward
 //	             dataflow solver (backward.go): every value acquired from
 //	             a pool surface (FreeList.Get, fiber.Pool frames/packets,
@@ -65,9 +59,10 @@
 //
 // The types below mirror the golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Diagnostic) so the analyzers read idiomatically and
-// could be rehosted on the upstream driver verbatim; the driver itself
-// (load.go, vet.go) is implemented on the standard library only, because
-// this module deliberately has no external dependencies.
+// could be rehosted on the upstream driver verbatim; the one driver
+// (load.go, vet.go) loads the whole module into a single types universe
+// and is implemented on the standard library only, because this module
+// deliberately has no external dependencies.
 package analysis
 
 import (
@@ -104,10 +99,9 @@ type Pass struct {
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
 	// Program supplies whole-program context (call graph, cross-package
-	// facts) to the interprocedural analyzers. It is nil under drivers
-	// that only see one package at a time (go vet units, analysistest);
-	// those analyzers then degrade to a single-package view built from
-	// this pass.
+	// facts) to the interprocedural analyzers. It is nil under
+	// analysistest, which sees one package at a time; those analyzers
+	// then degrade to a single-package view built from this pass.
 	Program *Program
 }
 
@@ -117,7 +111,7 @@ type Diagnostic struct {
 	Message  string
 	Analyzer string // filled by the driver
 	// Chain is the offending call chain for interprocedural findings
-	// (hotprop), from the annotated root to the function containing Pos.
+	// (hotpath), from the annotated root to the function containing Pos.
 	// Empty for intraprocedural findings.
 	Chain []string
 }
@@ -128,8 +122,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // IsTestFile reports whether pos lies in a _test.go file. The determinism
-// analyzers exempt test files: tests measure wall clock, seed their own
-// RNGs, and spawn goroutines under the race detector on purpose.
+// rules exempt test files: tests measure wall clock, seed their own RNGs,
+// and spawn goroutines under the race detector on purpose.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
@@ -170,12 +164,21 @@ func recvPkgPath(info *types.Info, sel *ast.SelectorExpr) (pkg, name string) {
 	return obj.Pkg().Path(), obj.Name()
 }
 
+// fmtFormatters lists the fmt functions whose variadic ...any allocates
+// and whose result is freshly formatted: hotpath flags every call,
+// obsgate treats one as a costly emission argument, and determinism
+// flags one as a panic's sole argument. Fprintf returns two values, so
+// it never appears in the latter two positions.
+var fmtFormatters = map[string]bool{
+	"Sprintf": true, "Sprint": true, "Sprintln": true,
+	"Errorf": true, "Fprintf": true, "Appendf": true,
+}
+
 // All returns the full nectar-vet analyzer suite in reporting order: the
-// five intraprocedural analyzers from the original suite, the
-// interprocedural ones built on the call graph (hotprop, shardsafe,
-// costmodel), the unit-safety checker (unitsafe), the dataflow-based
-// observability and failure-path checkers (obsgate, detfail), and the
-// backward-dataflow lifecycle checker (poollife).
+// per-file determinism rules, the call-graph analyzers (hotpath,
+// shardsafe), the unit-safety checker (unitsafe), the dataflow-based
+// observability checker (obsgate), the latency-model prover (costmodel),
+// and the backward-dataflow lifecycle checker (poollife).
 func All() []*Analyzer {
-	return []*Analyzer{Walltime, Detrange, Seededrand, Rawgo, Hotpath, Hotprop, Shardsafe, Unitsafe, Obsgate, Costmodel, Detfail, Poollife}
+	return []*Analyzer{Determinism, Hotpath, Shardsafe, Unitsafe, Obsgate, Costmodel, Poollife}
 }

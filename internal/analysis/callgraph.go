@@ -9,13 +9,13 @@ import (
 	"strings"
 )
 
-// Whole-program context for the interprocedural analyzers (hotprop,
-// shardsafe), modeled on the x/tools go/analysis fact-propagation idea:
-// facts are attached to program objects (functions, types, fields) when
-// their defining package is analyzed, and consumed when any other package
-// is. Because this driver loads the module in one types universe
-// (load.go), the "export/import" step collapses into shared maps on a
-// Program.
+// Whole-program context for the interprocedural analyzers (hotpath,
+// shardsafe, costmodel, poollife), modeled on the x/tools go/analysis
+// fact-propagation idea: facts are attached to program objects
+// (functions, types, fields) when their defining package is analyzed,
+// and consumed when any other package is. Because this driver loads the
+// module in one types universe (load.go), the "export/import" step
+// collapses into shared maps on a Program.
 //
 // The call graph covers:
 //
@@ -129,12 +129,11 @@ type Program struct {
 
 	built bool
 	fns   map[string]*FuncNode
-	nodes []*FuncNode             // deterministic (package, position) order
-	byPos map[token.Pos]*FuncNode // FuncDecl/FuncLit position -> node
-	meth  map[string][]*FuncNode  // declared method name -> candidates
+	nodes []*FuncNode            // deterministic (package, position) order
+	meth  map[string][]*FuncNode // declared method name -> candidates
 
 	hotDone  bool
-	hotDiags map[string][]Diagnostic // pkg path -> hotprop findings
+	hotDiags map[string][]Diagnostic // pkg path -> hotpath findings
 
 	costDone  bool
 	costDiags map[string][]Diagnostic // pkg path -> costmodel findings
@@ -150,7 +149,7 @@ func NewProgram(pkgs []*Package) *Program {
 }
 
 // programFor returns the pass's Program, or a single-package Program
-// synthesized from the pass itself (go vet units, analysistest), whose
+// synthesized from the pass itself (analysistest), whose
 // analyses degrade gracefully to an intra-package view.
 func programFor(pass *Pass) *Program {
 	if pass.Program != nil {
@@ -196,7 +195,6 @@ func (prog *Program) ensureGraph() {
 	}
 	prog.built = true
 	prog.fns = make(map[string]*FuncNode)
-	prog.byPos = make(map[token.Pos]*FuncNode)
 	prog.meth = make(map[string][]*FuncNode)
 
 	// Pass 1: index declared functions and their directive facts.
@@ -235,7 +233,6 @@ func (prog *Program) ensureGraph() {
 					}
 				}
 				prog.fns[n.ID] = n
-				prog.byPos[fd.Pos()] = n
 				prog.nodes = append(prog.nodes, n)
 				if fd.Recv != nil {
 					prog.meth[obj.Name()] = append(prog.meth[obj.Name()], n)
@@ -251,20 +248,6 @@ func (prog *Program) ensureGraph() {
 			prog.scanBody(n)
 		}
 	}
-}
-
-// declDirectives returns the parsed //nectar: directives in fd's doc.
-func declDirectives(fset *token.FileSet, fd *ast.FuncDecl) []directive {
-	if fd.Doc == nil {
-		return nil
-	}
-	var out []directive
-	for _, c := range fd.Doc.List {
-		if d, ok := parseDirective(fset, c); ok {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // scanBody collects n's outgoing edges. Nested func literals become
@@ -285,7 +268,6 @@ func (prog *Program) scanBody(n *FuncNode) {
 				display: fmt.Sprintf("%s$%d", n.display, litCount),
 			}
 			prog.fns[child.ID] = child
-			prog.byPos[x.Pos()] = child
 			n.Edges = append(n.Edges, Edge{Pos: x.Pos(), Callee: child, Kind: EdgeClosure})
 			prog.scanBody(child)
 			return false // the child's scan owns this subtree
@@ -438,11 +420,11 @@ func (prog *Program) ifaceEdges(n *FuncNode, pos token.Pos, recv types.Type, nam
 
 // --- hotpath fact propagation ---
 
-// ensureHot runs the transitive hotpath analysis once: BFS from every
-// //nectar:hotpath root, pruning at //nectar:hotpath-exempt, applying
-// the intraprocedural hotpath rules to every reached un-annotated
-// function, and recording diagnostics per defining package with the
-// discovery chain attached.
+// ensureHot runs the hotpath analysis once: it audits the body of every
+// //nectar:hotpath root, then walks the graph breadth-first from the
+// roots, pruning at //nectar:hotpath-exempt, applies the same rules to
+// every reached un-annotated function, and records diagnostics per
+// defining package (reached functions with the discovery chain attached).
 func (prog *Program) ensureHot() {
 	if prog.hotDone {
 		return
@@ -455,7 +437,11 @@ func (prog *Program) ensureHot() {
 	visited := make(map[*FuncNode]bool)
 	var queue []*FuncNode
 	for _, n := range prog.nodes { // prog.nodes is ID-sorted: deterministic
-		if n.Hot && !n.Exempt {
+		if !n.Hot {
+			continue
+		}
+		prog.checkHot(n, nil)
+		if !n.Exempt {
 			visited[n] = true
 			queue = append(queue, n)
 		}
@@ -483,14 +469,14 @@ func (prog *Program) ensureHot() {
 	sort.Slice(reached, func(i, j int) bool { return reached[i].ID < reached[j].ID })
 	for _, n := range reached {
 		if n.Hot {
-			continue // roots and annotated callees: hotpath checks their bodies
+			continue // annotated: audited as a root above
 		}
 		// Literal nodes whose root declaration is itself reached (or
 		// annotated) are covered by that declaration's body check.
 		if n.Lit != nil && (visited[n.Root] || n.Root.Hot) {
 			continue
 		}
-		prog.checkReached(n, chainOf(parent, n))
+		prog.checkHot(n, chainOf(parent, n))
 	}
 }
 
@@ -507,22 +493,24 @@ func chainOf(parent map[*FuncNode]*FuncNode, n *FuncNode) []string {
 	return chain
 }
 
-// checkReached applies the hotpath purity rules to a reached,
-// un-annotated function and records chain-bearing diagnostics.
-func (prog *Program) checkReached(n *FuncNode, chain []string) {
+// checkHot applies the hotpath purity rules to n and records its
+// diagnostics: prefixed with the function's name for an annotated root
+// (nil chain), or as a chain-bearing sentence for a reached function.
+func (prog *Program) checkHot(n *FuncNode, chain []string) {
 	path := canonicalPkgPath(n.Pkg.PkgPath)
 	chainText := strings.Join(chain, " -> ")
 	hc := &hotChecker{
 		info: n.Pkg.TypesInfo,
 		report: func(pos token.Pos, format string, args ...any) {
 			msg := fmt.Sprintf(format, args...)
-			prog.hotDiags[path] = append(prog.hotDiags[path], Diagnostic{
-				Pos: pos,
-				Message: fmt.Sprintf("%s is reachable from //nectar:hotpath root %s (%s) but %s; "+
+			d := Diagnostic{Pos: pos, Message: "hotpath " + n.Decl.Name.Name + ": " + msg}
+			if chain != nil {
+				d.Message = fmt.Sprintf("%s is reachable from //nectar:hotpath root %s (%s) but %s; "+
 					"make it allocation-free or annotate it //nectar:hotpath-exempt <reason>",
-					n.DisplayName(), chain[0], chainText, msg),
-				Chain: chain,
-			})
+					n.DisplayName(), chain[0], chainText, msg)
+				d.Chain = chain
+			}
+			prog.hotDiags[path] = append(prog.hotDiags[path], d)
 		},
 	}
 	var recv *ast.FieldList

@@ -12,7 +12,7 @@ import (
 // Call-graph edge cases the analyzer fixtures do not isolate: method
 // values, interface dispatch through embedded types, and function values
 // escaping into variables, struct fields, and composite literals (the
-// EdgeValue shapes costmodel and hotprop traverse).
+// EdgeValue shapes costmodel and hotpath traverse).
 
 // progFromSource type-checks one dependency-free source file and builds
 // its call graph.

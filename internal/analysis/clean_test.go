@@ -11,7 +11,8 @@ import (
 // TestRepoLintClean runs the full nectar-vet suite over every package in
 // the module and fails on any undirected diagnostic. This makes a
 // determinism violation break `go test ./...` locally — not just the CI
-// lint job — the moment it is written.
+// lint job — the moment it is written. It also holds every waiver to the
+// directive table's package policy.
 //
 // The module is loaded and type-checked exactly once (LoadPackages
 // shares one types universe across packages and analyzers), and the
@@ -46,6 +47,13 @@ func TestRepoLintClean(t *testing.T) {
 	}
 	if total > 0 {
 		t.Errorf("nectar-vet: %d diagnostic(s); fix them or annotate with a //nectar: directive (with a reason)", total)
+	}
+	// The waiver policy nectar-vet -waivers enforces: each escape hatch
+	// only in the packages its directive-table row allows.
+	for _, w := range analysis.Waivers(pkgs) {
+		if !w.Allowed() {
+			t.Errorf("%s: //nectar:%s is not allowed in package %s", w.Pos, w.Directive, w.Package)
+		}
 	}
 	t.Logf("nectar-vet clean over %d packages", len(pkgs))
 }

@@ -40,8 +40,7 @@ var Costmodel = &Analyzer{
 	Name: "costmodel",
 	Doc: "every call path from protocol/datalink code to a fiber or VME transmit must charge at least one " +
 		"model.CostModel latency before the transmit; uncharged paths are reported at the outermost uncharged " +
-		"function with the offending chain. //nectar:free-hop <reason> waives audited pure forwarding steps. " +
-		"Also validates //nectar:free-hop placement.",
+		"function with the offending chain. //nectar:free-hop <reason> waives audited pure forwarding steps.",
 	Run: runCostmodel,
 }
 
@@ -62,31 +61,6 @@ const (
 )
 
 func runCostmodel(pass *Pass) (any, error) {
-	// Placement: //nectar:free-hop must be a function declaration's doc
-	// comment (a waiver on a random line would silently cover nothing).
-	for _, f := range pass.Files {
-		onDecl := make(map[*ast.CommentGroup]bool)
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-				for _, c := range fd.Doc.List {
-					if d, ok := parseDirective(pass.Fset, c); ok && d.verb == DirFreeHop {
-						onDecl[fd.Doc] = true
-					}
-				}
-			}
-		}
-		for _, cg := range f.Comments {
-			if onDecl[cg] {
-				continue
-			}
-			for _, c := range cg.List {
-				if d, ok := parseDirective(pass.Fset, c); ok && d.verb == DirFreeHop {
-					pass.Reportf(d.pos, "//nectar:free-hop must be part of a function declaration's doc comment")
-				}
-			}
-		}
-	}
-
 	prog := programFor(pass)
 	prog.ensureCost()
 	for _, d := range prog.costDiags[canonicalPkgPath(pass.PkgPath)] {

@@ -6,20 +6,26 @@ import (
 	"strings"
 )
 
-// The //nectar: directive namespace.
+// The //nectar: directive namespace. Every verb has exactly one row in
+// directiveTable saying what justification it needs, where it may sit,
+// whether it is a waiver, and which packages may carry it; the one
+// hygiene-and-placement pass (checkDirectives, run by the determinism
+// analyzer in every package) and the waiver inventory (nectar-vet
+// -waivers, TestRepoLintClean) are both driven by that table, so a
+// misspelled, bare, or misplaced escape hatch can never silently
+// disable a check.
 //
-//	//nectar:allow-walltime <reason>   — suppress walltime findings on the
-//	                                     directive's own line and the next
-//	                                     line, or (as a function's doc
-//	                                     comment) in the whole function.
+//	//nectar:allow-walltime <reason>   — suppress wall-clock findings on
+//	                                     the directive's own line and the
+//	                                     next line, or (as a function's
+//	                                     doc comment) in the whole function.
 //	//nectar:hotpath                   — mark a function as an allocation-
-//	                                     free fast path; the hotpath
-//	                                     analyzer audits its body and the
-//	                                     hotprop analyzer audits everything
-//	                                     it transitively calls.
+//	                                     free fast path; hotpath audits its
+//	                                     body and everything it transitively
+//	                                     calls.
 //	//nectar:hotpath-exempt <reason>   — prune a function (and everything
 //	                                     reachable only through it) from
-//	                                     hotprop's transitive audit.
+//	                                     hotpath's transitive audit.
 //	//nectar:shard-owned               — mark a type or struct field as
 //	                                     per-shard state; shardsafe then
 //	                                     requires a receiver/parameter
@@ -36,8 +42,8 @@ import (
 //	                                     is accounted.
 //	//nectar:diag-helper <reason>      — mark a function as a sanctioned
 //	                                     deterministic diagnostic helper
-//	                                     (sim.Panicf); detfail skips its
-//	                                     body.
+//	                                     (sim.Panicf); determinism's
+//	                                     failure-path rule skips its body.
 //	//nectar:takes-ownership <param> <reason>
 //	                                   — declare that a function assumes
 //	                                     the release obligation for the
@@ -48,14 +54,7 @@ import (
 //	                                     forwards it on every path.
 //	//nectar:leak-ok <reason>          — waive a poollife leak finding for
 //	                                     a deliberate sink (same placement
-//	                                     rules as allow-walltime: own line,
-//	                                     next line, or whole function via
-//	                                     the doc comment).
-//
-// Directive hygiene is checked mechanically: an unknown verb (usually a
-// typo — "allow-waltime") or a waiver without a justification is itself
-// a diagnostic, so a misspelled escape hatch can never silently disable
-// a check.
+//	                                     rules as allow-walltime).
 
 const (
 	dirPrefix        = "//nectar:"
@@ -70,10 +69,95 @@ const (
 	DirLeakOK        = "leak-ok"
 )
 
+// placement is where a directive may sit.
+type placement uint8
+
+const (
+	// onFuncDoc: part of a function declaration's doc comment.
+	onFuncDoc placement = iota
+	// onTypeOrField: a type declaration's doc comment, or a struct
+	// field's doc or line comment.
+	onTypeOrField
+	// onLineOrFunc: anywhere; it covers its own line and the next, or a
+	// whole function from its doc comment (see suppressor).
+	onLineOrFunc
+)
+
+// directiveRule is one verb's row in directiveTable.
+type directiveRule struct {
+	verb string
+	// words is how many words the justification must have (0: none, 1: a
+	// reason, 2: a parameter name and a reason); needs and example spell
+	// out the requirement in the diagnostic.
+	words   int
+	needs   string
+	example string
+	place   placement
+	// waiver marks verbs that weaken or scope a check; they are listed
+	// by the inventory. Pure markers opt code into checking instead.
+	waiver bool
+	// pkgs lists the packages a waiver may sit in: exact import paths,
+	// or prefixes ending in "/" for everything below them. Nil means
+	// anywhere.
+	pkgs []string
+}
+
+// directiveTable has one row per verb, in the order the unknown-verb
+// diagnostic lists them.
+var directiveTable = []directiveRule{
+	{verb: DirAllowWalltime, words: 1, needs: "a reason", example: "measures sweep wall clock", place: onLineOrFunc, waiver: true,
+		// Harness self-measurement and the wall-clock profiler only.
+		pkgs: []string{"nectar/internal/bench", "nectar/internal/prof"}},
+	{verb: DirHotpath, place: onFuncDoc},
+	{verb: DirHotpathExempt, words: 1, needs: "a reason", example: "cold reconfiguration path", place: onFuncDoc, waiver: true},
+	{verb: DirShardOwned, place: onTypeOrField},
+	{verb: DirShardBoundary, words: 1, needs: "a reason", example: "window-barrier outbox drain", place: onFuncDoc, waiver: true},
+	{verb: DirFreeHop, words: 1, needs: "a reason saying where the latency is accounted",
+		example: "caller charges DatalinkProcess+DMASetup", place: onFuncDoc, waiver: true,
+		// The thin hardware-wrapper layers only: a free-hop inside the
+		// protocol stack would hide a genuinely uncharged send path.
+		pkgs: []string{"nectar/internal/hw/", "nectar/internal/rt/exec"}},
+	{verb: DirDiagHelper, words: 1, needs: "a reason", example: "the one sanctioned deterministic panic surface",
+		place: onFuncDoc, waiver: true,
+		// There is exactly one sanctioned formatted-panic surface, sim.Panicf.
+		pkgs: []string{"nectar/internal/sim"}},
+	// Lifecycle annotations belong to the layers that own pooled values:
+	// the hardware models and the protocol stack. Anywhere else they are
+	// either a new pool (add it to poollife's tables) or a suppression
+	// hiding a leak.
+	{verb: DirTakesOwner, words: 2, needs: "a parameter name and a reason", example: "pkt released on every drop path or handed to DMA",
+		place: onFuncDoc, waiver: true, pkgs: []string{"nectar/internal/hw/", "nectar/internal/proto/"}},
+	{verb: DirLeakOK, words: 1, needs: "a reason", example: "the popped slot is returned through the Peek alias",
+		place: onLineOrFunc, waiver: true, pkgs: []string{"nectar/internal/hw/", "nectar/internal/proto/"}},
+}
+
+// ruleFor returns verb's row, or nil for an unknown verb.
+func ruleFor(verb string) *directiveRule {
+	for i := range directiveTable {
+		if directiveTable[i].verb == verb {
+			return &directiveTable[i]
+		}
+	}
+	return nil
+}
+
+// allows reports whether a waiver with this rule may sit in package pkg.
+func (r *directiveRule) allows(pkg string) bool {
+	if r.pkgs == nil {
+		return true
+	}
+	for _, p := range r.pkgs {
+		if pkg == p || strings.HasSuffix(p, "/") && strings.HasPrefix(pkg, p) {
+			return true
+		}
+	}
+	return false
+}
+
 // directive is one parsed //nectar: comment.
 type directive struct {
 	verb string
-	arg  string // rest of the comment (the allow-walltime reason)
+	arg  string // rest of the comment (the justification)
 	pos  token.Pos
 	line int
 }
@@ -94,59 +178,101 @@ func parseDirective(fset *token.FileSet, c *ast.Comment) (directive, bool) {
 	}, true
 }
 
-// fileDirectives returns every //nectar: directive in f, in source order.
-func fileDirectives(fset *token.FileSet, f *ast.File) []directive {
+// declDirectives returns the parsed //nectar: directives in fd's doc.
+func declDirectives(fset *token.FileSet, fd *ast.FuncDecl) []directive {
+	if fd.Doc == nil {
+		return nil
+	}
 	var out []directive
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if d, ok := parseDirective(fset, c); ok {
-				out = append(out, d)
-			}
+	for _, c := range fd.Doc.List {
+		if d, ok := parseDirective(fset, c); ok {
+			out = append(out, d)
 		}
 	}
 	return out
 }
 
-// checkDirectiveHygiene reports malformed //nectar: directives in f. It
-// is invoked by exactly one analyzer (walltime, which owns the directive
-// namespace) so each malformed directive is reported once per package.
-func checkDirectiveHygiene(pass *Pass, f *ast.File) {
-	for _, d := range fileDirectives(pass.Fset, f) {
-		switch d.verb {
-		case DirAllowWalltime:
-			if d.arg == "" {
-				pass.Reportf(d.pos, "//nectar:allow-walltime requires a reason (e.g. //nectar:allow-walltime measures sweep wall clock)")
+// hasWaiver reports whether fd's doc comment carries verb with a
+// justification (a bare waiver is a hygiene finding and waives nothing).
+func hasWaiver(fset *token.FileSet, fd *ast.FuncDecl, verb string) bool {
+	for _, d := range declDirectives(fset, fd) {
+		if d.verb == verb && d.arg != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// docSites maps each comment group in f that documents a declaration to
+// that declaration: a *ast.FuncDecl, a type *ast.GenDecl or
+// *ast.TypeSpec, or a struct *ast.Field (doc or line comment).
+func docSites(f *ast.File) map[*ast.CommentGroup]ast.Node {
+	sites := make(map[*ast.CommentGroup]ast.Node)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			sites[n.Doc] = n
+		case *ast.GenDecl:
+			if n.Tok == token.TYPE {
+				sites[n.Doc] = n
+				for _, spec := range n.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						sites[ts.Doc] = ts
+					}
+				}
 			}
-		case DirHotpathExempt:
-			if d.arg == "" {
-				pass.Reportf(d.pos, "//nectar:hotpath-exempt requires a reason (e.g. //nectar:hotpath-exempt cold reconfiguration path)")
+		case *ast.StructType:
+			for _, fld := range n.Fields.List {
+				sites[fld.Doc] = fld
+				sites[fld.Comment] = fld
 			}
-		case DirShardBoundary:
-			if d.arg == "" {
-				pass.Reportf(d.pos, "//nectar:shard-boundary requires a reason (e.g. //nectar:shard-boundary window-barrier outbox drain)")
+		}
+		return true
+	})
+	delete(sites, nil)
+	return sites
+}
+
+// checkDirectives is the hygiene-and-placement pass over f: an unknown
+// verb (usually a typo — "allow-waltime"), a justification missing
+// words, or a directive sitting where its row does not allow is itself a
+// diagnostic.
+func checkDirectives(pass *Pass, f *ast.File) {
+	var sites map[*ast.CommentGroup]ast.Node // built on the first directive
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			d, ok := parseDirective(pass.Fset, c)
+			if !ok {
+				continue
 			}
-		case DirFreeHop:
-			if d.arg == "" {
-				pass.Reportf(d.pos, "//nectar:free-hop requires a reason saying where the latency is accounted (e.g. //nectar:free-hop caller charges DatalinkProcess+DMASetup)")
+			r := ruleFor(d.verb)
+			if r == nil {
+				verbs := make([]string, len(directiveTable))
+				for i, row := range directiveTable {
+					verbs[i] = row.verb
+				}
+				pass.Reportf(d.pos, "unknown directive %q: known //nectar: directives are %s, and %s",
+					dirPrefix+d.verb, strings.Join(verbs[:len(verbs)-1], ", "), verbs[len(verbs)-1])
+				continue
 			}
-		case DirDiagHelper:
-			if d.arg == "" {
-				pass.Reportf(d.pos, "//nectar:diag-helper requires a reason (e.g. //nectar:diag-helper the one sanctioned deterministic panic surface)")
+			if len(strings.Fields(d.arg)) < r.words {
+				pass.Reportf(d.pos, "//nectar:%s requires %s (e.g. //nectar:%s %s)", r.verb, r.needs, r.verb, r.example)
 			}
-		case DirTakesOwner:
-			if fields := strings.Fields(d.arg); len(fields) < 2 {
-				pass.Reportf(d.pos, "//nectar:takes-ownership requires a parameter name and a reason (e.g. //nectar:takes-ownership pkt released on every drop path or handed to DMA)")
+			if sites == nil {
+				sites = docSites(f)
 			}
-		case DirLeakOK:
-			if d.arg == "" {
-				pass.Reportf(d.pos, "//nectar:leak-ok requires a reason (e.g. //nectar:leak-ok the popped slot is returned through the Peek alias)")
+			switch site := sites[cg]; r.place {
+			case onFuncDoc:
+				if _, ok := site.(*ast.FuncDecl); !ok {
+					pass.Reportf(d.pos, "//nectar:%s must be part of a function declaration's doc comment", r.verb)
+				}
+			case onTypeOrField:
+				switch site.(type) {
+				case *ast.GenDecl, *ast.TypeSpec, *ast.Field:
+				default:
+					pass.Reportf(d.pos, "//nectar:%s must annotate a type declaration or a struct field", r.verb)
+				}
 			}
-		case DirHotpath, DirShardOwned:
-			// Placement is validated by the hotpath/hotprop/shardsafe
-			// analyzers respectively.
-		default:
-			pass.Reportf(d.pos, "unknown directive %q: known //nectar: directives are %s, %s, %s, %s, %s, %s, %s, %s, and %s",
-				dirPrefix+d.verb, DirAllowWalltime, DirHotpath, DirHotpathExempt, DirShardOwned, DirShardBoundary, DirFreeHop, DirDiagHelper, DirTakesOwner, DirLeakOK)
 		}
 	}
 }
@@ -168,19 +294,12 @@ type span struct{ from, to token.Pos }
 func newSuppressor(pass *Pass, f *ast.File, verb string) *suppressor {
 	s := &suppressor{lines: make(map[int]bool)}
 	doc := make(map[*ast.CommentGroup]bool)
-	ast.Inspect(f, func(n ast.Node) bool {
-		fd, ok := n.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil {
-			return true
+	for _, decl := range f.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && hasWaiver(pass.Fset, fd, verb) {
+			doc[fd.Doc] = true
+			s.funcSpans = append(s.funcSpans, span{fd.Pos(), fd.End()})
 		}
-		for _, c := range fd.Doc.List {
-			if d, ok := parseDirective(pass.Fset, c); ok && d.verb == verb && d.arg != "" {
-				doc[fd.Doc] = true
-				s.funcSpans = append(s.funcSpans, span{fd.Pos(), fd.End()})
-			}
-		}
-		return true
-	})
+	}
 	for _, cg := range f.Comments {
 		if doc[cg] {
 			continue

@@ -7,11 +7,12 @@ import (
 )
 
 // Hotpath audits functions annotated //nectar:hotpath for obvious
-// allocation sources. The annotation marks the per-event fast paths that
-// the AllocsPerRun guards hold at zero (the sim event queue, mailbox
-// put/get, checksum, and the fiber/cab pool paths); the analyzer makes
-// the same contract visible at the line that would break it, instead of
-// in a benchmark failure three layers away.
+// allocation sources, and everything those roots reach. The annotation
+// marks the per-event fast paths that the AllocsPerRun guards hold at
+// zero (the sim event queue, mailbox put/get, checksum, and the
+// fiber/cab pool paths); the analyzer makes the same contract visible at
+// the line that would break it, instead of in a benchmark failure three
+// layers away.
 //
 // Reported allocation sources:
 //
@@ -30,78 +31,49 @@ import (
 //   - capturing closures: a func literal referencing variables from the
 //     enclosing function allocates the closure (and often the captures).
 //
-// The rules themselves live in hotChecker/checkHotBody so that hotprop
-// (the interprocedural extension) can apply the identical audit to every
-// function transitively reachable from an annotated root.
+// An annotated root's findings read "hotpath <name>: ...". The same rules
+// then apply to every function reachable from a root through the program
+// call graph (callgraph.go — static calls, interface method sets, and
+// named function values handed to the approved spawn surfaces); those
+// findings carry the discovery chain from the root, so
+// "(*Mailbox).pop -> emit -> format" reads as the path a hot event would
+// actually take. A helper that legitimately allocates (a cold
+// reconfiguration path, a once-per-run setup) is pruned from the walk by
+// //nectar:hotpath-exempt <reason>, and everything reachable only
+// through it is pruned with it.
+//
+// Under the whole-program driver (standalone nectar-vet, the repo
+// regression test) the graph spans every module package; under
+// analysistest it degrades to the package at hand, which still exercises
+// every rule the fixtures pin down.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
-	Doc: "for functions annotated //nectar:hotpath, report obvious allocation sources: fmt.Sprintf/Markf-style " +
-		"calls, append to a local slice declared without capacity, value-to-interface conversions, and capturing " +
-		"closures. Also validates that //nectar:hotpath annotates a function declaration.",
+	Doc: "for functions annotated //nectar:hotpath and every function reachable from them through the call graph, " +
+		"report obvious allocation sources: fmt.Sprintf/Markf-style calls, append to a local slice declared without " +
+		"capacity, value-to-interface conversions, and capturing closures. Reached functions print the offending " +
+		"call chain; //nectar:hotpath-exempt <reason> prunes a function from the walk.",
 	Run: runHotpath,
 }
 
-// hotpathFmt lists the fmt formatters whose variadic ...any always
-// allocates; Markf-style methods (any method named Markf/Tracef/Logf)
-// are matched by name.
-var hotpathFmt = map[string]bool{
-	"Sprintf": true, "Sprint": true, "Sprintln": true,
-	"Errorf": true, "Fprintf": true, "Appendf": true,
-}
-
+// hotpathFmtMethods lists the Markf-style methods (matched by name on
+// any receiver) whose variadic ...any allocates like fmt's formatters.
 var hotpathFmtMethods = map[string]bool{
 	"Markf": true, "Tracef": true, "Logf": true,
 }
 
 func runHotpath(pass *Pass) (any, error) {
-	for _, f := range pass.Files {
-		// Collect the doc groups of annotated functions so misplaced
-		// directives (not on a func decl) can be reported.
-		annotated := make(map[*ast.CommentGroup]*ast.FuncDecl)
-		var order []*ast.FuncDecl
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-				for _, c := range fd.Doc.List {
-					if d, ok := parseDirective(pass.Fset, c); ok && d.verb == DirHotpath {
-						if annotated[fd.Doc] == nil {
-							order = append(order, fd)
-						}
-						annotated[fd.Doc] = fd
-					}
-				}
-			}
-		}
-		for _, cg := range f.Comments {
-			if _, ok := annotated[cg]; ok {
-				continue
-			}
-			for _, c := range cg.List {
-				if d, ok := parseDirective(pass.Fset, c); ok && d.verb == DirHotpath {
-					pass.Reportf(d.pos, "//nectar:hotpath must be part of a function declaration's doc comment")
-				}
-			}
-		}
-		for _, fd := range order {
-			if fd.Body == nil {
-				continue
-			}
-			name := fd.Name.Name
-			hc := &hotChecker{
-				info: pass.TypesInfo,
-				report: func(pos token.Pos, format string, args ...any) {
-					pass.Reportf(pos, "hotpath "+name+": "+format, args...)
-				},
-			}
-			checkHotBody(hc, span{fd.Pos(), fd.End()}, fd.Recv, fd.Type, fd.Body)
-		}
+	prog := programFor(pass)
+	prog.ensureHot()
+	for _, d := range prog.hotDiags[canonicalPkgPath(pass.PkgPath)] {
+		pass.Report(d)
 	}
 	return nil, nil
 }
 
 // hotChecker applies the intraprocedural hotpath purity rules to one
-// function body and reports findings through an analyzer-specific sink:
-// hotpath prefixes the annotated function's name, hotprop wraps the
-// message in a call-chain sentence (callgraph.go).
+// function body and reports findings through a sink that either
+// prefixes the annotated root's name or wraps the message in a
+// call-chain sentence (callgraph.go).
 type hotChecker struct {
 	info   *types.Info
 	report func(pos token.Pos, format string, args ...any)
@@ -142,7 +114,7 @@ func (hc *hotChecker) checkCall(call *ast.CallExpr, presized map[types.Object]bo
 	info := hc.info
 	// Formatter calls.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if pkgNameOf(info, sel.X) == "fmt" && hotpathFmt[sel.Sel.Name] {
+		if pkgNameOf(info, sel.X) == "fmt" && fmtFormatters[sel.Sel.Name] {
 			hc.report(call.Pos(), "fmt.%s allocates its variadic args; precompute the string", sel.Sel.Name)
 			return
 		}
@@ -338,8 +310,8 @@ func exprProvidesCapacity(info *types.Info, e ast.Expr) bool {
 }
 
 // isPanicCall reports whether call is the builtin panic or the
-// sanctioned formatted-panic helper sim.Panicf (detfail.go routes the
-// repo's formatted invariant panics through it; its arguments are just
+// sanctioned formatted-panic helper sim.Panicf (determinism.go routes
+// the repo's formatted invariant panics through it; its arguments are just
 // as dead in steady state as a builtin panic's).
 func (hc *hotChecker) isPanicCall(call *ast.CallExpr) bool {
 	isPanicf := func(obj types.Object) bool {

@@ -10,7 +10,7 @@ import (
 
 // TestJSONLine pins the wire shape of -json output: one object per
 // line with pos/analyzer/message, chain present only when a call chain
-// was attached (hotprop), and positions rendered file:line:col.
+// was attached (hotpath), and positions rendered file:line:col.
 func TestJSONLine(t *testing.T) {
 	fset := token.NewFileSet()
 	f := fset.AddFile("k.go", -1, 100)
@@ -19,7 +19,7 @@ func TestJSONLine(t *testing.T) {
 
 	d := analysis.Diagnostic{
 		Pos:      pos,
-		Analyzer: "hotprop",
+		Analyzer: "hotpath",
 		Message:  "helper allocates",
 		Chain:    []string{"pkg.Root", "pkg.helper"},
 	}
@@ -31,7 +31,7 @@ func TestJSONLine(t *testing.T) {
 	if got.Pos != "k.go:3:3" {
 		t.Errorf("Pos = %q, want %q", got.Pos, "k.go:3:3")
 	}
-	if got.Analyzer != "hotprop" || got.Message != "helper allocates" {
+	if got.Analyzer != "hotpath" || got.Message != "helper allocates" {
 		t.Errorf("analyzer/message = %q/%q", got.Analyzer, got.Message)
 	}
 	if len(got.Chain) != 2 || got.Chain[0] != "pkg.Root" || got.Chain[1] != "pkg.helper" {

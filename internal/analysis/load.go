@@ -219,7 +219,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // RunAnalyzersWith is RunAnalyzers with an explicit Program supplying
 // cross-package syntax and facts to the interprocedural analyzers
-// (hotprop, shardsafe). A nil prog makes each such analyzer fall back to
+// (hotpath, shardsafe, costmodel, poollife). A nil prog makes each such analyzer fall back to
 // a single-package view of pkg.
 func RunAnalyzersWith(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
@@ -268,7 +268,7 @@ type JSONDiagnostic struct {
 	Pos      string   `json:"pos"` // file:line:col
 	Analyzer string   `json:"analyzer"`
 	Message  string   `json:"message"`
-	Chain    []string `json:"chain,omitempty"` // hotprop call chain, root first
+	Chain    []string `json:"chain,omitempty"` // hotpath call chain, root first
 }
 
 // JSONLine renders d as its one-line JSON form (no trailing newline).

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // Obsgate makes PR 1's "provably zero cost when disabled" observability
@@ -87,19 +88,9 @@ func newObsFact() obsFact {
 }
 
 func (f obsFact) clone() obsFact {
-	out := newObsFact()
-	for k := range f.guards {
-		out.guards[k] = true
-	}
+	out := obsFact{guards: maps.Clone(f.guards), taint: maps.Clone(f.taint), wit: maps.Clone(f.wit)}
 	for o, g := range f.taint {
-		gs := make(map[string]bool, len(g))
-		for k := range g {
-			gs[k] = true
-		}
-		out.taint[o] = gs
-	}
-	for o, k := range f.wit {
-		out.wit[o] = k
+		out.taint[o] = maps.Clone(g)
 	}
 	return out
 }
@@ -123,20 +114,12 @@ func obsJoin(a, b obsFact) obsFact {
 			}
 			out.taint[o] = gs
 		} else {
-			gs := make(map[string]bool, len(ga))
-			for k := range ga {
-				gs[k] = true
-			}
-			out.taint[o] = gs
+			out.taint[o] = maps.Clone(ga)
 		}
 	}
 	for o, gb := range b.taint {
 		if _, ok := out.taint[o]; !ok {
-			gs := make(map[string]bool, len(gb))
-			for k := range gb {
-				gs[k] = true
-			}
-			out.taint[o] = gs
+			out.taint[o] = maps.Clone(gb)
 		}
 	}
 	// Witnesses are a must-analysis.
@@ -149,31 +132,8 @@ func obsJoin(a, b obsFact) obsFact {
 }
 
 func obsEqual(a, b obsFact) bool {
-	if len(a.guards) != len(b.guards) || len(a.taint) != len(b.taint) || len(a.wit) != len(b.wit) {
-		return false
-	}
-	for k := range a.guards {
-		if !b.guards[k] {
-			return false
-		}
-	}
-	for o, ga := range a.taint {
-		gb, ok := b.taint[o]
-		if !ok || len(ga) != len(gb) {
-			return false
-		}
-		for k := range ga {
-			if !gb[k] {
-				return false
-			}
-		}
-	}
-	for o, k := range a.wit {
-		if b.wit[o] != k {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(a.guards, b.guards) && maps.Equal(a.wit, b.wit) &&
+		maps.EqualFunc(a.taint, b.taint, maps.Equal[map[string]bool, map[string]bool])
 }
 
 // obsChecker runs the analysis over one function body (and, recursively,
@@ -347,12 +307,8 @@ func (oc *obsChecker) costlyArg(arg ast.Expr, f obsFact, keys []string) (token.P
 	return token.NoPos, ""
 }
 
-// obsCostlyFmt/Strconv/Strings list the library calls obsgate treats as
-// allocating when they feed an emission.
-var obsCostlyFmt = map[string]bool{
-	"Sprintf": true, "Sprint": true, "Sprintln": true, "Errorf": true, "Appendf": true,
-}
-
+// obsCostlyStrconv/Strings (with fmtFormatters) list the library calls
+// obsgate treats as allocating when they feed an emission.
 var obsCostlyStrconv = map[string]bool{
 	"Itoa": true, "FormatInt": true, "FormatUint": true, "FormatFloat": true,
 	"FormatBool": true, "Quote": true, "AppendInt": true, "AppendUint": true,
@@ -416,7 +372,7 @@ func (oc *obsChecker) costlyCall(call *ast.CallExpr) bool {
 	case *ast.SelectorExpr:
 		switch pkgNameOf(info, fun.X) {
 		case "fmt":
-			return obsCostlyFmt[fun.Sel.Name]
+			return fmtFormatters[fun.Sel.Name]
 		case "strconv":
 			return obsCostlyStrconv[fun.Sel.Name]
 		case "strings":

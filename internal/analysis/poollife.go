@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -56,7 +57,7 @@ var Poollife = &Analyzer{
 		"ip header/span buffers, sim timers) must reach a release or an explicit ownership transfer on every path; " +
 		"flags leaks, discarded acquires, double-releases, and use-after-release. " +
 		"//nectar:takes-ownership <param> <reason> transfers the obligation to a callee; " +
-		"//nectar:leak-ok <reason> waives a deliberate sink. Also validates takes-ownership placement.",
+		"//nectar:leak-ok <reason> waives a deliberate sink. Also checks that takes-ownership names a parameter.",
 	Run: runPoollife,
 }
 
@@ -102,49 +103,10 @@ func runPoollife(pass *Pass) (any, error) {
 	if !IsDeterministicPkg(canonicalPkgPath(pass.PkgPath)) {
 		return nil, nil
 	}
-	// Placement: //nectar:takes-ownership must be a function
-	// declaration's doc comment naming one of its parameters (or its
-	// receiver) — anywhere else it silently transfers nothing.
-	for _, f := range pass.Files {
-		onDecl := make(map[*ast.CommentGroup]bool)
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				d, ok := parseDirective(pass.Fset, c)
-				if !ok || d.verb != DirTakesOwner {
-					continue
-				}
-				onDecl[fd.Doc] = true
-				fields := strings.Fields(d.arg)
-				if len(fields) < 2 {
-					continue // hygiene (walltime) reports the malformed form
-				}
-				if paramIdent(fd, fields[0]) == nil {
-					pass.Reportf(d.pos, "//nectar:takes-ownership names %q, which is not a parameter or receiver of %s", fields[0], fd.Name.Name)
-				}
-			}
-		}
-		for _, cg := range f.Comments {
-			if onDecl[cg] {
-				continue
-			}
-			for _, c := range cg.List {
-				if d, ok := parseDirective(pass.Fset, c); ok && d.verb == DirTakesOwner {
-					pass.Reportf(d.pos, "//nectar:takes-ownership must be part of a function declaration's doc comment")
-				}
-			}
-		}
-	}
-
 	prog := programFor(pass)
 	prog.ensureGraph()
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
-			continue
-		}
+		test := pass.IsTestFile(f.Pos())
 		pc := &plChecker{
 			pass:   pass,
 			prog:   prog,
@@ -153,21 +115,35 @@ func runPoollife(pass *Pass) (any, error) {
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok {
 				continue
 			}
-			var owned []*ast.Ident
-			if n := prog.byPos[fd.Pos()]; n != nil {
-				for _, name := range n.Takes {
-					if id := paramIdent(fd, name); id != nil {
-						owned = append(owned, id)
-					}
-				}
+			owned := pc.ownedParams(fd)
+			if !test && fd.Body != nil {
+				pc.checkFunc(fd.Body, owned)
 			}
-			pc.checkFunc(fd.Body, owned)
 		}
 	}
 	return nil, nil
+}
+
+// ownedParams returns the parameters (or receiver) fd's
+// //nectar:takes-ownership directives name, reporting a name that is
+// none of them: such a directive silently transfers nothing.
+func (pc *plChecker) ownedParams(fd *ast.FuncDecl) []*ast.Ident {
+	var owned []*ast.Ident
+	for _, d := range declDirectives(pc.pass.Fset, fd) {
+		fields := strings.Fields(d.arg)
+		if d.verb != DirTakesOwner || len(fields) < 2 {
+			continue // the directive pass reports the malformed form
+		}
+		if id := paramIdent(fd, fields[0]); id != nil {
+			owned = append(owned, id)
+		} else {
+			pc.pass.Reportf(d.pos, "//nectar:takes-ownership names %q, which is not a parameter or receiver of %s", fields[0], fd.Name.Name)
+		}
+	}
+	return owned
 }
 
 // paramIdent finds the parameter or receiver of fd with the given name.
@@ -277,7 +253,7 @@ func (pc *plChecker) checkLeaks(cfg *CFG, acquires map[ast.Node][]*plAcquire, se
 	out, reached := solveBackward(cfg, backflow[plSet]{
 		exit:     plSet{},
 		join:     plSetJoin,
-		equal:    plSetEqual,
+		equal:    maps.Equal[plSet, plSet],
 		transfer: pc.settleTransfer,
 		branch:   pc.settleBranch,
 	})
@@ -336,7 +312,7 @@ func (pc *plChecker) checkReleases(cfg *CFG, seeds []types.Object) {
 	in, reached := solve(cfg, flow[plState]{
 		entry:    entry,
 		join:     plStateJoin,
-		equal:    plStateEqual,
+		equal:    maps.Equal[plState, plState],
 		transfer: func(n ast.Node, f plState) plState { return pc.stateTransfer(n, f, false) },
 		branch:   pc.stateBranch,
 	})
@@ -359,7 +335,7 @@ func (pc *plChecker) stateTransfer(n ast.Node, f plState, report bool) plState {
 		len(ev.releases) == 0 && len(ev.acquires) == 0 && !(report && len(ev.uses) > 0) {
 		return f
 	}
-	out := f.clone()
+	out := maps.Clone(f)
 	if report {
 		for _, id := range ev.uses {
 			obj := identVar(pc.pass.TypesInfo, id)
@@ -425,7 +401,7 @@ func (pc *plChecker) stateBranch(cond ast.Expr, takenTrue bool, f plState) plSta
 			continue
 		}
 		if !copied {
-			out = out.clone()
+			out = maps.Clone(out)
 			copied = true
 		}
 		delete(out, res)
@@ -440,7 +416,7 @@ func (pc *plChecker) settleTransfer(n ast.Node, f plSet) plSet {
 	if len(ev.kills) == 0 && len(ev.moves) == 0 && len(ev.settles) == 0 && len(ev.releases) == 0 {
 		return f
 	}
-	out := f.clone()
+	out := maps.Clone(f)
 	// A move w = v first: v inherits whatever fate w has below.
 	for _, mv := range ev.moves {
 		if f[mv[0]] {
@@ -468,7 +444,7 @@ func (pc *plChecker) settleBranch(cond ast.Expr, takenTrue bool, f plSet) plSet 
 	for _, o := range objs {
 		if res, ok := pc.okToRes[o]; ok {
 			if !copied {
-				out = f.clone()
+				out = maps.Clone(f)
 				copied = true
 			}
 			out[res] = true
@@ -654,8 +630,8 @@ func (pc *plChecker) nodeEvents(n ast.Node) *plEvents {
 				return
 			}
 			// Declared function outside the program (stdlib, interface
-			// method, another unit in go vet mode): conservatively an
-			// ownership transfer for every argument and the receiver.
+			// method, another package under analysistest): conservatively
+			// an ownership transfer for every argument and the receiver.
 			pc.escapeArgs(call, ev)
 			walkRest()
 			return
@@ -845,14 +821,6 @@ func (pc *plChecker) escapeArgs(call *ast.CallExpr, ev *plEvents) {
 // or ownership-transferred on every path from here to an exit.
 type plSet map[types.Object]bool
 
-func (s plSet) clone() plSet {
-	out := make(plSet, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
-}
-
 func plSetJoin(a, b plSet) plSet {
 	out := plSet{}
 	for k := range a {
@@ -863,53 +831,18 @@ func plSetJoin(a, b plSet) plSet {
 	return out
 }
 
-func plSetEqual(a, b plSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // plState is the forward lifecycle fact: per-object state, joined by
 // maximum (a release on any path dominates a hold).
 type plState map[types.Object]uint8
 
-func (s plState) clone() plState {
-	out := make(plState, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 func plStateJoin(a, b plState) plState {
-	out := make(plState, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
+	out := maps.Clone(a)
 	for k, v := range b {
 		if v > out[k] {
 			out[k] = v
 		}
 	}
 	return out
-}
-
-func plStateEqual(a, b plState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // --- small helpers ---

@@ -31,7 +31,7 @@ import (
 //     one place allowed to touch every domain — carry
 //     //nectar:shard-boundary <reason>, and shardsafe skips their
 //     bodies. The waiver needs a reason, and a misplaced or bare one is
-//     itself a diagnostic (directives.go).
+//     itself a diagnostic (the directive table in directives.go).
 //
 // The ownership rules follow the annotation style of Clang's
 // thread-safety analysis (GUARDED_BY et al.) transplanted to Go syntax:
@@ -40,7 +40,7 @@ var Shardsafe = &Analyzer{
 	Name: "shardsafe",
 	Doc: "static race detector for the PDES coupling model: state annotated //nectar:shard-owned may only be " +
 		"accessed through a receiver/parameter ownership chain; cross-domain flow must go through functions " +
-		"annotated //nectar:shard-boundary <reason>. Also validates the placement of both directives.",
+		"annotated //nectar:shard-boundary <reason>.",
 	Run: runShardsafe,
 }
 
@@ -48,19 +48,6 @@ var Shardsafe = &Analyzer{
 type shardFactTable struct {
 	fields map[*types.Var]bool      // annotated struct fields
 	types  map[*types.TypeName]bool // annotated named types
-}
-
-// groupHasDirective reports whether comment group cg carries verb.
-func groupHasDirective(fset *token.FileSet, cg *ast.CommentGroup, verb string) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		if d, ok := parseDirective(fset, c); ok && d.verb == verb {
-			return true
-		}
-	}
-	return false
 }
 
 // ensureShardFacts collects shard-owned annotations from every package
@@ -77,114 +64,61 @@ func (prog *Program) ensureShardFacts() *shardFactTable {
 	prog.shardFacts = t
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.GenDecl:
-					if n.Tok != token.TYPE {
-						return true
+			var sites map[*ast.CommentGroup]ast.Node // built on the first annotation
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if d, ok := parseDirective(pkg.Fset, c); !ok || d.verb != DirShardOwned {
+						continue
 					}
-					declDoc := groupHasDirective(pkg.Fset, n.Doc, DirShardOwned) && len(n.Specs) == 1
-					for _, spec := range n.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						if declDoc || groupHasDirective(pkg.Fset, ts.Doc, DirShardOwned) {
-							if tn, ok := pkg.TypesInfo.Defs[ts.Name].(*types.TypeName); ok {
-								t.types[tn] = true
-							}
-						}
+					if sites == nil {
+						sites = docSites(f)
 					}
-				case *ast.StructType:
-					for _, fld := range n.Fields.List {
-						if !groupHasDirective(pkg.Fset, fld.Doc, DirShardOwned) &&
-							!groupHasDirective(pkg.Fset, fld.Comment, DirShardOwned) {
-							continue
-						}
-						for _, name := range fld.Names {
-							if v, ok := pkg.TypesInfo.Defs[name].(*types.Var); ok {
-								t.fields[v] = true
-							}
-						}
-					}
+					t.record(pkg.TypesInfo, sites[cg])
 				}
-				return true
-			})
+			}
 		}
 	}
 	return t
+}
+
+// record adds the type or fields a //nectar:shard-owned comment group
+// documents. A type declaration's own doc covers its type only when it
+// declares exactly one.
+func (t *shardFactTable) record(info *types.Info, site ast.Node) {
+	switch site := site.(type) {
+	case *ast.GenDecl:
+		if len(site.Specs) == 1 {
+			t.record(info, site.Specs[0])
+		}
+	case *ast.TypeSpec:
+		if tn, ok := info.Defs[site.Name].(*types.TypeName); ok {
+			t.types[tn] = true
+		}
+	case *ast.Field:
+		for _, name := range site.Names {
+			if v, ok := info.Defs[name].(*types.Var); ok {
+				t.fields[v] = true
+			}
+		}
+	}
 }
 
 func runShardsafe(pass *Pass) (any, error) {
 	prog := programFor(pass)
 	facts := prog.ensureShardFacts()
 	for _, f := range pass.Files {
-		checkShardPlacement(pass, f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || pass.IsTestFile(fd.Pos()) {
 				continue
 			}
-			boundary := false
-			for _, d := range declDirectives(pass.Fset, fd) {
-				if d.verb == DirShardBoundary && d.arg != "" {
-					boundary = true
-				}
-			}
-			if boundary {
+			if hasWaiver(pass.Fset, fd, DirShardBoundary) {
 				continue // audited cross-domain surface
 			}
 			checkShardFunc(pass, facts, fd)
 		}
 	}
 	return nil, nil
-}
-
-// checkShardPlacement reports shard-owned directives that annotate
-// neither a type declaration nor a struct field, and shard-boundary
-// directives that are not a function declaration's doc comment.
-func checkShardPlacement(pass *Pass, f *ast.File) {
-	validOwned := make(map[*ast.CommentGroup]bool)
-	validBoundary := make(map[*ast.CommentGroup]bool)
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GenDecl:
-			if n.Tok == token.TYPE {
-				validOwned[n.Doc] = true
-				for _, spec := range n.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok {
-						validOwned[ts.Doc] = true
-					}
-				}
-			}
-		case *ast.StructType:
-			for _, fld := range n.Fields.List {
-				validOwned[fld.Doc] = true
-				validOwned[fld.Comment] = true
-			}
-		case *ast.FuncDecl:
-			validBoundary[n.Doc] = true
-		}
-		return true
-	})
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			d, ok := parseDirective(pass.Fset, c)
-			if !ok {
-				continue
-			}
-			switch d.verb {
-			case DirShardOwned:
-				if !validOwned[cg] {
-					pass.Reportf(d.pos, "//nectar:shard-owned must annotate a type declaration or a struct field")
-				}
-			case DirShardBoundary:
-				if !validBoundary[cg] {
-					pass.Reportf(d.pos, "//nectar:shard-boundary must be part of a function declaration's doc comment")
-				}
-			}
-		}
-	}
 }
 
 // checkShardFunc audits one function body: every selector resolving to

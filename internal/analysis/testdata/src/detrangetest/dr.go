@@ -1,5 +1,5 @@
-// Package detrangetest exercises the detrange analyzer against the real
-// nectar/internal/obs and nectar/internal/sim emission APIs.
+// Package detrangetest exercises determinism's detrange rule against the
+// real nectar/internal/obs and nectar/internal/sim emission APIs.
 package detrangetest
 
 import (

@@ -1,5 +1,5 @@
-// Package hotpathtest exercises the hotpath analyzer: only functions
-// annotated //nectar:hotpath are audited.
+// Package hotpathtest exercises hotpath's root audit: only functions
+// annotated //nectar:hotpath (and what they reach) are audited.
 package hotpathtest
 
 import "fmt"
@@ -90,9 +90,4 @@ func clean(t tracer, dst []int, n int) []int {
 // unannotated functions may allocate freely.
 func unannotated(n int) string {
 	return fmt.Sprintf("free %d", n)
-}
-
-func misplaced() {
-	/* want `//nectar:hotpath must be part of a function declaration's doc comment` */ //nectar:hotpath
-	_ = 0
 }

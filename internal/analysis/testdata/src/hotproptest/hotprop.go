@@ -1,21 +1,21 @@
-// Package hotproptest exercises the hotprop analyzer: transitive
-// hotpath purity over the call graph, //nectar:hotpath-exempt pruning,
-// chain reporting, and directive placement.
+// Package hotproptest exercises hotpath's transitive audit: purity over
+// the call graph, //nectar:hotpath-exempt pruning, and chain reporting.
 package hotproptest
 
 import "fmt"
 
-// Root is the annotated fast path. Its own body is clean — every
-// finding below is in a helper it (transitively) reaches.
+// Root is the annotated fast path. Its own body's one finding is the
+// interface conversion handing adder to viaIface; every other finding
+// below is in a helper it (transitively) reaches.
 //
 //nectar:hotpath
 func Root(n int) int {
-	total := helper(n)    // direct call
-	total += deep(n)      // two-hop chain
-	total += colder(n)    // pruned at the exempt function
-	total += annotated(n) // audited by hotpath itself, not hotprop
-	total += viaValue(n)  // function value passed to a spawner
-	total += viaIface(adder{}, n)
+	total := helper(n)            // direct call
+	total += deep(n)              // two-hop chain
+	total += colder(n)            // pruned at the exempt function
+	total += annotated(n)         // audited as a root of its own, not via the chain
+	total += viaValue(n)          // function value passed to a spawner
+	total += viaIface(adder{}, n) // want `hotpath Root: argument converts hotproptest\.adder to hotproptest\.summer`
 	return total
 }
 
@@ -46,13 +46,13 @@ func coldest(n int) int {
 	return len(fmt.Sprint(n))
 }
 
-// annotated carries its own //nectar:hotpath: the hotpath analyzer owns
-// its body, so hotprop stays silent about it (no double report).
+// annotated carries its own //nectar:hotpath: its root audit owns
+// its body, so the chain audit stays silent about it (no double report).
 //
 //nectar:hotpath
 func annotated(n int) int { return n }
 
-// spawn models an approved callback surface: hotprop follows the named
+// spawn models an approved callback surface: hotpath follows the named
 // function value into it.
 func spawn(fn func(int) int, n int) int { return n }
 
@@ -107,10 +107,3 @@ func pool(n int) int { return loop(n - 1) }
 
 // Unreached allocates but is never called from a hot root: silent.
 func Unreached(n int) string { return fmt.Sprintf("%d", n) }
-
-// Placement edge: the exemption only means something on a function
-// declaration's doc comment.
-func misplaced() {
-	/* want `//nectar:hotpath-exempt must be part of a function declaration's doc comment` */ //nectar:hotpath-exempt stray waiver
-	_ = 0
-}

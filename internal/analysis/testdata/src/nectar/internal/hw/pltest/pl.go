@@ -4,7 +4,7 @@
 // closure capture, annotated callee), borrows that do NOT settle,
 // double-releases (explicit and deferred), use-after-release, discarded
 // acquires, //nectar:leak-ok waivers, and //nectar:takes-ownership
-// placement diagnostics.
+// naming a parameter that does not exist.
 package pltest
 
 import (
@@ -188,7 +188,7 @@ func wholeFunctionWaiver(p *fiber.Pool) {
 	work(pkt)
 }
 
-// --- //nectar:takes-ownership placement ---
+// --- //nectar:takes-ownership naming and placement ---
 
 // wrongParam names a parameter that does not exist.
 //
@@ -198,7 +198,7 @@ func wrongParam(pkt *fiber.Packet) {
 }
 
 func misplacedDirective(p *fiber.Pool) {
-	/* want `//nectar:takes-ownership must be part of a function declaration's doc comment` */ //nectar:takes-ownership pkt a body comment transfers nothing
+	//nectar:takes-ownership pkt a body comment transfers nothing (determinism reports the placement)
 	pkt := p.GetPacket()
 	pkt.Release()
 }

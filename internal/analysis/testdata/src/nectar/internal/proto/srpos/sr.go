@@ -1,4 +1,4 @@
-// Package srpos exercises the seededrand analyzer in a deterministic
+// Package srpos exercises determinism's seededrand rule in a deterministic
 // package (import path under nectar/internal/proto).
 package srpos
 

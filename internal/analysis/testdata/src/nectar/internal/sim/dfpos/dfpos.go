@@ -1,4 +1,4 @@
-// Package dfpos exercises the detfail analyzer: os.Exit, global-logger
+// Package dfpos exercises determinism's failure-path rule: os.Exit, global-logger
 // writes, and ad-hoc formatted panics in a deterministic package, plus
 // the sanctioned forms (bare constant panics, fmt.Errorf into an error
 // return, //nectar:diag-helper surfaces) and directive placement.

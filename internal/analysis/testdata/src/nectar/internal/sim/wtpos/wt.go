@@ -1,4 +1,4 @@
-// Package wtpos exercises the walltime analyzer in a deterministic
+// Package wtpos exercises determinism's walltime rule in a deterministic
 // package (import path under nectar/internal/sim).
 package wtpos
 

@@ -1,6 +1,6 @@
 // Package clock is outside the deterministic import-path set: wall
-// clock and directives are nobody's business here, so walltime must stay
-// silent (CLIs under cmd/ measure wall clock on purpose).
+// clock is nobody's business here, so the walltime rule must stay silent
+// (CLIs under cmd/ measure wall clock on purpose).
 package clock
 
 import "time"

@@ -1,6 +1,6 @@
 // Package failures holds the same failure-path offences as the dfpos
-// fixture but lives outside the deterministic package set: detfail must
-// stay silent (CLIs may os.Exit and log freely).
+// fixture but lives outside the deterministic package set: the detfail
+// rule must stay silent (CLIs may os.Exit and log freely).
 package failures
 
 import (

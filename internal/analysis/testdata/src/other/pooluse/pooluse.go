@@ -1,6 +1,7 @@
 // Package pooluse reproduces pltest's leaky shapes in a package outside
-// the deterministic set: poollife must stay silent here, including on
-// the misplaced directive.
+// the deterministic set: poollife must stay silent here. The misplaced
+// directive is still reported, by the directive pass that checks
+// placement in every package.
 package pooluse
 
 import "nectar/internal/hw/fiber"
@@ -20,7 +21,7 @@ func DoubleRelease(p *fiber.Pool) {
 }
 
 func MisplacedDirective(p *fiber.Pool) {
-	//nectar:takes-ownership pkt silent outside the deterministic set
+	/* want `//nectar:takes-ownership must be part of a function declaration's doc comment` */ //nectar:takes-ownership pkt misplaced in any package
 	pkt := p.GetPacket()
 	work(pkt)
 }

@@ -1,7 +1,7 @@
 // Package shardsafetest exercises the shardsafe analyzer: shard-owned
 // fields and types, the receiver/parameter ownership chain, the
 // unowned bases (index, range, package variable, channel receive), the
-// shard-boundary waiver, and directive placement.
+// shard-boundary waiver.
 package shardsafetest
 
 // Kernel is a whole type of per-shard state: every access to a Kernel
@@ -118,16 +118,4 @@ func barrier(c *Coupling) {
 		d.k.Step()
 		d.out = d.out[:0]
 	}
-}
-
-// --- directive placement edges ---
-
-func misplacedOwned() {
-	/* want `//nectar:shard-owned must annotate a type declaration or a struct field` */ //nectar:shard-owned
-	_ = 0
-}
-
-func misplacedBoundary() {
-	/* want `//nectar:shard-boundary must be part of a function declaration's doc comment` */ //nectar:shard-boundary stray waiver
-	_ = 0
 }

@@ -3,73 +3,26 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"go/importer"
 	"go/token"
-	"go/types"
 	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 )
 
-// Driver entry points for cmd/nectar-vet. Two modes:
+// Driver entry point for cmd/nectar-vet: `nectar-vet ./...` loads the
+// named packages itself (LoadPackages) into one types universe, so the
+// interprocedural analyzers (hotpath, shardsafe, costmodel, poollife)
+// see the full cross-package call graph and fact set. This is the mode
+// CI, the perf-module job, and the repo-wide regression test run.
 //
-//   - Standalone: `nectar-vet ./...` loads the named packages itself
-//     (LoadPackages) and reports findings. This is the mode CI and the
-//     repo-wide regression test use. The whole module shares one types
-//     universe, so the interprocedural analyzers (hotprop, shardsafe)
-//     see the full cross-package call graph and fact set.
-//   - Vet tool: `go vet -vettool=$(which nectar-vet) ./...`. The go
-//     command drives the tool with the unitchecker protocol: a -V=full
-//     probe for the build cache key, a -flags probe for supported
-//     flags, then one invocation per package with a JSON *.cfg file
-//     describing the unit. We type-check each unit with the module-aware
-//     "source" importer rather than the supplied export data, which
-//     keeps the driver standard-library-only. The interprocedural
-//     analyzers degrade to a per-unit view in this mode.
-//
-// Both modes accept -json: diagnostics are then emitted on stdout as one
-// JSON object per line ({"pos","analyzer","message","chain"}), the form
-// CI ingests to annotate PRs.
-
-// vetConfig mirrors the fields of the go command's vet configuration
-// file that this driver consumes (the full schema matches
-// x/tools/go/analysis/unitchecker.Config).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
+// -json emits diagnostics on stdout as one JSON object per line
+// ({"pos","analyzer","message","chain"}), the form CI ingests to
+// annotate PRs.
 
 // Main is the nectar-vet entry point. It returns the process exit code:
-// 0 clean, 1 driver error, 2 diagnostics reported.
+// 0 clean, 1 driver error, 2 diagnostics reported (or, with -waivers, a
+// waiver outside its verb's packages).
 func Main(args []string) int {
-	// Protocol probes from the go command.
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" {
-			// The go command parses "<name> version <detail>" to key the
-			// build cache.
-			fmt.Printf("nectar-vet version %s-nectar2\n", runtime.Version())
-			return 0
-		}
-		if a == "-flags" || a == "--flags" {
-			// Advertise the flags we accept so `go vet -vettool=... -json`
-			// can pass them through to each unit invocation.
-			fmt.Println(`[{"Name":"json","Bool":true,"Usage":"emit diagnostics as JSON lines on stdout"}]`)
-			return 0
-		}
-	}
 	jsonOut := false
 	waivers := false
 	timing := false
@@ -88,9 +41,6 @@ func Main(args []string) int {
 			rest = append(rest, a)
 		}
 	}
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vetUnit(rest[0], jsonOut)
-	}
 	if waivers {
 		return waiverInventory(rest)
 	}
@@ -108,23 +58,43 @@ type Waiver struct {
 	Reason    string `json:"reason"`
 }
 
-// waiverDirectives lists the directive verbs that weaken or scope a
-// check and therefore belong in the inventory. Pure markers (hotpath,
-// shard-owned) opt code *into* checking and are excluded.
-var waiverDirectives = map[string]bool{
-	DirAllowWalltime: true,
-	DirHotpathExempt: true,
-	DirShardBoundary: true,
-	DirFreeHop:       true,
-	DirDiagHelper:    true,
-	DirTakesOwner:    true,
-	DirLeakOK:        true,
+// Allowed reports whether the waiver sits in a package its verb's row in
+// the directive table permits.
+func (w Waiver) Allowed() bool {
+	r := ruleFor(w.Directive)
+	return r != nil && r.allows(w.Package)
+}
+
+// Waivers returns every waiver directive in pkgs, in (package, file,
+// line) order. Pure markers (hotpath, shard-owned) opt code into
+// checking and are excluded.
+func Waivers(pkgs []*Package) []Waiver {
+	var out []Waiver
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					d, ok := parseDirective(pkg.Fset, c)
+					if r := ruleFor(d.verb); !ok || r == nil || !r.waiver {
+						continue
+					}
+					out = append(out, Waiver{
+						Pos:       pkg.Fset.Position(d.pos).String(),
+						Package:   canonicalPkgPath(pkg.PkgPath),
+						Directive: d.verb,
+						Reason:    d.arg,
+					})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // waiverInventory loads patterns (default ./...) and prints every waiver
-// directive as one JSON line on stdout, in deterministic (package, file,
-// line) order. Exit 0 even when waivers exist: the inventory is a
-// reporting surface; judging a waiver is the reviewer's job.
+// as one JSON line on stdout. Judging a waiver's reason is the
+// reviewer's job, but its package is policy: a waiver outside the
+// packages its verb allows is reported on stderr and exits 2.
 func waiverInventory(patterns []string) int {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -136,27 +106,20 @@ func waiverInventory(patterns []string) int {
 		fmt.Fprintln(os.Stderr, "nectar-vet:", err)
 		return 1
 	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range fileDirectives(pkg.Fset, f) {
-				if !waiverDirectives[d.verb] {
-					continue
-				}
-				w := Waiver{
-					Pos:       pkg.Fset.Position(d.pos).String(),
-					Package:   canonicalPkgPath(pkg.PkgPath),
-					Directive: d.verb,
-					Reason:    d.arg,
-				}
-				b, err := json.Marshal(w)
-				if err != nil { // unreachable: Waiver is all strings
-					panic(err)
-				}
-				fmt.Println(string(b))
-			}
+	exit := 0
+	for _, w := range Waivers(pkgs) {
+		b, err := json.Marshal(w)
+		if err != nil { // unreachable: Waiver is all strings
+			panic(err)
+		}
+		fmt.Println(string(b))
+		if !w.Allowed() {
+			fmt.Fprintf(os.Stderr, "nectar-vet: %s: //nectar:%s is not allowed in package %s (allowed: %s)\n",
+				w.Pos, w.Directive, w.Package, strings.Join(ruleFor(w.Directive).pkgs, " "))
+			exit = 2
 		}
 	}
-	return 0
+	return exit
 }
 
 // emit writes one diagnostic in the selected format: human-readable on
@@ -243,80 +206,4 @@ func standalone(patterns []string, jsonOut, timing bool) int {
 		fmt.Println(string(b))
 	}
 	return exit
-}
-
-// vetUnit analyzes one package unit described by a go vet config file.
-func vetUnit(cfgPath string, jsonOut bool) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nectar-vet:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "nectar-vet: parse %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The go command requires the facts file to exist even though these
-	// analyzers produce no facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("nectar-vet: no facts\n"), 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "nectar-vet:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	filenames := make([]string, 0, len(cfg.GoFiles))
-	for _, f := range cfg.GoFiles {
-		if !filepath.IsAbs(f) {
-			f = filepath.Join(cfg.Dir, f)
-		}
-		filenames = append(filenames, f)
-	}
-	fset := token.NewFileSet()
-	imp := &mappedImporter{
-		m:    cfg.ImportMap,
-		dir:  cfg.Dir,
-		next: importer.ForCompiler(fset, "source", nil),
-	}
-	pkg, err := typecheckFiles(fset, cfg.ImportPath, filenames, imp)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nectar-vet:", err)
-		return 1
-	}
-	if len(pkg.TypeErrors) > 0 && cfg.SucceedOnTypecheckFailure {
-		return 0
-	}
-	diags, err := RunAnalyzers(pkg, All())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nectar-vet:", err)
-		return 1
-	}
-	for _, d := range diags {
-		emit(fset, d, jsonOut)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// mappedImporter applies the vet config's ImportMap (import path as
-// written -> canonical path) before delegating to the source importer.
-type mappedImporter struct {
-	m    map[string]string
-	dir  string
-	next types.Importer
-}
-
-func (mi *mappedImporter) Import(path string) (*types.Package, error) {
-	if mapped, ok := mi.m[path]; ok {
-		path = mapped
-	}
-	if from, ok := mi.next.(types.ImporterFrom); ok {
-		return from.ImportFrom(path, mi.dir, 0)
-	}
-	return mi.next.Import(path)
 }

@@ -562,16 +562,18 @@ func (c *Coupling) run(horizon Time, drain bool) error {
 				bMin = b
 			}
 		}
-		span := int64(0) // virtual window width before horizon clamp
-		if bMin > minNET {
-			span = int64(bMin - minNET)
-		}
+		end := bMin // where the window stops, after the horizon clamp
 		if !drain {
 			for i := range c.bounds {
 				if c.bounds[i] > horizon+1 {
 					c.bounds[i] = horizon + 1 // runBounded is exclusive: executes events <= horizon
 				}
 			}
+			end = min(end, horizon)
+		}
+		span := int64(0) // virtual window width
+		if end > minNET {
+			span = int64(end - minNET)
 		}
 		// Parallel window: every domain with events below its bound
 		// executes them; idle domains are skipped (their clocks advance

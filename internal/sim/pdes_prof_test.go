@@ -241,3 +241,34 @@ func TestZeroAllocSchedulerDrainDisabled(t *testing.T) {
 		t.Errorf("disabled drain path allocates %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestCouplingProfileWindowSpanClamped requires the recorded window span
+// to be the width the window actually ran: with a lookahead far beyond
+// the horizon, RunFor(d) coalesces into windows clamped at the horizon,
+// so no span may exceed d.
+func TestCouplingProfileWindowSpanClamped(t *testing.T) {
+	const d = 100 * Microsecond
+	c := NewCoupling()
+	a := c.AddDomain(NewKernel())
+	b := c.AddDomain(NewKernel())
+	a.AddGateway(fixedLookahead{Second})
+	b.AddGateway(fixedLookahead{Second})
+	p := prof.New(2)
+	c.SetProfile(p)
+	for _, dom := range []*Domain{a, b} {
+		k := dom.Kernel()
+		var tick func()
+		tick = func() { k.After(10*Microsecond, tick) }
+		k.At(0, tick)
+	}
+	if err := c.RunFor(d); err != nil {
+		t.Fatal(err)
+	}
+	r := p.Report()
+	if r.WindowSpanUS.Count == 0 {
+		t.Fatal("no windows recorded")
+	}
+	if limit := float64(d) / float64(Microsecond); r.WindowSpanUS.Max > limit {
+		t.Errorf("window_span_us max = %g, want <= %g (the RunFor horizon)", r.WindowSpanUS.Max, limit)
+	}
+}
