@@ -33,8 +33,10 @@ func TestSeededrand(t *testing.T) {
 
 func TestRawgo(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.Determinism,
-		// One package holding an approved file (pdes.go — silent), an
-		// unapproved file (diagnosed), and a test file (exempt).
+		// One package holding an approved file (pdes.go — silent),
+		// unapproved files (spawn.go, and proc.go, whose coroutine
+		// Procs need no goroutine — diagnosed), and a test file
+		// (exempt).
 		"rawgotest/internal/sim",
 	)
 }

@@ -191,11 +191,12 @@ func (hc *HostCond) Signal(ctx exec.Context) {
 
 func (hc *HostCond) wakeAll() {
 	hc.queued = false
-	ws := hc.waiters
-	hc.waiters = nil
-	for _, w := range ws {
+	// Unblock runs no thread, so nothing joins the queue mid-loop.
+	for i, w := range hc.waiters {
+		hc.waiters[i] = nil
 		w.Unblock()
 	}
+	hc.waiters = hc.waiters[:0]
 }
 
 // WaitPoll spins on the poll value until it differs from since (obtained
@@ -228,7 +229,7 @@ func (hc *HostCond) WaitBlocking(ctx exec.Context, since uint32) {
 		return // already signaled
 	}
 	hc.waiters = append(hc.waiters, ctx.T)
-	ctx.T.Block("hostcond:" + hc.name)
+	ctx.T.BlockOn("hostcond", hc.name)
 	ctx.Compute(hc.f.cost.HostSyscall / 2) // return path from the driver
 }
 

@@ -49,7 +49,7 @@ const (
 // Thread is a single thread of control on one Sched.
 type Thread struct {
 	sched     *Sched
-	name      string
+	name      string // empty for an interrupt handler, named by src
 	prio      Priority
 	proc      *sim.Proc
 	wake      *sim.Signal
@@ -57,11 +57,23 @@ type Thread struct {
 	remaining sim.Duration // unconsumed demand of the current Compute call
 	seq       uint64       // FIFO tie-break within a priority
 	heapIdx   int
-	intr      bool // interrupt pseudo-thread
-	exitC     *Cond
-	exitM     *Mutex
 	cpuTime   sim.Duration // total CPU time consumed (stats)
 	epoch     uint64       // incremented at each Block; guards stale wakeups
+
+	// An interrupt handler is a pooled thread: between interrupts it is
+	// parked on its Sched's free list, and RaiseInterrupt hands it the
+	// source name and the job.
+	intr    bool
+	src     string
+	handler func(t *Thread)
+
+	// The current Block's reason, formatted as "kind:name" only when a
+	// deadlock report asks (Describe).
+	blockKind, blockName string
+
+	// Join's exit lock and condition, created by the first Join.
+	exitC *Cond
+	exitM *Mutex
 }
 
 // Sched is a preemptive priority scheduler modeling one CPU.
@@ -80,6 +92,14 @@ type Sched struct {
 	intrMasked  bool
 	pendingIntr []pendingIntr
 	maskDepth   int
+	handlers    []*Thread // parked interrupt handlers, reused by RaiseInterrupt
+
+	// The context-switch and slice-end events. At most one of each is
+	// pending per CPU, for switchTo and running, so one callback each,
+	// built in New, serves every thread.
+	switchDoneFn, sliceDoneFn func()
+
+	waiterFree []*waiter // Cond and Sleep records ready for reuse
 
 	seq        uint64
 	switches   uint64 // context-switch count (stats)
@@ -98,6 +118,8 @@ type pendingIntr struct {
 // New creates a scheduler for a CPU named name, charging costs from cost.
 func New(k *sim.Kernel, cost *model.CostModel, name string) *Sched {
 	s := &Sched{k: k, cost: cost, name: name}
+	s.switchDoneFn = s.switchDone
+	s.sliceDoneFn = s.sliceDone
 	s.obs = obs.Ensure(k)
 	m := s.obs.Metrics()
 	m.Gauge(obs.LayerSched, "context_switches", name, func() uint64 { return s.switches })
@@ -131,24 +153,28 @@ func (s *Sched) Fork(name string, prio Priority, fn func(t *Thread)) *Thread {
 	if prio >= interruptPriority {
 		panic("threads: priority reserved for interrupts")
 	}
-	return s.fork(name, prio, false, fn)
+	t := s.newThread(name, prio, false, fn)
+	s.onReady(t)
+	return t
 }
 
-func (s *Sched) fork(name string, prio Priority, intr bool, fn func(t *Thread)) *Thread {
+// newThread creates a thread whose proc waits to be dispatched for the
+// first time, runs body and exits. The proc's start event is queued; the
+// caller makes the thread ready so that the scheduler can plan, but the
+// proc only runs once dispatched.
+func (s *Sched) newThread(name string, prio Priority, intr bool, body func(t *Thread)) *Thread {
 	t := &Thread{sched: s, name: name, prio: prio, intr: intr, heapIdx: -1}
-	t.wake = s.k.NewSignal("wake:" + name)
-	t.exitM = NewMutex(s.name + "/" + name + ".exit")
-	t.exitC = NewCond(s, name+".exit")
-	t.proc = s.k.Go(s.name+"/"+name, func(p *sim.Proc) {
-		// Wait to be dispatched for the first time.
+	t.wake = s.k.NewSignal(name)
+	procName := s.name + "/" + name
+	if intr {
+		procName = s.name + "/intr"
+	}
+	t.proc = s.k.Go(procName, func(p *sim.Proc) {
 		p.Wait(t.wake)
-		fn(t)
+		body(t)
 		t.exit()
 	})
-	t.state = stateReady
-	// The proc start event is queued; thread becomes ready now so that the
-	// scheduler can plan, but the proc only runs once dispatched.
-	s.onReady(t)
+	t.proc.SetDescriber(t)
 	return t
 }
 
@@ -157,6 +183,10 @@ func (s *Sched) fork(name string, prio Priority, intr bool, fn func(t *Thread)) 
 // running, the interrupt is pended and delivered later (handlers are not
 // nested, per §3.1). Callable from kernel context (hardware models) or from
 // any thread.
+//
+// Because handlers never nest, a CPU needs only one handler thread at a
+// time: a finished handler parks on the Sched's free list and the next
+// interrupt reuses it, so taking an interrupt creates no thread.
 func (s *Sched) RaiseInterrupt(name string, fn func(t *Thread)) {
 	if s.intrMasked || s.interruptActive() {
 		s.pendingIntr = append(s.pendingIntr, pendingIntr{name, fn})
@@ -166,11 +196,33 @@ func (s *Sched) RaiseInterrupt(name string, fn func(t *Thread)) {
 	if s.obs.Tracing() {
 		s.obs.InstantArg(0, obs.LayerSched, "interrupt", s.name+"/"+name, 0, 0)
 	}
-	s.fork("intr:"+name, interruptPriority, true, func(t *Thread) {
-		fn(t)
-		// Handler completion: deliver the next pended interrupt, if any.
+	var h *Thread
+	if n := len(s.handlers); n > 0 {
+		h = s.handlers[n-1]
+		s.handlers = s.handlers[:n-1]
+	} else {
+		h = s.newThread("", interruptPriority, true, (*Thread).serveInterrupts)
+	}
+	h.src = name
+	h.handler = fn
+	s.onReady(h)
+}
+
+// serveInterrupts is an interrupt handler thread's body: run the job it
+// was handed, charge the exit cost, then park until RaiseInterrupt hands
+// it the next one.
+func (t *Thread) serveInterrupts() {
+	s := t.sched
+	for {
+		t.handler(t)
 		t.Compute(s.cost.InterruptExit)
-	})
+		t.handler = nil
+		s.handlers = append(s.handlers, t)
+		// Handler completion: the next pended interrupt, if any, takes
+		// this very thread from the free list.
+		t.exit()
+		t.proc.Park(t.wake)
+	}
 }
 
 // interruptActive reports whether an interrupt handler is running, ready,
@@ -198,14 +250,37 @@ func (s *Sched) drainPendingIntr() {
 		return
 	}
 	pi := s.pendingIntr[0]
-	s.pendingIntr = s.pendingIntr[1:]
+	s.pendingIntr = removeAt(s.pendingIntr, 0)
 	s.RaiseInterrupt(pi.name, pi.fn)
 }
 
 // --- Thread API (called from the thread's own context) ---
 
-// Name returns the thread name.
-func (t *Thread) Name() string { return t.name }
+// Name returns the thread name; an interrupt handler's is "intr:" and the
+// source of the interrupt it is serving.
+func (t *Thread) Name() string {
+	if t.intr {
+		return "intr:" + t.src
+	}
+	return t.name
+}
+
+// Describe labels the thread's proc in deadlock reports: a blocked thread
+// by its Block reason, any other by the wake-up it waits for.
+func (t *Thread) Describe() string {
+	if t.state != stateBlocked {
+		return "waiting:wake:" + t.Name()
+	}
+	return t.blockReason()
+}
+
+// blockReason formats the reason given to the latest Block.
+func (t *Thread) blockReason() string {
+	if t.blockKind == "" {
+		return t.blockName
+	}
+	return t.blockKind + ":" + t.blockName
+}
 
 // Sched returns the scheduler this thread runs on.
 func (t *Thread) Sched() *Sched { return t.sched }
@@ -225,6 +300,8 @@ func (t *Thread) CPUTime() sim.Duration { return t.cpuTime }
 // Compute consumes d of CPU time. The thread may be preempted by
 // higher-priority threads or interrupts and resumed; Compute returns only
 // after the full demand has been consumed.
+//
+//nectar:hotpath
 func (t *Thread) Compute(d sim.Duration) {
 	if d <= 0 {
 		return
@@ -246,11 +323,18 @@ func (t *Thread) Compute(d sim.Duration) {
 // Block releases the CPU and parks the thread until Unblock is called.
 // reason is reported in deadlock diagnostics. Interrupt handlers must not
 // block (paper §3.3: handlers use the non-blocking operations).
-func (t *Thread) Block(reason string) {
+func (t *Thread) Block(reason string) { t.BlockOn("", reason) }
+
+// BlockOn is Block with a reason in two parts, reported as "kind:name"
+// (as Block(name) if kind is empty). The reason is only formatted when a
+// deadlock report or a panic needs it, so blocking on a named object
+// allocates nothing.
+func (t *Thread) BlockOn(kind, name string) {
 	s := t.sched
 	t.assertRunning("Block")
+	t.blockKind, t.blockName = kind, name
 	if t.intr {
-		sim.Panicf("threads: interrupt handler %q attempted to block (%s)", t.name, reason)
+		sim.Panicf("threads: interrupt handler %q attempted to block (%s)", t.Name(), t.blockReason())
 	}
 	t.epoch++
 	t.state = stateBlocked
@@ -269,13 +353,7 @@ func (t *Thread) Unblock() {
 
 // Sleep blocks the thread for d of virtual time, releasing the CPU.
 func (t *Thread) Sleep(d sim.Duration) {
-	s := t.sched
-	epoch := t.epoch + 1 // epoch after Block's increment
-	s.k.After(d, func() {
-		if t.epoch == epoch && t.state == stateBlocked {
-			t.Unblock()
-		}
-	})
+	t.sched.newWaiter(nil, t).arm(d)
 	t.Block("sleep")
 }
 
@@ -297,6 +375,10 @@ func (t *Thread) Yield() {
 
 // Join blocks until u terminates.
 func (t *Thread) Join(u *Thread) {
+	if u.exitM == nil {
+		u.exitM = NewMutex(u.sched.name + "/" + u.name + ".exit")
+		u.exitC = NewCond(u.sched, u.name+".exit")
+	}
 	u.exitM.Lock(t)
 	for u.state != stateDone {
 		u.exitC.Wait(t, u.exitM)
@@ -330,7 +412,9 @@ func (t *Thread) EnableInterrupts() {
 func (t *Thread) exit() {
 	s := t.sched
 	t.state = stateDone
-	t.exitC.Broadcast()
+	if t.exitC != nil {
+		t.exitC.Broadcast()
+	}
 	s.running = nil
 	if t.intr {
 		s.drainPendingIntr()
@@ -341,10 +425,10 @@ func (t *Thread) exit() {
 
 func (t *Thread) assertRunning(op string) {
 	if t.sched.running != t {
-		sim.Panicf("threads: %s by %q which is not the running thread", op, t.name)
+		sim.Panicf("threads: %s by %q which is not the running thread", op, t.Name())
 	}
 	if t.state != stateRunning {
-		sim.Panicf("threads: %s by %q in state %d", op, t.name, t.state)
+		sim.Panicf("threads: %s by %q in state %d", op, t.Name(), t.state)
 	}
 }
 
@@ -417,7 +501,7 @@ func (s *Sched) dispatchNext() {
 // startSwitch charges the context-switch (or interrupt entry) cost and then
 // installs t as the running thread.
 //
-//nectar:hotpath-exempt switch continuation closure is one allocation per context switch, amortized by the microseconds of virtual time the switch itself costs
+//nectar:hotpath
 func (s *Sched) startSwitch(t *Thread) {
 	var cost sim.Duration
 	if t.intr {
@@ -432,12 +516,14 @@ func (s *Sched) startSwitch(t *Thread) {
 	s.switching = true
 	s.switchTo = t
 	s.busyTime += cost
-	s.k.After(cost, func() { s.switchDone(t) })
+	s.k.After(cost, s.switchDoneFn)
 }
 
-// switchDone completes a context switch. If an even better thread became
-// ready during the switch, the switch is redone (charging again).
-func (s *Sched) switchDone(t *Thread) {
+// switchDone completes the context switch to switchTo. If an even better
+// thread became ready during the switch, the switch is redone (charging
+// again).
+func (s *Sched) switchDone() {
+	t := s.switchTo
 	s.switching = false
 	s.switchTo = nil
 	if len(s.ready) > 0 && s.ready[0].prio > t.prio {
@@ -459,16 +545,16 @@ func (s *Sched) switchDone(t *Thread) {
 
 // beginSlice starts consuming the running thread's compute demand.
 //
-//nectar:hotpath-exempt slice-timer closure allocates once per dispatched compute slice, not per event
+//nectar:hotpath
 func (s *Sched) beginSlice(t *Thread) {
 	s.sliceStart = s.k.Now()
-	d := t.remaining
-	s.sliceTimer = s.k.After(d, func() { s.sliceDone(t) })
+	s.sliceTimer = s.k.After(t.remaining, s.sliceDoneFn)
 }
 
 // sliceDone fires when the running thread's demand is fully consumed; the
 // thread keeps the CPU and resumes zero-time execution.
-func (s *Sched) sliceDone(t *Thread) {
+func (s *Sched) sliceDone() {
+	t := s.running
 	t.cpuTime += t.remaining
 	s.busyTime += t.remaining
 	t.remaining = 0

@@ -431,6 +431,35 @@ func TestCondTimeoutDoesNotEatSignal(t *testing.T) {
 	}
 }
 
+// TestCondWaitRecordOutlivesSignaledWait: a signaled WaitTimeout leaves
+// its timer queued, so its pooled record must not serve the next wait
+// before that timer fires. Here the next wait has no deadline of its own
+// until 530us, and a record reused too early would end it at 100us.
+func TestCondWaitRecordOutlivesSignaledWait(t *testing.T) {
+	k, s := zeroCostSched()
+	m := NewMutex("m")
+	c := NewCond(s, "c")
+	var wakes []sim.Time
+	var results []bool
+	s.Fork("waiter", SystemPriority, func(th *Thread) {
+		m.Lock(th)
+		for _, d := range []sim.Duration{100 * sim.Microsecond, 500 * sim.Microsecond} {
+			results = append(results, c.WaitTimeout(th, m, d))
+			wakes = append(wakes, th.Now())
+		}
+		m.Unlock(th)
+	})
+	s.Fork("waker", SystemPriority, func(th *Thread) {
+		th.Sleep(30 * sim.Microsecond)
+		c.Signal()
+	})
+	mustRun(t, k)
+	want := []sim.Time{sim.Time(30 * sim.Microsecond), sim.Time(530 * sim.Microsecond)}
+	if !reflect.DeepEqual(wakes, want) || !reflect.DeepEqual(results, []bool{true, false}) {
+		t.Errorf("wakes %v with results %v, want %v with [true false]", wakes, results, want)
+	}
+}
+
 func TestInterruptPreemptsThread(t *testing.T) {
 	k, s := testSched(t)
 	var intrAt, appEnd sim.Time
@@ -677,5 +706,124 @@ func TestManyThreadsDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic:\n%s\n%s", a, b)
+	}
+}
+
+// TestDeadlockNamesBlockReason: a thread blocked forever on a held Mutex
+// is reported with its own blocking reason, not the wake-up Signal its
+// proc parks on.
+func TestDeadlockNamesBlockReason(t *testing.T) {
+	k, s := testSched(t)
+	m := NewMutex("table")
+	s.Fork("holder", SystemPriority, func(th *Thread) {
+		m.Lock(th) // and never unlocks
+	})
+	s.Fork("waiter", SystemPriority, func(th *Thread) {
+		m.Lock(th)
+	})
+	err := k.Run()
+	if err == nil {
+		t.Fatal("Run returned nil with a thread blocked forever")
+	}
+	if want := "cab0/waiter@mutex:table"; !strings.Contains(err.Error(), want) {
+		t.Errorf("deadlock error %q does not contain %q", err, want)
+	}
+}
+
+// TestIdleAfterInterruptsIsNoDeadlock: the parked interrupt handler a
+// CPU keeps between interrupts is idle, not blocked.
+func TestIdleAfterInterruptsIsNoDeadlock(t *testing.T) {
+	k, s := testSched(t)
+	taken := 0
+	for i := 0; i < 3; i++ {
+		k.After(sim.Duration(i)*100*sim.Microsecond, func() {
+			s.RaiseInterrupt("rx", func(h *Thread) {
+				h.Compute(5 * sim.Microsecond)
+				taken++
+			})
+		})
+	}
+	mustRun(t, k)
+	if taken != 3 {
+		t.Errorf("took %d interrupts, want 3", taken)
+	}
+}
+
+// TestInterruptHandlersReused: 1,000 interrupts, some raised while a
+// handler runs and so pended, are served by at most two handler threads.
+func TestInterruptHandlersReused(t *testing.T) {
+	k, s := testSched(t)
+	handlers := map[*Thread]bool{}
+	taken := 0
+	fn := func(h *Thread) {
+		handlers[h] = true
+		taken++
+		h.Compute(sim.Microsecond)
+	}
+	for i := 0; i < 1000; i++ {
+		k.After(sim.Duration(i%250)*3*sim.Microsecond, func() { s.RaiseInterrupt("rx", fn) })
+	}
+	mustRun(t, k)
+	if taken != 1000 {
+		t.Fatalf("took %d interrupts, want 1000", taken)
+	}
+	if len(handlers) > 2 {
+		t.Errorf("1,000 interrupts used %d handler threads, want at most 2", len(handlers))
+	}
+}
+
+// TestInterruptHandlerBlockNamesSource: a reused handler still reports
+// the source of the interrupt it serves when it illegally blocks.
+func TestInterruptHandlerBlockNamesSource(t *testing.T) {
+	k, s := testSched(t)
+	k.After(0, func() { s.RaiseInterrupt("first", func(h *Thread) {}) })
+	k.After(sim.Millisecond, func() {
+		s.RaiseInterrupt("dma", func(h *Thread) { h.Block("illegal") })
+	})
+	err := k.Run()
+	if want := `interrupt handler "intr:dma" attempted to block (illegal)`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to contain %q", err, want)
+	}
+}
+
+// TestZeroAllocComputeSlice guards a thread's compute slice: the slice
+// timer, the wake-up and the Proc switch back must not allocate.
+func TestZeroAllocComputeSlice(t *testing.T) {
+	k, s := testSched(t)
+	s.Fork("worker", AppPriority, func(th *Thread) {
+		for {
+			th.Compute(10 * sim.Microsecond)
+		}
+	})
+	slice := func() {
+		if err := k.RunFor(10 * sim.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		slice()
+	}
+	if got := testing.AllocsPerRun(200, slice); got != 0 {
+		t.Errorf("compute slice allocates %.1f allocs/op, want 0", got)
+	}
+}
+
+// TestZeroAllocInterrupt guards interrupt delivery: once a handler thread
+// exists, raising an interrupt whose handler computes and exits must not
+// allocate.
+func TestZeroAllocInterrupt(t *testing.T) {
+	k, s := testSched(t)
+	fn := func(h *Thread) { h.Compute(5 * sim.Microsecond) }
+	raise := func() {
+		s.RaiseInterrupt("rx", fn)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		raise()
+	}
+	if got := testing.AllocsPerRun(200, raise); got != 0 {
+		t.Errorf("interrupt allocates %.1f allocs/op, want 0", got)
 	}
 }

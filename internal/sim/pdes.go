@@ -474,7 +474,7 @@ func (c *Coupling) run(horizon Time, drain bool) error {
 			}
 			var blocked []string
 			for _, d := range c.domains {
-				if len(d.k.procs) > 0 {
+				if d.k.blocked() {
 					blocked = append(blocked, fmt.Sprintf("domain %d: %s", d.id, d.k.procNames()))
 				}
 			}
@@ -580,7 +580,9 @@ func (c *Coupling) run(horizon Time, drain bool) error {
 		// lazily). A window with a single active domain runs inline on the
 		// scheduler goroutine — its kernel's state is synchronized by the
 		// previous barrier, and the next winSeq store republishes it to
-		// the worker.
+		// the worker. That includes the domain's Proc coroutines, which
+		// are thus resumed by the worker in some windows and by the
+		// scheduler in others, never by both at once.
 		c.windows++
 		seq := c.windows
 		active = active[:0]

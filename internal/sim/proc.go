@@ -1,39 +1,89 @@
 package sim
 
 import (
+	"iter"
 	"runtime/debug"
 )
 
-// Proc is a simulated sequential activity backed by a goroutine. The kernel
-// runs at most one Proc at a time; a Proc runs until it blocks (Sleep, Wait,
-// WaitTimeout) or returns, at which point control returns to the kernel loop.
+// Proc is a simulated sequential activity backed by a coroutine: an
+// iter.Pull pair whose next and yield switch with runtime.coroswitch, so a
+// switch involves no scheduler handoff and no allocation. The kernel runs
+// at most one Proc at a time; a Proc runs until it blocks (Sleep, Wait,
+// WaitTimeout, Park) or returns, at which point control returns to the
+// event that resumed it.
 //
 // Proc methods that block must only be called from within that Proc's own
 // body function.
+//
+// A Proc is resumed by whichever goroutine executes its kernel's events:
+// the caller of Run, or, under a Coupling, the domain's worker goroutine in
+// parallel windows and the coordinator in inline windows. iter.Pull allows
+// a coroutine to be resumed from different goroutines as long as two
+// resumptions never overlap, and the coupling's window barrier guarantees
+// they do not.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{} // kernel -> proc: "you may run"
-	state  string        // human-readable blocking reason, for deadlock reports
-	dead   bool
+	k    *Kernel
+	name string
+	fn   func(p *Proc) // the body, until the start event hands it over
+
+	next    func() (struct{}, bool) // resumes the coroutine
+	yieldFn func(struct{}) bool     // suspends it; valid inside the body
+	wakeFn  func()                  // p.dispatch, built once so wake-ups do not allocate
+
+	// Deadlock reports format the blocking label lazily from these.
+	state procState
+	on    *Signal   // what a waiting Proc waits on
+	desc  Describer // if set, describes a waiting Proc instead of on
+	dead  bool
 }
+
+// procState is what a Proc is doing, for deadlock reports.
+type procState uint8
+
+const (
+	procStarting procState = iota
+	procRunning
+	procSleeping
+	procWaiting        // Wait on p.on
+	procWaitingTimeout // WaitTimeout on p.on
+	procParked         // Park on p.on: idle, not blocked
+)
+
+// A Describer says, in deadlock reports, what a waiting Proc is blocked
+// on. It is consulted only when a report is built, so blocking formats no
+// label. Layers that multiplex their own blocking reasons over one Signal
+// (the threads package's per-thread wake-up) install one with
+// SetDescriber.
+type Describer interface {
+	Describe() string
+}
+
+// SetDescriber makes deadlock reports describe p, while it waits, with
+// d.Describe() instead of the name of the Signal it waits on.
+func (p *Proc) SetDescriber(d Describer) { p.desc = d }
 
 // Go starts a new Proc running fn. The Proc begins executing at the current
 // virtual time, after already-scheduled events for this instant.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), state: "starting"}
+	p := &Proc{k: k, name: name, fn: fn}
+	p.wakeFn = p.dispatch
 	k.procs[p] = struct{}{}
-	k.schedule(k.now, func() {
-		go p.body(fn)
-		p.dispatch()
-	})
+	k.schedule(k.now, p.start)
 	return p
 }
 
-// body is the goroutine entry point: wait to be dispatched, run fn, then
-// hand control back to the kernel forever.
-func (p *Proc) body(fn func(p *Proc)) {
-	<-p.resume
+// start is the Proc's first event: it creates the coroutine and runs the
+// body up to its first blocking point. Creating the coroutine here rather
+// than in Go keeps its cost with the first run, not with set-up.
+func (p *Proc) start() {
+	p.next, _ = iter.Pull(p.body)
+	p.dispatch()
+}
+
+// body is the coroutine: run fn, then mark the Proc finished. A panic is
+// recovered here, inside the coroutine, and becomes Run's error.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yieldFn = yield
 	defer func() {
 		if r := recover(); r != nil {
 			p.k.Fatalf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
@@ -41,45 +91,70 @@ func (p *Proc) body(fn func(p *Proc)) {
 		p.dead = true
 		delete(p.k.procs, p)
 		p.k.current = nil
-		p.k.handoff <- struct{}{}
 	}()
-	p.state = "running"
+	p.state = procRunning
+	fn := p.fn
+	p.fn = nil
 	fn(p)
-	p.state = "finished"
 }
 
-// dispatch transfers control from kernel context to the proc and waits for
-// it to yield back. Must be called from kernel context (inside an event).
-// Dispatching a finished proc is a no-op.
+// dispatch transfers control from kernel context to the proc and returns
+// when it yields back. Must be called from kernel context (inside an
+// event). Dispatching a finished proc is a no-op.
+//
+//nectar:hotpath
 func (p *Proc) dispatch() {
 	if p.dead {
 		return
 	}
 	p.k.current = p
-	p.resume <- struct{}{}
-	<-p.k.handoff
+	p.next()
 }
 
-// checkContext panics unless the calling goroutine is p's own body, which
-// is the only context from which blocking operations are legal.
+// checkContext panics unless the caller is p's own body, which is the only
+// context from which blocking operations are legal.
 func (p *Proc) checkContext(op string) {
 	if p.k.current != p {
-		Panicf("sim: %s on proc %q from outside its goroutine", op, p.name)
+		Panicf("sim: %s on proc %q from outside its coroutine", op, p.name)
 	}
 }
 
-// yield transfers control from the proc back to the kernel loop and blocks
-// until the proc is dispatched again.
-func (p *Proc) yield(state string) {
+// yield transfers control from the proc back to the event that resumed it
+// and returns when the proc is dispatched again. state and on record what
+// the proc waits for.
+//
+//nectar:hotpath
+func (p *Proc) yield(state procState, on *Signal) {
 	if p.k.current != p {
-		Panicf("sim: blocking call on proc %q from outside its goroutine", p.name)
+		Panicf("sim: blocking call on proc %q from outside its coroutine", p.name)
 	}
 	p.state = state
+	p.on = on
 	p.k.current = nil
-	p.k.handoff <- struct{}{}
-	<-p.resume
+	p.yieldFn(struct{}{})
 	p.k.current = p
-	p.state = "running"
+	p.state = procRunning
+}
+
+// label formats p's blocking state for a deadlock report.
+func (p *Proc) label() string {
+	switch p.state {
+	case procStarting:
+		return "starting"
+	case procSleeping:
+		return "sleeping"
+	case procWaiting, procWaitingTimeout:
+		if p.desc != nil {
+			return p.desc.Describe()
+		}
+		if p.state == procWaitingTimeout {
+			return "waiting-timeout:" + p.on.name
+		}
+		return "waiting:" + p.on.name
+	case procParked:
+		return "parked"
+	}
+	return "running"
 }
 
 // Name returns the proc's name.
@@ -97,53 +172,102 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.schedule(p.k.now+Time(d), func() { p.dispatch() })
-	p.yield("sleeping")
+	p.k.schedule(p.k.now+Time(d), p.wakeFn)
+	p.yield(procSleeping, nil)
 }
 
 // Wait blocks until s is signaled. Multiple procs may wait on one Signal;
 // Signal.Signal wakes exactly one (FIFO), Signal.Broadcast wakes all.
+//
+//nectar:hotpath
 func (p *Proc) Wait(s *Signal) {
 	p.checkContext("Wait")
 	s.waiters = append(s.waiters, p)
-	p.yield("waiting:" + s.name)
+	p.yield(procWaiting, s)
+}
+
+// Park is Wait for a Proc that is idle rather than blocked, such as a
+// pooled worker between jobs: a parked Proc is not a deadlock, and
+// deadlock reports leave it out.
+func (p *Proc) Park(s *Signal) {
+	p.checkContext("Park")
+	s.waiters = append(s.waiters, p)
+	p.k.parked++
+	p.yield(procParked, s)
+	p.k.parked--
 }
 
 // WaitTimeout blocks until s is signaled or d elapses. It reports true if
 // the signal arrived, false on timeout.
 func (p *Proc) WaitTimeout(s *Signal, d Duration) bool {
 	p.checkContext("WaitTimeout")
-	signaled := false
-	fired := false
-	// Waiter entry that the Signal will invoke.
-	entry := &timedWaiter{p: p}
-	s.timed = append(s.timed, entry)
-	t := p.k.After(d, func() {
-		if entry.done {
-			return
-		}
-		entry.done = true
-		fired = true
-		p.dispatch()
-	})
-	entry.onSignal = func() {
-		if entry.done {
-			return
-		}
-		entry.done = true
-		signaled = true
-		t.Stop()
-		p.dispatch()
+	k := p.k
+	var w *timedWaiter
+	if n := len(k.timedFree); n > 0 {
+		w = k.timedFree[n-1]
+		k.timedFree = k.timedFree[:n-1]
+	} else {
+		w = &timedWaiter{}
+		w.onTimeout, w.onSignal = w.timeout, w.signal
 	}
-	p.yield("waiting-timeout:" + s.name)
-	_ = fired
+	w.p, w.done, w.signaled, w.queued, w.waiting = p, false, false, true, true
+	s.timed = append(s.timed, w)
+	w.timer = k.After(d, w.onTimeout)
+	p.yield(procWaitingTimeout, s)
+	signaled := w.signaled
+	w.waiting = false
+	w.release()
 	return signaled
 }
 
+// timedWaiter is one WaitTimeout call's entry on a Signal. Records are
+// pooled per kernel; one returns to the pool once nothing refers to it:
+// not the Signal's queue or a wake-up event the Signal scheduled for it
+// (queued), not the waiting proc (waiting), and not its timer, which has
+// fired or been stopped by the time both of the others let go.
 type timedWaiter struct {
 	p        *Proc
-	onSignal func()
-	done     bool
+	timer    Timer
+	done     bool // woken, by the signal or the timeout
+	signaled bool
+	queued   bool
+	waiting  bool
+
+	onTimeout, onSignal func() // w.timeout and w.signal, built once per record
+}
+
+// timeout is the record's timer callback.
+func (w *timedWaiter) timeout() {
+	if w.done {
+		return
+	}
+	w.done = true
+	w.p.dispatch()
+}
+
+// signal is the wake-up event a Signal or Broadcast schedules for the
+// record.
+func (w *timedWaiter) signal() {
+	w.queued = false
+	if w.done {
+		w.release()
+		return
+	}
+	w.done = true
+	w.signaled = true
+	w.timer.Stop()
+	w.p.dispatch()
+}
+
+// release returns the record to its kernel's pool once nothing refers to
+// it.
+func (w *timedWaiter) release() {
+	if w.queued || w.waiting {
+		return
+	}
+	k := w.p.k
+	w.p = nil
+	k.timedFree = append(k.timedFree, w)
 }
 
 // Signal is a stateless wake-up point, akin to a condition variable: Wait
@@ -164,7 +288,7 @@ func (k *Kernel) NewSignal(name string) *Signal {
 // Signal wakes one waiter (the longest-waiting first). Wake-ups are
 // scheduled at the current instant, after the caller finishes its event.
 //
-//nectar:hotpath-exempt wake-up closures allocate on the blocking path; the zero-alloc guarantee covers the polling fast path, which never parks
+//nectar:hotpath
 func (s *Signal) Signal() {
 	// Timed waiters are woken before plain waiters only if they registered
 	// earlier; for determinism we simply prefer plain FIFO order: plain
@@ -172,36 +296,48 @@ func (s *Signal) Signal() {
 	// care about order should use Broadcast.
 	if len(s.waiters) > 0 {
 		p := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		s.k.schedule(s.k.now, func() { p.dispatch() })
+		s.waiters = popFront(s.waiters)
+		s.k.schedule(s.k.now, p.wakeFn)
 		return
 	}
 	for len(s.timed) > 0 {
 		w := s.timed[0]
-		s.timed = s.timed[1:]
+		s.timed = popFront(s.timed)
 		if w.done {
-			continue // already timed out; not a live waiter
+			// Already timed out; not a live waiter.
+			w.queued = false
+			w.release()
+			continue
 		}
-		s.k.schedule(s.k.now, func() { w.onSignal() })
+		s.k.schedule(s.k.now, w.onSignal)
 		return
 	}
 }
 
 // Broadcast wakes all current waiters in FIFO order.
 func (s *Signal) Broadcast() {
-	waiters := s.waiters
-	s.waiters = nil
-	timed := s.timed
-	s.timed = nil
-	for _, p := range waiters {
-		p := p
-		s.k.schedule(s.k.now, func() { p.dispatch() })
+	// Scheduling runs no proc, so nothing joins the queues mid-loop.
+	for i, p := range s.waiters {
+		s.k.schedule(s.k.now, p.wakeFn)
+		s.waiters[i] = nil
 	}
-	for _, w := range timed {
-		w := w
-		s.k.schedule(s.k.now, func() { w.onSignal() })
+	s.waiters = s.waiters[:0]
+	for i, w := range s.timed {
+		s.k.schedule(s.k.now, w.onSignal)
+		s.timed[i] = nil
 	}
+	s.timed = s.timed[:0]
 }
 
 // HasWaiters reports whether any proc is blocked on s.
 func (s *Signal) HasWaiters() bool { return len(s.waiters) > 0 || len(s.timed) > 0 }
+
+// popFront removes q[0] and shifts the rest down, so a FIFO wait queue
+// keeps its capacity: a queue drained and refilled never reallocates, as
+// one whose head creeps forward with q[1:] does.
+func popFront[T any](q []T) []T {
+	n := copy(q, q[1:])
+	var zero T
+	q[n] = zero
+	return q[:n]
+}

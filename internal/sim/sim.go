@@ -5,16 +5,18 @@
 // (time, sequence number), which makes every run fully deterministic: two
 // events scheduled for the same instant fire in the order they were
 // scheduled. Simulated activities are either callbacks (At/After, which must
-// not block) or Procs — goroutines that the kernel runs one at a time,
+// not block) or Procs — coroutines that the kernel runs one at a time,
 // SimPy-style, and that may block on virtual time (Sleep) or on Signals.
 //
-// The kernel itself is single-threaded: exactly one goroutine (either the
-// caller of Run or one Proc) is ever executing simulation code. Handoff
-// between the kernel loop and a Proc uses a single unbuffered channel pair,
-// so there is no data race on simulation state and no need for locks in any
-// model code. Distinct Kernels share nothing, so independent simulations may
-// run concurrently on separate goroutines (the parallel experiment harness
-// in internal/bench relies on this).
+// The kernel itself is single-threaded: exactly one flow of control (either
+// the event loop or one Proc) is ever executing simulation code. A Proc is
+// an iter.Pull coroutine: the event that wakes it resumes it with next, and
+// it hands control back with yield, both a runtime.coroswitch on the
+// resuming goroutine's thread. There is no data race on simulation state,
+// no need for locks in any model code, and no allocation per switch.
+// Distinct Kernels share nothing, so independent simulations may run
+// concurrently on separate goroutines (the parallel experiment harness in
+// internal/bench relies on this).
 //
 // # Event-queue design
 //
@@ -185,12 +187,13 @@ type Kernel struct {
 	// event — cheap enough to stay unconditional.
 	steps uint64 //nectar:shard-owned
 
-	procs   map[*Proc]struct{} // live procs (for deadlock reporting)
-	current *Proc              // proc currently executing, nil = kernel loop
-	handoff chan struct{}      // proc -> kernel: "I have yielded"
-	failure error              // a proc panicked or Fatalf was called
-	running bool
-	tracer  func(name string, at Time)
+	procs     map[*Proc]struct{} // live procs (for deadlock reporting)
+	parked    int                // live procs idle in Park, which are not a deadlock
+	current   *Proc              // proc currently executing, nil = kernel loop
+	timedFree []*timedWaiter     // WaitTimeout records ready for reuse
+	failure   error              // a proc panicked or Fatalf was called
+	running   bool
+	tracer    func(name string, at Time)
 	// Opaque slot for the observability layer (internal/obs). Traces and
 	// metrics are per-domain under PDES sharding (merged at the end of
 	// the run), so the slot is shard-owned like the heap.
@@ -232,10 +235,7 @@ func (k *Kernel) Markf(format string, args ...any) {
 
 // NewKernel creates an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		procs:   make(map[*Proc]struct{}),
-		handoff: make(chan struct{}),
-	}
+	return &Kernel{procs: make(map[*Proc]struct{})}
 }
 
 // Now returns the current virtual time.
@@ -467,16 +467,22 @@ func (k *Kernel) run(horizon Time) error {
 		}
 		return nil
 	}
-	if len(k.procs) > 0 {
+	if k.blocked() {
 		return fmt.Errorf("sim: deadlock at %v: blocked procs: %s", k.now, k.procNames())
 	}
 	return nil
 }
 
+// blocked reports whether any live proc is blocked rather than parked.
+func (k *Kernel) blocked() bool { return len(k.procs) > k.parked }
+
+// procNames lists the blocked procs with their blocking labels, sorted.
 func (k *Kernel) procNames() string {
 	var names []string
 	for p := range k.procs {
-		names = append(names, p.name+"@"+p.state)
+		if p.state != procParked {
+			names = append(names, p.name+"@"+p.label())
+		}
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")

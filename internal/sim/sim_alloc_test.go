@@ -162,3 +162,36 @@ func TestOrderMatchesBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroAllocProcPingPong guards the Proc switch: a Sleep, a Signal and
+// a Wait on each side of a two-Proc ping-pong, once warm, must not
+// allocate. Each Proc is a coroutine, and every wake-up schedules the
+// Proc's own prebuilt callback.
+func TestZeroAllocProcPingPong(t *testing.T) {
+	k := NewKernel()
+	ping, pong := k.NewSignal("ping"), k.NewSignal("pong")
+	k.Go("a", func(p *Proc) {
+		for {
+			p.Sleep(Microsecond)
+			pong.Signal()
+			p.Wait(ping)
+		}
+	})
+	k.Go("b", func(p *Proc) {
+		for {
+			p.Wait(pong)
+			ping.Signal()
+		}
+	})
+	round := func() {
+		if err := k.RunFor(Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if got := testing.AllocsPerRun(200, round); got != 0 {
+		t.Errorf("Proc Wait/Signal ping-pong allocates %.1f allocs/round, want 0", got)
+	}
+}

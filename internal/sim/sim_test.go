@@ -256,6 +256,48 @@ func TestSignalAfterTimeoutNotLost(t *testing.T) {
 	}
 }
 
+// TestWaitTimeoutRecordReuse drives pooled WaitTimeout records through
+// both same-instant races between a signal and a timeout, where a record
+// must outlive its wait, and checks each wait's outcome.
+func TestWaitTimeoutRecordReuse(t *testing.T) {
+	k := NewKernel()
+	s := k.NewSignal("s")
+	type wake struct {
+		at       Time
+		signaled bool
+	}
+	var got []wake
+	k.Go("waiter", func(p *Proc) {
+		for i := 0; i < 6; i++ {
+			ok := p.WaitTimeout(s, 10*Microsecond)
+			got = append(got, wake{p.Now(), ok})
+		}
+	})
+	us := func(n int) Time { return Time(Duration(n) * Microsecond) }
+	k.At(us(5), s.Signal) // wait 0 is signaled
+	// Wait 1 times out at 15. Wait 2's signal at 25 fires before its
+	// timer, but the wake-up it schedules runs after: the timeout wins and
+	// the signal is lost, while the record waits for that wake-up event.
+	k.At(us(25), s.Signal)
+	// Wait 3 times out at 35. Wait 4's signal at 45 fires after its timer:
+	// it skips wait 4's expired record and wakes wait 5, begun at 45.
+	k.At(us(35), func() {
+		k.At(us(35), func() { k.At(us(45), s.Signal) })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []wake{{us(5), true}, {us(15), false}, {us(25), false}, {us(35), false}, {us(45), false}, {us(45), true}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("wakes = %v, want %v", got, want)
+	}
+	// Six waits share three records: an expired record stays on the
+	// Signal until the next Signal pops it, and all are back at the end.
+	if n := len(k.timedFree); n != 3 {
+		t.Errorf("%d records pooled after the run, want 3", n)
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel()
 	s := k.NewSignal("orphan")
@@ -287,6 +329,27 @@ func TestProcPanicPropagates(t *testing.T) {
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want panic propagation", err)
+	}
+}
+
+// TestProcPanicReportsStack checks that a panic inside a Proc's coroutine
+// is recovered there and reaches Run as the "proc panicked" error, with
+// the panicking goroutine's stack.
+func TestProcPanicReportsStack(t *testing.T) {
+	k := NewKernel()
+	k.Go("bomb", func(p *Proc) {
+		p.Sleep(Microsecond)
+		panic("boom")
+	})
+	err := k.Run()
+	if err == nil {
+		t.Fatal("Run returned nil after a proc panicked")
+	}
+	msg := err.Error()
+	for _, want := range []string{`sim: proc "bomb" panicked: boom`, "goroutine ", "TestProcPanicReportsStack"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error lacks %q:\n%s", want, msg)
+		}
 	}
 }
 
