@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	nectar-bench [-stats] [-parallel N] [-shards N] [-allow-oversubscribed] [-benchjson path] [-pdesjson path] [experiment ...]
+//	nectar-bench [-stats] [-parallel N] [-shards N] [-allow-oversubscribed] [-pdesjson path] [experiment ...]
 //
 // -stats appends a one-line metrics summary (from the observability
 // registry snapshot) to each experiment that exports one.
@@ -25,7 +25,6 @@
 //
 // Experiments: table1, fig6, fig7, fig8, netdev, micro, ablate-ipmode,
 // ablate-upcall, ablate-switching, ablate-rmpwindow, mailbox-impl,
-// kernel (event-queue benchmark, writes -benchjson),
 // pdes (sharded-execution benchmark, writes -pdesjson),
 // scale (datacenter-fabric sweep to 65,536 nodes, writes -scalejson;
 // -scalemax N caps the largest fabric for smoke runs), all (default).
@@ -49,7 +48,6 @@ var (
 	statsFlag    = flag.Bool("stats", false, "print metrics-snapshot summaries with each experiment")
 	parallelFlag = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent sweep points (0 = GOMAXPROCS)")
 	shardsFlag   = flag.Int("shards", 1, "shard kernels per experiment cluster (1 = sequential; results identical either way)")
-	benchJSON    = flag.String("benchjson", "BENCH_kernel.json", "output path for the kernel experiment's JSON report")
 	pdesJSON     = flag.String("pdesjson", "BENCH_pdes.json", "output path for the pdes experiment's JSON report")
 	scaleJSON    = flag.String("scalejson", "BENCH_scale.json", "output path for the scale experiment's JSON report")
 	scaleMax     = flag.Int("scalemax", 0, "cap the scale experiment's largest fabric at this many nodes (0 = full sweep to 65,536)")
@@ -204,27 +202,6 @@ func run(name string, cost *model.CostModel) error {
 			return err
 		}
 		fmt.Println(r.Format())
-	case "kernel":
-		r := bench.KernelPerf()
-		workers := bench.Parallelism()
-		if workers < 2 {
-			workers = runtime.NumCPU()
-		}
-		// A reduced sweep keeps the smoke run quick while still exercising
-		// the worker pool; the full fig7 -parallel run is the user-facing
-		// path.
-		sweep, err := bench.Fig7WallClock(cost, []int{64, 256, 1024, 4096}, workers)
-		if err != nil {
-			return err
-		}
-		r.Sweep = sweep
-		fmt.Println(r.Format())
-		if *benchJSON != "" {
-			if err := r.WriteJSON(*benchJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "# wrote %s\n", *benchJSON)
-		}
 	case "scale":
 		r, err := bench.Scale(cost, *scaleMax)
 		if err != nil {

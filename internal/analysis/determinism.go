@@ -273,8 +273,6 @@ var detrangeEmitters = map[string]map[string]bool{
 		"Event": true,
 	},
 	"nectar/internal/sim": {
-		// Tracer marks.
-		"Mark": true, "Markf": true,
 		// Cross-shard outbox entries (Domain.Send buffers into the
 		// per-destination outbox drained at the window barrier).
 		"Send": true,

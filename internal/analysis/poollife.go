@@ -15,8 +15,9 @@ import (
 // on every control-flow path. The zero-alloc fast path (see
 // EXPERIMENTS.md) rests entirely on these hand-managed lifecycles: one
 // missed Release on an error branch silently degrades the pool back to
-// allocation and erodes exactly the per-event wins BENCH_kernel.json
-// records, without failing a single functional test.
+// allocation and erodes exactly the per-event wins the zero-alloc tests
+// and nectar-perf's allocs/msg record, without failing a single
+// functional test.
 //
 // Three checks per function, over the CFGs of cfg.go:
 //

@@ -21,10 +21,10 @@ func metricsFromMap(c *obs.Counter, m map[string]uint64) {
 	}
 }
 
-func marksFromMap(k *sim.Kernel, m map[string]bool) {
+func argsFromMap(o *obs.Observer, m map[string]bool) {
 	for name := range m {
 		if m[name] {
-			k.Mark(name) // want `sim\.Mark emits order-sensitive output`
+			o.InstantArg(0, obs.LayerMailbox, "put", name, 0, 0) // want `obs\.InstantArg emits order-sensitive output`
 		}
 	}
 }

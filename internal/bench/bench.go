@@ -8,7 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"nectar"
 	"nectar/internal/model"
@@ -45,28 +44,6 @@ func newCluster(cost *model.CostModel, rxThread bool) (*nectar.Cluster, *nectar.
 	a := cl.AddNode()
 	b := cl.AddNode()
 	return cl, a, b
-}
-
-// traceMarks installs a first-occurrence mark recorder on every shard
-// kernel of cl (one kernel when sequential) and returns the map to read
-// after the run. Mark names are node-qualified, so each name fires on
-// exactly one kernel and the recorded virtual times are deterministic
-// regardless of sharding; the mutex only guards the map against
-// concurrent shard goroutines.
-func traceMarks(cl *nectar.Cluster) map[string]sim.Time {
-	marks := map[string]sim.Time{}
-	var mu sync.Mutex
-	tracer := func(name string, at sim.Time) {
-		mu.Lock()
-		if _, ok := marks[name]; !ok {
-			marks[name] = at
-		}
-		mu.Unlock()
-	}
-	for _, k := range cl.Kernels() {
-		k.SetTracer(tracer)
-	}
-	return marks
 }
 
 // drive runs the cluster until *done is true, in 1 ms steps, failing after

@@ -7,6 +7,7 @@ import (
 	"nectar/internal/hw/ether"
 	"nectar/internal/model"
 	"nectar/internal/netdev"
+	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/threads"
@@ -27,7 +28,7 @@ func Micro(cost *model.CostModel) (*MicroResult, error) {
 	// and observe the arrival timestamp at CAB B minus the wire-exit time.
 	{
 		cl, a, b := newCluster(cost, false)
-		marks := traceMarks(cl)
+		trace := recordTrace(cl)
 		box := b.Mailboxes.Create("sink")
 		done := false
 		b.CAB.Sched.Fork("rx", threads.SystemPriority, func(t *threads.Thread) {
@@ -43,8 +44,12 @@ func Micro(cost *model.CostModel) (*MicroResult, error) {
 		if err := drive(cl, &done); err != nil {
 			return nil, err
 		}
-		tx := marks[fmt.Sprintf("dl.tx.%d", a.ID)]
-		rx := marks[fmt.Sprintf("cab.rx.arrive.%d", b.ID)]
+		events := trace()
+		tx, okTx := firstEvent(events, 0, int(a.ID), obs.LayerDatalink, "tx", "")
+		rx, okRx := firstEvent(events, 0, int(b.ID), obs.LayerCAB, "rx.arrive", "")
+		if !okTx || !okRx {
+			return nil, fmt.Errorf("micro: hub trace is missing datalink.tx or cab.rx.arrive")
+		}
 		res.HubFirstByteNS = float64((rx - tx).Nanos())
 	}
 

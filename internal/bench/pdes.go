@@ -410,28 +410,6 @@ func pdesVariant(name string, cost *model.CostModel, shards, nodes, perFlow, msg
 	return v, nil
 }
 
-// PdesProfile runs only the sharded leg of the pdes experiment under the
-// wall-clock profiler and returns its breakdown (the fresh-run mode of
-// cmd/nectar-prof, which has no use for the sequential baseline).
-func PdesProfile(cost *model.CostModel, shards int) (*prof.Report, error) {
-	if shards < 2 {
-		shards = 2
-	}
-	if shards > 8 {
-		shards = 8
-	}
-	nodes := 4 * shards
-	if nodes > 16 {
-		nodes = 16
-	}
-	const perFlow, msgBytes = 192, 1024
-	shd, err := runPdesFlows(cost, shards, nodes, perFlow, msgBytes, true, true)
-	if err != nil {
-		return nil, err
-	}
-	return shd.profile, nil
-}
-
 // Format renders the report for the CLI.
 func (r *PdesReport) Format() string {
 	out := "Sharded conservative parallel simulation (per-channel lookahead)\n"

@@ -110,8 +110,6 @@ type CAB struct {
 	pool     *fiber.Pool
 	descFree pool.FreeList[*RxDesc]
 
-	markArrive string // precomputed "cab.rx.arrive.<node>" (hot path)
-
 	obs *obs.Observer
 }
 
@@ -140,7 +138,6 @@ func NewSized(k *sim.Kernel, cost *model.CostModel, node wire.NodeID, dataBytes 
 		routes: make(map[wire.NodeID][]byte),
 	}
 	c.pool = &fiber.Pool{}
-	c.markArrive = fmt.Sprintf("cab.rx.arrive.%d", node)
 	c.rxInterrupt = true
 	c.obs = obs.Ensure(k)
 	m := c.obs.Metrics()
@@ -320,7 +317,6 @@ func (c *CAB) Transmit(dst wire.NodeID, hdr wire.DatalinkHeader, circuit bool, p
 // drained into the input FIFO (paper §3.1: it "must be handled within a
 // few tens of microseconds").
 func (c *CAB) PacketArriving(pkt *fiber.Packet, end sim.Time) {
-	c.k.Mark(c.markArrive)
 	c.rxFrames++
 	if c.obs.Tracing() {
 		c.obs.InstantSeq(int(c.node), obs.LayerCAB, "rx.arrive", 0, len(pkt.Frame))

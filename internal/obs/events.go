@@ -3,7 +3,8 @@
 // all on virtual time.
 //
 // The package sits below every hardware and runtime model (it imports
-// only internal/sim and internal/proto/wire), and is wired to a kernel
+// only internal/sim, internal/proto/wire and internal/prof, a stdlib-only
+// leaf whose log2 histogram backs Histogram), and is wired to a kernel
 // through the kernel's opaque observer slot: Ensure(k) installs (or
 // returns) the kernel's Observer, and every layer that wants to emit
 // events or register metrics calls it at construction time.
@@ -47,7 +48,7 @@ const (
 type Kind uint8
 
 const (
-	// Instant is a point event (the typed successor of Kernel.Mark).
+	// Instant is a point event.
 	Instant Kind = iota
 	// Begin opens a span; the matching End event carries the same Span id.
 	Begin

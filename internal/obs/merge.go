@@ -18,26 +18,6 @@ import (
 // time first) and renumber span ids by first appearance, so both runs
 // render to identical bytes.
 
-// merge folds other into h at bucket level, preserving exact percentile
-// reproduction: bucket counts, totals, and extrema add/compose the same
-// way regardless of how observations were split across registries.
-func (h *Histogram) merge(other *Histogram) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	for i, n := range other.buckets {
-		h.buckets[i] += n
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.sum += other.sum
-}
-
 // MergeSnapshots exports one Snapshot over several registries: counters
 // and gauges with the same (layer, name, scope) key sum, histograms merge
 // at bucket level, and the result is sorted exactly like Registry.Snapshot
@@ -66,7 +46,7 @@ func MergeSnapshots(at sim.Time, regs ...*Registry) *Snapshot {
 				m = &Histogram{}
 				hists[k] = m
 			}
-			m.merge(h)
+			m.h.Merge(&h.h)
 		}
 	}
 	for k, v := range counters {

@@ -3,10 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 
+	"nectar/internal/prof"
 	"nectar/internal/sim"
 )
 
@@ -45,64 +45,17 @@ func (c *Counter) Value() uint64 {
 	return c.v
 }
 
-// Histogram accumulates virtual-time durations into log2 buckets.
-// Observe is allocation-free; percentiles are derived at snapshot time.
-type Histogram struct {
-	buckets [65]uint64 // bucket i holds durations with bits.Len64(ns) == i
-	count   uint64
-	sum     sim.Duration
-	min     sim.Duration
-	max     sim.Duration
-}
+// Histogram accumulates virtual-time durations into log2 buckets: a
+// prof.Hist over nanoseconds, typed by sim.Duration. Observe is
+// allocation-free; percentiles are derived at snapshot time.
+type Histogram struct{ h prof.Hist }
 
 // Observe records one duration (negative durations clamp to zero).
 func (h *Histogram) Observe(d sim.Duration) {
 	if h == nil {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
-	h.buckets[bits.Len64(uint64(d.Nanos()))]++
-	h.count++
-	h.sum += d
-	if h.count == 1 || d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
-}
-
-// quantile returns an upper bound for the q-quantile (bucket resolution),
-// clamped to the observed [min, max].
-func (h *Histogram) quantile(q float64) sim.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(h.count))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, n := range h.buckets {
-		cum += n
-		if cum >= rank {
-			// Upper bound of bucket i: 2^i - 1 ns (bucket 0 holds zero).
-			var ub sim.Duration
-			if i > 0 {
-				ub = sim.Duration(uint64(1)<<uint(i) - 1)
-			}
-			if ub < h.min {
-				ub = h.min
-			}
-			if ub > h.max {
-				ub = h.max
-			}
-			return ub
-		}
-	}
-	return h.max
+	h.h.Observe(d.Nanos())
 }
 
 // HistStats is the exported summary of a Histogram.
@@ -122,16 +75,17 @@ func (h *Histogram) Stats() *HistStats {
 	return h.stats()
 }
 
-// stats summarizes the histogram.
+// stats summarizes the histogram in microseconds.
 func (h *Histogram) stats() *HistStats {
+	s := h.h.Stats(1e3)
 	return &HistStats{
-		Count: h.count,
-		SumUS: h.sum.Micros(),
-		MinUS: h.min.Micros(),
-		P50US: h.quantile(0.50).Micros(),
-		P90US: h.quantile(0.90).Micros(),
-		P99US: h.quantile(0.99).Micros(),
-		MaxUS: h.max.Micros(),
+		Count: s.Count,
+		SumUS: s.Sum,
+		MinUS: s.Min,
+		P50US: s.P50,
+		P90US: s.P90,
+		P99US: s.P99,
+		MaxUS: s.Max,
 	}
 }
 

@@ -58,9 +58,10 @@ func nowNanos() int64 {
 
 // Hist accumulates non-negative int64 samples (nanoseconds or counts)
 // into log2 buckets. Observe is allocation-free; quantiles are derived at
-// export time with bucket resolution, clamped to the observed extrema —
-// the same scheme as obs.Histogram, duplicated here so the collector
-// stays free of simulation-facing dependencies.
+// export time with bucket resolution, clamped to the observed extrema.
+// It is the repo's one log2 histogram: obs.Histogram wraps it with
+// virtual-time typing, which is why this package imports only the
+// standard library.
 type Hist struct {
 	buckets [65]uint64 // bucket i holds samples with bits.Len64(v) == i
 	count   uint64
@@ -86,6 +87,26 @@ func (h *Hist) Observe(v int64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// Merge folds other into h at bucket level: bucket counts, totals and
+// extrema compose exactly, so a histogram merged from several
+// registries reports the same quantiles as one that saw every sample.
+func (h *Hist) Merge(other *Hist) {
+	if h == nil || other == nil || other.count == 0 {
+		return
+	}
+	for i, n := range other.buckets {
+		h.buckets[i] += n
+	}
+	if h.count == 0 || other.min < h.min {
+		h.min = other.min
+	}
+	if other.max > h.max {
+		h.max = other.max
+	}
+	h.count += other.count
+	h.sum += other.sum
 }
 
 // quantile returns an upper bound for the q-quantile at bucket
@@ -511,7 +532,7 @@ type ShardTimeline struct {
 }
 
 // Report is the exported profile: the `profile` section of
-// BENCH_pdes.json and the input of cmd/nectar-prof. Field order is the
+// BENCH_pdes.json and the input of nectar-obs prof. Field order is the
 // canonical serialization order (encoding/json preserves struct order),
 // so reports are structurally deterministic.
 type Report struct {

@@ -321,7 +321,7 @@ func TestReportCheckRejects(t *testing.T) {
 }
 
 // TestReportJSONRoundTrip: the profile section must survive the
-// BENCH_pdes.json round trip (what cmd/nectar-prof -in consumes).
+// BENCH_pdes.json round trip (what nectar-obs prof -in consumes).
 func TestReportJSONRoundTrip(t *testing.T) {
 	r := driveProfile().Report()
 	r.KernelDispatches = 16

@@ -62,10 +62,6 @@ type Layer struct {
 	vetoed      uint64
 	delivered   uint64
 
-	// Precomputed per-node mark names: Markf's variadic args would
-	// allocate on every frame even with tracing off.
-	markTx, markRx string
-
 	obs *obs.Observer
 }
 
@@ -78,8 +74,6 @@ type rxItem struct {
 // provides input-mailbox storage.
 func NewLayer(c *cab.CAB, rt *mailbox.Runtime) *Layer {
 	l := &Layer{cab: c, rt: rt, cost: c.Cost(), protos: make(map[uint8]Protocol)}
-	l.markTx = fmt.Sprintf("dl.tx.%d", c.Node())
-	l.markRx = fmt.Sprintf("dl.rx.%d", c.Node())
 	if c.RxInterruptMode() {
 		c.OnReceive(func(t *threads.Thread, d *cab.RxDesc) { l.receive(t, d) })
 	} else {
@@ -119,7 +113,6 @@ func (l *Layer) Send(ctx exec.Context, typ uint8, dst wire.NodeID, payload ...[]
 	l.cab.BeginTxPrep(l.cab.Kernel().Now() + sim.Time(prep))
 	defer l.cab.EndTxPrep()
 	ctx.Compute(prep)
-	l.cab.Kernel().Mark(l.markTx)
 	if l.obs.Tracing() {
 		n := 0
 		for _, p := range payload {
@@ -154,7 +147,6 @@ func (l *Layer) rxThread(t *threads.Thread) {
 //nectar:takes-ownership d released on every drop path, otherwise retired by the receive DMA
 func (l *Layer) receive(t *threads.Thread, d *cab.RxDesc) {
 	ctx := exec.OnCAB(t)
-	l.cab.Kernel().Mark(l.markRx)
 	span := l.obs.BeginSeq(int(l.cab.Node()), obs.LayerDatalink, "rx", 0, 0, len(d.Frame))
 	ctx.Compute(l.cost.DatalinkProcess)
 

@@ -23,10 +23,6 @@ type Datagram struct {
 
 	sent, delivered, noBox uint64
 
-	// Precomputed per-node mark names (Markf's variadic args allocate on
-	// every call even with tracing off).
-	markReq, markDeliver string
-
 	obs  *obs.Observer
 	node int
 }
@@ -42,8 +38,6 @@ func NewDatagram(dl *datalink.Layer, rt *mailbox.Runtime, _ *syncs.Pool) *Datagr
 	dl.Register(wire.TypeDatagram, d)
 	rt.CAB().Sched.Fork("datagram-send", threads.SystemPriority, d.sendThread)
 	d.node = int(rt.CAB().Node())
-	d.markReq = fmt.Sprintf("datagram.req.%d", d.node)
-	d.markDeliver = fmt.Sprintf("datagram.deliver.%d", d.node)
 	d.obs = obs.Ensure(rt.CAB().Kernel())
 	m := d.obs.Metrics()
 	scope := fmt.Sprintf("cab%d", d.node)
@@ -90,7 +84,6 @@ func (d *Datagram) sendThread(t *threads.Thread) {
 	ctx := exec.OnCAB(t)
 	for {
 		m := d.sendBox.BeginGet(ctx)
-		t.Sched().Kernel().Mark(d.markReq)
 		var rh reqHeader
 		rh.unmarshal(m.Data())
 		err := d.SendDirect(ctx, wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox}, rh.SrcBox, m.Data()[reqHeaderLen:])
@@ -138,11 +131,13 @@ func (d *Datagram) EndOfData(t *threads.Thread, src wire.NodeID, m *mailbox.Msg)
 	m.TrimPrefix(ctx, wire.NectarHeaderLen)
 	m.From = wire.MailboxAddr{Node: src, Box: h.SrcBox}
 	d.delivered++
-	if d.obs.Tracing() {
-		d.obs.InstantSeq(d.node, obs.LayerDatagram, "deliver", uint64(h.DstBox), m.Len())
-	}
+	n := m.Len()
 	d.inBox.Enqueue(ctx, m, dst)
-	t.Sched().Kernel().Mark(d.markDeliver)
+	// The delivery instant fires once the message is in its mailbox:
+	// Figure 6's "DMA + transport deliver" stage ends here.
+	if d.obs.Tracing() {
+		d.obs.InstantSeq(d.node, obs.LayerDatagram, "deliver", uint64(h.DstBox), n)
+	}
 }
 
 // Stats returns (sent, delivered, dropped-for-unknown-mailbox).

@@ -351,10 +351,11 @@ func (r *RMP) EndOfData(t *threads.Thread, src wire.NodeID, m *mailbox.Msg) {
 		m.TrimPrefix(ctx, wire.NectarHeaderLen)
 		m.From = wire.MailboxAddr{Node: src, Box: h.SrcBox}
 		r.delivered++
-		if r.obs.Tracing() {
-			r.obs.InstantSeq(r.node, obs.LayerRMP, "deliver", uint64(h.Seq), m.Len())
-		}
+		n := m.Len()
 		r.inBox.Enqueue(ctx, m, dst)
+		if r.obs.Tracing() {
+			r.obs.InstantSeq(r.node, obs.LayerRMP, "deliver", uint64(h.Seq), n)
+		}
 	default:
 		r.inBox.AbortPut(ctx, m)
 	}

@@ -42,10 +42,6 @@ type IF struct {
 
 	posts, doorbells, hostIntr uint64
 
-	// Precomputed per-node mark names (Markf's variadic args allocate on
-	// every call even with tracing off).
-	markPost, markISR, markSignal string
-
 	obs       *obs.Observer
 	doorbellH *obs.Histogram // post-to-dispatch latency of CAB requests
 }
@@ -60,9 +56,6 @@ type cabReq struct {
 // interrupt handlers.
 func New(h *host.Host, c *cab.CAB) *IF {
 	f := &IF{host: h, cab: c, k: h.Kernel(), cost: h.Cost()}
-	f.markPost = fmt.Sprintf("hostif.post.%d", c.Node())
-	f.markISR = fmt.Sprintf("hostif.cabisr.%d", c.Node())
-	f.markSignal = fmt.Sprintf("hostcond.signal.%d", c.Node())
 	c.OnHostDoorbell(f.cabISR)
 	h.OnCABInterrupt(f.hostISR)
 	f.obs = obs.Ensure(f.k)
@@ -94,7 +87,6 @@ func (f *IF) PostToCAB(ctx exec.Context, name string, fn func(t *threads.Thread)
 		return
 	}
 	ctx.Words(2 + 1) // queue element (opcode + parameter) plus doorbell register
-	f.k.Mark(f.markPost)
 	f.posts++
 	if f.obs.Tracing() {
 		f.obs.InstantArg(int(f.cab.Node()), obs.LayerHostIF, "post", name, 0, 0)
@@ -105,7 +97,6 @@ func (f *IF) PostToCAB(ctx exec.Context, name string, fn func(t *threads.Thread)
 
 // cabISR is the CAB's doorbell handler: drain the CAB signal queue.
 func (f *IF) cabISR(t *threads.Thread) {
-	f.k.Mark(f.markISR)
 	f.doorbells++
 	if f.obs.Tracing() {
 		f.obs.Instant(int(f.cab.Node()), obs.LayerHostIF, "cab_isr")
@@ -167,7 +158,6 @@ func (hc *HostCond) Poll(ctx exec.Context) uint32 {
 func (hc *HostCond) Signal(ctx exec.Context) {
 	ctx.Compute(hc.f.cost.SyncOp)
 	ctx.Words(1)
-	hc.f.k.Mark(hc.f.markSignal)
 	if hc.f.obs.Tracing() {
 		hc.f.obs.InstantArg(int(hc.f.cab.Node()), obs.LayerHostIF, "signal", hc.name, 0, 0)
 	}

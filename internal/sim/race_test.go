@@ -9,7 +9,8 @@ import (
 // Distinct kernels share no state — this is the invariant the parallel
 // experiment harness (internal/bench) relies on — and `go test -race`
 // over this test proves it at the data-race level: timer churn, proc
-// forks, signals, and marks all proceed concurrently in both kernels.
+// forks, signals, and timers armed from inside a proc all proceed
+// concurrently in both kernels.
 func TestConcurrentKernels(t *testing.T) {
 	var wg sync.WaitGroup
 	run := func(seed int) {
@@ -33,7 +34,7 @@ func TestConcurrentKernels(t *testing.T) {
 		k.Go("signaler", func(p *Proc) {
 			for i := 0; i < 100; i++ {
 				p.Sleep(Microsecond)
-				k.Mark("tick")
+				k.After(Microsecond, func() { fired++ })
 			}
 			done = true
 			sig.Signal()

@@ -40,8 +40,8 @@
 //
 // Because every key (at, seq) is unique and the comparator is total, the
 // pop order — and therefore every simulation result — is byte-identical to
-// the previous container/heap implementation (see the determinism tests and
-// BENCH_kernel.json for the recorded speedup).
+// the previous container/heap implementation (see the determinism tests;
+// the Baseline* benchmarks measure the speedup against it).
 package sim
 
 import (
@@ -193,7 +193,6 @@ type Kernel struct {
 	timedFree []*timedWaiter     // WaitTimeout records ready for reuse
 	failure   error              // a proc panicked or Fatalf was called
 	running   bool
-	tracer    func(name string, at Time)
 	// Opaque slot for the observability layer (internal/obs). Traces and
 	// metrics are per-domain under PDES sharding (merged at the end of
 	// the run), so the slot is shard-owned like the heap.
@@ -207,31 +206,6 @@ func (k *Kernel) SetObserver(o any) { k.observer = o }
 
 // Observer returns the object installed with SetObserver (nil if none).
 func (k *Kernel) Observer() any { return k.observer }
-
-// SetTracer installs an instrumentation callback invoked by Mark. Pass nil
-// to disable tracing (the default; Mark is then nearly free).
-func (k *Kernel) SetTracer(fn func(name string, at Time)) { k.tracer = fn }
-
-// Mark records a named instant when a tracer is installed. Hardware and
-// runtime layers call it at stage boundaries so experiments (e.g. the
-// Figure 6 latency breakdown) can attribute time without changing code
-// paths. Hot paths should pass a precomputed name (see Markf's doc comment).
-func (k *Kernel) Mark(name string) {
-	if k.tracer != nil {
-		k.tracer(name, k.now)
-	}
-}
-
-// Markf is Mark with lazy formatting: the name is only built when a tracer
-// is installed. Note that the variadic args slice itself is built by the
-// caller even with tracing off, so per-event hot paths should precompute
-// their mark name once (layers qualify marks with a node identity that is
-// fixed at construction time) and call Mark instead.
-func (k *Kernel) Markf(format string, args ...any) {
-	if k.tracer != nil {
-		k.tracer(fmt.Sprintf(format, args...), k.now)
-	}
-}
 
 // NewKernel creates an empty kernel at virtual time zero.
 func NewKernel() *Kernel {

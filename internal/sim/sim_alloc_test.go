@@ -55,18 +55,6 @@ func TestZeroAllocScheduleStop(t *testing.T) {
 	}
 }
 
-// TestZeroAllocMarkTracingOff guards Mark with no tracer installed: layers
-// emit marks unconditionally on the per-packet path, so this must stay free.
-func TestZeroAllocMarkTracingOff(t *testing.T) {
-	k := NewKernel()
-	got := testing.AllocsPerRun(200, func() {
-		k.Mark("dl.tx.0")
-	})
-	if got != 0 {
-		t.Errorf("Mark with tracing off allocates %.1f allocs/op, want 0", got)
-	}
-}
-
 // TestStopEagerlyShrinksQueue is the Timer.Stop memory-growth regression:
 // cancelled timers must leave the queue immediately instead of staying
 // resident until their deadline pops (long TCP runs re-arm RTOs millions of

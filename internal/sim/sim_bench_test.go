@@ -94,8 +94,8 @@ func BenchmarkScheduleFireStop(b *testing.B) {
 }
 
 // Baseline* benchmarks measure the pre-overhaul boxed container/heap queue
-// (see baseline.go) so `go test -bench Baseline` quantifies the speedup
-// recorded in BENCH_kernel.json.
+// (see baseline_test.go) so `go test -bench Baseline` quantifies the
+// kernel's speedup over it.
 
 func BenchmarkBaselineEventDispatch(b *testing.B) {
 	var q BaselineQueue
