@@ -95,18 +95,19 @@ func TestDatagramCABToCAB(t *testing.T) {
 	}
 }
 
-func TestDatagramHostToHost(t *testing.T) {
-	// The paper's Figure 6 flow: host A builds a message in CAB memory,
-	// the CAB datagram thread transmits it, host B polls for it.
+// runDatagramHostToHost runs the paper's Figure 6 flow: host A builds a
+// message in CAB memory, the CAB datagram thread transmits it, host B
+// polls for it. It returns the cluster, the bytes received and host B's
+// receive time.
+func runDatagramHostToHost(t *testing.T) (*Cluster, []byte, sim.Duration) {
+	t.Helper()
 	cl, a, b := twoNodes(t, nil)
 	box := b.Mailboxes.Create("sink")
 	var got []byte
 	var latency sim.Duration
 	a.Host.Run("sender", func(th *threads.Thread) {
 		ctx := exec.OnHost(th, a.Host)
-		start := th.Now()
 		a.Transports.Datagram.Send(ctx, wire.MailboxAddr{Node: b.ID, Box: box.ID()}, 0, []byte{1, 2, 3, 4}, nil)
-		_ = start
 	})
 	b.Host.Run("receiver", func(th *threads.Thread) {
 		ctx := exec.OnHost(th, b.Host)
@@ -119,6 +120,11 @@ func TestDatagramHostToHost(t *testing.T) {
 	if err := cl.RunFor(10 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
+	return cl, got, latency
+}
+
+func TestDatagramHostToHost(t *testing.T) {
+	_, got, latency := runDatagramHostToHost(t)
 	if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
 		t.Fatalf("got %v", got)
 	}
@@ -127,6 +133,17 @@ func TestDatagramHostToHost(t *testing.T) {
 	// checked by the Figure 6 experiment test).
 	if latency < 80*sim.Microsecond || latency > 400*sim.Microsecond {
 		t.Errorf("one-way host-host datagram latency = %v, expected around 163us", latency)
+	}
+}
+
+// TestDatagramHostToHostEventCount pins the number of events the kernel
+// dispatches for one host-to-host datagram. Virtual time can stay the same
+// while the event sequence changes; this count moves when it does, so a
+// change that adds or removes events must update it on purpose.
+func TestDatagramHostToHostEventCount(t *testing.T) {
+	cl, _, _ := runDatagramHostToHost(t)
+	if got := cl.K.Dispatched(); got != 480 {
+		t.Errorf("one host-to-host datagram dispatched %d events, want 480", got)
 	}
 }
 

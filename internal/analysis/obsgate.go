@@ -217,7 +217,10 @@ func (oc *obsChecker) emissionOf(call *ast.CallExpr) (recv ast.Expr, keys []stri
 		return nil, nil, "", false
 	}
 	name := s.Obj().Name()
-	recvName := namedRecvName(s.Recv())
+	var recvName string // "Observer", "Counter", ...
+	if tn := namedTypeName(s.Recv()); tn != nil {
+		recvName = tn.Name()
+	}
 	switch {
 	case recvName == "Observer" && obsTraceMethods[name]:
 		rk := types.ExprString(sel.X)
@@ -231,18 +234,6 @@ func (oc *obsChecker) emissionOf(call *ast.CallExpr) (recv ast.Expr, keys []stri
 		return nil, nil, "metric", true
 	}
 	return nil, nil, "", false
-}
-
-// namedRecvName returns the receiver's named-type name ("Observer",
-// "Counter"), peeling one pointer.
-func namedRecvName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
 }
 
 // checkEmission reports costly arguments of an emission that are not

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"testing"
 	"time"
 
 	"nectar"
@@ -23,18 +22,6 @@ import (
 // multi-node workload run sequentially (one kernel) and sharded (one
 // kernel per shard, coupled by the conservative lookahead scheduler),
 // with byte-identity of the virtual-time results verified in-process.
-// The checksum section rides along: it is the other wall-clock
-// optimisation of this change, measured with testing.Benchmark against
-// the scalar reference.
-
-// ChecksumBench compares the word-at-a-time Internet checksum against the
-// two-bytes-per-iteration scalar loop on one buffer size.
-type ChecksumBench struct {
-	SizeB      int     `json:"size_bytes"`
-	WordMBps   float64 `json:"word_at_a_time_mbps"`
-	ScalarMBps float64 `json:"scalar_mbps"`
-	Speedup    float64 `json:"speedup"`
-}
 
 // PdesReport is the schema of BENCH_pdes.json.
 type PdesReport struct {
@@ -87,8 +74,6 @@ type PdesReport struct {
 
 	// Table is the per-flow virtual-time result both runs produced.
 	Table string `json:"table"`
-
-	Checksum ChecksumBench `json:"checksum"`
 
 	// Profile is the sharded run's wall-clock breakdown (nectar-bench
 	// -prof); absent on unprofiled runs.
@@ -260,55 +245,6 @@ func runPdesFlows(cost *model.CostModel, shards, nodes, perFlow, msgBytes int, a
 		events: events, virtual: virtual, profile: profile}, nil
 }
 
-// checksumBench measures the word-at-a-time checksum against the scalar
-// reference loop on an 8 KB buffer (the paper's largest message size).
-func checksumBench() ChecksumBench {
-	const size = 8192
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(i * 31)
-	}
-	var sink uint32
-	run := func(fn func(uint32, []byte) uint32) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.SetBytes(size)
-			for i := 0; i < b.N; i++ {
-				sink = fn(0, data)
-			}
-		})
-		if r.T <= 0 {
-			return 0
-		}
-		return float64(r.N) * size / r.T.Seconds() / 1e6
-	}
-	cb := ChecksumBench{
-		SizeB:      size,
-		WordMBps:   run(wire.SumWords),
-		ScalarMBps: run(scalarSumWords),
-	}
-	_ = sink
-	if cb.ScalarMBps > 0 {
-		cb.Speedup = cb.WordMBps / cb.ScalarMBps
-	}
-	return cb
-}
-
-// scalarSumWords is the two-bytes-per-iteration checksum loop, duplicated
-// here (wire keeps its copy unexported) as the benchmark baseline.
-func scalarSumWords(sum uint32, data []byte) uint32 {
-	acc := uint64(sum)
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		acc += uint64(data[i])<<8 | uint64(data[i+1])
-	}
-	if n%2 == 1 {
-		acc += uint64(data[n-1]) << 8
-	}
-	acc = acc>>32 + acc&0xffffffff
-	acc = acc>>32 + acc&0xffffffff
-	return uint32(acc)
-}
-
 // Pdes runs the sharded-execution experiment: a 2*shards-node cluster
 // (at least 4 nodes) with one RMP flow per node pair, once sequentially
 // and once with `shards` shard kernels, verifying byte-identity of the
@@ -360,7 +296,6 @@ func Pdes(cost *model.CostModel, shards int, profiled bool) (*PdesReport, error)
 		ShardedSeconds:      shd.wallS,
 		Identical:           seq.table == shd.table && bytes.Equal(seq.metrics, shd.metrics),
 		Table:               seq.table,
-		Checksum:            checksumBench(),
 		Profile:             shd.profile,
 	}
 	r.Oversubscribed = r.WorkersEffective > r.NumCPU
@@ -431,8 +366,6 @@ func (r *PdesReport) Format() string {
 			v.Name, v.Nodes, v.Shards, v.Windows, v.EventsPerWindow, v.WindowsPerVirtualMS,
 			v.SequentialSeconds, v.ShardedSeconds, v.Speedup, v.Identical)
 	}
-	out += fmt.Sprintf("checksum (%dB): word-at-a-time %.0f MB/s vs scalar %.0f MB/s -> %.2fx\n",
-		r.Checksum.SizeB, r.Checksum.WordMBps, r.Checksum.ScalarMBps, r.Checksum.Speedup)
 	if r.Profile != nil {
 		out += "\n" + r.Profile.Format(0)
 	}

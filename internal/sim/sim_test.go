@@ -161,143 +161,6 @@ func TestSignalWakesFIFO(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	k := NewKernel()
-	s := k.NewSignal("s")
-	woken := 0
-	for i := 0; i < 5; i++ {
-		k.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Wait(s)
-			woken++
-		})
-	}
-	k.Go("caster", func(p *Proc) {
-		p.Sleep(1 * Microsecond)
-		s.Broadcast()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woken != 5 {
-		t.Errorf("woken = %d, want 5", woken)
-	}
-	if s.HasWaiters() {
-		t.Error("signal still has waiters after broadcast")
-	}
-}
-
-func TestWaitTimeoutExpires(t *testing.T) {
-	k := NewKernel()
-	s := k.NewSignal("never")
-	var ok bool
-	var when Time
-	k.Go("waiter", func(p *Proc) {
-		ok = p.WaitTimeout(s, 25*Microsecond)
-		when = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("WaitTimeout reported signal, want timeout")
-	}
-	if when != Time(25*Microsecond) {
-		t.Errorf("woke at %v, want 25us", when)
-	}
-}
-
-func TestWaitTimeoutSignaled(t *testing.T) {
-	k := NewKernel()
-	s := k.NewSignal("s")
-	var ok bool
-	var when Time
-	k.Go("waiter", func(p *Proc) {
-		ok = p.WaitTimeout(s, 25*Microsecond)
-		when = p.Now()
-	})
-	k.Go("waker", func(p *Proc) {
-		p.Sleep(5 * Microsecond)
-		s.Signal()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("WaitTimeout reported timeout, want signal")
-	}
-	if when != Time(5*Microsecond) {
-		t.Errorf("woke at %v, want 5us", when)
-	}
-}
-
-func TestSignalAfterTimeoutNotLost(t *testing.T) {
-	// A timed waiter that already expired must not consume a Signal meant
-	// for a later plain waiter.
-	k := NewKernel()
-	s := k.NewSignal("s")
-	got := false
-	k.Go("timed", func(p *Proc) {
-		p.WaitTimeout(s, 1*Microsecond) // will expire
-	})
-	k.Go("plain", func(p *Proc) {
-		p.Sleep(2 * Microsecond)
-		p.Wait(s)
-		got = true
-	})
-	k.Go("waker", func(p *Proc) {
-		p.Sleep(3 * Microsecond)
-		s.Signal()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Error("plain waiter never woke; signal consumed by dead timed waiter")
-	}
-}
-
-// TestWaitTimeoutRecordReuse drives pooled WaitTimeout records through
-// both same-instant races between a signal and a timeout, where a record
-// must outlive its wait, and checks each wait's outcome.
-func TestWaitTimeoutRecordReuse(t *testing.T) {
-	k := NewKernel()
-	s := k.NewSignal("s")
-	type wake struct {
-		at       Time
-		signaled bool
-	}
-	var got []wake
-	k.Go("waiter", func(p *Proc) {
-		for i := 0; i < 6; i++ {
-			ok := p.WaitTimeout(s, 10*Microsecond)
-			got = append(got, wake{p.Now(), ok})
-		}
-	})
-	us := func(n int) Time { return Time(Duration(n) * Microsecond) }
-	k.At(us(5), s.Signal) // wait 0 is signaled
-	// Wait 1 times out at 15. Wait 2's signal at 25 fires before its
-	// timer, but the wake-up it schedules runs after: the timeout wins and
-	// the signal is lost, while the record waits for that wake-up event.
-	k.At(us(25), s.Signal)
-	// Wait 3 times out at 35. Wait 4's signal at 45 fires after its timer:
-	// it skips wait 4's expired record and wakes wait 5, begun at 45.
-	k.At(us(35), func() {
-		k.At(us(35), func() { k.At(us(45), s.Signal) })
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []wake{{us(5), true}, {us(15), false}, {us(25), false}, {us(35), false}, {us(45), false}, {us(45), true}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("wakes = %v, want %v", got, want)
-	}
-	// Six waits share three records: an expired record stays on the
-	// Signal until the next Signal pops it, and all are back at the end.
-	if n := len(k.timedFree); n != 3 {
-		t.Errorf("%d records pooled after the run, want 3", n)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel()
 	s := k.NewSignal("orphan")
@@ -317,6 +180,91 @@ func TestRunUntilToleratesBlockedProcs(t *testing.T) {
 	k.Go("server", func(p *Proc) { p.Wait(s) })
 	if err := k.RunUntil(Time(Millisecond)); err != nil {
 		t.Fatalf("RunUntil should tolerate blocked procs: %v", err)
+	}
+}
+
+// mustPanic runs fn and reports the message it panics with, failing the
+// test if it does not panic. It may run inside a Proc, so it does not
+// call t.Fatal.
+func mustPanic(t *testing.T, fn func()) string {
+	t.Helper()
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		fn()
+	}()
+	if msg == "<nil>" {
+		t.Error("no panic")
+	}
+	return msg
+}
+
+func TestResumeRunningOrSleepingPanics(t *testing.T) {
+	k := NewKernel()
+	var running, sleeping string
+	sleeper := k.Go("sleeper", func(p *Proc) { p.Sleep(Microsecond) })
+	k.Go("runner", func(p *Proc) {
+		running = mustPanic(t, p.Resume)
+		sleeping = mustPanic(t, sleeper.Resume)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(running, `"runner", which is running`) {
+		t.Errorf("Resume of a running proc panicked with %q", running)
+	}
+	if !strings.Contains(sleeping, `"sleeper", which is sleeping`) {
+		t.Errorf("Resume of a sleeping proc panicked with %q", sleeping)
+	}
+}
+
+func TestDoubleResumePanics(t *testing.T) {
+	k := NewKernel()
+	woken := 0
+	p := k.Go("p", func(p *Proc) {
+		p.Suspend()
+		woken++
+	})
+	var msg string
+	k.After(Microsecond, func() {
+		p.Resume()
+		msg = mustPanic(t, p.Resume)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(msg, `"p", which is resumed`) {
+		t.Errorf("second Resume panicked with %q", msg)
+	}
+	if woken != 1 {
+		t.Errorf("proc woke %d times, want 1", woken)
+	}
+}
+
+func TestBareSuspendIsDeadlock(t *testing.T) {
+	k := NewKernel()
+	k.Go("forgotten", func(p *Proc) { p.Suspend() })
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), "forgotten@suspended") {
+		t.Fatalf("want deadlock naming forgotten@suspended, got %v", err)
+	}
+}
+
+func TestParkIsNotDeadlock(t *testing.T) {
+	k := NewKernel()
+	rounds := 0
+	p := k.Go("worker", func(p *Proc) {
+		for {
+			p.Park()
+			rounds++
+		}
+	})
+	k.After(Microsecond, p.Resume)
+	if err := k.Run(); err != nil {
+		t.Fatalf("a parked proc reported as %v", err)
+	}
+	if rounds != 1 {
+		t.Errorf("worker ran %d rounds, want 1", rounds)
 	}
 }
 
@@ -479,7 +427,6 @@ func TestDeterminismProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := NewKernel()
 		var trace []string
-		s := k.NewSignal("shared")
 		nproc := 3 + rng.Intn(5)
 		for i := 0; i < nproc; i++ {
 			i := i
@@ -491,9 +438,6 @@ func TestDeterminismProperty(t *testing.T) {
 				for j, d := range delays {
 					p.Sleep(d)
 					trace = append(trace, fmt.Sprintf("p%d.%d@%v", i, j, p.Now()))
-					if j == 2 {
-						s.Broadcast()
-					}
 				}
 			})
 		}

@@ -303,11 +303,9 @@ func TestTCPHostToHost(t *testing.T) {
 	ln, _ := b.TCP.Listen(80)
 	var connB *tcp.Conn
 	var connA *tcp.Conn
-	ready := cl.K.NewSignal("ready")
 	b.CAB.Sched.Fork("accept", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
 		connB = ln.Accept(ctx)
-		ready.Broadcast()
 	})
 	a.CAB.Sched.Fork("connect", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
@@ -359,7 +357,6 @@ func TestTCPNoChecksumAblation(t *testing.T) {
 		a.TCP.SetChecksum(checksum)
 		b.TCP.SetChecksum(checksum)
 		ln, _ := b.TCP.Listen(80)
-		done := cl.K.NewSignal("done")
 		var took sim.Time
 		b.CAB.Sched.Fork("server", threads.SystemPriority, func(th *threads.Thread) {
 			ctx := exec.OnCAB(th)
@@ -374,7 +371,6 @@ func TestTCPNoChecksumAblation(t *testing.T) {
 				c.RecvDone(ctx, m)
 			}
 			took = th.Now()
-			done.Broadcast()
 		})
 		a.CAB.Sched.Fork("client", threads.SystemPriority, func(th *threads.Thread) {
 			ctx := exec.OnCAB(th)
