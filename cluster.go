@@ -93,21 +93,21 @@ type Config struct {
 	// materialized nodes fit in host memory.
 	CABDataBytes int
 
-	// Shards > 1 opts in to sharded execution: nodes are partitioned
-	// into per-shard simulation kernels that run concurrently on OS
-	// threads under a conservative time-window scheduler (see
-	// internal/sim's Coupling). The HUB setup latency on cross-shard
-	// fiber paths is the scheduler's lookahead, so results are
-	// byte-identical to a sequential run. Sharded clusters cannot open
-	// circuits (zero lookahead).
-	// 0 or 1 means sequential execution on one kernel (the default).
+	// Shards is the number of domains of the cluster's coupling (see
+	// internal/sim's Coupling): nodes are partitioned into per-shard
+	// simulation kernels that run concurrently on OS threads under a
+	// conservative time-window scheduler. The HUB setup latency on
+	// cross-shard fiber paths is the scheduler's lookahead, so results
+	// are byte-identical for every shard count. Clusters of more than one
+	// shard cannot open circuits (zero lookahead). 0 or 1 (the default)
+	// is a one-domain coupling, which runs its one kernel directly.
 	Shards int
 	// ShardOf maps a node's attachment index to its shard in
 	// [0, Shards). nil: round-robin (index % Shards). It is consulted
 	// lazily, once per index, and only for materialized nodes and Flows
-	// endpoints. Placing the two ends of a busy flow on different shards
-	// is what buys parallelism; placing chatty neighbors together
-	// minimizes window overhead.
+	// endpoints of a cluster of more than one shard. Placing the two
+	// ends of a busy flow on different shards is what buys parallelism;
+	// placing chatty neighbors together minimizes window overhead.
 	ShardOf func(nodeIdx int) int
 	// Flows, when non-nil, declares the COMPLETE communication graph of
 	// the workload as node-index pairs: node i may exchange frames with
@@ -126,10 +126,10 @@ type Config struct {
 
 // Cluster is a simulated Nectar installation.
 type Cluster struct {
-	// K is the simulation kernel. Under sharded execution it is shard
-	// 0's kernel, which also hosts cluster-wide metrics (HUB gauges);
-	// use Run/RunFor/Now on the Cluster — not K directly — so all
-	// shards advance.
+	// K is shard 0's simulation kernel — the only one with one shard —
+	// which also hosts cluster-wide metrics (HUB gauges). Use
+	// Run/RunFor/Now on the Cluster, not K directly, so all shards
+	// advance.
 	K    *sim.Kernel
 	Cost *model.CostModel
 	Hubs []*hub.Hub
@@ -153,12 +153,12 @@ type Cluster struct {
 	mat        []*Node
 	free       int
 	trunks     []*fiber.Link
-	trunkOwner []int32 // directed trunk -> owning shard (sharded fabrics)
+	trunkOwner []int32 // directed trunk -> owning shard; nil with one shard
 
-	// Sharded execution state (nil/empty when sequential).
+	// Execution: the coupling of one domain per shard.
 	coupling  *sim.Coupling
 	domains   []*sim.Domain // one per shard
-	nodeShard []int32       // node index -> shard+1, memoized by shard (0 = not yet asked)
+	nodeShard []int32       // node index -> shard+1, memoized by shard (0 = not yet asked); nil with one shard
 	uplinks   []*fiber.Link // node index -> its CAB->HUB link (the shard gateway); nil = compact
 
 	// Declared traffic matrix (Config.Flows): node index -> set of peer
@@ -204,15 +204,11 @@ func NewCluster(cfg *Config) *Cluster {
 			cl.flowPeers[f[1]][f[0]] = true
 		}
 	}
-	if c.Shards > 1 {
-		cl.coupling = sim.NewCoupling()
-		for i := 0; i < c.Shards; i++ {
-			cl.domains = append(cl.domains, cl.coupling.AddDomain(sim.NewKernel()))
-		}
-		cl.K = cl.domains[0].Kernel()
-	} else {
-		cl.K = sim.NewKernel()
+	cl.coupling = sim.NewCoupling()
+	for range max(c.Shards, 1) {
+		cl.domains = append(cl.domains, cl.coupling.AddDomain(sim.NewKernel()))
 	}
+	cl.K = cl.domains[0].Kernel()
 	cl.buildFabric(c.Topology)
 	return cl
 }
@@ -234,22 +230,18 @@ func (cl *Cluster) AddNode() *Node {
 // idx: hardware, fibers with their gateway role, runtime system and
 // protocol stacks. Route installation is the caller's job.
 //
-// Under sharded execution the whole node — CAB, host, interface, runtime,
-// protocol stacks, and both of its fiber endpoints — is built on its
-// shard's kernel: the CAB->HUB uplink and the HUB input port it feeds run
-// on the node's shard, and the HUB output link back to the CAB runs there
-// too, so the only events that ever cross shards are HUB forwards (which
-// carry the setup latency, the coupling's lookahead).
+// The whole node — CAB, host, interface, runtime, protocol stacks, and
+// both of its fiber endpoints — is built on its shard's kernel: the
+// CAB->HUB uplink and the HUB input port it feeds run on the node's shard,
+// and the HUB output link back to the CAB runs there too, so the only
+// events that ever cross shards are HUB forwards (which carry the setup
+// latency, the coupling's lookahead).
 func (cl *Cluster) bootNode(idx int) *Node {
 	id := wire.NodeID(len(cl.Nodes) + 1)
 	hubIdx, port := int(cl.topo.NodeHub[idx]), int(cl.topo.NodePort[idx])
 
-	k := cl.K
-	var dom *sim.Domain
-	if cl.coupling != nil {
-		dom = cl.domains[cl.shard(idx)]
-		k = dom.Kernel()
-	}
+	dom := cl.domains[cl.shard(idx)]
+	k := dom.Kernel()
 
 	c := cab.NewSized(k, cl.Cost, id, cl.cfg.CABDataBytes)
 	if cl.cfg.RxThreadMode {
@@ -260,17 +252,11 @@ func (cl *Cluster) bootNode(idx int) *Node {
 
 	// Fibers: CAB -> hub input port, hub output port -> CAB.
 	hb := cl.Hubs[hubIdx]
-	var in fiber.Endpoint
-	if dom != nil {
-		in = hb.InPortOn(port, k, dom)
-	} else {
-		in = hb.InPort(port)
-	}
-	up := fiber.NewLink(k, cl.Cost, fmt.Sprintf("cab%d->hub%d", id, hubIdx), in)
+	up := fiber.NewLink(k, cl.Cost, fmt.Sprintf("cab%d->hub%d", id, hubIdx), hb.InPortOn(port, dom))
 	c.ConnectFiber(up)
 	hb.ConnectOut(port, fiber.NewLink(k, cl.Cost, fmt.Sprintf("hub%d.%d->cab%d", hubIdx, port, id), c))
-	if dom != nil {
-		hb.SetOutDomain(port, dom)
+	hb.SetOutDomain(port, dom)
+	if len(cl.domains) > 1 {
 		// The uplink is the shard's gateway: every cross-shard forward
 		// is of a packet it delivered to the HUB input port, so its
 		// earliest-output bound (delivery + HubSetup) covers them all.
@@ -316,9 +302,9 @@ func (cl *Cluster) bootNode(idx int) *Node {
 	}
 	cl.uplinks[idx] = up
 	if cl.flowPeers != nil {
-		// The declaration is enforced on every send, sequential or
-		// sharded, so a violating workload fails identically in both
-		// modes instead of silently desynchronizing them. Routes exist
+		// The declaration is enforced on every send, whatever the shard
+		// count, so a violating workload fails identically at every
+		// count instead of silently desynchronizing them. Routes exist
 		// only between declared peers, so the violation shows as a
 		// route miss.
 		c.OnRouteMiss(func(dst wire.NodeID) {
@@ -374,22 +360,22 @@ func (cl *Cluster) RouteTableStats() (entries, bytes int) {
 	return cl.routeTab.Entries(), cl.routeTab.Bytes()
 }
 
-// shard returns node i's shard (0 when sequential): Config.ShardOf, or
+// shard returns node i's shard (0 with one shard): Config.ShardOf, or
 // round-robin, asked on first use and memoized, so only the nodes the
 // cluster actually touches — materialized nodes and declared-flow
 // endpoints — are ever looked up.
 func (cl *Cluster) shard(i int) int {
-	if cl.coupling == nil {
+	if cl.nodeShard == nil {
 		return 0
 	}
 	if s := cl.nodeShard[i]; s != 0 {
 		return int(s) - 1
 	}
-	s := i % cl.cfg.Shards
+	s := i % len(cl.domains)
 	if cl.cfg.ShardOf != nil {
 		s = cl.cfg.ShardOf(i)
-		if s < 0 || s >= cl.cfg.Shards {
-			sim.Panicf("nectar: ShardOf(%d) = %d out of range [0,%d)", i, s, cl.cfg.Shards)
+		if s < 0 || s >= len(cl.domains) {
+			sim.Panicf("nectar: ShardOf(%d) = %d out of range [0,%d)", i, s, len(cl.domains))
 		}
 	}
 	cl.nodeShard[i] = int32(s) + 1
@@ -530,42 +516,24 @@ func (cl *Cluster) trafficAllowed(src, dst int) bool {
 	return cl.flowPeers[src][dst]
 }
 
-// Shards returns the number of execution shards (1 when sequential).
-func (cl *Cluster) Shards() int {
-	if cl.coupling == nil {
-		return 1
-	}
-	return len(cl.domains)
-}
+// Shards returns the number of execution shards.
+func (cl *Cluster) Shards() int { return len(cl.domains) }
 
 // Windows reports how many conservative safe windows the coupling
-// scheduler has executed (0 when sequential).
-func (cl *Cluster) Windows() uint64 {
-	if cl.coupling == nil {
-		return 0
-	}
-	return cl.coupling.Windows()
-}
+// scheduler has executed (0 with one shard, which needs none).
+func (cl *Cluster) Windows() uint64 { return cl.coupling.Windows() }
 
 // MultiWindows reports how many safe windows had more than one active
-// shard (0 when sequential).
-func (cl *Cluster) MultiWindows() uint64 {
-	if cl.coupling == nil {
-		return 0
-	}
-	return cl.coupling.MultiWindows()
-}
+// shard.
+func (cl *Cluster) MultiWindows() uint64 { return cl.coupling.MultiWindows() }
 
-// ShardOfNode returns the shard executing node i (0 when sequential).
+// ShardOfNode returns the shard executing node i.
 func (cl *Cluster) ShardOfNode(i int) int { return cl.shard(i) }
 
-// Kernels returns every simulation kernel of the cluster: one per shard,
-// or just K when sequential. Per-shard observability (trace sinks, wire
-// captures) is installed by attaching to each kernel's observer.
+// Kernels returns every simulation kernel of the cluster, one per shard;
+// K is the first. Per-shard observability (trace sinks, wire captures) is
+// installed by attaching to each kernel's observer.
 func (cl *Cluster) Kernels() []*sim.Kernel {
-	if cl.coupling == nil {
-		return []*sim.Kernel{cl.K}
-	}
 	ks := make([]*sim.Kernel, len(cl.domains))
 	for i, d := range cl.domains {
 		ks[i] = d.Kernel()
@@ -574,12 +542,12 @@ func (cl *Cluster) Kernels() []*sim.Kernel {
 }
 
 // EnableProfiling attaches a wall-clock profile to the coupling scheduler
-// and returns it (nil, and a no-op, when the cluster is sequential — the
-// profiler measures where the seconds of a *sharded* run go). Call before
-// Run/RunFor; profiling does not perturb virtual time, so results remain
-// byte-identical to an unprofiled run.
+// and returns it (nil, and a no-op, with one shard — the profiler measures
+// where the seconds of a *sharded* run go, and one domain has no windows).
+// Call before Run/RunFor; profiling does not perturb virtual time, so
+// results remain byte-identical to an unprofiled run.
 func (cl *Cluster) EnableProfiling() *prof.Profile {
-	if cl.coupling == nil {
+	if len(cl.domains) == 1 {
 		return nil
 	}
 	p := prof.New(len(cl.domains))
@@ -593,9 +561,6 @@ func (cl *Cluster) EnableProfiling() *prof.Profile {
 // nil when profiling was never enabled, and must only be called between
 // runs (the coupling's worker-join barrier orders the collector reads).
 func (cl *Cluster) ProfileReport() *prof.Report {
-	if cl.coupling == nil {
-		return nil
-	}
 	r := cl.coupling.Profile().Report()
 	if r == nil {
 		return nil
@@ -607,17 +572,13 @@ func (cl *Cluster) ProfileReport() *prof.Report {
 	snap := cl.MetricsSnapshot()
 	r.WireFrames = snap.Sum(obs.LayerFiber, "frames")
 	r.WireBytes = snap.Sum(obs.LayerFiber, "bytes")
-	for _, up := range cl.uplinks {
-		if up != nil { // compact (unmaterialized) attachment points
-			r.CrossShardFrames += up.CrossShardFrames()
-		}
-	}
+	r.CrossShardFrames = cl.CrossShardFrames()
 	return r
 }
 
 // CrossShardFrames sums, over every gateway link (node uplinks and fabric
 // trunks), the frames that left their shard through the coupling. Zero
-// when sequential; only call between runs.
+// with one shard; only call between runs.
 func (cl *Cluster) CrossShardFrames() uint64 {
 	var n uint64
 	for _, up := range cl.uplinks {
@@ -632,13 +593,10 @@ func (cl *Cluster) CrossShardFrames() uint64 {
 }
 
 // MetricsSnapshot exports the cluster's metrics at the current virtual
-// time. Under sharded execution the per-shard registries are merged (sums
-// of counters and gauges, bucket-level histogram merges) into one snapshot
-// that is byte-identical to the sequential run's.
+// time. The per-shard registries are merged (sums of counters and gauges,
+// bucket-level histogram merges) into one snapshot that is byte-identical
+// for every shard count.
 func (cl *Cluster) MetricsSnapshot() *obs.Snapshot {
-	if cl.coupling == nil {
-		return obs.Ensure(cl.K).Metrics().Snapshot(cl.Now())
-	}
 	regs := make([]*obs.Registry, len(cl.domains))
 	for i, d := range cl.domains {
 		regs[i] = obs.Ensure(d.Kernel()).Metrics()
@@ -648,25 +606,10 @@ func (cl *Cluster) MetricsSnapshot() *obs.Snapshot {
 
 // Run drives the simulation until no events remain. It fails on deadlock
 // or a model panic. Clusters with server threads never drain; use RunFor.
-func (cl *Cluster) Run() error {
-	if cl.coupling != nil {
-		return cl.coupling.Run()
-	}
-	return cl.K.Run()
-}
+func (cl *Cluster) Run() error { return cl.coupling.Run() }
 
 // RunFor drives the simulation for d of virtual time.
-func (cl *Cluster) RunFor(d sim.Duration) error {
-	if cl.coupling != nil {
-		return cl.coupling.RunFor(d)
-	}
-	return cl.K.RunFor(d)
-}
+func (cl *Cluster) RunFor(d sim.Duration) error { return cl.coupling.RunFor(d) }
 
 // Now returns the current virtual time.
-func (cl *Cluster) Now() sim.Time {
-	if cl.coupling != nil {
-		return cl.coupling.Now()
-	}
-	return cl.K.Now()
-}
+func (cl *Cluster) Now() sim.Time { return cl.coupling.Now() }

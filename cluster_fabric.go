@@ -14,7 +14,7 @@ import (
 // stay *compact* (a few bytes of arena state per attachment point) until
 // Node(i) or AddNode materializes a full host/CAB pair.
 //
-// Sharded fabrics additionally assign every directed trunk an owning
+// A fabric of more than one shard assigns every directed trunk an owning
 // shard: the trunk's link and the input port it feeds run on the owner's
 // kernel, and trunks whose forwards can enter another shard register as
 // gateways with the coupling, bounding cross-shard output per destination
@@ -38,47 +38,37 @@ func (cl *Cluster) buildFabric(topo *fabric.Topology) {
 	}
 	for i, ports := range topo.HubPorts {
 		h := hub.New(cl.K, cl.Cost, fmt.Sprintf("hub%d", i), ports)
-		if cl.coupling != nil {
+		if len(cl.domains) > 1 {
 			h.SetSharded()
 		}
 		cl.Hubs = append(cl.Hubs, h)
 	}
 
-	// The compact node arena: materialized pointer, uplink slot and (when
-	// sharded) memoized shard per attachment point. Everything else a
-	// node needs before it first carries traffic lives in the topology's
-	// own arrays (hub, port).
+	// The compact node arena: materialized pointer, uplink slot and (with
+	// more than one shard) memoized shard per attachment point.
+	// Everything else a node needs before it first carries traffic lives
+	// in the topology's own arrays (hub, port).
 	cl.mat = make([]*Node, n)
 	cl.uplinks = make([]*fiber.Link, n)
-	if cl.coupling != nil {
-		cl.nodeShard = make([]int32, n)
-	}
-
 	var reach [][]bool
-	if cl.coupling != nil {
+	if len(cl.domains) > 1 {
+		cl.nodeShard = make([]int32, n)
 		cl.trunkOwner, reach = cl.planTrunks()
 	}
 	cl.trunks = make([]*fiber.Link, len(topo.Trunks))
 	for ti, tr := range topo.Trunks {
-		k := cl.K
-		var dom *sim.Domain
-		if cl.coupling != nil {
+		dom := cl.domains[0]
+		if cl.trunkOwner != nil {
 			dom = cl.domains[cl.trunkOwner[ti]]
-			k = dom.Kernel()
 		}
-		var in fiber.Endpoint
-		if dom != nil {
-			in = cl.Hubs[tr.ToHub].InPortOn(tr.ToPort, k, dom)
-		} else {
-			in = cl.Hubs[tr.ToHub].InPort(tr.ToPort)
-		}
-		l := fiber.NewLink(k, cl.Cost, fmt.Sprintf("hub%d.%d->hub%d", tr.FromHub, tr.FromPort, tr.ToHub), in)
+		l := fiber.NewLink(dom.Kernel(), cl.Cost, fmt.Sprintf("hub%d.%d->hub%d", tr.FromHub, tr.FromPort, tr.ToHub),
+			cl.Hubs[tr.ToHub].InPortOn(tr.ToPort, dom))
 		cl.Hubs[tr.FromHub].ConnectOut(tr.FromPort, l)
-		cl.trunks[ti] = l
-		if dom == nil {
-			continue
-		}
 		cl.Hubs[tr.FromHub].SetOutDomain(tr.FromPort, dom)
+		cl.trunks[ti] = l
+		if cl.trunkOwner == nil {
+			continue // one shard: no gateways
+		}
 		// Gateway role. With declared flows, only trunks whose forwards
 		// can actually enter another shard register (reach non-nil) —
 		// the rest provably never emit cross-shard, and skipping them
@@ -186,7 +176,7 @@ func (cl *Cluster) walkTrunks(src, dst int, visit func(trunkIdx int)) {
 // idx's crossbar can enter, over its declared peers: a same-HUB peer
 // resolves to the peer's shard, a farther peer to the owner of the path's
 // first trunk. Later hops are covered by trunk gateways. Used as the
-// node's uplink gateway reach on sharded fabrics.
+// node's uplink gateway reach on fabrics of more than one shard.
 func (cl *Cluster) firstHopReach(idx int) []bool {
 	reach := make([]bool, len(cl.domains))
 	topo := cl.topo
@@ -210,8 +200,8 @@ func (cl *Cluster) firstHopReach(idx int) []bool {
 // Node returns the node at attachment point i, materializing the full
 // host/CAB pair on first use — wire IDs, trace names and routes follow
 // materialization order, so workloads that must compare byte-identically
-// across runs materialize their nodes in the same order. Under sharded
-// execution, materialize before the first Run/RunFor: gateways register
+// across runs materialize their nodes in the same order. With more than
+// one shard, materialize before the first Run/RunFor: gateways register
 // with the coupling at boot.
 func (cl *Cluster) Node(i int) *Node {
 	if i < 0 || i >= len(cl.mat) {

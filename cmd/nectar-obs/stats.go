@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"nectar"
-	"nectar/internal/obs"
 	np "nectar/internal/proto/nectar"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
@@ -149,7 +148,7 @@ func runStats(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("tcp: fault injection produced no retransmission")
 	}
 
-	snap := obs.Ensure(cl.K).Metrics().Snapshot(cl.Now())
+	snap := cl.MetricsSnapshot()
 	if *format == "json" {
 		stdout.Write(snap.JSON())
 		fmt.Fprintln(stdout)

@@ -36,11 +36,7 @@ func runFabricWorkload(t *testing.T, shards int, seed uint64, opts ...fabricOpts
 	flows := [][2]int{{0, 2}, {4, 6}, {1, 7}}
 	endpoints := []int{0, 1, 2, 4, 6, 7}
 
-	cfg := &Config{Topology: fabric.LeafSpine(4, 2, 2)}
-	if shards > 1 {
-		cfg.Shards = shards
-		cfg.ShardOf = opt.shardOf
-	}
+	cfg := &Config{Topology: fabric.LeafSpine(4, 2, 2), Shards: shards, ShardOf: opt.shardOf}
 	if opt.declare {
 		cfg.Flows = flows
 	}

@@ -29,88 +29,28 @@ type AblateIPModeResult struct {
 // AblateIPMode runs the §3.1 input-processing ablation.
 func AblateIPMode(cost *model.CostModel) (*AblateIPModeResult, error) {
 	res := &AblateIPModeResult{}
-	rtt, err := rttDatagramMode(cost, false)
+	rtt, _, err := rttDatagram(cost, false, false)
 	if err != nil {
 		return nil, err
 	}
 	res.InterruptRTTUS = rtt.Micros()
-	rtt, err = rttDatagramMode(cost, true)
+	rtt, _, err = rttDatagram(cost, false, true)
 	if err != nil {
 		return nil, err
 	}
 	res.ThreadRTTUS = rtt.Micros()
 
-	v, err := rmpThroughputCABMode(cost, 1024, false)
+	v, _, err := rmpThroughputCAB(cost, 1024, false)
 	if err != nil {
 		return nil, err
 	}
 	res.InterruptMbps = v
-	v, err = rmpThroughputCABMode(cost, 1024, true)
+	v, _, err = rmpThroughputCAB(cost, 1024, true)
 	if err != nil {
 		return nil, err
 	}
 	res.ThreadMbps = v
 	return res, nil
-}
-
-func rttDatagramMode(cost *model.CostModel, rxThread bool) (sim.Duration, error) {
-	cl, a, b := newCluster(cost, rxThread)
-	h := &echoHarness{cl: cl}
-	boxA := a.Mailboxes.Create("reply")
-	boxB := b.Mailboxes.Create("service")
-	b.CAB.Sched.Fork("echoer", threads.SystemPriority, func(t *threads.Thread) {
-		ctx := exec.OnCAB(t)
-		for {
-			m := boxB.BeginGet(ctx)
-			boxB.EndGet(ctx, m)
-			_ = b.Transports.Datagram.SendDirect(ctx, boxA.Addr(), 0, []byte{0})
-		}
-	})
-	a.CAB.Sched.Fork("client", threads.SystemPriority, func(t *threads.Thread) {
-		ctx := exec.OnCAB(t)
-		h.client(t,
-			func() { _ = a.Transports.Datagram.SendDirect(ctx, boxB.Addr(), 0, []byte{0}) },
-			func() {
-				m := boxA.BeginGet(ctx)
-				boxA.EndGet(ctx, m)
-			})
-	})
-	if err := drive(cl, &h.done); err != nil {
-		return 0, err
-	}
-	return h.rtt, nil
-}
-
-func rmpThroughputCABMode(cost *model.CostModel, size int, rxThread bool) (float64, error) {
-	cl, a, b := newCluster(cost, rxThread)
-	n := messagesFor(size)
-	box := b.Mailboxes.Create("sink")
-	box.SetCapacity(1 << 20)
-	done := false
-	var start, end sim.Time
-	b.CAB.Sched.Fork("drain", threads.SystemPriority, func(t *threads.Thread) {
-		ctx := exec.OnCAB(t)
-		for i := 0; i < n; i++ {
-			m := box.BeginGet(ctx)
-			box.EndGet(ctx, m)
-		}
-		end = t.Now()
-		done = true
-	})
-	a.CAB.Sched.Fork("blast", threads.SystemPriority, func(t *threads.Thread) {
-		ctx := exec.OnCAB(t)
-		buf := make([]byte, size)
-		start = t.Now()
-		for i := 0; i < n; i++ {
-			if st := a.Transports.RMP.SendBlocking(ctx, box.Addr(), 0, buf); st != 1 {
-				cl.K.Fatalf("rmp status %d", st)
-			}
-		}
-	})
-	if err := drive(cl, &done); err != nil {
-		return 0, err
-	}
-	return mbps(n*size, sim.Duration(end-start)), nil
 }
 
 // Format renders A1.

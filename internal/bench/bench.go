@@ -11,7 +11,6 @@ import (
 
 	"nectar"
 	"nectar/internal/model"
-	"nectar/internal/obs"
 	"nectar/internal/sim"
 )
 
@@ -19,14 +18,14 @@ import (
 const maxVirtual = 120 * sim.Second
 
 // experimentShards is the shard count experiment clusters are built with
-// (1 = sequential). Like parallelism it is set once, before experiments
-// run, from nectar-bench's -shards flag.
+// (default 1). Like parallelism it is set once, before experiments run,
+// from nectar-bench's -shards flag.
 var experimentShards = 1
 
-// SetExperimentShards opts every experiment cluster built through
-// newCluster into sharded execution with n shards (n < 2 = sequential,
-// the default). Results are byte-identical either way — sharding only
-// changes wall-clock time (shards_test.go asserts this).
+// SetExperimentShards sets the shard count of every experiment cluster
+// built through newCluster (n < 1 counts as 1, the default). Results are
+// byte-identical for every count — sharding only changes wall-clock time
+// (shards_test.go asserts this).
 func SetExperimentShards(n int) {
 	if n < 1 {
 		n = 1
@@ -59,14 +58,6 @@ func drive(cl *nectar.Cluster, done *bool) error {
 		}
 	}
 	return nil
-}
-
-// snapshot exports a cluster's metrics at its current virtual time, so
-// every experiment returns the counters behind its numbers. Under sharded
-// execution the per-shard registries merge into one snapshot that is
-// byte-identical to the sequential run's.
-func snapshot(cl *nectar.Cluster) *obs.Snapshot {
-	return cl.MetricsSnapshot()
 }
 
 // mbps converts bytes over a duration to megabits per second.

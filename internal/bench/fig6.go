@@ -56,14 +56,13 @@ func Fig6(cost *model.CostModel) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Metrics = snapshot(cl)
+	res.Metrics = cl.MetricsSnapshot()
 	return res, nil
 }
 
-// recordTrace installs a typed-event recorder on every shard kernel of cl
-// (one kernel when sequential). The returned function merges the
-// per-shard streams into the canonical trace, which is the same for any
-// sharding.
+// recordTrace installs a typed-event recorder on every shard kernel of
+// cl. The returned function merges the per-shard streams into the
+// canonical trace, which is the same for any shard count.
 func recordTrace(cl *nectar.Cluster) func() []obs.Event {
 	var recs []*obs.Recorder
 	for _, k := range cl.Kernels() {

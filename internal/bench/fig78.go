@@ -46,7 +46,7 @@ func Fig7(cost *model.CostModel, sizes []int) ([]Curve, map[string]*obs.Snapshot
 	runners := []func(*model.CostModel, int) (float64, *obs.Snapshot, error){
 		func(c *model.CostModel, s int) (float64, *obs.Snapshot, error) { return tcpThroughputCAB(c, s, true) },
 		func(c *model.CostModel, s int) (float64, *obs.Snapshot, error) { return tcpThroughputCAB(c, s, false) },
-		rmpThroughputCAB,
+		func(c *model.CostModel, s int) (float64, *obs.Snapshot, error) { return rmpThroughputCAB(c, s, false) },
 	}
 	return sweep(cost, sizes, curves, runners)
 }
@@ -101,8 +101,10 @@ func Fig8(cost *model.CostModel, sizes []int) ([]Curve, map[string]*obs.Snapshot
 }
 
 // rmpThroughputCAB streams messages between CAB threads over RMP.
-func rmpThroughputCAB(cost *model.CostModel, size int) (float64, *obs.Snapshot, error) {
-	cl, a, b := newCluster(cost, false)
+// rxThread moves protocol input processing into a high-priority thread
+// (ablation A1).
+func rmpThroughputCAB(cost *model.CostModel, size int, rxThread bool) (float64, *obs.Snapshot, error) {
+	cl, a, b := newCluster(cost, rxThread)
 	n := messagesFor(size)
 	box := b.Mailboxes.Create("sink")
 	box.SetCapacity(wire.MaxPayload * 4)
@@ -132,7 +134,7 @@ func rmpThroughputCAB(cost *model.CostModel, size int) (float64, *obs.Snapshot, 
 	if err := drive(cl, &done); err != nil {
 		return 0, nil, err
 	}
-	return mbps(n*size, sim.Duration(end-start)), snapshot(cl), nil
+	return mbps(n*size, sim.Duration(end-start)), cl.MetricsSnapshot(), nil
 }
 
 // tcpThroughputCAB streams messages between CAB threads over TCP.
@@ -179,7 +181,7 @@ func tcpThroughputCAB(cost *model.CostModel, size int, checksum bool) (float64, 
 	if err := drive(cl, &done); err != nil {
 		return 0, nil, err
 	}
-	return mbps(total, sim.Duration(end-start)), snapshot(cl), nil
+	return mbps(total, sim.Duration(end-start)), cl.MetricsSnapshot(), nil
 }
 
 // rmpThroughputHost streams messages between host processes over RMP
@@ -216,7 +218,7 @@ func rmpThroughputHost(cost *model.CostModel, size int) (float64, *obs.Snapshot,
 	if err := drive(cl, &done); err != nil {
 		return 0, nil, err
 	}
-	return mbps(n*size, sim.Duration(end-start)), snapshot(cl), nil
+	return mbps(n*size, sim.Duration(end-start)), cl.MetricsSnapshot(), nil
 }
 
 // tcpThroughputHost streams messages between host processes over TCP.
@@ -280,5 +282,5 @@ func tcpThroughputHost(cost *model.CostModel, size int) (float64, *obs.Snapshot,
 	if err := drive(cl, &done); err != nil {
 		return 0, nil, err
 	}
-	return mbps(total, sim.Duration(end-start)), snapshot(cl), nil
+	return mbps(total, sim.Duration(end-start)), cl.MetricsSnapshot(), nil
 }

@@ -133,12 +133,12 @@ func (r *pdesFlowResult) windowsPerVirtualMS() float64 {
 // runPdesFlows drives nodes/2 disjoint RMP flows (node 2i -> node 2i+1,
 // each perFlow messages of msgBytes) on one cluster and returns the
 // per-flow throughput table, the metrics snapshot JSON, and the wall
-// clock. shards < 2 runs sequentially on a single kernel. With affinity
-// set, ShardByFlows co-locates each flow's endpoints on one shard (the
-// production partitioning: no simulated traffic crosses shards); without
-// it, the default round-robin assignment makes every flow cross the HUB
-// between shards, stressing the coupling on its data and ack paths in
-// both directions.
+// clock. shards = 1 is the sequential leg, a one-domain coupling. With
+// affinity set, ShardByFlows co-locates each flow's endpoints on one shard
+// (the production partitioning: no simulated traffic crosses shards);
+// without it, the default round-robin assignment makes every flow cross
+// the HUB between shards, stressing the coupling on its data and ack paths
+// in both directions.
 func runPdesFlows(cost *model.CostModel, shards, nodes, perFlow, msgBytes int, affinity, profiled bool) (*pdesFlowResult, error) {
 	nFlows := nodes / 2
 	routes := make([][2]int, nFlows)
@@ -162,11 +162,9 @@ func runPdesFlows(cost *model.CostModel, shards, nodes, perFlow, msgBytes int, a
 	// constraining the safe bound (identical declaration on the
 	// sequential leg keeps the enforcement byte-identical).
 	cfg.Flows = routes
-	if shards > 1 {
-		cfg.Shards = shards
-		if affinity {
-			cfg.ShardOf = nectar.ShardByFlows(nodes, shards, routes)
-		}
+	cfg.Shards = shards
+	if affinity {
+		cfg.ShardOf = nectar.ShardByFlows(nodes, shards, routes)
 	}
 	start := time.Now() //nectar:allow-walltime measures the run's real wall clock for BENCH_pdes.json
 	cl := nectar.NewCluster(&cfg)

@@ -135,8 +135,8 @@ type scaleRunResult struct {
 }
 
 // runScaleLeg builds the fabric cluster, materializes the flow endpoints,
-// drives the flows to completion and measures. shards < 2 is the
-// sequential leg.
+// drives the flows to completion and measures. The sequential leg is
+// shards = 1, a one-domain coupling.
 func runScaleLeg(cost *model.CostModel, sp scaleSpec, flows [][2]int, shards int, captureMetrics bool) (*scaleRunResult, error) {
 	topo := sp.build()
 	cfg := nectar.Config{
@@ -147,10 +147,8 @@ func runScaleLeg(cost *model.CostModel, sp scaleSpec, flows [][2]int, shards int
 		// workload's windows never hold more than a few frames per node,
 		// and the savings are what let 64 stacks ride on a 65k fabric.
 		CABDataBytes: 256 << 10,
-	}
-	if shards > 1 {
-		cfg.Shards = shards
-		cfg.ShardOf = nectar.ShardByFlowsOnFabric(topo, shards, flows)
+		Shards:       shards,
+		ShardOf:      nectar.ShardByFlowsOnFabric(topo, shards, flows),
 	}
 
 	runtime.GC()

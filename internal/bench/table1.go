@@ -47,7 +47,7 @@ func Table1(cost *model.CostModel) (*Table1Result, error) {
 		cc   func() (sim.Duration, *obs.Snapshot, error)
 	}
 	runners := []runner{
-		{"datagram", func() (sim.Duration, *obs.Snapshot, error) { return rttDatagram(cost, true) }, func() (sim.Duration, *obs.Snapshot, error) { return rttDatagram(cost, false) }},
+		{"datagram", func() (sim.Duration, *obs.Snapshot, error) { return rttDatagram(cost, true, false) }, func() (sim.Duration, *obs.Snapshot, error) { return rttDatagram(cost, false, false) }},
 		{"reliable (RMP)", func() (sim.Duration, *obs.Snapshot, error) { return rttRMP(cost, true) }, func() (sim.Duration, *obs.Snapshot, error) { return rttRMP(cost, false) }},
 		{"request-response", func() (sim.Duration, *obs.Snapshot, error) { return rttRRP(cost, true) }, func() (sim.Duration, *obs.Snapshot, error) { return rttRRP(cost, false) }},
 		{"UDP", func() (sim.Duration, *obs.Snapshot, error) { return rttUDP(cost, true) }, func() (sim.Duration, *obs.Snapshot, error) { return rttUDP(cost, false) }},
@@ -93,9 +93,10 @@ func (h *echoHarness) client(t *threads.Thread, send func(), recv func()) {
 }
 
 // rttDatagram measures the datagram echo round trip (the paper's 325 µs /
-// 179 µs row).
-func rttDatagram(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, error) {
-	cl, a, b := newCluster(cost, false)
+// 179 µs row). rxThread moves protocol input processing into a
+// high-priority thread (ablation A1).
+func rttDatagram(cost *model.CostModel, hostSide, rxThread bool) (sim.Duration, *obs.Snapshot, error) {
+	cl, a, b := newCluster(cost, rxThread)
 	h := &echoHarness{cl: cl}
 	boxA := a.Mailboxes.Create("echo.reply")
 	boxB := b.Mailboxes.Create("echo.service")
@@ -151,7 +152,7 @@ func rttDatagram(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snaps
 	if err := drive(cl, &h.done); err != nil {
 		return 0, nil, err
 	}
-	return h.rtt, snapshot(cl), nil
+	return h.rtt, cl.MetricsSnapshot(), nil
 }
 
 // rttRMP measures the reliable-message echo round trip.
@@ -210,7 +211,7 @@ func rttRMP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, 
 	if err := drive(cl, &h.done); err != nil {
 		return 0, nil, err
 	}
-	return h.rtt, snapshot(cl), nil
+	return h.rtt, cl.MetricsSnapshot(), nil
 }
 
 // rttRRP measures the request-response (RPC transport) round trip — the
@@ -270,7 +271,7 @@ func rttRRP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, 
 	if err := drive(cl, &h.done); err != nil {
 		return 0, nil, err
 	}
-	return h.rtt, snapshot(cl), nil
+	return h.rtt, cl.MetricsSnapshot(), nil
 }
 
 // rttUDP measures the UDP echo round trip.
@@ -335,7 +336,7 @@ func rttUDP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, 
 	if err := drive(cl, &h.done); err != nil {
 		return 0, nil, err
 	}
-	return h.rtt, snapshot(cl), nil
+	return h.rtt, cl.MetricsSnapshot(), nil
 }
 
 // Format renders Table 1 with the paper anchors.

@@ -81,12 +81,11 @@ func (h *Hub) InPort(p int) fiber.Endpoint {
 	return &inPort{hub: h, port: p, k: h.k}
 }
 
-// InPortOn returns the endpoint for input port p executing on kernel k as
-// part of domain dom (sharded execution: the port runs on the shard of the
-// CAB whose fiber feeds it, so arrival events never cross shards — only
-// forwards do). dom may be nil for a stand-alone kernel.
-func (h *Hub) InPortOn(p int, k *sim.Kernel, dom *sim.Domain) fiber.Endpoint {
-	return &inPort{hub: h, port: p, k: k, dom: dom}
+// InPortOn returns the endpoint for input port p executing on domain
+// dom's kernel: the port runs on the shard of the CAB or trunk whose fiber
+// feeds it, so arrival events never cross shards — only forwards do.
+func (h *Hub) InPortOn(p int, dom *sim.Domain) fiber.Endpoint {
+	return &inPort{hub: h, port: p, k: dom.Kernel(), dom: dom}
 }
 
 // SetOutDomain records which shard owns the link leaving output port p.
@@ -125,7 +124,7 @@ type inPort struct {
 	hub  *Hub
 	port int
 	k    *sim.Kernel // kernel the port's arrival events execute on
-	dom  *sim.Domain // owning shard; nil when unsharded
+	dom  *sim.Domain // owning shard; nil on a stand-alone hub
 }
 
 // PacketArriving implements cut-through forwarding: consume the packet's

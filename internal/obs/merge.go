@@ -20,9 +20,10 @@ import (
 
 // MergeSnapshots exports one Snapshot over several registries: counters
 // and gauges with the same (layer, name, scope) key sum, histograms merge
-// at bucket level, and the result is sorted exactly like Registry.Snapshot
-// — so merging the registries of a sharded run yields byte-identical JSON
-// to the sequential run's single-registry snapshot.
+// at bucket level, and the result is sorted by (layer, name, scope) — so
+// merging the per-shard registries of a run yields the same JSON for every
+// shard count. It is the one export: Registry.Snapshot merges one
+// registry.
 func MergeSnapshots(at sim.Time, regs ...*Registry) *Snapshot {
 	s := &Snapshot{AtUS: at.Micros()}
 	counters := make(map[metricKey]uint64)

@@ -34,8 +34,10 @@ func TestMergeSnapshotsEmpty(t *testing.T) {
 }
 
 // TestMergeSnapshotsSingle pins the single-shard identity: merging one
-// registry must serialize byte-identically to that registry's own
-// Snapshot — MergeSnapshots may not reorder, rename, or restate anything.
+// registry — which is what Registry.Snapshot does — must serialize to the
+// JSON a direct per-registry export always produced, entries sorted by
+// (layer, name, scope); MergeSnapshots may not reorder, rename, or
+// restate anything.
 func TestMergeSnapshotsSingle(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(LayerFiber, "frames", "hub").Add(7)
@@ -46,10 +48,53 @@ func TestMergeSnapshotsSingle(t *testing.T) {
 	h.Observe(9 * sim.Microsecond)
 
 	at := sim.Time(100 * sim.Microsecond)
-	got := string(MergeSnapshots(at, r).JSON())
-	want := string(r.Snapshot(at).JSON())
-	if got != want {
-		t.Errorf("single-registry merge differs from direct snapshot:\nmerge: %s\ndirect: %s", got, want)
+	want := `{
+  "at_us": 100,
+  "metrics": [
+    {
+      "layer": "fiber",
+      "name": "frames",
+      "scope": "hub",
+      "kind": "counter",
+      "value": 7
+    },
+    {
+      "layer": "mailbox",
+      "name": "depth",
+      "scope": "n1",
+      "kind": "gauge",
+      "value": 3
+    },
+    {
+      "layer": "tcp",
+      "name": "ack_rtt",
+      "scope": "cab0",
+      "kind": "histogram",
+      "value": 0,
+      "hist": {
+        "count": 2,
+        "sum_us": 14,
+        "min_us": 5,
+        "p50_us": 8.191,
+        "p90_us": 8.191,
+        "p99_us": 8.191,
+        "max_us": 9
+      }
+    },
+    {
+      "layer": "tcp",
+      "name": "retransmits",
+      "scope": "cab0",
+      "kind": "counter",
+      "value": 1
+    }
+  ]
+}`
+	if got := string(MergeSnapshots(at, r).JSON()); got != want {
+		t.Errorf("single-registry merge:\n%s\nwant:\n%s", got, want)
+	}
+	if got := string(r.Snapshot(at).JSON()); got != want {
+		t.Errorf("Registry.Snapshot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

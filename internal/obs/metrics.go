@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"nectar/internal/prof"
@@ -164,33 +163,9 @@ type Snapshot struct {
 	Entries []Entry `json:"metrics"`
 }
 
-// Snapshot samples every counter, gauge, and histogram.
-func (r *Registry) Snapshot(at sim.Time) *Snapshot {
-	s := &Snapshot{AtUS: at.Micros()}
-	if r == nil {
-		return s
-	}
-	for k, c := range r.counters {
-		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "counter", c.v, nil})
-	}
-	for k, fn := range r.gauges {
-		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "gauge", fn(), nil})
-	}
-	for k, h := range r.hists {
-		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "histogram", 0, h.stats()})
-	}
-	sort.Slice(s.Entries, func(i, j int) bool {
-		a, b := s.Entries[i], s.Entries[j]
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Scope < b.Scope
-	})
-	return s
-}
+// Snapshot samples every counter, gauge, and histogram: a merge of one
+// registry.
+func (r *Registry) Snapshot(at sim.Time) *Snapshot { return MergeSnapshots(at, r) }
 
 // Get returns the entry for (layer, name, scope), if present.
 func (s *Snapshot) Get(layer Layer, name, scope string) (Entry, bool) {

@@ -252,9 +252,9 @@ type Conn struct {
 	rcvBox     *mailbox.Mailbox // in-order payload for the user
 	rcvEOF     bool
 	sentFin    bool
-	acceptLn   *Listener  // pending listener notification (SynRcvd)
+	acceptLn   *Listener // pending listener notification (SynRcvd)
 	winTimer   sim.Timer // pending window-update probe
-	lastAdvWin uint32     // window advertised in the last transmitted segment
+	lastAdvWin uint32    // window advertised in the last transmitted segment
 
 	mu    *threads.Mutex
 	cond  *threads.Cond // state changes, window openings, ack arrivals

@@ -53,7 +53,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"nectar/internal/prof"
@@ -474,12 +473,10 @@ func (c *Coupling) run(horizon Time, drain bool) error {
 			}
 			var blocked []string
 			for _, d := range c.domains {
-				if d.k.blocked() {
-					blocked = append(blocked, fmt.Sprintf("domain %d: %s", d.id, d.k.procNames()))
-				}
+				blocked = d.k.blockedNames(blocked)
 			}
 			if len(blocked) > 0 {
-				return fmt.Errorf("sim: deadlock at %v: blocked procs: %s", c.Now(), strings.Join(blocked, "; "))
+				return deadlock(c.Now(), blocked)
 			}
 			return nil
 		}

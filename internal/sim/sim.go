@@ -408,7 +408,7 @@ func (k *Kernel) Run() error {
 		return err
 	}
 	if k.blocked() {
-		return fmt.Errorf("sim: deadlock at %v: blocked procs: %s", k.now, k.procNames())
+		return deadlock(k.now, k.blockedNames(nil))
 	}
 	return nil
 }
@@ -429,16 +429,22 @@ func (k *Kernel) RunFor(d Duration) error { return k.RunUntil(k.now + Time(d)) }
 // blocked reports whether any live proc is blocked rather than parked.
 func (k *Kernel) blocked() bool { return len(k.procs) > k.parked }
 
-// procNames lists the blocked procs with their blocking labels, sorted.
-func (k *Kernel) procNames() string {
-	var names []string
+// blockedNames appends the blocked procs, with their blocking labels, to
+// names.
+func (k *Kernel) blockedNames(names []string) []string {
 	for p := range k.procs {
 		if p.state != procParked {
 			names = append(names, p.name+"@"+p.label())
 		}
 	}
+	return names
+}
+
+// deadlock is the one deadlock report, the same for a kernel and for a
+// coupling of any number of domains: the blocked procs, sorted.
+func deadlock(at Time, names []string) error {
 	sort.Strings(names)
-	return strings.Join(names, ", ")
+	return fmt.Errorf("sim: deadlock at %v: blocked procs: %s", at, strings.Join(names, ", "))
 }
 
 // Idle reports whether no events are pending.

@@ -40,7 +40,7 @@ type shardedOpts struct {
 // (0->1 and 2->3) under deterministic fault injection (drops + corruption
 // on every uplink, pattern varied by seed) — with a trace recorder and
 // wire capture per shard kernel, and returns the canonicalized output.
-// shards=1 runs the identical workload sequentially on one kernel.
+// shards=1 runs the identical workload on a one-domain coupling.
 func runShardedWorkload(t *testing.T, shards int, seed uint64, opts ...shardedOpts) shardedWorkloadResult {
 	t.Helper()
 	var opt shardedOpts
@@ -54,14 +54,8 @@ func runShardedWorkload(t *testing.T, shards int, seed uint64, opts ...shardedOp
 	// flows cross the shard boundary in both directions (data and acks).
 	flows := [][2]int{{0, 1}, {2, 3}}
 
-	var cfg *Config
-	if shards > 1 {
-		cfg = &Config{Shards: shards, ShardOf: opt.shardOf}
-	}
+	cfg := &Config{Shards: shards, ShardOf: opt.shardOf}
 	if opt.declare {
-		if cfg == nil {
-			cfg = &Config{}
-		}
 		cfg.Flows = flows
 	}
 	cl := NewCluster(cfg)
@@ -140,13 +134,11 @@ func runShardedWorkload(t *testing.T, shards int, seed uint64, opts ...shardedOp
 		}
 	}
 
-	if shards > 1 {
-		if got := cl.Shards(); got != shards {
-			t.Fatalf("cluster has %d shards, want %d", got, shards)
-		}
-		if cl.Hubs[0].Forwarded() == 0 {
-			t.Fatal("no HUB forwards: flows did not cross the switch")
-		}
+	if got := cl.Shards(); got != shards {
+		t.Fatalf("cluster has %d shards, want %d", got, shards)
+	}
+	if cl.Hubs[0].Forwarded() == 0 {
+		t.Fatal("no HUB forwards: flows did not cross the switch")
 	}
 
 	streams := make([][]obs.Event, len(recs))
@@ -416,5 +408,65 @@ func TestShardedCircuitRefused(t *testing.T) {
 	cl.AddNode()
 	if err := cl.Hubs[0].OpenCircuit(0, 1); err == nil {
 		t.Fatal("OpenCircuit succeeded on a sharded HUB")
+	}
+}
+
+// TestProfileReportCountsTrunkCrossShardFrames pins the profile's
+// cross-shard count to Cluster.CrossShardFrames: on a fabric, frames
+// leave their shard through trunk gateways as well as node uplinks, and
+// the report must count both.
+func TestProfileReportCountsTrunkCrossShardFrames(t *testing.T) {
+	cl := NewCluster(&Config{Topology: fabric.LeafSpine(2, 1, 4), Shards: 2})
+	cl.EnableProfiling()
+	src, dst := cl.Node(1), cl.Node(5) // different leaves
+	sink := dst.Mailboxes.Create("sink")
+	addr := wire.MailboxAddr{Node: dst.ID, Box: sink.ID()}
+	const msgs = 10
+	dst.CAB.Sched.Fork("drain", threads.SystemPriority, func(th *threads.Thread) {
+		ctx := exec.OnCAB(th)
+		for i := 0; i < msgs; i++ {
+			sink.EndGet(ctx, sink.BeginGet(ctx))
+		}
+	})
+	src.CAB.Sched.Fork("send", threads.SystemPriority, func(th *threads.Thread) {
+		ctx := exec.OnCAB(th)
+		for i := 0; i < msgs; i++ {
+			src.Transports.RMP.SendBlocking(ctx, addr, 0, make([]byte, 256))
+		}
+	})
+	if err := cl.RunFor(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := cl.CrossShardFrames()
+	if got := cl.ProfileReport().CrossShardFrames; got != want || want == 0 {
+		t.Errorf("ProfileReport().CrossShardFrames = %d, Cluster.CrossShardFrames() = %d", got, want)
+	}
+}
+
+// TestDeadlockReportSameForEveryShardCount checks that a deadlocked
+// cluster reports the same blocked procs, in the same words, whatever
+// its shard count.
+func TestDeadlockReportSameForEveryShardCount(t *testing.T) {
+	run := func(shards int) string {
+		cl := NewCluster(&Config{Shards: shards})
+		for i := 0; i < 2; i++ {
+			n := cl.AddNode()
+			box := n.Mailboxes.Create("empty")
+			n.CAB.Sched.Fork("waiter", threads.SystemPriority, func(th *threads.Thread) {
+				box.BeginGet(exec.OnCAB(th))
+			})
+		}
+		err := cl.Run()
+		if err == nil {
+			t.Fatalf("shards=%d: Run drained without reporting the blocked waiters", shards)
+		}
+		return err.Error()
+	}
+	one, two := run(1), run(2)
+	if one != two {
+		t.Errorf("deadlock reports differ:\nshards=1: %s\nshards=2: %s", one, two)
+	}
+	if !strings.Contains(one, "cab1/waiter") || !strings.Contains(one, "cab2/waiter") {
+		t.Errorf("deadlock report does not name both waiters: %s", one)
 	}
 }
