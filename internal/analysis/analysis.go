@@ -46,8 +46,8 @@
 //	             must charge a model.CostModel latency before the
 //	             transmit; //nectar:free-hop <reason> waives audited pure
 //	             forwarding steps.
-//	poollife   — pooled-object lifecycle proofs, via the backward
-//	             dataflow solver (backward.go): every value acquired from
+//	poollife   — pooled-object lifecycle proofs, via the dataflow
+//	             solver run backward (dataflow.go): every value acquired from
 //	             a pool surface (FreeList.Get, fiber.Pool frames/packets,
 //	             cab receive descriptors, ip header/span buffers, sim
 //	             timers) must reach a release or an explicit ownership
@@ -150,18 +150,95 @@ func pkgNameOf(info *types.Info, expr ast.Expr) string {
 	return ""
 }
 
-// recvPkgPath returns the defining package path and method name for a
-// method call selector, or ("", "") when sel is not a method selection.
-func recvPkgPath(info *types.Info, sel *ast.SelectorExpr) (pkg, name string) {
-	s, ok := info.Selections[sel]
-	if !ok {
-		return "", ""
+// rootIdent returns the leftmost identifier of an expression (x for
+// x.f, x[i], x[:n], &x, *x), or nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			e = x.X
+		default:
+			return nil
+		}
 	}
-	obj := s.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return "", ""
+}
+
+// fmtMethod returns the name of call's callee when it is a method named
+// in hotpathFmtMethods, "" otherwise.
+func fmtMethod(info *types.Info, call *ast.CallExpr) string {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Signature().Recv() == nil || !hotpathFmtMethods[fn.Name()] {
+		return ""
 	}
-	return obj.Pkg().Path(), obj.Name()
+	return fn.Name()
+}
+
+// emissionKind classifies an emission surface: a call that produces
+// externally observable, order-sensitive output.
+type emissionKind uint8
+
+const (
+	emitTrace   emissionKind = iota + 1 // Observer trace event, gated by recv.Tracing()
+	emitCapture                         // wire capture, gated by recv.CaptureLog() != nil
+	emitMetric                          // metric observation, always on
+	emitSink                            // sink delivery, and obs's internal emit/add plumbing
+	emitOutbox                          // cross-shard outbox entry, drained at the window barrier
+)
+
+// emissionSurfaces lists every emission surface by function ID. obsgate
+// checks the arguments of the trace, capture and metric surfaces;
+// determinism's detrange rule flags a call of any kind inside a range
+// over a map.
+var emissionSurfaces = map[string]emissionKind{
+	"(*nectar/internal/obs.Observer).Instant":       emitTrace,
+	"(*nectar/internal/obs.Observer).InstantSeq":    emitTrace,
+	"(*nectar/internal/obs.Observer).InstantArg":    emitTrace,
+	"(*nectar/internal/obs.Observer).Begin":         emitTrace,
+	"(*nectar/internal/obs.Observer).BeginSeq":      emitTrace,
+	"(*nectar/internal/obs.Observer).End":           emitTrace,
+	"(*nectar/internal/obs.Observer).CapturePacket": emitCapture,
+	"(*nectar/internal/obs.Counter).Inc":            emitMetric,
+	"(*nectar/internal/obs.Counter).Add":            emitMetric,
+	"(*nectar/internal/obs.Histogram).Observe":      emitMetric,
+	"(*nectar/internal/obs.Observer).emit":          emitSink,
+	"(*nectar/internal/obs.Capture).add":            emitSink,
+	"(nectar/internal/obs.Sink).Event":              emitSink,
+	"(*nectar/internal/obs.Recorder).Event":         emitSink,
+	"(nectar/internal/obs.SinkFunc).Event":          emitSink,
+	"(*nectar/internal/sim.Domain).Send":            emitOutbox,
+	"(*nectar/internal/sim.Domain).SendSized":       emitOutbox,
+}
+
+// emissionNames indexes emissionSurfaces by bare function name, so that
+// emissionOf builds a function ID only for a plausible callee.
+var emissionNames = func() map[string]bool {
+	m := make(map[string]bool, len(emissionSurfaces))
+	for id := range emissionSurfaces {
+		m[id[strings.LastIndexByte(id, '.')+1:]] = true
+	}
+	return m
+}()
+
+// emissionOf returns the emission kind of call's static callee, 0 when it
+// is no emission surface.
+func emissionOf(info *types.Info, call *ast.CallExpr) emissionKind {
+	fn := calleeFunc(info, call)
+	if fn == nil || !emissionNames[fn.Name()] {
+		return 0
+	}
+	return emissionSurfaces[funcID(fn)]
 }
 
 // fmtFormatters lists the fmt functions whose variadic ...any allocates

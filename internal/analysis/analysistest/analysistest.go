@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -81,7 +80,7 @@ func sharedLoader(root string) *loader {
 		ld = &loader{
 			fset:  token.NewFileSet(),
 			root:  root,
-			cache: make(map[string]*loaded),
+			cache: make(map[string]*analysis.Package),
 		}
 		ld.fallback = importer.ForCompiler(ld.fset, "source", nil)
 		loaders[root] = ld
@@ -107,28 +106,19 @@ func run(t TB, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 
 func runOne(t TB, ld *loader, a *analysis.Analyzer, pkgPath string) {
 	t.Helper()
-	lp, err := ld.load(pkgPath)
+	pkg, err := ld.load(pkgPath)
 	if err != nil {
 		t.Fatalf("%s: %v", pkgPath, err)
 	}
-	for _, terr := range lp.typeErrors {
+	for _, terr := range pkg.TypeErrors {
 		t.Errorf("%s: typecheck: %v", pkgPath, terr)
 	}
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      ld.fset,
-		Files:     lp.files,
-		PkgPath:   pkgPath,
-		Pkg:       lp.pkg,
-		TypesInfo: lp.info,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %s: %v", pkgPath, a.Name, err)
+	diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("%v", err)
 	}
 
-	expects := collectExpectations(t, ld.fset, lp.files)
+	expects := collectExpectations(t, ld.fset, pkg.Files)
 	for _, d := range diags {
 		pos := ld.fset.Position(d.Pos)
 		key := lineKey{filepath.Base(pos.Filename), pos.Line}
@@ -222,63 +212,38 @@ func collectExpectations(t TB, fset *token.FileSet, files []*ast.File) map[lineK
 
 // --- testdata package loading ---
 
-type loaded struct {
-	files      []*ast.File
-	pkg        *types.Package
-	info       *types.Info
-	typeErrors []error
-}
-
 type loader struct {
 	fset     *token.FileSet
 	root     string // testdata/src
-	cache    map[string]*loaded
+	cache    map[string]*analysis.Package
 	fallback types.Importer
 }
 
 // load parses and type-checks testdata package path (dir root/<path>).
-func (ld *loader) load(path string) (*loaded, error) {
-	if lp, ok := ld.cache[path]; ok {
-		return lp, nil
+func (ld *loader) load(path string) (*analysis.Package, error) {
+	if pkg, ok := ld.cache[path]; ok {
+		return pkg, nil
 	}
 	dir := filepath.Join(ld.root, filepath.FromSlash(path))
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
+	var filenames []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			filenames = append(filenames, filepath.Join(dir, e.Name()))
 		}
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
 	}
-	if len(files) == 0 {
+	if len(filenames) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	lp := &loaded{
-		files: files,
-		info: &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-			Scopes:     make(map[ast.Node]*types.Scope),
-			Instances:  make(map[*ast.Ident]types.Instance),
-		},
+	pkg, err := analysis.TypecheckFiles(ld.fset, path, filenames, (*testdataImporter)(ld))
+	if err != nil {
+		return nil, err
 	}
-	conf := types.Config{
-		Importer: (*testdataImporter)(ld),
-		Error:    func(err error) { lp.typeErrors = append(lp.typeErrors, err) },
-	}
-	lp.pkg, _ = conf.Check(path, ld.fset, files, lp.info)
-	ld.cache[path] = lp
-	return lp, nil
+	ld.cache[path] = pkg
+	return pkg, nil
 }
 
 // testdataImporter resolves imports inside testdata/src first, then
@@ -288,11 +253,11 @@ type testdataImporter loader
 func (ti *testdataImporter) Import(path string) (*types.Package, error) {
 	ld := (*loader)(ti)
 	if hasGoFiles(filepath.Join(ld.root, filepath.FromSlash(path))) {
-		lp, err := ld.load(path)
+		pkg, err := ld.load(path)
 		if err != nil {
 			return nil, err
 		}
-		return lp.pkg, nil
+		return pkg.Types, nil
 	}
 	if from, ok := ld.fallback.(types.ImporterFrom); ok {
 		return from.ImportFrom(path, ld.root, 0)

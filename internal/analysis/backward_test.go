@@ -110,8 +110,9 @@ func consumeBranch(cond ast.Expr, takenTrue bool, f consumeSet) consumeSet {
 func probeBackwardFacts(t *testing.T, src string) map[string][]string {
 	t.Helper()
 	cfg := buildCFG(parseBody(t, src))
-	out, reached := solveBackward(cfg, backflow[consumeSet]{
-		exit:     consumeSet{},
+	out, reached := solve(cfg, flow[consumeSet]{
+		backward: true,
+		boundary: consumeSet{},
 		join:     consumeJoin,
 		equal:    consumeEqual,
 		transfer: consumeTransfer,

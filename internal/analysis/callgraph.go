@@ -178,6 +178,32 @@ func (prog *Program) pkgByPath(path string) *Package {
 // generic instantiations to their origin declaration.
 func funcID(obj *types.Func) string { return obj.Origin().FullName() }
 
+// calleeFunc resolves a call's static callee, nil for dynamic calls
+// and builtins.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := unparenIndex(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
+}
+
+// calleeID returns the funcID of call's static callee, "" for dynamic
+// calls and builtins: the key the analyzers' tables of special calls
+// (pool surfaces, emission surfaces, sim.Panicf) are looked up by.
+func calleeID(info *types.Info, call *ast.CallExpr) string {
+	if fn := calleeFunc(info, call); fn != nil {
+		return funcID(fn)
+	}
+	return ""
+}
+
 // displayName shortens obj.FullName by replacing the import path with the
 // package name ("nectar/internal/sim.Micros" -> "sim.Micros").
 func displayName(obj *types.Func) string {

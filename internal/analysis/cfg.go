@@ -2,13 +2,17 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 )
 
-// Per-function control-flow graphs over go/ast, for the forward dataflow
-// analyses (dataflow.go) that obsgate builds on. The builder lowers one
-// function body into basic blocks; expressions are not decomposed — each
-// block carries the statements (and loop/branch conditions) it executes,
-// in order, and the dataflow layer walks inside them as needed.
+// Per-function control-flow graphs over go/ast, for the dataflow
+// analyses (dataflow.go) that obsgate and poollife build on, forward and
+// backward. The builder lowers one function body into basic blocks;
+// expressions are not decomposed — each block carries the statements
+// (and loop/branch conditions) it executes, in order, and the dataflow
+// layer walks inside them as needed. condAtoms, at the end of the file,
+// is the one walker that turns a two-way branch's condition into the
+// leaf facts its true or false edge establishes.
 //
 // The shape is deliberately minimal: just enough structure to answer
 // "which guard conditions dominate this statement?" precisely for the
@@ -406,4 +410,29 @@ func (b *cfgBuilder) target(stack []branchTarget, label *ast.Ident) *Block {
 		}
 	}
 	return nil
+}
+
+// condAtoms decomposes a branch condition into the facts its value
+// establishes: knowing cond evaluates to val, it walks parentheses, !,
+// && on the true edge and || on the false edge, and calls atom(e, v) for
+// every leaf e known to evaluate to v. Each dataflow client supplies
+// only its own leaf test.
+func condAtoms(cond ast.Expr, val bool, atom func(e ast.Expr, v bool)) {
+	switch c := cond.(type) {
+	case *ast.ParenExpr:
+		condAtoms(c.X, val, atom)
+		return
+	case *ast.UnaryExpr:
+		if c.Op == token.NOT {
+			condAtoms(c.X, !val, atom)
+			return
+		}
+	case *ast.BinaryExpr:
+		if c.Op == token.LAND && val || c.Op == token.LOR && !val {
+			condAtoms(c.X, val, atom)
+			condAtoms(c.Y, val, atom)
+			return
+		}
+	}
+	atom(cond, val)
 }

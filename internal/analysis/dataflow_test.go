@@ -114,7 +114,7 @@ func probeFacts(t *testing.T, src string) map[string][]string {
 	t.Helper()
 	cfg := buildCFG(parseBody(t, src))
 	in, reached := solve(cfg, flow[guardSet]{
-		entry:    guardSet{},
+		boundary: guardSet{},
 		join:     guardJoin,
 		equal:    guardEqual,
 		transfer: guardTransfer,

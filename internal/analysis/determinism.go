@@ -251,36 +251,14 @@ func checkDetfail(w *detWalk, n ast.Node) {
 	}
 }
 
-// detrangeEmitters maps a defining package path to the method/function
-// names that emit externally observable, order-sensitive records: trace
-// events, metric observations, wire captures, and cross-shard outbox
-// entries. Emitting one of these from inside a range over a map bakes
-// Go's randomized iteration order into the observable output — exactly
-// the bug class internal/obs/merge.go's canonicalization exists to
-// prevent on the other side of the shard boundary. The fix is always the
-// same: collect the keys, sort them, and range over the slice.
-var detrangeEmitters = map[string]map[string]bool{
-	"nectar/internal/obs": {
-		// Observer trace events.
-		"Instant": true, "InstantSeq": true, "InstantArg": true,
-		"Begin": true, "BeginSeq": true, "End": true,
-		"emit": true,
-		// Wire captures.
-		"CapturePacket": true, "add": true,
-		// Metric observations.
-		"Inc": true, "Add": true, "Observe": true,
-		// Sink delivery.
-		"Event": true,
-	},
-	"nectar/internal/sim": {
-		// Cross-shard outbox entries (Domain.Send buffers into the
-		// per-destination outbox drained at the window barrier).
-		"Send": true,
-	},
-}
-
 // checkDetrange registers the body of every range over a map and flags
-// emissions inside one.
+// emissions (emissionSurfaces) inside one. Emitting a trace event, metric
+// observation, wire capture or cross-shard outbox entry from inside a
+// range over a map bakes Go's randomized iteration order into the
+// observable output — exactly the bug class internal/obs/merge.go's
+// canonicalization exists to prevent on the other side of the shard
+// boundary. The fix is always the same: collect the keys, sort them, and
+// range over the slice.
 func checkDetrange(w *detWalk, n ast.Node) {
 	switch n := n.(type) {
 	case *ast.RangeStmt:
@@ -296,34 +274,16 @@ func checkDetrange(w *detWalk, n ast.Node) {
 			w.mapBodies[n.Body] = true
 		}
 	case *ast.CallExpr:
-		sel, ok := n.Fun.(*ast.SelectorExpr)
-		if !ok || w.inMap == 0 {
+		if w.inMap == 0 {
 			return
 		}
-		pkg, name := emitterOf(w.pass, sel)
-		if names, ok := detrangeEmitters[pkg]; ok && names[name] {
+		if emissionOf(w.pass.TypesInfo, n) != 0 {
+			fn := calleeFunc(w.pass.TypesInfo, n)
 			w.pass.Reportf(n.Pos(),
 				"%s.%s emits order-sensitive output inside a range over a map: iteration order is "+
 					"nondeterministic and breaks byte-identical runs; iterate a sorted key slice instead "+
 					"(cf. internal/obs/merge.go)",
-				shortPkg(pkg), name)
+				fn.Pkg().Name(), fn.Name())
 		}
 	}
-}
-
-// emitterOf identifies the defining package and name for a call through
-// sel, handling both method calls (o.Instant(...)) and package-qualified
-// function calls (obs.Ensure(...)).
-func emitterOf(pass *Pass, sel *ast.SelectorExpr) (pkg, name string) {
-	if pkg, name = recvPkgPath(pass.TypesInfo, sel); pkg != "" {
-		return pkg, name
-	}
-	if p := pkgNameOf(pass.TypesInfo, sel.X); p != "" {
-		return p, sel.Sel.Name
-	}
-	return "", ""
-}
-
-func shortPkg(path string) string {
-	return path[strings.LastIndexByte(path, '/')+1:]
 }

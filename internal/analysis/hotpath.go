@@ -118,7 +118,7 @@ func (hc *hotChecker) checkCall(call *ast.CallExpr, presized map[types.Object]bo
 			hc.report(call.Pos(), "fmt.%s allocates its variadic args; precompute the string", sel.Sel.Name)
 			return
 		}
-		if _, name := recvPkgPath(info, sel); hotpathFmtMethods[name] {
+		if name := fmtMethod(info, call); name != "" {
 			hc.report(call.Pos(), "%s builds its variadic args even when tracing is off; "+
 				"precompute the mark name and call the non-formatting variant", name)
 			return
@@ -314,20 +314,10 @@ func exprProvidesCapacity(info *types.Info, e ast.Expr) bool {
 // the repo's formatted invariant panics through it; its arguments are just
 // as dead in steady state as a builtin panic's).
 func (hc *hotChecker) isPanicCall(call *ast.CallExpr) bool {
-	isPanicf := func(obj types.Object) bool {
-		fn, ok := obj.(*types.Func)
-		return ok && fn.Name() == "Panicf" && fn.Pkg() != nil && fn.Pkg().Path() == "nectar/internal/sim"
+	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" && hc.info.Types[call.Fun].IsBuiltin() {
+		return true
 	}
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if fun.Name == "panic" && hc.info.Types[call.Fun].IsBuiltin() {
-			return true
-		}
-		return isPanicf(hc.info.Uses[fun]) // bare Panicf(...) inside package sim
-	case *ast.SelectorExpr:
-		return isPanicf(hc.info.Uses[fun.Sel])
-	}
-	return false
+	return calleeID(hc.info, call) == "nectar/internal/sim.Panicf"
 }
 
 // callSignature returns the signature of the called function, nil for

@@ -89,9 +89,11 @@ func newTypesInfo() *types.Info {
 	}
 }
 
-// typecheckFiles parses and type-checks one package's files with imp
-// resolving imports. Soft type errors are collected, not fatal.
-func typecheckFiles(fset *token.FileSet, pkgPath string, filenames []string, imp types.Importer) (*Package, error) {
+// TypecheckFiles parses and type-checks one package's files with imp
+// resolving imports. Soft type errors are collected, not fatal. Both
+// LoadPackages and the analysistest fixture loader check packages
+// through it.
+func TypecheckFiles(fset *token.FileSet, pkgPath string, filenames []string, imp types.Importer) (*Package, error) {
 	files := make([]*ast.File, 0, len(filenames))
 	for _, fn := range filenames {
 		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
@@ -151,7 +153,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 		for i, f := range lp.GoFiles {
 			filenames[i] = filepath.Join(lp.Dir, f)
 		}
-		pkg, err := typecheckFiles(fset, lp.ImportPath, filenames, imp)
+		pkg, err := TypecheckFiles(fset, lp.ImportPath, filenames, imp)
 		if err != nil {
 			return nil, err
 		}

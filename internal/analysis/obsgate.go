@@ -54,19 +54,11 @@ var Obsgate = &Analyzer{
 // guarded.
 const obsPkgPath = "nectar/internal/obs"
 
-// obsTraceMethods are the Observer emission methods gated by Tracing().
-var obsTraceMethods = map[string]bool{
-	"Instant": true, "InstantSeq": true, "InstantArg": true,
-	"Begin": true, "BeginSeq": true, "End": true,
-}
-
-// obsMetricMethods are the always-on metric emission methods (receiver
-// type -> method). Registration surfaces (Registry.Counter/Gauge/
-// Histogram) run once at setup and may format their scope freely.
-var obsMetricMethods = map[string]map[string]bool{
-	"Counter":   {"Inc": true, "Add": true},
-	"Histogram": {"Observe": true},
-}
+// The guard surfaces, by function ID.
+const (
+	obsTracingID    = "(*nectar/internal/obs.Observer).Tracing"
+	obsCaptureLogID = "(*nectar/internal/obs.Observer).CaptureLog"
+)
 
 // obsGuardKind distinguishes the two guard families.
 const (
@@ -170,7 +162,7 @@ func runObsgate(pass *Pass) (any, error) {
 func (oc *obsChecker) checkBody(body *ast.BlockStmt, entry obsFact) {
 	cfg := buildCFG(body)
 	in, reached := solve(cfg, flow[obsFact]{
-		entry:    entry,
+		boundary: entry,
 		join:     obsJoin,
 		equal:    obsEqual,
 		transfer: oc.transfer,
@@ -204,63 +196,40 @@ func (oc *obsChecker) inspect(n ast.Node, f obsFact) {
 	})
 }
 
-// emissionOf classifies call: an Observer trace/capture emission returns
-// (receiver expr, accepted guard keys, "trace"/"capture", true); a
-// metric emission returns (nil, nil, "metric", true).
-func (oc *obsChecker) emissionOf(call *ast.CallExpr) (recv ast.Expr, keys []string, kind string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return nil, nil, "", false
-	}
-	s, isMeth := oc.info.Selections[sel]
-	if !isMeth || s.Obj() == nil || s.Obj().Pkg() == nil || s.Obj().Pkg().Path() != obsPkgPath {
-		return nil, nil, "", false
-	}
-	name := s.Obj().Name()
-	var recvName string // "Observer", "Counter", ...
-	if tn := namedTypeName(s.Recv()); tn != nil {
-		recvName = tn.Name()
-	}
-	switch {
-	case recvName == "Observer" && obsTraceMethods[name]:
-		rk := types.ExprString(sel.X)
-		return sel.X, []string{guardTrace + rk}, "trace", true
-	case recvName == "Observer" && name == "CapturePacket":
-		rk := types.ExprString(sel.X)
-		// Either guard excuses a costly capture argument: tracing implies
-		// the observer is live, and the capture guard is the precise one.
-		return sel.X, []string{guardCapture + rk, guardTrace + rk}, "capture", true
-	case obsMetricMethods[recvName] != nil && obsMetricMethods[recvName][name]:
-		return nil, nil, "metric", true
-	}
-	return nil, nil, "", false
-}
-
-// checkEmission reports costly arguments of an emission that are not
-// covered by the required guard.
+// checkEmission reports costly arguments of a trace, capture or metric
+// emission (emissionSurfaces) that are not covered by the required
+// guard. Registration surfaces (Registry.Counter/Gauge/Histogram) are
+// not emissions: they run once at setup and may format their scope
+// freely.
 func (oc *obsChecker) checkEmission(call *ast.CallExpr, f obsFact) {
-	_, keys, kind, ok := oc.emissionOf(call)
-	if !ok {
+	kind := emissionOf(oc.info, call)
+	sel, ok := unparenIndex(call.Fun).(*ast.SelectorExpr)
+	if !ok || kind != emitTrace && kind != emitCapture && kind != emitMetric {
 		return
 	}
-	sel := call.Fun.(*ast.SelectorExpr)
+	rk := types.ExprString(sel.X)
+	var keys []string // the guards that excuse a costly argument
+	var what, guard string
+	switch kind {
+	case emitTrace:
+		keys, what, guard = []string{guardTrace + rk}, "trace", rk+".Tracing()"
+	case emitCapture:
+		// Either guard excuses a costly capture argument: tracing implies
+		// the observer is live, and the capture guard is the precise one.
+		keys, what, guard = []string{guardCapture + rk, guardTrace + rk}, "capture", rk+".CaptureLog() != nil"
+	}
 	for _, arg := range call.Args {
 		pos, why := oc.costlyArg(arg, f, keys)
 		if why == "" {
 			continue
 		}
-		switch kind {
-		case "metric":
+		if kind == emitMetric {
 			oc.pass.Reportf(pos, "obs metric %s has no disabled state, but its argument %s; "+
 				"precompute at registration time (metrics must stay allocation-free)", sel.Sel.Name, why)
-		default:
-			guard := types.ExprString(sel.X) + ".Tracing()"
-			if kind == "capture" {
-				guard = types.ExprString(sel.X) + ".CaptureLog() != nil"
-			}
+		} else {
 			oc.pass.Reportf(pos, "obs %s %s argument %s outside the %s guard; "+
 				"this code pays the cost even when observability is disabled — move it under the guard branch",
-				kind, sel.Sel.Name, why, guard)
+				what, sel.Sel.Name, why, guard)
 		}
 	}
 }
@@ -369,7 +338,7 @@ func (oc *obsChecker) costlyCall(call *ast.CallExpr) bool {
 		case "strings":
 			return obsCostlyStrings[fun.Sel.Name]
 		}
-		if _, name := recvPkgPath(info, fun); hotpathFmtMethods[name] {
+		if fmtMethod(info, call) != "" {
 			return true
 		}
 	}
@@ -467,9 +436,9 @@ func (oc *obsChecker) assign(f obsFact, lhs, rhs ast.Expr, tok token.Token) obsF
 	out := f.clone()
 	// Reassigning any identifier kills guards keyed on expressions
 	// rooted at it (o = other invalidates "o.Tracing()" knowledge).
-	if root := rootIdent(lhs); root != "" {
+	if root := rootIdent(lhs); root != nil {
 		for k := range out.guards {
-			if guardRoot(k) == root {
+			if guardRoot(k) == root.Name {
 				delete(out.guards, k)
 			}
 		}
@@ -519,7 +488,12 @@ func (oc *obsChecker) assign(f obsFact, lhs, rhs ast.Expr, tok token.Token) obsF
 // guardWitness recognizes rhs expressions that witness a guard:
 // recv.Tracing() and recv.CaptureLog() != nil.
 func (oc *obsChecker) guardWitness(rhs ast.Expr) string {
-	keys := oc.guardsInCond(rhs, true, obsFact{})
+	var keys []string
+	condAtoms(rhs, true, func(e ast.Expr, v bool) {
+		if key := oc.guardKey(e, v, obsFact{}); key != "" {
+			keys = append(keys, key)
+		}
+	})
 	if len(keys) == 1 {
 		return keys[0]
 	}
@@ -528,110 +502,60 @@ func (oc *obsChecker) guardWitness(rhs ast.Expr) string {
 
 // branch refines the fact along the true/false edge of a condition.
 func (oc *obsChecker) branch(cond ast.Expr, takenTrue bool, f obsFact) obsFact {
-	keys := oc.guardsInCond(cond, takenTrue, f)
-	if len(keys) == 0 {
-		return f
-	}
-	out := f.clone()
-	for _, k := range keys {
-		out.guards[k] = true
-	}
+	out, copied := f, false
+	condAtoms(cond, takenTrue, func(e ast.Expr, v bool) {
+		key := oc.guardKey(e, v, f)
+		if key == "" {
+			return
+		}
+		if !copied {
+			out, copied = f.clone(), true
+		}
+		out.guards[key] = true
+	})
 	return out
 }
 
-// guardsInCond decomposes cond into the guard keys established when it
-// evaluates to val. f supplies the bool-witness bindings so that
-// `on := o.Tracing(); if on { ... }` counts as the guard.
-func (oc *obsChecker) guardsInCond(cond ast.Expr, val bool, f obsFact) []string {
-	switch c := cond.(type) {
-	case *ast.ParenExpr:
-		return oc.guardsInCond(c.X, val, f)
-	case *ast.UnaryExpr:
-		if c.Op == token.NOT {
-			return oc.guardsInCond(c.X, !val, f)
-		}
+// guardKey is obsgate's leaf test for condAtoms: the guard key that
+// leaf e evaluating to v establishes, or "". f supplies the bool-witness
+// bindings so that `on := o.Tracing(); if on { ... }` counts as the
+// guard.
+func (oc *obsChecker) guardKey(e ast.Expr, v bool, f obsFact) string {
+	switch e := e.(type) {
 	case *ast.BinaryExpr:
-		switch c.Op {
-		case token.LAND:
-			if val {
-				return append(oc.guardsInCond(c.X, true, f), oc.guardsInCond(c.Y, true, f)...)
-			}
-		case token.LOR:
-			if !val {
-				return append(oc.guardsInCond(c.X, false, f), oc.guardsInCond(c.Y, false, f)...)
-			}
-		case token.NEQ:
-			// recv.CaptureLog() != nil
-			if val {
-				if e, nilSide := nonNilOperand(c); nilSide {
-					if key := oc.captureKey(e); key != "" {
-						return []string{key}
-					}
-				}
-			}
-		case token.EQL:
-			// recv.CaptureLog() == nil establishes the guard on the
-			// *false* edge.
-			if !val {
-				if e, nilSide := nonNilOperand(c); nilSide {
-					if key := oc.captureKey(e); key != "" {
-						return []string{key}
-					}
-				}
+		// recv.CaptureLog() != nil holds on the true edge, == nil on the
+		// false edge.
+		if e.Op == token.NEQ && v || e.Op == token.EQL && !v {
+			if x, nilSide := nonNilOperand(e); nilSide {
+				return oc.guardCall(x, obsCaptureLogID, guardCapture)
 			}
 		}
 	case *ast.CallExpr:
-		if val {
-			if key := oc.tracingKey(c); key != "" {
-				return []string{key}
-			}
+		if v {
+			return oc.guardCall(e, obsTracingID, guardTrace)
 		}
 	case *ast.Ident:
-		if val {
-			if obj := oc.info.Uses[c]; obj != nil {
-				if key, ok := f.wit[obj]; ok {
-					return []string{key}
-				}
+		if v {
+			if obj := oc.info.Uses[e]; obj != nil {
+				return f.wit[obj]
 			}
 		}
 	}
-	return nil
-}
-
-// tracingKey returns the guard key for a recv.Tracing() call.
-func (oc *obsChecker) tracingKey(call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	s, ok := oc.info.Selections[sel]
-	if !ok || s.Obj() == nil || s.Obj().Pkg() == nil {
-		return ""
-	}
-	if s.Obj().Pkg().Path() == obsPkgPath && s.Obj().Name() == "Tracing" {
-		return guardTrace + types.ExprString(sel.X)
-	}
 	return ""
 }
 
-// captureKey returns the guard key for a recv.CaptureLog() call.
-func (oc *obsChecker) captureKey(e ast.Expr) string {
+// guardCall returns the guard key prefix+recv when e is the method call
+// recv.M() of the guard surface id, "" otherwise.
+func (oc *obsChecker) guardCall(e ast.Expr, id, prefix string) string {
 	call, ok := unparenIndex(e).(*ast.CallExpr)
+	if !ok || calleeID(oc.info, call) != id {
+		return ""
+	}
+	sel, ok := unparenIndex(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	s, ok := oc.info.Selections[sel]
-	if !ok || s.Obj() == nil || s.Obj().Pkg() == nil {
-		return ""
-	}
-	if s.Obj().Pkg().Path() == obsPkgPath && s.Obj().Name() == "CaptureLog" {
-		return guardCapture + types.ExprString(sel.X)
-	}
-	return ""
+	return prefix + types.ExprString(sel.X)
 }
 
 // nonNilOperand returns the non-nil operand of a comparison against nil
@@ -644,27 +568,6 @@ func nonNilOperand(c *ast.BinaryExpr) (ast.Expr, bool) {
 		return c.Y, true
 	}
 	return nil, false
-}
-
-// rootIdent returns the leftmost identifier of an lvalue ("l" for
-// l.obs.x, "s" for s[i]), or "".
-func rootIdent(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x.Name
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return ""
-		}
-	}
 }
 
 // guardRoot extracts the root identifier from a guard key ("t:l.obs" ->

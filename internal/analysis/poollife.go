@@ -21,14 +21,14 @@ import (
 //
 // Three checks per function, over the CFGs of cfg.go:
 //
-//   - Leak: a backward must-settle analysis (solveBackward, the dual of
-//     obsgate's forward solve) computes, at every acquire site, whether
-//     the value is settled — released or ownership-transferred — on
-//     every path to a return or panic. Transfers are: storing into a
-//     field/index/global, returning the value, capturing it in a
-//     closure, sending it on a channel, placing it in a composite
-//     literal, appending it to a slice, or passing it to a callee that
-//     either carries //nectar:takes-ownership <param> <reason> or is
+//   - Leak: a backward must-settle analysis (dataflow.go's solve run
+//     backward) computes, at every acquire site, whether the value is
+//     settled — released or ownership-transferred — on every path to a
+//     return or panic. Transfers are: storing into a field/index/
+//     global, returning the value, capturing it in a closure, sending
+//     it on a channel, placing it in a composite literal, appending it
+//     to a slice, or passing it to a callee that either carries
+//     //nectar:takes-ownership <param> <reason> or is
 //     outside the analyzed program (dynamic calls, interface methods,
 //     externals). A call to an in-program function NOT so annotated is
 //     a borrow: the obligation stays with the caller. The conditional
@@ -251,8 +251,9 @@ func (pc *plChecker) checkFunc(body *ast.BlockStmt, owned []*ast.Ident) {
 // checkLeaks runs the backward must-settle analysis and reports every
 // obligation that can reach a function exit unsettled.
 func (pc *plChecker) checkLeaks(cfg *CFG, acquires map[ast.Node][]*plAcquire, seeds []types.Object, seedPos map[types.Object]token.Pos) {
-	out, reached := solveBackward(cfg, backflow[plSet]{
-		exit:     plSet{},
+	out, reached := solve(cfg, flow[plSet]{
+		backward: true,
+		boundary: plSet{},
 		join:     plSetJoin,
 		equal:    maps.Equal[plSet, plSet],
 		transfer: pc.settleTransfer,
@@ -311,7 +312,7 @@ func (pc *plChecker) checkReleases(cfg *CFG, seeds []types.Object) {
 		entry[obj] = plHeld
 	}
 	in, reached := solve(cfg, flow[plState]{
-		entry:    entry,
+		boundary: entry,
 		join:     plStateJoin,
 		equal:    maps.Equal[plState, plState],
 		transfer: func(n ast.Node, f plState) plState { return pc.stateTransfer(n, f, false) },
@@ -455,28 +456,18 @@ func (pc *plChecker) settleBranch(cond ast.Expr, takenTrue bool, f plSet) plSet 
 }
 
 // falseCondVars returns the variables known false when cond evaluates
-// to val: `ok` (val false), `!ok` (val true), and both arms of an ||
-// on its false edge.
+// to val: poollife's leaf test for condAtoms is a bare identifier
+// evaluating to false (`ok` on the false edge, `!ok` on the true edge).
 func falseCondVars(info *types.Info, cond ast.Expr, val bool) []types.Object {
-	switch c := cond.(type) {
-	case *ast.Ident:
-		if !val {
-			if obj := identVar(info, c); obj != nil {
-				return []types.Object{obj}
+	var objs []types.Object
+	condAtoms(cond, val, func(e ast.Expr, v bool) {
+		if id, ok := e.(*ast.Ident); ok && !v {
+			if obj := identVar(info, id); obj != nil {
+				objs = append(objs, obj)
 			}
 		}
-	case *ast.ParenExpr:
-		return falseCondVars(info, c.X, val)
-	case *ast.UnaryExpr:
-		if c.Op == token.NOT {
-			return falseCondVars(info, c.X, !val)
-		}
-	case *ast.BinaryExpr:
-		if c.Op == token.LOR && !val {
-			return append(falseCondVars(info, c.X, false), falseCondVars(info, c.Y, false)...)
-		}
-	}
-	return nil
+	})
+	return objs
 }
 
 // nodeEvents extracts (and caches) the lifecycle events of one CFG
@@ -532,7 +523,7 @@ func (pc *plChecker) nodeEvents(n ast.Node) *plEvents {
 	var walk func(x ast.Node)
 
 	settleRoot := func(e ast.Expr) {
-		if obj := rootIdentVar(info, e, nil); obj != nil {
+		if obj := identVar(info, rootIdent(e)); obj != nil {
 			ev.settles = append(ev.settles, obj)
 		}
 	}
@@ -688,24 +679,22 @@ func (pc *plChecker) nodeEvents(n ast.Node) *plEvents {
 				}
 				continue
 			}
-			lroot := rootIdentVar(info, lhs, nil)
+			lroot := identVar(info, rootIdent(lhs))
 			rhs := as.Rhs
 			if paired {
 				rhs = as.Rhs[i : i+1]
 			}
 			for _, r := range rhs {
-				if obj := rootIdentVar(info, r, nil); obj != nil && obj != lroot {
+				if obj := identVar(info, rootIdent(r)); obj != nil && obj != lroot {
 					ev.settles = append(ev.settles, obj)
 				}
 			}
 		}
 		if len(as.Rhs) == 1 {
 			if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
-				if fn := calleeFunc(info, call); fn != nil {
-					if spec, ok := plAcquires[funcID(fn)]; ok {
-						handled[call] = true
-						acquireCall(call, spec, as.Lhs)
-					}
+				if spec, ok := plAcquires[calleeID(info, call)]; ok {
+					handled[call] = true
+					acquireCall(call, spec, as.Lhs)
 				}
 			}
 		}
@@ -751,15 +740,13 @@ func (pc *plChecker) nodeEvents(n ast.Node) *plEvents {
 				}
 				if len(x.Values) == 1 {
 					if call, ok := x.Values[0].(*ast.CallExpr); ok {
-						if fn := calleeFunc(info, call); fn != nil {
-							if spec, ok := plAcquires[funcID(fn)]; ok {
-								handled[call] = true
-								lhs := make([]ast.Expr, len(x.Names))
-								for i, id := range x.Names {
-									lhs[i] = id
-								}
-								acquireCall(call, spec, lhs)
+						if spec, ok := plAcquires[calleeID(info, call)]; ok {
+							handled[call] = true
+							lhs := make([]ast.Expr, len(x.Names))
+							for i, id := range x.Names {
+								lhs[i] = id
 							}
+							acquireCall(call, spec, lhs)
 						}
 					}
 				}
@@ -771,7 +758,7 @@ func (pc *plChecker) nodeEvents(n ast.Node) *plEvents {
 				callEvents(x)
 				return false
 			case *ast.SendStmt:
-				if obj := rootIdentVar(info, x.Value, nil); obj != nil {
+				if obj := identVar(info, rootIdent(x.Value)); obj != nil {
 					ev.settles = append(ev.settles, obj)
 				}
 			case *ast.ReturnStmt:
@@ -803,7 +790,7 @@ func (pc *plChecker) nodeEvents(n ast.Node) *plEvents {
 func (pc *plChecker) escapeArgs(call *ast.CallExpr, ev *plEvents) {
 	info := pc.pass.TypesInfo
 	for _, a := range call.Args {
-		if obj := rootIdentVar(info, a, nil); obj != nil {
+		if obj := identVar(info, rootIdent(a)); obj != nil {
 			ev.settles = append(ev.settles, obj)
 		}
 	}
@@ -862,22 +849,6 @@ func directLits(body *ast.BlockStmt) []*ast.FuncLit {
 	return lits
 }
 
-// calleeFunc resolves a call's static callee, nil for dynamic calls
-// and builtins.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparenIndex(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
-}
-
 // paramNames returns fd's parameter names in declaration order,
 // expanding grouped parameters (a, b int).
 func paramNames(fd *ast.FuncDecl) []string {
@@ -912,7 +883,8 @@ func plainIdent(e ast.Expr) (*ast.Ident, bool) {
 }
 
 // identVar resolves an identifier to the local/parameter variable it
-// names, nil for anything else (fields, package names, functions).
+// names, nil for anything else (fields, package names, functions) and
+// for a nil id.
 func identVar(info *types.Info, id *ast.Ident) types.Object {
 	obj := info.Uses[id]
 	if obj == nil {
@@ -922,33 +894,4 @@ func identVar(info *types.Info, id *ast.Ident) types.Object {
 		return v
 	}
 	return nil
-}
-
-// rootIdentVar resolves the leftmost identifier of an expression (x for
-// x.f, x[i], x[:n], &x, *x) to its variable. skip, when non-nil, marks
-// the root identifier so the generic use scan ignores it.
-func rootIdentVar(info *types.Info, e ast.Expr, skip map[*ast.Ident]bool) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			if skip != nil {
-				skip[x] = true
-			}
-			return identVar(info, x)
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

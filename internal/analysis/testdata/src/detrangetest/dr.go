@@ -35,6 +35,12 @@ func outboxFromMap(src, dst *sim.Domain, pending map[sim.Time]func()) {
 	}
 }
 
+func sizedOutboxFromMap(src, dst *sim.Domain, pending map[sim.Time]func()) {
+	for at, fn := range pending {
+		src.SendSized(dst, at, 64, fn) // want `sim\.SendSized emits order-sensitive output`
+	}
+}
+
 func captureFromMap(o *obs.Observer, frames map[string][]byte) {
 	for link, f := range frames {
 		o.CapturePacket(link, f, false, false) // want `obs\.CapturePacket emits order-sensitive output`

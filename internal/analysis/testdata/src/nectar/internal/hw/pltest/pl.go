@@ -63,6 +63,17 @@ func refinedGuardedRelease(fl *pool.FreeList[[]byte]) {
 	}
 }
 
+func refinedConjunction(fl *pool.FreeList[[]byte], n int) {
+	b, ok := fl.Get()
+	if !ok && n > 0 {
+		return // ok is false on the true edge of !ok && n > 0
+	}
+	if !ok {
+		return
+	}
+	fl.Put(b)
+}
+
 // --- ownership transfers ---
 
 type holder struct{ pkt *fiber.Packet }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"nectar"
@@ -176,11 +177,43 @@ func runPdesFlows(cost *model.CostModel, shards, nodes, perFlow, msgBytes int, a
 		ns[i] = cl.AddNode()
 	}
 
-	ends := make([]sim.Time, nFlows)
-	done := make([]bool, nFlows)
+	ends, err := driveRMPFlows(cl, func(i int) *nectar.Node { return ns[i] }, routes, perFlow, msgBytes, "pdes")
+	if err != nil {
+		return nil, err
+	}
+	metrics := cl.MetricsSnapshot().JSON()
+	wall := time.Since(start).Seconds() //nectar:allow-walltime measures the run's real wall clock for BENCH_pdes.json
+	windows := cl.Windows()
+	profile := cl.ProfileReport()
+	var events uint64
+	for _, k := range cl.Kernels() {
+		events += k.Dispatched()
+	}
+	virtual := cl.Now()
+
+	table := fmt.Sprintf("%6s %10s %12s %12s\n", "flow", "route", "done(us)", "Mbit/s")
 	for fi := 0; fi < nFlows; fi++ {
-		fi, src, dst := fi, ns[routes[fi][0]], ns[routes[fi][1]]
-		sink := dst.Mailboxes.Create(fmt.Sprintf("pdes.flow%d", fi))
+		table += fmt.Sprintf("%6d %7d->%d %12.1f %12.1f\n",
+			fi, routes[fi][0], routes[fi][1], ends[fi].Micros(),
+			mbps(perFlow*msgBytes, sim.Duration(ends[fi])))
+	}
+	return &pdesFlowResult{table: table, metrics: metrics, wallS: wall, windows: windows,
+		events: events, virtual: virtual, profile: profile}, nil
+}
+
+// driveRMPFlows runs one RMP flow per route, src -> dst, to completion:
+// each flow's dst drains perFlow messages from a fresh sink mailbox
+// named <label>.flow<i> while its src blasts them, msgBytes each. It
+// returns each flow's virtual completion time. label also prefixes the
+// failure diagnostics.
+func driveRMPFlows(cl *nectar.Cluster, node func(int) *nectar.Node, routes [][2]int, perFlow, msgBytes int, label string) ([]sim.Time, error) {
+	ends := make([]sim.Time, len(routes))
+	// One done flag per flow: the drains run on their shards' goroutines,
+	// so a shared counter would race.
+	done := make([]bool, len(routes))
+	for fi, r := range routes {
+		src, dst := node(r[0]), node(r[1])
+		sink := dst.Mailboxes.Create(fmt.Sprintf("%s.flow%d", label, fi))
 		sink.SetCapacity(wire.MaxPayload * 4)
 		addr := wire.MailboxAddr{Node: dst.ID, Box: sink.ID()}
 		dst.CAB.Sched.Fork("drain", threads.SystemPriority, func(th *threads.Thread) {
@@ -201,46 +234,20 @@ func runPdesFlows(cost *model.CostModel, shards, nodes, perFlow, msgBytes int, a
 			for s := 0; s < perFlow; s++ {
 				payload[0] = byte(s)
 				if st := src.Transports.RMP.SendBlocking(ctx, addr, 0, payload); st != 1 {
-					sim.Panicf("pdes flow %d send %d failed: status %d", fi, s, st)
+					sim.Panicf("%s flow %d send %d failed: status %d", label, fi, s, st)
 				}
 			}
 		})
 	}
-
-	allDone := func() bool {
-		for _, d := range done {
-			if !d {
-				return false
-			}
-		}
-		return true
-	}
-	for !allDone() {
+	for slices.Contains(done, false) {
 		if err := cl.RunFor(sim.Millisecond); err != nil {
 			return nil, err
 		}
 		if sim.Duration(cl.Now()) > maxVirtual {
-			return nil, fmt.Errorf("pdes: workload exceeded %v of virtual time", maxVirtual)
+			return nil, fmt.Errorf("%s: workload exceeded %v of virtual time", label, maxVirtual)
 		}
 	}
-	metrics := cl.MetricsSnapshot().JSON()
-	wall := time.Since(start).Seconds() //nectar:allow-walltime measures the run's real wall clock for BENCH_pdes.json
-	windows := cl.Windows()
-	profile := cl.ProfileReport()
-	var events uint64
-	for _, k := range cl.Kernels() {
-		events += k.Dispatched()
-	}
-	virtual := cl.Now()
-
-	table := fmt.Sprintf("%6s %10s %12s %12s\n", "flow", "route", "done(us)", "Mbit/s")
-	for fi := 0; fi < nFlows; fi++ {
-		table += fmt.Sprintf("%6d %7d->%d %12.1f %12.1f\n",
-			fi, routes[fi][0], routes[fi][1], ends[fi].Micros(),
-			mbps(perFlow*msgBytes, sim.Duration(ends[fi])))
-	}
-	return &pdesFlowResult{table: table, metrics: metrics, wallS: wall, windows: windows,
-		events: events, virtual: virtual, profile: profile}, nil
+	return ends, nil
 }
 
 // Pdes runs the sharded-execution experiment: a 2*shards-node cluster

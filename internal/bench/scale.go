@@ -11,9 +11,6 @@ import (
 	"nectar"
 	"nectar/internal/fabric"
 	"nectar/internal/model"
-	"nectar/internal/proto/wire"
-	"nectar/internal/rt/exec"
-	"nectar/internal/rt/threads"
 	"nectar/internal/sim"
 )
 
@@ -157,10 +154,9 @@ func runScaleLeg(cost *model.CostModel, sp scaleSpec, flows [][2]int, shards int
 	buildStart := time.Now() //nectar:allow-walltime measures fabric build time for BENCH_scale.json
 
 	cl := nectar.NewCluster(&cfg)
-	ns := make(map[int]*nectar.Node, 2*len(flows))
 	for _, f := range flows {
-		ns[f[0]] = cl.Node(f[0])
-		ns[f[1]] = cl.Node(f[1])
+		cl.Node(f[0])
+		cl.Node(f[1])
 	}
 
 	buildS := time.Since(buildStart).Seconds() //nectar:allow-walltime measures fabric build time for BENCH_scale.json
@@ -173,52 +169,9 @@ func runScaleLeg(cost *model.CostModel, sp scaleSpec, flows [][2]int, shards int
 	}
 
 	start := time.Now() //nectar:allow-walltime measures the run's real wall clock for BENCH_scale.json
-	ends := make([]sim.Time, len(flows))
-	done := make([]bool, len(flows))
-	for fi, f := range flows {
-		fi, src, dst := fi, ns[f[0]], ns[f[1]]
-		sink := dst.Mailboxes.Create(fmt.Sprintf("scale.flow%d", fi))
-		sink.SetCapacity(wire.MaxPayload * 4)
-		addr := wire.MailboxAddr{Node: dst.ID, Box: sink.ID()}
-		dst.CAB.Sched.Fork("drain", threads.SystemPriority, func(th *threads.Thread) {
-			ctx := exec.OnCAB(th)
-			for n := 0; n < sp.perFlow; n++ {
-				m := sink.BeginGet(ctx)
-				sink.EndGet(ctx, m)
-			}
-			ends[fi] = th.Now()
-			done[fi] = true
-		})
-		src.CAB.Sched.Fork("blast", threads.SystemPriority, func(th *threads.Thread) {
-			ctx := exec.OnCAB(th)
-			payload := make([]byte, sp.msgBytes)
-			for i := range payload {
-				payload[i] = byte(i * (fi + 3))
-			}
-			for s := 0; s < sp.perFlow; s++ {
-				payload[0] = byte(s)
-				if st := src.Transports.RMP.SendBlocking(ctx, addr, 0, payload); st != 1 {
-					sim.Panicf("scale flow %d send %d failed: status %d", fi, s, st)
-				}
-			}
-		})
-	}
-
-	allDone := func() bool {
-		for _, d := range done {
-			if !d {
-				return false
-			}
-		}
-		return true
-	}
-	for !allDone() {
-		if err := cl.RunFor(sim.Millisecond); err != nil {
-			return nil, err
-		}
-		if sim.Duration(cl.Now()) > maxVirtual {
-			return nil, fmt.Errorf("scale: workload exceeded %v of virtual time", maxVirtual)
-		}
+	ends, err := driveRMPFlows(cl, cl.Node, flows, sp.perFlow, sp.msgBytes, "scale")
+	if err != nil {
+		return nil, err
 	}
 	wallS := time.Since(start).Seconds() //nectar:allow-walltime measures the run's real wall clock for BENCH_scale.json
 

@@ -324,9 +324,10 @@ type Profile struct {
 	drainInj   []uint64 // per source shard
 	drainBytes []uint64 // per source shard
 
-	winSpan   Hist // safe-window width beyond the earliest event, virtual ns
-	lookahead Hist // per-gateway min over dst of EarliestOutputTo(dst, act) - act, virtual ns
-	winEvents Hist // kernel dispatches per window
+	winSpan   Hist   // safe-window width beyond the earliest event, virtual ns
+	lookahead Hist   // per-gateway min over dst of EarliestOutputTo(dst, act) - act, virtual ns
+	unbounded uint64 // gateway evaluations that bound no other domain
+	winEvents Hist   // kernel dispatches per window
 }
 
 // New creates a profile for a coupling of the given shard count.
@@ -426,6 +427,17 @@ func (p *Profile) Lookahead(ns int64) {
 		return
 	}
 	p.lookahead.Observe(ns)
+}
+
+// UnboundedGateway counts one gateway evaluation during window
+// selection that bounds no other domain: its earliest output to every
+// other domain is MaxTime (declared flows keep all its peers local), so
+// it has no finite lookahead to record.
+func (p *Profile) UnboundedGateway() {
+	if p == nil {
+		return
+	}
+	p.unbounded++
 }
 
 // Barrier accrues one publish-and-await phase that started at t0 and
@@ -555,6 +567,10 @@ type Report struct {
 	WindowSpanUS    HistStats `json:"window_span_us"`
 	LookaheadUS     HistStats `json:"lookahead_us"`
 	EventsPerWindow HistStats `json:"events_per_window"`
+	// UnboundedGateways counts the gateway evaluations that bounded no
+	// other domain and so added no lookahead sample. Under declared flows
+	// with flow-affinity partitioning every evaluation is unbounded.
+	UnboundedGateways uint64 `json:"unbounded_gateways"`
 
 	// VirtualNS is the virtual time the profiled runs covered, filled by
 	// the embedder; it turns the window count into a rate (windows per
@@ -594,9 +610,10 @@ func (p *Profile) Report() *Report {
 			BarrierSeconds:   float64(p.barrierNs) / nsPerSec,
 			DrainSeconds:     float64(p.drainNs) / nsPerSec,
 		},
-		WindowSpanUS:    p.winSpan.Stats(1e3),
-		LookaheadUS:     p.lookahead.Stats(1e3),
-		EventsPerWindow: p.winEvents.Stats(1),
+		WindowSpanUS:      p.winSpan.Stats(1e3),
+		LookaheadUS:       p.lookahead.Stats(1e3),
+		EventsPerWindow:   p.winEvents.Stats(1),
+		UnboundedGateways: p.unbounded,
 	}
 	var inlineTotal int64
 	var busyMax, busySum int64
@@ -743,6 +760,9 @@ func (r *Report) Check(minAccounted float64) error {
 	if r.Windows == 0 {
 		return fmt.Errorf("prof: windows = 0, want > 0")
 	}
+	if r.LookaheadUS.Count == 0 && r.UnboundedGateways == 0 {
+		return fmt.Errorf("prof: %d windows but no gateway evaluations (lookahead_us.count = 0, unbounded_gateways = 0)", r.Windows)
+	}
 	if r.MultiWindows+r.InlineWindows > r.Windows {
 		return fmt.Errorf("prof: multi (%d) + inline (%d) windows exceed total %d",
 			r.MultiWindows, r.InlineWindows, r.Windows)
@@ -825,6 +845,7 @@ func (r *Report) FormatHistograms() string {
 	b.WriteString("window distributions\n")
 	line("window span", "us virtual", r.WindowSpanUS)
 	line("gateway lookahead", "us virtual", r.LookaheadUS)
+	fmt.Fprintf(&b, "  %-18s n=%d (bound no other domain)\n", "unbounded gateways", r.UnboundedGateways)
 	line("events/window", "events", r.EventsPerWindow)
 	if r.Windows > 0 {
 		mean := 0.0

@@ -145,6 +145,7 @@ func TestNilCollectorsZeroCost(t *testing.T) {
 		p.Choose(0, 10, 2)
 		p.ChooseAbort(0)
 		p.Lookahead(700)
+		p.UnboundedGateway()
 		p.Barrier(0)
 		p.Inline(0, 0, 1)
 		p.WindowEvents(4)
@@ -173,6 +174,7 @@ func TestEnabledHotPathZeroAlloc(t *testing.T) {
 		w.Compute(t1, 2)
 		tc := p.Now()
 		p.Lookahead(700)
+		p.UnboundedGateway()
 		p.Choose(tc, 1000, 2)
 		p.WindowEvents(4)
 		tb := p.Now()
@@ -299,6 +301,7 @@ func TestReportCheckRejects(t *testing.T) {
 		{"no windows", func(r *Report) { r.Windows = 0 }, "windows"},
 		{"window overflow", func(r *Report) { r.InlineWindows = r.Windows + 1 }, "exceed total"},
 		{"span count", func(r *Report) { r.WindowSpanUS.Count++ }, "window_span_us"},
+		{"no gateway evaluations", func(r *Report) { r.LookaheadUS = HistStats{} }, "unbounded_gateways"},
 		{"event mismatch", func(r *Report) { r.PerShard[0].Events++ }, "events"},
 		{"dispatch bound", func(r *Report) { r.KernelDispatches = 1 }, "dispatches"},
 	}
@@ -317,6 +320,18 @@ func TestReportCheckRejects(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestReportCheckUnboundedOnly: a run whose gateways never bound another
+// domain (declared flows, flow-affinity partition) records no lookahead
+// samples, only unbounded evaluations, and is still consistent.
+func TestReportCheckUnboundedOnly(t *testing.T) {
+	r := driveProfile().Report()
+	r.LookaheadUS = HistStats{}
+	r.UnboundedGateways = 4
+	if err := r.Check(0.5); err != nil {
+		t.Errorf("Check rejected an unbounded-only report: %v", err)
 	}
 }
 

@@ -548,8 +548,12 @@ func (c *Coupling) run(horizon Time, drain bool) error {
 						emin = e
 					}
 				}
-				if c.pr != nil && act < MaxTime && emin < MaxTime {
-					c.pr.Lookahead(int64(emin - act))
+				if c.pr != nil && act < MaxTime {
+					if emin < MaxTime {
+						c.pr.Lookahead(int64(emin - act))
+					} else {
+						c.pr.UnboundedGateway()
+					}
 				}
 			}
 		}
