@@ -183,7 +183,7 @@ func (l *Link) SendAt(pkt *Packet, t sim.Time) {
 			l.crossSent++
 			l.gwPending = append(l.gwPending, gwFrame{start: start, dst: int32(dstDom)})
 			l.k.At(start, func() {
-				l.gwPending = l.gwPending[1:]
+				l.gwPending = sim.PopFront(l.gwPending)
 				l.dst.PacketArriving(pkt, end)
 			})
 			return

@@ -131,7 +131,7 @@ func (l *Layer) rxThread(t *threads.Thread) {
 			l.rxCond.Wait(t, l.rxMu)
 		}
 		item := l.rxQ[0]
-		l.rxQ = l.rxQ[1:]
+		l.rxQ = sim.PopFront(l.rxQ)
 		l.rxMu.Unlock(t)
 		if item.run != nil {
 			item.run(t)

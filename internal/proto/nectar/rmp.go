@@ -264,7 +264,7 @@ func seqLT32(a, b uint32) bool { return int32(a-b) < 0 }
 // completeHead finishes the head-of-line request with status st.
 func (r *RMP) completeHead(ctx exec.Context, p *rmpPeer, st uint32) {
 	req := p.pending[0]
-	p.pending = p.pending[1:]
+	p.pending = sim.PopFront(p.pending)
 	if p.inFlight > 0 {
 		p.inFlight--
 	}

@@ -225,7 +225,7 @@ func (ln *Listener) Accept(ctx exec.Context) *Conn {
 		ln.cond.Wait(ctx.T, ln.mu)
 	}
 	c := ln.backlog[0]
-	ln.backlog = ln.backlog[1:]
+	ln.backlog = sim.PopFront(ln.backlog)
 	ln.mu.Unlock(ctx.T)
 	return c
 }
@@ -596,7 +596,7 @@ func (t *Layer) timerThread(th *threads.Thread) {
 			t.timerCond.Wait(th, t.timerMu)
 		}
 		ev := t.timerQ[0]
-		t.timerQ = t.timerQ[1:]
+		t.timerQ = sim.PopFront(t.timerQ)
 		t.timerMu.Unlock(th)
 		c := ev.c
 
@@ -792,7 +792,7 @@ func (c *Conn) processSegment(ctx exec.Context, h wire.TCPHeader, payload []byte
 			if !seqLEQ(end, c.sndUna) {
 				break
 			}
-			c.retransQ = c.retransQ[1:]
+			c.retransQ = sim.PopFront(c.retransQ)
 			if s.sentAt != 0 {
 				t.ackRTT.Observe(sim.Duration(t.now() - s.sentAt))
 			}

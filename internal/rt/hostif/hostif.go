@@ -103,7 +103,7 @@ func (f *IF) cabISR(t *threads.Thread) {
 	}
 	for len(f.cabQ) > 0 {
 		req := f.cabQ[0]
-		f.cabQ = f.cabQ[1:]
+		f.cabQ = sim.PopFront(f.cabQ)
 		t.Compute(1 * sim.Microsecond) // dequeue and dispatch
 		f.doorbellH.Observe(sim.Duration(f.k.Now() - req.at))
 		req.fn(t)
@@ -121,7 +121,7 @@ func (f *IF) hostISR(t *threads.Thread) {
 	t.Compute(f.cost.HostInterrupt)
 	for len(f.hostQ) > 0 {
 		hc := f.hostQ[0]
-		f.hostQ = f.hostQ[1:]
+		f.hostQ = sim.PopFront(f.hostQ)
 		t.Compute(1 * sim.Microsecond)
 		hc.wakeAll()
 	}

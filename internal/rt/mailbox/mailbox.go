@@ -436,7 +436,7 @@ func (mb *Mailbox) BeginGetNB(ctx exec.Context) *Msg {
 }
 
 // pop dequeues the head message and records queue-wait and trace
-// observability. The queue reslice does not allocate.
+// observability.
 //
 //nectar:hotpath
 func (mb *Mailbox) pop() *Msg {
@@ -444,7 +444,7 @@ func (mb *Mailbox) pop() *Msg {
 		return nil
 	}
 	m := mb.queue[0]
-	mb.queue = mb.queue[1:]
+	mb.queue = sim.PopFront(mb.queue)
 	mb.queued -= m.n
 	m.state = stateHeld
 	mb.gets++

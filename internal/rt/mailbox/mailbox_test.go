@@ -468,3 +468,28 @@ func TestLookup(t *testing.T) {
 		t.Errorf("Addr = %v", mb.Addr())
 	}
 }
+
+// TestWarmPutGetAllocs guards a warm put/get cycle on a CAB mailbox. The
+// queue keeps its capacity when it drains (sim.PopFront), so the cycle
+// allocates only the message record; a queue that reallocates on every
+// put adds one more.
+func TestWarmPutGetAllocs(t *testing.T) {
+	r := newRig(t)
+	mb := r.rt.Create("box")
+	var allocs float64
+	r.c.Sched.Fork("putget", threads.SystemPriority, func(th *threads.Thread) {
+		ctx := exec.OnCAB(th)
+		cycle := func() {
+			mb.EndPut(ctx, mb.BeginPut(ctx, 64))
+			mb.EndGet(ctx, mb.BeginGet(ctx))
+		}
+		for i := 0; i < 64; i++ {
+			cycle()
+		}
+		allocs = testing.AllocsPerRun(200, cycle)
+	})
+	r.run(t)
+	if allocs > 1 {
+		t.Errorf("warm put/get allocates %.1f allocs/cycle, want at most 1", allocs)
+	}
+}

@@ -9,6 +9,13 @@
 // sim kernel: threads charge CPU time explicitly with Compute, and a full
 // context switch costs the paper's measured 20 µs (model.CostModel).
 //
+// A Compute is a slice: an event at its end, then a wake-up of the
+// thread's Proc. When no event is queued before the slice would end, and
+// no higher-priority thread is ready, nothing can preempt it, so Compute
+// charges the time and moves the clock in place (sim.Kernel.Advance)
+// without either event. Virtual time and CPU accounting are the same
+// both ways; only the kernel's event count differs.
+//
 // One Sched instance models one CPU (a CAB's SPARC, or a host's CPU). All
 // scheduler state is manipulated from kernel context or from the currently
 // running thread, so no Go-level locking is required.
@@ -297,7 +304,10 @@ func (t *Thread) CPUTime() sim.Duration { return t.cpuTime }
 
 // Compute consumes d of CPU time. The thread may be preempted by
 // higher-priority threads or interrupts and resumed; Compute returns only
-// after the full demand has been consumed.
+// after the full demand has been consumed. When nothing can run before
+// now+d (no higher-priority thread is ready and sim.Kernel.Advance finds
+// the queue clear past now+d), the demand is consumed in place and
+// Compute returns without suspending.
 //
 //nectar:hotpath
 func (t *Thread) Compute(d sim.Duration) {
@@ -306,13 +316,21 @@ func (t *Thread) Compute(d sim.Duration) {
 	}
 	s := t.sched
 	t.assertRunning("Compute")
-	t.remaining = d
-	if s.preemptible(t) {
+	switch {
+	case s.preemptible(t):
 		// A higher-priority thread became ready while we ran in zero time
 		// (e.g. we just woke it): give up the CPU before computing.
+		t.remaining = d
 		s.requeue(t)
 		s.startSwitch(s.pop())
-	} else {
+	case s.k.Advance(d):
+		// Nothing can run before now+d: the slice's end and the wake-up
+		// would be the next two events, so consume the demand in place.
+		t.cpuTime += d
+		s.busyTime += d
+		return
+	default:
+		t.remaining = d
 		s.beginSlice(t)
 	}
 	t.proc.Suspend()

@@ -787,7 +787,9 @@ func TestInterruptHandlerBlockNamesSource(t *testing.T) {
 }
 
 // TestZeroAllocComputeSlice guards a thread's compute slice: the slice
-// timer, the wake-up and the Proc switch back must not allocate.
+// timer, the wake-up and the Proc switch back must not allocate. A ticker
+// keeps an event queued inside every slice, so no Compute can advance the
+// clock in place and each one takes the slice path.
 func TestZeroAllocComputeSlice(t *testing.T) {
 	k, s := testSched(t)
 	s.Fork("worker", AppPriority, func(th *Thread) {
@@ -795,8 +797,18 @@ func TestZeroAllocComputeSlice(t *testing.T) {
 			th.Compute(10 * sim.Microsecond)
 		}
 	})
+	var ticks, inSlice int
+	var tick func()
+	tick = func() {
+		ticks++
+		if s.sliceTimer.Pending() {
+			inSlice++
+		}
+		k.After(3*sim.Microsecond, tick)
+	}
+	k.After(sim.Microsecond, tick)
 	slice := func() {
-		if err := k.RunFor(10 * sim.Microsecond); err != nil {
+		if err := k.RunFor(30 * sim.Microsecond); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -805,6 +817,76 @@ func TestZeroAllocComputeSlice(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, slice); got != 0 {
 		t.Errorf("compute slice allocates %.1f allocs/op, want 0", got)
+	}
+	// Without the ticker, two of the three Computes in each 30 µs round
+	// would advance in place. With it, most ticks find a slice running.
+	if ticks == 0 || inSlice*2 < ticks {
+		t.Errorf("%d of %d ticks found a compute slice in progress, want most", inSlice, ticks)
+	}
+}
+
+// TestZeroAllocComputeInline guards the inline path: a thread whose
+// Compute finds nothing queued before its end advances the clock in
+// place, and that must not allocate either.
+func TestZeroAllocComputeInline(t *testing.T) {
+	k, s := testSched(t)
+	th := s.Fork("worker", AppPriority, func(w *Thread) {
+		for {
+			w.Compute(sim.Microsecond)
+		}
+	})
+	round := func() {
+		if err := k.RunFor(10 * sim.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	before, cpu := k.Dispatched(), th.CPUTime()
+	if got := testing.AllocsPerRun(200, round); got != 0 {
+		t.Errorf("inline compute allocates %.1f allocs/op, want 0", got)
+	}
+	// 201 rounds of 10 µs at 1 µs per Compute: each round ends in one
+	// slice (its sliceDone and wake-up are the round's only events), and
+	// the other nine Computes advance in place.
+	if got := k.Dispatched() - before; got > 201*2 {
+		t.Errorf("dispatched %d events in 201 rounds, want at most %d", got, 201*2)
+	}
+	if got, want := th.CPUTime()-cpu, 201*10*sim.Microsecond; got != want {
+		t.Errorf("CPU time charged = %v, want %v", got, want)
+	}
+}
+
+// TestReadyBeforeComputePreempts: a higher-priority thread readied while
+// the running thread is in zero time takes the CPU at the runner's next
+// Compute, even though no event is queued that would stop the Compute
+// from advancing the clock in place.
+func TestReadyBeforeComputePreempts(t *testing.T) {
+	k, s := zeroCostSched()
+	var trace []string
+	sys := s.Fork("sys", SystemPriority, func(th *Thread) {
+		th.Block("wait")
+		trace = append(trace, fmt.Sprintf("sys-start@%v", th.Now()))
+		th.Compute(40 * sim.Microsecond)
+		trace = append(trace, fmt.Sprintf("sys-end@%v", th.Now()))
+	})
+	s.Fork("app", AppPriority, func(th *Thread) {
+		sys.Unblock()
+		if n := k.PendingEvents(); n != 0 {
+			t.Errorf("%d events queued at the Compute, want 0", n)
+		}
+		th.Compute(100 * sim.Microsecond)
+		trace = append(trace, fmt.Sprintf("app-end@%v", th.Now()))
+	})
+	mustRun(t, k)
+	want := []string{
+		"sys-start@0.000us",
+		"sys-end@40.000us",
+		"app-end@140.000us",
+	}
+	if !reflect.DeepEqual(trace, want) {
+		t.Errorf("trace = %v\nwant %v", trace, want)
 	}
 }
 

@@ -229,7 +229,7 @@ func (p *Proc) Wait(s *Signal) {
 func (s *Signal) Signal() {
 	if len(s.waiters) > 0 {
 		p := s.waiters[0]
-		s.waiters = popFront(s.waiters)
+		s.waiters = PopFront(s.waiters)
 		p.Resume()
 	}
 }
@@ -237,10 +237,11 @@ func (s *Signal) Signal() {
 // HasWaiters reports whether any proc is waiting on s.
 func (s *Signal) HasWaiters() bool { return len(s.waiters) > 0 }
 
-// popFront removes q[0] and shifts the rest down, so a FIFO wait queue
-// keeps its capacity: a queue drained and refilled never reallocates, as
-// one whose head creeps forward with q[1:] does.
-func popFront[T any](q []T) []T {
+// PopFront removes q[0] and shifts the rest down, so a FIFO queue keeps
+// its capacity: a queue drained and refilled never reallocates, as one
+// whose head creeps forward with q[1:] does (once such a queue drains, its
+// capacity is 0 and the next append allocates). q must not be empty.
+func PopFront[T any](q []T) []T {
 	n := copy(q, q[1:])
 	var zero T
 	q[n] = zero

@@ -44,6 +44,30 @@
 // pop order — and therefore every simulation result — is byte-identical to
 // the previous container/heap implementation (see the determinism tests;
 // the Baseline* benchmarks measure the speedup against it).
+//
+// # Inline advance
+//
+// A Proc that consumes d of CPU time would schedule an event at now+d and
+// block until it wakes. Advance lets it move the clock to now+d in place
+// instead, when three conditions make the two indistinguishable:
+//
+//   - A Proc is current. Only a Proc can block, so only a Proc can stand
+//     in for its own wake-up; an event callback runs at one instant.
+//   - now+d is below the bound of the dispatch loop in progress
+//     (runBounded's limit: MaxTime under Run, the horizon + 1 under
+//     RunUntil, the window bound under a Coupling). The loop would not
+//     dispatch an event at or past its bound, and under a Coupling
+//     another domain may still inject one there before the next window.
+//   - The earliest queued event is strictly later than now+d. At equal
+//     times the queued event fires first (it has the lower sequence
+//     number), so equality must block.
+//
+// Then the event the Proc would schedule, and the wake-up it would
+// trigger, would be the next events dispatched, with nothing between
+// them and the Proc's return. Skipping them leaves only gaps in the
+// sequence numbers, so the relative order of every other event, and
+// every virtual-time result, is unchanged. Only the dispatch count
+// (Dispatched) drops.
 package sim
 
 import (
@@ -175,6 +199,11 @@ func (t Timer) When() Time {
 type Kernel struct {
 	now Time
 	seq uint64
+	// limit is the exclusive time bound of the dispatch loop in progress
+	// (runBounded's argument), 0 when the kernel is not running or has
+	// failed. Advance never moves the clock to or past it, and a nonzero
+	// limit at runBounded's entry means Run was re-entered.
+	limit Time //nectar:shard-owned
 	// The event heap, arena, and free list are per-shard state under
 	// PDES sharding (one kernel per domain): //nectar:shard-owned makes
 	// shardsafe reject any access that cannot prove same-domain
@@ -193,11 +222,17 @@ type Kernel struct {
 	parked  int                // live procs idle in Park, which are not a deadlock
 	current *Proc              // proc currently executing, nil = kernel loop
 	failure error              // a proc panicked or Fatalf was called
-	running bool
 	// Opaque slot for the observability layer (internal/obs). Traces and
 	// metrics are per-domain under PDES sharding (merged at the end of
 	// the run), so the slot is shard-owned like the heap.
 	observer any //nectar:shard-owned
+
+	// Under a Coupling the domains' kernels are allocated back to back
+	// and run on different cores. A cache line of padding keeps one
+	// kernel's fields off the line that holds its neighbour's clock, so a
+	// kernel reading its own state (failure in every dispatch, limit in
+	// every Advance) never misses on the other's writes.
+	_ [64]byte
 }
 
 // SetObserver attaches an opaque observability object to the kernel. The
@@ -298,11 +333,15 @@ func (k *Kernel) After(d Duration, fn func()) Timer {
 	return k.At(k.now+Time(d), fn)
 }
 
-// Fatalf aborts the simulation with an error; Run returns it.
+// Fatalf aborts the simulation with an error; Run returns it. It also
+// clears the dispatch bound, so a Proc that fails keeps no inline
+// Advance: it runs only up to its next block, as it would have if every
+// compute slice were an event.
 func (k *Kernel) Fatalf(format string, args ...any) {
 	if k.failure == nil {
 		k.failure = fmt.Errorf(format, args...)
 	}
+	k.limit = 0
 }
 
 // --- inlined 4-ary min-heap ---
@@ -467,15 +506,36 @@ func (k *Kernel) NextEventAt() (Time, bool) {
 // still inject events at times >= the current limit before choosing the
 // next one. Blocked procs are never a deadlock under runBounded.
 func (k *Kernel) runBounded(limit Time) error {
-	if k.running {
+	if k.limit != 0 {
 		panic("sim: Run re-entered")
 	}
-	k.running = true
-	defer func() { k.running = false }()
+	k.limit = limit
+	defer func() { k.limit = 0 }()
 	for k.failure == nil && len(k.heap) > 0 && k.heap[0].at < limit {
 		k.step()
 	}
 	return k.failure
+}
+
+// Advance moves the clock d forward in place, without an event, and
+// reports whether it did. It does so only when a Proc is current, now+d
+// is below the bound of the dispatch loop in progress, and the earliest
+// queued event is strictly later than now+d; the package doc, "Inline
+// advance", says why nothing can then tell the difference. Otherwise, or
+// when d is negative, the clock stays put, and the caller schedules an
+// event at now+d and blocks as usual.
+//
+//nectar:hotpath
+func (k *Kernel) Advance(d Duration) bool {
+	if k.current == nil || d < 0 || Time(d) >= k.limit-k.now {
+		return false
+	}
+	at := k.now + Time(d)
+	if len(k.heap) > 0 && k.heap[0].at <= at {
+		return false
+	}
+	k.now = at
+	return true
 }
 
 // advanceTo finalizes the clock at t (>= now) without executing events.
