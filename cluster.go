@@ -100,7 +100,8 @@ type Config struct {
 	// cross-shard fiber paths is the scheduler's lookahead, so results
 	// are byte-identical for every shard count. Clusters of more than one
 	// shard cannot open circuits (zero lookahead). 0 or 1 (the default)
-	// is a one-domain coupling, which runs its one kernel directly.
+	// is a one-domain coupling: the same window loop, run by the caller
+	// of Run/RunFor with no worker goroutines.
 	Shards int
 	// ShardOf maps a node's attachment index to its shard in
 	// [0, Shards). nil: round-robin (index % Shards). It is consulted
@@ -520,7 +521,9 @@ func (cl *Cluster) trafficAllowed(src, dst int) bool {
 func (cl *Cluster) Shards() int { return len(cl.domains) }
 
 // Windows reports how many conservative safe windows the coupling
-// scheduler has executed (0 with one shard, which needs none).
+// scheduler has executed. With one shard nothing bounds a window but the
+// horizon, so a run counts one window per Run/RunFor call with pending
+// events.
 func (cl *Cluster) Windows() uint64 { return cl.coupling.Windows() }
 
 // MultiWindows reports how many safe windows had more than one active
@@ -543,7 +546,7 @@ func (cl *Cluster) Kernels() []*sim.Kernel {
 
 // EnableProfiling attaches a wall-clock profile to the coupling scheduler
 // and returns it (nil, and a no-op, with one shard — the profiler measures
-// where the seconds of a *sharded* run go, and one domain has no windows).
+// where the seconds of a *sharded* run go, and one domain has no barrier).
 // Call before Run/RunFor; profiling does not perturb virtual time, so
 // results remain byte-identical to an unprofiled run.
 func (cl *Cluster) EnableProfiling() *prof.Profile {

@@ -42,6 +42,7 @@ import (
 	"nectar/internal/bench"
 	"nectar/internal/model"
 	"nectar/internal/obs"
+	"nectar/internal/sim"
 )
 
 var (
@@ -222,23 +223,12 @@ func run(name string, cost *model.CostModel) error {
 				shards = 4
 			}
 		}
-		// Clamp the way bench.Pdes will, then refuse to produce a
-		// misleading speedup: with more shard workers than usable cores the
-		// measurement reflects time-sliced goroutines, not parallel
-		// hardware (the trap an early BENCH_pdes.json fell into).
-		effective := shards
-		if effective < 2 {
-			effective = 2
-		}
-		if effective > 8 {
-			effective = 8
-		}
-		usable := runtime.GOMAXPROCS(0)
-		if n := runtime.NumCPU(); n < usable {
-			usable = n
-		}
-		if effective > usable && !*allowOversub {
-			return fmt.Errorf("pdes needs %d shard workers but only %d usable core(s) (GOMAXPROCS=%d, NumCPU=%d); rerun on a bigger machine or pass -allow-oversubscribed to record a time-sliced measurement",
+		// Refuse to produce a misleading speedup: with more shards than
+		// usable cores the measurement reflects time-sliced goroutines,
+		// not parallel hardware (the trap an early BENCH_pdes.json fell
+		// into).
+		if effective, usable := bench.PdesShards(shards), sim.UsableCores(); effective > usable && !*allowOversub {
+			return fmt.Errorf("pdes needs %d shards but only %d usable core(s) (GOMAXPROCS=%d, NumCPU=%d); rerun on a bigger machine or pass -allow-oversubscribed to record a time-sliced measurement",
 				effective, usable, runtime.GOMAXPROCS(0), runtime.NumCPU())
 		}
 		r, err := bench.Pdes(cost, shards, *profFlag)

@@ -13,10 +13,11 @@ import (
 
 // runProf renders or validates the wall-clock profile that the sharded
 // pdes experiment collects (nectar-bench -prof pdes): the scheduler phase
-// breakdown (choose / barrier / inline compute / drain), per-shard
-// utilization with the spin-vs-park wait split, window-size and lookahead
-// histograms, and a per-shard busy timeline — the Figure-6-style view of
-// where real time went.
+// breakdown (choose / barrier / drain, plus shard 0's compute, which the
+// scheduler runs itself), per-shard utilization with the workers'
+// spin-vs-park wait split, window-size and lookahead histograms, and a
+// per-shard busy timeline — the Figure-6-style view of where real time
+// went.
 //
 // -check fails when the profile is missing or breaks its internal
 // consistency rules (phase times must tile the wall clock to at least

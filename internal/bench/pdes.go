@@ -29,9 +29,11 @@ type PdesReport struct {
 	Date       string `json:"date"`
 	GoVersion  string `json:"go_version"`
 	GoMaxProcs int    `json:"gomaxprocs"`
-	// NumCPU is the host's usable core count; a speedup near or below 1.0
-	// with NumCPU <= shards means the host could not physically run the
-	// shard workers in parallel, not that the coupling failed to overlap.
+	// NumCPU is the host's core count. min(GoMaxProcs, NumCPU) is the
+	// usable core count (sim.UsableCores); a speedup near or below 1.0
+	// with fewer usable cores than shards means the host could not
+	// physically run the shards in parallel, not that the coupling failed
+	// to overlap.
 	NumCPU int `json:"num_cpu"`
 
 	Nodes           int `json:"nodes"`
@@ -53,17 +55,16 @@ type PdesReport struct {
 	// making runs of different length or on different hosts comparable.
 	WindowsPerVirtualMS float64 `json:"windows_per_virtual_ms"`
 
-	// Workers are shard kernels, each on its own goroutine. Requested is
-	// the -shards argument; effective is the shard count the cluster
-	// actually ran with (the two differ only if the request was invalid).
-	WorkersRequested int `json:"workers_requested"`
+	// WorkersEffective is the sharded leg's shard count after PdesShards'
+	// clamp: one goroutine per shard, the coupling scheduler running
+	// shard 0 and a worker each of the others.
 	WorkersEffective int `json:"workers_effective"`
 
-	// Oversubscribed flags a measurement where the effective shard workers
-	// exceed the usable cores: the recorded speedup then reflects time-
-	// sliced workers, not parallel hardware, and must not be read as a
-	// scheduler verdict (the trap the original 0.85x-on-one-core run of
-	// this file fell into).
+	// Oversubscribed flags a measurement where the shards outnumber the
+	// usable cores (sim.UsableCores): the recorded speedup then reflects
+	// time-sliced goroutines, not parallel hardware, and must not be read
+	// as a scheduler verdict (the trap the original 0.85x-on-one-core run
+	// of this file fell into).
 	Oversubscribed bool `json:"oversubscribed"`
 
 	SequentialSeconds float64 `json:"sequential_seconds"`
@@ -98,6 +99,7 @@ type PdesVariant struct {
 	Windows             uint64  `json:"windows"`
 	EventsPerWindow     float64 `json:"events_per_window"`
 	WindowsPerVirtualMS float64 `json:"windows_per_virtual_ms"`
+	Oversubscribed      bool    `json:"oversubscribed"` // as PdesReport.Oversubscribed
 	SequentialSeconds   float64 `json:"sequential_seconds"`
 	ShardedSeconds      float64 `json:"sharded_seconds"`
 	Speedup             float64 `json:"speedup"`
@@ -109,7 +111,7 @@ type pdesFlowResult struct {
 	table   string
 	metrics []byte
 	wallS   float64
-	windows uint64       // safe windows executed (0 when sequential)
+	windows uint64       // safe windows executed
 	events  uint64       // kernel dispatches summed over all shards
 	virtual sim.Time     // simulated time at completion
 	profile *prof.Report // wall-clock breakdown (nil unless profiled)
@@ -259,14 +261,10 @@ func driveRMPFlows(cl *nectar.Cluster, node func(int) *nectar.Node, routes [][2]
 // stress configuration stays covered by the determinism tests. With
 // profiled set, the sharded leg runs under the wall-clock profiler and
 // the report carries its phase breakdown. A 32-node / 8-shard scaling
-// variant is recorded alongside the main run.
+// variant is recorded alongside the main run. shards is clamped by
+// PdesShards.
 func Pdes(cost *model.CostModel, shards int, profiled bool) (*PdesReport, error) {
-	if shards < 2 {
-		shards = 2
-	}
-	if shards > 8 {
-		shards = 8 // keep >= 2 nodes per shard on the 16-port HUB
-	}
+	shards = PdesShards(shards)
 	nodes := 4 * shards
 	if nodes > 16 {
 		nodes = 16 // single 16-port HUB
@@ -295,15 +293,14 @@ func Pdes(cost *model.CostModel, shards int, profiled bool) (*PdesReport, error)
 		Windows:             shd.windows,
 		EventsPerWindow:     shd.eventsPerWindow(),
 		WindowsPerVirtualMS: shd.windowsPerVirtualMS(),
-		WorkersRequested:    shards,
 		WorkersEffective:    shards,
+		Oversubscribed:      oversubscribed(shards),
 		SequentialSeconds:   seq.wallS,
 		ShardedSeconds:      shd.wallS,
 		Identical:           seq.table == shd.table && bytes.Equal(seq.metrics, shd.metrics),
 		Table:               seq.table,
 		Profile:             shd.profile,
 	}
-	r.Oversubscribed = r.WorkersEffective > r.NumCPU
 	if shd.wallS > 0 {
 		r.Speedup = seq.wallS / shd.wallS
 	}
@@ -317,6 +314,14 @@ func Pdes(cost *model.CostModel, shards int, profiled bool) (*PdesReport, error)
 	}
 	return r, nil
 }
+
+// PdesShards is the shard count Pdes runs for a requested count: at least
+// 2, and at most 8 to keep >= 2 nodes per shard on the 16-port HUB.
+func PdesShards(requested int) int { return min(max(requested, 2), 8) }
+
+// oversubscribed reports whether a run of the given shard count has more
+// shards than usable cores.
+func oversubscribed(shards int) bool { return shards > sim.UsableCores() }
 
 // pdesVariant runs one extra sequential-vs-sharded configuration with
 // flow-affinity partitioning and summarises it.
@@ -340,6 +345,7 @@ func pdesVariant(name string, cost *model.CostModel, shards, nodes, perFlow, msg
 		Windows:             shd.windows,
 		EventsPerWindow:     shd.eventsPerWindow(),
 		WindowsPerVirtualMS: shd.windowsPerVirtualMS(),
+		Oversubscribed:      oversubscribed(shards),
 		SequentialSeconds:   seq.wallS,
 		ShardedSeconds:      shd.wallS,
 		Identical:           seq.table == shd.table && bytes.Equal(seq.metrics, shd.metrics),
@@ -353,11 +359,11 @@ func pdesVariant(name string, cost *model.CostModel, shards, nodes, perFlow, msg
 // Format renders the report for the CLI.
 func (r *PdesReport) Format() string {
 	out := "Sharded conservative parallel simulation (per-channel lookahead)\n"
-	out += fmt.Sprintf("env: gomaxprocs=%d num_cpu=%d workers=%d(+1 scheduler)\n",
-		r.GoMaxProcs, r.NumCPU, r.WorkersEffective)
+	out += fmt.Sprintf("env: gomaxprocs=%d num_cpu=%d shards=%d (scheduler runs shard 0, %d worker(s) the rest)\n",
+		r.GoMaxProcs, r.NumCPU, r.WorkersEffective, r.WorkersEffective-1)
 	if r.Oversubscribed {
-		out += fmt.Sprintf("WARNING: %d shard workers on %d usable core(s): the speedup below measures time-sliced workers, not parallel hardware\n",
-			r.WorkersEffective, r.NumCPU)
+		out += fmt.Sprintf("WARNING: %d shards on %d usable core(s): the speedup below measures time-sliced goroutines, not parallel hardware\n",
+			r.WorkersEffective, min(r.GoMaxProcs, r.NumCPU))
 	}
 	out += r.Table
 	out += fmt.Sprintf("%d nodes, %d flows x %d msgs x %dB, %s partition\n",
@@ -367,9 +373,9 @@ func (r *PdesReport) Format() string {
 	out += fmt.Sprintf("sequential %.2fs, %d shards %.2fs -> %.2fx, identical=%v\n",
 		r.SequentialSeconds, r.WorkersEffective, r.ShardedSeconds, r.Speedup, r.Identical)
 	for _, v := range r.Variants {
-		out += fmt.Sprintf("variant %s: %d nodes / %d shards, %d windows (%.1f ev/win, %.1f win/vms), %.2fs vs %.2fs -> %.2fx, identical=%v\n",
+		out += fmt.Sprintf("variant %s: %d nodes / %d shards, %d windows (%.1f ev/win, %.1f win/vms), %.2fs vs %.2fs -> %.2fx, identical=%v, oversubscribed=%v\n",
 			v.Name, v.Nodes, v.Shards, v.Windows, v.EventsPerWindow, v.WindowsPerVirtualMS,
-			v.SequentialSeconds, v.ShardedSeconds, v.Speedup, v.Identical)
+			v.SequentialSeconds, v.ShardedSeconds, v.Speedup, v.Identical, v.Oversubscribed)
 	}
 	if r.Profile != nil {
 		out += "\n" + r.Profile.Format(0)

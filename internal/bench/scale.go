@@ -39,6 +39,10 @@ type ScalePoint struct {
 	MessageBytes    int `json:"message_bytes"`
 	Materialized    int `json:"materialized"` // nodes with booted stacks
 	Shards          int `json:"shards"`
+	// Oversubscribed marks a point whose shards outnumber the usable
+	// cores (sim.UsableCores): its speedup measures time-sliced
+	// goroutines, not parallel hardware.
+	Oversubscribed bool `json:"oversubscribed"`
 
 	// BuildSeconds is fabric construction plus endpoint materialization;
 	// BytesPerNode is the post-build heap growth divided by Nodes — the
@@ -214,7 +218,7 @@ func runScalePoint(cost *model.CostModel, sp scaleSpec) (*ScalePoint, error) {
 		Fabric: sp.fabricName, Nodes: sp.nodes,
 		Hubs: len(topo.HubPorts), Trunks: len(topo.Trunks), Tiers: topo.Tiers(),
 		Flows: sp.flows, MessagesPerFlow: sp.perFlow, MessageBytes: sp.msgBytes,
-		Materialized: shd.materialized, Shards: sp.shards,
+		Materialized: shd.materialized, Shards: sp.shards, Oversubscribed: oversubscribed(sp.shards),
 		BuildSeconds: shd.buildS, BytesPerNode: shd.bytesPerNode,
 		RouteEntries: shd.routeEntries, RouteBytes: shd.routeBytes,
 		SequentialSeconds: seq.wallS, ShardedSeconds: shd.wallS,
@@ -272,8 +276,8 @@ func (r *ScaleReport) Format() string {
 			p.Speedup, p.Identical)
 	}
 	for _, p := range r.Points {
-		out += fmt.Sprintf("%s: %d windows, %.1f events/window, %d cross-shard frames, metrics compared=%v\n",
-			p.Fabric, p.Windows, p.EventsPerWindow, p.CrossShardFrames, p.MetricsCompared)
+		out += fmt.Sprintf("%s: %d windows, %.1f events/window, %d cross-shard frames, metrics compared=%v, oversubscribed=%v\n",
+			p.Fabric, p.Windows, p.EventsPerWindow, p.CrossShardFrames, p.MetricsCompared, p.Oversubscribed)
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"testing"
+
+	"nectar/internal/sim"
 )
 
 // TestScaleSmoke runs the smallest sweep point end to end: a 64-node
@@ -32,6 +34,10 @@ func TestScaleSmoke(t *testing.T) {
 	if p.Windows == 0 || p.CrossShardFrames == 0 {
 		t.Errorf("windows=%d cross_shard_frames=%d: the 64-node point should exercise the coupling",
 			p.Windows, p.CrossShardFrames)
+	}
+	if want := p.Shards > sim.UsableCores(); p.Oversubscribed != want {
+		t.Errorf("%d shards on %d usable cores stamped oversubscribed=%v, want %v",
+			p.Shards, sim.UsableCores(), p.Oversubscribed, want)
 	}
 	if p.BytesPerNode <= 0 {
 		t.Errorf("bytes_per_node = %f not measured", p.BytesPerNode)

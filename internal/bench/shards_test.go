@@ -2,9 +2,12 @@ package bench
 
 import (
 	"encoding/json"
+	"runtime"
+	"strings"
 	"testing"
 
 	"nectar/internal/obs"
+	"nectar/internal/sim"
 )
 
 // withShards runs fn with the experiment shard count set to n, restoring
@@ -216,5 +219,32 @@ func TestPdesAffinity(t *testing.T) {
 	}
 	if shd.windows >= seq.events {
 		t.Errorf("affinity run used %d windows for %d events: coalescing is not batching", shd.windows, seq.events)
+	}
+}
+
+// TestPdesOversubscribedHonorsGOMAXPROCS pins the one usable-cores rule:
+// with GOMAXPROCS=1, two shards cannot run in parallel on any host, so
+// the report, its variants and the CLI warning must all say so, however
+// many CPUs the host has.
+func TestPdesOversubscribedHonorsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := sim.UsableCores(); got != 1 {
+		t.Fatalf("UsableCores() = %d under GOMAXPROCS=1, want 1", got)
+	}
+	r, err := Pdes(nil, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.WorkersEffective != 2 || !r.Oversubscribed {
+		t.Errorf("2 shards at GOMAXPROCS=1: workers_effective=%d oversubscribed=%v, want 2 and true",
+			r.WorkersEffective, r.Oversubscribed)
+	}
+	for _, v := range r.Variants {
+		if !v.Oversubscribed {
+			t.Errorf("variant %s (%d shards) not stamped oversubscribed at GOMAXPROCS=1", v.Name, v.Shards)
+		}
+	}
+	if out := r.Format(); !strings.Contains(out, "WARNING: 2 shards on 1 usable core(s)") {
+		t.Errorf("Format lacks the oversubscription warning:\n%s", out)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -233,17 +234,19 @@ func (tl *timeline) rescale() {
 // Collectors
 // ---------------------------------------------------------------------
 
-// Worker is the per-shard collector. Exactly one worker goroutine writes
-// it during windows (the scheduler only reads it between runs, behind the
-// worker-join barrier), so all fields are plain — the same single-writer
-// discipline as the shard kernels themselves.
+// Worker is the per-shard collector. Exactly one goroutine writes it
+// during a run, the shard's owner: the coupling scheduler for shard 0 and
+// that shard's worker for every other. Reports read it only between runs,
+// behind the worker-join barrier, so all fields are plain — the same
+// single-writer discipline as the shard kernels themselves. The
+// scheduler's waits are its barrier phase, so shard 0 records none.
 type Worker struct {
 	shard  int
 	baseNs int64 // profile start, for timeline bucketing
 
-	computeNs int64  // wall time inside runBounded for published windows
+	computeNs int64  // wall time inside the shard's windows
 	events    uint64 // kernel dispatches inside those windows
-	windows   uint64 // published windows executed
+	windows   uint64 // windows the shard executed
 	spinNs    int64  // barrier waits resolved by spinning
 	parkNs    int64  // barrier waits that parked on the wake channel
 	parks     uint64 // how many waits parked
@@ -282,7 +285,7 @@ func (w *Worker) Wait(t0 int64, parked bool) int64 {
 	return t1
 }
 
-// Compute accrues one published window's execution that started at t0 and
+// Compute accrues one window's execution that started at t0 and
 // dispatched events kernel events, and marks the interval busy on the
 // shard's timeline. Returns its end sample (stopwatch chaining).
 func (w *Worker) Compute(t0 int64, events uint64) int64 {
@@ -298,7 +301,7 @@ func (w *Worker) Compute(t0 int64, events uint64) int64 {
 }
 
 // Profile is the run-level collector, owned and written by the coupling
-// scheduler goroutine (workers write only their own Worker structs).
+// scheduler goroutine (every shard's owner writes only its own Worker).
 type Profile struct {
 	startNs int64
 	workers []*Worker
@@ -310,16 +313,8 @@ type Profile struct {
 	barrierNs   int64 // publishing windows and awaiting worker completion
 	drainNs     int64 // injecting buffered cross-shard messages
 
-	windows       uint64
-	multiWindows  uint64
-	inlineWindows uint64
-
-	// Inline windows (one active shard) run on the scheduler goroutine;
-	// their cost is attributed per shard here, not in Worker, so every
-	// field of this struct keeps a single writer.
-	inlineNs     []int64
-	inlineEvents []uint64
-	inlineTl     []timeline
+	windows      uint64
+	multiWindows uint64
 
 	drainInj   []uint64 // per source shard
 	drainBytes []uint64 // per source shard
@@ -337,9 +332,6 @@ func New(shards int) *Profile {
 	for i := range p.workers {
 		p.workers[i] = &Worker{shard: i, baseNs: p.startNs}
 	}
-	p.inlineNs = make([]int64, shards)
-	p.inlineEvents = make([]uint64, shards)
-	p.inlineTl = make([]timeline, shards)
 	p.drainInj = make([]uint64, shards)
 	p.drainBytes = make([]uint64, shards)
 	return p
@@ -451,21 +443,6 @@ func (p *Profile) Barrier(t0 int64) int64 {
 	return t1
 }
 
-// Inline accrues one single-active-shard window executed inline on the
-// scheduler goroutine for the given shard, dispatching events events.
-// Returns its end sample (stopwatch chaining).
-func (p *Profile) Inline(t0 int64, shard int, events uint64) int64 {
-	if p == nil {
-		return 0
-	}
-	t1 := nowNanos()
-	p.inlineNs[shard] += t1 - t0
-	p.inlineEvents[shard] += events
-	p.inlineWindows++
-	p.inlineTl[shard].add(t0-p.startNs, t1-p.startNs)
-	return t1
-}
-
 // WindowEvents records the total kernel dispatches of one window.
 func (p *Profile) WindowEvents(n uint64) {
 	if p == nil {
@@ -499,27 +476,25 @@ func (p *Profile) Drain(t0 int64) int64 {
 // Export
 // ---------------------------------------------------------------------
 
-// SchedReport is the scheduler-goroutine phase breakdown. Its phases are
-// disjoint intervals of the scheduler thread, so their sum plus the
-// shards' published-window compute (which the scheduler spends awaiting
-// inside barrier_seconds) accounts for the run's wall clock.
+// SchedReport is the scheduler-goroutine phase breakdown. Its phases and
+// shard 0's compute, which the scheduler runs itself, are disjoint
+// intervals of the scheduler thread that tile the run's wall clock; the
+// other shards compute while the scheduler is inside barrier_seconds.
 type SchedReport struct {
 	SpawnJoinSeconds float64 `json:"spawn_join_seconds"`
 	ChooseSeconds    float64 `json:"choose_seconds"`
 	BarrierSeconds   float64 `json:"barrier_seconds"`
-	InlineSeconds    float64 `json:"inline_compute_seconds"`
 	DrainSeconds     float64 `json:"drain_seconds"`
 	DrainInjections  uint64  `json:"drain_injections"`
 	DrainBytes       uint64  `json:"drain_bytes"`
 }
 
-// ShardReport is one shard's breakdown: where its worker's wall clock
-// went (compute vs spin vs park), plus the inline windows the scheduler
-// ran on its behalf and its share of cross-shard traffic.
+// ShardReport is one shard's breakdown: where its owner's wall clock went
+// (compute vs spin vs park; shard 0's owner is the scheduler, which has
+// no waits of its own) and its share of cross-shard traffic.
 type ShardReport struct {
 	Shard              int     `json:"shard"`
 	ComputeSeconds     float64 `json:"compute_seconds"`
-	InlineSeconds      float64 `json:"inline_compute_seconds"`
 	SpinWaitSeconds    float64 `json:"spin_wait_seconds"`
 	ParkWaitSeconds    float64 `json:"park_wait_seconds"`
 	Waits              uint64  `json:"waits"`
@@ -529,12 +504,12 @@ type ShardReport struct {
 	DrainOutInjections uint64  `json:"drain_out_injections"`
 	DrainOutBytes      uint64  `json:"drain_out_bytes"`
 	// Utilization is the shard's busy fraction of the profiled wall
-	// clock: (compute + inline) / wall.
+	// clock: compute / wall.
 	Utilization float64 `json:"utilization"`
 }
 
 // ShardTimeline is one shard's busy-time series: BusyNs[i] is the wall
-// time shard work (published or inline windows) occupied during bucket i
+// time the shard's windows occupied during bucket i
 // of width BucketNs, starting at the profile epoch. Trailing all-zero
 // buckets are trimmed.
 type ShardTimeline struct {
@@ -552,16 +527,15 @@ type Report struct {
 	Runs        uint64  `json:"runs"`
 	Shards      int     `json:"shards"`
 
-	Windows       uint64 `json:"windows"`
-	MultiWindows  uint64 `json:"multi_windows"`
-	InlineWindows uint64 `json:"inline_windows"`
+	Windows      uint64 `json:"windows"`
+	MultiWindows uint64 `json:"multi_windows"`
 
 	Sched     SchedReport   `json:"sched"`
 	PerShard  []ShardReport `json:"per_shard"`
 	Imbalance float64       `json:"imbalance"`
-	// AccountedFraction is (spawn_join + choose + barrier + inline +
-	// drain) / wall: how much of the scheduler thread's wall clock the
-	// phase breakdown explains. The CI smoke job requires >= 0.95.
+	// AccountedFraction is (spawn_join + choose + barrier + drain +
+	// shard 0's compute) / wall: how much of the scheduler thread's wall
+	// clock the phase breakdown explains. The CI smoke job requires >= 0.95.
 	AccountedFraction float64 `json:"accounted_fraction"`
 
 	WindowSpanUS    HistStats `json:"window_span_us"`
@@ -598,12 +572,11 @@ func (p *Profile) Report() *Report {
 		return nil
 	}
 	r := &Report{
-		WallSeconds:   float64(p.wallNs) / nsPerSec,
-		Runs:          p.runs,
-		Shards:        len(p.workers),
-		Windows:       p.windows,
-		MultiWindows:  p.multiWindows,
-		InlineWindows: p.inlineWindows,
+		WallSeconds:  float64(p.wallNs) / nsPerSec,
+		Runs:         p.runs,
+		Shards:       len(p.workers),
+		Windows:      p.windows,
+		MultiWindows: p.multiWindows,
 		Sched: SchedReport{
 			SpawnJoinSeconds: float64(p.spawnJoinNs) / nsPerSec,
 			ChooseSeconds:    float64(p.chooseNs) / nsPerSec,
@@ -615,92 +588,47 @@ func (p *Profile) Report() *Report {
 		EventsPerWindow:   p.winEvents.Stats(1),
 		UnboundedGateways: p.unbounded,
 	}
-	var inlineTotal int64
 	var busyMax, busySum int64
 	for i, w := range p.workers {
-		inlineTotal += p.inlineNs[i]
-		busy := w.computeNs + p.inlineNs[i]
-		if busy > busyMax {
-			busyMax = busy
-		}
-		busySum += busy
+		busyMax = max(busyMax, w.computeNs)
+		busySum += w.computeNs
 		sr := ShardReport{
 			Shard:              i,
 			ComputeSeconds:     float64(w.computeNs) / nsPerSec,
-			InlineSeconds:      float64(p.inlineNs[i]) / nsPerSec,
 			SpinWaitSeconds:    float64(w.spinNs) / nsPerSec,
 			ParkWaitSeconds:    float64(w.parkNs) / nsPerSec,
 			Waits:              w.waits,
 			Parks:              w.parks,
 			Windows:            w.windows,
-			Events:             w.events + p.inlineEvents[i],
+			Events:             w.events,
 			DrainOutInjections: p.drainInj[i],
 			DrainOutBytes:      p.drainBytes[i],
 		}
 		if p.wallNs > 0 {
-			sr.Utilization = float64(busy) / float64(p.wallNs)
+			sr.Utilization = float64(w.computeNs) / float64(p.wallNs)
 		}
 		r.PerShard = append(r.PerShard, sr)
 		r.Sched.DrainInjections += p.drainInj[i]
 		r.Sched.DrainBytes += p.drainBytes[i]
 
-		// Timeline: merge the worker's published-window activity with the
-		// scheduler's inline activity for the shard, at the coarser width.
-		tl := mergeTimelines(&w.tl, &p.inlineTl[i])
-		if len(tl.BusyNs) > 0 {
-			tl.Shard = i
-			r.Timeline = append(r.Timeline, tl)
+		// Timeline, with trailing idle buckets trimmed.
+		busy := w.tl.busyNs[:]
+		for len(busy) > 0 && busy[len(busy)-1] == 0 {
+			busy = busy[:len(busy)-1]
+		}
+		if len(busy) > 0 {
+			r.Timeline = append(r.Timeline, ShardTimeline{Shard: i, BucketNs: w.tl.widthNs, BusyNs: slices.Clone(busy)})
 		}
 	}
-	r.Sched.InlineSeconds = float64(inlineTotal) / nsPerSec
 	if busyMax > 0 && busySum > 0 {
 		mean := float64(busySum) / float64(len(p.workers))
 		r.Imbalance = float64(busyMax) / mean
 	}
-	if p.wallNs > 0 {
-		accounted := p.spawnJoinNs + p.chooseNs + p.barrierNs + inlineTotal + p.drainNs
+	if p.wallNs > 0 && len(p.workers) > 0 {
+		accounted := p.spawnJoinNs + p.chooseNs + p.barrierNs + p.drainNs + p.workers[0].computeNs
 		r.AccountedFraction = float64(accounted) / float64(p.wallNs)
 	}
 	return r
-}
-
-// mergeTimelines folds two timelines into one exported series at the
-// coarser bucket width, trimming trailing zeros.
-func mergeTimelines(a, b *timeline) ShardTimeline {
-	wa, wb := a.widthNs, b.widthNs
-	w := wa
-	if wb > w {
-		w = wb
-	}
-	if w == 0 {
-		return ShardTimeline{}
-	}
-	coarsen := func(tl *timeline) [timelineBuckets]int64 {
-		out := tl.busyNs
-		for tl.widthNs != 0 && tl.widthNs < w {
-			for i := 0; i < timelineBuckets/2; i++ {
-				out[i] = out[2*i] + out[2*i+1]
-			}
-			for i := timelineBuckets / 2; i < timelineBuckets; i++ {
-				out[i] = 0
-			}
-			tl = &timeline{widthNs: tl.widthNs * 2, busyNs: out}
-		}
-		return out
-	}
-	ba, bb := coarsen(a), coarsen(b)
-	last := -1
-	var busy [timelineBuckets]int64
-	for i := range busy {
-		busy[i] = ba[i] + bb[i]
-		if busy[i] > 0 {
-			last = i
-		}
-	}
-	if last < 0 {
-		return ShardTimeline{}
-	}
-	return ShardTimeline{BucketNs: w, BusyNs: append([]int64(nil), busy[:last+1]...)}
 }
 
 // JSON renders the report as indented, field-order-deterministic JSON.
@@ -718,9 +646,12 @@ func (r *Report) JSON() []byte {
 
 // Check validates the report's internal consistency: the phase seconds
 // must be non-negative, the scheduler breakdown must account for at least
-// minAccounted of the wall clock, window counts must be coherent, and
-// per-shard events must sum to the events the window histogram saw. It
-// is the contract the CI profile smoke job enforces on BENCH_pdes.json.
+// minAccounted of the wall clock, window counts must be coherent (every
+// window runs at least one shard and every multi window at least two, so
+// the per-shard windows sum to at least windows + multi_windows), no
+// window may span more virtual time than the run covered, and per-shard
+// events must sum to the events the window histogram saw. It is the
+// contract the CI profile smoke job enforces on BENCH_pdes.json.
 func (r *Report) Check(minAccounted float64) error {
 	if r == nil {
 		return fmt.Errorf("prof: no profile section")
@@ -741,7 +672,6 @@ func (r *Report) Check(minAccounted float64) error {
 		{"spawn_join_seconds", r.Sched.SpawnJoinSeconds},
 		{"choose_seconds", r.Sched.ChooseSeconds},
 		{"barrier_seconds", r.Sched.BarrierSeconds},
-		{"inline_compute_seconds", r.Sched.InlineSeconds},
 		{"drain_seconds", r.Sched.DrainSeconds},
 	} {
 		if s.v < 0 {
@@ -749,7 +679,7 @@ func (r *Report) Check(minAccounted float64) error {
 		}
 	}
 	phases := r.Sched.SpawnJoinSeconds + r.Sched.ChooseSeconds + r.Sched.BarrierSeconds +
-		r.Sched.InlineSeconds + r.Sched.DrainSeconds
+		r.Sched.DrainSeconds + r.PerShard[0].ComputeSeconds
 	if phases > r.WallSeconds*1.05 {
 		return fmt.Errorf("prof: phase seconds sum %.6f exceeds wall clock %.6f", phases, r.WallSeconds)
 	}
@@ -763,12 +693,15 @@ func (r *Report) Check(minAccounted float64) error {
 	if r.LookaheadUS.Count == 0 && r.UnboundedGateways == 0 {
 		return fmt.Errorf("prof: %d windows but no gateway evaluations (lookahead_us.count = 0, unbounded_gateways = 0)", r.Windows)
 	}
-	if r.MultiWindows+r.InlineWindows > r.Windows {
-		return fmt.Errorf("prof: multi (%d) + inline (%d) windows exceed total %d",
-			r.MultiWindows, r.InlineWindows, r.Windows)
+	if r.MultiWindows > r.Windows {
+		return fmt.Errorf("prof: multi windows (%d) exceed total %d", r.MultiWindows, r.Windows)
 	}
 	if r.WindowSpanUS.Count != r.Windows {
 		return fmt.Errorf("prof: window_span_us.count = %d, want windows = %d", r.WindowSpanUS.Count, r.Windows)
+	}
+	if r.VirtualNS > 0 && r.WindowSpanUS.Max > float64(r.VirtualNS)/1e3 {
+		return fmt.Errorf("prof: window_span_us.max = %g exceeds the %d virtual ns the run covered",
+			r.WindowSpanUS.Max, r.VirtualNS)
 	}
 	var shardWindows, shardEvents uint64
 	for _, s := range r.PerShard {
@@ -777,6 +710,9 @@ func (r *Report) Check(minAccounted float64) error {
 		if s.ComputeSeconds < 0 || s.SpinWaitSeconds < 0 || s.ParkWaitSeconds < 0 {
 			return fmt.Errorf("prof: shard %d has negative phase seconds", s.Shard)
 		}
+	}
+	if want := r.Windows + r.MultiWindows; shardWindows < want {
+		return fmt.Errorf("prof: per-shard windows sum to %d, want >= windows + multi_windows = %d", shardWindows, want)
 	}
 	if ev := uint64(r.EventsPerWindow.Sum); ev != shardEvents {
 		return fmt.Errorf("prof: per-shard events sum to %d but windows dispatched %d", shardEvents, ev)
@@ -805,11 +741,10 @@ func (r *Report) FormatBreakdown(topN int) string {
 		{"sched.barrier (publish+await workers)", r.Sched.BarrierSeconds},
 		{"sched.drain (cross-shard outboxes)", r.Sched.DrainSeconds},
 		{"sched.spawn+join (worker lifecycle)", r.Sched.SpawnJoinSeconds},
-		{"sched.inline (single-shard windows)", r.Sched.InlineSeconds},
 	}
 	for _, s := range r.PerShard {
 		rows = append(rows,
-			row{fmt.Sprintf("shard%d.compute (published windows)", s.Shard), s.ComputeSeconds},
+			row{fmt.Sprintf("shard%d.compute", s.Shard), s.ComputeSeconds},
 			row{fmt.Sprintf("shard%d.wait.spin", s.Shard), s.SpinWaitSeconds},
 			row{fmt.Sprintf("shard%d.wait.park", s.Shard), s.ParkWaitSeconds},
 		)

@@ -147,7 +147,6 @@ func TestNilCollectorsZeroCost(t *testing.T) {
 		p.Lookahead(700)
 		p.UnboundedGateway()
 		p.Barrier(0)
-		p.Inline(0, 0, 1)
 		p.WindowEvents(4)
 		p.DrainOut(0, 1, 64)
 		p.Drain(0)
@@ -189,42 +188,45 @@ func TestEnabledHotPathZeroAlloc(t *testing.T) {
 }
 
 // driveProfile simulates one plausible run against the real clock: two
-// shards, three windows (two published, one inline), one drain.
+// shards, three windows (two with both shards active, one with shard 1
+// only), one drain. The scheduler owns shard 0: it runs shard 0's windows
+// between its barrier intervals and never waits on its own behalf.
 func driveProfile() *Profile {
 	p := New(2)
 	tRun := p.Now()
-	tSpawn := p.Now()
-	p.SpawnJoin(tSpawn)
-	for win := 0; win < 2; win++ {
-		tc := p.Now()
+	ts := p.SpawnJoin(tRun)
+	window := func(span int64, shard0 bool) {
 		p.Lookahead(700)
 		p.Lookahead(900)
-		p.Choose(tc, 700, 2)
-		tb := p.Now()
-		for i := 0; i < 2; i++ {
-			w := p.Worker(i)
-			t0 := w.Now()
-			w.Wait(t0, i == 1)
-			t1 := w.Now()
-			spin(64)
-			w.Compute(t1, 3)
+		active := 1
+		if shard0 {
+			active = 2
 		}
-		p.Barrier(tb)
-		p.WindowEvents(6)
-		td := p.Now()
-		p.DrainOut(0, 2, 256)
-		p.Drain(td)
+		ts = p.Choose(ts, span, active)
+		events := uint64(3)
+		if shard0 {
+			ts = p.Barrier(ts)
+			spin(64)
+			ts = p.Worker(0).Compute(ts, 3)
+			events += 3
+		}
+		w := p.Worker(1)
+		t0 := w.Now()
+		w.Wait(t0, shard0)
+		t1 := w.Now()
+		spin(64)
+		w.Compute(t1, 3)
+		ts = p.Barrier(ts)
+		p.WindowEvents(events)
+		if shard0 {
+			p.DrainOut(0, 2, 256)
+		}
+		ts = p.Drain(ts)
 	}
-	tc := p.Now()
-	p.Choose(tc, 1200, 1)
-	ti := p.Now()
-	spin(64)
-	p.Inline(ti, 1, 4)
-	p.WindowEvents(4)
-	td := p.Now()
-	p.Drain(td)
-	tc = p.Now()
-	p.ChooseAbort(tc) // horizon reached
+	window(700, true)
+	window(700, true)
+	window(1200, false)
+	p.ChooseAbort(ts) // horizon reached
 	p.SpawnJoin(p.Now())
 	p.RunEnd(tRun)
 	return p
@@ -247,35 +249,40 @@ func spin(n int) {
 func TestProfileReportConsistency(t *testing.T) {
 	p := driveProfile()
 	r := p.Report()
-	if r.Windows != 3 || r.MultiWindows != 2 || r.InlineWindows != 1 {
-		t.Errorf("windows = %d/%d/%d, want 3 total, 2 multi, 1 inline",
-			r.Windows, r.MultiWindows, r.InlineWindows)
+	if r.Windows != 3 || r.MultiWindows != 2 {
+		t.Errorf("windows = %d/%d, want 3 total, 2 multi", r.Windows, r.MultiWindows)
+	}
+	if r.PerShard[0].Windows != 2 || r.PerShard[1].Windows != 3 {
+		t.Errorf("shard windows = %d/%d, want 2/3", r.PerShard[0].Windows, r.PerShard[1].Windows)
 	}
 	if r.Runs != 1 || r.Shards != 2 || len(r.PerShard) != 2 {
 		t.Errorf("runs/shards = %d/%d (per_shard %d), want 1/2/2", r.Runs, r.Shards, len(r.PerShard))
 	}
-	if got := r.PerShard[0].Events + r.PerShard[1].Events; got != 16 {
-		t.Errorf("total shard events = %d, want 16", got)
+	if got := r.PerShard[0].Events + r.PerShard[1].Events; got != 15 {
+		t.Errorf("total shard events = %d, want 15", got)
 	}
-	if r.PerShard[1].Parks != 2 || r.PerShard[0].Parks != 0 {
-		t.Errorf("parks = %d/%d, want 0/2", r.PerShard[0].Parks, r.PerShard[1].Parks)
+	if r.PerShard[0].Waits != 0 || r.PerShard[1].Waits != 3 || r.PerShard[1].Parks != 2 {
+		t.Errorf("waits = %d/%d, shard 1 parks %d, want 0/3 and 2",
+			r.PerShard[0].Waits, r.PerShard[1].Waits, r.PerShard[1].Parks)
 	}
 	if r.Sched.DrainInjections != 4 || r.Sched.DrainBytes != 512 {
 		t.Errorf("drain = %d inj / %d bytes, want 4/512", r.Sched.DrainInjections, r.Sched.DrainBytes)
 	}
-	if r.LookaheadUS.Count != 4 {
-		t.Errorf("lookahead count = %d, want 4", r.LookaheadUS.Count)
+	if r.LookaheadUS.Count != 6 {
+		t.Errorf("lookahead count = %d, want 6", r.LookaheadUS.Count)
 	}
 	if r.Imbalance < 1 {
 		t.Errorf("imbalance = %v, want >= 1", r.Imbalance)
 	}
 	// The synthetic driver does nothing between phase samples, so nearly
-	// all wall time is inside measured phases.
+	// all wall time is inside measured phases. A run covering exactly the
+	// widest window's span is consistent.
+	r.VirtualNS = 1200
 	if err := r.Check(0.5); err != nil {
 		t.Errorf("Check: %v\n%s", err, r.JSON())
 	}
-	if len(r.Timeline) == 0 {
-		t.Error("no shard timeline recorded despite compute activity")
+	if len(r.Timeline) != 2 {
+		t.Errorf("%d shard timelines, want one per shard", len(r.Timeline))
 	}
 	if !bytes.Equal(r.JSON(), r.JSON()) {
 		t.Error("Report.JSON not deterministic across calls")
@@ -299,8 +306,10 @@ func TestReportCheckRejects(t *testing.T) {
 		{"phase overflow", func(r *Report) { r.Sched.BarrierSeconds = r.WallSeconds * 2 }, "exceeds wall clock"},
 		{"unaccounted", func(r *Report) { r.AccountedFraction = 0.1 }, "accounted_fraction"},
 		{"no windows", func(r *Report) { r.Windows = 0 }, "windows"},
-		{"window overflow", func(r *Report) { r.InlineWindows = r.Windows + 1 }, "exceed total"},
+		{"window overflow", func(r *Report) { r.MultiWindows = r.Windows + 1 }, "exceed total"},
 		{"span count", func(r *Report) { r.WindowSpanUS.Count++ }, "window_span_us"},
+		{"span beyond horizon", func(r *Report) { r.VirtualNS = 1000 }, "virtual ns"},
+		{"shard windows short", func(r *Report) { r.PerShard[1].Windows-- }, "per-shard windows"},
 		{"no gateway evaluations", func(r *Report) { r.LookaheadUS = HistStats{} }, "unbounded_gateways"},
 		{"event mismatch", func(r *Report) { r.PerShard[0].Events++ }, "events"},
 		{"dispatch bound", func(r *Report) { r.KernelDispatches = 1 }, "dispatches"},
@@ -365,6 +374,7 @@ func TestFormatRendersEverySection(t *testing.T) {
 		"wall-clock breakdown",
 		"sched.barrier",
 		"shard0.compute",
+		"shard1.compute",
 		"shard1.wait.park",
 		"window span",
 		"gateway lookahead",
@@ -378,31 +388,5 @@ func TestFormatRendersEverySection(t *testing.T) {
 	}
 	if top := r.FormatBreakdown(3); strings.Count(top, "\n") > 6 {
 		t.Errorf("FormatBreakdown(3) did not truncate:\n%s", top)
-	}
-}
-
-// TestMergeTimelines covers the width-mismatch merge path used when a
-// shard has both published-window (worker) and inline (scheduler) activity
-// at different resolutions.
-func TestMergeTimelines(t *testing.T) {
-	var a, b timeline
-	a.add(0, 100)
-	b.add(0, 50)
-	for b.widthNs < 4*initialTimelineWidth {
-		b.rescale()
-	}
-	m := mergeTimelines(&a, &b)
-	if m.BucketNs != 4*initialTimelineWidth {
-		t.Errorf("merged width = %d, want coarser %d", m.BucketNs, 4*initialTimelineWidth)
-	}
-	var total int64
-	for _, v := range m.BusyNs {
-		total += v
-	}
-	if total != 150 {
-		t.Errorf("merged busy = %d, want 150", total)
-	}
-	if empty := mergeTimelines(&timeline{}, &timeline{}); len(empty.BusyNs) != 0 {
-		t.Error("merging empty timelines must yield an empty series")
 	}
 }

@@ -37,6 +37,12 @@
 // forwards with zero switch delay) would stall the scheduler, which is
 // reported as an error rather than spinning.
 //
+// Execution: every domain has exactly one owner goroutine. The goroutine
+// that calls Run/RunUntil/RunFor is the scheduler and owns domain 0;
+// one worker goroutine per run owns each other domain. There is one
+// window path for every domain count, and a coupling of one domain is
+// that path with no workers.
+//
 // Determinism: within a domain the kernel's (time, seq) order is untouched;
 // across domains every scheduler decision (NET, B, outbox drain order) is a
 // pure function of simulation state, so repeated runs are bit-identical. The
@@ -92,7 +98,7 @@ type Domain struct {
 	c  *Coupling
 	id int
 	// The domain's kernel and outbox are the per-shard state the PDES
-	// determinism proof rests on: only the owning worker goroutine may
+	// determinism proof rests on: only the domain's owner goroutine may
 	// touch them inside a window, and cross-domain traffic must go
 	// through the window-barrier drain (//nectar:shard-boundary
 	// surfaces). The annotations make nectar-vet's shardsafe analyzer
@@ -120,16 +126,25 @@ type Domain struct {
 	wp      parker        // worker's park/wake point
 
 	// wprof is the shard's wall-clock profiling collector (nil unless the
-	// coupling has a profile attached): the worker goroutine accrues its
-	// own compute time and spin-vs-park barrier wait split into it. All
-	// collector methods are nil-receiver tolerant, so the disabled barrier
-	// path costs one nil check.
-	wprof *prof.Worker
+	// coupling has a profile attached): the domain's owner accrues its
+	// compute time and, on a worker, the spin-vs-park barrier wait split
+	// into it. All collector methods are nil-receiver tolerant, so the
+	// disabled barrier path costs one nil check. computeCtx and waitCtx
+	// are the owner's pprof labels inside and between windows (nil
+	// unless profiled).
+	wprof               *prof.Worker
+	computeCtx, waitCtx context.Context
 }
 
 // spinLimit bounds busy-polling at the window barrier before parking on
 // the wake channel (roughly a few microseconds of polling).
 const spinLimit = 4096
+
+// UsableCores is how many goroutines can run at once: GOMAXPROCS capped
+// by the host's CPUs. It is the one rule for whether a coupling's shards
+// are oversubscribed, and the barrier spins only when it exceeds the
+// number of domains.
+func UsableCores() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 
 // parker is a two-phase wait point: the waiter advertises that it is
 // about to block, re-checks its condition, and then receives on wake; the
@@ -185,6 +200,53 @@ func (d *Domain) awaitWindow(last uint64) (seq uint64, ok, parked bool) {
 	}
 }
 
+// work is a worker goroutine's loop: it runs every window the scheduler
+// publishes to its domain until the scheduler asks it to exit.
+func (d *Domain) work() {
+	defer close(d.exited)
+	w := d.wprof
+	if w != nil {
+		pprof.SetGoroutineLabels(d.waitCtx)
+		defer pprof.SetGoroutineLabels(context.Background())
+	}
+	// Resume from the last *completed* window: the scheduler may publish
+	// the first window of this run before the worker's first load, so
+	// initializing from winSeq would skip it. tw is the worker's chained
+	// stopwatch: each collector call returns the sample that starts the
+	// next interval, so wait and compute tile the worker's wall clock
+	// exactly.
+	last := d.doneSeq.Load()
+	tw := w.Now()
+	for {
+		s, ok, parked := d.awaitWindow(last)
+		if !ok {
+			return
+		}
+		tw = w.Wait(tw, parked)
+		tw, d.werr = d.runWindow(tw, Time(d.winB.Load()))
+		d.doneSeq.Store(s)
+		d.c.sp.wakeIf()
+		last = s
+	}
+}
+
+// runWindow executes the domain's events below bound on the calling
+// goroutine, which must be the domain's owner, and accrues the window to
+// the shard's collector. t0 starts the window on the owner's stopwatch;
+// the returned sample ends it.
+func (d *Domain) runWindow(t0 int64, bound Time) (int64, error) {
+	w := d.wprof
+	if w == nil {
+		return 0, d.k.runBounded(bound)
+	}
+	ev0 := d.k.steps
+	pprof.SetGoroutineLabels(d.computeCtx)
+	err := d.k.runBounded(bound)
+	t1 := w.Compute(t0, d.k.steps-ev0)
+	pprof.SetGoroutineLabels(d.waitCtx)
+	return t1, err
+}
+
 // awaitDone blocks until domain d reports window seq complete, spinning
 // first and parking on the scheduler's wake point if the worker is slow.
 func (c *Coupling) awaitDone(d *Domain, seq uint64) {
@@ -235,9 +297,10 @@ func (d *Domain) SendSized(dst *Domain, at Time, bytes int, fn func()) {
 }
 
 // Coupling couples kernels into one logical simulation advancing in
-// conservative safe windows. Domains are executed on their own goroutines;
-// the scheduler synchronizes them at window barriers, so model code still
-// never needs locks (each kernel remains single-threaded).
+// conservative safe windows. The scheduler executes domain 0 and one
+// worker goroutine each of the others; the scheduler synchronizes them at
+// window barriers, so model code still never needs locks (each kernel
+// remains single-threaded).
 type Coupling struct {
 	domains []*Domain
 	windows uint64 // safe windows executed (scheduler statistics)
@@ -246,10 +309,12 @@ type Coupling struct {
 	spin    int    // barrier poll budget before parking (set per run)
 
 	// Per-destination safe bounds: bounds[i] is domain i's window bound
-	// for the current round, acts[i] its activity floor. Both are sized
-	// at run start.
+	// for the current round, acts[i] its activity floor; both are sized
+	// as domains are added. active holds the round's domains with events
+	// below their bounds.
 	bounds []Time
 	acts   []Time
+	active []*Domain
 
 	// pr is the attached wall-clock profile, nil unless profiling was
 	// requested. Every collector call below is nil-receiver tolerant, so
@@ -268,7 +333,8 @@ func (c *Coupling) Profile() *prof.Profile { return c.pr }
 
 // Windows reports how many safe windows the scheduler has executed; the
 // ratio of events to windows is the effective batching the lookahead
-// bought.
+// bought. A one-domain coupling has no other domain to bound it, so it
+// runs one window per Run/RunUntil/RunFor call with events to execute.
 func (c *Coupling) Windows() uint64 { return c.windows }
 
 // MultiWindows reports how many of those windows had more than one active
@@ -276,12 +342,21 @@ func (c *Coupling) Windows() uint64 { return c.windows }
 func (c *Coupling) MultiWindows() uint64 { return c.multi }
 
 // NewCoupling creates an empty coupling.
-func NewCoupling() *Coupling { return &Coupling{} }
+func NewCoupling() *Coupling { return &Coupling{sp: newParker()} }
 
-// AddDomain wraps k as a new domain of the coupling.
+// AddDomain wraps k as a new domain of the coupling. It must not be
+// called while the coupling runs.
+//
+//nectar:shard-boundary grows every domain's outbox while the coupling is built, before any window runs
 func (c *Coupling) AddDomain(k *Kernel) *Domain {
-	d := &Domain{c: c, k: k, id: len(c.domains)}
+	d := &Domain{c: c, k: k, id: len(c.domains), wp: newParker()}
+	for _, src := range c.domains {
+		src.out = append(src.out, nil)
+	}
 	c.domains = append(c.domains, d)
+	d.out = make([][]pendingInj, len(c.domains))
+	c.bounds = append(c.bounds, 0)
+	c.acts = append(c.acts, 0)
 	return d
 }
 
@@ -317,138 +392,68 @@ func (c *Coupling) RunUntil(horizon Time) error { return c.run(horizon, false) }
 func (c *Coupling) RunFor(d Duration) error { return c.run(c.Now()+Time(d), false) }
 
 // run is the window scheduler: it computes each safe window, publishes
-// it to the domain workers, and drains the outboxes at the barrier. It
-// is the one function allowed to touch every domain's kernel and outbox;
-// the winSeq/doneSeq atomics give those cross-domain accesses their
-// happens-before edges (see the Domain comment above).
+// it to the active workers, runs domain 0's share itself, and drains the
+// outboxes at the barrier. It is the one function allowed to touch every
+// domain's kernel and outbox; the winSeq/doneSeq atomics give those
+// cross-domain accesses their happens-before edges (see the Domain
+// comment above). A domain's kernel and its Proc coroutines are resumed
+// only by the domain's one owner (see "Execution" in the package
+// comment).
 //
 //nectar:shard-boundary window-barrier scheduler and outbox drain, ordered by the winSeq/doneSeq atomics
 func (c *Coupling) run(horizon Time, drain bool) error {
 	if len(c.domains) == 0 {
 		return nil
 	}
-	if len(c.domains) == 1 {
-		// Degenerate coupling: no windows needed, run the kernel directly.
-		d := c.domains[0]
-		if drain {
-			return d.k.Run()
-		}
-		return d.k.RunUntil(horizon)
-	}
-	for _, d := range c.domains {
-		for len(d.out) < len(c.domains) {
-			d.out = append(d.out, nil)
-		}
-	}
-	if len(c.bounds) != len(c.domains) {
-		c.bounds = make([]Time, len(c.domains))
-		c.acts = make([]Time, len(c.domains))
-	}
-	// One worker goroutine per domain for the duration of this run. The
-	// winSeq/doneSeq atomics give the barrier its happens-before edges:
-	// everything a worker did inside a window is visible to the scheduler
-	// after it loads doneSeq == seq, and everything the scheduler injected
-	// is visible to the worker after it loads the fresh winSeq.
-	if c.sp.wake == nil {
-		c.sp = newParker()
-	}
-	// Spin at the barrier only when there are genuinely enough cores to
-	// run every domain worker plus the scheduler simultaneously; otherwise
-	// busy-polling steals the very core the awaited party needs, and
-	// parking promptly (plain channel blocking) is strictly better.
-	procs := runtime.GOMAXPROCS(0)
-	if n := runtime.NumCPU(); n < procs {
-		procs = n
-	}
+	// Spin at the barrier only when the usable cores outnumber the
+	// coupling's parties (the scheduler plus one worker per other domain,
+	// one goroutine per domain). Otherwise busy-polling can steal the
+	// very core the awaited party needs, and parking promptly (plain
+	// channel blocking) is the safe choice; whether spinning pays when
+	// the parties exactly fill the cores is an open question.
 	c.spin = 1
-	if procs > len(c.domains) {
+	if UsableCores() > len(c.domains) {
 		c.spin = spinLimit
 	}
-	// Scheduler-goroutine pprof labels: the drain loop, the publish+await
-	// barrier, and inline single-shard windows all execute here, so they
-	// get the same shard/phase tagging as the workers. Built before the
-	// profiled wall-clock span opens — label-map construction is setup
-	// cost, not a scheduler phase.
-	var schedBase, schedBarrier, schedDrain context.Context
-	var schedInline []context.Context
+	// pprof labels: each owner tags its compute and barrier time by
+	// shard, and the scheduler's own phases by phase alone. Built before
+	// the profiled wall-clock span opens — label-map construction is
+	// setup cost, not a scheduler phase.
+	var schedBase, schedDrain context.Context
 	if c.pr != nil {
 		schedBase = context.Background()
-		schedBarrier = pprof.WithLabels(schedBase, pprof.Labels("phase", "barrier"))
 		schedDrain = pprof.WithLabels(schedBase, pprof.Labels("phase", "drain"))
-		schedInline = make([]context.Context, len(c.domains))
-		for i := range schedInline {
-			schedInline[i] = pprof.WithLabels(schedBase, pprof.Labels("shard", strconv.Itoa(i), "phase", "compute"))
+		for _, d := range c.domains {
+			shard := strconv.Itoa(d.id)
+			d.computeCtx = pprof.WithLabels(schedBase, pprof.Labels("shard", shard, "phase", "compute"))
+			d.waitCtx = pprof.WithLabels(schedBase, pprof.Labels("shard", shard, "phase", "barrier"))
 		}
+		c.domains[0].waitCtx = pprof.WithLabels(schedBase, pprof.Labels("phase", "barrier"))
 		defer pprof.SetGoroutineLabels(schedBase)
 	}
-	active := make([]*Domain, 0, len(c.domains))
 
 	tRun := c.pr.Now()
 	for _, d := range c.domains {
-		d.stop.Store(false)
 		d.wprof = c.pr.Worker(d.id)
-		if d.wp.wake == nil {
-			d.wp = newParker()
+		if d.id > 0 {
+			d.stop.Store(false)
+			d.exited = make(chan struct{})
+			go d.work()
 		}
-		d.exited = make(chan struct{})
-		go func(d *Domain) {
-			defer close(d.exited)
-			// Profiling state: w is nil on unprofiled runs, making every
-			// collector call below a nil check. The pprof label contexts
-			// tag CPU samples by shard and phase (compute vs barrier) so
-			// `go tool pprof` can slice the same run the Report does.
-			w := d.wprof
-			var computeCtx, barrierCtx context.Context
-			if w != nil {
-				shard := strconv.Itoa(d.id)
-				computeCtx = pprof.WithLabels(context.Background(), pprof.Labels("shard", shard, "phase", "compute"))
-				barrierCtx = pprof.WithLabels(context.Background(), pprof.Labels("shard", shard, "phase", "barrier"))
-				pprof.SetGoroutineLabels(barrierCtx)
-				defer pprof.SetGoroutineLabels(context.Background())
-			}
-			// Resume from the last *completed* window: the scheduler may
-			// publish the first window of this run before the worker's
-			// first load, so initializing from winSeq would skip it.
-			// tw is the worker's chained stopwatch: each collector call
-			// returns the sample that starts the next interval, so wait
-			// and compute tile the worker's wall clock exactly.
-			last := d.doneSeq.Load()
-			tw := w.Now()
-			for {
-				s, ok, parked := d.awaitWindow(last)
-				if !ok {
-					return
-				}
-				tw = w.Wait(tw, parked)
-				var ev0 uint64
-				if w != nil {
-					ev0 = d.k.steps
-					pprof.SetGoroutineLabels(computeCtx)
-				}
-				d.werr = d.k.runBounded(Time(d.winB.Load()))
-				if w != nil {
-					tw = w.Compute(tw, d.k.steps-ev0)
-					pprof.SetGoroutineLabels(barrierCtx)
-				}
-				d.doneSeq.Store(s)
-				d.c.sp.wakeIf()
-				last = s
-			}
-		}(d)
 	}
 	// ts is the scheduler's chained stopwatch: each phase collector samples
 	// its end time once and returns it as the next phase's start, so
-	// choose, compute/barrier, and drain intervals tile the scheduler's
-	// wall clock exactly — collector bookkeeping is charged to the
-	// following phase instead of leaking into unaccounted gaps.
+	// choose, barrier, domain 0's compute and drain intervals tile the
+	// scheduler's wall clock exactly — collector bookkeeping is charged to
+	// the following phase instead of leaking into unaccounted gaps.
 	ts := c.pr.SpawnJoin(tRun)
 	defer func() {
 		tJoin := c.pr.Now()
-		for _, d := range c.domains {
+		for _, d := range c.domains[1:] {
 			d.stop.Store(true)
 			d.wp.wakeIf()
 		}
-		for _, d := range c.domains {
+		for _, d := range c.domains[1:] {
 			<-d.exited
 		}
 		c.pr.SpawnJoin(tJoin)
@@ -578,20 +583,16 @@ func (c *Coupling) run(horizon Time, drain bool) error {
 		}
 		// Parallel window: every domain with events below its bound
 		// executes them; idle domains are skipped (their clocks advance
-		// lazily). A window with a single active domain runs inline on the
-		// scheduler goroutine — its kernel's state is synchronized by the
-		// previous barrier, and the next winSeq store republishes it to
-		// the worker. That includes the domain's Proc coroutines, which
-		// are thus resumed by the worker in some windows and by the
-		// scheduler in others, never by both at once.
+		// lazily).
 		c.windows++
 		seq := c.windows
-		active = active[:0]
+		c.active = c.active[:0]
 		for _, d := range c.domains {
 			if at, ok := d.k.NextEventAt(); ok && at < c.bounds[d.id] {
-				active = append(active, d)
+				c.active = append(c.active, d)
 			}
 		}
+		active := c.active
 		if len(active) == 0 {
 			// Per-channel bounds guarantee progress whenever gateways have
 			// positive lookahead toward the minNET owner; an empty active
@@ -602,79 +603,87 @@ func (c *Coupling) run(horizon Time, drain bool) error {
 				c.Now(), bMin, minNET)
 		}
 		ts = c.pr.Choose(ts, span, len(active))
-		var firstErr error
-		if len(active) == 1 {
-			d := active[0]
-			var ev0 uint64
-			if c.pr != nil {
-				ev0 = d.k.steps
-				pprof.SetGoroutineLabels(schedInline[d.id])
-			}
-			firstErr = d.k.runBounded(c.bounds[d.id])
-			if c.pr != nil {
-				pprof.SetGoroutineLabels(schedBase)
-				ts = c.pr.Inline(ts, d.id, d.k.steps-ev0)
-				c.pr.WindowEvents(d.k.steps - ev0)
-			}
-		} else {
+		if len(active) > 1 {
 			c.multi++
-			var ev0 uint64
-			if c.pr != nil {
-				for _, d := range active {
-					ev0 += d.k.steps
-				}
-				pprof.SetGoroutineLabels(schedBarrier)
-			}
-			for _, d := range active {
-				d.winB.Store(int64(c.bounds[d.id]))
-				d.winSeq.Store(seq)
-				d.wp.wakeIf()
-			}
-			for _, d := range active {
-				c.awaitDone(d, seq)
-				if err := d.werr; err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			if c.pr != nil {
-				pprof.SetGoroutineLabels(schedBase)
-				ts = c.pr.Barrier(ts)
-				var ev1 uint64
-				for _, d := range active {
-					ev1 += d.k.steps
-				}
-				c.pr.WindowEvents(ev1 - ev0)
-			}
 		}
-		if firstErr != nil {
-			return firstErr
-		}
-		// Barrier: drain outboxes in deterministic order (source domain
-		// index, then emission order). Every buffered timestamp is >= the
-		// destination's bound for this window > every event its kernel
-		// executed, so injection never schedules into the past. Each
-		// (src, dst) batch is injected in one kernel call: sequence
-		// numbers are assigned in drain order, and heap pop order depends
-		// only on the (time, seq) keys, so batching cannot perturb the
-		// merged event order.
+		var ev0 uint64
 		if c.pr != nil {
-			pprof.SetGoroutineLabels(schedDrain)
+			for _, d := range active {
+				ev0 += d.k.steps
+			}
+			pprof.SetGoroutineLabels(c.domains[0].waitCtx)
 		}
-		for _, src := range c.domains {
-			for dstID := range src.out {
-				injs := src.out[dstID]
-				if len(injs) == 0 {
-					continue
-				}
-				dst := c.domains[dstID]
-				bytes := dst.k.injectBatch(injs)
-				c.pr.DrainOut(src.id, uint64(len(injs)), bytes)
-				src.out[dstID] = injs[:0]
+		// Publish the window to every active worker; domain 0, when
+		// active, is the scheduler's own to run.
+		published := active
+		if active[0].id == 0 {
+			published = active[1:]
+		}
+		for _, d := range published {
+			d.winB.Store(int64(c.bounds[d.id]))
+			d.winSeq.Store(seq)
+			d.wp.wakeIf()
+		}
+		var firstErr error
+		if len(published) < len(active) {
+			if len(published) > 0 {
+				// A worker readied by this goroutine (channel wake or
+				// go statement) sits in this P's runnext slot, so it
+				// would wait for a work-stealing P while domain 0
+				// computes, and the shards would run one after the
+				// other. Yield once to let it start first.
+				runtime.Gosched()
+			}
+			ts = c.pr.Barrier(ts)
+			ts, firstErr = active[0].runWindow(ts, c.bounds[0])
+		}
+		for _, d := range published {
+			c.awaitDone(d, seq)
+			if err := d.werr; err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 		if c.pr != nil {
 			pprof.SetGoroutineLabels(schedBase)
+			ts = c.pr.Barrier(ts)
+			var ev1 uint64
+			for _, d := range active {
+				ev1 += d.k.steps
+			}
+			c.pr.WindowEvents(ev1 - ev0)
+		}
+		if firstErr != nil {
+			return firstErr
+		}
+		if c.pr != nil {
+			pprof.SetGoroutineLabels(schedDrain)
+		}
+		c.drainOutboxes()
+		if c.pr != nil {
+			pprof.SetGoroutineLabels(schedBase)
 		}
 		ts = c.pr.Drain(ts)
+	}
+}
+
+// drainOutboxes injects the messages buffered during a window, in
+// deterministic order (source domain index, then emission order). Every
+// buffered timestamp is >= the destination's bound for the window > every
+// event its kernel executed, so injection never schedules into the past.
+// Each (src, dst) batch is injected in one kernel call: sequence numbers
+// are assigned in drain order, and heap pop order depends only on the
+// (time, seq) keys, so batching cannot perturb the merged event order.
+//
+//nectar:shard-boundary window-barrier outbox drain, run by the scheduler while every worker waits behind doneSeq
+func (c *Coupling) drainOutboxes() {
+	for _, src := range c.domains {
+		for dstID, injs := range src.out {
+			if len(injs) == 0 {
+				continue
+			}
+			bytes := c.domains[dstID].k.injectBatch(injs)
+			c.pr.DrainOut(src.id, uint64(len(injs)), bytes)
+			src.out[dstID] = injs[:0]
+		}
 	}
 }

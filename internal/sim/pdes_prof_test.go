@@ -68,7 +68,7 @@ func TestCouplingProfileDoesNotPerturb(t *testing.T) {
 
 // TestCouplingProfileReport checks the collected breakdown against what
 // the ping-pong workload provably did: two runs, one event per window,
-// windows matching the scheduler's own count, consistent drain traffic.
+// windows split between the two shards' owners, consistent drain traffic.
 func TestCouplingProfileReport(t *testing.T) {
 	_, r := profiledPingPong(t, true)
 	if r == nil {
@@ -84,17 +84,21 @@ func TestCouplingProfileReport(t *testing.T) {
 		t.Fatal("no windows recorded")
 	}
 	// Ping-pong alternates domains, so every window has exactly one active
-	// domain and runs inline on the scheduler goroutine.
-	if r.InlineWindows != r.Windows || r.MultiWindows != 0 {
-		t.Errorf("windows = %d inline / %d multi of %d, want all inline",
-			r.InlineWindows, r.MultiWindows, r.Windows)
+	// domain, run by that domain's owner: the scheduler for shard 0, the
+	// worker for shard 1, one bounce each.
+	if r.MultiWindows != 0 {
+		t.Errorf("%d multi windows, want 0", r.MultiWindows)
 	}
-	var events uint64
-	for _, s := range r.PerShard {
-		events += s.Events
+	s0, s1 := r.PerShard[0], r.PerShard[1]
+	if s0.Windows != 200 || s1.Windows != 200 || s0.Windows+s1.Windows != r.Windows {
+		t.Errorf("shard windows = %d + %d of %d, want 200 + 200 = all", s0.Windows, s1.Windows, r.Windows)
 	}
-	if events != 400 {
-		t.Errorf("profiled events = %d, want 400 bounces", events)
+	if s0.Events != 200 || s1.Events != 200 {
+		t.Errorf("profiled events = %d + %d, want 200 bounces each", s0.Events, s1.Events)
+	}
+	if s0.Waits != 0 || s1.Waits < s1.Windows {
+		t.Errorf("waits = %d/%d, want none for the scheduler's shard and >= %d for the worker",
+			s0.Waits, s1.Waits, s1.Windows)
 	}
 	// Every bounce but the last crosses domains: 399 drained injections.
 	if r.Sched.DrainInjections != 399 {
@@ -103,15 +107,16 @@ func TestCouplingProfileReport(t *testing.T) {
 	if r.LookaheadUS.Count == 0 {
 		t.Error("no lookahead samples recorded")
 	}
-	// A pure-inline workload keeps the accounted fraction near 1: choose +
-	// inline + drain + spawn/join is the whole scheduler loop.
+	// The scheduler's phases and its own shard's compute tile its wall
+	// clock, so the accounted fraction stays near 1.
 	if err := r.Check(0.90); err != nil {
 		t.Errorf("Check: %v\n%s", err, r.JSON())
 	}
 }
 
-// TestCouplingProfileSpinVsPark forces published (multi-domain) windows
-// and checks worker waits are recorded and split spin/park coherently.
+// TestCouplingProfileSpinVsPark forces multi-domain windows and checks
+// worker waits are recorded and split spin/park coherently. Shard 0 is the
+// scheduler's own, which never waits on its behalf.
 func TestCouplingProfileSpinVsPark(t *testing.T) {
 	const latency = Duration(500)
 	const rounds = 30
@@ -146,7 +151,13 @@ func TestCouplingProfileSpinVsPark(t *testing.T) {
 	}
 	for _, s := range r.PerShard {
 		if s.Windows == 0 {
-			t.Errorf("shard %d executed no published windows", s.Shard)
+			t.Errorf("shard %d executed no windows", s.Shard)
+		}
+		if s.Shard == 0 {
+			if s.Waits != 0 || s.Parks != 0 {
+				t.Errorf("shard 0: %d waits, %d parks, want none (the scheduler runs it)", s.Waits, s.Parks)
+			}
+			continue
 		}
 		if s.Waits < s.Windows {
 			t.Errorf("shard %d: %d waits < %d windows (every published window is preceded by a wait)",
@@ -161,16 +172,16 @@ func TestCouplingProfileSpinVsPark(t *testing.T) {
 	}
 }
 
-// TestZeroAllocBarrierPathDisabled pins the tentpole's zero-cost claim at
-// the exact code the worker goroutine runs per window — awaitWindow, the
-// collector calls on a nil Worker, runBounded, doneSeq publish — with
-// profiling disabled.
+// TestZeroAllocBarrierPathDisabled pins the zero-cost claim at the exact
+// code a worker goroutine runs per window — awaitWindow, the collector
+// calls on a nil Worker, runWindow, doneSeq publish — with profiling
+// disabled. Domain 1 is the first domain a worker owns.
 func TestZeroAllocBarrierPathDisabled(t *testing.T) {
 	c := NewCoupling()
-	a := c.AddDomain(NewKernel())
 	c.AddDomain(NewKernel())
+	b := c.AddDomain(NewKernel())
 	c.spin = spinLimit
-	if a.wprof != nil {
+	if b.wprof != nil {
 		t.Fatal("profile attached on a fresh coupling")
 	}
 	var seq uint64
@@ -178,67 +189,73 @@ func TestZeroAllocBarrierPathDisabled(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		seq++
 		bound += 10
-		a.winB.Store(int64(bound))
-		a.winSeq.Store(seq)
-		w := a.wprof
+		b.winB.Store(int64(bound))
+		b.winSeq.Store(seq)
+		w := b.wprof
 		t0 := w.Now()
-		s, ok, parked := a.awaitWindow(seq - 1)
+		s, ok, parked := b.awaitWindow(seq - 1)
 		if !ok || s != seq {
 			t.Fatal("awaitWindow did not observe the published window")
 		}
-		w.Wait(t0, parked)
-		t1 := w.Now()
-		if a.werr = a.k.runBounded(Time(a.winB.Load())); a.werr != nil {
-			t.Fatal(a.werr)
+		t1 := w.Wait(t0, parked)
+		if _, b.werr = b.runWindow(t1, Time(b.winB.Load())); b.werr != nil {
+			t.Fatal(b.werr)
 		}
-		w.Compute(t1, 0)
-		a.doneSeq.Store(s)
+		b.doneSeq.Store(s)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled worker barrier path allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
-// TestZeroAllocSchedulerDrainDisabled guards the scheduler-side additions:
-// the outbox drain with byte accounting must stay allocation-free when
-// profiling is off (it runs at every window barrier).
+// TestZeroAllocSchedulerDrainDisabled guards the scheduler's barrier
+// drain: the outbox drain with byte accounting must stay allocation-free
+// when profiling is off (it runs at every window barrier).
 func TestZeroAllocSchedulerDrainDisabled(t *testing.T) {
 	c := NewCoupling()
 	a := c.AddDomain(NewKernel())
 	b := c.AddDomain(NewKernel())
-	for _, d := range c.domains {
-		for len(d.out) < len(c.domains) {
-			d.out = append(d.out, nil)
-		}
-	}
 	fn := func() {}
 	// Warm the outbox and destination kernel arena.
 	for i := 0; i < 64; i++ {
 		a.SendSized(b, Time(1000+i), 64, fn)
 	}
+	c.drainOutboxes()
 	var at Time = 2000
 	allocs := testing.AllocsPerRun(200, func() {
 		at++
 		a.SendSized(b, at, 64, fn)
-		for _, src := range c.domains {
-			for dstID := range src.out {
-				injs := src.out[dstID]
-				if len(injs) == 0 {
-					continue
-				}
-				dst := c.domains[dstID]
-				var bytes uint64
-				for _, inj := range injs {
-					dst.k.At(inj.at, inj.fn)
-					bytes += uint64(inj.bytes)
-				}
-				c.pr.DrainOut(src.id, uint64(len(injs)), bytes)
-				src.out[dstID] = injs[:0]
-			}
-		}
+		c.drainOutboxes()
 	})
 	if allocs != 0 {
 		t.Errorf("disabled drain path allocates %.1f allocs/op, want 0", allocs)
+	}
+	if got, want := b.Kernel().PendingEvents(), 64+201; got != want {
+		t.Errorf("destination holds %d events, want %d drained injections", got, want)
+	}
+}
+
+// TestZeroAllocOneDomainRunFor pins the one-domain coupling, which every
+// one-shard cluster is: a RunFor goes through the same window loop as a
+// sharded run, with no workers to start, and allocates nothing.
+func TestZeroAllocOneDomainRunFor(t *testing.T) {
+	c := NewCoupling()
+	k := c.AddDomain(NewKernel()).Kernel()
+	var tick func()
+	tick = func() { k.After(Microsecond, tick) }
+	k.At(0, tick)
+	round := func() {
+		if err := c.RunFor(10 * Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	windows := c.Windows()
+	if got := testing.AllocsPerRun(200, round); got != 0 {
+		t.Errorf("one-domain RunFor allocates %.1f allocs/op, want 0", got)
+	}
+	if got := c.Windows() - windows; got != 201 {
+		t.Errorf("%d windows over 201 RunFor calls, want one each", got)
 	}
 }
 

@@ -22,11 +22,12 @@ import (
 // body function.
 //
 // A Proc is resumed by whichever goroutine executes its kernel's events:
-// the caller of Run, or, under a Coupling, the domain's worker goroutine in
-// parallel windows and the coordinator in inline windows. iter.Pull allows
-// a coroutine to be resumed from different goroutines as long as two
-// resumptions never overlap, and the coupling's window barrier guarantees
-// they do not.
+// the caller of Run, or, under a Coupling, the domain's one owner during a
+// run — the scheduler for domain 0, a worker goroutine for every other.
+// Each run starts fresh workers, so a Proc may be resumed from different
+// goroutines across runs; iter.Pull allows that as long as two
+// resumptions never overlap, and the end-of-run join guarantees they do
+// not.
 type Proc struct {
 	k    *Kernel
 	name string
