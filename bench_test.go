@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"nectar"
 	"nectar/internal/bench"
+	"nectar/internal/fabric"
 	"nectar/internal/model"
 )
 
@@ -200,5 +202,16 @@ func BenchmarkAblation_RMPWindow(b *testing.B) {
 		}
 		b.ReportMetric(r.StopAndWaitMbps, "window1_mbps")
 		b.ReportMetric(r.Window4Mbps, "window4_mbps")
+	}
+}
+
+// BenchmarkFatTreeBuild builds the 1,024-host FatTree(16) cluster of
+// nectar-perf's fabric workload: 320 HUBs, 4,096 trunk fibers and the
+// compact node arena, each HUB and fiber registering its gauges. Run with
+// -benchmem: a registration regression shows as allocations per build.
+func BenchmarkFatTreeBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		nectar.NewCluster(&nectar.Config{Topology: fabric.FatTree(16)})
 	}
 }

@@ -569,12 +569,23 @@ func (cl *Cluster) ProfileReport() *prof.Report {
 		return nil
 	}
 	r.VirtualNS = cl.Now().Nanos()
-	for _, k := range cl.Kernels() {
-		r.KernelDispatches += k.Dispatched()
+	// Wire traffic is the fiber gauges' sum, the value a snapshot would
+	// report, read straight from the sources without building one.
+	wire := func(layer obs.Layer, name, _ string, v uint64) {
+		if layer != obs.LayerFiber {
+			return
+		}
+		switch name {
+		case "frames":
+			r.WireFrames += v
+		case "bytes":
+			r.WireBytes += v
+		}
 	}
-	snap := cl.MetricsSnapshot()
-	r.WireFrames = snap.Sum(obs.LayerFiber, "frames")
-	r.WireBytes = snap.Sum(obs.LayerFiber, "bytes")
+	for _, d := range cl.domains {
+		r.KernelDispatches += d.Kernel().Dispatched()
+		obs.Ensure(d.Kernel()).Metrics().Gauges(wire)
+	}
 	r.CrossShardFrames = cl.CrossShardFrames()
 	return r
 }

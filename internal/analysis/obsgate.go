@@ -38,9 +38,10 @@ import (
 // by their receiver's guard. Metric emissions (Counter.Inc/Add,
 // Histogram.Observe) have no disabled state, so a costly argument is
 // reported unconditionally: precompute it at registration time (the
-// Registry's Counter/Gauge/Histogram constructors are setup surfaces and
-// are exempt). Package nectar/internal/obs itself is exempt — the
-// implementation owns its own guards.
+// Registry's Counter and Histogram constructors and Register are setup
+// surfaces and are exempt; a gauge is no call at all, but a field its
+// object reports at snapshot time). Package nectar/internal/obs itself is
+// exempt — the implementation owns its own guards.
 var Obsgate = &Analyzer{
 	Name: "obsgate",
 	Doc: "every obs trace/capture emission whose arguments allocate or format must be dominated by the matching " +
@@ -198,9 +199,9 @@ func (oc *obsChecker) inspect(n ast.Node, f obsFact) {
 
 // checkEmission reports costly arguments of a trace, capture or metric
 // emission (emissionSurfaces) that are not covered by the required
-// guard. Registration surfaces (Registry.Counter/Gauge/Histogram) are
-// not emissions: they run once at setup and may format their scope
-// freely.
+// guard. Registration surfaces (Registry.Counter, Histogram and
+// Register) are not emissions: they run once at setup and may format
+// their scope freely.
 func (oc *obsChecker) checkEmission(call *ast.CallExpr, f obsFact) {
 	kind := emissionOf(oc.info, call)
 	sel, ok := unparenIndex(call.Fun).(*ast.SelectorExpr)

@@ -140,16 +140,24 @@ func NewSized(k *sim.Kernel, cost *model.CostModel, node wire.NodeID, dataBytes 
 	c.pool = &fiber.Pool{}
 	c.rxInterrupt = true
 	c.obs = obs.Ensure(k)
-	m := c.obs.Metrics()
-	scope := fmt.Sprintf("cab%d", node)
-	m.Gauge(obs.LayerCAB, "tx_frames", scope, func() uint64 { return c.txFrames })
-	m.Gauge(obs.LayerCAB, "rx_frames", scope, func() uint64 { return c.rxFrames })
-	m.Gauge(obs.LayerCAB, "crc_errors", scope, func() uint64 { return c.crcErrors })
+	c.obs.Metrics().Register(c)
 	return c
+}
+
+// Gauges reports the board's frame and CRC-error counts (obs.Source).
+func (c *CAB) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	scope := c.Scope()
+	emit(obs.LayerCAB, "tx_frames", scope, c.txFrames)
+	emit(obs.LayerCAB, "rx_frames", scope, c.rxFrames)
+	emit(obs.LayerCAB, "crc_errors", scope, c.crcErrors)
 }
 
 // Node returns the CAB's node ID.
 func (c *CAB) Node() wire.NodeID { return c.node }
+
+// Scope returns the board's metric scope, "cab<node>": the name of its
+// CPU, shared by every layer that reports metrics for this board.
+func (c *CAB) Scope() string { return c.Sched.Name() }
 
 // Kernel returns the simulation kernel.
 func (c *CAB) Kernel() *sim.Kernel { return c.k }

@@ -109,12 +109,16 @@ func NewLink(k *sim.Kernel, cost *model.CostModel, name string, dst Endpoint) *L
 	}
 	l := &Link{k: k, cost: cost, name: name, dst: dst}
 	l.obs = obs.Ensure(k)
-	m := l.obs.Metrics()
-	m.Gauge(obs.LayerFiber, "frames", name, func() uint64 { return l.sent })
-	m.Gauge(obs.LayerFiber, "bytes", name, func() uint64 { return l.bytes })
-	m.Gauge(obs.LayerFiber, "dropped", name, func() uint64 { return l.dropped })
-	m.Gauge(obs.LayerFiber, "corrupted", name, func() uint64 { return l.corrupted })
+	l.obs.Metrics().Register(l)
 	return l
+}
+
+// Gauges reports the link's traffic and fault counts (obs.Source).
+func (l *Link) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	emit(obs.LayerFiber, "frames", l.name, l.sent)
+	emit(obs.LayerFiber, "bytes", l.name, l.bytes)
+	emit(obs.LayerFiber, "dropped", l.name, l.dropped)
+	emit(obs.LayerFiber, "corrupted", l.name, l.corrupted)
 }
 
 // Name returns the link name.

@@ -54,10 +54,14 @@ func New(k *sim.Kernel, cost *model.CostModel, name string, n int) *Hub {
 	for i := range h.circ {
 		h.circ[i] = -1
 	}
-	m := obs.Ensure(k).Metrics()
-	m.Gauge(obs.LayerFiber, "hub_forwarded", name, func() uint64 { return h.stats.forwarded.Load() })
-	m.Gauge(obs.LayerFiber, "hub_setup_ops", name, func() uint64 { return h.stats.setupOps })
+	obs.Ensure(k).Metrics().Register(h)
 	return h
+}
+
+// Gauges reports the HUB's forwards and controller commands (obs.Source).
+func (h *Hub) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	emit(obs.LayerFiber, "hub_forwarded", h.name, h.stats.forwarded.Load())
+	emit(obs.LayerFiber, "hub_setup_ops", h.name, h.stats.setupOps)
 }
 
 // Name returns the HUB name.

@@ -77,3 +77,25 @@ func TestForwardingAllocations(t *testing.T) {
 		t.Errorf("2-hop forward allocates %.1f objects/run, budget %d", avg, budget)
 	}
 }
+
+// TestRegistrationAllocations pins the cost of building a fabric: on a
+// warm registry, fiber.NewLink allocates only its Link, and New only its
+// Hub and the three per-port tables. A link's and a HUB's gauges are their
+// own fields, read at snapshot time, so registering them allocates
+// nothing per metric.
+func TestRegistrationAllocations(t *testing.T) {
+	k := sim.NewKernel()
+	cost := model.Default1990()
+	dst := &capture{k: k}
+	// Install the kernel's observer and grow its registry's source list,
+	// so the runs below measure registration, not first use.
+	for i := 0; i < 1024; i++ {
+		fiber.NewLink(k, cost, "warm", dst)
+	}
+	if avg := testing.AllocsPerRun(100, func() { fiber.NewLink(k, cost, "link", dst) }); avg != 1 {
+		t.Errorf("fiber.NewLink allocates %.1f objects, want 1 (the Link)", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { New(k, cost, "hub", DefaultPorts) }); avg != 4 {
+		t.Errorf("hub.New allocates %.1f objects, want 4 (the Hub and its port tables)", avg)
+	}
+}

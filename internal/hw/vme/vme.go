@@ -30,10 +30,14 @@ type Bus struct {
 // New creates a bus.
 func New(k *sim.Kernel, cost *model.CostModel, name string) *Bus {
 	b := &Bus{k: k, cost: cost, name: name}
-	m := obs.Ensure(k).Metrics()
-	m.Gauge(obs.LayerVME, "pio_words", name, func() uint64 { return b.pioWords })
-	m.Gauge(obs.LayerVME, "dma_bytes", name, func() uint64 { return b.dmaBytes })
+	obs.Ensure(k).Metrics().Register(b)
 	return b
+}
+
+// Gauges reports the words and bytes the bus has moved (obs.Source).
+func (b *Bus) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	emit(obs.LayerVME, "pio_words", b.name, b.pioWords)
+	emit(obs.LayerVME, "dma_bytes", b.name, b.dmaBytes)
 }
 
 // Name returns the bus name.

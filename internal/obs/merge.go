@@ -22,13 +22,15 @@ import (
 // and gauges with the same (layer, name, scope) key sum, histograms merge
 // at bucket level, and the result is sorted by (layer, name, scope) — so
 // merging the per-shard registries of a run yields the same JSON for every
-// shard count. It is the one export: Registry.Snapshot merges one
-// registry.
+// shard count. Gauges are read here, from each registry's sources. It is
+// the one export: Registry.Snapshot merges one registry.
 func MergeSnapshots(at sim.Time, regs ...*Registry) *Snapshot {
 	s := &Snapshot{AtUS: at.Micros()}
 	counters := make(map[metricKey]uint64)
 	gauges := make(map[metricKey]uint64)
-	gaugeSeen := make(map[metricKey]bool)
+	addGauge := func(layer Layer, name, scope string, v uint64) {
+		gauges[metricKey{layer, name, scope}] += v
+	}
 	hists := make(map[metricKey]*Histogram)
 	for _, r := range regs {
 		if r == nil {
@@ -37,10 +39,7 @@ func MergeSnapshots(at sim.Time, regs ...*Registry) *Snapshot {
 		for k, c := range r.counters {
 			counters[k] += c.v
 		}
-		for k, fn := range r.gauges {
-			gauges[k] += fn()
-			gaugeSeen[k] = true
-		}
+		r.Gauges(addGauge)
 		for k, h := range r.hists {
 			m := hists[k]
 			if m == nil {
@@ -53,8 +52,8 @@ func MergeSnapshots(at sim.Time, regs ...*Registry) *Snapshot {
 	for k, v := range counters {
 		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "counter", v, nil})
 	}
-	for k := range gaugeSeen {
-		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "gauge", gauges[k], nil})
+	for k, v := range gauges {
+		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "gauge", v, nil})
 	}
 	for k, h := range hists {
 		s.Entries = append(s.Entries, Entry{string(k.layer), k.name, k.scope, "histogram", 0, h.stats()})

@@ -42,7 +42,7 @@ func TestMergeSnapshotsSingle(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(LayerFiber, "frames", "hub").Add(7)
 	r.Counter(LayerTCP, "retransmits", "cab0").Inc()
-	r.Gauge(LayerMailbox, "depth", "n1", func() uint64 { return 3 })
+	r.Register(&testGauge{LayerMailbox, "depth", "n1", 3})
 	h := r.Histogram(LayerTCP, "ack_rtt", "cab0")
 	h.Observe(5 * sim.Microsecond)
 	h.Observe(9 * sim.Microsecond)
@@ -106,8 +106,8 @@ func TestMergeSnapshotsSums(t *testing.T) {
 	a.Counter(LayerFiber, "frames", "hub").Add(10)
 	b.Counter(LayerFiber, "frames", "hub").Add(32)
 	a.Counter(LayerRMP, "timeouts", "cab0").Inc() // shard-a only
-	a.Gauge(LayerMailbox, "depth", "n1", func() uint64 { return 2 })
-	b.Gauge(LayerMailbox, "depth", "n1", func() uint64 { return 5 })
+	a.Register(&testGauge{LayerMailbox, "depth", "n1", 2})
+	b.Register(&testGauge{LayerMailbox, "depth", "n1", 5})
 
 	s := MergeSnapshots(0, a, nil, b)
 	if e, ok := s.Get(LayerFiber, "frames", "hub"); !ok || e.Value != 42 {

@@ -88,20 +88,29 @@ func (h *Histogram) stats() *HistStats {
 	}
 }
 
+// Source is an object that reports its own gauges: at snapshot time the
+// registry calls Gauges, and the object emits the current value of each
+// of its instruments — its own fields — under a fixed (layer, name,
+// scope) key. Gauges must be deterministic and must emit every key it
+// owns on every call, zero or not; within one registry no key may be
+// emitted by two sources or twice by one.
+type Source interface {
+	Gauges(emit func(layer Layer, name, scope string, v uint64))
+}
+
 // Registry holds all metrics registered against one kernel's Observer.
 // It is not safe for concurrent use — like everything else in the sim,
 // exactly one goroutine touches it at a time.
 type Registry struct {
 	counters map[metricKey]*Counter
-	gauges   map[metricKey]func() uint64
 	hists    map[metricKey]*Histogram
+	sources  []Source
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[metricKey]*Counter),
-		gauges:   make(map[metricKey]func() uint64),
 		hists:    make(map[metricKey]*Histogram),
 	}
 }
@@ -121,14 +130,25 @@ func (r *Registry) Counter(layer Layer, name, scope string) *Counter {
 	return c
 }
 
-// Gauge registers a pull-style gauge sampled at snapshot time. fn must be
-// deterministic and order-independent (e.g. a sum over a map). Later
-// registrations under the same key replace earlier ones.
-func (r *Registry) Gauge(layer Layer, name, scope string, fn func() uint64) {
-	if r == nil || fn == nil {
+// Register adds a gauge source, sampled at every snapshot. Registering
+// is one append: the source's fields are the instruments, so nothing is
+// allocated per metric. A nil registry ignores the call.
+func (r *Registry) Register(s Source) {
+	if r == nil {
 		return
 	}
-	r.gauges[metricKey{layer, name, scope}] = fn
+	r.sources = append(r.sources, s)
+}
+
+// Gauges emits the gauges of every registered source, in registration
+// order, so a Registry is itself a Source. A nil registry emits nothing.
+func (r *Registry) Gauges(emit func(layer Layer, name, scope string, v uint64)) {
+	if r == nil {
+		return
+	}
+	for _, s := range r.sources {
+		s.Gauges(emit)
+	}
 }
 
 // Histogram returns (creating on first use) the named histogram. A nil

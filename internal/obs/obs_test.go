@@ -7,6 +7,17 @@ import (
 	"nectar/internal/sim"
 )
 
+// testGauge is a Source reporting one fixed gauge.
+type testGauge struct {
+	layer       Layer
+	name, scope string
+	v           uint64
+}
+
+func (g *testGauge) Gauges(emit func(layer Layer, name, scope string, v uint64)) {
+	emit(g.layer, g.name, g.scope, g.v)
+}
+
 // TestDisabledEmissionAllocatesNothing pins the package's core promise:
 // with no sink installed, every emission path is a nil check and every
 // metric update is plain arithmetic — zero allocations.
@@ -55,7 +66,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	}
 	h := r.Histogram(LayerIP, "x", "cab1")
 	h.Observe(sim.Millisecond)
-	r.Gauge(LayerIP, "x", "cab1", func() uint64 { return 1 })
+	r.Register(&testGauge{LayerIP, "x", "cab1", 1})
 	if got := r.Snapshot(0); len(got.Entries) != 0 {
 		t.Fatalf("nil registry snapshot has %d entries", len(got.Entries))
 	}
@@ -70,7 +81,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 		for _, scope := range []string{"cab2", "cab1", "total"} {
 			r.Counter(LayerTCP, "segs_out", scope).Add(5)
 			r.Counter(LayerFiber, "bytes", scope).Add(1024)
-			r.Gauge(LayerRMP, "sent", scope, func() uint64 { return 9 })
+			r.Register(&testGauge{LayerRMP, "sent", scope, 9})
 			r.Histogram(LayerVME, "dma", scope).Observe(3 * sim.Microsecond)
 		}
 		return r

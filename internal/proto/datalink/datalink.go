@@ -15,8 +15,6 @@
 package datalink
 
 import (
-	"fmt"
-
 	"nectar/internal/hw/cab"
 	"nectar/internal/model"
 	"nectar/internal/obs"
@@ -87,14 +85,18 @@ func NewLayer(c *cab.CAB, rt *mailbox.Runtime) *Layer {
 		c.Sched.Fork("datalink-rx", threads.SystemPriority, l.rxThread)
 	}
 	l.obs = obs.Ensure(c.Kernel())
-	m := l.obs.Metrics()
-	scope := fmt.Sprintf("cab%d", c.Node())
-	m.Gauge(obs.LayerDatalink, "delivered", scope, func() uint64 { return l.delivered })
-	m.Gauge(obs.LayerDatalink, "unknown_type", scope, func() uint64 { return l.unknownType })
-	m.Gauge(obs.LayerDatalink, "no_buffer", scope, func() uint64 { return l.noBuffer })
-	m.Gauge(obs.LayerDatalink, "crc_drops", scope, func() uint64 { return l.crcDrops })
-	m.Gauge(obs.LayerDatalink, "vetoed", scope, func() uint64 { return l.vetoed })
+	l.obs.Metrics().Register(l)
 	return l
+}
+
+// Gauges reports the frames delivered and the drop counts (obs.Source).
+func (l *Layer) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	scope := l.cab.Scope()
+	emit(obs.LayerDatalink, "delivered", scope, l.delivered)
+	emit(obs.LayerDatalink, "unknown_type", scope, l.unknownType)
+	emit(obs.LayerDatalink, "no_buffer", scope, l.noBuffer)
+	emit(obs.LayerDatalink, "crc_drops", scope, l.crcDrops)
+	emit(obs.LayerDatalink, "vetoed", scope, l.vetoed)
 }
 
 // Register binds a protocol to a frame type.

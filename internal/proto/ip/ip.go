@@ -101,22 +101,22 @@ func NewLayer(dl *datalink.Layer, rt *mailbox.Runtime) *Layer {
 	dl.Register(wire.TypeIP, l)
 	l.node = int(rt.CAB().Node())
 	l.obs = obs.Ensure(rt.CAB().Kernel())
-	m := l.obs.Metrics()
-	scope := fmt.Sprintf("cab%d", l.node)
-	for _, g := range []struct {
-		name string
-		v    *uint64
-	}{
-		{"in_delivers", &l.inDelivers}, {"in_fragments", &l.inFragments},
-		{"reassembled", &l.reassembled}, {"reasm_timeouts", &l.reasmTimeouts},
-		{"bad_header", &l.badHeader}, {"bad_checksum", &l.badChecksum},
-		{"no_proto", &l.noProto}, {"out_packets", &l.outPackets},
-		{"out_fragments", &l.outFragments},
-	} {
-		v := g.v
-		m.Gauge(obs.LayerIP, g.name, scope, func() uint64 { return *v })
-	}
+	l.obs.Metrics().Register(l)
 	return l
+}
+
+// Gauges reports the layer's input, output and error counts (obs.Source).
+func (l *Layer) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	scope := l.rt.CAB().Scope()
+	emit(obs.LayerIP, "in_delivers", scope, l.inDelivers)
+	emit(obs.LayerIP, "in_fragments", scope, l.inFragments)
+	emit(obs.LayerIP, "reassembled", scope, l.reassembled)
+	emit(obs.LayerIP, "reasm_timeouts", scope, l.reasmTimeouts)
+	emit(obs.LayerIP, "bad_header", scope, l.badHeader)
+	emit(obs.LayerIP, "bad_checksum", scope, l.badChecksum)
+	emit(obs.LayerIP, "no_proto", scope, l.noProto)
+	emit(obs.LayerIP, "out_packets", scope, l.outPackets)
+	emit(obs.LayerIP, "out_fragments", scope, l.outFragments)
 }
 
 // Register binds an upper protocol to an IP protocol number.

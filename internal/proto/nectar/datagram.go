@@ -1,8 +1,6 @@
 package nectar
 
 import (
-	"fmt"
-
 	"nectar/internal/obs"
 	"nectar/internal/proto/datalink"
 	"nectar/internal/proto/wire"
@@ -39,12 +37,16 @@ func NewDatagram(dl *datalink.Layer, rt *mailbox.Runtime, _ *syncs.Pool) *Datagr
 	rt.CAB().Sched.Fork("datagram-send", threads.SystemPriority, d.sendThread)
 	d.node = int(rt.CAB().Node())
 	d.obs = obs.Ensure(rt.CAB().Kernel())
-	m := d.obs.Metrics()
-	scope := fmt.Sprintf("cab%d", d.node)
-	m.Gauge(obs.LayerDatagram, "sent", scope, func() uint64 { return d.sent })
-	m.Gauge(obs.LayerDatagram, "delivered", scope, func() uint64 { return d.delivered })
-	m.Gauge(obs.LayerDatagram, "no_box", scope, func() uint64 { return d.noBox })
+	d.obs.Metrics().Register(d)
 	return d
+}
+
+// Gauges reports the datagrams sent, delivered and dropped (obs.Source).
+func (d *Datagram) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	scope := d.rt.CAB().Scope()
+	emit(obs.LayerDatagram, "sent", scope, d.sent)
+	emit(obs.LayerDatagram, "delivered", scope, d.delivered)
+	emit(obs.LayerDatagram, "no_box", scope, d.noBox)
 }
 
 // SendBox returns the send-request mailbox (for latency instrumentation).

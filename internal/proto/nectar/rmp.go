@@ -74,15 +74,21 @@ func NewRMP(dl *datalink.Layer, rt *mailbox.Runtime, _ *syncs.Pool) *RMP {
 	r.node = int(rt.CAB().Node())
 	r.obs = obs.Ensure(rt.CAB().Kernel())
 	m := r.obs.Metrics()
-	scope := fmt.Sprintf("cab%d", r.node)
-	m.Gauge(obs.LayerRMP, "sent", scope, func() uint64 { return r.sent })
-	m.Gauge(obs.LayerRMP, "acked", scope, func() uint64 { return r.acked })
-	m.Gauge(obs.LayerRMP, "retransmits", scope, func() uint64 { return r.retrans })
-	m.Gauge(obs.LayerRMP, "delivered", scope, func() uint64 { return r.delivered })
-	m.Gauge(obs.LayerRMP, "dups", scope, func() uint64 { return r.dups })
-	m.Gauge(obs.LayerRMP, "no_box", scope, func() uint64 { return r.noBox })
-	r.timeouts = m.Counter(obs.LayerRMP, "timeouts", scope)
+	m.Register(r)
+	r.timeouts = m.Counter(obs.LayerRMP, "timeouts", rt.CAB().Scope())
 	return r
+}
+
+// Gauges reports the protocol's send, delivery and recovery counts
+// (obs.Source).
+func (r *RMP) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	scope := r.rt.CAB().Scope()
+	emit(obs.LayerRMP, "sent", scope, r.sent)
+	emit(obs.LayerRMP, "acked", scope, r.acked)
+	emit(obs.LayerRMP, "retransmits", scope, r.retrans)
+	emit(obs.LayerRMP, "delivered", scope, r.delivered)
+	emit(obs.LayerRMP, "dups", scope, r.dups)
+	emit(obs.LayerRMP, "no_box", scope, r.noBox)
 }
 
 // SetWindow sets the maximum number of outstanding (unacknowledged)

@@ -1,8 +1,6 @@
 package nectar
 
 import (
-	"fmt"
-
 	"nectar/internal/obs"
 	"nectar/internal/proto/datalink"
 	"nectar/internal/proto/wire"
@@ -69,14 +67,19 @@ func NewRRP(dl *datalink.Layer, rt *mailbox.Runtime, _ *syncs.Pool) *RRP {
 	rt.CAB().Sched.Fork("rrp-send", threads.SystemPriority, r.sendThread)
 	r.node = int(rt.CAB().Node())
 	r.obs = obs.Ensure(rt.CAB().Kernel())
-	m := r.obs.Metrics()
-	scope := fmt.Sprintf("cab%d", r.node)
-	m.Gauge(obs.LayerRRP, "calls", scope, func() uint64 { return r.calls })
-	m.Gauge(obs.LayerRRP, "replies", scope, func() uint64 { return r.replies })
-	m.Gauge(obs.LayerRRP, "retransmits", scope, func() uint64 { return r.retrans })
-	m.Gauge(obs.LayerRRP, "dedup_hits", scope, func() uint64 { return r.dedupHits })
-	m.Gauge(obs.LayerRRP, "no_box", scope, func() uint64 { return r.noBox })
+	r.obs.Metrics().Register(r)
 	return r
+}
+
+// Gauges reports the protocol's call, reply and recovery counts
+// (obs.Source).
+func (r *RRP) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	scope := r.rt.CAB().Scope()
+	emit(obs.LayerRRP, "calls", scope, r.calls)
+	emit(obs.LayerRRP, "replies", scope, r.replies)
+	emit(obs.LayerRRP, "retransmits", scope, r.retrans)
+	emit(obs.LayerRRP, "dedup_hits", scope, r.dedupHits)
+	emit(obs.LayerRRP, "no_box", scope, r.noBox)
 }
 
 // Call issues a request to the service mailbox dst. The reply is delivered

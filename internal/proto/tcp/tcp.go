@@ -153,7 +153,7 @@ func NewLayer(l *ip.Layer, rt *mailbox.Runtime) *Layer {
 	t.node = int(rt.CAB().Node())
 	t.obs = obs.Ensure(rt.CAB().Kernel())
 	m := t.obs.Metrics()
-	scope := fmt.Sprintf("cab%d", t.node)
+	scope := rt.CAB().Scope()
 	t.segsIn = m.Counter(obs.LayerTCP, "segs_in", scope)
 	t.segsOut = m.Counter(obs.LayerTCP, "segs_out", scope)
 	t.badChecksum = m.Counter(obs.LayerTCP, "bad_checksum", scope)

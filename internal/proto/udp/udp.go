@@ -55,12 +55,16 @@ func NewLayer(l *ip.Layer, rt *mailbox.Runtime) *Layer {
 	rt.CAB().Sched.Fork("udp-send", threads.SystemPriority, u.sendThread)
 	u.node = int(rt.CAB().Node())
 	u.obs = obs.Ensure(rt.CAB().Kernel())
-	m := u.obs.Metrics()
-	scope := fmt.Sprintf("cab%d", u.node)
-	m.Gauge(obs.LayerUDP, "delivered", scope, func() uint64 { return u.delivered })
-	m.Gauge(obs.LayerUDP, "bad_checksum", scope, func() uint64 { return u.badChecksum })
-	m.Gauge(obs.LayerUDP, "no_port", scope, func() uint64 { return u.noPort })
+	u.obs.Metrics().Register(u)
 	return u
+}
+
+// Gauges reports the datagrams delivered and dropped (obs.Source).
+func (u *Layer) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	scope := u.ip.Runtime().CAB().Scope()
+	emit(obs.LayerUDP, "delivered", scope, u.delivered)
+	emit(obs.LayerUDP, "bad_checksum", scope, u.badChecksum)
+	emit(obs.LayerUDP, "no_port", scope, u.noPort)
 }
 
 // sendThread transmits host-submitted datagrams on the CAB.

@@ -60,12 +60,18 @@ func New(h *host.Host, c *cab.CAB) *IF {
 	h.OnCABInterrupt(f.hostISR)
 	f.obs = obs.Ensure(f.k)
 	m := f.obs.Metrics()
-	scope := fmt.Sprintf("cab%d", c.Node())
-	m.Gauge(obs.LayerHostIF, "posts", scope, func() uint64 { return f.posts })
-	m.Gauge(obs.LayerHostIF, "doorbells", scope, func() uint64 { return f.doorbells })
-	m.Gauge(obs.LayerHostIF, "host_interrupts", scope, func() uint64 { return f.hostIntr })
-	f.doorbellH = m.Histogram(obs.LayerHostIF, "doorbell_latency", scope)
+	m.Register(f)
+	f.doorbellH = m.Histogram(obs.LayerHostIF, "doorbell_latency", c.Scope())
 	return f
+}
+
+// Gauges reports the interface's posts, doorbells and host interrupts
+// (obs.Source).
+func (f *IF) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	scope := f.cab.Scope()
+	emit(obs.LayerHostIF, "posts", scope, f.posts)
+	emit(obs.LayerHostIF, "doorbells", scope, f.doorbells)
+	emit(obs.LayerHostIF, "host_interrupts", scope, f.hostIntr)
 }
 
 // Host returns the host side of the pair.

@@ -19,8 +19,6 @@
 package mailbox
 
 import (
-	"fmt"
-
 	"nectar/internal/hw/cab"
 	"nectar/internal/hw/mem"
 	"nectar/internal/model"
@@ -62,21 +60,25 @@ func NewRuntime(c *cab.CAB) *Runtime {
 	}
 	r.obs = obs.Ensure(c.Kernel())
 	m := r.obs.Metrics()
-	scope := fmt.Sprintf("cab%d", c.Node())
-	sum := func(f func(*Mailbox) uint64) func() uint64 {
-		return func() uint64 {
-			var n uint64
-			for _, mb := range r.boxes {
-				n += f(mb)
-			}
-			return n
-		}
-	}
-	m.Gauge(obs.LayerMailbox, "puts", scope, sum(func(mb *Mailbox) uint64 { return mb.puts }))
-	m.Gauge(obs.LayerMailbox, "gets", scope, sum(func(mb *Mailbox) uint64 { return mb.gets }))
-	m.Gauge(obs.LayerMailbox, "enqueues", scope, sum(func(mb *Mailbox) uint64 { return mb.enqueues }))
-	r.queueWait = m.Histogram(obs.LayerMailbox, "queue_wait", scope)
+	m.Register(r)
+	r.queueWait = m.Histogram(obs.LayerMailbox, "queue_wait", c.Scope())
 	return r
+}
+
+// Gauges reports the puts, gets and enqueues of all the CAB's mailboxes
+// (obs.Source). The sums finish before anything is emitted, so the map's
+// iteration order never reaches the output.
+func (r *Runtime) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	var puts, gets, enqueues uint64
+	for _, mb := range r.boxes {
+		puts += mb.puts
+		gets += mb.gets
+		enqueues += mb.enqueues
+	}
+	scope := r.cab.Scope()
+	emit(obs.LayerMailbox, "puts", scope, puts)
+	emit(obs.LayerMailbox, "gets", scope, gets)
+	emit(obs.LayerMailbox, "enqueues", scope, enqueues)
 }
 
 // AttachHost connects the host interface used for signaling host readers

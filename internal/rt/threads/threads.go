@@ -127,11 +127,16 @@ func New(k *sim.Kernel, cost *model.CostModel, name string) *Sched {
 	s.switchDoneFn = s.switchDone
 	s.sliceDoneFn = s.sliceDone
 	s.obs = obs.Ensure(k)
-	m := s.obs.Metrics()
-	m.Gauge(obs.LayerSched, "context_switches", name, func() uint64 { return s.switches })
-	m.Gauge(obs.LayerSched, "interrupts", name, func() uint64 { return s.interrupts })
-	m.Gauge(obs.LayerSched, "busy_ns", name, func() uint64 { return uint64(s.busyTime.Nanos()) })
+	s.obs.Metrics().Register(s)
 	return s
+}
+
+// Gauges reports the CPU's context switches, interrupts and busy time
+// (obs.Source).
+func (s *Sched) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	emit(obs.LayerSched, "context_switches", s.name, s.switches)
+	emit(obs.LayerSched, "interrupts", s.name, s.interrupts)
+	emit(obs.LayerSched, "busy_ns", s.name, uint64(s.busyTime.Nanos()))
 }
 
 // Kernel returns the sim kernel this scheduler runs on.

@@ -414,7 +414,8 @@ func TestShardedCircuitRefused(t *testing.T) {
 // TestProfileReportCountsTrunkCrossShardFrames pins the profile's
 // cross-shard count to Cluster.CrossShardFrames: on a fabric, frames
 // leave their shard through trunk gateways as well as node uplinks, and
-// the report must count both.
+// the report must count both. Its wire counts must equal the snapshot's
+// fiber sums.
 func TestProfileReportCountsTrunkCrossShardFrames(t *testing.T) {
 	cl := NewCluster(&Config{Topology: fabric.LeafSpine(2, 1, 4), Shards: 2})
 	cl.EnableProfiling()
@@ -437,9 +438,17 @@ func TestProfileReportCountsTrunkCrossShardFrames(t *testing.T) {
 	if err := cl.RunFor(sim.Second); err != nil {
 		t.Fatal(err)
 	}
+	rep := cl.ProfileReport()
 	want := cl.CrossShardFrames()
-	if got := cl.ProfileReport().CrossShardFrames; got != want || want == 0 {
+	if got := rep.CrossShardFrames; got != want || want == 0 {
 		t.Errorf("ProfileReport().CrossShardFrames = %d, Cluster.CrossShardFrames() = %d", got, want)
+	}
+	// The wire counts are the fiber gauges a snapshot reports.
+	snap := cl.MetricsSnapshot()
+	frames, nbytes := snap.Sum(obs.LayerFiber, "frames"), snap.Sum(obs.LayerFiber, "bytes")
+	if rep.WireFrames != frames || rep.WireBytes != nbytes || frames == 0 {
+		t.Errorf("ProfileReport() wire = %d frames, %d bytes; snapshot fiber sums = %d, %d",
+			rep.WireFrames, rep.WireBytes, frames, nbytes)
 	}
 }
 
