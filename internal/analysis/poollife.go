@@ -27,7 +27,8 @@ import (
 //     return or panic. Transfers are: storing into a field/index/
 //     global, returning the value, capturing it in a closure, sending
 //     it on a channel, placing it in a composite literal, appending it
-//     to a slice, or passing it to a callee that either carries
+//     to a slice, scheduling its own callback (plSchedules), or passing
+//     it to a callee that either carries
 //     //nectar:takes-ownership <param> <reason> or is
 //     outside the analyzed program (dynamic calls, interface methods,
 //     externals). A call to an in-program function NOT so annotated is
@@ -84,6 +85,21 @@ var plAcquires = map[string]plAcquireSpec{
 	"(*nectar/internal/proto/ip.Layer).getSpans": {label: "pooled span slice"},
 	"(*nectar/internal/sim.Kernel).At":           {label: "timer", mayDiscard: true},
 	"(*nectar/internal/sim.Kernel).After":        {label: "timer", mayDiscard: true},
+}
+
+// plSchedules are the surfaces that run a callback later, by the index
+// of the callback argument. Handing one of them a tracked value's own
+// callback — a method value or func field selected from the value, or
+// the result of one of its methods — transfers ownership: the value
+// carries its pending step, and the callback is where that step resumes
+// it. (The frame path's pooled packets and descriptors schedule
+// callbacks built once per object this way, instead of capturing
+// closures.)
+var plSchedules = map[string]int{
+	"(*nectar/internal/sim.Kernel).At":                   1,
+	"(*nectar/internal/sim.Kernel).After":                1,
+	"(*nectar/internal/sim.Domain).SendSized":            3,
+	"(*nectar/internal/rt/threads.Sched).RaiseInterrupt": 1,
 }
 
 // plReleaseSpec describes one release surface. The released value is the
@@ -564,9 +580,19 @@ func (pc *plChecker) nodeEvents(n ast.Node) *plEvents {
 			}
 			walk(call.Fun)
 		}
+		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
+			// A conversion T(x) reads x; it transfers nothing.
+			walkRest()
+			return
+		}
 		fn := calleeFunc(info, call)
 		if fn != nil {
 			id := funcID(fn)
+			if i, ok := plSchedules[id]; ok && i < len(call.Args) {
+				if obj := pc.ownCallback(call.Args[i]); obj != nil {
+					ev.settles = append(ev.settles, obj)
+				}
+			}
 			if spec, ok := plReleases[id]; ok {
 				var target ast.Expr
 				if spec.arg {
@@ -783,6 +809,36 @@ func (pc *plChecker) nodeEvents(n ast.Node) *plEvents {
 	}
 	walk(n)
 	return ev
+}
+
+// ownCallback returns the variable whose own callback e is: v.f, where
+// f is a method or a func-typed field of v, or v.m(...) returning a
+// func. It returns nil for any other expression.
+func (pc *plChecker) ownCallback(e ast.Expr) types.Object {
+	info := pc.pass.TypesInfo
+	e = unparenIndex(e)
+	t := info.TypeOf(e)
+	if t == nil {
+		return nil
+	}
+	if _, ok := t.Underlying().(*types.Signature); !ok {
+		return nil
+	}
+	if call, ok := e.(*ast.CallExpr); ok {
+		sel, ok := unparenIndex(call.Fun).(*ast.SelectorExpr)
+		if !ok || info.Selections[sel] == nil || info.Selections[sel].Kind() != types.MethodVal {
+			return nil
+		}
+		e = sel
+	}
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || info.Selections[sel] == nil {
+		return nil // a package-qualified function is nobody's callback
+	}
+	if id, ok := plainIdent(sel.X); ok {
+		return identVar(info, id)
+	}
+	return nil
 }
 
 // escapeArgs settles every argument (and a plain method-call receiver)

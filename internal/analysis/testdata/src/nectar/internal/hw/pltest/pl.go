@@ -1,7 +1,8 @@
 // Package pltest exercises the poollife analyzer against the real pool
 // surfaces: leaks on error paths, conditional acquires refined by their
 // ok result, every ownership-transfer shape (field store, return,
-// closure capture, annotated callee), borrows that do NOT settle,
+// closure capture, annotated callee, scheduling the value's own
+// callback), borrows that do NOT settle,
 // double-releases (explicit and deferred), use-after-release, discarded
 // acquires, //nectar:leak-ok waivers, and //nectar:takes-ownership
 // naming a parameter that does not exist.
@@ -37,6 +38,11 @@ func leakOnErrorPath(p *fiber.Pool, bad bool) {
 func borrowDoesNotSettle(p *fiber.Pool) {
 	pkt := p.GetPacket() // want `pooled packet pkt is not released on every path`
 	work(pkt)            // a borrow: the obligation stays here
+}
+
+func conversionDoesNotSettle(p *fiber.Pool) int {
+	pkt := p.GetPacket()     // want `pooled packet pkt is not released on every path`
+	return int(pkt.Route[0]) // a conversion reads pkt; it transfers nothing
 }
 
 func leakConditional(fl *pool.FreeList[[]byte], n int) {
@@ -105,6 +111,66 @@ func releaseViaAlias(fl *pool.FreeList[[]byte]) {
 	}
 	c := b
 	fl.Put(c) // ok: the alias releases the same slot
+}
+
+// --- scheduling the value's own callback ---
+
+// step is a pooled record that carries its one pending step: fn is its
+// callback, built once, and arm records the step's state and returns it.
+type step struct {
+	at sim.Time
+	fn func()
+}
+
+func (s *step) run() {}
+
+func (s *step) arm(at sim.Time) func() {
+	s.at = at
+	return s.fn
+}
+
+// register keeps a callback without scheduling it: a borrow.
+func register(fn func()) {}
+
+func transferViaOwnCallback(fl *pool.FreeList[*step], k *sim.Kernel) {
+	s, ok := fl.Get()
+	if !ok {
+		return
+	}
+	k.At(k.Now(), s.fn) // ok: the scheduled step carries s
+}
+
+func transferViaArmedCallback(fl *pool.FreeList[*step], k *sim.Kernel) {
+	s, ok := fl.Get()
+	if !ok {
+		return
+	}
+	k.After(sim.Microsecond, s.arm(k.Now())) // ok: the armed step carries s
+}
+
+func transferViaMethodValue(fl *pool.FreeList[*step], k *sim.Kernel) {
+	s, ok := fl.Get()
+	if !ok {
+		return
+	}
+	k.At(k.Now(), s.run) // ok: a method value of s is s's own callback
+}
+
+func foreignCallbackDoesNotSettle(fl *pool.FreeList[*step], k *sim.Kernel, other *step) {
+	s, ok := fl.Get() // want `pooled slot s is not released on every path`
+	if !ok {
+		return
+	}
+	s.at = k.Now()
+	k.At(k.Now(), other.fn) // another value's callback carries nothing of s
+}
+
+func unscheduledCallbackDoesNotSettle(fl *pool.FreeList[*step]) {
+	s, ok := fl.Get() // want `pooled slot s is not released on every path`
+	if !ok {
+		return
+	}
+	register(s.fn) // not a scheduling surface: nothing will run the step
 }
 
 // badConsume claims the obligation but drops it on the error path; the

@@ -177,7 +177,9 @@ func AblateSwitching(cost *model.CostModel) (*AblateSwitchingResult, error) {
 			i := i
 			k.After(sim.Duration(i)*100*sim.Microsecond, func() {
 				sends = append(sends, k.Now())
-				up.Send(&fiber.Packet{Route: []byte{1}, Frame: make([]byte, 64), Circuit: circuit})
+				pkt := (*fiber.Pool)(nil).GetPacket()
+				pkt.Route, pkt.Frame, pkt.Circuit = []byte{1}, make([]byte, 64), circuit
+				up.Send(pkt)
 			})
 		}
 		if err := k.Run(); err != nil {

@@ -26,11 +26,22 @@ import (
 // RxDesc describes a frame being received. It is handed to the registered
 // receive handler when the datalink header has arrived in the input FIFO;
 // the payload may still be streaming in (End is when the last byte lands).
+//
+// A descriptor in flight has one pending step at a time: the header
+// event, the start-of-packet interrupt, or the receive DMA's completion.
+// The step's state rides in the descriptor (dmaDst, dmaDone) and its
+// event is one of the callbacks getDesc built with the descriptor, so
+// receiving a frame schedules no fresh closure.
 type RxDesc struct {
 	Frame []byte   // full frame: datalink header + payload + CRC trailer
 	End   sim.Time // arrival time of the last byte
 	cab   *CAB
 	pkt   *fiber.Packet // in-flight packet owning Frame (nil in unit tests)
+
+	dmaDst          []byte                  // StartRxDMA's destination buffer
+	dmaDone         func(ok bool)           // StartRxDMA's completion upcall
+	headerFn, dmaFn func()                  // the header and DMA-completion events
+	intrFn          func(t *threads.Thread) // the start-of-packet interrupt handler
 }
 
 // Release recycles the frame buffer and descriptor once the frame is dead:
@@ -45,6 +56,8 @@ func (d *RxDesc) Release() {
 		d.pkt = nil
 	}
 	d.Frame = nil
+	d.dmaDst = nil
+	d.dmaDone = nil
 	if d.cab != nil {
 		d.cab.descFree.Put(d)
 	}
@@ -337,22 +350,29 @@ func (c *CAB) PacketArriving(pkt *fiber.Packet, end sim.Time) {
 	if headerAt > end {
 		headerAt = end
 	}
-	c.k.At(headerAt, func() {
-		if c.rxHandler == nil {
-			c.k.Fatalf("cab%d: frame arrived with no receive handler", c.node)
-			return
-		}
-		if c.rxInterrupt {
-			c.Sched.RaiseInterrupt("start-of-packet", func(t *threads.Thread) {
-				c.rxHandler(t, desc)
-			})
-		} else {
-			// Polling-thread mode: the datalink package registered a
-			// handler that enqueues to its rx thread without an interrupt.
-			c.rxHandler(nil, desc)
-		}
-	})
+	c.k.At(headerAt, desc.headerFn)
 }
+
+// header is the descriptor's header event: the datalink header has
+// drained into the input FIFO, so the frame is handed to the receive
+// handler.
+func (d *RxDesc) header() {
+	c := d.cab
+	if c.rxHandler == nil {
+		c.k.Fatalf("cab%d: frame arrived with no receive handler", c.node)
+		return
+	}
+	if c.rxInterrupt {
+		c.Sched.RaiseInterrupt("start-of-packet", d.intrFn)
+	} else {
+		// Polling-thread mode: the datalink package registered a
+		// handler that enqueues to its rx thread without an interrupt.
+		c.rxHandler(nil, d)
+	}
+}
+
+// interrupt is the descriptor's start-of-packet interrupt handler.
+func (d *RxDesc) interrupt(t *threads.Thread) { d.cab.rxHandler(t, d) }
 
 // StartRxDMA arranges for the frame's payload to be placed in dst (a CAB
 // data-memory buffer) and calls done when the transfer is complete — i.e.
@@ -376,26 +396,45 @@ func (c *CAB) StartRxDMA(d *RxDesc, dst []byte, done func(ok bool)) {
 	if now := c.k.Now(); now > doneAt {
 		doneAt = now
 	}
-	c.k.At(doneAt, func() {
-		ok := d.CRCOK()
-		if !ok {
-			c.crcErrors++
-		}
-		copy(dst, payload)
-		done(ok)
-		d.Release() // payload copied out; frame and descriptor are dead
-	})
+	d.dmaDst = dst
+	d.dmaDone = done
+	c.k.At(doneAt, d.dmaFn)
+}
+
+// dmaComplete is the descriptor's DMA-completion event: check the CRC,
+// copy the payload out, run the completion upcall, and retire the frame.
+func (d *RxDesc) dmaComplete() {
+	ok := d.CRCOK()
+	if !ok {
+		d.cab.crcErrors++
+	}
+	copy(d.dmaDst, d.Payload())
+	d.dmaDone(ok)
+	d.Release() // payload copied out; frame and descriptor are dead
 }
 
 // getDesc returns a receive descriptor from the CAB's free list. The
-// allocation on the miss path fills the pool; steady state reuses.
+// miss path fills the pool, building the descriptor's step callbacks
+// once; steady state reuses them.
 //
 //nectar:hotpath
 func (c *CAB) getDesc() *RxDesc {
 	if d, ok := c.descFree.Get(); ok {
 		return d
 	}
-	return &RxDesc{cab: c}
+	return c.newDesc()
+}
+
+// newDesc is getDesc's miss path: a descriptor with its step callbacks
+// built once for its lifetime.
+//
+//nectar:hotpath-exempt pool miss: the callbacks built here run later as their own events, never inside getDesc
+func (c *CAB) newDesc() *RxDesc {
+	d := &RxDesc{cab: c}
+	d.headerFn = d.header
+	d.intrFn = d.interrupt
+	d.dmaFn = d.dmaComplete
+	return d
 }
 
 // Pool returns the CAB's frame/packet pool (stats are exposed for tests

@@ -37,6 +37,21 @@ type Packet struct {
 	Circuit bool   // riding a pre-established circuit (no per-hop setup)
 
 	pool *Pool // owning pool for Release; nil = GC-managed
+
+	// The packet's one pending step. A packet in flight has exactly one
+	// event outstanding: its arrival at the far end of via (first byte at
+	// the event's instant, last byte at end; gwPop when the arrival
+	// retires a gateway's gwPending entry), or its next hop on out no
+	// earlier than at (Hop). The step's state rides here and the event
+	// is one of the two callbacks GetPacket built, so scheduling a step
+	// allocates nothing.
+	via   *Link
+	end   sim.Time
+	gwPop bool
+	out   *Link
+	at    sim.Time
+
+	arriveFn, hopFn func()
 }
 
 // Disown detaches the packet from its owning pool: Release becomes a no-op
@@ -186,15 +201,41 @@ func (l *Link) SendAt(pkt *Packet, t sim.Time) {
 			// append).
 			l.crossSent++
 			l.gwPending = append(l.gwPending, gwFrame{start: start, dst: int32(dstDom)})
-			l.k.At(start, func() {
-				l.gwPending = sim.PopFront(l.gwPending)
-				l.dst.PacketArriving(pkt, end)
-			})
-			return
+			pkt.gwPop = true
 		}
 	}
-	l.k.At(start, func() { l.dst.PacketArriving(pkt, end) })
+	pkt.via = l
+	pkt.end = end
+	l.k.At(start, pkt.arriveFn)
 }
+
+// arrive is the packet's arrival event: it hands the packet to the far
+// end of the link it was sent on.
+func (pkt *Packet) arrive() {
+	l := pkt.via
+	if pkt.gwPop {
+		pkt.gwPop = false
+		l.gwPending = sim.PopFront(l.gwPending)
+	}
+	l.dst.PacketArriving(pkt, pkt.end)
+}
+
+// Hop arms the packet's pending step as a transmission on out starting no
+// earlier than at, and returns the packet's prebuilt callback that
+// performs it. A HUB schedules the callback at the instant its first byte
+// leaves the crossbar.
+//
+//nectar:hotpath
+func (pkt *Packet) Hop(out *Link, at sim.Time) func() {
+	pkt.out = out
+	pkt.at = at
+	return pkt.hopFn
+}
+
+// hop is the event Hop arms.
+//
+//nectar:free-hop the HUB charged its setup latency (cost.HubSetup) into at before scheduling the hop
+func (pkt *Packet) hop() { pkt.out.SendAt(pkt, pkt.at) }
 
 // gwFrame is one cross-capable delivery in flight on a gateway link: when
 // its transmission started and which domain its next route hop forwards

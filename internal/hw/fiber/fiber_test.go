@@ -14,8 +14,15 @@ type sink struct {
 
 func (s *sink) PacketArriving(p *Packet, end sim.Time) { s.got = append(s.got, p) }
 
+// packet makes a GC-managed packet carrying route and frame.
+func packet(route, frame []byte) *Packet {
+	pkt := (*Pool)(nil).GetPacket()
+	pkt.Route, pkt.Frame = route, frame
+	return pkt
+}
+
 func TestWireLen(t *testing.T) {
-	p := &Packet{Route: []byte{1, 2}, Frame: make([]byte, 100)}
+	p := packet([]byte{1, 2}, make([]byte, 100))
 	if p.WireLen() != 103 { // route-length byte + 2 route bytes + frame
 		t.Errorf("WireLen = %d, want 103", p.WireLen())
 	}
@@ -30,7 +37,7 @@ func TestFaultFnPattern(t *testing.T) {
 	})
 	k.After(0, func() {
 		for i := 0; i < 6; i++ {
-			l.Send(&Packet{Frame: make([]byte, 10)})
+			l.Send(packet(nil, make([]byte, 10)))
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -44,7 +51,7 @@ func TestFaultFnPattern(t *testing.T) {
 		t.Errorf("stats sent=%d dropped=%d", sent, dropped)
 	}
 	l.SetFaultFn(nil)
-	k.After(0, func() { l.Send(&Packet{Frame: make([]byte, 10)}) })
+	k.After(0, func() { l.Send(packet(nil, make([]byte, 10))) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +65,7 @@ func TestBusyAndFreeAt(t *testing.T) {
 	s := &sink{k: k}
 	l := NewLink(k, model.Default1990(), "l", s)
 	k.After(0, func() {
-		l.Send(&Packet{Frame: make([]byte, 1249)}) // 1250 wire bytes = 100us
+		l.Send(packet(nil, make([]byte, 1249))) // 1250 wire bytes = 100us
 		if !l.Busy() {
 			k.Fatalf("link not busy during transmission")
 		}
@@ -84,7 +91,7 @@ func TestEarliestOutputZeroAlloc(t *testing.T) {
 	// Populate gwPending so the destination scan runs.
 	k.After(0, func() {
 		for i := 0; i < 4; i++ {
-			l.Send(&Packet{Route: []byte{byte(i)}, Frame: make([]byte, 64)})
+			l.Send(packet([]byte{byte(i)}, make([]byte, 64)))
 		}
 		var sum sim.Time
 		if avg := testing.AllocsPerRun(100, func() {

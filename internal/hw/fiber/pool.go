@@ -8,6 +8,13 @@ import "nectar/internal/pool"
 // one is a fresh Packet plus a fresh frame slice, and the GC dominates the
 // sweep's wall clock.
 //
+// A packet carries its pending hop. Each packet in flight has exactly one
+// event outstanding (its arrival at the far end of a link, or its next
+// HUB hop), so the packet holds that step's state and GetPacket builds the
+// two callbacks that run it once, when it creates the packet. Every hop
+// after that schedules a prebuilt callback and allocates nothing; the
+// per-hop closure each hop used to capture was most of a frame's garbage.
+//
 // The pool is single-threaded by construction: all gets and releases happen
 // inside one simulation kernel, which only ever runs one goroutine at a
 // time, so there are no locks. Releasing is a pure optimization — a path
@@ -49,7 +56,9 @@ func (p *Pool) GetFrame(n int) []byte {
 	return make([]byte, n)
 }
 
-// GetPacket returns a Packet owned by this pool; Release returns it.
+// GetPacket returns a Packet owned by this pool; Release returns it. It is
+// the only way to make a Packet: a nil pool returns a GC-managed one. The
+// miss path builds the packet's step callbacks, once per packet.
 //
 //nectar:hotpath
 func (p *Pool) GetPacket() *Packet {
@@ -60,7 +69,18 @@ func (p *Pool) GetPacket() *Packet {
 		}
 		p.pktMisses++
 	}
-	return &Packet{pool: p}
+	return p.newPacket()
+}
+
+// newPacket is GetPacket's miss path: a packet owned by p, with its step
+// callbacks built once for its lifetime.
+//
+//nectar:hotpath-exempt pool miss: the callbacks built here run later as their own events, never inside GetPacket
+func (p *Pool) newPacket() *Packet {
+	pkt := &Packet{pool: p}
+	pkt.arriveFn = pkt.arrive
+	pkt.hopFn = pkt.hop
+	return pkt
 }
 
 // Release returns pkt and its frame to the pool. It must be called exactly
@@ -79,6 +99,7 @@ func (pkt *Packet) Release() {
 	pkt.Frame = nil
 	pkt.Route = nil
 	pkt.Circuit = false
+	pkt.via, pkt.out = nil, nil
 	p.packets.Put(pkt)
 }
 

@@ -171,17 +171,16 @@ func (ip *inPort) PacketArriving(pkt *fiber.Packet, end sim.Time) {
 		delay = 0
 	}
 	h.stats.forwarded.Add(1)
-	out := h.out[outPort]
 	t := ip.k.Now() + sim.Time(delay)
 	if dst := h.outDom[outPort]; dst != nil && ip.dom != nil && dst != ip.dom {
 		// Cross-shard forward: the destination shard owns the output
 		// link. The packet leaves its origin shard for good, so detach
 		// it from its (single-threaded) pool first.
 		pkt.Disown()
-		ip.dom.SendSized(dst, t, pkt.WireLen(), func() { out.SendAt(pkt, t) })
+		ip.dom.SendSized(dst, t, pkt.WireLen(), pkt.Hop(h.out[outPort], t))
 		return
 	}
-	ip.k.At(t, func() { out.SendAt(pkt, t) })
+	ip.k.At(t, pkt.Hop(h.out[outPort], t))
 }
 
 // misroute reports a forwarding failure through the owning kernel with

@@ -23,6 +23,13 @@ func (c *capture) PacketArriving(pkt *fiber.Packet, end sim.Time) {
 	c.arrived = append(c.arrived, arrival{pkt, c.k.Now(), end})
 }
 
+// packet makes a GC-managed packet carrying route and frame.
+func packet(route, frame []byte) *fiber.Packet {
+	pkt := (*fiber.Pool)(nil).GetPacket()
+	pkt.Route, pkt.Frame = route, frame
+	return pkt
+}
+
 func frame(n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -36,7 +43,7 @@ func TestLinkSerializationTime(t *testing.T) {
 	cost := model.Default1990()
 	sink := &capture{k: k}
 	l := fiber.NewLink(k, cost, "l", sink)
-	pkt := &fiber.Packet{Frame: frame(999)} // wire len 1000 with route byte
+	pkt := packet(nil, frame(999)) // wire len 1000 with route byte
 	k.After(0, func() { l.Send(pkt) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -60,8 +67,8 @@ func TestLinkQueueing(t *testing.T) {
 	sink := &capture{k: k}
 	l := fiber.NewLink(k, cost, "l", sink)
 	k.After(0, func() {
-		l.Send(&fiber.Packet{Frame: frame(999)}) // occupies [0,80us]
-		l.Send(&fiber.Packet{Frame: frame(999)}) // must start at 80us
+		l.Send(packet(nil, frame(999))) // occupies [0,80us]
+		l.Send(packet(nil, frame(999))) // must start at 80us
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -86,7 +93,7 @@ func TestLinkDropAndCorrupt(t *testing.T) {
 	l.CorruptNext(2) // applies to the two packets after the drop
 	k.After(0, func() {
 		for i := 0; i < 3; i++ {
-			l.Send(&fiber.Packet{Frame: frame(100)})
+			l.Send(packet(nil, frame(100)))
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -128,7 +135,7 @@ func TestHubSetupLatency(t *testing.T) {
 	// E6 anchor: 700 ns to set up a connection and transfer the first
 	// byte through a single HUB.
 	k, up, sink := buildStar(t)
-	pkt := &fiber.Packet{Route: []byte{1}, Frame: frame(99)} // wire len 101 upstream
+	pkt := packet([]byte{1}, frame(99)) // wire len 101 upstream
 	k.After(0, func() { up.Send(pkt) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -149,7 +156,7 @@ func TestHubCutThroughOverlap(t *testing.T) {
 	// 8KB frame, end-to-end ~= setup + serialization, NOT 2x serialization.
 	k, up, sink := buildStar(t)
 	n := 8192
-	pkt := &fiber.Packet{Route: []byte{1}, Frame: frame(n)}
+	pkt := packet([]byte{1}, frame(n))
 	k.After(0, func() { up.Send(pkt) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -172,7 +179,7 @@ func TestMultiHopRoute(t *testing.T) {
 	h0.ConnectOut(2, fiber.NewLink(k, cost, "h0->h1", h1.InPort(0)))
 	h1.ConnectOut(3, fiber.NewLink(k, cost, "h1->sink", sink))
 	up := fiber.NewLink(k, cost, "cab->h0", h0.InPort(5))
-	pkt := &fiber.Packet{Route: []byte{2, 3}, Frame: frame(50)}
+	pkt := packet([]byte{2, 3}, frame(50))
 	k.After(0, func() { up.Send(pkt) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -190,7 +197,7 @@ func TestMultiHopRoute(t *testing.T) {
 
 func TestExhaustedRouteFails(t *testing.T) {
 	k, up, _ := buildStar(t)
-	k.After(0, func() { up.Send(&fiber.Packet{Frame: frame(10)}) }) // no route
+	k.After(0, func() { up.Send(packet(nil, frame(10))) }) // no route
 	if err := k.Run(); err == nil {
 		t.Error("exhausted route did not fail the simulation")
 	}
@@ -198,7 +205,7 @@ func TestExhaustedRouteFails(t *testing.T) {
 
 func TestUnconnectedPortFails(t *testing.T) {
 	k, up, _ := buildStar(t)
-	k.After(0, func() { up.Send(&fiber.Packet{Route: []byte{9}, Frame: frame(10)}) })
+	k.After(0, func() { up.Send(packet([]byte{9}, frame(10))) })
 	if err := k.Run(); err == nil {
 		t.Error("unconnected port did not fail the simulation")
 	}
@@ -215,8 +222,8 @@ func TestOutputPortContention(t *testing.T) {
 	inA := fiber.NewLink(k, cost, "a", h.InPort(1))
 	inB := fiber.NewLink(k, cost, "b", h.InPort(2))
 	k.After(0, func() {
-		inA.Send(&fiber.Packet{Route: []byte{0}, Frame: frame(999)})
-		inB.Send(&fiber.Packet{Route: []byte{0}, Frame: frame(999)})
+		inA.Send(packet([]byte{0}, frame(999)))
+		inB.Send(packet([]byte{0}, frame(999)))
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -248,7 +255,8 @@ func TestCircuitSwitching(t *testing.T) {
 	if err := h.OpenCircuit(3, 1); err == nil {
 		t.Error("double circuit reservation succeeded")
 	}
-	pkt := &fiber.Packet{Route: []byte{1}, Frame: frame(99), Circuit: true}
+	pkt := packet([]byte{1}, frame(99))
+	pkt.Circuit = true
 	k.After(0, func() { up.Send(pkt) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -276,7 +284,7 @@ func TestPacketIntoReservedPortFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.After(0, func() {
-		up.Send(&fiber.Packet{Route: []byte{1}, Frame: frame(10)})
+		up.Send(packet([]byte{1}, frame(10)))
 	})
 	if err := k.Run(); err == nil {
 		t.Error("packet-switched frame into reserved port did not fail")

@@ -18,6 +18,7 @@ import (
 	"nectar/internal/hw/cab"
 	"nectar/internal/model"
 	"nectar/internal/obs"
+	"nectar/internal/pool"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/mailbox"
@@ -49,9 +50,11 @@ type Layer struct {
 	protos map[uint8]Protocol
 
 	// Polling-thread mode (ablation A1).
-	rxQ    []*rxItem
+	rxQ    []rxItem
 	rxCond *threads.Cond
 	rxMu   *threads.Mutex
+
+	rxFree pool.FreeList[*rxFrame] // end-of-data records ready for reuse
 
 	// Drop counters.
 	unknownType uint64
@@ -63,9 +66,26 @@ type Layer struct {
 	obs *obs.Observer
 }
 
+// rxItem is one unit of polling-mode rx work.
 type rxItem struct {
-	desc *cab.RxDesc             // start-of-packet work, or
-	run  func(t *threads.Thread) // an end-of-data action
+	desc *cab.RxDesc // start-of-packet work, or
+	end  *rxFrame    // an end-of-data delivery
+}
+
+// rxFrame is one frame between its receive DMA and its end-of-data
+// upcall: what the upcall needs, and the two callbacks that carry it
+// there, built once per record (getRx) so that a frame's completion
+// schedules no closure.
+type rxFrame struct {
+	l    *Layer
+	p    Protocol
+	m    *mailbox.Msg
+	src  wire.NodeID
+	span obs.SpanID
+	ok   bool // the hardware CRC check
+
+	dmaDoneFn func(ok bool)
+	deliverFn func(t *threads.Thread)
 }
 
 // NewLayer installs the datalink layer on a CAB. The mailbox runtime
@@ -79,7 +99,7 @@ func NewLayer(c *cab.CAB, rt *mailbox.Runtime) *Layer {
 		l.rxMu = threads.NewMutex("datalink.rxmu")
 		c.OnReceive(func(_ *threads.Thread, d *cab.RxDesc) {
 			// Kernel context: queue for the rx thread.
-			l.rxQ = append(l.rxQ, &rxItem{desc: d})
+			l.rxQ = append(l.rxQ, rxItem{desc: d})
 			l.rxCond.Signal()
 		})
 		c.Sched.Fork("datalink-rx", threads.SystemPriority, l.rxThread)
@@ -135,8 +155,8 @@ func (l *Layer) rxThread(t *threads.Thread) {
 		item := l.rxQ[0]
 		l.rxQ = sim.PopFront(l.rxQ)
 		l.rxMu.Unlock(t)
-		if item.run != nil {
-			item.run(t)
+		if item.end != nil {
+			item.end.deliver(t)
 		} else {
 			l.receive(t, item.desc)
 		}
@@ -184,34 +204,68 @@ func (l *Layer) receive(t *threads.Thread, d *cab.RxDesc) {
 		return
 	}
 	ctx.Compute(l.cost.DMASetup)
-	l.cab.StartRxDMA(d, m.Data(), func(ok bool) {
-		// Kernel context at DMA completion: deliver the end-of-data
-		// event the way this CAB is configured.
-		deliver := func(t2 *threads.Thread) {
-			ctx2 := exec.OnCAB(t2)
-			if !ok {
-				l.crcDrops++
-				p.InputMailbox().AbortPut(ctx2, m)
-				l.obs.End(span, int(l.cab.Node()), obs.LayerDatalink, "rx")
-				return
-			}
-			l.delivered++
-			m.Span = span // protocols parent their delivery spans on the rx span
-			p.EndOfData(t2, hdr.Src, m)
-			l.obs.End(span, int(l.cab.Node()), obs.LayerDatalink, "rx")
-		}
-		if l.cab.RxInterruptMode() {
-			l.cab.Sched.RaiseInterrupt("end-of-data", deliver)
-		} else {
-			l.rxMu2Deliver(deliver)
-		}
-	})
+	f := l.getRx()
+	f.p, f.m, f.src, f.span = p, m, hdr.Src, span
+	l.cab.StartRxDMA(d, m.Data(), f.dmaDoneFn)
 }
 
-// rxMu2Deliver runs an end-of-data action on the rx thread in polling
-// mode. The action is queued as a closure item.
-func (l *Layer) rxMu2Deliver(fn func(t *threads.Thread)) {
-	l.rxQ = append(l.rxQ, &rxItem{run: fn})
+// getRx returns an end-of-data record from the layer's free list. The
+// miss path fills the pool, building the record's callbacks once.
+//
+//nectar:hotpath
+func (l *Layer) getRx() *rxFrame {
+	if f, ok := l.rxFree.Get(); ok {
+		return f
+	}
+	return l.newRx()
+}
+
+// newRx is getRx's miss path: a record with its callbacks built once for
+// its lifetime.
+//
+//nectar:hotpath-exempt pool miss: the callbacks built here run later as their own events, never inside getRx
+func (l *Layer) newRx() *rxFrame {
+	f := &rxFrame{l: l}
+	f.dmaDoneFn = f.dmaDone
+	f.deliverFn = f.deliver
+	return f
+}
+
+// dmaDone runs in kernel context at DMA completion: it delivers the
+// end-of-data event the way this CAB is configured.
+func (f *rxFrame) dmaDone(ok bool) {
+	f.ok = ok
+	l := f.l
+	if l.cab.RxInterruptMode() {
+		l.cab.Sched.RaiseInterrupt("end-of-data", f.deliverFn)
+	} else {
+		l.rxMu2Deliver(f)
+	}
+}
+
+// deliver issues the end-of-data upcall (or drops a frame that failed
+// its CRC) and returns the record to the free list.
+func (f *rxFrame) deliver(t *threads.Thread) {
+	l, m, span := f.l, f.m, f.span
+	ctx := exec.OnCAB(t)
+	if !f.ok {
+		l.crcDrops++
+		f.p.InputMailbox().AbortPut(ctx, m)
+		l.obs.End(span, int(l.cab.Node()), obs.LayerDatalink, "rx")
+	} else {
+		l.delivered++
+		m.Span = span // protocols parent their delivery spans on the rx span
+		f.p.EndOfData(t, f.src, m)
+		l.obs.End(span, int(l.cab.Node()), obs.LayerDatalink, "rx")
+	}
+	f.p, f.m = nil, nil
+	l.rxFree.Put(f)
+}
+
+// rxMu2Deliver queues a frame's end-of-data delivery for the rx thread
+// in polling mode.
+func (l *Layer) rxMu2Deliver(f *rxFrame) {
+	l.rxQ = append(l.rxQ, rxItem{end: f})
 	l.rxCond.Signal()
 }
 

@@ -36,11 +36,18 @@ type RMP struct {
 }
 
 type rmpPeer struct {
+	r *RMP
+
 	// Sender side.
 	txSeq    uint32
 	pending  []*rmpReq // FIFO; the first `inFlight` entries are sent, unacked
 	inFlight int
 	timer    sim.Timer
+
+	// The retransmission timer's event and interrupt handler, built by
+	// the first armTimer and reused by every later one.
+	onRTO     func()
+	onTimeout func(t *threads.Thread)
 
 	// Receiver side.
 	rxExpected uint32
@@ -106,7 +113,7 @@ func (r *RMP) SetWindow(n int) {
 func (r *RMP) peer(n wire.NodeID) *rmpPeer {
 	p, ok := r.peers[n]
 	if !ok {
-		p = &rmpPeer{}
+		p = &rmpPeer{r: r}
 		r.peers[n] = p
 	}
 	return p
@@ -204,23 +211,32 @@ func (r *RMP) transmit(ctx exec.Context, p *rmpPeer, req *rmpReq) bool {
 		r.completeHead(ctx, p, StatusNoRoute)
 		return false
 	}
-	r.armTimer(p, req)
+	r.armTimer(p)
 	return true
 }
 
-func (r *RMP) armTimer(p *rmpPeer, req *rmpReq) {
+// armTimer (re)arms the peer's retransmission timer.
+func (r *RMP) armTimer(p *rmpPeer) {
 	p.timer.Stop()
-	k := r.rt.CAB().Kernel()
-	p.timer = k.After(RTO, func() {
-		r.rt.CAB().Sched.RaiseInterrupt("rmp-rto", func(t *threads.Thread) {
-			r.timeout(exec.OnCAB(t), p, req)
-		})
-	})
+	if p.onRTO == nil {
+		p.onRTO = p.rto
+		p.onTimeout = p.timeout
+	}
+	p.timer = r.rt.CAB().Kernel().After(RTO, p.onRTO)
 }
+
+// rto is the retransmission timer's event: the timeout runs as an
+// interrupt on the CAB.
+func (p *rmpPeer) rto() {
+	p.r.rt.CAB().Sched.RaiseInterrupt("rmp-rto", p.onTimeout)
+}
+
+// timeout is the retransmission interrupt's handler.
+func (p *rmpPeer) timeout(t *threads.Thread) { p.r.timeout(exec.OnCAB(t), p) }
 
 // timeout retransmits every outstanding request (go-back-N) or fails the
 // head once its retries are exhausted.
-func (r *RMP) timeout(ctx exec.Context, p *rmpPeer, req *rmpReq) {
+func (r *RMP) timeout(ctx exec.Context, p *rmpPeer) {
 	if p.inFlight == 0 {
 		return // acked while the interrupt was pending
 	}
@@ -255,7 +271,7 @@ func (r *RMP) handleAck(ctx exec.Context, p *rmpPeer, ackNext uint32) {
 	}
 	if progressed {
 		if p.inFlight > 0 {
-			r.armTimer(p, p.pending[0])
+			r.armTimer(p)
 		} else {
 			p.timer.Stop()
 			p.timer = sim.Timer{}

@@ -34,6 +34,7 @@ type RRP struct {
 
 // rrpCall is an outstanding client request.
 type rrpCall struct {
+	r        *RRP
 	xid      uint32
 	dst      wire.MailboxAddr
 	srcBox   wire.MailboxID
@@ -43,6 +44,11 @@ type rrpCall struct {
 	replyBox *mailbox.Mailbox
 	timer    sim.Timer
 	retries  int
+
+	// The retransmission timer's event and interrupt handler, built by
+	// the call's first transmission and reused by its retransmissions.
+	onRTO     func()
+	onTimeout func(t *threads.Thread)
 }
 
 // rrpServerEntry is the per-client duplicate-suppression state.
@@ -172,6 +178,7 @@ func (r *RRP) sendThread(t *threads.Thread) {
 func (r *RRP) startCall(ctx exec.Context, c *rrpCall) {
 	r.nextXID++
 	c.xid = r.nextXID
+	c.r = r
 	r.pending[c.xid] = c
 	r.calls++
 	if r.obs.Tracing() {
@@ -192,13 +199,24 @@ func (r *RRP) transmitReq(ctx exec.Context, c *rrpCall) {
 		r.finishCall(ctx, c, StatusNoRoute)
 		return
 	}
-	k := r.rt.CAB().Kernel()
-	c.timer = k.After(RTO, func() {
-		r.rt.CAB().Sched.RaiseInterrupt("rrp-rto", func(t *threads.Thread) {
-			r.timeout(exec.OnCAB(t), c)
-		})
-	})
+	if c.onRTO == nil {
+		c.onRTO = c.rto
+	}
+	c.timer = r.rt.CAB().Kernel().After(RTO, c.onRTO)
 }
+
+// rto is the retransmission timer's event: the timeout runs as an
+// interrupt on the CAB. The handler is built when a call first times
+// out, which most calls never do.
+func (c *rrpCall) rto() {
+	if c.onTimeout == nil {
+		c.onTimeout = c.timeout
+	}
+	c.r.rt.CAB().Sched.RaiseInterrupt("rrp-rto", c.onTimeout)
+}
+
+// timeout is the retransmission interrupt's handler.
+func (c *rrpCall) timeout(t *threads.Thread) { c.r.timeout(exec.OnCAB(t), c) }
 
 func (r *RRP) timeout(ctx exec.Context, c *rrpCall) {
 	if r.pending[c.xid] != c {

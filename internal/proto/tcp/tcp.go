@@ -248,12 +248,14 @@ type Conn struct {
 
 	retransQ []*txSeg
 	rtoTimer sim.Timer
+	onRTO    func() // c.rto, built by the first armRTO
 
 	rcvBox     *mailbox.Mailbox // in-order payload for the user
 	rcvEOF     bool
 	sentFin    bool
 	acceptLn   *Listener // pending listener notification (SynRcvd)
 	winTimer   sim.Timer // pending window-update probe
+	onWinTimer func()    // c.winProbe, built by the first armWindowUpdate
 	lastAdvWin uint32    // window advertised in the last transmitted segment
 
 	mu    *threads.Mutex
@@ -562,14 +564,19 @@ func (c *Conn) rcvWindow() uint32 {
 // armRTO (re)arms the retransmission timer. Callers hold c.mu.
 func (c *Conn) armRTO() {
 	c.rtoTimer.Stop()
+	if c.onRTO == nil {
+		c.onRTO = c.rto
+	}
+	c.rtoTimer = c.layer.rt.CAB().Kernel().After(RTO, c.onRTO)
+}
+
+// rto is the retransmission timer's event. It queues the expiry to the
+// timer thread; state is only touched under mutexes held by threads
+// (§4.2).
+func (c *Conn) rto() {
 	t := c.layer
-	k := t.rt.CAB().Kernel()
-	c.rtoTimer = k.After(RTO, func() {
-		// Queue to the timer thread; state is only touched under mutexes
-		// held by threads (§4.2).
-		t.timerQ = append(t.timerQ, timerEvent{c: c})
-		t.timerCond.Signal()
-	})
+	t.timerQ = append(t.timerQ, timerEvent{c: c})
+	t.timerCond.Signal()
 }
 
 // armWindowUpdate schedules a pure-ACK probe that re-advertises the
@@ -578,13 +585,19 @@ func (c *Conn) armWindowUpdate() {
 	if c.winTimer.Pending() {
 		return
 	}
+	if c.onWinTimer == nil {
+		c.onWinTimer = c.winProbe
+	}
+	c.winTimer = c.layer.rt.CAB().Kernel().After(WindowUpdateInterval, c.onWinTimer)
+}
+
+// winProbe is the window-update timer's event; like rto, it queues the
+// probe to the timer thread.
+func (c *Conn) winProbe() {
+	c.winTimer = sim.Timer{}
 	t := c.layer
-	k := t.rt.CAB().Kernel()
-	c.winTimer = k.After(WindowUpdateInterval, func() {
-		c.winTimer = sim.Timer{}
-		t.timerQ = append(t.timerQ, timerEvent{c: c, winUpdate: true})
-		t.timerCond.Signal()
-	})
+	t.timerQ = append(t.timerQ, timerEvent{c: c, winUpdate: true})
+	t.timerCond.Signal()
 }
 
 // timerThread retransmits on RTO expiry.

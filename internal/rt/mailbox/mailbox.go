@@ -23,6 +23,7 @@ import (
 	"nectar/internal/hw/mem"
 	"nectar/internal/model"
 	"nectar/internal/obs"
+	"nectar/internal/pool"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/hostif"
@@ -46,6 +47,8 @@ type Runtime struct {
 	cost   *model.CostModel
 	boxes  map[wire.MailboxID]*Mailbox
 	nextID wire.MailboxID
+
+	msgFree pool.FreeList[*Msg] // released message records, reused by tryReserve
 
 	obs       *obs.Observer
 	queueWait *obs.Histogram // virtual time messages sit queued before Begin_Get
@@ -138,10 +141,17 @@ const (
 	stateReserved msgState = iota // between Begin_Put and End_Put: counted in owner.reserved
 	stateQueued                   // in owner's queue: counted in owner.queued
 	stateHeld                     // between Begin_Get and End_Get: held by the reader
+	stateFree                     // released: back in the runtime's free list
 )
 
 // Msg is a message in a mailbox buffer. The data window [off, off+n) of
 // the underlying allocation can be trimmed in place.
+//
+// Message records are pooled per runtime: End_Get and AbortPut return
+// the record to the free list and the next Begin_Put reuses it. A
+// released record is marked free, and Data, Read, Len, EndGet and Enqueue
+// on it panic, so a use after End_Get fails where it happens instead of
+// silently aliasing the next message.
 type Msg struct {
 	rt     *Runtime
 	buf    []byte // full allocation
@@ -174,10 +184,28 @@ type Msg struct {
 }
 
 // Data returns the message's current data window (bytes in CAB memory).
-func (m *Msg) Data() []byte { return m.buf[m.off : m.off+m.n] }
+func (m *Msg) Data() []byte {
+	if m.state == stateFree {
+		m.useAfterRelease("Data")
+	}
+	return m.buf[m.off : m.off+m.n]
+}
 
 // Len returns the current window length.
-func (m *Msg) Len() int { return m.n }
+func (m *Msg) Len() int {
+	if m.state == stateFree {
+		m.useAfterRelease("Len")
+	}
+	return m.n
+}
+
+// useAfterRelease fails an operation on a released message. It stays out
+// of line so that Data and Len remain small enough to inline.
+//
+//go:noinline
+func (m *Msg) useAfterRelease(op string) {
+	sim.Panicf("mailbox: %s of a released message (use after End_Get or AbortPut)", op)
+}
 
 // TrimPrefix removes n bytes from the front of the message in place
 // (paper §3.3: "removing a prefix or suffix of the message without doing
@@ -232,8 +260,7 @@ type Mailbox struct {
 	notEmpty *threads.Cond
 	notFull  *threads.Cond
 
-	hcNotEmpty *hostif.HostCond // created on first host reader
-	hcNotFull  *hostif.HostCond
+	host *hostSide // created on first host use
 
 	upcall func(t *threads.Thread, mb *Mailbox)
 
@@ -282,15 +309,48 @@ func (mb *Mailbox) Stats() (puts, gets, enqueues uint64) {
 	return mb.puts, mb.gets, mb.enqueues
 }
 
+// hostSide is a mailbox's host-facing state, built on first host use:
+// the host conditions host readers and writers wait on, and the requests
+// host operations post to the CAB signal queue to wake CAB threads.
+type hostSide struct {
+	notEmpty, notFull *hostif.HostCond // created by hostConds
+
+	// Built by hostPosts, so that a post allocates nothing.
+	signalName, spaceName string
+	signalFn, spaceFn     func(*threads.Thread)
+}
+
+func (mb *Mailbox) hostSide() *hostSide {
+	if mb.host == nil {
+		mb.host = &hostSide{}
+	}
+	return mb.host
+}
+
 func (mb *Mailbox) hostConds() (*hostif.HostCond, *hostif.HostCond) {
-	if mb.hcNotEmpty == nil {
+	h := mb.hostSide()
+	if h.notEmpty == nil {
 		if mb.rt.iface == nil {
 			sim.Panicf("mailbox %s: host operation with no host attached", mb.name)
 		}
-		mb.hcNotEmpty = mb.rt.iface.NewHostCond(mb.name + ".notEmpty")
-		mb.hcNotFull = mb.rt.iface.NewHostCond(mb.name + ".notFull")
+		h.notEmpty = mb.rt.iface.NewHostCond(mb.name + ".notEmpty")
+		h.notFull = mb.rt.iface.NewHostCond(mb.name + ".notFull")
 	}
-	return mb.hcNotEmpty, mb.hcNotFull
+	return h.notEmpty, h.notFull
+}
+
+// hostPosts builds, on a mailbox's first host-side wakeup, the request
+// names and CAB-side handlers its host operations post to the CAB signal
+// queue.
+func (mb *Mailbox) hostPosts() *hostSide {
+	h := mb.hostSide()
+	if h.signalFn == nil {
+		h.signalName = mb.name + ".signal"
+		h.spaceName = mb.name + ".space"
+		h.signalFn = func(*threads.Thread) { mb.notEmpty.Signal() }
+		h.spaceFn = func(*threads.Thread) { mb.notFull.Broadcast() }
+	}
+	return h
 }
 
 // --- Begin_Put / End_Put ---
@@ -326,9 +386,10 @@ func (mb *Mailbox) BeginPutNB(ctx exec.Context, n int) *Msg {
 	return mb.tryReserve(ctx, n)
 }
 
-// tryReserve allocates the buffer if the budget allows. The &Msg on the
-// large-message path mirrors a real CAB heap allocation; the small-message
-// path reuses the mailbox's cached buffer.
+// tryReserve allocates the buffer if the budget allows. The heap
+// allocation on the large-message path mirrors a real CAB heap
+// allocation; the small-message path reuses the mailbox's cached buffer.
+// Either way the message record comes from the runtime's free list.
 //
 //nectar:hotpath
 func (mb *Mailbox) tryReserve(ctx exec.Context, n int) *Msg {
@@ -339,7 +400,10 @@ func (mb *Mailbox) tryReserve(ctx exec.Context, n int) *Msg {
 	if n <= CachedBufSize && mb.cacheFree && mb.cache != nil {
 		mb.cacheFree = false
 		mb.reserved += n
-		return &Msg{rt: mb.rt, buf: mb.cache[:n], addr: mb.cacheAddr, cached: mb, n: n, state: stateReserved, owner: mb}
+		m := mb.rt.getMsg()
+		m.buf, m.addr, m.cached = mb.cache[:n], mb.cacheAddr, mb
+		m.n, m.state, m.owner = n, stateReserved, mb
+		return m
 	}
 	ctx.Compute(mb.rt.cost.HeapAlloc)
 	buf, addr, ok := mb.rt.cab.Heap.Alloc(n)
@@ -347,7 +411,21 @@ func (mb *Mailbox) tryReserve(ctx exec.Context, n int) *Msg {
 		return nil
 	}
 	mb.reserved += n
-	return &Msg{rt: mb.rt, buf: buf[:n], addr: addr, n: n, state: stateReserved, owner: mb}
+	m := mb.rt.getMsg()
+	m.buf, m.addr = buf[:n], addr
+	m.n, m.state, m.owner = n, stateReserved, mb
+	return m
+}
+
+// getMsg returns a cleared message record from the free list; the miss
+// path fills the pool.
+//
+//nectar:hotpath
+func (r *Runtime) getMsg() *Msg {
+	if m, ok := r.msgFree.Get(); ok {
+		return m
+	}
+	return &Msg{rt: r}
 }
 
 // EndPut makes a filled message available to readers (paper §3.3) and
@@ -378,9 +456,9 @@ func (mb *Mailbox) deliver(ctx exec.Context, m *Msg) {
 	if mb.rt.obs.Tracing() {
 		mb.rt.obs.InstantArg(int(mb.rt.cab.Node()), obs.LayerMailbox, "put", mb.name, uint64(m.Tag), m.n)
 	}
-	mb.signalCAB(ctx, mb.notEmpty)
-	if mb.hcNotEmpty != nil {
-		mb.hcNotEmpty.Signal(ctx)
+	mb.signalCAB(ctx)
+	if h := mb.host; h != nil && h.notEmpty != nil {
+		h.notEmpty.Signal(ctx)
 	}
 	if mb.upcall != nil {
 		if ctx.IsHost() {
@@ -457,8 +535,12 @@ func (mb *Mailbox) pop() *Msg {
 	return m
 }
 
-// EndGet releases the storage of a message obtained with Begin_Get.
+// EndGet releases the storage of a message obtained with Begin_Get. The
+// message must not be used afterwards.
 func (mb *Mailbox) EndGet(ctx exec.Context, m *Msg) {
+	if m.state == stateFree {
+		m.useAfterRelease("EndGet")
+	}
 	if ctx.IsHost() {
 		mb.endGetHost(ctx, m)
 		return
@@ -468,6 +550,8 @@ func (mb *Mailbox) EndGet(ctx exec.Context, m *Msg) {
 	mb.release(ctx, m)
 }
 
+// release frees m's storage, returns the record to its runtime's free
+// list, and wakes writers waiting for space.
 func (mb *Mailbox) release(ctx exec.Context, m *Msg) {
 	if m.cached != nil {
 		m.cached.cacheFree = true
@@ -475,31 +559,33 @@ func (mb *Mailbox) release(ctx exec.Context, m *Msg) {
 		ctx.Compute(mb.rt.cost.HeapFree)
 		mb.rt.cab.Heap.Free(m.addr)
 	}
-	m.buf = nil
+	*m = Msg{rt: m.rt, state: stateFree}
+	m.rt.msgFree.Put(m)
 	if ctx.IsHost() && mb.notFull.HasWaiters() {
-		nf := mb.notFull
-		mb.rt.iface.PostToCAB(ctx, mb.name+".space", func(*threads.Thread) { nf.Broadcast() })
+		h := mb.hostPosts()
+		mb.rt.iface.PostToCAB(ctx, h.spaceName, h.spaceFn)
 	} else {
 		mb.notFull.Broadcast()
 	}
-	if mb.hcNotFull != nil {
-		mb.hcNotFull.Signal(ctx)
+	if h := mb.host; h != nil && h.notFull != nil {
+		h.notFull.Signal(ctx)
 	}
 }
 
-// signalCAB wakes CAB-side waiters on cond. A host caller cannot touch the
-// CAB scheduler directly: physically it posts to the CAB signal queue and
-// rings the doorbell, and the CAB's interrupt handler performs the wakeup
-// (paper §3.2 / Figure 6's "CAB must be interrupted and a CAB thread
-// scheduled to handle the message").
-func (mb *Mailbox) signalCAB(ctx exec.Context, cond *threads.Cond) {
+// signalCAB wakes CAB-side readers waiting for a message. A host caller
+// cannot touch the CAB scheduler directly: physically it posts to the CAB
+// signal queue and rings the doorbell, and the CAB's interrupt handler
+// performs the wakeup (paper §3.2 / Figure 6's "CAB must be interrupted
+// and a CAB thread scheduled to handle the message").
+func (mb *Mailbox) signalCAB(ctx exec.Context) {
 	if ctx.IsHost() {
-		if cond.HasWaiters() {
-			mb.rt.iface.PostToCAB(ctx, mb.name+".signal", func(*threads.Thread) { cond.Signal() })
+		if mb.notEmpty.HasWaiters() {
+			h := mb.hostPosts()
+			mb.rt.iface.PostToCAB(ctx, h.signalName, h.signalFn)
 		}
 		return
 	}
-	cond.Signal()
+	mb.notEmpty.Signal()
 }
 
 // AbortPut abandons a Begin_Put without delivering: the reservation is
@@ -521,6 +607,9 @@ func (mb *Mailbox) AbortPut(ctx exec.Context, m *Msg) {
 // held by the caller — either reserved (between Begin_Put and End_Put) or
 // obtained with Begin_Get; it must not be sitting in a queue.
 func (mb *Mailbox) Enqueue(ctx exec.Context, m *Msg, dst *Mailbox) {
+	if m.state == stateFree {
+		m.useAfterRelease("Enqueue")
+	}
 	if m.state == stateQueued {
 		sim.Panicf("mailbox %s: Enqueue of a message still queued", mb.name)
 	}
@@ -538,10 +627,7 @@ func (mb *Mailbox) beginPutHost(ctx exec.Context, n int) *Msg {
 	for {
 		var m *Msg
 		if mb.hostRPC {
-			mb.rt.iface.CallCAB(ctx, mb.name+".BeginPut", func(t *threads.Thread) uint32 {
-				m = mb.BeginPutNB(exec.OnCAB(t), n)
-				return 0
-			})
+			m = mb.beginPutRPC(ctx, n)
 		} else {
 			// Shared-memory implementation: manipulate the writer-side
 			// data structures directly with mapped accesses.
@@ -555,6 +641,18 @@ func (mb *Mailbox) beginPutHost(ctx exec.Context, n int) *Msg {
 		since := notFull.Poll(ctx)
 		notFull.WaitBlocking(ctx, since)
 	}
+}
+
+// beginPutRPC is Begin_Put's RPC implementation: the reservation runs on
+// the CAB. It is its own function so that only the RPC path pays for the
+// closure and the result variable it captures.
+func (mb *Mailbox) beginPutRPC(ctx exec.Context, n int) *Msg {
+	var m *Msg
+	mb.rt.iface.CallCAB(ctx, mb.name+".BeginPut", func(t *threads.Thread) uint32 {
+		m = mb.BeginPutNB(exec.OnCAB(t), n)
+		return 0
+	})
+	return m
 }
 
 func (mb *Mailbox) endPutHost(ctx exec.Context, m *Msg) {
@@ -575,10 +673,7 @@ func (mb *Mailbox) beginGetHost(ctx exec.Context, poll bool) *Msg {
 	for {
 		var m *Msg
 		if mb.hostRPC {
-			mb.rt.iface.CallCAB(ctx, mb.name+".BeginGet", func(t *threads.Thread) uint32 {
-				m = mb.BeginGetNB(exec.OnCAB(t))
-				return 0
-			})
+			m = mb.beginGetRPC(ctx)
 		} else {
 			ctx.Compute(mb.rt.cost.MailboxBeginGet / 2)
 			ctx.Words(5)
@@ -594,6 +689,16 @@ func (mb *Mailbox) beginGetHost(ctx exec.Context, poll bool) *Msg {
 			notEmpty.WaitBlocking(ctx, since)
 		}
 	}
+}
+
+// beginGetRPC is Begin_Get's RPC implementation (see beginPutRPC).
+func (mb *Mailbox) beginGetRPC(ctx exec.Context) *Msg {
+	var m *Msg
+	mb.rt.iface.CallCAB(ctx, mb.name+".BeginGet", func(t *threads.Thread) uint32 {
+		m = mb.BeginGetNB(exec.OnCAB(t))
+		return 0
+	})
+	return m
 }
 
 func (mb *Mailbox) endGetHost(ctx exec.Context, m *Msg) {

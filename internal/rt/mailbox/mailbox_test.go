@@ -8,6 +8,7 @@ import (
 	"nectar/internal/hw/cab"
 	"nectar/internal/hw/host"
 	"nectar/internal/model"
+	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/hostif"
 	"nectar/internal/rt/threads"
@@ -469,10 +470,11 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-// TestWarmPutGetAllocs guards a warm put/get cycle on a CAB mailbox. The
-// queue keeps its capacity when it drains (sim.PopFront), so the cycle
-// allocates only the message record; a queue that reallocates on every
-// put adds one more.
+// TestWarmPutGetAllocs guards a warm put/get cycle on a CAB mailbox: it
+// allocates nothing. The message record comes from the runtime's free
+// list, and the queue keeps its capacity when it drains (sim.PopFront);
+// a queue that reallocates on every put, or a record made per message,
+// adds one.
 func TestWarmPutGetAllocs(t *testing.T) {
 	r := newRig(t)
 	mb := r.rt.Create("box")
@@ -489,7 +491,74 @@ func TestWarmPutGetAllocs(t *testing.T) {
 		allocs = testing.AllocsPerRun(200, cycle)
 	})
 	r.run(t)
-	if allocs > 1 {
-		t.Errorf("warm put/get allocates %.1f allocs/cycle, want at most 1", allocs)
+	if allocs != 0 {
+		t.Errorf("warm put/get allocates %.1f allocs/cycle, want 0", allocs)
+	}
+}
+
+// TestReleasedMsgReuse checks that End_Get hands the record back to the
+// runtime cleared: the next Begin_Put reuses it, and it carries none of
+// the previous message's sender, tag, metadata or span.
+func TestReleasedMsgReuse(t *testing.T) {
+	r := newRig(t)
+	mb := r.rt.Create("box")
+	r.c.Sched.Fork("putget", threads.SystemPriority, func(th *threads.Thread) {
+		ctx := exec.OnCAB(th)
+		m := mb.BeginPut(ctx, 8)
+		m.From, m.Tag, m.Meta, m.Span = wire.MailboxAddr{Node: 3, Box: 4}, 5, "meta", 6
+		mb.EndPut(ctx, m)
+		mb.EndGet(ctx, mb.BeginGet(ctx))
+		m2 := mb.BeginPut(ctx, 300) // a heap buffer this time, not the cached one
+		if m2 != m {
+			r.k.Fatalf("Begin_Put did not reuse the released record")
+		}
+		if m2.From != (wire.MailboxAddr{}) || m2.Tag != 0 || m2.Meta != nil || m2.Span != 0 {
+			r.k.Fatalf("reused record keeps From=%v Tag=%d Meta=%v Span=%d", m2.From, m2.Tag, m2.Meta, m2.Span)
+		}
+		if m2.Len() != 300 {
+			r.k.Fatalf("reused record has Len %d, want 300", m2.Len())
+		}
+		mb.AbortPut(ctx, m2)
+	})
+	r.run(t)
+}
+
+// TestReleasedMsgPanics pins the poisoning of released records: every
+// operation on a message after End_Get or AbortPut fails at once instead
+// of aliasing whichever message reuses the record next.
+func TestReleasedMsgPanics(t *testing.T) {
+	ops := []struct {
+		name string
+		use  func(ctx exec.Context, mb, dst *Mailbox, m *Msg)
+	}{
+		{"Data", func(_ exec.Context, _, _ *Mailbox, m *Msg) { m.Data() }},
+		{"Len", func(_ exec.Context, _, _ *Mailbox, m *Msg) { m.Len() }},
+		{"Data", func(ctx exec.Context, _, _ *Mailbox, m *Msg) { m.Read(ctx, 0, make([]byte, 1)) }},
+		{"EndGet", func(ctx exec.Context, mb, _ *Mailbox, m *Msg) { mb.EndGet(ctx, m) }},
+		{"Enqueue", func(ctx exec.Context, mb, dst *Mailbox, m *Msg) { mb.Enqueue(ctx, m, dst) }},
+	}
+	for _, abort := range []bool{false, true} {
+		for _, op := range ops {
+			r := newRig(t)
+			mb, dst := r.rt.Create("box"), r.rt.Create("dst")
+			var got any
+			r.c.Sched.Fork("user", threads.SystemPriority, func(th *threads.Thread) {
+				ctx := exec.OnCAB(th)
+				m := mb.BeginPut(ctx, 8)
+				if abort {
+					mb.AbortPut(ctx, m)
+				} else {
+					mb.EndPut(ctx, m)
+					mb.EndGet(ctx, mb.BeginGet(ctx))
+				}
+				defer func() { got = recover() }()
+				op.use(ctx, mb, dst, m)
+			})
+			r.run(t)
+			want := fmt.Sprintf("mailbox: %s of a released message (use after End_Get or AbortPut)", op.name)
+			if got != want {
+				t.Errorf("abort=%v: %s on a released message: recovered %v, want panic %q", abort, op.name, got, want)
+			}
+		}
 	}
 }

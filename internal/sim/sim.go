@@ -45,6 +45,18 @@
 // the previous container/heap implementation (see the determinism tests;
 // the Baseline* benchmarks measure the speedup against it).
 //
+// # Callbacks on hot paths
+//
+// At(t, fn) is the only event form. A capturing closure allocates each
+// time it is built, so callers that schedule an event per frame or per
+// message do not build one per event. They pass a method value built
+// once per pooled object, on the pool's miss path, and the object in
+// flight carries the state of its one pending step: a fiber.Packet its
+// arrival or next HUB hop, a cab.RxDesc its header, interrupt or DMA
+// step, a threads waiter its timeout. Scheduling such a callback at the
+// same instant, in the same order, as the closure it replaces leaves
+// every sequence number, and so every result, unchanged.
+//
 // # Inline advance
 //
 // A Proc that consumes d of CPU time would schedule an event at now+d and
