@@ -328,7 +328,7 @@ func (cl *Cluster) bootNode(idx int) *Node {
 	}
 
 	// Protocol stacks.
-	n.Transports = nectar.Attach(dl, mrt, pool)
+	n.Transports = nectar.Attach(dl, mrt)
 	n.IP = ip.NewLayer(dl, mrt)
 	n.UDP = udp.NewLayer(n.IP, mrt)
 	n.TCP = tcp.NewLayer(n.IP, mrt)

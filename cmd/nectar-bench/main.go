@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	nectar-bench [-stats] [-parallel N] [-shards N] [-allow-oversubscribed] [-pdesjson path] [experiment ...]
+//	nectar-bench [-stats] [-parallel N] [-shards N] [-pdesjson path] [experiment ...]
 //
 // -stats appends a one-line metrics summary (from the observability
 // registry snapshot) to each experiment that exports one.
@@ -21,7 +21,9 @@
 // are partitioned round-robin over N simulation kernels coupled by the
 // conservative lookahead scheduler, so a single big cluster also uses
 // multiple cores. Results remain byte-identical to sequential execution
-// (the default, N=1).
+// (the default, N=1). For pdes, N is the sharded leg's shard count
+// (below 2: GOMAXPROCS capped at 4; clamped to 2..8); a count above the
+// usable cores still runs, stamped oversubscribed with a WARNING line.
 //
 // Experiments: table1, fig6, fig7, fig8, netdev, micro, ablate-ipmode,
 // ablate-upcall, ablate-switching, ablate-rmpwindow, mailbox-impl,
@@ -42,7 +44,6 @@ import (
 	"nectar/internal/bench"
 	"nectar/internal/model"
 	"nectar/internal/obs"
-	"nectar/internal/sim"
 )
 
 var (
@@ -53,7 +54,6 @@ var (
 	scaleJSON    = flag.String("scalejson", "BENCH_scale.json", "output path for the scale experiment's JSON report")
 	scaleMax     = flag.Int("scalemax", 0, "cap the scale experiment's largest fabric at this many nodes (0 = full sweep to 65,536)")
 	profFlag     = flag.Bool("prof", false, "profile the pdes experiment's sharded run: BENCH_pdes.json gains a `profile` wall-clock breakdown")
-	allowOversub = flag.Bool("allow-oversubscribed", false, "let the pdes experiment run with more shard workers than usable cores (the JSON is then marked oversubscribed and its speedup is not a scheduler verdict)")
 	cpuProfile   = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file (samples carry shard/phase labels under -prof)")
 	memProfile   = flag.String("memprofile", "", "write a runtime/pprof heap profile to this file at exit")
 )
@@ -210,34 +210,19 @@ func run(name string, cost *model.CostModel) error {
 		}
 		fmt.Println(r.Format())
 		if *scaleJSON != "" {
-			if err := r.WriteJSON(*scaleJSON); err != nil {
+			if err := bench.WriteJSON(*scaleJSON, r); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "# wrote %s\n", *scaleJSON)
 		}
 	case "pdes":
-		shards := *shardsFlag
-		if shards < 2 {
-			shards = runtime.GOMAXPROCS(0)
-			if shards > 4 {
-				shards = 4
-			}
-		}
-		// Refuse to produce a misleading speedup: with more shards than
-		// usable cores the measurement reflects time-sliced goroutines,
-		// not parallel hardware (the trap an early BENCH_pdes.json fell
-		// into).
-		if effective, usable := bench.PdesShards(shards), sim.UsableCores(); effective > usable && !*allowOversub {
-			return fmt.Errorf("pdes needs %d shards but only %d usable core(s) (GOMAXPROCS=%d, NumCPU=%d); rerun on a bigger machine or pass -allow-oversubscribed to record a time-sliced measurement",
-				effective, usable, runtime.GOMAXPROCS(0), runtime.NumCPU())
-		}
-		r, err := bench.Pdes(cost, shards, *profFlag)
+		r, err := bench.Pdes(cost, *shardsFlag, *profFlag)
 		if err != nil {
 			return err
 		}
 		fmt.Println(r.Format())
 		if *pdesJSON != "" {
-			if err := r.WriteJSON(*pdesJSON); err != nil {
+			if err := bench.WriteJSON(*pdesJSON, r); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "# wrote %s\n", *pdesJSON)

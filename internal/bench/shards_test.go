@@ -141,19 +141,20 @@ func TestShardedExperimentsIdentical(t *testing.T) {
 }
 
 // TestPdesReport runs the pdes experiment end to end on a small workload
-// shape by driving runPdesFlows directly, requiring identical virtual-time
+// shape by driving runLeg directly, requiring identical virtual-time
 // output between sequential and 2-shard runs. The sharded leg runs under
 // the wall-clock profiler, which must not perturb virtual time, and must
 // produce an internally consistent breakdown.
 func TestPdesReport(t *testing.T) {
-	// Round-robin partitioning (affinity=false) on purpose: it forces every
-	// flow across the shard boundary, so the profile's cross-shard counters
-	// must be non-zero below.
-	seq, err := runPdesFlows(nil, 1, 4, 24, 256, false, false)
+	// Round-robin partitioning on purpose: it forces every flow across the
+	// shard boundary, so the profile's cross-shard counters must be
+	// non-zero below.
+	sp := pdesSpec("", 4, 2, 24, 256, roundRobin)
+	seq, err := runLeg(nil, sp, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shd, err := runPdesFlows(nil, 2, 4, 24, 256, false, true)
+	shd, err := runLeg(nil, sp, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +198,12 @@ func TestPdesReport(t *testing.T) {
 // may cross the coupling, and the output must still be byte-identical to
 // the sequential run.
 func TestPdesAffinity(t *testing.T) {
-	seq, err := runPdesFlows(nil, 1, 4, 24, 256, false, false)
+	sp := pdesSpec("", 4, 2, 24, 256, flowAffinity)
+	seq, err := runLeg(nil, sp, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shd, err := runPdesFlows(nil, 2, 4, 24, 256, true, true)
+	shd, err := runLeg(nil, sp, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +237,9 @@ func TestPdesOversubscribedHonorsGOMAXPROCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.WorkersEffective != 2 || !r.Oversubscribed {
-		t.Errorf("2 shards at GOMAXPROCS=1: workers_effective=%d oversubscribed=%v, want 2 and true",
-			r.WorkersEffective, r.Oversubscribed)
+	if r.Shards != 2 || !r.Oversubscribed {
+		t.Errorf("2 shards at GOMAXPROCS=1: shards=%d oversubscribed=%v, want 2 and true",
+			r.Shards, r.Oversubscribed)
 	}
 	for _, v := range r.Variants {
 		if !v.Oversubscribed {
@@ -246,5 +248,47 @@ func TestPdesOversubscribedHonorsGOMAXPROCS(t *testing.T) {
 	}
 	if out := r.Format(); !strings.Contains(out, "WARNING: 2 shards on 1 usable core(s)") {
 		t.Errorf("Format lacks the oversubscription warning:\n%s", out)
+	}
+}
+
+// TestShardedPoints pins what a harness or scheduler change may never
+// move: every sharded point's window and cross-shard frame counts, read
+// from the tree when the cross-cut leg was added, and the pdes main
+// point's per-flow completion times (as in the committed
+// BENCH_pdes.json). Each point's sharded output must also match its
+// sequential leg.
+func TestShardedPoints(t *testing.T) {
+	pdes, err := Pdes(nil, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pdes.Windows != 36 || pdes.Flows != 4 || strings.Count(pdes.Table, " 35130.2 ") != 4 {
+		t.Errorf("pdes main point: %d windows, %d flows, want 36 and 4 flows done at 35130.2 us:\n%s",
+			pdes.Windows, pdes.Flows, pdes.Table)
+	}
+	scale, err := Scale(nil, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pin struct{ seqWindows, windows, crossShard uint64 }
+	want := map[string]pin{
+		"":                {36, 36, 0},
+		"large_8shard":    {18, 18, 0},
+		"crosscut_2shard": {11, 1106, 768},
+		"leafspine_64":    {17, 1552, 960},
+		"leafspine_4096":  {4, 4, 0},
+	}
+	points := append([]ShardedPoint{pdes.ShardedPoint}, pdes.Variants...)
+	points = append(points, scale.Points...)
+	if len(points) != len(want) {
+		t.Errorf("%d points, want %d", len(points), len(want))
+	}
+	for _, p := range points {
+		if got := (pin{p.SequentialWindows, p.Windows, p.CrossShardFrames}); got != want[p.Name] {
+			t.Errorf("point %q: (sequential windows, windows, cross-shard frames) = %v, want %v", p.Name, got, want[p.Name])
+		}
+		if !p.Identical || !p.MetricsCompared {
+			t.Errorf("point %q: identical_output=%v metrics_compared=%v, want both true", p.Name, p.Identical, p.MetricsCompared)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package cab models the CAB (Communication Accelerator Board, paper §2.2):
-// a general-purpose CPU (modeled by a threads.Sched), split program/data
-// memory with page-grained protection, FIFOs to the fiber pair, hardware
-// CRC, a DMA controller, and a VME interface to the host.
+// a general-purpose CPU (modeled by a threads.Sched), data memory with its
+// buffer heap, FIFOs to the fiber pair, hardware CRC, a DMA controller,
+// and a VME interface to the host. Program memory and the page-grained
+// protection hardware (mem.Protection) are not attached: no simulated
+// code reads them.
 //
 // The package is the hardware/software boundary: protocol software (the
 // datalink layer and everything above it) drives the board through
@@ -89,9 +91,8 @@ type CAB struct {
 	cost  *model.CostModel
 	Sched *threads.Sched // the CAB CPU
 
-	Data *mem.Region     // 1 MB data memory (DMA-capable)
-	Heap *mem.Heap       // buffer heap over data memory (mailbox storage)
-	Prot *mem.Protection // protection domains
+	Data *mem.Region // 1 MB data memory (DMA-capable)
+	Heap *mem.Heap   // buffer heap over data memory (mailbox storage)
 
 	out       *fiber.Link // to the HUB
 	routes    map[wire.NodeID][]byte
@@ -147,7 +148,6 @@ func NewSized(k *sim.Kernel, cost *model.CostModel, node wire.NodeID, dataBytes 
 		Sched:  threads.New(k, cost, fmt.Sprintf("cab%d", node)),
 		Data:   data,
 		Heap:   mem.NewHeap(data, 0, data.Size()),
-		Prot:   mem.NewProtection(data, 8),
 		routes: make(map[wire.NodeID][]byte),
 	}
 	c.pool = &fiber.Pool{}

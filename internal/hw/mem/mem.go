@@ -1,7 +1,7 @@
-// Package mem models the CAB's on-board memory (paper §2.2): a program
-// region (PROM + RAM) and a 1 MB data region of 35 ns static RAM, a
-// first-fit heap allocator over the data region (used for mailbox message
-// buffers, §3.3), and per-1KB-page protection domains.
+// Package mem models the CAB's on-board memory (paper §2.2): the 1 MB
+// data region of 35 ns static RAM, a first-fit heap allocator over it
+// (used for mailbox message buffers, §3.3), and the per-1KB-page
+// protection domains, which boards do not attach.
 //
 // Buffers are real Go byte slices aliasing one backing array, so all
 // protocol code operates on genuine bytes at stable "physical" addresses —
@@ -17,20 +17,18 @@ import (
 
 // Default CAB memory geometry (paper §2.2).
 const (
-	DefaultDataSize    = 1 << 20 // 1 Mbyte data RAM
-	DefaultProgramSize = 512<<10 + 128<<10
-	PageSize           = 1 << 10 // protection granularity: 1 Kbyte pages
+	DefaultDataSize = 1 << 20 // 1 Mbyte data RAM
+	PageSize        = 1 << 10 // protection granularity: 1 Kbyte pages
 )
 
 // Addr is a CAB-physical address within a region.
 type Addr uint32
 
-// Region is a contiguous memory region with page-grained protection.
+// Region is a contiguous memory region; a Protection models page-grained
+// permissions over one.
 type Region struct {
 	name  string
 	bytes []byte
-	perms []Perm // one per page, indexed by current domain
-	prot  *Protection
 }
 
 // NewRegion allocates a region of the given size (rounded up to a page).
@@ -115,7 +113,6 @@ func NewProtection(r *Region, ndomains int) *Protection {
 		}
 		p.domains[d] = perms
 	}
-	r.prot = p
 	return p
 }
 

@@ -26,7 +26,7 @@ type Datagram struct {
 }
 
 // NewDatagram installs the datagram protocol on a CAB.
-func NewDatagram(dl *datalink.Layer, rt *mailbox.Runtime, _ *syncs.Pool) *Datagram {
+func NewDatagram(dl *datalink.Layer, rt *mailbox.Runtime) *Datagram {
 	d := &Datagram{
 		dl:      dl,
 		rt:      rt,

@@ -86,11 +86,11 @@ type Transports struct {
 
 // Attach creates the three protocols on a CAB, registers them with its
 // datalink layer, and starts their protocol threads.
-func Attach(dl *datalink.Layer, rt *mailbox.Runtime, pool *syncs.Pool) *Transports {
+func Attach(dl *datalink.Layer, rt *mailbox.Runtime) *Transports {
 	return &Transports{
-		Datagram: NewDatagram(dl, rt, pool),
-		RMP:      NewRMP(dl, rt, pool),
-		RRP:      NewRRP(dl, rt, pool),
+		Datagram: NewDatagram(dl, rt),
+		RMP:      NewRMP(dl, rt),
+		RRP:      NewRRP(dl, rt),
 	}
 }
 

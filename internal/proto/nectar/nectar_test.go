@@ -43,7 +43,7 @@ func twoNodes(t *testing.T) (*sim.Kernel, *node, *node) {
 		rt.AttachHost(f)
 		pool := syncs.NewPool(f)
 		dl := datalink.NewLayer(c, rt)
-		return &node{cab: c, host: ho, rt: rt, pool: pool, trans: Attach(dl, rt, pool)}
+		return &node{cab: c, host: ho, rt: rt, pool: pool, trans: Attach(dl, rt)}
 	}
 	a := mk(1, 0)
 	b := mk(2, 1)

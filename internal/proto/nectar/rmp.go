@@ -67,7 +67,7 @@ type rmpReq struct {
 }
 
 // NewRMP installs the reliable message protocol on a CAB.
-func NewRMP(dl *datalink.Layer, rt *mailbox.Runtime, _ *syncs.Pool) *RMP {
+func NewRMP(dl *datalink.Layer, rt *mailbox.Runtime) *RMP {
 	r := &RMP{
 		dl:      dl,
 		rt:      rt,

@@ -60,7 +60,7 @@ type rrpServerEntry struct {
 }
 
 // NewRRP installs the request-response protocol on a CAB.
-func NewRRP(dl *datalink.Layer, rt *mailbox.Runtime, _ *syncs.Pool) *RRP {
+func NewRRP(dl *datalink.Layer, rt *mailbox.Runtime) *RRP {
 	r := &RRP{
 		dl:      dl,
 		rt:      rt,
