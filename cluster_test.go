@@ -150,6 +150,20 @@ func TestDatagramHostToHostEventCount(t *testing.T) {
 	}
 }
 
+// TestDatagramHostToHostProcResumes pins the number of coroutine switches
+// into Procs for the same datagram. The receiver's host polls its mailbox
+// (hostif.HostCond.WaitPoll), and a poll iteration that waits for its
+// compute or bus word continues from the wake event as a Spin step
+// without resuming the host process, so the switches fall while the
+// events above stay at 262; with a resume per waiting iteration the count
+// was 139.
+func TestDatagramHostToHostProcResumes(t *testing.T) {
+	cl, _, _ := runDatagramHostToHost(t)
+	if got := cl.K.Resumes(); got != 89 {
+		t.Errorf("one host-to-host datagram resumed procs %d times, want 89", got)
+	}
+}
+
 func TestRMPReliableDelivery(t *testing.T) {
 	cl, a, b := twoNodes(t, nil)
 	box := b.Mailboxes.Create("sink")

@@ -11,16 +11,16 @@ import (
 
 // Costmodel proves latency-model soundness: every path from protocol or
 // datalink code to a hardware transmit — a fiber Link.Send/SendAt or a
-// VME Bus.PIO/PIOBytes/DMA — must charge at least one latency from the
-// paper's explicit cost model (a selector on model.CostModel: a field
-// like cost.DatalinkProcess or a derived method like cost.FiberTime)
-// somewhere before the transmit. A send path that charges nothing
-// teleports bytes at virtual-time zero cost, which silently flattens the
-// latency breakdown of Figures 6–8 and — worse — breaks the sharded
-// scheduler, whose conservative lookahead is exactly the minimum model
-// cost between a shard's inputs and its outbound links (see
-// EXPERIMENTS.md): a zero-cost hop makes the real graph faster than the
-// lookahead promise, and the windows stop being safe.
+// VME Bus.PIO/PIOBytes/Reserve/DMA — must charge at least one latency
+// from the paper's explicit cost model (a selector on model.CostModel:
+// a field like cost.DatalinkProcess or a derived method like
+// cost.FiberTime) somewhere before the transmit. A send path that
+// charges nothing teleports bytes at virtual-time zero cost, which
+// silently flattens the latency breakdown of Figures 6–8 and — worse —
+// breaks the sharded scheduler, whose conservative lookahead is exactly
+// the minimum model cost between a shard's inputs and its outbound
+// links (see EXPERIMENTS.md): a zero-cost hop makes the real graph
+// faster than the lookahead promise, and the windows stop being safe.
 //
 // The analysis runs on the whole-program call graph (callgraph.go). A
 // function is *charged* when its top-level declaration (or any closure
@@ -50,6 +50,7 @@ var costSinks = map[string]string{
 	"(*nectar/internal/hw/fiber.Link).SendAt": "fiber transmit Link.SendAt",
 	"(*nectar/internal/hw/vme.Bus).PIO":       "VME transfer Bus.PIO",
 	"(*nectar/internal/hw/vme.Bus).PIOBytes":  "VME transfer Bus.PIOBytes",
+	"(*nectar/internal/hw/vme.Bus).Reserve":   "VME transfer Bus.Reserve",
 	"(*nectar/internal/hw/vme.Bus).DMA":       "VME transfer Bus.DMA",
 }
 

@@ -50,6 +50,14 @@ func (b *Bus) PIO(t *threads.Thread, words int) {
 	if words <= 0 {
 		return
 	}
+	t.Compute(b.Reserve(words))
+}
+
+// Reserve books the bus for words programmed-I/O accesses starting now
+// and returns the bus-wait plus transfer time the accessing thread must
+// compute. PIO is Reserve followed by that Compute; a Spin step calls
+// Reserve and StartCompute itself. words must be positive.
+func (b *Bus) Reserve(words int) sim.Duration {
 	now := b.k.Now()
 	wait := sim.Duration(0)
 	if b.freeAt > now {
@@ -58,7 +66,7 @@ func (b *Bus) PIO(t *threads.Thread, words int) {
 	d := sim.Duration(words) * b.cost.VMEWord
 	b.freeAt = now + sim.Time(wait+d)
 	b.pioWords += uint64(words)
-	t.Compute(wait + d)
+	return wait + d
 }
 
 // PIOBytes is PIO for a byte count, rounded up to whole words.

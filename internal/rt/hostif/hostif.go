@@ -16,8 +16,10 @@ import (
 
 	"nectar/internal/hw/cab"
 	"nectar/internal/hw/host"
+	"nectar/internal/hw/vme"
 	"nectar/internal/model"
 	"nectar/internal/obs"
+	"nectar/internal/pool"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/threads"
 	"nectar/internal/sim"
@@ -42,6 +44,8 @@ type IF struct {
 
 	posts, doorbells, hostIntr uint64
 
+	pollers pool.FreeList[*poller] // WaitPoll state records
+
 	obs       *obs.Observer
 	doorbellH *obs.Histogram // post-to-dispatch latency of CAB requests
 }
@@ -62,6 +66,7 @@ func New(h *host.Host, c *cab.CAB) *IF {
 	m := f.obs.Metrics()
 	m.Register(f)
 	f.doorbellH = m.Histogram(obs.LayerHostIF, "doorbell_latency", c.Scope())
+	f.pollers.Put(newPoller())
 	return f
 }
 
@@ -198,15 +203,77 @@ func (hc *HostCond) wakeAll() {
 // WaitPoll spins on the poll value until it differs from since (obtained
 // from a prior Poll), charging one mapped read per iteration. This is the
 // paper's no-system-call fast path for latency-critical waits.
+//
+// The loop body is one Compute(HostPollIteration), one PIO word, and the
+// check. It runs as a Spin step (poller.step), so an iteration that has
+// to wait for its compute or its bus word continues from the thread's
+// wake event instead of switching into the host process.
 func (hc *HostCond) WaitPoll(ctx exec.Context, since uint32) {
 	if !ctx.IsHost() {
 		panic("hostif: WaitPoll from CAB context")
 	}
+	f := hc.f
+	w, ok := f.pollers.Get()
+	if !ok {
+		w = newPoller()
+	}
+	w.hc, w.t, w.bus, w.since, w.phase = hc, ctx.T, ctx.Host.Bus, since, pollCompute
+	ctx.T.Spin(w.stepFn)
+	w.hc, w.t, w.bus = nil, nil, nil
+	f.pollers.Put(w)
+}
+
+// poller is the state of one WaitPoll in progress: the loop's variables
+// and the phase of the iteration it is in. IF.pollers recycles them, and
+// stepFn is built once per record, so a WaitPoll allocates nothing.
+type poller struct {
+	hc     *HostCond
+	t      *threads.Thread
+	bus    *vme.Bus
+	since  uint32
+	phase  pollPhase
+	stepFn func() bool // w.step
+}
+
+// pollPhase is where a poller's step resumes.
+type pollPhase uint8
+
+const (
+	pollCompute pollPhase = iota // charge HostPollIteration
+	pollWord                     // read the poll value over the bus
+	pollCheck                    // compare it with since
+)
+
+func newPoller() *poller {
+	w := &poller{}
+	w.stepFn = w.step
+	return w
+}
+
+// step runs the poll loop from w.phase until the value has changed
+// (true) or a Compute starts a wait (false). Each phase performs the
+// StartCompute or Reserve the loop's Compute or Words would, at the same
+// instant, so every event is the loop's.
+//
+//nectar:hotpath
+func (w *poller) step() bool {
 	for {
-		ctx.Compute(hc.f.cost.HostPollIteration)
-		ctx.Words(1)
-		if hc.poll != since {
-			return
+		switch w.phase {
+		case pollCompute:
+			w.phase = pollWord
+			if !w.t.StartCompute(w.hc.f.cost.HostPollIteration) {
+				return false
+			}
+		case pollWord:
+			w.phase = pollCheck
+			if !w.t.StartCompute(w.bus.Reserve(1)) {
+				return false
+			}
+		default: // pollCheck
+			if w.hc.poll != w.since {
+				return true
+			}
+			w.phase = pollCompute
 		}
 	}
 }

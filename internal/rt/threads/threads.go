@@ -316,8 +316,21 @@ func (t *Thread) CPUTime() sim.Duration { return t.cpuTime }
 //
 //nectar:hotpath
 func (t *Thread) Compute(d sim.Duration) {
+	if !t.StartCompute(d) {
+		t.proc.Suspend()
+	}
+}
+
+// StartCompute is Compute without the wait: it reports true when the
+// demand is already consumed (d <= 0, or consumed in place), and false
+// when it has started a slice or a switch away, after which the thread's
+// proc is resumed once the full demand is consumed. A Spin step calls it
+// where the body would call Compute, and returns false with it.
+//
+//nectar:hotpath
+func (t *Thread) StartCompute(d sim.Duration) bool {
 	if d <= 0 {
-		return
+		return true
 	}
 	s := t.sched
 	t.assertRunning("Compute")
@@ -333,12 +346,23 @@ func (t *Thread) Compute(d sim.Duration) {
 		// would be the next two events, so consume the demand in place.
 		t.cpuTime += d
 		s.busyTime += d
-		return
+		return true
 	default:
 		t.remaining = d
 		s.beginSlice(t)
 	}
-	t.proc.Suspend()
+	return false
+}
+
+// Spin runs step until it reports done, as a state machine over a loop
+// of Computes: step calls StartCompute where the loop would call
+// Compute, and returns false when that starts a wait. Every later call
+// runs from the thread's wake event rather than in its proc
+// (sim.Proc.Spin), so a polling loop costs no coroutine switch per
+// iteration, and every event and charge is the loop's.
+func (t *Thread) Spin(step func() bool) {
+	t.assertRunning("Spin")
+	t.proc.Spin(step)
 }
 
 // Block releases the CPU and parks the thread until Unblock is called.
@@ -444,13 +468,20 @@ func (t *Thread) exit() {
 	// Proc returns; kernel reclaims it.
 }
 
+// assertRunning panics unless t is the running thread. The check is
+// small enough to inline into every Compute; notRunning formats the
+// panic.
 func (t *Thread) assertRunning(op string) {
+	if t.sched.running != t || t.state != stateRunning {
+		t.notRunning(op)
+	}
+}
+
+func (t *Thread) notRunning(op string) {
 	if t.sched.running != t {
 		sim.Panicf("threads: %s by %q which is not the running thread", op, t.Name())
 	}
-	if t.state != stateRunning {
-		sim.Panicf("threads: %s by %q in state %d", op, t.Name(), t.state)
-	}
+	sim.Panicf("threads: %s by %q in state %d", op, t.Name(), t.state)
 }
 
 // --- Scheduler internals ---

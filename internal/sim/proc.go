@@ -14,9 +14,10 @@ import (
 // A Proc blocks in one of three ways: Sleep(d) wakes it d later, Suspend
 // waits for a Resume, and Park is Suspend for a Proc that is idle rather
 // than blocked. Resume is the one wake-up: it schedules the Proc's
-// prebuilt wake event at the current instant. Wait queues and timeouts
-// are built above this (Signal here; Cond, Mutex and Sleep in the threads
-// package).
+// prebuilt wake event at the current instant. Spin suspends a Proc over
+// a loop of such waits, whose body the wake event runs as a step (the
+// package doc, "Spin steps"). Wait queues and timeouts are built above
+// this (Signal here; Cond, Mutex and Sleep in the threads package).
 //
 // Proc methods that block must only be called from within that Proc's own
 // body function.
@@ -35,13 +36,14 @@ type Proc struct {
 
 	next    func() (struct{}, bool) // resumes the coroutine
 	yieldFn func(struct{}) bool     // suspends it; valid inside the body
-	wakeFn  func()                  // p.dispatch, built once so wake-ups do not allocate
+	wakeFn  func()                  // wakeup's event, built once so wake-ups do not allocate
+	spin    func() bool             // the step of a Spin in progress
 
 	// Deadlock reports format the blocking label lazily from these.
 	state procState
+	dead  bool
 	on    *Signal   // the Signal a suspended Proc waits on, if any
 	desc  Describer // if set, describes a suspended Proc instead
-	dead  bool
 }
 
 // procState is what a Proc is doing, for Resume's check and deadlock
@@ -55,6 +57,7 @@ const (
 	procSuspended // Suspend, or Wait on p.on
 	procParked    // Park: idle, not blocked
 	procResumed   // Resume has scheduled the wake-up, which has not run
+	procSpinning  // the wake event is calling the Spin step
 )
 
 // A Describer says, in deadlock reports, what a suspended Proc is blocked
@@ -73,7 +76,7 @@ func (p *Proc) SetDescriber(d Describer) { p.desc = d }
 // virtual time, after already-scheduled events for this instant.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, fn: fn}
-	p.wakeFn = p.dispatch
+	p.wakeFn = p.wakeup()
 	k.procs[p] = struct{}{}
 	k.schedule(k.now, p.start)
 	return p
@@ -84,7 +87,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 // than in Go keeps its cost with the first run, not with set-up.
 func (p *Proc) start() {
 	p.next, _ = iter.Pull(p.body)
-	p.dispatch()
+	p.wakeFn()
 }
 
 // body is the coroutine: run fn, then mark the Proc finished. A panic is
@@ -105,17 +108,56 @@ func (p *Proc) body(yield func(struct{}) bool) {
 	fn(p)
 }
 
-// dispatch transfers control from kernel context to the proc and returns
-// when it yields back. Must be called from kernel context (inside an
-// event). Dispatching a finished proc is a no-op.
+// wakeup builds p's wake event, which transfers control from kernel
+// context to the proc and returns when it yields back. Waking a finished
+// proc is a no-op. While the proc spins, the event calls the Spin step
+// first and switches into the coroutine only once the step is done. The
+// event is a closure rather than the method value of a dispatch method:
+// with the Spin branch such a method is too large to inline into its
+// method value's wrapper, which would cost every wake-up a second call.
+func (p *Proc) wakeup() func() {
+	return func() {
+		if p.dead || p.spin != nil && !p.spinStep() {
+			return
+		}
+		p.k.current = p
+		p.k.resumes++
+		p.next()
+	}
+}
+
+// spinStep calls the Spin step from the wake event, with p current, and
+// reports whether the spin is done; if not, p stays suspended.
 //
 //nectar:hotpath
-func (p *Proc) dispatch() {
-	if p.dead {
-		return
+func (p *Proc) spinStep() bool {
+	k := p.k
+	k.current = p
+	p.state = procSpinning
+	if !p.step() {
+		p.state = procSuspended
+		k.current = nil
+		return false
 	}
-	p.k.current = p
-	p.next()
+	p.spin = nil
+	return true
+}
+
+// step calls the Spin step from the wake event.
+func (p *Proc) step() bool {
+	defer p.recoverStep()
+	return p.spin()
+}
+
+// recoverStep turns a panic in a Spin step called from the wake event
+// into Run's error, as body does for one in the coroutine. The failed
+// kernel runs no further events.
+//
+//nectar:hotpath-exempt panic path, dead in steady state
+func (p *Proc) recoverStep() {
+	if r := recover(); r != nil {
+		p.k.Fatalf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+	}
 }
 
 // yield transfers control from the proc back to the event that resumed it
@@ -124,7 +166,7 @@ func (p *Proc) dispatch() {
 //
 //nectar:hotpath
 func (p *Proc) yield(state procState, on *Signal) {
-	if p.k.current != p {
+	if p.k.current != p || p.state == procSpinning {
 		Panicf("sim: blocking call on proc %q from outside its coroutine", p.name)
 	}
 	p.state = state
@@ -154,6 +196,8 @@ func (p *Proc) label() string {
 		return "parked"
 	case procResumed:
 		return "resumed"
+	case procSpinning:
+		return "spinning"
 	}
 	return "running"
 }
@@ -181,6 +225,30 @@ func (p *Proc) Sleep(d Duration) {
 //
 //nectar:hotpath
 func (p *Proc) Suspend() { p.yield(procSuspended, nil) }
+
+// Spin runs step until it reports done, suspending the proc once however
+// many waits that takes. step is a state machine over a loop body that
+// would otherwise block: it does its work up to the point where it
+// starts a wait (one that ends with Resume), returns false, and is
+// called again from the proc's wake event when that wait ends. The first
+// call runs here, inside the proc; every later one runs in kernel
+// context inside the wake event, with the proc current, so Advance holds
+// there exactly as in the body; it must not block. Spin returns when
+// step returns true; until then the proc is suspended, and deadlock
+// reports label it as such.
+//
+// A loop that blocks on every iteration costs two coroutine switches per
+// iteration; as a Spin step it costs none, and every event it schedules
+// is the same.
+//
+//nectar:hotpath
+func (p *Proc) Spin(step func() bool) {
+	if step() {
+		return
+	}
+	p.spin = step
+	p.yield(procSuspended, nil)
+}
 
 // Park is Suspend for a Proc that is idle rather than blocked, such as a
 // pooled worker between jobs: a parked Proc is not a deadlock, and

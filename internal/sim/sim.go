@@ -80,6 +80,19 @@
 // sequence numbers, so the relative order of every other event, and
 // every virtual-time result, is unchanged. Only the dispatch count
 // (Dispatched) drops.
+//
+// # Spin steps
+//
+// A Proc that loops over short waits, such as a host process polling a
+// word in CAB memory, costs two coroutine switches per iteration that
+// waits: the wake event resumes it, and it yields at its next wait.
+// Proc.Spin takes the loop body as a step function instead. Its first
+// call runs in the Proc; each later one runs from the Proc's wake event,
+// in kernel context with the Proc current, so Advance holds there as it
+// does in the body. The coroutine resumes only when the step reports the
+// loop done. The step schedules the same events, at the same instants
+// and in the same order, as the loop it replaces, so every sequence
+// number and Dispatched are unchanged; only Resumes drops.
 package sim
 
 import (
@@ -229,6 +242,8 @@ type Kernel struct {
 	// profiler's sampling counter on the dispatch loop. One increment per
 	// event — cheap enough to stay unconditional.
 	steps uint64 //nectar:shard-owned
+	// resumes counts switches into a Proc's coroutine (Resumes).
+	resumes uint64 //nectar:shard-owned
 
 	procs   map[*Proc]struct{} // live procs (for deadlock reporting)
 	parked  int                // live procs idle in Park, which are not a deadlock
@@ -448,6 +463,11 @@ func (k *Kernel) step() {
 // creation — the dispatch-loop sampling counter wall-clock profiling
 // (internal/prof) uses to attribute events to windows and shards.
 func (k *Kernel) Dispatched() uint64 { return k.steps }
+
+// Resumes reports how many times the kernel has switched into a Proc's
+// coroutine since creation. A wake-up whose Spin step is not yet done
+// runs the step in kernel context and is not counted.
+func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // Run executes events until the queue is empty. It returns an error if a
 // proc panicked or Fatalf was called. If the queue drains while procs are

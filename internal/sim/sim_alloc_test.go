@@ -187,3 +187,37 @@ func TestZeroAllocProcPingPong(t *testing.T) {
 		t.Errorf("Proc Wait/Signal/Suspend/Resume ping-pong allocates %.1f allocs/round, want 0", got)
 	}
 }
+
+// TestZeroAllocSpin guards the spun wait: a Spin whose step waits on a
+// timer once and finishes when called again from the wake event, once
+// warm, must not allocate, since the step and the wake-up are built once.
+func TestZeroAllocSpin(t *testing.T) {
+	k := NewKernel()
+	k.Go("spin", func(p *Proc) {
+		waited := false
+		resume := p.Resume
+		step := func() bool {
+			if waited {
+				return true
+			}
+			waited = true
+			k.After(Microsecond, resume)
+			return false
+		}
+		for {
+			waited = false
+			p.Spin(step)
+		}
+	})
+	round := func() {
+		if err := k.RunFor(Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if got := testing.AllocsPerRun(200, round); got != 0 {
+		t.Errorf("a spun wait allocates %.1f allocs/round, want 0", got)
+	}
+}

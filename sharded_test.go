@@ -10,6 +10,7 @@ import (
 	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
+	"nectar/internal/rt/mailbox"
 	"nectar/internal/rt/threads"
 	"nectar/internal/sim"
 )
@@ -67,17 +68,7 @@ func runShardedWorkload(t *testing.T, shards int, seed uint64, opts ...shardedOp
 		nodes[i] = cl.AddNode()
 	}
 
-	// Per-kernel observability: one recorder + capture per shard.
-	kernels := cl.Kernels()
-	recs := make([]*obs.Recorder, len(kernels))
-	taps := make([]*obs.Capture, len(kernels))
-	for i, k := range kernels {
-		o := obs.Ensure(k)
-		recs[i] = &obs.Recorder{}
-		o.SetSink(recs[i])
-		taps[i] = &obs.Capture{}
-		o.SetCapture(taps[i])
-	}
+	result := observe(cl)
 
 	// Deterministic stateless fault pattern per link: pure function of
 	// the packet ordinal and the seed, so it needs no shared state and
@@ -141,14 +132,33 @@ func runShardedWorkload(t *testing.T, shards int, seed uint64, opts ...shardedOp
 		t.Fatal("no HUB forwards: flows did not cross the switch")
 	}
 
-	streams := make([][]obs.Event, len(recs))
-	for i, r := range recs {
-		streams[i] = r.Events
+	return result()
+}
+
+// observe attaches a trace recorder and a wire capture to every shard
+// kernel of cl and returns a function that canonicalizes what they and
+// the metrics recorded.
+func observe(cl *Cluster) func() shardedWorkloadResult {
+	kernels := cl.Kernels()
+	recs := make([]*obs.Recorder, len(kernels))
+	taps := make([]*obs.Capture, len(kernels))
+	for i, k := range kernels {
+		o := obs.Ensure(k)
+		recs[i] = &obs.Recorder{}
+		o.SetSink(recs[i])
+		taps[i] = &obs.Capture{}
+		o.SetCapture(taps[i])
 	}
-	return shardedWorkloadResult{
-		trace:   obs.FormatEvents(obs.CanonicalTrace(streams...)),
-		capture: obs.CanonicalCapture(taps...).Text(),
-		metrics: cl.MetricsSnapshot().JSON(),
+	return func() shardedWorkloadResult {
+		streams := make([][]obs.Event, len(recs))
+		for i, r := range recs {
+			streams[i] = r.Events
+		}
+		return shardedWorkloadResult{
+			trace:   obs.FormatEvents(obs.CanonicalTrace(streams...)),
+			capture: obs.CanonicalCapture(taps...).Text(),
+			metrics: cl.MetricsSnapshot().JSON(),
+		}
 	}
 }
 
@@ -477,5 +487,94 @@ func TestDeadlockReportSameForEveryShardCount(t *testing.T) {
 	}
 	if !strings.Contains(one, "cab1/waiter") || !strings.Contains(one, "cab2/waiter") {
 		t.Errorf("deadlock report does not name both waiters: %s", one)
+	}
+}
+
+// runShardedHostEcho has a host process on node 0 echo messages off a
+// host process on node 1, first over datagram and then over RMP, with
+// both sides waiting for each message by polling their mailbox
+// (BeginGetPoll, so hostif's WaitPoll spin step). With two shards the
+// server's node runs on a worker goroutine. It returns the canonical
+// trace, capture and metrics, and each echo's round trip.
+func runShardedHostEcho(t *testing.T, shards int) (shardedWorkloadResult, []sim.Duration) {
+	t.Helper()
+	cl := NewCluster(&Config{Shards: shards})
+	a, b := cl.AddNode(), cl.AddNode()
+	if cl.ShardOfNode(1) != shards-1 {
+		t.Fatalf("shards=%d: the server's node is on shard %d", shards, cl.ShardOfNode(1))
+	}
+	result := observe(cl)
+
+	const echoes = 6
+	svc, reply := b.Mailboxes.Create("svc"), a.Mailboxes.Create("reply")
+	send := func(ctx exec.Context, n *Node, rmp bool, to wire.MailboxAddr, from wire.MailboxID, data []byte) {
+		if rmp {
+			n.Transports.RMP.Send(ctx, to, from, data, nil)
+		} else {
+			n.Transports.Datagram.Send(ctx, to, from, data, nil)
+		}
+	}
+	recv := func(ctx exec.Context, box *mailbox.Mailbox, buf []byte) []byte {
+		m := box.BeginGetPoll(ctx)
+		data := buf[:m.Len()]
+		m.Read(ctx, 0, data)
+		box.EndGet(ctx, m)
+		return data
+	}
+	b.Host.Run("echo", func(th *threads.Thread) {
+		ctx := exec.OnHost(th, b.Host)
+		buf := make([]byte, wire.MaxPayload)
+		for i := 0; i < 2*echoes; i++ {
+			send(ctx, b, i >= echoes, reply.Addr(), svc.ID(), recv(ctx, svc, buf))
+		}
+	})
+	var rtts []sim.Duration
+	a.Host.Run("client", func(th *threads.Thread) {
+		ctx := exec.OnHost(th, a.Host)
+		buf := make([]byte, wire.MaxPayload)
+		for i := 0; i < 2*echoes; i++ {
+			msg := bytes.Repeat([]byte{byte(i)}, 4+40*i)
+			start := th.Now()
+			send(ctx, a, i >= echoes, svc.Addr(), reply.ID(), msg)
+			if got := recv(ctx, reply, buf); !bytes.Equal(got, msg) {
+				t.Errorf("shards=%d: echo %d came back as %d bytes, want %d", shards, i, len(got), len(msg))
+			}
+			rtts = append(rtts, sim.Duration(th.Now()-start))
+		}
+	})
+	if err := cl.RunFor(50 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(rtts) != 2*echoes {
+		t.Fatalf("shards=%d: %d of %d echoes completed", shards, len(rtts), 2*echoes)
+	}
+	return result(), rtts
+}
+
+// TestShardedHostPolling checks that host processes polling their
+// mailboxes, whose poll loops run as Spin steps from their wake events,
+// give the same echoes, trace, capture and metrics at two shards as at
+// one. Under -race it also runs those steps on a worker goroutine.
+func TestShardedHostPolling(t *testing.T) {
+	seq, seqRTT := runShardedHostEcho(t, 1)
+	shd, shdRTT := runShardedHostEcho(t, 2)
+	if seq.trace == "" || seq.capture == "" {
+		t.Fatal("sequential run produced no observability output")
+	}
+	if fmt.Sprint(shdRTT) != fmt.Sprint(seqRTT) {
+		t.Errorf("round trips differ:\nshards=1: %v\nshards=2: %v", seqRTT, shdRTT)
+	}
+	if shd.trace != seq.trace {
+		t.Errorf("sharded trace differs from sequential; first divergence:\nseq: %s\nshd: %s",
+			firstDiffLine(seq.trace, shd.trace), firstDiffLine(shd.trace, seq.trace))
+	}
+	if shd.capture != seq.capture {
+		t.Errorf("sharded capture differs from sequential; first divergence:\nseq: %s\nshd: %s",
+			firstDiffLine(seq.capture, shd.capture), firstDiffLine(shd.capture, seq.capture))
+	}
+	if !bytes.Equal(shd.metrics, seq.metrics) {
+		t.Errorf("sharded metrics snapshot differs from sequential:\nseq: %s\nshd: %s",
+			firstDiffLine(string(seq.metrics), string(shd.metrics)),
+			firstDiffLine(string(shd.metrics), string(seq.metrics)))
 	}
 }
