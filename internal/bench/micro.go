@@ -58,7 +58,7 @@ func Micro(cost *model.CostModel) (*MicroResult, error) {
 		cl := nectar.NewCluster(&nectar.Config{Cost: cost})
 		n := cl.AddNode()
 		m := threads.NewMutex("pp")
-		c := threads.NewCond(n.CAB.Sched, "pp")
+		c := threads.NewCond("pp")
 		turn := 0
 		const rounds = 200
 		done := false

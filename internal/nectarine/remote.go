@@ -7,6 +7,7 @@ import (
 	"nectar/internal/proto/nectar"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
+	"nectar/internal/rt/mailbox"
 	"nectar/internal/rt/threads"
 )
 
@@ -32,14 +33,9 @@ func (a *API) RegisterTask(name string, fn func(ep *Endpoint)) {
 // requests. Called once from New.
 func (a *API) startControl() {
 	ctl := a.mrt.CreateWithID(ControlBox, "nectarine.ctl")
-	a.mrt.CAB().Sched.Fork("nectarine-ctl", threads.SystemPriority, func(t *threads.Thread) {
-		ctx := exec.OnCAB(t)
-		for {
-			m := ctl.BeginGet(ctx)
-			reply := a.handleControl(ctx, m.Data())
-			a.trans.RRP.Reply(ctx, m, reply)
-			ctl.EndGet(ctx, m)
-		}
+	ctl.Serve("nectarine-ctl", threads.SystemPriority, func(ctx exec.Context, m *mailbox.Msg) {
+		a.trans.RRP.Reply(ctx, m, a.handleControl(ctx, m.Data()))
+		ctl.EndGet(ctx, m)
 	})
 }
 

@@ -50,7 +50,7 @@ type Layer struct {
 	protos map[uint8]Protocol
 
 	// Polling-thread mode (ablation A1).
-	rxQ    []rxItem
+	rx     rxQueue
 	rxCond *threads.Cond
 	rxMu   *threads.Mutex
 
@@ -95,14 +95,15 @@ func NewLayer(c *cab.CAB, rt *mailbox.Runtime) *Layer {
 	if c.RxInterruptMode() {
 		c.OnReceive(func(t *threads.Thread, d *cab.RxDesc) { l.receive(t, d) })
 	} else {
-		l.rxCond = threads.NewCond(c.Sched, "datalink.rx")
+		l.rxCond = threads.NewCond("datalink.rx")
 		l.rxMu = threads.NewMutex("datalink.rxmu")
 		c.OnReceive(func(_ *threads.Thread, d *cab.RxDesc) {
 			// Kernel context: queue for the rx thread.
-			l.rxQ = append(l.rxQ, rxItem{desc: d})
+			l.rx.q = append(l.rx.q, rxItem{desc: d})
 			l.rxCond.Signal()
 		})
-		c.Sched.Fork("datalink-rx", threads.SystemPriority, l.rxThread)
+		l.rx.l = l
+		c.Sched.Serve("datalink-rx", threads.SystemPriority, 0, l.rxCond, l.rxMu, &l.rx)
 	}
 	l.obs = obs.Ensure(c.Kernel())
 	l.obs.Metrics().Register(l)
@@ -145,21 +146,30 @@ func (l *Layer) Send(ctx exec.Context, typ uint8, dst wire.NodeID, payload ...[]
 	return l.cab.Transmit(dst, wire.DatalinkHeader{Type: typ}, false, payload...)
 }
 
-// rxThread is the polling-mode input thread (ablation A1).
-func (l *Layer) rxThread(t *threads.Thread) {
-	for {
-		l.rxMu.Lock(t)
-		for len(l.rxQ) == 0 {
-			l.rxCond.Wait(t, l.rxMu)
-		}
-		item := l.rxQ[0]
-		l.rxQ = sim.PopFront(l.rxQ)
-		l.rxMu.Unlock(t)
-		if item.end != nil {
-			item.end.deliver(t)
-		} else {
-			l.receive(t, item.desc)
-		}
+// rxQueue is the work of the polling-mode input thread (ablation A1), a
+// threads.Queue.
+type rxQueue struct {
+	l    *Layer
+	q    []rxItem
+	item rxItem // the item Take took
+}
+
+func (r *rxQueue) Take() bool {
+	if len(r.q) == 0 {
+		return false
+	}
+	r.item = r.q[0]
+	r.q = sim.PopFront(r.q)
+	return true
+}
+
+func (r *rxQueue) Serve(t *threads.Thread) {
+	item := r.item
+	r.item = rxItem{}
+	if item.end != nil {
+		item.end.deliver(t)
+	} else {
+		r.l.receive(t, item.desc)
 	}
 }
 
@@ -265,7 +275,7 @@ func (f *rxFrame) deliver(t *threads.Thread) {
 // rxMu2Deliver queues a frame's end-of-data delivery for the rx thread
 // in polling mode.
 func (l *Layer) rxMu2Deliver(f *rxFrame) {
-	l.rxQ = append(l.rxQ, rxItem{end: f})
+	l.rx.q = append(l.rx.q, rxItem{end: f})
 	l.rxCond.Signal()
 }
 

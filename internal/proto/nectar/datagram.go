@@ -34,7 +34,7 @@ func NewDatagram(dl *datalink.Layer, rt *mailbox.Runtime) *Datagram {
 		inBox:   rt.Create("datagram.in"),
 	}
 	dl.Register(wire.TypeDatagram, d)
-	rt.CAB().Sched.Fork("datagram-send", threads.SystemPriority, d.sendThread)
+	d.sendBox.Serve("datagram-send", threads.SystemPriority, d.sendRequest)
 	d.node = int(rt.CAB().Node())
 	d.obs = obs.Ensure(rt.CAB().Kernel())
 	d.obs.Metrics().Register(d)
@@ -81,21 +81,17 @@ func (d *Datagram) SendDirect(ctx exec.Context, dst wire.MailboxAddr, srcBox wir
 	return d.dl.Send(ctx, wire.TypeDatagram, dst.Node, hb[:], data)
 }
 
-// sendThread services the send-request mailbox.
-func (d *Datagram) sendThread(t *threads.Thread) {
-	ctx := exec.OnCAB(t)
-	for {
-		m := d.sendBox.BeginGet(ctx)
-		var rh reqHeader
-		rh.unmarshal(m.Data())
-		err := d.SendDirect(ctx, wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox}, rh.SrcBox, m.Data()[reqHeaderLen:])
-		st := StatusOK
-		if err != nil {
-			st = StatusNoRoute
-		}
-		writeStatus(ctx, m, st)
-		d.sendBox.EndGet(ctx, m)
+// sendRequest is the send thread's handler for one send request.
+func (d *Datagram) sendRequest(ctx exec.Context, m *mailbox.Msg) {
+	var rh reqHeader
+	rh.unmarshal(m.Data())
+	err := d.SendDirect(ctx, wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox}, rh.SrcBox, m.Data()[reqHeaderLen:])
+	st := StatusOK
+	if err != nil {
+		st = StatusNoRoute
 	}
+	writeStatus(ctx, m, st)
+	d.sendBox.EndGet(ctx, m)
 }
 
 // --- datalink.Protocol ---

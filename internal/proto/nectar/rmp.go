@@ -77,7 +77,7 @@ func NewRMP(dl *datalink.Layer, rt *mailbox.Runtime) *RMP {
 		window:  1,
 	}
 	dl.Register(wire.TypeRMP, r)
-	rt.CAB().Sched.Fork("rmp-send", threads.SystemPriority, r.sendThread)
+	r.sendBox.Serve("rmp-send", threads.SystemPriority, r.sendRequest)
 	r.node = int(rt.CAB().Node())
 	r.obs = obs.Ensure(rt.CAB().Kernel())
 	m := r.obs.Metrics()
@@ -139,7 +139,7 @@ func (r *RMP) SendBlocking(ctx exec.Context, dst wire.MailboxAddr, srcBox wire.M
 	}
 	req := &rmpReq{
 		dst: dst, srcBox: srcBox, data: data,
-		done: threads.NewCond(r.rt.CAB().Sched, "rmp.done"),
+		done: threads.NewCond("rmp.done"),
 	}
 	mu := threads.NewMutex("rmp.wait")
 	r.enqueue(ctx, req)
@@ -151,25 +151,21 @@ func (r *RMP) SendBlocking(ctx exec.Context, dst wire.MailboxAddr, srcBox wire.M
 	return req.doneSt
 }
 
-// sendThread services the send-request mailbox.
-func (r *RMP) sendThread(t *threads.Thread) {
-	ctx := exec.OnCAB(t)
-	for {
-		m := r.sendBox.BeginGet(ctx)
-		var rh reqHeader
-		rh.unmarshal(m.Data())
-		m.TrimPrefix(ctx, reqHeaderLen)
-		req := &rmpReq{
-			dst:    wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox},
-			srcBox: rh.SrcBox,
-			data:   m.Data(),
-			reqMsg: m,
-		}
-		if s, ok := m.Meta.(*syncs.Sync); ok {
-			req.status = s
-		}
-		r.enqueue(ctx, req)
+// sendRequest is the send thread's handler for one send request.
+func (r *RMP) sendRequest(ctx exec.Context, m *mailbox.Msg) {
+	var rh reqHeader
+	rh.unmarshal(m.Data())
+	m.TrimPrefix(ctx, reqHeaderLen)
+	req := &rmpReq{
+		dst:    wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox},
+		srcBox: rh.SrcBox,
+		data:   m.Data(),
+		reqMsg: m,
 	}
+	if s, ok := m.Meta.(*syncs.Sync); ok {
+		req.status = s
+	}
+	r.enqueue(ctx, req)
 }
 
 // enqueue queues a request on its peer and pumps the window.

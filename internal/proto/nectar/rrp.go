@@ -70,7 +70,7 @@ func NewRRP(dl *datalink.Layer, rt *mailbox.Runtime) *RRP {
 		dedup:   make(map[wire.MailboxAddr]*rrpServerEntry),
 	}
 	dl.Register(wire.TypeRRP, r)
-	rt.CAB().Sched.Fork("rrp-send", threads.SystemPriority, r.sendThread)
+	r.sendBox.Serve("rrp-send", threads.SystemPriority, r.sendRequest)
 	r.node = int(rt.CAB().Node())
 	r.obs = obs.Ensure(rt.CAB().Kernel())
 	r.obs.Metrics().Register(r)
@@ -143,34 +143,31 @@ func (r *RRP) Reply(ctx exec.Context, req *mailbox.Msg, data []byte) {
 	r.sendReply(ctx, req.From, req.Tag, data)
 }
 
-// sendThread services host-submitted calls and replies.
-func (r *RRP) sendThread(t *threads.Thread) {
-	ctx := exec.OnCAB(t)
-	for {
-		m := r.sendBox.BeginGet(ctx)
-		var rh reqHeader
-		rh.unmarshal(m.Data())
-		m.TrimPrefix(ctx, reqHeaderLen)
-		switch rh.Kind {
-		case kindSend:
-			meta, _ := m.Meta.(*rrpSubmitMeta)
-			call := &rrpCall{
-				dst:    wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox},
-				srcBox: rh.SrcBox,
-				data:   m.Data(),
-				reqMsg: m,
-			}
-			if meta != nil {
-				call.status = meta.status
-				call.replyBox = meta.replyBox
-			}
-			r.startCall(ctx, call)
-		case kindReply:
-			r.sendReply(ctx, wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox}, rh.XID, m.Data())
-			r.sendBox.EndGet(ctx, m)
-		default:
-			r.sendBox.EndGet(ctx, m)
+// sendRequest is the send thread's handler for one host-submitted call
+// or reply.
+func (r *RRP) sendRequest(ctx exec.Context, m *mailbox.Msg) {
+	var rh reqHeader
+	rh.unmarshal(m.Data())
+	m.TrimPrefix(ctx, reqHeaderLen)
+	switch rh.Kind {
+	case kindSend:
+		meta, _ := m.Meta.(*rrpSubmitMeta)
+		call := &rrpCall{
+			dst:    wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox},
+			srcBox: rh.SrcBox,
+			data:   m.Data(),
+			reqMsg: m,
 		}
+		if meta != nil {
+			call.status = meta.status
+			call.replyBox = meta.replyBox
+		}
+		r.startCall(ctx, call)
+	case kindReply:
+		r.sendReply(ctx, wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox}, rh.XID, m.Data())
+		r.sendBox.EndGet(ctx, m)
+	default:
+		r.sendBox.EndGet(ctx, m)
 	}
 }
 

@@ -113,7 +113,7 @@ type Layer struct {
 
 	// Timer events are handed to a thread so connection state is always
 	// mutated under mutexes, never from interrupt handlers (§4.2).
-	timerQ    []timerEvent
+	timers    timers
 	timerCond *threads.Cond
 	timerMu   *threads.Mutex
 
@@ -144,11 +144,12 @@ func NewLayer(l *ip.Layer, rt *mailbox.Runtime) *Layer {
 	}
 	t.inBox.SetCapacity(256 << 10)
 	t.sendBox.SetCapacity(256 << 10)
-	t.timerCond = threads.NewCond(rt.CAB().Sched, "tcp.timer")
+	t.timerCond = threads.NewCond("tcp.timer")
 	t.timerMu = threads.NewMutex("tcp.timermu")
-	rt.CAB().Sched.Fork("tcp-input", threads.SystemPriority, t.inputThread)
-	rt.CAB().Sched.Fork("tcp-send", threads.SystemPriority, t.sendThread)
-	rt.CAB().Sched.Fork("tcp-timer", threads.SystemPriority, t.timerThread)
+	t.timers.t = t
+	t.inBox.Serve("tcp-input", threads.SystemPriority, t.handleSegment)
+	t.sendBox.Serve("tcp-send", threads.SystemPriority, t.sendRequest)
+	rt.CAB().Sched.Serve("tcp-timer", threads.SystemPriority, 0, t.timerCond, t.timerMu, &t.timers)
 	l.Register(wire.ProtoTCP, t)
 	t.node = int(rt.CAB().Node())
 	t.obs = obs.Ensure(rt.CAB().Kernel())
@@ -210,7 +211,7 @@ func (t *Layer) Listen(port uint16) (*Listener, error) {
 	ln := &Listener{
 		layer: t, port: port,
 		mu:   threads.NewMutex(fmt.Sprintf("tcp.listen%d", port)),
-		cond: threads.NewCond(t.rt.CAB().Sched, fmt.Sprintf("tcp.accept%d", port)),
+		cond: threads.NewCond(fmt.Sprintf("tcp.accept%d", port)),
 	}
 	t.listeners[port] = ln
 	return ln, nil
@@ -282,7 +283,7 @@ func (t *Layer) newConn(key connKey) *Conn {
 		sndWnd: DefaultWindow,
 		rcvBox: t.rt.Create(fmt.Sprintf("tcp.rcv.%d-%d", key.lport, key.rport)),
 		mu:     threads.NewMutex(fmt.Sprintf("tcp.conn.%d", key.lport)),
-		cond:   threads.NewCond(t.rt.CAB().Sched, fmt.Sprintf("tcp.cond.%d", key.lport)),
+		cond:   threads.NewCond(fmt.Sprintf("tcp.cond.%d", key.lport)),
 		mss:    MSS,
 	}
 	c.rcvBox.SetCapacity(DefaultWindow + 16<<10)
@@ -343,21 +344,17 @@ func (c *Conn) Send(ctx exec.Context, data []byte) {
 	c.sendData(ctx, data, nil)
 }
 
-// sendThread services the send-request mailbox (paper §4.2: "The TCP send
-// thread on the CAB services this request by placing the data on the send
-// queue of the appropriate connection and calling the TCP output
-// routine").
-func (t *Layer) sendThread(th *threads.Thread) {
-	ctx := exec.OnCAB(th)
-	for {
-		m := t.sendBox.BeginGet(ctx)
-		c, ok := m.Meta.(*Conn)
-		if !ok {
-			t.sendBox.EndGet(ctx, m)
-			continue
-		}
-		c.sendData(ctx, m.Data(), m)
+// sendRequest is the send thread's handler for one send request (paper
+// §4.2: "The TCP send thread on the CAB services this request by placing
+// the data on the send queue of the appropriate connection and calling
+// the TCP output routine").
+func (t *Layer) sendRequest(ctx exec.Context, m *mailbox.Msg) {
+	c, ok := m.Meta.(*Conn)
+	if !ok {
+		t.sendBox.EndGet(ctx, m)
+		return
 	}
+	c.sendData(ctx, m.Data(), m)
 }
 
 // sendData segments and transmits data, blocking while the send window is
@@ -446,7 +443,7 @@ func (c *Conn) RecvDone(ctx exec.Context, m *mailbox.Msg) {
 	c.rcvBox.EndGet(ctx, m)
 	if c.lastAdvWin < MSS && c.rcvWindow() >= MSS {
 		t := c.layer
-		t.timerQ = append(t.timerQ, timerEvent{c: c, winUpdate: true})
+		t.timers.q = append(t.timers.q, timerEvent{c: c, winUpdate: true})
 		t.timerCond.Signal()
 	}
 }
@@ -575,7 +572,7 @@ func (c *Conn) armRTO() {
 // (§4.2).
 func (c *Conn) rto() {
 	t := c.layer
-	t.timerQ = append(t.timerQ, timerEvent{c: c})
+	t.timers.q = append(t.timers.q, timerEvent{c: c})
 	t.timerCond.Signal()
 }
 
@@ -596,79 +593,79 @@ func (c *Conn) armWindowUpdate() {
 func (c *Conn) winProbe() {
 	c.winTimer = sim.Timer{}
 	t := c.layer
-	t.timerQ = append(t.timerQ, timerEvent{c: c, winUpdate: true})
+	t.timers.q = append(t.timers.q, timerEvent{c: c, winUpdate: true})
 	t.timerCond.Signal()
 }
 
-// timerThread retransmits on RTO expiry.
-func (t *Layer) timerThread(th *threads.Thread) {
-	ctx := exec.OnCAB(th)
-	for {
-		t.timerMu.Lock(th)
-		for len(t.timerQ) == 0 {
-			t.timerCond.Wait(th, t.timerMu)
-		}
-		ev := t.timerQ[0]
-		t.timerQ = sim.PopFront(t.timerQ)
-		t.timerMu.Unlock(th)
-		c := ev.c
+// timers is the timer thread's queue of timer events (threads.Queue).
+type timers struct {
+	t  *Layer
+	q  []timerEvent
+	ev timerEvent // the event Take took
+}
 
-		if ev.winUpdate {
-			c.mu.Lock(th)
-			if c.state == Established || c.state == FinWait1 || c.state == FinWait2 {
-				// Re-advertise the window; transmit re-arms the probe if
-				// it is still (nearly) closed.
-				c.transmit(ctx, wire.TCPAck, c.sndNxt, nil)
-			}
-			c.mu.Unlock(th)
-			continue
-		}
+func (tm *timers) Take() bool {
+	if len(tm.q) == 0 {
+		return false
+	}
+	tm.ev = tm.q[0]
+	tm.q = sim.PopFront(tm.q)
+	return true
+}
 
+// Serve handles one timer event: a window-update probe, or a
+// retransmission on RTO expiry.
+func (tm *timers) Serve(th *threads.Thread) {
+	t, ctx, ev := tm.t, exec.OnCAB(th), tm.ev
+	tm.ev = timerEvent{}
+	c := ev.c
+	if ev.winUpdate {
 		c.mu.Lock(th)
-		if len(c.retransQ) > 0 {
-			t.retransmits.Inc()
-			seg := c.retransQ[0]
-			if t.obs.Tracing() {
-				t.obs.InstantSeq(t.node, obs.LayerTCP, "rto", uint64(seg.seq), len(seg.data))
-			}
-			switch {
-			case seg.fin:
-				c.transmit(ctx, wire.TCPFin|wire.TCPAck, seg.seq, nil)
-			case c.state == SynSent:
-				c.transmit(ctx, wire.TCPSyn, seg.seq, seg.data)
-			case c.state == SynRcvd:
-				c.transmit(ctx, wire.TCPSyn|wire.TCPAck, seg.seq, seg.data)
-			default:
-				c.transmit(ctx, wire.TCPAck|wire.TCPPsh, seg.seq, seg.data)
-			}
-			c.armRTO()
-		} else if c.state == SynSent || c.state == SynRcvd {
-			// Handshake segments are implicit (not in retransQ).
-			t.retransmits.Inc()
-			if t.obs.Tracing() {
-				t.obs.InstantSeq(t.node, obs.LayerTCP, "rto", uint64(c.iss), 0)
-			}
-			if c.state == SynSent {
-				c.transmit(ctx, wire.TCPSyn, c.iss, nil)
-			} else {
-				c.transmit(ctx, wire.TCPSyn|wire.TCPAck, c.iss, nil)
-			}
-			c.armRTO()
+		if c.state == Established || c.state == FinWait1 || c.state == FinWait2 {
+			// Re-advertise the window; transmit re-arms the probe if it
+			// is still (nearly) closed.
+			c.transmit(ctx, wire.TCPAck, c.sndNxt, nil)
 		}
 		c.mu.Unlock(th)
+		return
 	}
+
+	c.mu.Lock(th)
+	if len(c.retransQ) > 0 {
+		t.retransmits.Inc()
+		seg := c.retransQ[0]
+		if t.obs.Tracing() {
+			t.obs.InstantSeq(t.node, obs.LayerTCP, "rto", uint64(seg.seq), len(seg.data))
+		}
+		switch {
+		case seg.fin:
+			c.transmit(ctx, wire.TCPFin|wire.TCPAck, seg.seq, nil)
+		case c.state == SynSent:
+			c.transmit(ctx, wire.TCPSyn, seg.seq, seg.data)
+		case c.state == SynRcvd:
+			c.transmit(ctx, wire.TCPSyn|wire.TCPAck, seg.seq, seg.data)
+		default:
+			c.transmit(ctx, wire.TCPAck|wire.TCPPsh, seg.seq, seg.data)
+		}
+		c.armRTO()
+	} else if c.state == SynSent || c.state == SynRcvd {
+		// Handshake segments are implicit (not in retransQ).
+		t.retransmits.Inc()
+		if t.obs.Tracing() {
+			t.obs.InstantSeq(t.node, obs.LayerTCP, "rto", uint64(c.iss), 0)
+		}
+		if c.state == SynSent {
+			c.transmit(ctx, wire.TCPSyn, c.iss, nil)
+		} else {
+			c.transmit(ctx, wire.TCPSyn|wire.TCPAck, c.iss, nil)
+		}
+		c.armRTO()
+	}
+	c.mu.Unlock(th)
 }
 
-// inputThread is the paper's TCP input thread.
-func (t *Layer) inputThread(th *threads.Thread) {
-	ctx := exec.OnCAB(th)
-	for {
-		m := t.inBox.BeginGet(ctx)
-		t.handleSegment(ctx, m)
-	}
-}
-
-// handleSegment performs standard TCP input processing on one segment.
+// handleSegment performs standard TCP input processing on one segment:
+// the handler of the paper's TCP input thread.
 func (t *Layer) handleSegment(ctx exec.Context, m *mailbox.Msg) {
 	cost := ctx.Cost()
 	ctx.Compute(cost.TCPInput)

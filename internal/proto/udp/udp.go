@@ -51,8 +51,8 @@ func NewLayer(l *ip.Layer, rt *mailbox.Runtime) *Layer {
 		ports:   make(map[uint16]*Socket),
 	}
 	l.Register(wire.ProtoUDP, u)
-	rt.CAB().Sched.Fork("udp-input", threads.SystemPriority, u.inputThread)
-	rt.CAB().Sched.Fork("udp-send", threads.SystemPriority, u.sendThread)
+	u.inBox.Serve("udp-input", threads.SystemPriority, u.handle)
+	u.sendBox.Serve("udp-send", threads.SystemPriority, u.send)
 	u.node = int(rt.CAB().Node())
 	u.obs = obs.Ensure(rt.CAB().Kernel())
 	u.obs.Metrics().Register(u)
@@ -67,16 +67,13 @@ func (u *Layer) Gauges(emit func(layer obs.Layer, name, scope string, v uint64))
 	emit(obs.LayerUDP, "no_port", scope, u.noPort)
 }
 
-// sendThread transmits host-submitted datagrams on the CAB.
-func (u *Layer) sendThread(t *threads.Thread) {
-	ctx := exec.OnCAB(t)
-	for {
-		m := u.sendBox.BeginGet(ctx)
-		if meta, ok := m.Meta.(*udpSendMeta); ok {
-			_ = meta.sock.SendTo(ctx, meta.dstIP, meta.dstPort, m.Data())
-		}
-		u.sendBox.EndGet(ctx, m)
+// send transmits a host-submitted datagram on the CAB: the send
+// thread's handler.
+func (u *Layer) send(ctx exec.Context, m *mailbox.Msg) {
+	if meta, ok := m.Meta.(*udpSendMeta); ok {
+		_ = meta.sock.SendTo(ctx, meta.dstIP, meta.dstPort, m.Data())
 	}
+	u.sendBox.EndGet(ctx, m)
 }
 
 // InputMailbox implements ip.Upper.
@@ -140,15 +137,8 @@ func (s *Socket) Done(ctx exec.Context, m *mailbox.Msg) {
 	s.Box.EndGet(ctx, m)
 }
 
-// inputThread is the paper's UDP server thread.
-func (u *Layer) inputThread(t *threads.Thread) {
-	ctx := exec.OnCAB(t)
-	for {
-		m := u.inBox.BeginGet(ctx)
-		u.handle(ctx, m)
-	}
-}
-
+// handle processes one datagram: the handler of the paper's UDP server
+// thread.
 func (u *Layer) handle(ctx exec.Context, m *mailbox.Msg) {
 	ctx.Compute(ctx.Cost().UDPProcess)
 	data := m.Data()

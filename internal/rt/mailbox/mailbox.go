@@ -113,10 +113,10 @@ func (r *Runtime) build(id wire.MailboxID, name string) *Mailbox {
 		name:     name,
 		id:       id,
 		capacity: DefaultCapacity,
-		notEmpty: threads.NewCond(r.cab.Sched, name+".notEmpty"),
-		notFull:  threads.NewCond(r.cab.Sched, name+".notFull"),
-		mu:       threads.NewMutex(name + ".mu"),
 	}
+	mb.notEmpty.Init(name, ".notEmpty")
+	mb.notFull.Init(name, ".notFull")
+	mb.mu.Init(name, ".mu")
 	// The cached small buffer (allocated once, reused for small messages).
 	if buf, addr, ok := r.cab.Heap.Alloc(CachedBufSize); ok {
 		mb.cache = buf
@@ -251,24 +251,27 @@ type Mailbox struct {
 	name string
 	id   wire.MailboxID
 
+	hostRPC bool // host ops use the RPC implementation (§3.3)
+
+	// The cached small buffer. Its flag and address pack with id and
+	// hostRPC into one word.
+	cacheFree bool
+	cacheAddr mem.Addr
+	cache     []byte
+
 	queue    []*Msg
 	queued   int // bytes in queue
 	reserved int // bytes reserved by outstanding Begin_Puts
 	capacity int
 
-	mu       *threads.Mutex
-	notEmpty *threads.Cond
-	notFull  *threads.Cond
+	// Held by value, so that a mailbox is one allocation.
+	mu       threads.Mutex
+	notEmpty threads.Cond
+	notFull  threads.Cond
 
 	host *hostSide // created on first host use
 
 	upcall func(t *threads.Thread, mb *Mailbox)
-
-	hostRPC bool // host ops use the RPC implementation (§3.3)
-
-	cache     []byte
-	cacheAddr mem.Addr
-	cacheFree bool
 
 	puts, gets, enqueues uint64
 }
@@ -371,7 +374,7 @@ func (mb *Mailbox) BeginPut(ctx exec.Context, n int) *Msg {
 		// retry the reservation (space may be claimed by another writer
 		// first, or the heap may still be exhausted).
 		mb.mu.Lock(ctx.T)
-		mb.notFull.Wait(ctx.T, mb.mu)
+		mb.notFull.Wait(ctx.T, &mb.mu)
 		mb.mu.Unlock(ctx.T)
 	}
 }
@@ -488,10 +491,46 @@ func (mb *Mailbox) BeginGet(ctx exec.Context) *Msg {
 		}
 		mb.mu.Lock(ctx.T)
 		for len(mb.queue) == 0 {
-			mb.notEmpty.Wait(ctx.T, mb.mu)
+			mb.notEmpty.Wait(ctx.T, &mb.mu)
 		}
 		mb.mu.Unlock(ctx.T)
 	}
+}
+
+// Serve forks a thread named name at prio on mb's CAB that serves mb:
+// it takes each message as BeginGet does and hands it to handle, which
+// owns it from then on (End_Get, Enqueue, or a later release). It is
+// the protocol server loop
+//
+//	for {
+//		handle(ctx, mb.BeginGet(ctx))
+//	}
+//
+// as a threads server (threads.Sched.Serve): an idle server holds no
+// coroutine, and every charge and event is the loop's. (BeginGet's word
+// accesses cost nothing on the CAB, so the server charges only its
+// compute.)
+func (mb *Mailbox) Serve(name string, prio threads.Priority, handle func(ctx exec.Context, m *Msg)) *threads.Thread {
+	return mb.rt.cab.Sched.Serve(name, prio, mb.rt.cost.MailboxBeginGet, &mb.notEmpty, &mb.mu, &server{mb: mb, handle: handle})
+}
+
+// server is a mailbox server's queue (threads.Queue).
+type server struct {
+	mb     *Mailbox
+	m      *Msg // taken by Take, handed to handle by Serve
+	handle func(ctx exec.Context, m *Msg)
+}
+
+//nectar:hotpath
+func (v *server) Take() bool {
+	v.m = v.mb.pop()
+	return v.m != nil
+}
+
+func (v *server) Serve(t *threads.Thread) {
+	m := v.m
+	v.m = nil
+	v.handle(exec.OnCAB(t), m)
 }
 
 // BeginGetPoll is BeginGet with a spinning wait: from a host process it

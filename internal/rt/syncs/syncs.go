@@ -80,7 +80,7 @@ func (p *Pool) Alloc(ctx exec.Context) *Sync {
 	s := &Sync{
 		pool:     p,
 		fromHost: ctx.IsHost(),
-		cond:     threads.NewCond(p.sched, fmt.Sprintf("sync%d", p.nalloc)),
+		cond:     threads.NewCond(fmt.Sprintf("sync%d", p.nalloc)),
 		mu:       threads.NewMutex(fmt.Sprintf("sync%d.mu", p.nalloc)),
 	}
 	return s

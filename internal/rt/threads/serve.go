@@ -1,0 +1,99 @@
+package threads
+
+import "nectar/internal/sim"
+
+// A Queue is the work a server thread serves (Sched.Serve).
+type Queue interface {
+	// Take takes the next item, if there is one, and reports whether it
+	// did. It runs in zero time, with the server's Mutex held.
+	Take() bool
+	// Serve handles the item Take took. It runs on the server thread and
+	// may block.
+	Serve(t *Thread)
+}
+
+// Serve forks a thread named name at prio that serves q. Its loop is
+//
+//	for {
+//		t.Compute(charge)
+//		mu.Lock(t)
+//		for !q.Take() {
+//			c.Wait(t, mu)
+//		}
+//		mu.Unlock(t)
+//		q.Serve(t)
+//	}
+//
+// but everything before q.Serve runs as a step (sim.Kernel.Serve): an
+// idle server holds no coroutine, and the thread borrows one from its
+// kernel's pool only while q.Serve runs, since that may block. Every
+// charge, context switch, priority decision and event is the loop's, at
+// the same instant and in the same order, and a blocked server is
+// reported as blocked on c, as the loop's thread would be.
+func (s *Sched) Serve(name string, prio Priority, charge sim.Duration, c *Cond, mu *Mutex, q Queue) *Thread {
+	t := &Thread{sched: s, name: name, prio: prio, heapIdx: -1}
+	t.proc = s.k.Serve(s.name+"/"+name, &server{t: t, q: q, charge: charge, c: c, mu: mu})
+	t.proc.SetDescriber(t)
+	s.onReady(t)
+	return t
+}
+
+// server is a server thread's loop, as a sim.Server.
+type server struct {
+	t      *Thread
+	q      Queue
+	charge sim.Duration
+	c      *Cond
+	mu     *Mutex
+	phase  servePhase
+	w      *waiter // the Cond wait in progress
+}
+
+// servePhase is where a server's step resumes.
+type servePhase uint8
+
+const (
+	serveCharge servePhase = iota // charge the take's CPU time
+	serveLock                     // lock mu
+	serveTake                     // take an item, or wait on c
+	serveWoken                    // c's wait has ended
+)
+
+// Step runs the loop up to q.Serve: it reports true once an item is
+// taken, and false when a compute slice, a switch away, or a wait on mu
+// or c has started; the thread's next wake-up calls it again.
+//
+//nectar:hotpath
+func (v *server) Step() bool {
+	t := v.t
+	for {
+		switch v.phase {
+		case serveCharge:
+			v.phase = serveLock
+			if !t.StartCompute(v.charge) {
+				return false
+			}
+		case serveLock:
+			v.phase = serveTake
+			if !v.mu.startLock(t) {
+				return false
+			}
+		case serveTake:
+			if v.q.Take() {
+				v.mu.Unlock(t)
+				v.phase = serveCharge
+				return true
+			}
+			v.w = v.c.startWait(t, v.mu)
+			v.phase = serveWoken
+			return false
+		case serveWoken:
+			v.w.finish()
+			v.w = nil
+			v.phase = serveLock
+		}
+	}
+}
+
+// Handle serves the item the step took.
+func (v *server) Handle() { v.q.Serve(v.t) }

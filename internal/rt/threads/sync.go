@@ -11,9 +11,9 @@ import (
 // containing a Compute or a blocking call can be interleaved with other
 // threads, and the Mutex keeps them out.
 type Mutex struct {
-	name    string
-	owner   *Thread
-	waiters []*Thread
+	name, role string // reported as name+role
+	owner      *Thread
+	waiters    []*Thread
 }
 
 // NewMutex creates an unlocked mutex.
@@ -21,22 +21,41 @@ func NewMutex(name string) *Mutex {
 	return &Mutex{name: name}
 }
 
+// Init names a zero Mutex held by value, reported as name+role. An
+// object that owns several locks and conditions passes its own name and
+// a constant role for each (".mu"), so building them concatenates no
+// string: the label is formatted only in deadlock reports and panics.
+func (m *Mutex) Init(name, role string) {
+	m.name, m.role = name, role
+}
+
 // Lock acquires the mutex, blocking the calling thread while another
 // thread holds it. Handoff is FIFO.
 func (m *Mutex) Lock(t *Thread) {
-	if m.owner == nil {
-		m.owner = t
+	if m.startLock(t) {
 		return
 	}
-	if m.owner == t {
-		sim.Panicf("threads: recursive Lock of %q by %q", m.name, t.Name())
-	}
-	m.waiters = append(m.waiters, t)
-	t.BlockOn("mutex", m.name)
+	t.proc.Suspend()
 	// Ownership was handed to us by Unlock before we were woken.
 	if m.owner != t {
-		sim.Panicf("threads: woke from Lock of %q without ownership", m.name)
+		sim.Panicf("threads: woke from Lock of %q without ownership", m.name+m.role)
 	}
+}
+
+// startLock is Lock without the wait, for a step: it reports true when
+// t now holds the mutex, and false when t has queued for it and blocked,
+// in which case Unlock hands t the mutex before waking it.
+func (m *Mutex) startLock(t *Thread) bool {
+	if m.owner == nil {
+		m.owner = t
+		return true
+	}
+	if m.owner == t {
+		sim.Panicf("threads: recursive Lock of %q by %q", m.name+m.role, t.Name())
+	}
+	m.waiters = append(m.waiters, t)
+	t.startBlock("mutex", m.name, m.role)
+	return false
 }
 
 // TryLock acquires the mutex if it is free, without blocking. It reports
@@ -52,7 +71,7 @@ func (m *Mutex) TryLock(t *Thread) bool {
 // Unlock releases the mutex, handing it to the longest-waiting thread.
 func (m *Mutex) Unlock(t *Thread) {
 	if m.owner != t {
-		sim.Panicf("threads: Unlock of %q by non-owner %q", m.name, t.Name())
+		sim.Panicf("threads: Unlock of %q by non-owner %q", m.name+m.role, t.Name())
 	}
 	if len(m.waiters) == 0 {
 		m.owner = nil
@@ -76,32 +95,47 @@ func (m *Mutex) HeldBy(t *Thread) bool { return m.owner == t }
 // Signal and Broadcast may be called from any context, including interrupt
 // handlers (a common pattern in the paper's protocol code).
 type Cond struct {
-	sched   *Sched
-	name    string
-	waiters []*waiter
+	name, role string // reported as name+role
+	waiters    []*waiter
 }
 
-// NewCond creates a condition variable for threads on s.
-func NewCond(s *Sched, name string) *Cond {
-	return &Cond{sched: s, name: name}
+// NewCond creates a condition variable.
+func NewCond(name string) *Cond {
+	return &Cond{name: name}
+}
+
+// Init names a zero Cond held by value, reported as name+role (see
+// Mutex.Init).
+func (c *Cond) Init(name, role string) {
+	c.name, c.role = name, role
 }
 
 // Wait atomically releases m and blocks until signaled, then re-acquires m.
 func (c *Cond) Wait(t *Thread, m *Mutex) {
-	w := c.sched.newWaiter(c, t)
-	m.Unlock(t)
-	t.BlockOn("cond", c.name)
+	w := c.startWait(t, m)
+	t.proc.Suspend()
 	w.finish()
 	m.Lock(t)
+}
+
+// startWait is Wait up to the wait, for a step: it queues t, releases m
+// and blocks t. Once t is woken, the step calls finish on the returned
+// record and re-acquires m.
+func (c *Cond) startWait(t *Thread, m *Mutex) *waiter {
+	w := t.sched.newWaiter(c, t)
+	m.Unlock(t)
+	t.startBlock("cond", c.name, c.role)
+	return w
 }
 
 // WaitTimeout is Wait with a timeout; it reports true if signaled, false if
 // the timeout elapsed first. In either case m is re-acquired.
 func (c *Cond) WaitTimeout(t *Thread, m *Mutex, d sim.Duration) bool {
-	w := c.sched.newWaiter(c, t)
+	w := t.sched.newWaiter(c, t)
 	w.arm(d)
 	m.Unlock(t)
-	t.BlockOn("cond", c.name)
+	t.startBlock("cond", c.name, c.role)
+	t.proc.Suspend()
 	timedOut := w.timedOut
 	w.finish()
 	m.Lock(t)

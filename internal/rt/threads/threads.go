@@ -16,6 +16,16 @@
 // without either event. Virtual time and CPU accounting are the same
 // both ways; only the kernel's event count differs.
 //
+// A protocol server thread (Serve) is a loop that charges the cost of a
+// take, takes the next item of a queue guarded by a Mutex, waits on a
+// Cond while there is none, and handles the item. Everything up to the
+// handler runs as a step in the thread's wake events, with the Start
+// forms of the blocking calls (StartCompute, and the package's own
+// startLock, startWait and startBlock), so an idle server holds no
+// coroutine; the thread borrows one from the kernel's pool only while
+// its handler runs (sim.Kernel.Serve). Each server's first dispatch,
+// context switch and charge is the loop's, at the same instant.
+//
 // One Sched instance models one CPU (a CAB's SPARC, or a host's CPU). All
 // scheduler state is manipulated from kernel context or from the currently
 // running thread, so no Go-level locking is required.
@@ -44,7 +54,7 @@ const (
 	interruptPriority Priority = 3
 )
 
-type state int
+type state uint8
 
 const (
 	stateReady state = iota
@@ -60,6 +70,7 @@ type Thread struct {
 	prio      Priority
 	proc      *sim.Proc
 	state     state
+	intr      bool         // an interrupt handler (see below)
 	remaining sim.Duration // unconsumed demand of the current Compute call
 	seq       uint64       // FIFO tie-break within a priority
 	heapIdx   int
@@ -69,13 +80,12 @@ type Thread struct {
 	// An interrupt handler is a pooled thread: between interrupts it is
 	// parked on its Sched's free list, and RaiseInterrupt hands it the
 	// source name and the job.
-	intr    bool
 	src     string
 	handler func(t *Thread)
 
-	// The current Block's reason, formatted as "kind:name" only when a
-	// deadlock report asks (Describe).
-	blockKind, blockName string
+	// The current Block's reason, formatted as "kind:name" + role only
+	// when a deadlock report asks (Describe).
+	blockKind, blockName, blockRole string
 
 	// Join's exit lock and condition, created by the first Join.
 	exitC *Cond
@@ -287,9 +297,9 @@ func (t *Thread) Describe() string {
 // blockReason formats the reason given to the latest Block.
 func (t *Thread) blockReason() string {
 	if t.blockKind == "" {
-		return t.blockName
+		return t.blockName + t.blockRole
 	}
-	return t.blockKind + ":" + t.blockName
+	return t.blockKind + ":" + t.blockName + t.blockRole
 }
 
 // Sched returns the scheduler this thread runs on.
@@ -375,9 +385,17 @@ func (t *Thread) Block(reason string) { t.BlockOn("", reason) }
 // deadlock report or a panic needs it, so blocking on a named object
 // allocates nothing.
 func (t *Thread) BlockOn(kind, name string) {
+	t.startBlock(kind, name, "")
+	t.proc.Suspend()
+}
+
+// startBlock is BlockOn without the wait, for a step that returns false
+// after it: it releases the CPU and leaves the thread blocked until
+// Unblock. role completes name in the reason ("kind:name" + role).
+func (t *Thread) startBlock(kind, name, role string) {
 	s := t.sched
 	t.assertRunning("Block")
-	t.blockKind, t.blockName = kind, name
+	t.blockKind, t.blockName, t.blockRole = kind, name, role
 	if t.intr {
 		sim.Panicf("threads: interrupt handler %q attempted to block (%s)", t.Name(), t.blockReason())
 	}
@@ -385,7 +403,6 @@ func (t *Thread) BlockOn(kind, name string) {
 	t.state = stateBlocked
 	s.running = nil
 	s.dispatchNext()
-	t.proc.Suspend()
 }
 
 // Unblock makes a blocked thread runnable. Callable from any context.
@@ -422,7 +439,7 @@ func (t *Thread) Yield() {
 func (t *Thread) Join(u *Thread) {
 	if u.exitM == nil {
 		u.exitM = NewMutex(u.sched.name + "/" + u.name + ".exit")
-		u.exitC = NewCond(u.sched, u.name+".exit")
+		u.exitC = NewCond(u.name + ".exit")
 	}
 	u.exitM.Lock(t)
 	for u.state != stateDone {

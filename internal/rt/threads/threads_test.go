@@ -311,7 +311,7 @@ func TestUnlockByNonOwnerPanics(t *testing.T) {
 func TestCondSignalBroadcast(t *testing.T) {
 	k, s := zeroCostSched()
 	m := NewMutex("m")
-	c := NewCond(s, "c")
+	c := NewCond("c")
 	ready := 0
 	var woken []string
 	for _, name := range []string{"a", "b", "c"} {
@@ -343,7 +343,7 @@ func TestCondMesaSemantics(t *testing.T) {
 	// predicate before waiting.
 	k, s := zeroCostSched()
 	m := NewMutex("m")
-	c := NewCond(s, "c")
+	c := NewCond("c")
 	flag := false
 	var sawFlag bool
 	s.Fork("signaler", SystemPriority, func(th *Thread) {
@@ -370,7 +370,7 @@ func TestCondMesaSemantics(t *testing.T) {
 func TestCondWaitTimeout(t *testing.T) {
 	k, s := zeroCostSched()
 	m := NewMutex("m")
-	c := NewCond(s, "c")
+	c := NewCond("c")
 	var timedOut, signaled bool
 	var when sim.Time
 	s.Fork("w1", SystemPriority, func(th *Thread) {
@@ -408,7 +408,7 @@ func TestCondTimeoutDoesNotEatSignal(t *testing.T) {
 	// dead waiter entry.
 	k, s := zeroCostSched()
 	m := NewMutex("m")
-	c := NewCond(s, "c")
+	c := NewCond("c")
 	w2woke := false
 	s.Fork("w1", SystemPriority, func(th *Thread) {
 		m.Lock(th)
@@ -438,7 +438,7 @@ func TestCondTimeoutDoesNotEatSignal(t *testing.T) {
 func TestCondWaitRecordOutlivesSignaledWait(t *testing.T) {
 	k, s := zeroCostSched()
 	m := NewMutex("m")
-	c := NewCond(s, "c")
+	c := NewCond("c")
 	var wakes []sim.Time
 	var results []bool
 	s.Fork("waiter", SystemPriority, func(th *Thread) {
@@ -571,7 +571,7 @@ func TestInterruptWakesThread(t *testing.T) {
 	// that a protocol thread waits on.
 	k, s := testSched(t)
 	m := NewMutex("m")
-	c := NewCond(s, "packet")
+	c := NewCond("packet")
 	arrived := false
 	var when sim.Time
 	s.Fork("proto", SystemPriority, func(th *Thread) {
@@ -618,7 +618,7 @@ func TestContextSwitchCostIsPaperValue(t *testing.T) {
 	// context switch (§3.1).
 	k, s := testSched(t)
 	m := NewMutex("m")
-	c := NewCond(s, "pp")
+	c := NewCond("pp")
 	turn := 0
 	const rounds = 100
 	var done sim.Time

@@ -5,11 +5,18 @@ import (
 	"runtime/debug"
 )
 
-// Proc is a simulated sequential activity backed by a coroutine: an
-// iter.Pull pair whose next and yield switch with runtime.coroswitch, so a
-// switch involves no scheduler handoff and no allocation. The kernel runs
-// at most one Proc at a time; a Proc runs until it blocks or returns, at
-// which point control returns to the event that resumed it.
+// Proc is a simulated sequential activity. The kernel runs at most one
+// Proc at a time; a Proc runs until it blocks or returns, at which point
+// control returns to the event that resumed it.
+//
+// A Proc holds a coroutine only while its body code runs. The coroutine
+// is an iter.Pull pair whose next and yield switch with
+// runtime.coroswitch, so a switch involves no scheduler handoff and no
+// allocation; it comes from the kernel's pool and goes back to it when
+// the body returns. A Go Proc runs its body once, so it holds a
+// coroutine from its start until it finishes, across every block. A
+// server Proc (Kernel.Serve) waits for work as a Spin step and borrows a
+// coroutine only while its handler runs, so an idle server holds none.
 //
 // A Proc blocks in one of three ways: Sleep(d) wakes it d later, Suspend
 // waits for a Resume, and Park is Suspend for a Proc that is idle rather
@@ -25,25 +32,54 @@ import (
 // A Proc is resumed by whichever goroutine executes its kernel's events:
 // the caller of Run, or, under a Coupling, the domain's one owner during a
 // run — the scheduler for domain 0, a worker goroutine for every other.
-// Each run starts fresh workers, so a Proc may be resumed from different
-// goroutines across runs; iter.Pull allows that as long as two
+// Each run starts fresh workers, so a coroutine may be resumed from
+// different goroutines across runs; iter.Pull allows that as long as two
 // resumptions never overlap, and the end-of-run join guarantees they do
-// not.
+// not. The pool is per kernel, and one domain owns a kernel, so no two
+// goroutines ever share it.
 type Proc struct {
 	k    *Kernel
 	name string
-	fn   func(p *Proc) // the body, until the start event hands it over
+	fn   func(p *Proc) // a Go Proc's body, until it runs
+	srv  Server        // a server's loop; nil for a Go Proc
 
-	next    func() (struct{}, bool) // resumes the coroutine
-	yieldFn func(struct{}) bool     // suspends it; valid inside the body
-	wakeFn  func()                  // wakeup's event, built once so wake-ups do not allocate
-	spin    func() bool             // the step of a Spin in progress
+	co     *coro       // the coroutine running the body, nil while none is
+	wakeFn func()      // wakeup's event, built once so wake-ups do not allocate
+	spin   func() bool // the step of a Spin in progress
 
 	// Deadlock reports format the blocking label lazily from these.
 	state procState
 	dead  bool
 	on    *Signal   // the Signal a suspended Proc waits on, if any
 	desc  Describer // if set, describes a suspended Proc instead
+}
+
+// A Server is a Proc's loop of waiting for work and handling it, for
+// Kernel.Serve: the loop
+//
+//	for {
+//		p.Spin(srv.Step)
+//		srv.Handle()
+//	}
+//
+// with Step's calls made without a coroutine.
+type Server interface {
+	// Step waits for the next piece of work as a Spin step: it reports
+	// true once it has one, and false when it has started a wait that
+	// ends with Resume. It must not block.
+	Step() bool
+	// Handle handles the work Step found. It runs on a coroutine and may
+	// block.
+	Handle()
+}
+
+// coro is a pooled coroutine. It runs one Proc's body at a time and
+// returns to its kernel's pool when the body gives it back.
+type coro struct {
+	k     *Kernel
+	p     *Proc                   // the Proc it runs, nil while pooled
+	next  func() (struct{}, bool) // resumes it
+	yield func(struct{}) bool     // suspends it; valid inside it
 }
 
 // procState is what a Proc is doing, for Resume's check and deadlock
@@ -82,47 +118,137 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// start is the Proc's first event: it creates the coroutine and runs the
-// body up to its first blocking point. Creating the coroutine here rather
-// than in Go keeps its cost with the first run, not with set-up.
+// Serve starts a server Proc running srv's loop. Its start event, at the
+// current instant like Go's, only suspends it: the first Resume calls
+// srv.Step from the wake event. Every Step call after a wait runs there,
+// in kernel context with the Proc current, as a Spin step's does. When a
+// step finds work the wake event lends the Proc a pooled coroutine and
+// switches into it to run Handle; Step's next call follows Handle on
+// that coroutine, and once a step starts a wait the coroutine goes back
+// to the pool. A server never finishes. Every event, and so every
+// result, is the straight-line loop's; only Resumes and the number of
+// coroutines drop.
+func (k *Kernel) Serve(name string, srv Server) *Proc {
+	p := k.Go(name, nil)
+	p.srv = srv
+	return p
+}
+
+// start is the Proc's first event. A Go Proc borrows a coroutine and
+// runs its body up to its first blocking point; taking the coroutine
+// here rather than in Go keeps its cost with the first run, not with
+// set-up. A server stays suspended in its step until its first Resume.
 func (p *Proc) start() {
-	p.next, _ = iter.Pull(p.body)
+	if p.srv != nil {
+		p.state = procSuspended
+		return
+	}
 	p.wakeFn()
 }
 
-// body is the coroutine: run fn, then mark the Proc finished. A panic is
-// recovered here, inside the coroutine, and becomes Run's error.
-func (p *Proc) body(yield func(struct{}) bool) {
-	p.yieldFn = yield
-	defer func() {
-		if r := recover(); r != nil {
-			p.k.Fatalf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+// bind lends p an idle coroutine from the kernel's pool, creating one
+// when the pool is empty.
+func (k *Kernel) bind(p *Proc) {
+	var c *coro
+	if n := len(k.coros); n > 0 {
+		c = k.coros[n-1]
+		k.coros = k.coros[:n-1]
+	} else {
+		c = &coro{k: k}
+		c.next, _ = iter.Pull(c.loop)
+	}
+	c.p = p
+	p.co = c
+}
+
+// maxIdleCoros bounds a kernel's pool. A coroutine given back while the
+// pool holds this many ends, so a simulation leaves at most this many
+// parked goroutines behind besides its live Procs. A pooled coroutine
+// keeps the stack its Procs grew, where a new one grows its own again:
+// on nectar-perf (2-core VM), ending every coroutine whose Proc finished
+// cost stream 5% of its msgs/s, and an unbounded pool left rtt 8 parked
+// goroutines per unit where this bound leaves 6.
+const maxIdleCoros = 4
+
+// loop is a coroutine's body: run the bound Proc's body, return to the
+// pool unless it is full, and wait to be bound again.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.p.run()
+		c.p.co = nil
+		c.p = nil
+		if len(c.k.coros) >= maxIdleCoros {
+			return
 		}
-		p.dead = true
-		delete(p.k.procs, p)
-		p.k.current = nil
-	}()
+		c.k.coros = append(c.k.coros, c)
+		yield(struct{}{})
+	}
+}
+
+// run is the body code of p's turn on a coroutine. A Go Proc runs its
+// body to the end and finishes. A server handles the work its step
+// found, calls the step again, and repeats while the step finds more;
+// once the step starts a wait the server is suspended in it again. A
+// panic is recovered here, inside the coroutine, and becomes Run's
+// error.
+func (p *Proc) run() {
+	defer p.recoverRun()
 	p.state = procRunning
-	fn := p.fn
-	p.fn = nil
-	fn(p)
+	if p.srv == nil {
+		fn := p.fn
+		p.fn = nil
+		fn(p)
+		p.exit()
+		return
+	}
+	for {
+		p.srv.Handle()
+		if !p.srv.Step() {
+			break
+		}
+	}
+	p.state = procSuspended
+	p.k.current = nil
+}
+
+// exit marks p finished.
+func (p *Proc) exit() {
+	p.dead = true
+	delete(p.k.procs, p)
+	p.k.current = nil
+}
+
+// recoverRun turns a panic in p's body code into Run's error and
+// finishes p.
+func (p *Proc) recoverRun() {
+	if r := recover(); r != nil {
+		p.k.Fatalf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+		p.exit()
+	}
 }
 
 // wakeup builds p's wake event, which transfers control from kernel
 // context to the proc and returns when it yields back. Waking a finished
-// proc is a no-op. While the proc spins, the event calls the Spin step
-// first and switches into the coroutine only once the step is done. The
-// event is a closure rather than the method value of a dispatch method:
-// with the Spin branch such a method is too large to inline into its
-// method value's wrapper, which would cost every wake-up a second call.
+// proc is a no-op. While the proc spins, or is a server without a
+// coroutine (and so waiting in its step), the event calls the step first
+// and switches into the coroutine only once the step is done; a proc
+// without one borrows it then. The event is a closure rather than the
+// method value of a dispatch method: with the step branch such a method
+// is too large to inline into its method value's wrapper, which would
+// cost every wake-up a second call.
 func (p *Proc) wakeup() func() {
 	return func() {
-		if p.dead || p.spin != nil && !p.spinStep() {
+		if p.dead || (p.spin != nil || p.co == nil && p.srv != nil) && !p.spinStep() {
 			return
 		}
-		p.k.current = p
-		p.k.resumes++
-		p.next()
+		k := p.k
+		k.current = p
+		k.resumes++
+		if p.co == nil {
+			k.bind(p)
+		}
+		p.co.next()
 	}
 }
 
@@ -143,9 +269,12 @@ func (p *Proc) spinStep() bool {
 	return true
 }
 
-// step calls the Spin step from the wake event.
+// step calls the Spin step, or a server's, from the wake event.
 func (p *Proc) step() bool {
 	defer p.recoverStep()
+	if p.spin == nil {
+		return p.srv.Step()
+	}
 	return p.spin()
 }
 
@@ -172,7 +301,7 @@ func (p *Proc) yield(state procState, on *Signal) {
 	p.state = state
 	p.on = on
 	p.k.current = nil
-	p.yieldFn(struct{}{})
+	p.co.yield(struct{}{})
 	p.k.current = p
 	p.state = procRunning
 }

@@ -11,11 +11,13 @@
 // other wait queue and timeout lives in the threads package above.
 //
 // The kernel itself is single-threaded: exactly one flow of control (either
-// the event loop or one Proc) is ever executing simulation code. A Proc is
-// an iter.Pull coroutine: the event that wakes it resumes it with next, and
-// it hands control back with yield, both a runtime.coroswitch on the
-// resuming goroutine's thread. There is no data race on simulation state,
-// no need for locks in any model code, and no allocation per switch.
+// the event loop or one Proc) is ever executing simulation code. A Proc
+// runs its body code on an iter.Pull coroutine that it borrows from the
+// kernel's pool and holds only while that code runs: the event that wakes
+// it resumes the coroutine with next, and it hands control back with
+// yield, both a runtime.coroswitch on the resuming goroutine's thread.
+// There is no data race on simulation state, no need for locks in any
+// model code, and no allocation per switch.
 // Distinct Kernels share nothing, so independent simulations may run
 // concurrently on separate goroutines (the parallel experiment harness in
 // internal/bench relies on this).
@@ -93,6 +95,25 @@
 // loop done. The step schedules the same events, at the same instants
 // and in the same order, as the loop it replaces, so every sequence
 // number and Dispatched are unchanged; only Resumes drops.
+//
+// # Servers
+//
+// Most Procs of a protocol stack are servers: a brief burst of work per
+// message, then a wait, for the whole life of the simulation. A Go Proc
+// holds a coroutine, and a parked goroutine, from its start to its end,
+// so an idle server would hold one forever. Kernel.Serve starts a Proc
+// that waits for work as a Spin step (Server.Step) and has no coroutine
+// while it waits. When a step finds work, the wake event lends the Proc
+// a coroutine from the kernel's pool and runs Server.Handle on it,
+// because a handler may block; when a later step starts a wait, the
+// coroutine goes back to the pool. Go Procs take their coroutines from
+// the pool too and give them back when their bodies return. The pool
+// keeps at most a few idle coroutines (maxIdleCoros) and ends the rest.
+// It is per kernel: under a Coupling one domain owns a kernel, so one
+// goroutine at a time uses its pool. A server's start event and every wake-up are
+// the ones the straight-line loop would schedule, so event order,
+// Dispatched and every result are unchanged; Resumes drops, and so does
+// the number of goroutines a simulation leaves parked.
 package sim
 
 import (
@@ -248,7 +269,10 @@ type Kernel struct {
 	procs   map[*Proc]struct{} // live procs (for deadlock reporting)
 	parked  int                // live procs idle in Park, which are not a deadlock
 	current *Proc              // proc currently executing, nil = kernel loop
-	failure error              // a proc panicked or Fatalf was called
+	// coros are the idle coroutines Procs borrow to run body code
+	// (bind). The pool is per kernel because one domain owns a kernel.
+	coros   []*coro //nectar:shard-owned
+	failure error   // a proc panicked or Fatalf was called
 	// Opaque slot for the observability layer (internal/obs). Traces and
 	// metrics are per-domain under PDES sharding (merged at the end of
 	// the run), so the slot is shard-owned like the heap.

@@ -221,3 +221,31 @@ func TestZeroAllocSpin(t *testing.T) {
 		t.Errorf("a spun wait allocates %.1f allocs/round, want 0", got)
 	}
 }
+
+// TestZeroAllocServe guards a server's cycle: a wake-up whose step finds
+// an item binds a pooled coroutine, runs Handle, and returns the
+// coroutine when the next step waits. Once warm it must not allocate.
+func TestZeroAllocServe(t *testing.T) {
+	k := NewKernel()
+	s := serve(t, k, "srv", Microsecond)
+	put := s.put
+	round := func() {
+		k.After(Microsecond, put)
+		if err := k.RunFor(5 * Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	s.handled = s.handled[:0:cap(s.handled)]
+	if got := testing.AllocsPerRun(200, func() {
+		round()
+		s.handled = s.handled[:0]
+	}); got != 0 {
+		t.Errorf("a served item allocates %.1f allocs/round, want 0", got)
+	}
+	if r := k.Resumes(); r == 0 {
+		t.Error("the server never ran Handle")
+	}
+}
