@@ -158,13 +158,18 @@ func TestDatagramHostToHostEventCount(t *testing.T) {
 // the count was 139. Protocol servers (mailbox.Serve) wait for work the
 // same way and enter a coroutine only to handle a message, so the nine
 // idle servers of each CAB cost none, where starting and parking them
-// cost 49; with a coroutine per server the count was 89. The 36 are
-// host1/sender 11, cab2/intr 12, cab1/datagram-send 5 (its one request),
-// cab1/intr 4 and host2/receiver 4, while the events above stay at 262.
+// cost 49; with a coroutine per server the count was 89. A Proc that
+// waits runs the events ahead of its wake-up on its own coroutine and
+// returns into its body without a switch when the wake-up comes (sim's
+// "Waits drive the loop"), so only a wake-up that another Proc's wait
+// reaches first, or that the kernel's loop pops, costs a switch; with a
+// switch per wake-up the count was 36. The 17 are host1/sender 5,
+// host2/receiver 4, cab2/intr 3, cab1/datagram-send 3 (its one request)
+// and cab1/intr 2, while the events above stay at 262.
 func TestDatagramHostToHostProcResumes(t *testing.T) {
 	cl, _, _ := runDatagramHostToHost(t)
-	if got := cl.K.Resumes(); got != 36 {
-		t.Errorf("one host-to-host datagram resumed procs %d times, want 36", got)
+	if got := cl.K.Resumes(); got != 17 {
+		t.Errorf("one host-to-host datagram resumed procs %d times, want 17", got)
 	}
 }
 

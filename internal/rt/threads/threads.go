@@ -14,7 +14,11 @@
 // no higher-priority thread is ready, nothing can preempt it, so Compute
 // charges the time and moves the clock in place (sim.Kernel.Advance)
 // without either event. Virtual time and CPU accounting are the same
-// both ways; only the kernel's event count differs.
+// both ways; only the kernel's event count differs. A slice end, like a
+// context switch's end, is a callback whose last act wakes its thread,
+// and it wakes it in place (sim.Proc.ResumeInPlace): when nothing else
+// is queued at that instant, the wake-up runs inside the callback, with
+// the sequence number and dispatch count of the event it stands for.
 //
 // A protocol server thread (Serve) is a loop that charges the cost of a
 // take, takes the next item of a queue guarded by a Mutex, waits on a
@@ -608,7 +612,7 @@ func (s *Sched) switchDone() {
 	} else {
 		// Thread resumes zero-time execution (woken from a block, or
 		// first dispatch).
-		t.proc.Resume()
+		t.proc.ResumeInPlace()
 	}
 }
 
@@ -628,7 +632,7 @@ func (s *Sched) sliceDone() {
 	s.busyTime += t.remaining
 	t.remaining = 0
 	s.sliceTimer = sim.Timer{}
-	t.proc.Resume()
+	t.proc.ResumeInPlace()
 }
 
 //nectar:hotpath-exempt container/heap dispatch boxes only the pointer receiver, which does not heap-allocate

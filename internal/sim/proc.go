@@ -6,8 +6,11 @@ import (
 )
 
 // Proc is a simulated sequential activity. The kernel runs at most one
-// Proc at a time; a Proc runs until it blocks or returns, at which point
-// control returns to the event that resumed it.
+// Proc at a time; a Proc runs until it blocks or returns. When it
+// returns, control returns to the event that resumed it. When it blocks,
+// it runs the events ahead of its wake-up on its own coroutine and hands
+// control back only when one of them must switch into another Proc, or
+// the loop stops (the package doc, "Waits drive the loop").
 //
 // A Proc holds a coroutine only while its body code runs. The coroutine
 // is an iter.Pull pair whose next and yield switch with
@@ -233,10 +236,11 @@ func (p *Proc) recoverRun() {
 // proc is a no-op. While the proc spins, or is a server without a
 // coroutine (and so waiting in its step), the event calls the step first
 // and switches into the coroutine only once the step is done; a proc
-// without one borrows it then. The event is a closure rather than the
-// method value of a dispatch method: with the step branch such a method
-// is too large to inline into its method value's wrapper, which would
-// cost every wake-up a second call.
+// without one borrows it then. Dispatched by a waiting Proc (drive), the
+// event does not switch at all: it leaves p in woken. The event is a
+// closure rather than the method value of a dispatch method: with the
+// step branch such a method is too large to inline into its method
+// value's wrapper, which would cost every wake-up a second call.
 func (p *Proc) wakeup() func() {
 	return func() {
 		if p.dead || (p.spin != nil || p.co == nil && p.srv != nil) && !p.spinStep() {
@@ -244,11 +248,72 @@ func (p *Proc) wakeup() func() {
 		}
 		k := p.k
 		k.current = p
+		if k.driving {
+			k.woken = p
+			return
+		}
+		k.switchTo(p)
+	}
+}
+
+// switchTo switches the kernel's goroutine into p's coroutine and, when
+// p yields handing back another Proc's wake-up, into that Proc's, in a
+// loop, until a Proc yields with none. It re-panics a panic that a
+// driven event raised, so that it leaves Run as from the kernel's loop.
+func (k *Kernel) switchTo(p *Proc) {
+	for {
 		k.resumes++
 		if p.co == nil {
 			k.bind(p)
 		}
 		p.co.next()
+		if r := k.panicked; r != nil {
+			k.panicked = nil
+			panic(r)
+		}
+		if p = k.woken; p == nil {
+			return
+		}
+		k.woken = nil
+		k.current = p
+	}
+}
+
+// drive is the dispatch loop on the coroutine of p, which has just
+// started a wait: it runs the events the kernel's loop would run next,
+// in kernel context, and reports true as soon as p's own wake-up has
+// run, so p returns into its body without a switch. It reports false,
+// leaving p to yield, at the loop's bound, on a failure, after a panic
+// (left in panicked), or once a wake-up of another Proc needs a switch
+// (left in woken for switchTo).
+//
+//nectar:hotpath
+func (p *Proc) drive() (own bool) {
+	k := p.k
+	defer k.recoverDrive()
+	k.driving = true
+	for k.due() {
+		k.step()
+		if w := k.woken; w != nil {
+			if own = w == p; own {
+				k.woken = nil
+			}
+			break
+		}
+	}
+	k.driving = false
+	return own
+}
+
+// recoverDrive keeps a panic of a driven event for switchTo to raise on
+// the kernel's goroutine, so the driving Proc stays suspended rather
+// than failing with it.
+//
+//nectar:hotpath-exempt panic path, dead in steady state
+func (k *Kernel) recoverDrive() {
+	if r := recover(); r != nil {
+		k.driving = false
+		k.panicked = r
 	}
 }
 
@@ -289,9 +354,10 @@ func (p *Proc) recoverStep() {
 	}
 }
 
-// yield transfers control from the proc back to the event that resumed it
-// and returns when the proc is dispatched again. state and on record what
-// the proc waits for.
+// yield blocks the proc until it is dispatched again; state and on
+// record what it waits for. It first runs the events ahead of its
+// wake-up itself (drive) and transfers control back to the event that
+// resumed it only when drive stops short of that wake-up.
 //
 //nectar:hotpath
 func (p *Proc) yield(state procState, on *Signal) {
@@ -301,7 +367,9 @@ func (p *Proc) yield(state procState, on *Signal) {
 	p.state = state
 	p.on = on
 	p.k.current = nil
-	p.co.yield(struct{}{})
+	if !p.drive() {
+		p.co.yield(struct{}{})
+	}
 	p.k.current = p
 	p.state = procRunning
 }
@@ -394,11 +462,43 @@ func (p *Proc) Park() {
 //
 //nectar:hotpath
 func (p *Proc) Resume() {
+	p.setResumed()
+	p.k.schedule(p.k.now, p.wakeFn)
+}
+
+// setResumed marks a suspended or parked p resumed, and panics if p is
+// in any other state. It is small enough to inline into both forms of
+// Resume; badResume formats the panic.
+func (p *Proc) setResumed() {
 	if p.state != procSuspended && p.state != procParked {
-		Panicf("sim: Resume of proc %q, which is %s", p.name, p.label())
+		p.badResume()
 	}
 	p.state = procResumed
-	p.k.schedule(p.k.now, p.wakeFn)
+}
+
+func (p *Proc) badResume() {
+	Panicf("sim: Resume of proc %q, which is %s", p.name, p.label())
+}
+
+// ResumeInPlace is Resume for the last thing an event callback does. When
+// no other event is queued at the current instant, the wake-up Resume
+// would schedule is the next event the loop dispatches, so it runs it
+// here at once: it takes the sequence number Resume would and counts in
+// Dispatched, so every other event keeps its (time, seq) key. Otherwise,
+// or outside a dispatch (from a Proc, before Run, after a failure), it
+// is Resume.
+//
+//nectar:hotpath
+func (p *Proc) ResumeInPlace() {
+	k := p.k
+	if k.current != nil || k.now >= k.limit || len(k.heap) > 0 && k.heap[0].at <= k.now {
+		p.Resume()
+		return
+	}
+	p.setResumed()
+	k.seq++
+	k.steps++
+	p.wakeFn()
 }
 
 // Signal is a FIFO of Procs suspended in Wait, akin to a condition

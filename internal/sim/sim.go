@@ -16,6 +16,8 @@
 // kernel's pool and holds only while that code runs: the event that wakes
 // it resumes the coroutine with next, and it hands control back with
 // yield, both a runtime.coroswitch on the resuming goroutine's thread.
+// A waiting Proc runs the event loop itself until its wake-up comes
+// ("Waits drive the loop" below), so most wake-ups need neither.
 // There is no data race on simulation state, no need for locks in any
 // model code, and no allocation per switch.
 // Distinct Kernels share nothing, so independent simulations may run
@@ -114,6 +116,36 @@
 // the ones the straight-line loop would schedule, so event order,
 // Dispatched and every result are unchanged; Resumes drops, and so does
 // the number of goroutines a simulation leaves parked.
+//
+// # Waits drive the loop
+//
+// A switch into a coroutine and back costs two runtime.coroswitch calls
+// (BenchmarkProcHandoff). So a Proc that blocks (Sleep, Suspend, Wait,
+// Park, Spin) does not hand control back at once. With the kernel
+// context restored (no Proc current), it pops and runs the events ahead
+// of its wake-up itself, on its own coroutine, exactly as the kernel's
+// loop would and up to the same bound. When its own wake-up comes up it
+// returns into its body without a switch; a spinning Proc returns only
+// once its step is done. It yields to the kernel's goroutine in three
+// cases only: at the loop's bound, on a failure, and when a wake-up it
+// dispatched must switch into another Proc. Such a wake-up does not
+// switch from the driving coroutine: it leaves its Proc to the kernel's
+// goroutine, which switches into it before it pops anything else, and
+// into the next such Proc when that one yields in turn, in a loop. Only
+// the kernel's goroutine ever switches into a Proc, so driving Procs
+// never nest, and a server still gives its coroutine back when a step starts
+// a wait. A panic in a driven event is recovered on the coroutine and
+// raised again, with the same value, on the kernel's goroutine, leaving
+// the driving Proc blocked, as it would be had the kernel's loop run the
+// event. Every event runs in the same order with the same (time, seq)
+// key, and Dispatched is unchanged; only Resumes drops.
+//
+// A callback whose last act is a wake-up can go one step further with
+// Proc.ResumeInPlace: when no other event is queued at the current
+// instant, the wake event Resume would schedule is the next one the
+// loop dispatches, so it runs at once, inside the callback. It takes the
+// sequence number that event would have and counts in Dispatched, so
+// every other event keeps its key; only the queue operations go.
 package sim
 
 import (
@@ -269,6 +301,15 @@ type Kernel struct {
 	procs   map[*Proc]struct{} // live procs (for deadlock reporting)
 	parked  int                // live procs idle in Park, which are not a deadlock
 	current *Proc              // proc currently executing, nil = kernel loop
+	// driving is set while a waiting Proc runs the dispatch loop on its
+	// own coroutine (Proc.drive). A wake-up dispatched then does not
+	// switch: it leaves its Proc in woken, and the driving Proc returns
+	// into its body if that is itself, or yields for the kernel's
+	// goroutine to switch into it. panicked carries a driven event's panic to that
+	// goroutine.
+	driving  bool  //nectar:shard-owned
+	woken    *Proc //nectar:shard-owned
+	panicked any   //nectar:shard-owned
 	// coros are the idle coroutines Procs borrow to run body code
 	// (bind). The pool is per kernel because one domain owns a kernel.
 	coros   []*coro //nectar:shard-owned
@@ -490,7 +531,10 @@ func (k *Kernel) Dispatched() uint64 { return k.steps }
 
 // Resumes reports how many times the kernel has switched into a Proc's
 // coroutine since creation. A wake-up whose Spin step is not yet done
-// runs the step in kernel context and is not counted.
+// runs the step in kernel context and is not counted, and neither is a
+// wake-up that the waiting Proc's own dispatch loop reaches: it returns
+// into the body on the coroutine it is already on (the package doc,
+// "Waits drive the loop").
 func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // Run executes events until the queue is empty. It returns an error if a
@@ -567,10 +611,20 @@ func (k *Kernel) runBounded(limit Time) error {
 	}
 	k.limit = limit
 	defer func() { k.limit = 0 }()
-	for k.failure == nil && len(k.heap) > 0 && k.heap[0].at < limit {
+	for k.due() {
 		k.step()
 	}
 	return k.failure
+}
+
+// due reports whether the dispatch loop in progress runs another event:
+// the kernel has not failed and its earliest event is below the loop's
+// bound. The kernel's loop and a driving Proc's (Proc.drive) both stop
+// when it turns false.
+//
+//nectar:hotpath
+func (k *Kernel) due() bool {
+	return k.failure == nil && len(k.heap) > 0 && k.heap[0].at < k.limit
 }
 
 // Advance moves the clock d forward in place, without an event, and

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -219,6 +220,54 @@ func TestZeroAllocSpin(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, round); got != 0 {
 		t.Errorf("a spun wait allocates %.1f allocs/round, want 0", got)
+	}
+}
+
+// TestZeroAllocDrive guards a driven wait: a Proc that sleeps across 100
+// callback events dispatches them on its own coroutine and returns from
+// Sleep without a switch, so after its start it allocates nothing and
+// is not resumed. The run is measured once, from the start, because a
+// run that began with the Proc asleep would switch into it to wake it.
+func TestZeroAllocDrive(t *testing.T) {
+	k := NewKernel()
+	ticks := 0
+	tick := func() { ticks++ }
+	// Warm the arena, heap and free list, and leave an idle coroutine in
+	// the pool so the start does not create one.
+	for i := 0; i < 128; i++ {
+		k.At(0, tick)
+	}
+	k.Go("warm", func(*Proc) {})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ticks = 0
+	for i := 1; i <= 100; i++ {
+		k.At(Time(i), tick)
+	}
+	var woke Time
+	k.Go("sleeper", func(p *Proc) {
+		p.Sleep(200)
+		woke = p.Now()
+	})
+	r0 := k.Resumes()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	m0 := ms.Mallocs
+	err := k.Run()
+	runtime.ReadMemStats(&ms)
+	allocs := ms.Mallocs - m0
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ticks != 100 || woke != 200 {
+		t.Fatalf("%d callbacks ran and the sleeper woke at %v ns; want 100 and 200", ticks, woke.Nanos())
+	}
+	if r := k.Resumes() - r0; r != 1 {
+		t.Errorf("the sleeper was resumed %d times, want 1 (its start)", r)
+	}
+	if allocs != 0 {
+		t.Errorf("a wait driven across 100 callbacks allocates %d times, want 0", allocs)
 	}
 }
 
