@@ -274,13 +274,17 @@ func (cl *Cluster) bootNode(idx int) *Node {
 		// BeginTxPrep/EndTxPrep). So with no preparation in flight, no
 		// frame can start before the domain's activity floor plus that
 		// margin; with one in flight, none can start before the earliest
-		// outstanding ready time. This margin — not the 700 ns HUB setup —
-		// is what grows safe windows enough for sharding to win.
+		// outstanding ready time, and none before the activity floor
+		// either: a preparation that was delayed (preempted, or blocked
+		// before its compute) keeps its old ready time, but its transmit
+		// still happens at an event of this domain. This margin — not the
+		// 700 ns HUB setup — is what grows safe windows enough for
+		// sharding to win.
 		margin := sim.Time(cl.Cost.DatalinkProcess + cl.Cost.DMASetup)
 		up.SetTxFloor(func(actFloor sim.Time) sim.Time {
 			e := actFloor + margin
 			if at, ok := c.TxReadyAt(); ok && at < e {
-				e = at
+				e = max(at, actFloor)
 			}
 			return e
 		})

@@ -57,7 +57,6 @@ func Micro(cost *model.CostModel) (*MicroResult, error) {
 	{
 		cl := nectar.NewCluster(&nectar.Config{Cost: cost})
 		n := cl.AddNode()
-		m := threads.NewMutex("pp")
 		c := threads.NewCond("pp")
 		turn := 0
 		const rounds = 200
@@ -67,15 +66,13 @@ func Micro(cost *model.CostModel) (*MicroResult, error) {
 			id := id
 			n.CAB.Sched.Fork(fmt.Sprintf("p%d", id), threads.SystemPriority, func(t *threads.Thread) {
 				start := t.Now()
-				m.Lock(t)
 				for i := 0; i < rounds; i++ {
 					for turn != id {
-						c.Wait(t, m)
+						c.Wait(t)
 					}
 					turn = 1 - id
 					c.Signal()
 				}
-				m.Unlock(t)
 				if id == 1 {
 					took = sim.Duration(t.Now() - start)
 					done = true

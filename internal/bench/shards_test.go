@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nectar/internal/model"
 	"nectar/internal/obs"
 	"nectar/internal/sim"
 )
@@ -42,7 +43,8 @@ func snapsJSON(t *testing.T, snaps map[string]*obs.Snapshot) string {
 // only wall-clock time — every table and metrics snapshot is
 // byte-identical to the sequential run's. Covered here on reduced sweeps
 // of the figure experiments (CAB-to-CAB and host-to-host paths), Table 1,
-// Figure 6, and the micro-measurements.
+// Figure 6, the micro-measurements, the network-device comparison and the
+// ablations.
 func TestShardedExperimentsIdentical(t *testing.T) {
 	sizes := []int{64, 1024}
 
@@ -138,6 +140,54 @@ func TestShardedExperimentsIdentical(t *testing.T) {
 			t.Errorf("sharded micro differs:\nseq:\n%s\nshd:\n%s", seq.Format(), shd.Format())
 		}
 	})
+
+	// The network-device comparison and the ablations, each at 2 and 4
+	// shards. ablate-rmpwindow once stalled the coupling at every shard
+	// count: a delayed send left its transmit-preparation bracket open
+	// with a ready time behind the domain's activity floor.
+	for _, e := range []struct {
+		name string
+		run  func() (string, error)
+	}{
+		{"netdev", formatted(Netdev)},
+		{"ablate-ipmode", formatted(AblateIPMode)},
+		{"ablate-upcall", formatted(AblateUpcall)},
+		{"ablate-switching", formatted(AblateSwitching)},
+		{"mailbox-impl", formatted(AblateMailboxImpl)},
+		{"ablate-rmpwindow", formatted(AblateRMPWindow)},
+		{"ablate-appload", formatted(AblateAppLoad)},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			seq, err := e.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{2, 4} {
+				var shd string
+				withShards(t, n, func() {
+					shd, err = e.run()
+				})
+				if err != nil {
+					t.Fatalf("%d shards: %v", n, err)
+				}
+				if shd != seq {
+					t.Errorf("%d shards differ:\nseq:\n%s\nshd:\n%s", n, seq, shd)
+				}
+			}
+		})
+	}
+}
+
+// formatted runs an experiment at the default cost model and returns its
+// printed table.
+func formatted[R interface{ Format() string }](run func(*model.CostModel) (R, error)) func() (string, error) {
+	return func() (string, error) {
+		r, err := run(nil)
+		if err != nil {
+			return "", err
+		}
+		return r.Format(), nil
+	}
 }
 
 // TestPdesReport runs the pdes experiment end to end on a small workload

@@ -114,8 +114,11 @@ type CAB struct {
 	// compute; while one is open, no transmit can beat the earliest
 	// outstanding ready time. txReadyAt tracks the minimum ready time over
 	// open brackets; begins happen at non-decreasing virtual times, so the
-	// first open bracket holds the minimum, and keeping its value after it
-	// closes (while others remain open) is merely conservative.
+	// first open bracket holds the minimum. The value can go stale: it
+	// outlives its bracket while others remain open, and a delayed
+	// preparation keeps its bracket open past its ready time. A stale
+	// value can lie behind the domain's activity floor, so the gateway
+	// clamps it there (a transmit happens at an event of the domain).
 	txPrep    int
 	txReadyAt sim.Time
 

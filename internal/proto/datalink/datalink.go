@@ -52,7 +52,6 @@ type Layer struct {
 	// Polling-thread mode (ablation A1).
 	rx     rxQueue
 	rxCond *threads.Cond
-	rxMu   *threads.Mutex
 
 	rxFree pool.FreeList[*rxFrame] // end-of-data records ready for reuse
 
@@ -96,14 +95,13 @@ func NewLayer(c *cab.CAB, rt *mailbox.Runtime) *Layer {
 		c.OnReceive(func(t *threads.Thread, d *cab.RxDesc) { l.receive(t, d) })
 	} else {
 		l.rxCond = threads.NewCond("datalink.rx")
-		l.rxMu = threads.NewMutex("datalink.rxmu")
 		c.OnReceive(func(_ *threads.Thread, d *cab.RxDesc) {
 			// Kernel context: queue for the rx thread.
 			l.rx.q = append(l.rx.q, rxItem{desc: d})
 			l.rxCond.Signal()
 		})
 		l.rx.l = l
-		c.Sched.Serve("datalink-rx", threads.SystemPriority, 0, l.rxCond, l.rxMu, &l.rx)
+		c.Sched.Serve("datalink-rx", threads.SystemPriority, 0, l.rxCond, &l.rx)
 	}
 	l.obs = obs.Ensure(c.Kernel())
 	l.obs.Metrics().Register(l)
@@ -249,7 +247,7 @@ func (f *rxFrame) dmaDone(ok bool) {
 	if l.cab.RxInterruptMode() {
 		l.cab.Sched.RaiseInterrupt("end-of-data", f.deliverFn)
 	} else {
-		l.rxMu2Deliver(f)
+		l.queueEnd(f)
 	}
 }
 
@@ -272,9 +270,9 @@ func (f *rxFrame) deliver(t *threads.Thread) {
 	l.rxFree.Put(f)
 }
 
-// rxMu2Deliver queues a frame's end-of-data delivery for the rx thread
-// in polling mode.
-func (l *Layer) rxMu2Deliver(f *rxFrame) {
+// queueEnd queues a frame's end-of-data delivery for the rx thread in
+// polling mode.
+func (l *Layer) queueEnd(f *rxFrame) {
 	l.rx.q = append(l.rx.q, rxItem{end: f})
 	l.rxCond.Signal()
 }

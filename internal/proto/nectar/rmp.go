@@ -141,13 +141,10 @@ func (r *RMP) SendBlocking(ctx exec.Context, dst wire.MailboxAddr, srcBox wire.M
 		dst: dst, srcBox: srcBox, data: data,
 		done: threads.NewCond("rmp.done"),
 	}
-	mu := threads.NewMutex("rmp.wait")
 	r.enqueue(ctx, req)
-	mu.Lock(ctx.T)
 	for req.doneSt == 0 {
-		req.done.Wait(ctx.T, mu)
+		req.done.Wait(ctx.T)
 	}
-	mu.Unlock(ctx.T)
 	return req.doneSt
 }
 

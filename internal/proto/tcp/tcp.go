@@ -112,10 +112,10 @@ type Layer struct {
 	sendBox *mailbox.Mailbox // the §4.2 TCP send-request mailbox
 
 	// Timer events are handed to a thread so connection state is always
-	// mutated under mutexes, never from interrupt handlers (§4.2).
+	// mutated under the connection's mutex, never from interrupt handlers
+	// (§4.2).
 	timers    timers
 	timerCond *threads.Cond
-	timerMu   *threads.Mutex
 
 	checksum bool // software data checksum on/off (Figure 7 ablation)
 
@@ -145,11 +145,10 @@ func NewLayer(l *ip.Layer, rt *mailbox.Runtime) *Layer {
 	t.inBox.SetCapacity(256 << 10)
 	t.sendBox.SetCapacity(256 << 10)
 	t.timerCond = threads.NewCond("tcp.timer")
-	t.timerMu = threads.NewMutex("tcp.timermu")
 	t.timers.t = t
 	t.inBox.Serve("tcp-input", threads.SystemPriority, t.handleSegment)
 	t.sendBox.Serve("tcp-send", threads.SystemPriority, t.sendRequest)
-	rt.CAB().Sched.Serve("tcp-timer", threads.SystemPriority, 0, t.timerCond, t.timerMu, &t.timers)
+	rt.CAB().Sched.Serve("tcp-timer", threads.SystemPriority, 0, t.timerCond, &t.timers)
 	l.Register(wire.ProtoTCP, t)
 	t.node = int(rt.CAB().Node())
 	t.obs = obs.Ensure(rt.CAB().Kernel())
@@ -199,7 +198,6 @@ type Listener struct {
 	layer   *Layer
 	port    uint16
 	backlog []*Conn
-	mu      *threads.Mutex
 	cond    *threads.Cond
 }
 
@@ -210,7 +208,6 @@ func (t *Layer) Listen(port uint16) (*Listener, error) {
 	}
 	ln := &Listener{
 		layer: t, port: port,
-		mu:   threads.NewMutex(fmt.Sprintf("tcp.listen%d", port)),
 		cond: threads.NewCond(fmt.Sprintf("tcp.accept%d", port)),
 	}
 	t.listeners[port] = ln
@@ -221,13 +218,11 @@ func (t *Layer) Listen(port uint16) (*Listener, error) {
 // only (host processes accept through a CAB-resident server in the
 // paper's socket emulation; see the netdev level for host-resident TCP).
 func (ln *Listener) Accept(ctx exec.Context) *Conn {
-	ln.mu.Lock(ctx.T)
 	for len(ln.backlog) == 0 {
-		ln.cond.Wait(ctx.T, ln.mu)
+		ln.cond.Wait(ctx.T)
 	}
 	c := ln.backlog[0]
 	ln.backlog = sim.PopFront(ln.backlog)
-	ln.mu.Unlock(ctx.T)
 	return c
 }
 
@@ -259,6 +254,8 @@ type Conn struct {
 	onWinTimer func()    // c.winProbe, built by the first armWindowUpdate
 	lastAdvWin uint32    // window advertised in the last transmitted segment
 
+	// mu is held across transmit's compute, so a segment for the
+	// connection waits for a send in progress.
 	mu    *threads.Mutex
 	cond  *threads.Cond // state changes, window openings, ack arrivals
 	mss   int
@@ -305,7 +302,7 @@ func (t *Layer) Connect(ctx exec.Context, dstIP uint32, dstPort uint16) (*Conn, 
 	c.transmit(ctx, wire.TCPSyn, c.iss, nil)
 	c.armRTO()
 	for c.state != Established && c.state != Closed {
-		if !c.cond.WaitTimeout(ctx.T, c.mu, ConnectTimeout) {
+		if !c.wait(ctx.T, ConnectTimeout) {
 			c.state = Closed
 			delete(t.conns, key)
 			c.mu.Unlock(ctx.T)
@@ -378,7 +375,7 @@ func (c *Conn) sendData(ctx exec.Context, data []byte, owner *mailbox.Msg) {
 		// below RMP with the software checksum on the critical path
 		// rather than hidden under fiber serialization.
 		for c.sndNxt != c.sndUna || uint32(n) > c.sndWnd {
-			c.cond.Wait(ctx.T, c.mu)
+			c.wait(ctx.T, 0)
 			if c.state != Established && c.state != CloseWait {
 				break
 			}
@@ -453,7 +450,7 @@ func (c *Conn) RecvDone(ctx exec.Context, m *mailbox.Msg) {
 func (c *Conn) Close(ctx exec.Context) {
 	c.mu.Lock(ctx.T)
 	for c.sndNxt != c.sndUna && (c.state == Established || c.state == CloseWait) {
-		c.cond.Wait(ctx.T, c.mu)
+		c.wait(ctx.T, 0)
 	}
 	switch c.state {
 	case Established:
@@ -471,11 +468,26 @@ func (c *Conn) Close(ctx exec.Context) {
 	c.sndNxt++
 	c.armRTO()
 	for c.state != Closed && c.state != TimeWaitState {
-		if !c.cond.WaitTimeout(ctx.T, c.mu, ConnectTimeout) {
+		if !c.wait(ctx.T, ConnectTimeout) {
 			break
 		}
 	}
 	c.mu.Unlock(ctx.T)
+}
+
+// wait is a Mesa wait on c.cond by a thread holding c.mu: it unlocks
+// c.mu, waits on c.cond for at most d (without limit if d is 0), and
+// locks c.mu again. It reports false if d elapsed first.
+func (c *Conn) wait(t *threads.Thread, d sim.Duration) bool {
+	c.mu.Unlock(t)
+	ok := true
+	if d == 0 {
+		c.cond.Wait(t)
+	} else {
+		ok = c.cond.WaitTimeout(t, d)
+	}
+	c.mu.Lock(t)
+	return ok
 }
 
 // transmit emits one segment. Callers hold c.mu (or own the conn during
@@ -775,9 +787,7 @@ func (c *Conn) processSegment(ctx exec.Context, h wire.TCPHeader, payload []byte
 			c.cond.Broadcast()
 			if ln := c.acceptLn; ln != nil {
 				c.acceptLn = nil
-				ln.mu.Lock(ctx.T)
 				ln.backlog = append(ln.backlog, c)
-				ln.mu.Unlock(ctx.T)
 				ln.cond.Broadcast()
 			}
 			// Fall through: the ACK may carry data.

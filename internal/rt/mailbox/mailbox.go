@@ -116,7 +116,6 @@ func (r *Runtime) build(id wire.MailboxID, name string) *Mailbox {
 	}
 	mb.notEmpty.Init(name, ".notEmpty")
 	mb.notFull.Init(name, ".notFull")
-	mb.mu.Init(name, ".mu")
 	// The cached small buffer (allocated once, reused for small messages).
 	if buf, addr, ok := r.cab.Heap.Alloc(CachedBufSize); ok {
 		mb.cache = buf
@@ -265,7 +264,6 @@ type Mailbox struct {
 	capacity int
 
 	// Held by value, so that a mailbox is one allocation.
-	mu       threads.Mutex
 	notEmpty threads.Cond
 	notFull  threads.Cond
 
@@ -373,9 +371,7 @@ func (mb *Mailbox) BeginPut(ctx exec.Context, n int) *Msg {
 		// Mesa semantics: wait for any release in this mailbox, then
 		// retry the reservation (space may be claimed by another writer
 		// first, or the heap may still be exhausted).
-		mb.mu.Lock(ctx.T)
-		mb.notFull.Wait(ctx.T, &mb.mu)
-		mb.mu.Unlock(ctx.T)
+		mb.notFull.Wait(ctx.T)
 	}
 }
 
@@ -489,11 +485,7 @@ func (mb *Mailbox) BeginGet(ctx exec.Context) *Msg {
 		if m := mb.pop(); m != nil {
 			return m
 		}
-		mb.mu.Lock(ctx.T)
-		for len(mb.queue) == 0 {
-			mb.notEmpty.Wait(ctx.T, &mb.mu)
-		}
-		mb.mu.Unlock(ctx.T)
+		mb.notEmpty.Wait(ctx.T)
 	}
 }
 
@@ -511,7 +503,7 @@ func (mb *Mailbox) BeginGet(ctx exec.Context) *Msg {
 // accesses cost nothing on the CAB, so the server charges only its
 // compute.)
 func (mb *Mailbox) Serve(name string, prio threads.Priority, handle func(ctx exec.Context, m *Msg)) *threads.Thread {
-	return mb.rt.cab.Sched.Serve(name, prio, mb.rt.cost.MailboxBeginGet, &mb.notEmpty, &mb.mu, &server{mb: mb, handle: handle})
+	return mb.rt.cab.Sched.Serve(name, prio, mb.rt.cost.MailboxBeginGet, &mb.notEmpty, &server{mb: mb, handle: handle})
 }
 
 // server is a mailbox server's queue (threads.Queue).

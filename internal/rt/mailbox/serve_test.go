@@ -245,14 +245,11 @@ func TestServeMatchesLoopServersBlockInHandle(t *testing.T) {
 	sameServing(t, func(t *testing.T, serve serveFn) []serveOutcome {
 		r := newServeRig(sim.NewKernel(), 1, serve)
 		gate := threads.NewCond("gate")
-		mu := threads.NewMutex("gate.mu")
 		open := false
 		wait := func(ctx exec.Context, m *Msg) {
-			mu.Lock(ctx.T)
 			for !open {
-				gate.Wait(ctx.T, mu)
+				gate.Wait(ctx.T)
 			}
-			mu.Unlock(ctx.T)
 		}
 		a := r.box("a", threads.SystemPriority, 10*sim.Microsecond, wait)
 		b := r.box("b", threads.SystemPriority, 10*sim.Microsecond, wait)

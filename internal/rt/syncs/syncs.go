@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"nectar/internal/model"
+	"nectar/internal/pool"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/hostif"
 	"nectar/internal/rt/threads"
@@ -33,8 +34,8 @@ type Pool struct {
 	sched *threads.Sched
 	cost  *model.CostModel
 
-	cabFree  []*Sync
-	hostFree []*Sync
+	cabFree  pool.FreeList[*Sync]
+	hostFree pool.FreeList[*Sync]
 	nalloc   uint64
 }
 
@@ -59,7 +60,6 @@ type Sync struct {
 
 	cond     *threads.Cond    // CAB reader
 	hostCond *hostif.HostCond // host reader (created lazily)
-	mu       *threads.Mutex
 }
 
 // Alloc allocates a sync from the caller's pool.
@@ -70,9 +70,7 @@ func (p *Pool) Alloc(ctx exec.Context) *Sync {
 	if ctx.IsHost() {
 		list = &p.hostFree
 	}
-	if n := len(*list); n > 0 {
-		s := (*list)[n-1]
-		*list = (*list)[:n-1]
+	if s, ok := list.Get(); ok {
 		s.reset()
 		return s
 	}
@@ -81,7 +79,6 @@ func (p *Pool) Alloc(ctx exec.Context) *Sync {
 		pool:     p,
 		fromHost: ctx.IsHost(),
 		cond:     threads.NewCond(fmt.Sprintf("sync%d", p.nalloc)),
-		mu:       threads.NewMutex(fmt.Sprintf("sync%d.mu", p.nalloc)),
 	}
 	return s
 }
@@ -99,9 +96,9 @@ func (s *Sync) free() {
 	}
 	s.freed = true
 	if s.fromHost {
-		s.pool.hostFree = append(s.pool.hostFree, s)
+		s.pool.hostFree.Put(s)
 	} else {
-		s.pool.cabFree = append(s.pool.cabFree, s)
+		s.pool.cabFree.Put(s)
 	}
 }
 
@@ -160,11 +157,9 @@ func (s *Sync) Read(ctx exec.Context) uint32 {
 			s.hostCond.WaitPoll(ctx, since)
 		}
 	} else {
-		s.mu.Lock(ctx.T)
 		for !s.written {
-			s.cond.Wait(ctx.T, s.mu)
+			s.cond.Wait(ctx.T)
 		}
-		s.mu.Unlock(ctx.T)
 	}
 	v := s.value
 	s.free()
@@ -201,5 +196,5 @@ func (s *Sync) Written() bool { return s.written }
 
 // PoolSizes returns the lengths of the CAB and host free lists.
 func (p *Pool) PoolSizes() (cabFree, hostFree int) {
-	return len(p.cabFree), len(p.hostFree)
+	return p.cabFree.Len(), p.hostFree.Len()
 }

@@ -5,7 +5,8 @@ import "nectar/internal/sim"
 // A Queue is the work a server thread serves (Sched.Serve).
 type Queue interface {
 	// Take takes the next item, if there is one, and reports whether it
-	// did. It runs in zero time, with the server's Mutex held.
+	// did. It runs in zero time, so no other thread runs between it and
+	// the server's wait on its Cond.
 	Take() bool
 	// Serve handles the item Take took. It runs on the server thread and
 	// may block.
@@ -16,11 +17,9 @@ type Queue interface {
 //
 //	for {
 //		t.Compute(charge)
-//		mu.Lock(t)
 //		for !q.Take() {
-//			c.Wait(t, mu)
+//			c.Wait(t)
 //		}
-//		mu.Unlock(t)
 //		q.Serve(t)
 //	}
 //
@@ -30,9 +29,9 @@ type Queue interface {
 // charge, context switch, priority decision and event is the loop's, at
 // the same instant and in the same order, and a blocked server is
 // reported as blocked on c, as the loop's thread would be.
-func (s *Sched) Serve(name string, prio Priority, charge sim.Duration, c *Cond, mu *Mutex, q Queue) *Thread {
+func (s *Sched) Serve(name string, prio Priority, charge sim.Duration, c *Cond, q Queue) *Thread {
 	t := &Thread{sched: s, name: name, prio: prio, heapIdx: -1}
-	t.proc = s.k.Serve(s.name+"/"+name, &server{t: t, q: q, charge: charge, c: c, mu: mu})
+	t.proc = s.k.Serve(s.name+"/"+name, &server{t: t, q: q, charge: charge, c: c})
 	t.proc.SetDescriber(t)
 	s.onReady(t)
 	return t
@@ -44,7 +43,6 @@ type server struct {
 	q      Queue
 	charge sim.Duration
 	c      *Cond
-	mu     *Mutex
 	phase  servePhase
 	w      *waiter // the Cond wait in progress
 }
@@ -54,14 +52,13 @@ type servePhase uint8
 
 const (
 	serveCharge servePhase = iota // charge the take's CPU time
-	serveLock                     // lock mu
 	serveTake                     // take an item, or wait on c
 	serveWoken                    // c's wait has ended
 )
 
 // Step runs the loop up to q.Serve: it reports true once an item is
-// taken, and false when a compute slice, a switch away, or a wait on mu
-// or c has started; the thread's next wake-up calls it again.
+// taken, and false when a compute slice, a switch away, or a wait on c
+// has started; the thread's next wake-up calls it again.
 //
 //nectar:hotpath
 func (v *server) Step() bool {
@@ -69,28 +66,22 @@ func (v *server) Step() bool {
 	for {
 		switch v.phase {
 		case serveCharge:
-			v.phase = serveLock
-			if !t.StartCompute(v.charge) {
-				return false
-			}
-		case serveLock:
 			v.phase = serveTake
-			if !v.mu.startLock(t) {
+			if !t.StartCompute(v.charge) {
 				return false
 			}
 		case serveTake:
 			if v.q.Take() {
-				v.mu.Unlock(t)
 				v.phase = serveCharge
 				return true
 			}
-			v.w = v.c.startWait(t, v.mu)
+			v.w = v.c.startWait(t)
 			v.phase = serveWoken
 			return false
 		case serveWoken:
 			v.w.finish()
 			v.w = nil
-			v.phase = serveLock
+			v.phase = serveTake
 		}
 	}
 }

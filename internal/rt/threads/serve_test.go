@@ -10,7 +10,7 @@ import (
 	"nectar/internal/sim"
 )
 
-// intQueue is a Cond-guarded queue of ints whose handler computes work
+// intQueue is a queue of ints whose handler computes work
 // per item and logs it.
 type intQueue struct {
 	items []int
@@ -34,30 +34,28 @@ func (q *intQueue) Serve(t *Thread) {
 }
 
 // serveImpl starts a server thread: Sched.Serve or the loop oracle.
-type serveImpl func(s *Sched, name string, prio Priority, charge sim.Duration, c *Cond, mu *Mutex, q Queue) *Thread
+type serveImpl func(s *Sched, name string, prio Priority, charge sim.Duration, c *Cond, q Queue) *Thread
 
 // loopServe is Sched.Serve's loop written out on an ordinary thread.
-func loopServe(s *Sched, name string, prio Priority, charge sim.Duration, c *Cond, mu *Mutex, q Queue) *Thread {
+func loopServe(s *Sched, name string, prio Priority, charge sim.Duration, c *Cond, q Queue) *Thread {
 	return s.Fork(name, prio, func(t *Thread) {
 		for {
 			t.Compute(charge)
-			mu.Lock(t)
 			for !q.Take() {
-				c.Wait(t, mu)
+				c.Wait(t)
 			}
-			mu.Unlock(t)
 			q.Serve(t)
 		}
 	})
 }
 
-func stepServe(s *Sched, name string, prio Priority, charge sim.Duration, c *Cond, mu *Mutex, q Queue) *Thread {
-	return s.Serve(name, prio, charge, c, mu, q)
+func stepServe(s *Sched, name string, prio Priority, charge sim.Duration, c *Cond, q Queue) *Thread {
+	return s.Serve(name, prio, charge, c, q)
 }
 
 // TestServeMatchesLoop runs a server whose take is charged, whose queue
-// a producer fills and signals and then holds the queue's mutex across a
-// compute (so the woken server's lock waits), with an interrupt in the
+// a lower-priority producer fills and signals and then computes (so the
+// woken server preempts it at the compute), with an interrupt in the
 // handler, under Sched.Serve and under the loop, and requires identical
 // logs, CPU times, switches, events and deadlock report.
 func TestServeMatchesLoop(t *testing.T) {
@@ -66,15 +64,13 @@ func TestServeMatchesLoop(t *testing.T) {
 		s := New(k, model.Default1990(), "cab0")
 		var log []string
 		q := &intQueue{work: 30 * sim.Microsecond, log: &log}
-		c, mu := NewCond("q"), NewMutex("q.mu")
-		srv := serve(s, "server", SystemPriority, 3*sim.Microsecond, c, mu, q)
+		c := NewCond("q")
+		srv := serve(s, "server", SystemPriority, 3*sim.Microsecond, c, q)
 		s.Fork("producer", AppPriority, func(th *Thread) {
 			for i := 1; i <= 4; i++ {
-				mu.Lock(th)
 				q.items = append(q.items, i, 10*i)
 				c.Signal()
 				th.Compute(sim.Duration(i) * 10 * sim.Microsecond)
-				mu.Unlock(th)
 				th.Sleep(25 * sim.Microsecond)
 			}
 		})

@@ -1,19 +1,22 @@
 package threads
 
 import (
+	"slices"
+
 	"nectar/internal/sim"
 )
 
 // Mutex is a mutual exclusion lock with FIFO handoff, as provided by the
-// CAB threads package (paper §3.1). Because the simulation kernel is
-// single-threaded, the lock exists to model *logical* mutual exclusion
-// across blocking points, exactly as on the real CAB: a critical section
+// CAB threads package (paper §3.1). A lock is for a critical section that
+// spans a blocking point. A thread gives up the CPU only inside a Compute
+// slice or at a block, and the scheduler never preempts a zero-time
+// window, so a section with neither is atomic without a lock. A section
 // containing a Compute or a blocking call can be interleaved with other
-// threads, and the Mutex keeps them out.
+// threads, exactly as on the real CAB, and the Mutex keeps them out.
 type Mutex struct {
-	name, role string // reported as name+role
-	owner      *Thread
-	waiters    []*Thread
+	name    string
+	owner   *Thread
+	waiters []*Thread
 }
 
 // NewMutex creates an unlocked mutex.
@@ -21,41 +24,22 @@ func NewMutex(name string) *Mutex {
 	return &Mutex{name: name}
 }
 
-// Init names a zero Mutex held by value, reported as name+role. An
-// object that owns several locks and conditions passes its own name and
-// a constant role for each (".mu"), so building them concatenates no
-// string: the label is formatted only in deadlock reports and panics.
-func (m *Mutex) Init(name, role string) {
-	m.name, m.role = name, role
-}
-
 // Lock acquires the mutex, blocking the calling thread while another
 // thread holds it. Handoff is FIFO.
 func (m *Mutex) Lock(t *Thread) {
-	if m.startLock(t) {
-		return
-	}
-	t.proc.Suspend()
-	// Ownership was handed to us by Unlock before we were woken.
-	if m.owner != t {
-		sim.Panicf("threads: woke from Lock of %q without ownership", m.name+m.role)
-	}
-}
-
-// startLock is Lock without the wait, for a step: it reports true when
-// t now holds the mutex, and false when t has queued for it and blocked,
-// in which case Unlock hands t the mutex before waking it.
-func (m *Mutex) startLock(t *Thread) bool {
 	if m.owner == nil {
 		m.owner = t
-		return true
+		return
 	}
 	if m.owner == t {
-		sim.Panicf("threads: recursive Lock of %q by %q", m.name+m.role, t.Name())
+		sim.Panicf("threads: recursive Lock of %q by %q", m.name, t.Name())
 	}
 	m.waiters = append(m.waiters, t)
-	t.startBlock("mutex", m.name, m.role)
-	return false
+	t.BlockOn("mutex", m.name)
+	// Ownership was handed to us by Unlock before we were woken.
+	if m.owner != t {
+		sim.Panicf("threads: woke from Lock of %q without ownership", m.name)
+	}
 }
 
 // TryLock acquires the mutex if it is free, without blocking. It reports
@@ -71,29 +55,25 @@ func (m *Mutex) TryLock(t *Thread) bool {
 // Unlock releases the mutex, handing it to the longest-waiting thread.
 func (m *Mutex) Unlock(t *Thread) {
 	if m.owner != t {
-		sim.Panicf("threads: Unlock of %q by non-owner %q", m.name+m.role, t.Name())
+		sim.Panicf("threads: Unlock of %q by non-owner %q", m.name, t.Name())
 	}
 	if len(m.waiters) == 0 {
 		m.owner = nil
 		return
 	}
 	next := m.waiters[0]
-	m.waiters = removeAt(m.waiters, 0)
+	m.waiters = sim.PopFront(m.waiters)
 	m.owner = next
 	next.Unblock()
 }
 
-// Held reports whether the mutex is currently held (by anyone).
-func (m *Mutex) Held() bool { return m.owner != nil }
-
-// HeldBy reports whether t holds the mutex.
-func (m *Mutex) HeldBy(t *Thread) bool { return m.owner == t }
-
 // Cond is a condition variable with Mesa semantics, matching the CAB
-// threads package: Wait releases the associated mutex and re-acquires it
-// before returning; waiters must re-check their predicate in a loop.
-// Signal and Broadcast may be called from any context, including interrupt
-// handlers (a common pattern in the paper's protocol code).
+// threads package: a woken waiter must re-check its predicate in a loop.
+// Wait takes no mutex. The predicate check and the wait are one zero-time
+// section, which no other thread can enter (see Mutex); a caller that
+// does hold a Mutex across the wait unlocks it first and locks it again
+// after. Signal and Broadcast may be called from any context, including
+// interrupt handlers (a common pattern in the paper's protocol code).
 type Cond struct {
 	name, role string // reported as name+role
 	waiters    []*waiter
@@ -104,41 +84,38 @@ func NewCond(name string) *Cond {
 	return &Cond{name: name}
 }
 
-// Init names a zero Cond held by value, reported as name+role (see
-// Mutex.Init).
+// Init names a zero Cond held by value, reported as name+role. An object
+// that owns several conditions passes its own name and a constant role
+// for each (".notEmpty"), so building them concatenates no string: the
+// label is formatted only in deadlock reports and panics.
 func (c *Cond) Init(name, role string) {
 	c.name, c.role = name, role
 }
 
-// Wait atomically releases m and blocks until signaled, then re-acquires m.
-func (c *Cond) Wait(t *Thread, m *Mutex) {
-	w := c.startWait(t, m)
+// Wait blocks t until signaled.
+func (c *Cond) Wait(t *Thread) {
+	w := c.startWait(t)
 	t.proc.Suspend()
 	w.finish()
-	m.Lock(t)
 }
 
-// startWait is Wait up to the wait, for a step: it queues t, releases m
-// and blocks t. Once t is woken, the step calls finish on the returned
-// record and re-acquires m.
-func (c *Cond) startWait(t *Thread, m *Mutex) *waiter {
+// startWait is Wait up to the wait, for a step: it queues and blocks t.
+// Once t is woken, the step calls finish on the returned record.
+func (c *Cond) startWait(t *Thread) *waiter {
 	w := t.sched.newWaiter(c, t)
-	m.Unlock(t)
 	t.startBlock("cond", c.name, c.role)
 	return w
 }
 
 // WaitTimeout is Wait with a timeout; it reports true if signaled, false if
-// the timeout elapsed first. In either case m is re-acquired.
-func (c *Cond) WaitTimeout(t *Thread, m *Mutex, d sim.Duration) bool {
+// the timeout elapsed first.
+func (c *Cond) WaitTimeout(t *Thread, d sim.Duration) bool {
 	w := t.sched.newWaiter(c, t)
 	w.arm(d)
-	m.Unlock(t)
 	t.startBlock("cond", c.name, c.role)
 	t.proc.Suspend()
 	timedOut := w.timedOut
 	w.finish()
-	m.Lock(t)
 	return !timedOut
 }
 
@@ -146,7 +123,7 @@ func (c *Cond) WaitTimeout(t *Thread, m *Mutex, d sim.Duration) bool {
 func (c *Cond) Signal() {
 	if len(c.waiters) > 0 {
 		w := c.waiters[0]
-		c.waiters = removeAt(c.waiters, 0)
+		c.waiters = sim.PopFront(c.waiters)
 		w.wake()
 	}
 }
@@ -186,11 +163,8 @@ type waiter struct {
 // newWaiter takes a record from s's pool for t, queued on c unless c is
 // nil.
 func (s *Sched) newWaiter(c *Cond, t *Thread) *waiter {
-	var w *waiter
-	if n := len(s.waiterFree); n > 0 {
-		w = s.waiterFree[n-1]
-		s.waiterFree = s.waiterFree[:n-1]
-	} else {
+	w, ok := s.waiterFree.Get()
+	if !ok {
 		w = &waiter{s: s}
 		w.onTimeout = w.timeout
 	}
@@ -248,24 +222,11 @@ func (w *waiter) release() {
 		return
 	}
 	w.c, w.t = nil, nil
-	w.s.waiterFree = append(w.s.waiterFree, w)
+	w.s.waiterFree.Put(w)
 }
 
 func (c *Cond) remove(w *waiter) {
-	for i, x := range c.waiters {
-		if x == w {
-			c.waiters = removeAt(c.waiters, i)
-			return
-		}
+	if i := slices.Index(c.waiters, w); i >= 0 {
+		c.waiters = slices.Delete(c.waiters, i, i+1)
 	}
-}
-
-// removeAt removes q[i] and shifts the rest down, so a FIFO wait queue
-// keeps its capacity: a queue drained and refilled never reallocates, as
-// one whose head creeps forward with q[1:] does.
-func removeAt[T any](q []T, i int) []T {
-	n := copy(q[i:], q[i+1:])
-	var zero T
-	q[i+n] = zero
-	return q[:i+n]
 }

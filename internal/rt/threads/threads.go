@@ -21,14 +21,14 @@
 // the sequence number and dispatch count of the event it stands for.
 //
 // A protocol server thread (Serve) is a loop that charges the cost of a
-// take, takes the next item of a queue guarded by a Mutex, waits on a
-// Cond while there is none, and handles the item. Everything up to the
-// handler runs as a step in the thread's wake events, with the Start
-// forms of the blocking calls (StartCompute, and the package's own
-// startLock, startWait and startBlock), so an idle server holds no
-// coroutine; the thread borrows one from the kernel's pool only while
-// its handler runs (sim.Kernel.Serve). Each server's first dispatch,
-// context switch and charge is the loop's, at the same instant.
+// take, takes the next item of a queue, waits on a Cond while there is
+// none, and handles the item. Everything up to the handler runs as a step
+// in the thread's wake events, with the Start forms of the blocking calls
+// (StartCompute, and the package's own startWait and startBlock), so an
+// idle server holds no coroutine; the thread borrows one from the
+// kernel's pool only while its handler runs (sim.Kernel.Serve). Each
+// server's first dispatch, context switch and charge is the loop's, at
+// the same instant.
 //
 // One Sched instance models one CPU (a CAB's SPARC, or a host's CPU). All
 // scheduler state is manipulated from kernel context or from the currently
@@ -40,6 +40,7 @@ import (
 
 	"nectar/internal/model"
 	"nectar/internal/obs"
+	"nectar/internal/pool"
 	"nectar/internal/sim"
 )
 
@@ -91,9 +92,8 @@ type Thread struct {
 	// when a deadlock report asks (Describe).
 	blockKind, blockName, blockRole string
 
-	// Join's exit lock and condition, created by the first Join.
+	// Join's exit condition, created by the first Join.
 	exitC *Cond
-	exitM *Mutex
 }
 
 // Sched is a preemptive priority scheduler modeling one CPU.
@@ -119,7 +119,7 @@ type Sched struct {
 	// built in New, serves every thread.
 	switchDoneFn, sliceDoneFn func()
 
-	waiterFree []*waiter // Cond and Sleep records ready for reuse
+	waiterFree pool.FreeList[*waiter] // Cond and Sleep records ready for reuse
 
 	seq        uint64
 	switches   uint64 // context-switch count (stats)
@@ -274,7 +274,7 @@ func (s *Sched) drainPendingIntr() {
 		return
 	}
 	pi := s.pendingIntr[0]
-	s.pendingIntr = removeAt(s.pendingIntr, 0)
+	s.pendingIntr = sim.PopFront(s.pendingIntr)
 	s.RaiseInterrupt(pi.name, pi.fn)
 }
 
@@ -441,15 +441,12 @@ func (t *Thread) Yield() {
 
 // Join blocks until u terminates.
 func (t *Thread) Join(u *Thread) {
-	if u.exitM == nil {
-		u.exitM = NewMutex(u.sched.name + "/" + u.name + ".exit")
+	if u.exitC == nil {
 		u.exitC = NewCond(u.name + ".exit")
 	}
-	u.exitM.Lock(t)
 	for u.state != stateDone {
-		u.exitC.Wait(t, u.exitM)
+		u.exitC.Wait(t)
 	}
-	u.exitM.Unlock(t)
 }
 
 // Done reports whether the thread has terminated.

@@ -310,27 +310,22 @@ func TestUnlockByNonOwnerPanics(t *testing.T) {
 
 func TestCondSignalBroadcast(t *testing.T) {
 	k, s := zeroCostSched()
-	m := NewMutex("m")
 	c := NewCond("c")
 	ready := 0
 	var woken []string
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
 		s.Fork(name, SystemPriority, func(th *Thread) {
-			m.Lock(th)
 			for ready == 0 {
-				c.Wait(th, m)
+				c.Wait(th)
 			}
 			woken = append(woken, name)
-			m.Unlock(th)
 		})
 	}
 	s.Fork("waker", SystemPriority, func(th *Thread) {
 		th.Sleep(10 * sim.Microsecond)
-		m.Lock(th)
 		ready = 1
 		c.Broadcast()
-		m.Unlock(th)
 	})
 	mustRun(t, k)
 	if want := []string{"a", "b", "c"}; !reflect.DeepEqual(woken, want) {
@@ -342,24 +337,19 @@ func TestCondMesaSemantics(t *testing.T) {
 	// Signal with no waiters is lost (Mesa): the waiter must check its
 	// predicate before waiting.
 	k, s := zeroCostSched()
-	m := NewMutex("m")
 	c := NewCond("c")
 	flag := false
 	var sawFlag bool
 	s.Fork("signaler", SystemPriority, func(th *Thread) {
-		m.Lock(th)
 		flag = true
 		c.Signal() // no waiters yet: lost, but flag is set
-		m.Unlock(th)
 	})
 	s.Fork("waiter", SystemPriority, func(th *Thread) {
 		th.Sleep(10 * sim.Microsecond)
-		m.Lock(th)
 		for !flag {
-			c.Wait(th, m)
+			c.Wait(th)
 		}
 		sawFlag = true
-		m.Unlock(th)
 	})
 	mustRun(t, k)
 	if !sawFlag {
@@ -369,23 +359,18 @@ func TestCondMesaSemantics(t *testing.T) {
 
 func TestCondWaitTimeout(t *testing.T) {
 	k, s := zeroCostSched()
-	m := NewMutex("m")
 	c := NewCond("c")
 	var timedOut, signaled bool
 	var when sim.Time
 	s.Fork("w1", SystemPriority, func(th *Thread) {
-		m.Lock(th)
-		ok := c.WaitTimeout(th, m, 40*sim.Microsecond)
+		ok := c.WaitTimeout(th, 40*sim.Microsecond)
 		timedOut = !ok
 		when = th.Now()
-		m.Unlock(th)
 	})
 	s.Fork("w2", SystemPriority, func(th *Thread) {
 		th.Sleep(100 * sim.Microsecond)
-		m.Lock(th)
-		ok := c.WaitTimeout(th, m, 1000*sim.Microsecond)
+		ok := c.WaitTimeout(th, 1000*sim.Microsecond)
 		signaled = ok
-		m.Unlock(th)
 	})
 	s.Fork("waker", SystemPriority, func(th *Thread) {
 		th.Sleep(150 * sim.Microsecond)
@@ -407,19 +392,14 @@ func TestCondTimeoutDoesNotEatSignal(t *testing.T) {
 	// After w1 times out, a Signal must wake w2, not be consumed by w1's
 	// dead waiter entry.
 	k, s := zeroCostSched()
-	m := NewMutex("m")
 	c := NewCond("c")
 	w2woke := false
 	s.Fork("w1", SystemPriority, func(th *Thread) {
-		m.Lock(th)
-		c.WaitTimeout(th, m, 10*sim.Microsecond)
-		m.Unlock(th)
+		c.WaitTimeout(th, 10*sim.Microsecond)
 	})
 	s.Fork("w2", SystemPriority, func(th *Thread) {
-		m.Lock(th)
-		c.Wait(th, m)
+		c.Wait(th)
 		w2woke = true
-		m.Unlock(th)
 	})
 	s.Fork("waker", SystemPriority, func(th *Thread) {
 		th.Sleep(50 * sim.Microsecond)
@@ -437,17 +417,14 @@ func TestCondTimeoutDoesNotEatSignal(t *testing.T) {
 // until 530us, and a record reused too early would end it at 100us.
 func TestCondWaitRecordOutlivesSignaledWait(t *testing.T) {
 	k, s := zeroCostSched()
-	m := NewMutex("m")
 	c := NewCond("c")
 	var wakes []sim.Time
 	var results []bool
 	s.Fork("waiter", SystemPriority, func(th *Thread) {
-		m.Lock(th)
 		for _, d := range []sim.Duration{100 * sim.Microsecond, 500 * sim.Microsecond} {
-			results = append(results, c.WaitTimeout(th, m, d))
+			results = append(results, c.WaitTimeout(th, d))
 			wakes = append(wakes, th.Now())
 		}
-		m.Unlock(th)
 	})
 	s.Fork("waker", SystemPriority, func(th *Thread) {
 		th.Sleep(30 * sim.Microsecond)
@@ -570,16 +547,13 @@ func TestInterruptWakesThread(t *testing.T) {
 	// The paper's common pattern: an interrupt handler signals a condition
 	// that a protocol thread waits on.
 	k, s := testSched(t)
-	m := NewMutex("m")
 	c := NewCond("packet")
 	arrived := false
 	var when sim.Time
 	s.Fork("proto", SystemPriority, func(th *Thread) {
-		m.Lock(th)
 		for !arrived {
-			c.Wait(th, m)
+			c.Wait(th)
 		}
-		m.Unlock(th)
 		when = th.Now()
 	})
 	k.After(40*sim.Microsecond, func() {
@@ -617,7 +591,6 @@ func TestContextSwitchCostIsPaperValue(t *testing.T) {
 	// E7: ping-pong between two threads; each handoff costs one 20us
 	// context switch (§3.1).
 	k, s := testSched(t)
-	m := NewMutex("m")
 	c := NewCond("pp")
 	turn := 0
 	const rounds = 100
@@ -625,15 +598,13 @@ func TestContextSwitchCostIsPaperValue(t *testing.T) {
 	for id := 0; id < 2; id++ {
 		id := id
 		s.Fork(fmt.Sprintf("p%d", id), SystemPriority, func(th *Thread) {
-			m.Lock(th)
 			for i := 0; i < rounds; i++ {
 				for turn != id {
-					c.Wait(th, m)
+					c.Wait(th)
 				}
 				turn = 1 - id
 				c.Signal()
 			}
-			m.Unlock(th)
 			done = th.Now()
 		})
 	}
