@@ -260,6 +260,10 @@ type Conn struct {
 	cond  *threads.Cond // state changes, window openings, ack arrivals
 	mss   int
 	timeW sim.Timer
+	// hdr is the header transmit builds, under mu. IP's output copies it
+	// into the frame before it returns, so one per connection serves
+	// every segment.
+	hdr [wire.TCPHeaderLen]byte
 }
 
 // txSeg is an unacknowledged transmitted segment.
@@ -299,7 +303,14 @@ func (t *Layer) Connect(ctx exec.Context, dstIP uint32, dstPort uint16) (*Conn, 
 	c.mu.Lock(ctx.T)
 	c.state = SynSent
 	c.sndNxt = c.iss + 1
-	c.transmit(ctx, wire.TCPSyn, c.iss, nil)
+	if err := c.transmit(ctx, wire.TCPSyn, c.iss, nil); err != nil {
+		// IP refused the SYN (e.g. an address off the Nectar network):
+		// no retransmission can do better.
+		c.state = Closed
+		delete(t.conns, key)
+		c.mu.Unlock(ctx.T)
+		return nil, fmt.Errorf("tcp: connect to %s:%d: %w", wire.FormatIP(dstIP), dstPort, err)
+	}
 	c.armRTO()
 	for c.state != Established && c.state != Closed {
 		if !c.wait(ctx.T, ConnectTimeout) {
@@ -490,14 +501,18 @@ func (c *Conn) wait(t *threads.Thread, d sim.Duration) bool {
 	return ok
 }
 
-// transmit emits one segment. Callers hold c.mu (or own the conn during
-// handshake). The checksum is computed in software over the real bytes
-// when enabled, with the cost charged at the CAB checksum rate.
-func (c *Conn) transmit(ctx exec.Context, flags uint8, seq uint32, data []byte) {
+// transmit emits one segment and returns IP's error if it refuses it;
+// only a segment IP accepts counts in segs_out. Connect acts on the
+// error; every other caller treats a refused segment as one the fiber
+// lost, which its retransmission timer resends or abandons. Callers hold
+// c.mu, which also guards c.hdr. The checksum is computed in software
+// over the real bytes when enabled, with the cost charged at the CAB
+// checksum rate.
+func (c *Conn) transmit(ctx exec.Context, flags uint8, seq uint32, data []byte) error {
 	t := c.layer
 	cost := ctx.Cost()
 	ctx.Compute(cost.TCPOutput)
-	hdr := make([]byte, wire.TCPHeaderLen)
+	hdr := c.hdr[:]
 	win := c.rcvWindow()
 	c.lastAdvWin = win
 	h := wire.TCPHeader{
@@ -519,11 +534,14 @@ func (c *Conn) transmit(ctx exec.Context, flags uint8, seq uint32, data []byte) 
 		ck := wire.FinishChecksum(sum)
 		hdr[16], hdr[17] = byte(ck>>8), byte(ck)
 	}
-	t.segsOut.Inc()
 	if t.obs.Tracing() {
 		t.obs.InstantSeq(t.node, obs.LayerTCP, "tx", uint64(seq), len(data))
 	}
-	_ = t.ip.Output(ctx, wire.IPv4Header{Protocol: wire.ProtoTCP, Dst: c.key.rip}, hdr, data)
+	if err := t.ip.Output(ctx, wire.IPv4Header{Protocol: wire.ProtoTCP, Dst: c.key.rip}, hdr, data); err != nil {
+		return err
+	}
+	t.segsOut.Inc()
+	return nil
 }
 
 // now reads the CAB's virtual clock.
@@ -551,8 +569,9 @@ func (t *Layer) sendRST(ctx exec.Context, rip uint32, h wire.TCPHeader) {
 		ck := wire.FinishChecksum(sum)
 		hdr[16], hdr[17] = byte(ck>>8), byte(ck)
 	}
-	t.segsOut.Inc()
-	_ = t.ip.Output(ctx, wire.IPv4Header{Protocol: wire.ProtoTCP, Dst: rip}, hdr)
+	if t.ip.Output(ctx, wire.IPv4Header{Protocol: wire.ProtoTCP, Dst: rip}, hdr) == nil {
+		t.segsOut.Inc()
+	}
 }
 
 // rcvWindow is the space we advertise: the free budget of the receive

@@ -7,10 +7,12 @@ import (
 
 // Proc is a simulated sequential activity. The kernel runs at most one
 // Proc at a time; a Proc runs until it blocks or returns. When it
-// returns, control returns to the event that resumed it. When it blocks,
-// it runs the events ahead of its wake-up on its own coroutine and hands
-// control back only when one of them must switch into another Proc, or
-// the loop stops (the package doc, "Waits drive the loop").
+// returns, control returns to the event or the Proc that resumed it.
+// When it blocks, it runs the events ahead of its wake-up on its own
+// coroutine, switches into a Proc whose wake-up it reaches from there,
+// and hands control back only when a Proc lower on the chain of such
+// switches must run, or the loop stops (the package doc, "Waits drive
+// the loop").
 //
 // A Proc holds a coroutine only while its body code runs. The coroutine
 // is an iter.Pull pair whose next and yield switch with
@@ -32,7 +34,8 @@ import (
 // Proc methods that block must only be called from within that Proc's own
 // body function.
 //
-// A Proc is resumed by whichever goroutine executes its kernel's events:
+// A Proc is resumed on whichever goroutine executes its kernel's events
+// (from that goroutine or from another Proc's coroutine running on it):
 // the caller of Run, or, under a Coupling, the domain's one owner during a
 // run — the scheduler for domain 0, a worker goroutine for every other.
 // Each run starts fresh workers, so a coroutine may be resumed from
@@ -49,6 +52,7 @@ type Proc struct {
 	co     *coro       // the coroutine running the body, nil while none is
 	wakeFn func()      // wakeup's event, built once so wake-ups do not allocate
 	spin   func() bool // the step of a Spin in progress
+	nested bool        // co runs, or is suspended inside an enter it called
 
 	// Deadlock reports format the blocking label lazily from these.
 	state procState
@@ -256,36 +260,41 @@ func (p *Proc) wakeup() func() {
 	}
 }
 
-// switchTo switches the kernel's goroutine into p's coroutine and, when
-// p yields handing back another Proc's wake-up, into that Proc's, in a
-// loop, until a Proc yields with none. It re-panics a panic that a
+// switchTo switches the kernel's goroutine into p's coroutine, at the
+// bottom of a chain of Procs that hand off to each other (yield), and
+// returns once the whole chain has unwound. It re-panics a panic that a
 // driven event raised, so that it leaves Run as from the kernel's loop.
 func (k *Kernel) switchTo(p *Proc) {
-	for {
-		k.resumes++
-		if p.co == nil {
-			k.bind(p)
-		}
-		p.co.next()
-		if r := k.panicked; r != nil {
-			k.panicked = nil
-			panic(r)
-		}
-		if p = k.woken; p == nil {
-			return
-		}
-		k.woken = nil
-		k.current = p
+	k.enter(p)
+	if r := k.panicked; r != nil {
+		k.panicked = nil
+		panic(r)
 	}
+}
+
+// enter switches into p's coroutine, lending p one from the pool if it
+// has none, and returns when p yields or its body code returns. p is
+// nested until then: its coroutine runs, or is suspended inside an enter
+// of its own.
+//
+//nectar:hotpath-exempt runs another Proc's body code, not this wait's; bind allocates only on a pool miss
+func (k *Kernel) enter(p *Proc) {
+	k.resumes++
+	if p.co == nil {
+		k.bind(p)
+	}
+	p.nested = true
+	p.co.next()
+	p.nested = false
 }
 
 // drive is the dispatch loop on the coroutine of p, which has just
 // started a wait: it runs the events the kernel's loop would run next,
 // in kernel context, and reports true as soon as p's own wake-up has
-// run, so p returns into its body without a switch. It reports false,
-// leaving p to yield, at the loop's bound, on a failure, after a panic
-// (left in panicked), or once a wake-up of another Proc needs a switch
-// (left in woken for switchTo).
+// run, so p returns into its body without a switch. It reports false
+// at the loop's bound, on a failure, after a panic (left in panicked), or
+// once a wake-up of another Proc needs a switch (left in woken for
+// yield).
 //
 //nectar:hotpath
 func (p *Proc) drive() (own bool) {
@@ -356,21 +365,39 @@ func (p *Proc) recoverStep() {
 
 // yield blocks the proc until it is dispatched again; state and on
 // record what it waits for. It first runs the events ahead of its
-// wake-up itself (drive) and transfers control back to the event that
-// resumed it only when drive stops short of that wake-up.
+// wake-up itself (drive). When drive stops at another Proc's wake-up,
+// p switches into that Proc from its own coroutine and, when the Proc
+// hands control back, drives on, until its own wake-up comes. It yields
+// to the Proc or event that resumed it only at the loop's bound, on a
+// failure, after a panic, or when the wake-up is that of a Proc lower on
+// the chain, which must return into its body first (the package doc,
+// "Waits drive the loop").
 //
 //nectar:hotpath
 func (p *Proc) yield(state procState, on *Signal) {
-	if p.k.current != p || p.state == procSpinning {
+	k := p.k
+	if k.current != p || p.state == procSpinning {
 		Panicf("sim: blocking call on proc %q from outside its coroutine", p.name)
 	}
 	p.state = state
 	p.on = on
-	p.k.current = nil
-	if !p.drive() {
-		p.co.yield(struct{}{})
+	k.current = nil
+	own := p.drive()
+	for !own {
+		w := k.woken
+		if w == nil || w.nested || k.panicked != nil {
+			p.co.yield(struct{}{})
+			break
+		}
+		k.woken = nil
+		k.enter(w)
+		if own = k.woken == p; own {
+			k.woken = nil
+		} else if k.woken == nil && k.panicked == nil {
+			own = p.drive()
+		}
 	}
-	p.k.current = p
+	k.current = p
 	p.state = procRunning
 }
 

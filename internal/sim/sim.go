@@ -16,7 +16,8 @@
 // kernel's pool and holds only while that code runs: the event that wakes
 // it resumes the coroutine with next, and it hands control back with
 // yield, both a runtime.coroswitch on the resuming goroutine's thread.
-// A waiting Proc runs the event loop itself until its wake-up comes
+// A waiting Proc runs the event loop itself until its wake-up comes, and
+// switches straight into the Proc whose wake-up it reaches first
 // ("Waits drive the loop" below), so most wake-ups need neither.
 // There is no data race on simulation state, no need for locks in any
 // model code, and no allocation per switch.
@@ -126,19 +127,33 @@
 // of its wake-up itself, on its own coroutine, exactly as the kernel's
 // loop would and up to the same bound. When its own wake-up comes up it
 // returns into its body without a switch; a spinning Proc returns only
-// once its step is done. It yields to the kernel's goroutine in three
-// cases only: at the loop's bound, on a failure, and when a wake-up it
-// dispatched must switch into another Proc. Such a wake-up does not
-// switch from the driving coroutine: it leaves its Proc to the kernel's
-// goroutine, which switches into it before it pops anything else, and
-// into the next such Proc when that one yields in turn, in a loop. Only
-// the kernel's goroutine ever switches into a Proc, so driving Procs
-// never nest, and a server still gives its coroutine back when a step starts
-// a wait. A panic in a driven event is recovered on the coroutine and
-// raised again, with the same value, on the kernel's goroutine, leaving
-// the driving Proc blocked, as it would be had the kernel's loop run the
-// event. Every event runs in the same order with the same (time, seq)
-// key, and Dispatched is unchanged; only Resumes drops.
+// once its step is done.
+//
+// When a wake-up it dispatched must switch into another Proc, the
+// driving Proc switches into it itself, from its own coroutine, before
+// it pops anything else, and stays in its wait as the caller. When that
+// Proc hands control back (it finished, or a server's step started a
+// wait), the waiting Proc drives on. So hand-offs nest: the kernel's
+// goroutine switched into the Proc at the bottom of a chain, and each
+// Proc on it is suspended inside a switch into the one above, up to the
+// one that runs. Each Proc on the chain is marked nested and is never
+// entered again, so a chain holds each Proc at most once. When a Proc
+// waits and reaches the wake-up of a Proc lower on the chain, that Proc
+// must run next, and only its callee can switch back into it: each Proc
+// above it yields in turn, staying blocked, until the woken Proc returns
+// into its body. A Proc that yielded this way is off the chain, and a
+// later wake-up switches into it as into any other. At the loop's bound,
+// on a failure and after a driven panic, the whole chain unwinds to the
+// kernel's goroutine, so a run or a Coupling window never ends with a
+// coroutine suspended inside another. A server still gives its
+// coroutine back when a step starts a wait.
+//
+// A panic in a driven event is recovered on the coroutine and raised
+// again, with the same value, on the kernel's goroutine once the chain
+// has unwound, leaving every Proc on it blocked, as it would be had the
+// kernel's loop run the event. Every event runs in the same order with
+// the same (time, seq) key, and Dispatched is unchanged; only Resumes
+// drops.
 //
 // A callback whose last act is a wake-up can go one step further with
 // Proc.ResumeInPlace: when no other event is queued at the current
@@ -304,9 +319,10 @@ type Kernel struct {
 	// driving is set while a waiting Proc runs the dispatch loop on its
 	// own coroutine (Proc.drive). A wake-up dispatched then does not
 	// switch: it leaves its Proc in woken, and the driving Proc returns
-	// into its body if that is itself, or yields for the kernel's
-	// goroutine to switch into it. panicked carries a driven event's panic to that
-	// goroutine.
+	// into its body if that is itself, switches into it if it is off the
+	// chain, and yields if it is lower on the chain (Proc.yield).
+	// panicked carries a driven event's panic down the chain to the
+	// kernel's goroutine.
 	driving  bool  //nectar:shard-owned
 	woken    *Proc //nectar:shard-owned
 	panicked any   //nectar:shard-owned
@@ -530,11 +546,12 @@ func (k *Kernel) step() {
 func (k *Kernel) Dispatched() uint64 { return k.steps }
 
 // Resumes reports how many times the kernel has switched into a Proc's
-// coroutine since creation. A wake-up whose Spin step is not yet done
-// runs the step in kernel context and is not counted, and neither is a
-// wake-up that the waiting Proc's own dispatch loop reaches: it returns
-// into the body on the coroutine it is already on (the package doc,
-// "Waits drive the loop").
+// coroutine since creation, from its own goroutine or from another
+// Proc's wait. A wake-up whose Spin step is not yet done runs the step
+// in kernel context and is not counted, and neither is a wake-up that
+// the waiting Proc's own dispatch loop reaches, or that unwinds a chain
+// of nested Procs down to it: it returns into the body on the coroutine
+// it is already on (the package doc, "Waits drive the loop").
 func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // Run executes events until the queue is empty. It returns an error if a

@@ -271,6 +271,47 @@ func TestZeroAllocDrive(t *testing.T) {
 	}
 }
 
+// TestZeroAllocNestRing guards hand-offs that nest: four Procs wake each
+// other in turn, and the last sleeps a round's length before it wakes
+// the first. Each member switches straight into the next from its own
+// wait, and the last's wake-up unwinds the chain back to it, so a round
+// costs four resumes (the kernel's loop into the last, then three
+// nested) where a hand-off through the kernel's goroutine cost five.
+// Once warm a round must not allocate.
+func TestZeroAllocNestRing(t *testing.T) {
+	k := NewKernel()
+	var ring [4]*Proc
+	for i := range ring {
+		ring[i] = k.Go("ring", func(p *Proc) {
+			next := ring[(i+1)%len(ring)]
+			for {
+				p.Suspend()
+				if i == len(ring)-1 {
+					p.Sleep(Microsecond)
+				}
+				next.Resume()
+			}
+		})
+	}
+	k.At(0, ring[0].Resume)
+	round := func() {
+		if err := k.RunFor(Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	r0 := k.Resumes()
+	round()
+	if r := k.Resumes() - r0; r != 4 {
+		t.Errorf("a round of the ring resumed procs %d times, want 4", r)
+	}
+	if got := testing.AllocsPerRun(200, round); got != 0 {
+		t.Errorf("a round of the ring allocates %.1f allocs/round, want 0", got)
+	}
+}
+
 // TestZeroAllocServe guards a server's cycle: a wake-up whose step finds
 // an item binds a pooled coroutine, runs Handle, and returns the
 // coroutine when the next step waits. Once warm it must not allocate.

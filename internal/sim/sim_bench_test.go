@@ -71,6 +71,32 @@ func BenchmarkProcHandoff(b *testing.B) {
 	}
 }
 
+func BenchmarkProcRing(b *testing.B) {
+	// Four procs waking each other in turn: one iteration = four
+	// hand-offs, each from a Proc's wait straight into the next Proc,
+	// and the wake-up of the first, lowest on the chain, unwinds it. A
+	// ring, unlike a two-Proc ping-pong, nests.
+	k := NewKernel()
+	var ring [4]*Proc
+	n := b.N
+	for i := range ring {
+		ring[i] = k.Go("ring", func(p *Proc) {
+			next := ring[(i+1)%len(ring)]
+			for j := 0; j < n; j++ {
+				p.Suspend()
+				if i < len(ring)-1 || j < n-1 {
+					next.Resume()
+				}
+			}
+		})
+	}
+	k.At(0, ring[0].Resume)
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkScheduleFireStop(b *testing.B) {
 	// The acceptance-criteria cycle: one short timer that fires, one long
 	// timer that is cancelled — the protocol stack's steady-state mix.
