@@ -48,11 +48,16 @@ func newLockRig() *lockRig {
 // segment has th handle a segment from the peer with the given flags,
 // sequence and acknowledgment numbers, as the TCP input thread does.
 func (r *lockRig) segment(th *threads.Thread, flags uint8, seq, ack uint32) {
+	r.segmentOn(th, connKey{lport: localPort, rip: peerIP, rport: peerPort}, flags, seq, ack)
+}
+
+// segmentOn is segment for the connection key names.
+func (r *lockRig) segmentOn(th *threads.Thread, key connKey, flags uint8, seq, ack uint32) {
 	ctx := exec.OnCAB(th)
 	b := make([]byte, wire.IPv4HeaderLen+wire.TCPHeaderLen)
-	iph := wire.IPv4Header{TotalLen: uint16(len(b)), TTL: 64, Protocol: wire.ProtoTCP, Src: peerIP, Dst: r.l.ip.Addr()}
+	iph := wire.IPv4Header{TotalLen: uint16(len(b)), TTL: 64, Protocol: wire.ProtoTCP, Src: key.rip, Dst: r.l.ip.Addr()}
 	iph.Marshal(b)
-	h := wire.TCPHeader{SrcPort: peerPort, DstPort: localPort, Seq: seq, Ack: ack, Flags: flags, Window: DefaultWindow}
+	h := wire.TCPHeader{SrcPort: key.rport, DstPort: key.lport, Seq: seq, Ack: ack, Flags: flags, Window: DefaultWindow}
 	h.Marshal(b[wire.IPv4HeaderLen:])
 	m := r.probe.BeginPut(ctx, len(b))
 	m.Write(ctx, 0, b)

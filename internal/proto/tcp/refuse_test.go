@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nectar/internal/hw/fiber"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/threads"
@@ -56,5 +57,62 @@ func TestConnectOffNetwork(t *testing.T) {
 	// Only the rig's own connection remains.
 	if len(r.l.conns) != 1 || r.l.Stats().SegsOut != 0 {
 		t.Errorf("%d conns and %d segs_out after the refused SYN, want 1 and 0", len(r.l.conns), r.l.Stats().SegsOut)
+	}
+}
+
+// sink is a fiber endpoint that takes every packet and answers none.
+type sink struct{}
+
+func (sink) PacketArriving(*fiber.Packet, sim.Time) {}
+
+// TestFailedConnectsFreeMailboxes: a Connect that fails frees the receive
+// mailbox it created, on each of its three failure paths: IP refuses the
+// SYN, the peer never answers, and the peer resets. Afterwards no
+// tcp.rcv mailbox but the rig's own connection's is registered, and the
+// CAB heap holds what it held before the first Connect.
+func TestFailedConnectsFreeMailboxes(t *testing.T) {
+	r := newLockRig()
+	rt, cb := r.l.rt, r.l.rt.CAB()
+	// A fiber into nothing, so that IP accepts SYNs to node 2.
+	cb.ConnectFiber(fiber.NewLink(r.k, cb.Cost(), "sink", sink{}))
+	cb.SetRoute(2, []byte{0})
+	used := cb.Heap.Used()
+	var errs []error
+	r.sched.Fork("opener", threads.AppPriority, func(th *threads.Thread) {
+		ctx := exec.OnCAB(th)
+		for _, port := range []uint16{peerPort, 9, 10} {
+			dst := uint32(peerIP)
+			if port != peerPort {
+				dst = wire.NodeIP(2)
+			}
+			_, err := r.l.Connect(ctx, dst, port)
+			errs = append(errs, err)
+		}
+	})
+	// The third Connect's SYN is answered with a reset.
+	r.k.After(ConnectTimeout+sim.Millisecond, func() {
+		r.sched.Fork("peer", threads.SystemPriority, func(th *threads.Thread) {
+			for key, c := range r.l.conns {
+				if key.rport == 10 {
+					r.segmentOn(th, key, wire.TCPRst|wire.TCPAck, 0, c.iss+1)
+				}
+			}
+		})
+	})
+	if err := r.k.RunUntil(sim.Time(2 * ConnectTimeout)); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"not on the Nectar network", "timed out", "refused"} {
+		if i >= len(errs) || errs[i] == nil || !strings.Contains(errs[i].Error(), want) {
+			t.Fatalf("Connect errors %v, want the %d-th to say %q", errs, i, want)
+		}
+	}
+	for id := wire.MailboxID(1); id < 1<<8; id++ {
+		if mb, ok := rt.Lookup(id); ok && mb != r.c.rcvBox && strings.HasPrefix(mb.Name(), "tcp.rcv.") {
+			t.Errorf("mailbox %q still registered after its Connect failed", mb.Name())
+		}
+	}
+	if got := cb.Heap.Used(); got != used {
+		t.Errorf("CAB heap holds %d bytes after three failed Connects, want %d as before", got, used)
 	}
 }

@@ -309,6 +309,7 @@ func (t *Layer) Connect(ctx exec.Context, dstIP uint32, dstPort uint16) (*Conn, 
 		c.state = Closed
 		delete(t.conns, key)
 		c.mu.Unlock(ctx.T)
+		c.rcvBox.Free()
 		return nil, fmt.Errorf("tcp: connect to %s:%d: %w", wire.FormatIP(dstIP), dstPort, err)
 	}
 	c.armRTO()
@@ -317,12 +318,15 @@ func (t *Layer) Connect(ctx exec.Context, dstIP uint32, dstPort uint16) (*Conn, 
 			c.state = Closed
 			delete(t.conns, key)
 			c.mu.Unlock(ctx.T)
+			c.rcvBox.Free()
 			return nil, fmt.Errorf("tcp: connect to %s:%d timed out", wire.FormatIP(dstIP), dstPort)
 		}
 	}
 	ok := c.state == Established
 	c.mu.Unlock(ctx.T)
 	if !ok {
+		// The reset queued EOF in the receive mailbox; nobody reads it.
+		c.rcvBox.Free()
 		return nil, fmt.Errorf("tcp: connect to %s:%d refused", wire.FormatIP(dstIP), dstPort)
 	}
 	return c, nil
@@ -528,10 +532,7 @@ func (c *Conn) transmit(ctx exec.Context, flags uint8, seq uint32, data []byte) 
 	}
 	if t.checksum {
 		ctx.Compute(cost.ChecksumTime(wire.TCPHeaderLen + len(data)))
-		sum := wire.PseudoHeaderSum(t.ip.Addr(), c.key.rip, wire.ProtoTCP, wire.TCPHeaderLen+len(data))
-		sum = wire.SumWords(sum, hdr)
-		sum = wire.SumWords(sum, data)
-		ck := wire.FinishChecksum(sum)
+		ck := wire.ChecksumTCP(t.ip.Addr(), c.key.rip, hdr, data)
 		hdr[16], hdr[17] = byte(ck>>8), byte(ck)
 	}
 	if t.obs.Tracing() {
@@ -564,9 +565,7 @@ func (t *Layer) sendRST(ctx exec.Context, rip uint32, h wire.TCPHeader) {
 	rst.Marshal(hdr)
 	if t.checksum {
 		ctx.Compute(ctx.Cost().ChecksumTime(wire.TCPHeaderLen))
-		sum := wire.PseudoHeaderSum(t.ip.Addr(), rip, wire.ProtoTCP, wire.TCPHeaderLen)
-		sum = wire.SumWords(sum, hdr)
-		ck := wire.FinishChecksum(sum)
+		ck := wire.ChecksumTCP(t.ip.Addr(), rip, hdr, nil)
 		hdr[16], hdr[17] = byte(ck>>8), byte(ck)
 	}
 	if t.ip.Output(ctx, wire.IPv4Header{Protocol: wire.ProtoTCP, Dst: rip}, hdr) == nil {

@@ -306,14 +306,16 @@ func (h *TCPHeader) Unmarshal(b []byte) error {
 	return nil
 }
 
-// ChecksumTCP computes the TCP checksum over the pseudo-header and the
-// segment (header + payload) in seg, with the checksum field treated as
-// zero. The caller patches the result into seg[16:18].
-func ChecksumTCP(src, dst uint32, seg []byte) uint16 {
-	sum := PseudoHeaderSum(src, dst, ProtoTCP, len(seg))
-	sum = SumWords(sum, seg[:16])
-	// Skip the checksum field itself.
-	sum = SumWords(sum, seg[18:])
+// ChecksumTCP computes the TCP checksum over the pseudo-header, the
+// header hdr and the payload data, which need not be contiguous. hdr's
+// checksum field must be zero; the caller patches the result into
+// hdr[16:18].
+//
+//nectar:hotpath
+func ChecksumTCP(src, dst uint32, hdr, data []byte) uint16 {
+	sum := PseudoHeaderSum(src, dst, ProtoTCP, len(hdr)+len(data))
+	sum = SumWords(sum, hdr)
+	sum = SumWords(sum, data)
 	return FinishChecksum(sum)
 }
 

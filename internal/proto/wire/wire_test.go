@@ -188,7 +188,7 @@ func TestTCPChecksumRoundTrip(t *testing.T) {
 	h := TCPHeader{SrcPort: 1234, DstPort: 80, Seq: 99, Ack: 12, Flags: TCPAck, Window: 4096}
 	h.Marshal(seg)
 	copy(seg[TCPHeaderLen:], payload)
-	c := ChecksumTCP(src, dst, seg)
+	c := ChecksumTCP(src, dst, seg[:TCPHeaderLen], seg[TCPHeaderLen:])
 	seg[16], seg[17] = byte(c>>8), byte(c)
 	if !VerifyTCP(src, dst, seg) {
 		t.Fatal("checksummed segment does not verify")
@@ -204,7 +204,7 @@ func TestTCPChecksumPseudoHeaderMatters(t *testing.T) {
 	seg := make([]byte, TCPHeaderLen)
 	h := TCPHeader{SrcPort: 1, DstPort: 2}
 	h.Marshal(seg)
-	c := ChecksumTCP(src, dst, seg)
+	c := ChecksumTCP(src, dst, seg, nil)
 	seg[16], seg[17] = byte(c>>8), byte(c)
 	if VerifyTCP(src, IPAddr(10, 9, 0, 3), seg) {
 		t.Error("segment verified against wrong destination address")

@@ -48,6 +48,10 @@ type Runtime struct {
 	boxes  map[wire.MailboxID]*Mailbox
 	nextID wire.MailboxID
 
+	// The puts, gets and enqueues of the mailboxes Free has unregistered,
+	// which the gauges keep counting.
+	freedPuts, freedGets, freedEnqueues uint64
+
 	msgFree pool.FreeList[*Msg] // released message records, reused by tryReserve
 
 	obs       *obs.Observer
@@ -72,7 +76,7 @@ func NewRuntime(c *cab.CAB) *Runtime {
 // (obs.Source). The sums finish before anything is emitted, so the map's
 // iteration order never reaches the output.
 func (r *Runtime) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
-	var puts, gets, enqueues uint64
+	puts, gets, enqueues := r.freedPuts, r.freedGets, r.freedEnqueues
 	for _, mb := range r.boxes {
 		puts += mb.puts
 		gets += mb.gets
@@ -124,6 +128,39 @@ func (r *Runtime) build(id wire.MailboxID, name string) *Mailbox {
 	}
 	r.boxes[mb.id] = mb
 	return mb
+}
+
+// Free unregisters mb and returns its storage to the CAB heap: its
+// cached buffer and the buffers of the messages still queued in it, which
+// are dropped. It charges no time, and mb's ID is never reused. mb's
+// puts, gets and enqueues stay in the runtime's gauges. mb must have no
+// Begin_Put in progress and no reader holding its cached buffer, and is
+// not used again.
+func (mb *Mailbox) Free() {
+	r := mb.rt
+	held := mb.cache != nil && !mb.cacheFree
+	for _, m := range mb.queue {
+		held = held && m.cached == nil
+	}
+	if mb.reserved > 0 || held {
+		sim.Panicf("mailbox: Free of %q with a message outstanding", mb.name)
+	}
+	for _, m := range mb.queue {
+		if m.cached == nil {
+			r.cab.Heap.Free(m.addr)
+		}
+		*m = Msg{rt: r, state: stateFree}
+		r.msgFree.Put(m)
+	}
+	mb.queue, mb.queued = nil, 0
+	if mb.cache != nil {
+		r.cab.Heap.Free(mb.cacheAddr)
+		mb.cache, mb.cacheFree = nil, false
+	}
+	r.freedPuts += mb.puts
+	r.freedGets += mb.gets
+	r.freedEnqueues += mb.enqueues
+	delete(r.boxes, mb.id)
 }
 
 // Lookup resolves a local mailbox ID (used by transports delivering

@@ -8,6 +8,7 @@ import (
 	"nectar/internal/hw/cab"
 	"nectar/internal/hw/host"
 	"nectar/internal/model"
+	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/hostif"
@@ -560,5 +561,44 @@ func TestReleasedMsgPanics(t *testing.T) {
 				t.Errorf("abort=%v: %s on a released message: recovered %v, want panic %q", abort, op.name, got, want)
 			}
 		}
+	}
+}
+
+// TestFreeKeepsGaugesAndStorage: Free unregisters a mailbox, returns its
+// cached buffer and the buffers of messages still queued in it to the
+// CAB heap, and leaves its puts, gets and enqueues in the gauges.
+func TestFreeKeepsGaugesAndStorage(t *testing.T) {
+	r := newRig(t)
+	gauges := func() map[string]uint64 {
+		g := map[string]uint64{}
+		r.rt.Gauges(func(_ obs.Layer, name, _ string, v uint64) { g[name] = v })
+		return g
+	}
+	used := r.c.Heap.Used()
+	mb := r.rt.Create("box")
+	r.c.Sched.Fork("user", threads.SystemPriority, func(th *threads.Thread) {
+		ctx := exec.OnCAB(th)
+		for _, n := range []int{8, 8, 2 * CachedBufSize} {
+			mb.EndPut(ctx, mb.BeginPut(ctx, n))
+		}
+		mb.EndGet(ctx, mb.BeginGet(ctx))
+	})
+	r.run(t)
+	before := gauges()
+	if mb.Pending() != 2 || r.c.Heap.Used() == used {
+		t.Fatalf("%d pending and %d heap bytes in use, want 2 queued messages on the heap", mb.Pending(), r.c.Heap.Used())
+	}
+	mb.Free()
+	if _, ok := r.rt.Lookup(mb.ID()); ok {
+		t.Error("a freed mailbox is still registered")
+	}
+	if got := r.c.Heap.Used(); got != used {
+		t.Errorf("CAB heap holds %d bytes after Free, want %d", got, used)
+	}
+	if got := gauges(); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Errorf("gauges %v after Free, want %v", got, before)
+	}
+	if next := r.rt.Create("next"); next.ID() == mb.ID() {
+		t.Errorf("a new mailbox reuses the freed ID %d", mb.ID())
 	}
 }

@@ -30,7 +30,7 @@ type Queue interface {
 // the same instant and in the same order, and a blocked server is
 // reported as blocked on c, as the loop's thread would be.
 func (s *Sched) Serve(name string, prio Priority, charge sim.Duration, c *Cond, q Queue) *Thread {
-	t := &Thread{sched: s, name: name, prio: prio, heapIdx: -1}
+	t := &Thread{sched: s, name: name, prio: prio}
 	t.proc = s.k.Serve(s.name+"/"+name, &server{t: t, q: q, charge: charge, c: c})
 	t.proc.SetDescriber(t)
 	s.onReady(t)

@@ -30,6 +30,11 @@
 // server's first dispatch, context switch and charge is the loop's, at
 // the same instant.
 //
+// Interrupt handlers run to completion and never nest, so each CPU has
+// one interrupt thread. The first RaiseInterrupt builds it; between
+// interrupts it is done and waits suspended, and its Describe is empty,
+// so the sim kernel counts it idle rather than blocked.
+//
 // One Sched instance models one CPU (a CAB's SPARC, or a host's CPU). All
 // scheduler state is manipulated from kernel context or from the currently
 // running thread, so no Go-level locking is required.
@@ -71,20 +76,19 @@ const (
 // Thread is a single thread of control on one Sched.
 type Thread struct {
 	sched     *Sched
-	name      string // empty for an interrupt handler, named by src
+	name      string // "intr" for an interrupt handler, named by src
 	prio      Priority
 	proc      *sim.Proc
 	state     state
 	intr      bool         // an interrupt handler (see below)
 	remaining sim.Duration // unconsumed demand of the current Compute call
 	seq       uint64       // FIFO tie-break within a priority
-	heapIdx   int
 	cpuTime   sim.Duration // total CPU time consumed (stats)
 	epoch     uint64       // incremented at each Block; guards stale wakeups
 
-	// An interrupt handler is a pooled thread: between interrupts it is
-	// parked on its Sched's free list, and RaiseInterrupt hands it the
-	// source name and the job.
+	// An interrupt handler is its Sched's one interrupt thread: between
+	// interrupts it is done and suspended, and RaiseInterrupt hands it
+	// the source name and the job.
 	src     string
 	handler func(t *Thread)
 
@@ -109,10 +113,9 @@ type Sched struct {
 	switching  bool    // a context switch is in progress (CPU busy, uninterruptible)
 	switchTo   *Thread // the thread being switched to (not in ready, not yet running)
 
-	intrMasked  bool
+	intr        *Thread // the interrupt thread, built by the first RaiseInterrupt
 	pendingIntr []pendingIntr
 	maskDepth   int
-	handlers    []*Thread // parked interrupt handlers, reused by RaiseInterrupt
 
 	// The context-switch and slice-end events. At most one of each is
 	// pending per CPU, for switchTo and running, so one callback each,
@@ -178,28 +181,23 @@ func (s *Sched) Fork(name string, prio Priority, fn func(t *Thread)) *Thread {
 	if prio >= interruptPriority {
 		panic("threads: priority reserved for interrupts")
 	}
-	t := s.newThread(name, prio, false, fn)
-	s.onReady(t)
+	t := &Thread{sched: s, name: name, prio: prio}
+	s.start(t, fn)
 	return t
 }
 
-// newThread creates a thread whose proc waits to be dispatched for the
-// first time, runs body and exits. The proc's start event is queued; the
-// caller makes the thread ready so that the scheduler can plan, but the
-// proc only runs once dispatched.
-func (s *Sched) newThread(name string, prio Priority, intr bool, body func(t *Thread)) *Thread {
-	t := &Thread{sched: s, name: name, prio: prio, intr: intr, heapIdx: -1}
-	procName := s.name + "/" + name
-	if intr {
-		procName = s.name + "/intr"
-	}
-	t.proc = s.k.Go(procName, func(p *sim.Proc) {
+// start starts t's proc, which waits to be dispatched for the first
+// time, runs body and exits, and makes t ready. The proc's start event
+// is queued; the thread is ready at once so that the scheduler can plan,
+// but the proc only runs once dispatched.
+func (s *Sched) start(t *Thread, body func(t *Thread)) {
+	t.proc = s.k.Go(s.name+"/"+t.name, func(p *sim.Proc) {
 		p.Suspend()
 		body(t)
 		t.exit()
 	})
 	t.proc.SetDescriber(t)
-	return t
+	s.onReady(t)
 }
 
 // RaiseInterrupt delivers a hardware interrupt: fn runs as a handler that
@@ -208,11 +206,11 @@ func (s *Sched) newThread(name string, prio Priority, intr bool, body func(t *Th
 // nested, per §3.1). Callable from kernel context (hardware models) or from
 // any thread.
 //
-// Because handlers never nest, a CPU needs only one handler thread at a
-// time: a finished handler parks on the Sched's free list and the next
-// interrupt reuses it, so taking an interrupt creates no thread.
+// Because handlers never nest, a CPU needs only one handler thread: the
+// first interrupt builds it, a finished handler waits suspended for the
+// next, and taking an interrupt creates no thread.
 func (s *Sched) RaiseInterrupt(name string, fn func(t *Thread)) {
-	if s.intrMasked || s.interruptActive() {
+	if s.maskDepth > 0 || s.interruptActive() {
 		s.pendingIntr = append(s.pendingIntr, pendingIntr{name, fn})
 		return
 	}
@@ -220,57 +218,42 @@ func (s *Sched) RaiseInterrupt(name string, fn func(t *Thread)) {
 	if s.obs.Tracing() {
 		s.obs.InstantArg(0, obs.LayerSched, "interrupt", s.name+"/"+name, 0, 0)
 	}
-	var h *Thread
-	if n := len(s.handlers); n > 0 {
-		h = s.handlers[n-1]
-		s.handlers = s.handlers[:n-1]
-	} else {
-		h = s.newThread("", interruptPriority, true, (*Thread).serveInterrupts)
+	if s.intr == nil {
+		s.intr = &Thread{sched: s, name: "intr", prio: interruptPriority, intr: true, src: name, handler: fn}
+		s.start(s.intr, (*Thread).serveInterrupts)
+		return
 	}
-	h.src = name
-	h.handler = fn
-	s.onReady(h)
+	s.intr.src, s.intr.handler = name, fn
+	s.onReady(s.intr)
 }
 
-// serveInterrupts is an interrupt handler thread's body: run the job it
-// was handed, charge the exit cost, then park until RaiseInterrupt hands
-// it the next one.
+// serveInterrupts is the interrupt thread's body: run the job it was
+// handed, charge the exit cost, then wait until RaiseInterrupt hands it
+// the next one.
 func (t *Thread) serveInterrupts() {
 	s := t.sched
 	for {
 		t.handler(t)
 		t.Compute(s.cost.InterruptExit)
 		t.handler = nil
-		s.handlers = append(s.handlers, t)
-		// Handler completion: the next pended interrupt, if any, takes
-		// this very thread from the free list.
+		// Handler completion: the next pended interrupt, if any, makes
+		// this very thread ready again before exit dispatches.
 		t.exit()
-		t.proc.Park()
+		t.proc.Suspend()
 	}
 }
 
 // interruptActive reports whether an interrupt handler is running, ready,
-// or mid-context-switch. The switchTo check matters: during the switch
-// the incoming handler is in none of the queues, and missing it would let
-// a newly raised interrupt jump ahead of already-pended ones, reordering
-// frame delivery.
+// or mid-context-switch: the interrupt thread is done only between
+// interrupts. A handler being switched in is still ready, so a newly
+// raised interrupt cannot jump ahead of already-pended ones, which would
+// reorder frame delivery.
 func (s *Sched) interruptActive() bool {
-	if s.running != nil && s.running.intr {
-		return true
-	}
-	if s.switchTo != nil && s.switchTo.intr {
-		return true
-	}
-	for _, t := range s.ready {
-		if t.intr {
-			return true
-		}
-	}
-	return false
+	return s.intr != nil && s.intr.state != stateDone
 }
 
 func (s *Sched) drainPendingIntr() {
-	if s.intrMasked || len(s.pendingIntr) == 0 || s.interruptActive() {
+	if s.maskDepth > 0 || len(s.pendingIntr) == 0 || s.interruptActive() {
 		return
 	}
 	pi := s.pendingIntr[0]
@@ -290,12 +273,18 @@ func (t *Thread) Name() string {
 }
 
 // Describe labels the thread's proc in deadlock reports: a blocked thread
-// by its Block reason, any other as runnable.
+// by its Block reason, a finished interrupt handler as idle (""), any
+// other as runnable.
 func (t *Thread) Describe() string {
-	if t.state != stateBlocked {
-		return "runnable:" + t.Name()
+	switch t.state {
+	case stateDone:
+		if t.intr {
+			return ""
+		}
+	case stateBlocked:
+		return t.blockReason()
 	}
-	return t.blockReason()
+	return "runnable:" + t.Name()
 }
 
 // blockReason formats the reason given to the latest Block.
@@ -456,7 +445,6 @@ func (t *Thread) Done() bool { return t.state == stateDone }
 // interrupt-time protocol code uses this to protect critical sections.
 func (t *Thread) DisableInterrupts() {
 	t.sched.maskDepth++
-	t.sched.intrMasked = true
 }
 
 // EnableInterrupts unmasks interrupt delivery and delivers pended
@@ -467,7 +455,6 @@ func (t *Thread) EnableInterrupts() {
 		s.maskDepth--
 	}
 	if s.maskDepth == 0 {
-		s.intrMasked = false
 		s.drainPendingIntr()
 	}
 }
@@ -658,22 +645,13 @@ func (h threadHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h threadHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *threadHeap) Push(x any) {
-	t := x.(*Thread)
-	t.heapIdx = len(*h)
-	*h = append(*h, t)
-}
+func (h threadHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *threadHeap) Push(x any)   { *h = append(*h, x.(*Thread)) }
 func (h *threadHeap) Pop() any {
 	old := *h
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
-	t.heapIdx = -1
 	*h = old[:n-1]
 	return t
 }

@@ -701,8 +701,8 @@ func TestDeadlockNamesBlockReason(t *testing.T) {
 	}
 }
 
-// TestIdleAfterInterruptsIsNoDeadlock: the parked interrupt handler a
-// CPU keeps between interrupts is idle, not blocked.
+// TestIdleAfterInterruptsIsNoDeadlock: the interrupt thread a CPU keeps
+// suspended between interrupts is idle, not blocked.
 func TestIdleAfterInterruptsIsNoDeadlock(t *testing.T) {
 	k, s := testSched(t)
 	taken := 0
@@ -721,7 +721,8 @@ func TestIdleAfterInterruptsIsNoDeadlock(t *testing.T) {
 }
 
 // TestInterruptHandlersReused: 1,000 interrupts, some raised while a
-// handler runs and so pended, are served by at most two handler threads.
+// handler runs and so pended, are served by the CPU's one interrupt
+// thread.
 func TestInterruptHandlersReused(t *testing.T) {
 	k, s := testSched(t)
 	handlers := map[*Thread]bool{}
@@ -738,8 +739,8 @@ func TestInterruptHandlersReused(t *testing.T) {
 	if taken != 1000 {
 		t.Fatalf("took %d interrupts, want 1000", taken)
 	}
-	if len(handlers) > 2 {
-		t.Errorf("1,000 interrupts used %d handler threads, want at most 2", len(handlers))
+	if len(handlers) != 1 {
+		t.Errorf("1,000 interrupts used %d handler threads, want 1", len(handlers))
 	}
 }
 

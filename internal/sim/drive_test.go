@@ -109,7 +109,7 @@ func (s *orderServer) put() {
 
 // driveScenario starts every kind of wait on k: callbacks at equal
 // instants, a sleeping Go Proc that tries Advance, a spinning Proc, a
-// server, a parked Proc resumed by a callback and a ping-pong chain of
+// server, a suspended Proc resumed by a callback and a ping-pong chain of
 // Procs that wake each other. off shifts the callbacks, so two domains
 // of a coupling differ; send, when set, carries a message to the other
 // domain, which logs label when it arrives.
@@ -149,11 +149,11 @@ func driveScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label st
 	k.At(3+off, s.put)
 	k.At(17+off, s.put)
 	parker := k.Go("parker", func(p *Proc) {
-		p.Park()
+		p.Suspend()
 		l.add("parker resumed")
 		p.Sleep(2)
 		l.add("parker slept")
-		p.Park()
+		p.Suspend()
 		l.add("parker resumed again")
 	})
 	k.At(20+off, func() { l.add("cb resume parker"); parker.Resume() })

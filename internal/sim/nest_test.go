@@ -134,7 +134,7 @@ func nestScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label str
 		for {
 			for jobs == 0 {
 				idle = true
-				p.Park()
+				p.Suspend()
 			}
 			jobs--
 			l.add("helper job")

@@ -23,12 +23,11 @@ import (
 // server Proc (Kernel.Serve) waits for work as a Spin step and borrows a
 // coroutine only while its handler runs, so an idle server holds none.
 //
-// A Proc blocks in one of three ways: Sleep(d) wakes it d later, Suspend
-// waits for a Resume, and Park is Suspend for a Proc that is idle rather
-// than blocked. Resume is the one wake-up: it schedules the Proc's
-// prebuilt wake event at the current instant. Spin suspends a Proc over
-// a loop of such waits, whose body the wake event runs as a step (the
-// package doc, "Spin steps"). Wait queues and timeouts are built above
+// A Proc blocks in one of two ways: Sleep(d) wakes it d later, and
+// Suspend waits for a Resume. Resume is the one wake-up: it schedules
+// the Proc's prebuilt wake event at the current instant. Spin suspends a
+// Proc over a loop of such waits, whose body the wake event runs as a
+// step (the package doc, "Spin steps"). Wait queues and timeouts are built above
 // this (Signal here; Cond, Mutex and Sleep in the threads package).
 //
 // Proc methods that block must only be called from within that Proc's own
@@ -98,7 +97,6 @@ const (
 	procRunning
 	procSleeping
 	procSuspended // Suspend, or Wait on p.on
-	procParked    // Park: idle, not blocked
 	procResumed   // Resume has scheduled the wake-up, which has not run
 	procSpinning  // the wake event is calling the Spin step
 )
@@ -106,7 +104,10 @@ const (
 // A Describer says, in deadlock reports, what a suspended Proc is blocked
 // on. It is consulted only when a report is built, so blocking formats no
 // label. Layers that multiplex their own blocking reasons over Suspend
-// (the threads package) install one with SetDescriber.
+// (the threads package) install one with SetDescriber. An empty
+// description marks the Proc idle rather than blocked, such as a worker
+// between jobs: Run and a Coupling's Run report no deadlock for it, and
+// deadlock reports leave it out.
 type Describer interface {
 	Describe() string
 }
@@ -416,8 +417,6 @@ func (p *Proc) label() string {
 			return "waiting:" + p.on.name
 		}
 		return "suspended"
-	case procParked:
-		return "parked"
 	case procResumed:
 		return "resumed"
 	case procSpinning:
@@ -445,7 +444,8 @@ func (p *Proc) Sleep(d Duration) {
 }
 
 // Suspend blocks the proc until Resume. A suspended Proc that nobody
-// resumes is a deadlock when the queue drains.
+// resumes is a deadlock when the queue drains, unless its Describer
+// describes it as idle.
 //
 //nectar:hotpath
 func (p *Proc) Suspend() { p.yield(procSuspended, nil) }
@@ -474,18 +474,9 @@ func (p *Proc) Spin(step func() bool) {
 	p.yield(procSuspended, nil)
 }
 
-// Park is Suspend for a Proc that is idle rather than blocked, such as a
-// pooled worker between jobs: a parked Proc is not a deadlock, and
-// deadlock reports leave it out.
-func (p *Proc) Park() {
-	p.k.parked++
-	p.yield(procParked, nil)
-	p.k.parked--
-}
-
-// Resume wakes a suspended or parked proc: its wake-up runs at the
-// current instant, after the events already scheduled for it. Resuming a
-// proc that is running, sleeping, or already resumed panics.
+// Resume wakes a suspended proc: its wake-up runs at the current
+// instant, after the events already scheduled for it. Resuming a proc
+// that is running, sleeping, or already resumed panics.
 //
 //nectar:hotpath
 func (p *Proc) Resume() {
@@ -493,11 +484,11 @@ func (p *Proc) Resume() {
 	p.k.schedule(p.k.now, p.wakeFn)
 }
 
-// setResumed marks a suspended or parked p resumed, and panics if p is
-// in any other state. It is small enough to inline into both forms of
-// Resume; badResume formats the panic.
+// setResumed marks a suspended p resumed, and panics if p is in any
+// other state. It is small enough to inline into both forms of Resume;
+// badResume formats the panic.
 func (p *Proc) setResumed() {
-	if p.state != procSuspended && p.state != procParked {
+	if p.state != procSuspended {
 		p.badResume()
 	}
 	p.state = procResumed

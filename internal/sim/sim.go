@@ -6,9 +6,9 @@
 // events scheduled for the same instant fire in the order they were
 // scheduled. Simulated activities are either callbacks (At/After, which must
 // not block) or Procs — coroutines that the kernel runs one at a time,
-// SimPy-style. A Proc blocks with Sleep (virtual time), Suspend or Park,
-// and Resume wakes it; Signal is a small FIFO of suspended Procs. Every
-// other wait queue and timeout lives in the threads package above.
+// SimPy-style. A Proc blocks with Sleep (virtual time) or Suspend, and
+// Resume wakes it; Signal is a small FIFO of suspended Procs. Every other
+// wait queue and timeout lives in the threads package above.
 //
 // The kernel itself is single-threaded: exactly one flow of control (either
 // the event loop or one Proc) is ever executing simulation code. A Proc
@@ -122,7 +122,7 @@
 //
 // A switch into a coroutine and back costs two runtime.coroswitch calls
 // (BenchmarkProcHandoff). So a Proc that blocks (Sleep, Suspend, Wait,
-// Park, Spin) does not hand control back at once. With the kernel
+// Spin) does not hand control back at once. With the kernel
 // context restored (no Proc current), it pops and runs the events ahead
 // of its wake-up itself, on its own coroutine, exactly as the kernel's
 // loop would and up to the same bound. When its own wake-up comes up it
@@ -314,7 +314,6 @@ type Kernel struct {
 	resumes uint64 //nectar:shard-owned
 
 	procs   map[*Proc]struct{} // live procs (for deadlock reporting)
-	parked  int                // live procs idle in Park, which are not a deadlock
 	current *Proc              // proc currently executing, nil = kernel loop
 	// driving is set while a waiting Proc runs the dispatch loop on its
 	// own coroutine (Proc.drive). A wake-up dispatched then does not
@@ -556,15 +555,16 @@ func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // Run executes events until the queue is empty. It returns an error if a
 // proc panicked or Fatalf was called. If the queue drains while procs are
-// still blocked, Run returns a deadlock error naming them — models that
+// still blocked, Run returns a deadlock error naming them (an idle Proc,
+// one its Describer describes as "", is not blocked) — models that
 // want an idle-but-alive system (e.g. a server waiting forever) should
 // stop via RunUntil instead.
 func (k *Kernel) Run() error {
 	if err := k.runBounded(MaxTime); err != nil {
 		return err
 	}
-	if k.blocked() {
-		return deadlock(k.now, k.blockedNames(nil))
+	if names := k.blockedNames(nil); len(names) > 0 {
+		return deadlock(k.now, names)
 	}
 	return nil
 }
@@ -582,15 +582,13 @@ func (k *Kernel) RunUntil(horizon Time) error {
 // RunFor is RunUntil(Now()+d).
 func (k *Kernel) RunFor(d Duration) error { return k.RunUntil(k.now + Time(d)) }
 
-// blocked reports whether any live proc is blocked rather than parked.
-func (k *Kernel) blocked() bool { return len(k.procs) > k.parked }
-
 // blockedNames appends the blocked procs, with their blocking labels, to
-// names.
+// names. A suspended Proc whose Describer describes it as "" is idle, not
+// blocked, and is left out.
 func (k *Kernel) blockedNames(names []string) []string {
 	for p := range k.procs {
-		if p.state != procParked {
-			names = append(names, p.name+"@"+p.label())
+		if l := p.label(); l != "" {
+			names = append(names, p.name+"@"+l)
 		}
 	}
 	return names

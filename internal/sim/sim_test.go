@@ -250,21 +250,42 @@ func TestBareSuspendIsDeadlock(t *testing.T) {
 	}
 }
 
-func TestParkIsNotDeadlock(t *testing.T) {
+// idleWorker describes its Proc as idle while it waits for a job.
+type idleWorker struct{ idle bool }
+
+func (w *idleWorker) Describe() string {
+	if w.idle {
+		return ""
+	}
+	return "busy"
+}
+
+// TestIdleIsNotDeadlock: a suspended Proc whose Describer describes it
+// as "" is idle, not blocked; once it describes itself otherwise, it is
+// reported.
+func TestIdleIsNotDeadlock(t *testing.T) {
 	k := NewKernel()
 	rounds := 0
+	w := &idleWorker{}
 	p := k.Go("worker", func(p *Proc) {
 		for {
-			p.Park()
+			w.idle = true
+			p.Suspend()
+			w.idle = false
 			rounds++
 		}
 	})
+	p.SetDescriber(w)
 	k.After(Microsecond, p.Resume)
 	if err := k.Run(); err != nil {
-		t.Fatalf("a parked proc reported as %v", err)
+		t.Fatalf("an idle proc reported as %v", err)
 	}
 	if rounds != 1 {
 		t.Errorf("worker ran %d rounds, want 1", rounds)
+	}
+	w.idle = false
+	if err := k.Run(); err == nil || !strings.Contains(err.Error(), "worker@busy") {
+		t.Errorf("want deadlock naming worker@busy, got %v", err)
 	}
 }
 
