@@ -116,3 +116,48 @@ func TestFailedConnectsFreeMailboxes(t *testing.T) {
 		t.Errorf("CAB heap holds %d bytes after three failed Connects, want %d as before", got, used)
 	}
 }
+
+// TestConnectTimeoutStopsRTO: a Connect whose SYN nobody answers stops
+// the SYN's retransmission timer when it times out, as teardown does, so
+// no retransmission wakes TCP's timer thread for a connection that is
+// already Closed: once Connect returns, the CAB kernel holds as many
+// events as before it.
+func TestConnectTimeoutStopsRTO(t *testing.T) {
+	r := newLockRig()
+	cb := r.l.rt.CAB()
+	// A fiber into nothing, so that IP accepts SYNs to node 2.
+	cb.ConnectFiber(fiber.NewLink(r.k, cb.Cost(), "sink", sink{}))
+	cb.SetRoute(2, []byte{0})
+	var c *Conn
+	r.k.After(sim.Millisecond, func() {
+		for key, conn := range r.l.conns {
+			if key.rport == 9 {
+				c = conn
+			}
+		}
+	})
+	var err error
+	armed := false
+	before, after := -1, -1
+	r.sched.Fork("opener", threads.AppPriority, func(th *threads.Thread) {
+		before = r.k.PendingEvents() - 1 // less the lookup above
+		_, err = r.l.Connect(exec.OnCAB(th), wire.NodeIP(2), 9)
+		after = r.k.PendingEvents()
+		armed = c != nil && c.rtoTimer.Pending()
+	})
+	if err := r.k.RunUntil(sim.Time(2 * ConnectTimeout)); err != nil {
+		t.Fatal(err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("Connect error %v, want a timeout", err)
+	}
+	if c == nil {
+		t.Fatal("the connection was never registered")
+	}
+	if armed {
+		t.Error("the SYN's retransmission timer is still armed when Connect returns")
+	}
+	if after != before {
+		t.Errorf("%d events pending after the timed-out Connect, want %d as before it", after, before)
+	}
+}

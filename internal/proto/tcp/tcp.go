@@ -316,6 +316,7 @@ func (t *Layer) Connect(ctx exec.Context, dstIP uint32, dstPort uint16) (*Conn, 
 	for c.state != Established && c.state != Closed {
 		if !c.wait(ctx.T, ConnectTimeout) {
 			c.state = Closed
+			c.stopRetransmit(ctx)
 			delete(t.conns, key)
 			c.mu.Unlock(ctx.T)
 			c.rcvBox.Free()
@@ -925,10 +926,11 @@ func (c *Conn) enterTimeWait() {
 	c.cond.Broadcast()
 }
 
-// teardown closes immediately, releasing any send-request buffers still
-// referenced by the retransmission queue.
-func (c *Conn) teardown(ctx exec.Context) {
-	c.state = Closed
+// stopRetransmit stops the retransmission timer and drops the
+// retransmission queue, releasing each send request whose last segment
+// it held. A handshake's SYN is implicit, never queued, so for a Connect
+// that times out only the timer is left to stop.
+func (c *Conn) stopRetransmit(ctx exec.Context) {
 	c.rtoTimer.Stop()
 	c.rtoTimer = sim.Timer{}
 	for _, s := range c.retransQ {
@@ -937,6 +939,13 @@ func (c *Conn) teardown(ctx exec.Context) {
 		}
 	}
 	c.retransQ = nil
+}
+
+// teardown closes immediately, releasing any send-request buffers still
+// referenced by the retransmission queue.
+func (c *Conn) teardown(ctx exec.Context) {
+	c.state = Closed
+	c.stopRetransmit(ctx)
 	c.deliverEOF(ctx)
 	delete(c.layer.conns, c.key)
 	c.cond.Broadcast()

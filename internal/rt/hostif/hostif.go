@@ -207,7 +207,11 @@ func (hc *HostCond) wakeAll() {
 // The loop body is one Compute(HostPollIteration), one PIO word, and the
 // check. It runs as a Spin step (poller.step), so an iteration that has
 // to wait for its compute or its bus word continues from the thread's
-// wake event instead of switching into the host process.
+// wake-up instead of switching into the host process. The slice ends and
+// wake-ups of such waits skip the kernel's heap: they wait in the
+// thread's spin slot under the keys the heap would give them, so two
+// hosts polling on one kernel cost no heap operation per iteration (the
+// sim package doc, "Spin slots").
 func (hc *HostCond) WaitPoll(ctx exec.Context, since uint32) {
 	if !ctx.IsHost() {
 		panic("hostif: WaitPoll from CAB context")

@@ -19,6 +19,12 @@
 // and it wakes it in place (sim.Proc.ResumeInPlace): when nothing else
 // is queued at that instant, the wake-up runs inside the callback, with
 // the sequence number and dispatch count of the event it stands for.
+// A spinning thread's slice end (Spin, such as a host's poll loop)
+// waits in its Proc's spin slot beside the kernel's heap instead
+// (sim.Proc.SpinAfter): the slot runs the slice's accounting (sliceEnd)
+// and then the same wake-up, queued or in place, into the thread's step,
+// under the key the event would have had in the heap. Preemption stops
+// it through its Timer as any other slice end.
 //
 // A protocol server thread (Serve) is a loop that charges the cost of a
 // take, takes the next item of a queue, waits on a Cond while there is
@@ -119,8 +125,9 @@ type Sched struct {
 
 	// The context-switch and slice-end events. At most one of each is
 	// pending per CPU, for switchTo and running, so one callback each,
-	// built in New, serves every thread.
-	switchDoneFn, sliceDoneFn func()
+	// built in New, serves every thread. sliceEndFn is a spinning
+	// thread's slice end, which its spin slot follows with the wake-up.
+	switchDoneFn, sliceDoneFn, sliceEndFn func()
 
 	waiterFree pool.FreeList[*waiter] // Cond and Sleep records ready for reuse
 
@@ -143,6 +150,7 @@ func New(k *sim.Kernel, cost *model.CostModel, name string) *Sched {
 	s := &Sched{k: k, cost: cost, name: name}
 	s.switchDoneFn = s.switchDone
 	s.sliceDoneFn = s.sliceDone
+	s.sliceEndFn = s.sliceEnd
 	s.obs = obs.Ensure(k)
 	s.obs.Metrics().Register(s)
 	return s
@@ -600,23 +608,30 @@ func (s *Sched) switchDone() {
 	}
 }
 
-// beginSlice starts consuming the running thread's compute demand.
+// beginSlice starts consuming the running thread's compute demand. A
+// spinning thread's slice end waits in its Proc's spin slot, which wakes
+// the thread after it (sim.Proc.SpinAfter); any other's is an event.
 //
 //nectar:hotpath
 func (s *Sched) beginSlice(t *Thread) {
 	s.sliceStart = s.k.Now()
-	s.sliceTimer = s.k.After(t.remaining, s.sliceDoneFn)
+	s.sliceTimer = t.proc.SpinAfter(t.remaining, s.sliceEndFn, s.sliceDoneFn)
 }
 
 // sliceDone fires when the running thread's demand is fully consumed; the
 // thread keeps the CPU and resumes zero-time execution.
 func (s *Sched) sliceDone() {
+	s.sliceEnd()
+	s.running.proc.ResumeInPlace()
+}
+
+// sliceEnd charges the running thread's demand, now fully consumed.
+func (s *Sched) sliceEnd() {
 	t := s.running
 	t.cpuTime += t.remaining
 	s.busyTime += t.remaining
 	t.remaining = 0
 	s.sliceTimer = sim.Timer{}
-	t.proc.ResumeInPlace()
 }
 
 //nectar:hotpath-exempt container/heap dispatch boxes only the pointer receiver, which does not heap-allocate

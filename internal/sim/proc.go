@@ -51,6 +51,7 @@ type Proc struct {
 	co     *coro       // the coroutine running the body, nil while none is
 	wakeFn func()      // wakeup's event, built once so wake-ups do not allocate
 	spin   func() bool // the step of a Spin in progress
+	slot   int32       // p's spin slot in the kernel's arena, -1 until p first spins
 	nested bool        // co runs, or is suspended inside an enter it called
 
 	// Deadlock reports format the blocking label lazily from these.
@@ -98,7 +99,7 @@ const (
 	procSleeping
 	procSuspended // Suspend, or Wait on p.on
 	procResumed   // Resume has scheduled the wake-up, which has not run
-	procSpinning  // the wake event is calling the Spin step
+	procSpinning  // a wake-up is calling the Spin step, in kernel context
 )
 
 // A Describer says, in deadlock reports, what a suspended Proc is blocked
@@ -119,7 +120,7 @@ func (p *Proc) SetDescriber(d Describer) { p.desc = d }
 // Go starts a new Proc running fn. The Proc begins executing at the current
 // virtual time, after already-scheduled events for this instant.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, fn: fn}
+	p := &Proc{k: k, name: name, fn: fn, slot: -1}
 	p.wakeFn = p.wakeup()
 	k.procs[p] = struct{}{}
 	k.schedule(k.now, p.start)
@@ -225,6 +226,7 @@ func (p *Proc) exit() {
 	p.dead = true
 	delete(p.k.procs, p)
 	p.k.current = nil
+	p.freeSpinSlot()
 }
 
 // recoverRun turns a panic in p's body code into Run's error and
@@ -248,7 +250,11 @@ func (p *Proc) recoverRun() {
 // value's wrapper, which would cost every wake-up a second call.
 func (p *Proc) wakeup() func() {
 	return func() {
-		if p.dead || (p.spin != nil || p.co == nil && p.srv != nil) && !p.spinStep() {
+		if p.dead {
+			return
+		}
+		if p.spin != nil || p.co == nil && p.srv != nil {
+			p.wakeSpin()
 			return
 		}
 		k := p.k
@@ -317,51 +323,69 @@ func (p *Proc) drive() (own bool) {
 
 // recoverDrive keeps a panic of a driven event for switchTo to raise on
 // the kernel's goroutine, so the driving Proc stays suspended rather
-// than failing with it.
+// than failing with it. A Spin step's panic fails the run instead
+// (stepFailed).
 //
 //nectar:hotpath-exempt panic path, dead in steady state
 func (k *Kernel) recoverDrive() {
 	if r := recover(); r != nil {
 		k.driving = false
-		k.panicked = r
+		if !k.stepFailed(r) {
+			k.panicked = r
+		}
 	}
 }
 
-// spinStep calls the Spin step from the wake event, with p current, and
-// reports whether the spin is done; if not, p stays suspended.
+// wakeSpin is the wake-up of p while it spins, or while it is a server
+// without a coroutine: it calls the step in kernel context, with p
+// current, and switches into p, or leaves it in woken for a driving
+// Proc, only once the step is done; until then p stays suspended. Run
+// from p's spin slot or in place, it is the wake event's work without
+// the event. A step's panic is recovered once per dispatch loop rather
+// than per call (stepFailed).
 //
 //nectar:hotpath
-func (p *Proc) spinStep() bool {
+func (p *Proc) wakeSpin() {
 	k := p.k
 	k.current = p
 	p.state = procSpinning
-	if !p.step() {
+	var done bool
+	if p.spin != nil {
+		done = p.spin()
+	} else {
+		done = p.srv.Step()
+	}
+	if !done {
 		p.state = procSuspended
 		k.current = nil
-		return false
+		return
 	}
 	p.spin = nil
-	return true
-}
-
-// step calls the Spin step, or a server's, from the wake event.
-func (p *Proc) step() bool {
-	defer p.recoverStep()
-	if p.spin == nil {
-		return p.srv.Step()
+	p.state = procResumed
+	if k.driving {
+		k.woken = p
+		return
 	}
-	return p.spin()
+	k.switchTo(p)
 }
 
-// recoverStep turns a panic in a Spin step called from the wake event
-// into Run's error, as body does for one in the coroutine. The failed
-// kernel runs no further events.
+// stepFailed turns a panic r that a Spin step, or a server's, raised in
+// kernel context into Run's error, as run does for one in the coroutine,
+// and reports whether it did. Only a step runs with its Proc current and
+// spinning. The failed kernel runs no further events. The kernel's loop
+// (endRun) and a driving Proc's (recoverDrive) call it, so a step call
+// pays for no deferred recover of its own.
 //
 //nectar:hotpath-exempt panic path, dead in steady state
-func (p *Proc) recoverStep() {
-	if r := recover(); r != nil {
-		p.k.Fatalf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+func (k *Kernel) stepFailed(r any) bool {
+	p := k.current
+	if p == nil || p.state != procSpinning {
+		return false
 	}
+	k.Fatalf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+	p.state = procSuspended
+	k.current = nil
+	return true
 }
 
 // yield blocks the proc until it is dispatched again; state and on
@@ -463,24 +487,32 @@ func (p *Proc) Suspend() { p.yield(procSuspended, nil) }
 //
 // A loop that blocks on every iteration costs two coroutine switches per
 // iteration; as a Spin step it costs none, and every event it schedules
-// is the same.
+// is the same. From the first call on, the proc's wake-ups, and the
+// waits it arms with SpinAfter, go to its spin slot rather than the
+// heap (the package doc, "Spin slots").
 //
 //nectar:hotpath
 func (p *Proc) Spin(step func() bool) {
+	p.spin = step
 	if step() {
+		p.spin = nil
 		return
 	}
-	p.spin = step
 	p.yield(procSuspended, nil)
 }
 
 // Resume wakes a suspended proc: its wake-up runs at the current
-// instant, after the events already scheduled for it. Resuming a proc
-// that is running, sleeping, or already resumed panics.
+// instant, after the events already scheduled for it. A spinning proc's
+// wake-up waits in its spin slot, with the key the heap would give it.
+// Resuming a proc that is running, sleeping, or already resumed panics.
 //
 //nectar:hotpath
 func (p *Proc) Resume() {
 	p.setResumed()
+	if p.spin != nil {
+		p.SpinAfter(0, nil, p.wakeFn)
+		return
+	}
 	p.k.schedule(p.k.now, p.wakeFn)
 }
 
@@ -499,17 +531,18 @@ func (p *Proc) badResume() {
 }
 
 // ResumeInPlace is Resume for the last thing an event callback does. When
-// no other event is queued at the current instant, the wake-up Resume
-// would schedule is the next event the loop dispatches, so it runs it
-// here at once: it takes the sequence number Resume would and counts in
-// Dispatched, so every other event keeps its (time, seq) key. Otherwise,
-// or outside a dispatch (from a Proc, before Run, after a failure), it
-// is Resume.
+// no other event is queued at the current instant, in the heap or a spin
+// slot, the wake-up Resume would schedule is the next event the loop
+// dispatches, so it runs it here at once: it takes the sequence number
+// Resume would and counts in Dispatched, so every other event keeps its
+// (time, seq) key. Otherwise, or outside a dispatch (from a Proc, before
+// Run, after a failure), it is Resume. A spin slot armed by SpinAfter
+// runs this same wake-up after its callback.
 //
 //nectar:hotpath
 func (p *Proc) ResumeInPlace() {
 	k := p.k
-	if k.current != nil || k.now >= k.limit || len(k.heap) > 0 && k.heap[0].at <= k.now {
+	if !k.wakesInPlace() {
 		p.Resume()
 		return
 	}
@@ -517,6 +550,16 @@ func (p *Proc) ResumeInPlace() {
 	k.seq++
 	k.steps++
 	p.wakeFn()
+}
+
+// wakesInPlace reports whether a wake-up due now, from an event
+// callback, would be the next event the loop dispatches: the kernel is
+// dispatching (not a Proc, not before Run, not failed), and no other
+// event, in the heap or a spin slot, is queued at the current instant.
+//
+//nectar:hotpath
+func (k *Kernel) wakesInPlace() bool {
+	return k.current == nil && k.now < k.limit && !k.queuedBefore(k.now+1)
 }
 
 // Signal is a FIFO of Procs suspended in Wait, akin to a condition

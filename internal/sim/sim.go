@@ -99,6 +99,30 @@
 // and in the same order, as the loop it replaces, so every sequence
 // number and Dispatched are unchanged; only Resumes drops.
 //
+// # Spin slots
+//
+// A spinning Proc's events are its slice ends and its wake-ups, one
+// pending at a time, and two Procs spinning on one kernel, such as a
+// polling client and a polling echo server, keep each other from
+// advancing in place: every wait is a queued event. Those events skip
+// the heap. Each spinning Proc owns one arena slot, its spin slot, whose
+// key waits in a side queue beside the heap (Kernel.spins, kept in
+// (time, seq) order and as short as the number of spinning Procs).
+// Proc.SpinAfter arms it with a callback, such as a slice end's
+// accounting, that its wake-up follows; Resume of a spinning Proc arms
+// it with the wake-up alone. The key takes its sequence number from the
+// kernel's counter exactly when schedule would have, and every read of
+// the queue's head merges the side queue with the heap's top: the
+// dispatch loop (due, step), Advance, the in-place wake-up's
+// same-instant check (ResumeInPlace), NextEventAt, Idle and
+// PendingEvents. So every event runs with the key, and in the order, it
+// had in the heap, every in-place decision and coupling window is the
+// same, and Dispatched counts each event as before. Dispatching a slot
+// runs its callback, then the wake-up, in place or queued in the same
+// slot as ResumeInPlace would, straight into the Proc's step, with no
+// heap operation, no wake event and no deferred recover per call: a
+// step's panic is recovered once per dispatch loop.
+//
 // # Servers
 //
 // Most Procs of a protocol stack are servers: a brief burst of work per
@@ -157,10 +181,11 @@
 //
 // A callback whose last act is a wake-up can go one step further with
 // Proc.ResumeInPlace: when no other event is queued at the current
-// instant, the wake event Resume would schedule is the next one the
-// loop dispatches, so it runs at once, inside the callback. It takes the
-// sequence number that event would have and counts in Dispatched, so
-// every other event keeps its key; only the queue operations go.
+// instant, in the heap or a spin slot, the wake event Resume would
+// schedule is the next one the loop dispatches, so it runs at once,
+// inside the callback. It takes the sequence number that event would
+// have and counts in Dispatched, so every other event keeps its key;
+// only the queue operations go.
 package sim
 
 import (
@@ -222,7 +247,7 @@ type event struct {
 	seq     uint64
 	fn      func()
 	gen     uint64
-	heapIdx int32 // index into Kernel.heap while queued
+	heapIdx int32 // index into Kernel.heap while queued, inSpins in a spin slot
 }
 
 // heapEntry is one node of the 4-ary min-heap. The ordering key is stored
@@ -264,6 +289,11 @@ func (t Timer) Stop() bool {
 	if e.gen != t.gen {
 		return false
 	}
+	if e.heapIdx == inSpins {
+		k.spinRemove(t.slot)
+		k.spinDone(e)
+		return true
+	}
 	k.heapRemove(int(e.heapIdx))
 	k.freeSlot(t.slot)
 	return true
@@ -302,6 +332,10 @@ type Kernel struct {
 	// shardsafe reject any access that cannot prove same-domain
 	// ownership through a receiver/parameter chain.
 	heap []heapEntry //nectar:shard-owned
+	// spins are the spin slots, the side queue beside the heap: the
+	// pending slice end or queued wake-up of each spinning Proc, in
+	// (at, seq) order (the package doc, "Spin slots").
+	spins []spinEntry //nectar:shard-owned
 
 	arena []event //nectar:shard-owned
 	free  []int32 //nectar:shard-owned
@@ -352,8 +386,12 @@ func (k *Kernel) Observer() any { return k.observer }
 
 // NewKernel creates an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{procs: make(map[*Proc]struct{})}
+	return &Kernel{procs: make(map[*Proc]struct{}), spins: make([]spinEntry, 0, spinsCap)}
 }
+
+// spinsCap is the spin slots' initial capacity: two hosts polling on one
+// kernel, with room to spare, so that polling does not grow the queue.
+const spinsCap = 4
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -366,20 +404,26 @@ func (k *Kernel) schedule(at Time, fn func()) int32 {
 		Panicf("sim: scheduling into the past: %v < now %v", at, k.now)
 	}
 	k.seq++
-	var slot int32
-	if n := len(k.free); n > 0 {
-		slot = k.free[n-1]
-		k.free = k.free[:n-1]
-	} else {
-		k.arena = append(k.arena, event{})
-		slot = int32(len(k.arena) - 1)
-	}
+	slot := k.newSlot()
 	e := &k.arena[slot]
 	e.at = at
 	e.seq = k.seq
 	e.fn = fn
 	k.heapPush(heapEntry{at: at, seq: k.seq, slot: slot})
 	return slot
+}
+
+// newSlot takes an arena slot from the free list, or grows the arena.
+//
+//nectar:hotpath
+func (k *Kernel) newSlot() int32 {
+	if n := len(k.free); n > 0 {
+		slot := k.free[n-1]
+		k.free = k.free[:n-1]
+		return slot
+	}
+	k.arena = append(k.arena, event{})
+	return int32(len(k.arena) - 1)
 }
 
 // freeSlot recycles an arena slot, invalidating outstanding Timer handles.
@@ -523,10 +567,15 @@ func (k *Kernel) heapRemove(i int) {
 	}
 }
 
-// step pops and executes the earliest event; the queue must not be empty.
+// step pops and executes the earliest event, from the heap or the spin
+// slots; the queue must not be empty.
 //
 //nectar:hotpath
 func (k *Kernel) step() {
+	if k.spinFirst() {
+		k.stepSpin()
+		return
+	}
 	top := k.heap[0]
 	if top.at < k.now {
 		panic("sim: time went backwards")
@@ -541,7 +590,9 @@ func (k *Kernel) step() {
 
 // Dispatched reports how many events the kernel has executed since
 // creation — the dispatch-loop sampling counter wall-clock profiling
-// (internal/prof) uses to attribute events to windows and shards.
+// (internal/prof) uses to attribute events to windows and shards. It
+// counts every logical event: one dispatched from the heap or from a
+// spin slot, and a wake-up run in place (Proc.ResumeInPlace).
 func (k *Kernel) Dispatched() uint64 { return k.steps }
 
 // Resumes reports how many times the kernel has switched into a Proc's
@@ -602,16 +653,20 @@ func deadlock(at Time, names []string) error {
 }
 
 // Idle reports whether no events are pending.
-func (k *Kernel) Idle() bool { return len(k.heap) == 0 }
+func (k *Kernel) Idle() bool { return len(k.heap) == 0 && len(k.spins) == 0 }
 
-// NextEventAt reports the timestamp of the earliest pending event, or
-// (0, false) when the queue is empty. The coupling scheduler uses it to
-// compute each domain's Next Event Time without disturbing the queue.
+// NextEventAt reports the timestamp of the earliest pending event, in the
+// heap or a spin slot, or (0, false) when the queue is empty. The
+// coupling scheduler uses it to compute each domain's Next Event Time
+// without disturbing the queue.
 func (k *Kernel) NextEventAt() (Time, bool) {
-	if len(k.heap) == 0 {
-		return 0, false
+	switch {
+	case k.spinFirst():
+		return k.spins[0].at, true
+	case len(k.heap) > 0:
+		return k.heap[0].at, true
 	}
-	return k.heap[0].at, true
+	return 0, false
 }
 
 // runBounded executes every event with timestamp strictly less than limit
@@ -620,26 +675,47 @@ func (k *Kernel) NextEventAt() (Time, bool) {
 // it, and a Coupling window scheduler calls it directly, since it may
 // still inject events at times >= the current limit before choosing the
 // next one. Blocked procs are never a deadlock under runBounded.
-func (k *Kernel) runBounded(limit Time) error {
+func (k *Kernel) runBounded(limit Time) (err error) {
 	if k.limit != 0 {
 		panic("sim: Run re-entered")
 	}
 	k.limit = limit
-	defer func() { k.limit = 0 }()
+	defer k.endRun(&err)
 	for k.due() {
 		k.step()
 	}
 	return k.failure
 }
 
+// endRun closes runBounded. A Spin step's panic becomes the run's error
+// (stepFailed); any other panic leaves Run as it came.
+func (k *Kernel) endRun(err *error) {
+	if r := recover(); r != nil {
+		if !k.stepFailed(r) {
+			k.limit = 0
+			panic(r)
+		}
+		*err = k.failure
+	}
+	k.limit = 0
+}
+
 // due reports whether the dispatch loop in progress runs another event:
-// the kernel has not failed and its earliest event is below the loop's
-// bound. The kernel's loop and a driving Proc's (Proc.drive) both stop
-// when it turns false.
+// the kernel has not failed and its earliest event, in the heap or a
+// spin slot, is below the loop's bound. The kernel's loop and a driving
+// Proc's (Proc.drive) both stop when it turns false.
 //
 //nectar:hotpath
 func (k *Kernel) due() bool {
-	return k.failure == nil && len(k.heap) > 0 && k.heap[0].at < k.limit
+	return k.failure == nil && k.queuedBefore(k.limit)
+}
+
+// queuedBefore reports whether an event is queued, in the heap or a spin
+// slot, strictly before t.
+//
+//nectar:hotpath
+func (k *Kernel) queuedBefore(t Time) bool {
+	return len(k.heap) > 0 && k.heap[0].at < t || len(k.spins) > 0 && k.spins[0].at < t
 }
 
 // Advance moves the clock d forward in place, without an event, and
@@ -656,7 +732,7 @@ func (k *Kernel) Advance(d Duration) bool {
 		return false
 	}
 	at := k.now + Time(d)
-	if len(k.heap) > 0 && k.heap[0].at <= at {
+	if k.queuedBefore(at + 1) {
 		return false
 	}
 	k.now = at
@@ -672,7 +748,8 @@ func (k *Kernel) advanceTo(t Time) {
 	}
 }
 
-// PendingEvents returns the number of live events in the queue. Stopped
-// timers are removed eagerly, so this is simply the queue length — O(1),
-// where it used to scan the queue filtering dead entries.
-func (k *Kernel) PendingEvents() int { return len(k.heap) }
+// PendingEvents returns the number of live events in the queue, the heap
+// and the spin slots. Stopped timers are removed eagerly, so this is
+// simply the queues' length — O(1), where it used to scan the queue
+// filtering dead entries.
+func (k *Kernel) PendingEvents() int { return len(k.heap) + len(k.spins) }

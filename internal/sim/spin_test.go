@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -177,5 +178,95 @@ func TestSpinStepMustNotBlock(t *testing.T) {
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), `blocking call on proc "blocker" from outside its coroutine`) {
 		t.Fatalf("err = %v, want a blocking-call panic", err)
+	}
+}
+
+// slotSpinner is a Spin step that waits waits[i] before its i-th call
+// after the first, arming the wait with SpinAfter or, as the oracle,
+// with After and a callback that ends in ResumeInPlace. Each call after
+// the first also tries to advance 2 ns in place, which the other
+// spinner's queued wait may prevent. Every end, step call and advance
+// is logged with the clock and the kernel's sequence counter.
+type slotSpinner struct {
+	p     *Proc
+	name  string
+	slot  bool
+	waits []Duration
+	calls int
+	log   *[]string
+	end   func()
+	fn    func()
+	timer Timer
+}
+
+func (s *slotSpinner) step() bool {
+	k := s.p.k
+	*s.log = append(*s.log, fmt.Sprintf("%v %s step %d seq=%d", k.Now(), s.name, s.calls, k.seq))
+	if s.calls > 0 && k.Advance(2) {
+		*s.log = append(*s.log, fmt.Sprintf("%v %s advanced", k.Now(), s.name))
+	}
+	if s.calls >= len(s.waits) {
+		return true
+	}
+	d := s.waits[s.calls]
+	s.calls++
+	if s.slot {
+		s.timer = s.p.SpinAfter(d, s.end, s.fn)
+	} else {
+		s.timer = k.After(d, s.fn)
+	}
+	return false
+}
+
+// TestSpinAfterMatchesAfter: waits armed in spin slots run exactly as
+// the same waits armed as heap callbacks that end in ResumeInPlace: two
+// spinners whose waits end at the same instants as each other and as
+// plain callbacks, with a wait stopped and re-armed, and a RunFor
+// horizon between, log the same steps at the same instants and sequence
+// numbers, and the kernels agree on Dispatched, PendingEvents,
+// NextEventAt and Idle at every horizon.
+func TestSpinAfterMatchesAfter(t *testing.T) {
+	run := func(slot bool) []string {
+		k := NewKernel()
+		var log []string
+		for i, waits := range [][]Duration{{10, 10, 5, 5, 20}, {10, 10, 10, 20, 5}} {
+			s := &slotSpinner{name: fmt.Sprintf("s%d", i), slot: slot, waits: waits, log: &log}
+			s.end = func() { log = append(log, fmt.Sprintf("%v %s end", k.Now(), s.name)) }
+			s.fn = func() { s.end(); s.p.ResumeInPlace() }
+			k.Go(s.name, func(p *Proc) {
+				s.p = p
+				p.Spin(s.step)
+				log = append(log, fmt.Sprintf("%v %s done", k.Now(), s.name))
+			})
+			if i == 0 {
+				// Stop s0's wait that ends at 25 and arm it again to end
+				// at 27 instead.
+				k.At(22, func() {
+					if !s.timer.Pending() || s.timer.When() != 25 || !s.timer.Stop() || s.timer.Pending() {
+						t.Errorf("s0's wait at 22: not a pending wait until 25 that Stop cancels")
+					}
+					s.p.Resume()
+					s.calls--
+					s.waits[s.calls] = 5
+				})
+			}
+		}
+		for _, at := range []Time{10, 20, 30, 35} {
+			k.At(at, func() { log = append(log, fmt.Sprintf("%v callback", k.Now())) })
+		}
+		// The third horizon, at 37, leaves only spin slots queued.
+		for _, d := range []Duration{15, 12, 10, 100} {
+			if err := k.RunFor(d); err != nil {
+				t.Fatal(err)
+			}
+			next, ok := k.NextEventAt()
+			log = append(log, fmt.Sprintf("horizon %v dispatched=%d pending=%d next=%v,%v idle=%v",
+				k.Now(), k.Dispatched(), k.PendingEvents(), next, ok, k.Idle()))
+		}
+		return log
+	}
+	want, got := run(false), run(true)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("spin slots:\n%s\nheap callbacks:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
