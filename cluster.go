@@ -323,7 +323,7 @@ func (cl *Cluster) bootNode(idx int) *Node {
 	mrt := mailbox.NewRuntime(c)
 	mrt.AttachHost(f)
 	pool := syncs.NewPool(f)
-	dl := datalink.NewLayer(c, mrt)
+	dl := datalink.NewLayer(c)
 
 	n := &Node{
 		ID: id, CAB: c, Host: h, IF: f,

@@ -12,6 +12,40 @@ import (
 	"nectar/internal/obs"
 )
 
+// TestTraceGolden pins what nectar-obs trace prints, byte for byte, for
+// each transport at the default size and at 1024 bytes, with and without
+// -q. Only an intended change rewrites a golden, with the output of
+// `go run ./cmd/nectar-obs trace <args>`.
+func TestTraceGolden(t *testing.T) {
+	for _, proto := range []string{"datagram", "rmp", "rrp"} {
+		for _, size := range []string{"", "1024"} {
+			for _, quiet := range []bool{false, true} {
+				name, args := "trace_"+proto, []string{"trace", "-proto", proto}
+				if size != "" {
+					name, args = name+"_"+size, append(args, "-size", size)
+				}
+				if quiet {
+					name, args = name+"_q", append(args, "-q")
+				}
+				t.Run(name, func(t *testing.T) {
+					var stdout, stderr bytes.Buffer
+					if code := run(args, &stdout, &stderr); code != 0 {
+						t.Fatalf("%v: exit %d; stderr:\n%s", args, code, stderr.String())
+					}
+					path := filepath.Join("testdata", name+".golden")
+					want, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(stdout.Bytes(), want) {
+						t.Errorf("%v differs from %s:\ngot:\n%s\nwant:\n%s", args, path, stdout.String(), want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestSubcommands drives each subcommand through run, checking its exit
 // status and what it prints.
 func TestSubcommands(t *testing.T) {

@@ -7,13 +7,9 @@ import (
 	"sort"
 	"strings"
 
-	"nectar"
 	"nectar/internal/bench"
 	"nectar/internal/model"
 	"nectar/internal/obs"
-	"nectar/internal/proto/wire"
-	"nectar/internal/rt/exec"
-	"nectar/internal/rt/threads"
 	"nectar/internal/sim"
 )
 
@@ -37,102 +33,15 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%w: unknown -proto %q (want datagram, rmp or rrp)", errUsage, *proto)
 	}
 
-	cost := model.Default1990()
-	cl := nectar.NewCluster(&nectar.Config{Cost: cost})
-	a := cl.AddNode()
-	b := cl.AddNode()
-
-	// Typed trace sink, gated so the boot transient is not recorded.
-	rec := &obs.Recorder{}
-	tracing := false
-	o := obs.Ensure(cl.K)
-	o.SetSink(obs.SinkFunc(func(e obs.Event) {
-		if tracing {
-			rec.Event(e)
-		}
-	}))
-
-	sink := b.Mailboxes.Create("trace.sink")
-	service := b.Mailboxes.Create("trace.service")
-	addrSink := wire.MailboxAddr{Node: b.ID, Box: sink.ID()}
-	addrSvc := wire.MailboxAddr{Node: b.ID, Box: service.ID()}
-	payload := make([]byte, *size)
-
-	rxDone := false
-	var end, rxBegin, readDone, rxEnd sim.Time
-	if *proto == "rrp" {
-		rxDone = true // the sender observes completion itself
-		b.CAB.Sched.Fork("server", threads.SystemPriority, func(t *threads.Thread) {
-			ctx := exec.OnCAB(t)
-			m := service.BeginGet(ctx)
-			b.Transports.RRP.Reply(ctx, m, payload)
-			service.EndGet(ctx, m)
-		})
-	} else {
-		b.Host.Run("receiver", func(t *threads.Thread) {
-			ctx := exec.OnHost(t, b.Host)
-			m := sink.BeginGetPoll(ctx)
-			rxBegin = t.Now()
-			buf := make([]byte, m.Len())
-			m.Read(ctx, 0, buf)
-			t.Compute(cost.HostMessageRead)
-			readDone = t.Now()
-			sink.EndGet(ctx, m)
-			rxEnd = t.Now()
-			end = rxEnd
-			rxDone = true
-		})
+	run, err := bench.Fig6Exchange(model.Default1990(), *proto, *size)
+	if err != nil {
+		return err
 	}
+	an, events := run.Anchors, run.Events
+	start := an.Start
 
-	done := false
-	var start, createDone sim.Time
-	a.Host.Run("sender", func(t *threads.Thread) {
-		ctx := exec.OnHost(t, a.Host)
-		t.Sleep(5 * sim.Millisecond) // boot transient
-		tracing = true
-		start = t.Now()
-		t.Compute(cost.HostMessageCreate) // the paper's "host creating the message"
-		createDone = t.Now()
-		switch *proto {
-		case "datagram":
-			a.Transports.Datagram.Send(ctx, addrSink, 0, payload, nil)
-		case "rmp":
-			st := a.Syncs.Alloc(ctx)
-			a.Transports.RMP.Send(ctx, addrSink, 0, payload, st)
-			st.Read(ctx)
-		case "rrp":
-			st := a.Syncs.Alloc(ctx)
-			replyBox := a.Mailboxes.Create("trace.reply")
-			a.Transports.RRP.Call(ctx, addrSvc, payload, replyBox, st)
-			st.Read(ctx)
-			m := replyBox.BeginGetPoll(ctx)
-			replyBox.EndGet(ctx, m)
-		}
-		if t.Now() > end {
-			end = t.Now()
-		}
-		done = true
-	})
-
-	for !done || !rxDone {
-		if err := cl.RunFor(10 * sim.Millisecond); err != nil {
-			return err
-		}
-		if cl.Now() > sim.Time(5*sim.Second) {
-			return fmt.Errorf("exchange did not complete")
-		}
-	}
-
-	// Keep only events inside the exchange window.
-	events := rec.Events[:0]
-	for _, e := range rec.Events {
-		if e.At <= end {
-			events = append(events, e)
-		}
-	}
-
-	fmt.Fprintf(stdout, "trace: %s, %d bytes, node %d -> node %d\n", *proto, *size, a.ID, b.ID)
-	fmt.Fprintf(stdout, "end-to-end completion: %v (%d events)\n", sim.Duration(end-start), len(events))
+	fmt.Fprintf(stdout, "trace: %s, %d bytes, node %d -> node %d\n", *proto, *size, an.Sender, an.Receiver)
+	fmt.Fprintf(stdout, "end-to-end completion: %v (%d events)\n", sim.Duration(run.End-start), len(events))
 
 	if !*quiet {
 		fmt.Fprintf(stdout, "\n%12s  %10s  event\n", "t (us)", "delta")
@@ -151,11 +60,7 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 		// does not apply to the round trip.
 		return nil
 	}
-	r, err := bench.Fig6Attribute(*proto, events, bench.Fig6Anchors{
-		Start: start, CreateDone: createDone,
-		RxBegin: rxBegin, ReadDone: readDone, RxEnd: rxEnd,
-		Sender: int(a.ID), Receiver: int(b.ID),
-	})
+	r, err := bench.Fig6Attribute(*proto, events, an)
 	if err != nil {
 		return err
 	}

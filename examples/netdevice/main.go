@@ -30,8 +30,8 @@ func main() {
 	cl := nectar.NewCluster(nil)
 	a := cl.AddNode()
 	b := cl.AddNode()
-	drvA := netdev.New(a.Datalink, a.Mailboxes, a.IF)
-	drvB := netdev.New(b.Datalink, b.Mailboxes, b.IF)
+	drvA := netdev.New(a.Datalink, a.Mailboxes)
+	drvB := netdev.New(b.Datalink, b.Mailboxes)
 	stackA := netdev.NewHostStack(drvA)
 	stackB := netdev.NewHostStack(drvB)
 

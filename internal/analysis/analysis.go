@@ -8,7 +8,7 @@
 // go statement silently breaks reproducibility of Figures 6–8. These
 // analyzers turn the conventions into checked rules.
 //
-// The seven analyzers are:
+// The eight analyzers are:
 //
 //	determinism — the reproducibility contract, one walk per file over a
 //	             rule table: in deterministic packages no wall-clock time
@@ -56,6 +56,11 @@
 //	             //nectar:takes-ownership <param> <reason> moves the
 //	             obligation into a callee; //nectar:leak-ok <reason>
 //	             waives a deliberate sink.
+//	deadstate  — unread state and unused code: within one package's
+//	             non-test files, no unexported struct field is written
+//	             but never read, and no unexported package-level func,
+//	             method, var, const or type goes unused. Exported API is
+//	             out of scope.
 //
 // The types below mirror the golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Diagnostic) so the analyzers read idiomatically and
@@ -257,5 +262,5 @@ var fmtFormatters = map[string]bool{
 // observability checker (obsgate), the latency-model prover (costmodel),
 // and the backward-dataflow lifecycle checker (poollife).
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Hotpath, Shardsafe, Unitsafe, Obsgate, Costmodel, Poollife}
+	return []*Analyzer{Determinism, Hotpath, Shardsafe, Unitsafe, Obsgate, Costmodel, Poollife, Deadstate}
 }

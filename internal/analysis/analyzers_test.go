@@ -120,3 +120,9 @@ func TestUnitsafe(t *testing.T) {
 		"other/units",               // non-deterministic package: silent
 	)
 }
+
+func TestDeadstate(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), analysis.Deadstate,
+		"deadstatetest", // unread fields, unused identifiers, exemptions, test-only uses
+	)
+}

@@ -164,16 +164,6 @@ func programFor(pass *Pass) *Program {
 	}})
 }
 
-// pkgByPath finds the loaded package with the given (canonical) path.
-func (prog *Program) pkgByPath(path string) *Package {
-	for _, pkg := range prog.Packages {
-		if canonicalPkgPath(pkg.PkgPath) == canonicalPkgPath(path) {
-			return pkg
-		}
-	}
-	return nil
-}
-
 // funcID returns the stable identity of a declared function, resolving
 // generic instantiations to their origin declaration.
 func funcID(obj *types.Func) string { return obj.Origin().FullName() }

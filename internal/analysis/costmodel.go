@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -70,13 +69,6 @@ func runCostmodel(pass *Pass) (any, error) {
 	return nil, nil
 }
 
-// sinkTouch is one direct reference to a transmit sink inside a body: a
-// call, or a sink method value escaping into deferred invocation.
-type sinkTouch struct {
-	pos   token.Pos
-	label string
-}
-
 // ensureCost runs the uncharged-region analysis once and caches the
 // per-package diagnostics.
 func (prog *Program) ensureCost() {
@@ -87,7 +79,7 @@ func (prog *Program) ensureCost() {
 	prog.ensureGraph()
 	prog.costDiags = make(map[string][]Diagnostic)
 
-	touches := make(map[*FuncNode][]sinkTouch)
+	touches := make(map[*FuncNode][]string)
 	chargedNode := make(map[*FuncNode]bool)
 	eligible := make(map[*FuncNode]bool)
 	for _, n := range prog.nodes {
@@ -184,14 +176,14 @@ func (prog *Program) ensureCost() {
 
 // costChain reconstructs the uncharged chain from n down to a sink touch,
 // returning the display chain and the sink's label.
-func costChain(n *FuncNode, reach map[*FuncNode]bool, touches map[*FuncNode][]sinkTouch) ([]string, string) {
+func costChain(n *FuncNode, reach map[*FuncNode]bool, touches map[*FuncNode][]string) ([]string, string) {
 	var chain []string
 	seen := make(map[*FuncNode]bool)
 	for cur := n; cur != nil && !seen[cur]; {
 		seen[cur] = true
 		chain = append(chain, cur.DisplayName())
 		if ts := touches[cur]; len(ts) > 0 {
-			return chain, ts[0].label
+			return chain, ts[0]
 		}
 		var next *FuncNode
 		for _, e := range cur.Edges {
@@ -205,7 +197,7 @@ func costChain(n *FuncNode, reach map[*FuncNode]bool, touches map[*FuncNode][]si
 			for _, e := range cur.Edges {
 				if ts := touches[e.Callee]; reach[e.Callee] && len(ts) > 0 {
 					chain = append(chain, e.Callee.DisplayName())
-					return chain, ts[0].label
+					return chain, ts[0]
 				}
 			}
 			break
@@ -217,23 +209,24 @@ func costChain(n *FuncNode, reach map[*FuncNode]bool, touches map[*FuncNode][]si
 
 // sinkTouches scans n's own body (children literals excluded — they are
 // their own nodes) for direct references to transmit sinks: calls, and
-// method values escaping as arguments or into variables/fields. Sinks
+// method values escaping as arguments or into variables/fields. It
+// returns the label of each sink touched, in source order. Sinks
 // are resolved by type information, not graph membership, so the check
 // holds under single-package drivers where fiber/vme declarations are
 // not loaded.
-func sinkTouches(n *FuncNode) []sinkTouch {
+func sinkTouches(n *FuncNode) []string {
 	body := n.Body()
 	if body == nil {
 		return nil
 	}
 	info := n.Pkg.TypesInfo
-	var out []sinkTouch
-	note := func(pos token.Pos, obj *types.Func) {
+	var out []string
+	note := func(obj *types.Func) {
 		if obj == nil {
 			return
 		}
 		if label, ok := costSinks[funcID(obj)]; ok {
-			out = append(out, sinkTouch{pos: pos, label: label})
+			out = append(out, label)
 		}
 	}
 	ast.Inspect(body, func(x ast.Node) bool {
@@ -246,16 +239,16 @@ func sinkTouches(n *FuncNode) []sinkTouch {
 			if sel, ok := unparenIndex(x.Fun).(*ast.SelectorExpr); ok {
 				if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
 					if obj, ok := s.Obj().(*types.Func); ok {
-						note(x.Pos(), obj)
+						note(obj)
 					}
 				}
 			}
 			for _, arg := range x.Args {
-				note(arg.Pos(), funcValueOf(info, arg))
+				note(funcValueOf(info, arg))
 			}
 		case *ast.AssignStmt:
 			for _, r := range x.Rhs {
-				note(r.Pos(), funcValueOf(info, r))
+				note(funcValueOf(info, r))
 			}
 		}
 		return true

@@ -364,7 +364,7 @@ func AblateAppLoad(cost *model.CostModel) (*AblateAppLoadResult, error) {
 			a.CAB.Sched.Fork("hog", threads.AppPriority, hog)
 			b.CAB.Sched.Fork("hog", threads.AppPriority, hog)
 		}
-		h := &echoHarness{cl: cl}
+		h := &echoHarness{}
 		boxA := a.Mailboxes.Create("reply")
 		boxB := b.Mailboxes.Create("service")
 		b.CAB.Sched.Fork("echoer", threads.SystemPriority, func(t *threads.Thread) {

@@ -8,6 +8,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"nectar"
 	"nectar/internal/model"
@@ -45,11 +46,11 @@ func newCluster(cost *model.CostModel, rxThread bool) (*nectar.Cluster, *nectar.
 	return cl, a, b
 }
 
-// drive runs the cluster until *done is true, in 1 ms steps, failing after
-// maxVirtual.
-func drive(cl *nectar.Cluster, done *bool) error {
+// drive runs the cluster until every *done is true, in 1 ms steps,
+// failing after maxVirtual.
+func drive(cl *nectar.Cluster, done ...*bool) error {
 	start := cl.Now()
-	for !*done {
+	for slices.ContainsFunc(done, func(d *bool) bool { return !*d }) {
 		if err := cl.RunFor(sim.Millisecond); err != nil {
 			return err
 		}

@@ -43,26 +43,127 @@ type Fig6Anchors struct {
 // Fig6 sends one 4-byte datagram host-to-host with the typed trace
 // recorded and attributes every microsecond of the one-way path.
 func Fig6(cost *model.CostModel) (*Fig6Result, error) {
+	run, err := Fig6Exchange(cost, "datagram", 4)
+	if err != nil {
+		return nil, err
+	}
+	res, err := Fig6Attribute("datagram", run.Events, run.Anchors)
+	if err != nil {
+		return nil, err
+	}
+	res.Metrics = run.Metrics
+	return res, nil
+}
+
+// Fig6Run is one traced exchange of Fig6Exchange.
+type Fig6Run struct {
+	Anchors Fig6Anchors // RxBegin, ReadDone and RxEnd stay 0 over "rrp"
+	End     sim.Time    // when the later of the two sides finished
+	// Events is the typed trace from Anchors.Start to End, as
+	// recordTrace gives it.
+	Events  []obs.Event
+	Metrics *obs.Snapshot // registry snapshot at the end of the run
+}
+
+// Fig6Exchange runs Figure 6's workload over proto ("datagram", "rmp" or
+// "rrp") on a fresh two-node cluster with the typed trace recorded.
+// After the runtime boots, a's host creates a size-byte message and
+// sends it. Over "datagram" and "rmp" it goes to a mailbox that b's host
+// polls, reads and releases; over "rrp" it is a call that a server
+// thread on b's CAB answers with the same payload, and a's host takes
+// the reply. It is the one Figure 6 exchange: nectar-bench fig6 and
+// nectar-obs trace both run it.
+func Fig6Exchange(cost *model.CostModel, proto string, size int) (*Fig6Run, error) {
 	if cost == nil {
 		cost = model.Default1990()
 	}
 	cl, a, b := newCluster(cost, false)
 	trace := recordTrace(cl)
-	an, err := fig6Exchange(cl, a, b, cost)
+	an, end, err := fig6Exchange(cl, a, b, cost, proto, size)
 	if err != nil {
 		return nil, err
 	}
-	res, err := Fig6Attribute("datagram", trace(), an)
-	if err != nil {
-		return nil, err
+	run := &Fig6Run{Anchors: an, End: end, Metrics: cl.MetricsSnapshot()}
+	for _, e := range trace() {
+		if e.At >= an.Start && e.At <= end {
+			run.Events = append(run.Events, e)
+		}
 	}
-	res.Metrics = cl.MetricsSnapshot()
-	return res, nil
+	return run, nil
+}
+
+// fig6Exchange runs Fig6Exchange's workload on a fresh cluster cl of
+// nodes a and b, and returns its anchors and the instant the later side
+// finished.
+func fig6Exchange(cl *nectar.Cluster, a, b *nectar.Node, cost *model.CostModel, proto string, size int) (Fig6Anchors, sim.Time, error) {
+	an := Fig6Anchors{Sender: int(a.ID), Receiver: int(b.ID)}
+	sink := b.Mailboxes.Create("trace.sink")
+	addrSink := wire.MailboxAddr{Node: b.ID, Box: sink.ID()}
+	payload := make([]byte, size)
+
+	// Each side has its own flag and end time: the two hosts may run on
+	// different shards.
+	sent, received := false, proto == "rrp" // the RRP caller sees the reply itself
+	var sentAt sim.Time
+	var addrSvc wire.MailboxAddr
+	if proto == "rrp" {
+		service := b.Mailboxes.Create("trace.service")
+		addrSvc = wire.MailboxAddr{Node: b.ID, Box: service.ID()}
+		b.CAB.Sched.Fork("server", threads.SystemPriority, func(t *threads.Thread) {
+			ctx := exec.OnCAB(t)
+			m := service.BeginGet(ctx)
+			b.Transports.RRP.Reply(ctx, m, payload)
+			service.EndGet(ctx, m)
+		})
+	} else {
+		b.Host.Run("receiver", func(t *threads.Thread) {
+			ctx := exec.OnHost(t, b.Host)
+			m := sink.BeginGetPoll(ctx)
+			an.RxBegin = t.Now()
+			m.Read(ctx, 0, make([]byte, m.Len()))
+			t.Compute(cost.HostMessageRead)
+			an.ReadDone = t.Now()
+			sink.EndGet(ctx, m)
+			an.RxEnd = t.Now()
+			received = true
+		})
+	}
+	a.Host.Run("sender", func(t *threads.Thread) {
+		ctx := exec.OnHost(t, a.Host)
+		// Let the runtime boot (protocol threads park) before measuring.
+		t.Sleep(5 * sim.Millisecond)
+		an.Start = t.Now()
+		// The paper's "host creating the message": build the message
+		// content, then hand it to the transport (the two-phase put into
+		// mapped CAB memory is host-CAB interface time).
+		t.Compute(cost.HostMessageCreate)
+		an.CreateDone = t.Now()
+		switch proto {
+		case "datagram":
+			a.Transports.Datagram.Send(ctx, addrSink, 0, payload, nil)
+		case "rmp":
+			st := a.Syncs.Alloc(ctx)
+			a.Transports.RMP.Send(ctx, addrSink, 0, payload, st)
+			st.Read(ctx)
+		case "rrp":
+			st := a.Syncs.Alloc(ctx)
+			reply := a.Mailboxes.Create("trace.reply")
+			a.Transports.RRP.Call(ctx, addrSvc, payload, reply, st)
+			st.Read(ctx)
+			reply.EndGet(ctx, reply.BeginGetPoll(ctx))
+		}
+		sentAt = t.Now()
+		sent = true
+	})
+	err := drive(cl, &sent, &received)
+	return an, max(sentAt, an.RxEnd), err
 }
 
 // recordTrace installs a typed-event recorder on every shard kernel of
-// cl. The returned function merges the per-shard streams into the
-// canonical trace, which is the same for any shard count.
+// cl. The returned function gives the trace: one kernel's events in
+// dispatch order, or several kernels' merged by obs.CanonicalTrace. Both
+// place the same events at the same instants, which is all firstEvent
+// reads, for any shard count; only the order within an instant differs.
 func recordTrace(cl *nectar.Cluster) func() []obs.Event {
 	var recs []*obs.Recorder
 	for _, k := range cl.Kernels() {
@@ -71,48 +172,15 @@ func recordTrace(cl *nectar.Cluster) func() []obs.Event {
 		recs = append(recs, r)
 	}
 	return func() []obs.Event {
+		if len(recs) == 1 {
+			return recs[0].Events
+		}
 		streams := make([][]obs.Event, len(recs))
 		for i, r := range recs {
 			streams[i] = r.Events
 		}
 		return obs.CanonicalTrace(streams...)
 	}
-}
-
-// fig6Exchange runs Figure 6's workload on a fresh cluster: after the
-// runtime boots, a's host creates a 4-byte message and sends it as a
-// datagram to a mailbox that b's host polls, reads and releases.
-func fig6Exchange(cl *nectar.Cluster, a, b *nectar.Node, cost *model.CostModel) (Fig6Anchors, error) {
-	an := Fig6Anchors{Sender: int(a.ID), Receiver: int(b.ID)}
-	boxB := b.Mailboxes.Create("sink")
-	addrB := wire.MailboxAddr{Node: b.ID, Box: boxB.ID()}
-	done := false
-
-	a.Host.Run("sender", func(t *threads.Thread) {
-		ctx := exec.OnHost(t, a.Host)
-		// Let the runtime boot (protocol threads park) before measuring.
-		t.Sleep(5 * sim.Millisecond)
-		an.Start = t.Now()
-		// The paper's "host creating the message": build the message
-		// content, then hand it to the datagram protocol (the two-phase
-		// put into mapped CAB memory is host-CAB interface time).
-		t.Compute(cost.HostMessageCreate)
-		an.CreateDone = t.Now()
-		a.Transports.Datagram.Send(ctx, addrB, 0, []byte{1, 2, 3, 4}, nil)
-	})
-	b.Host.Run("receiver", func(t *threads.Thread) {
-		ctx := exec.OnHost(t, b.Host)
-		m := boxB.BeginGetPoll(ctx)
-		an.RxBegin = t.Now()
-		var buf [4]byte
-		m.Read(ctx, 0, buf[:])
-		t.Compute(cost.HostMessageRead)
-		an.ReadDone = t.Now()
-		boxB.EndGet(ctx, m)
-		an.RxEnd = t.Now()
-		done = true
-	})
-	return an, drive(cl, &done)
 }
 
 // Fig6Attribute attributes every microsecond of a one-way host-to-host

@@ -36,7 +36,7 @@ func TestFig6Attribution(t *testing.T) {
 					mu.Unlock()
 				}))
 			}
-			an, err := fig6Exchange(cl, a, b, cost)
+			an, _, err := fig6Exchange(cl, a, b, cost, "datagram", 4)
 			if err != nil {
 				t.Fatal(err)
 			}

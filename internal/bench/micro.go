@@ -112,8 +112,8 @@ func Netdev(cost *model.CostModel) (*NetdevResult, error) {
 	// per-packet VME copies through the driver's buffer pools.
 	{
 		cl, a, b := newCluster(cost, false)
-		drvA := netdev.New(a.Datalink, a.Mailboxes, a.IF)
-		drvB := netdev.New(b.Datalink, b.Mailboxes, b.IF)
+		drvA := netdev.New(a.Datalink, a.Mailboxes)
+		drvB := netdev.New(b.Datalink, b.Mailboxes)
 		stackA := netdev.NewHostStack(drvA)
 		stackB := netdev.NewHostStack(drvB)
 		done := false

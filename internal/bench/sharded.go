@@ -128,7 +128,6 @@ var (
 	fabricAffinity = partition{"fabric-affinity", func(sp *pointSpec, topo *fabric.Topology, shards int) func(int) int {
 		return nectar.ShardByFlowsOnFabric(topo, shards, sp.flows)
 	}}
-	roundRobin = partition{name: "round-robin"}
 )
 
 // pointSpec fixes one point's fabric and workload.

@@ -199,7 +199,7 @@ func TestPdesReport(t *testing.T) {
 	// Round-robin partitioning on purpose: it forces every flow across the
 	// shard boundary, so the profile's cross-shard counters must be
 	// non-zero below.
-	sp := pdesSpec("", 4, 2, 24, 256, roundRobin)
+	sp := pdesSpec("", 4, 2, 24, 256, partition{name: "round-robin"})
 	seq, err := runLeg(nil, sp, 1, false)
 	if err != nil {
 		t.Fatal(err)

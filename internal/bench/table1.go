@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"nectar"
 	"nectar/internal/model"
 	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
@@ -73,7 +72,6 @@ func Table1(cost *model.CostModel) (*Table1Result, error) {
 // recv blocks for the next arriving message at the client; the echo side
 // is set up by the caller before driving.
 type echoHarness struct {
-	cl   *nectar.Cluster
 	done bool
 	rtt  sim.Duration
 }
@@ -97,7 +95,7 @@ func (h *echoHarness) client(t *threads.Thread, send func(), recv func()) {
 // high-priority thread (ablation A1).
 func rttDatagram(cost *model.CostModel, hostSide, rxThread bool) (sim.Duration, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, rxThread)
-	h := &echoHarness{cl: cl}
+	h := &echoHarness{}
 	boxA := a.Mailboxes.Create("echo.reply")
 	boxB := b.Mailboxes.Create("echo.service")
 	payload := make([]byte, table1MsgSize)
@@ -158,7 +156,7 @@ func rttDatagram(cost *model.CostModel, hostSide, rxThread bool) (sim.Duration, 
 // rttRMP measures the reliable-message echo round trip.
 func rttRMP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, false)
-	h := &echoHarness{cl: cl}
+	h := &echoHarness{}
 	boxA := a.Mailboxes.Create("echo.reply")
 	boxB := b.Mailboxes.Create("echo.service")
 	payload := make([]byte, table1MsgSize)
@@ -218,7 +216,7 @@ func rttRMP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, 
 // abstract's "<500 µs" remote procedure call.
 func rttRRP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, false)
-	h := &echoHarness{cl: cl}
+	h := &echoHarness{}
 	service := b.Mailboxes.Create("rpc.service")
 	replyBox := a.Mailboxes.Create("rpc.reply")
 	payload := make([]byte, table1MsgSize)
@@ -277,7 +275,7 @@ func rttRRP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, 
 // rttUDP measures the UDP echo round trip.
 func rttUDP(cost *model.CostModel, hostSide bool) (sim.Duration, *obs.Snapshot, error) {
 	cl, a, b := newCluster(cost, false)
-	h := &echoHarness{cl: cl}
+	h := &echoHarness{}
 	sa, err := a.UDP.Bind(1000)
 	if err != nil {
 		return 0, nil, err

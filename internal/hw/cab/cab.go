@@ -1,9 +1,8 @@
 // Package cab models the CAB (Communication Accelerator Board, paper §2.2):
 // a general-purpose CPU (modeled by a threads.Sched), data memory with its
 // buffer heap, FIFOs to the fiber pair, hardware CRC, a DMA controller,
-// and a VME interface to the host. Program memory and the page-grained
-// protection hardware (mem.Protection) are not attached: no simulated
-// code reads them.
+// and a VME interface to the host. Program memory is not modeled: no
+// simulated code reads it.
 //
 // The package is the hardware/software boundary: protocol software (the
 // datalink layer and everything above it) drives the board through

@@ -67,9 +67,6 @@ func (h *Hub) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
 // Name returns the HUB name.
 func (h *Hub) Name() string { return h.name }
 
-// Ports returns the number of I/O ports.
-func (h *Hub) Ports() int { return len(h.out) }
-
 // ConnectOut attaches the fiber leaving output port p.
 func (h *Hub) ConnectOut(p int, l *fiber.Link) {
 	if h.out[p] != nil {

@@ -1,7 +1,6 @@
 // Package mem models the CAB's on-board memory (paper §2.2): the 1 MB
-// data region of 35 ns static RAM, a first-fit heap allocator over it
-// (used for mailbox message buffers, §3.3), and the per-1KB-page
-// protection domains, which boards do not attach.
+// data region of 35 ns static RAM and a first-fit heap allocator over it
+// (used for mailbox message buffers, §3.3).
 //
 // Buffers are real Go byte slices aliasing one backing array, so all
 // protocol code operates on genuine bytes at stable "physical" addresses —
@@ -18,14 +17,13 @@ import (
 // Default CAB memory geometry (paper §2.2).
 const (
 	DefaultDataSize = 1 << 20 // 1 Mbyte data RAM
-	PageSize        = 1 << 10 // protection granularity: 1 Kbyte pages
+	PageSize        = 1 << 10 // regions are sized in 1 Kbyte pages
 )
 
 // Addr is a CAB-physical address within a region.
 type Addr uint32
 
-// Region is a contiguous memory region; a Protection models page-grained
-// permissions over one.
+// Region is a contiguous memory region.
 type Region struct {
 	name  string
 	bytes []byte
@@ -79,94 +77,6 @@ func (r *Region) AddrOf(b []byte) Addr {
 		sim.Panicf("mem: AddrOf: slice does not alias region %q", r.name)
 	}
 	return Addr(off)
-}
-
-// Perm is a page access permission bitmask.
-type Perm uint8
-
-const (
-	PermRead Perm = 1 << iota
-	PermWrite
-	PermExecute
-	PermNone Perm = 0
-	PermRW        = PermRead | PermWrite
-)
-
-// Protection models the CAB's memory protection hardware: multiple
-// protection domains, each with its own per-page permissions; the current
-// domain changes by reloading a single register (paper §2.2).
-type Protection struct {
-	region  *Region
-	domains [][]Perm
-	current int
-}
-
-// NewProtection attaches protection hardware with ndomains domains to r.
-// All pages start PermRW in every domain.
-func NewProtection(r *Region, ndomains int) *Protection {
-	pages := len(r.bytes) / PageSize
-	p := &Protection{region: r, domains: make([][]Perm, ndomains)}
-	for d := range p.domains {
-		perms := make([]Perm, pages)
-		for i := range perms {
-			perms[i] = PermRW
-		}
-		p.domains[d] = perms
-	}
-	return p
-}
-
-// NumDomains returns the number of protection domains.
-func (p *Protection) NumDomains() int { return len(p.domains) }
-
-// Current returns the active domain index.
-func (p *Protection) Current() int { return p.current }
-
-// SetDomain switches the active protection domain (a single register
-// reload on the CAB).
-func (p *Protection) SetDomain(d int) {
-	if d < 0 || d >= len(p.domains) {
-		sim.Panicf("mem: no such protection domain %d", d)
-	}
-	p.current = d
-}
-
-// SetPerm sets the permission of the pages covering [addr, addr+n) in
-// domain d.
-func (p *Protection) SetPerm(d int, addr Addr, n int, perm Perm) {
-	first := int(addr) / PageSize
-	last := (int(addr) + n - 1) / PageSize
-	for pg := first; pg <= last; pg++ {
-		p.domains[d][pg] = perm
-	}
-}
-
-// FaultError reports a protection violation.
-type FaultError struct {
-	Domain int
-	Addr   Addr
-	Want   Perm
-}
-
-func (e *FaultError) Error() string {
-	return fmt.Sprintf("mem: protection fault: domain %d, addr %#x, access %v", e.Domain, e.Addr, e.Want)
-}
-
-// Check verifies that the current domain permits access perm to every page
-// of [addr, addr+n). It returns a *FaultError on violation.
-func (p *Protection) Check(addr Addr, n int, perm Perm) error {
-	perms := p.domains[p.current]
-	first := int(addr) / PageSize
-	last := first
-	if n > 0 {
-		last = (int(addr) + n - 1) / PageSize
-	}
-	for pg := first; pg <= last && pg < len(perms); pg++ {
-		if perms[pg]&perm != perm {
-			return &FaultError{Domain: p.current, Addr: Addr(pg * PageSize), Want: perm}
-		}
-	}
-	return nil
 }
 
 // Heap is a first-fit allocator with free-list coalescing over a Region,

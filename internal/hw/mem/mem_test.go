@@ -197,59 +197,6 @@ func TestHeapInvariantsProperty(t *testing.T) {
 	}
 }
 
-func TestProtectionDomains(t *testing.T) {
-	r := NewRegion("data", 8*PageSize)
-	p := NewProtection(r, 4)
-	if p.NumDomains() != 4 {
-		t.Fatalf("domains = %d", p.NumDomains())
-	}
-	// Domain 1 loses write access to page 2.
-	p.SetPerm(1, Addr(2*PageSize), PageSize, PermRead)
-
-	p.SetDomain(0)
-	if err := p.Check(Addr(2*PageSize), 100, PermWrite); err != nil {
-		t.Errorf("domain 0 write: %v", err)
-	}
-	p.SetDomain(1)
-	if err := p.Check(Addr(2*PageSize), 100, PermWrite); err == nil {
-		t.Error("domain 1 write to protected page succeeded")
-	}
-	if err := p.Check(Addr(2*PageSize), 100, PermRead); err != nil {
-		t.Errorf("domain 1 read: %v", err)
-	}
-}
-
-func TestProtectionSpansPages(t *testing.T) {
-	r := NewRegion("data", 8*PageSize)
-	p := NewProtection(r, 2)
-	p.SetPerm(0, Addr(3*PageSize), PageSize, PermNone)
-	// Access crossing from page 2 into page 3 must fault.
-	err := p.Check(Addr(3*PageSize-16), 32, PermRead)
-	if err == nil {
-		t.Fatal("cross-page access into protected page succeeded")
-	}
-	var fe *FaultError
-	if f, ok := err.(*FaultError); ok {
-		fe = f
-	} else {
-		t.Fatalf("error type %T, want *FaultError", err)
-	}
-	if fe.Addr != Addr(3*PageSize) {
-		t.Errorf("fault addr = %#x, want %#x", fe.Addr, 3*PageSize)
-	}
-}
-
-func TestProtectionBadDomainPanics(t *testing.T) {
-	r := NewRegion("data", PageSize)
-	p := NewProtection(r, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("SetDomain(5) did not panic")
-		}
-	}()
-	p.SetDomain(5)
-}
-
 func TestHeapPeakTracking(t *testing.T) {
 	r := NewRegion("data", 4*PageSize)
 	h := NewHeap(r, 0, r.Size())

@@ -20,9 +20,6 @@ type CostModel struct {
 	// HubSetup is the HUB latency to set up a connection and deliver the
 	// first byte through a single HUB. Paper: 700 ns.
 	HubSetup sim.Duration
-	// HubPerHop is the added cut-through latency per additional HUB hop in
-	// a multi-HUB route. Derived: same order as HubSetup.
-	HubPerHop sim.Duration
 
 	// --- VME bus (paper §6.1, §6.3) ---
 
@@ -48,9 +45,6 @@ type CostModel struct {
 	InterruptEntry sim.Duration
 	// InterruptExit is the cost to return from an interrupt handler.
 	InterruptExit sim.Duration
-	// SchedulerDispatch is the non-switch bookkeeping to pick the next
-	// thread (ready-queue ops). Derived from CPU rate.
-	SchedulerDispatch sim.Duration
 
 	// --- Memory & DMA (paper §2.2) ---
 
@@ -148,16 +142,14 @@ func Default1990() *CostModel {
 	return &CostModel{
 		FiberBytesPerSec: 100_000_000 / 8, // 100 Mbit/s (§2.1)
 		HubSetup:         700 * sim.Nanosecond,
-		HubPerHop:        700 * sim.Nanosecond,
 
 		VMEWord:           1 * sim.Microsecond, // §6.1
 		VMEDMABytesPerSec: 30_000_000 / 8,      // §6.3
 		VMEDMASetup:       8 * sim.Microsecond, // calibrated
 
-		ContextSwitch:     20 * sim.Microsecond, // §3.1
-		InterruptEntry:    4 * sim.Microsecond,  // calibrated (Fig 6)
-		InterruptExit:     2 * sim.Microsecond,
-		SchedulerDispatch: 3 * sim.Microsecond,
+		ContextSwitch:  20 * sim.Microsecond, // §3.1
+		InterruptEntry: 4 * sim.Microsecond,  // calibrated (Fig 6)
+		InterruptExit:  2 * sim.Microsecond,
 
 		DMASetup:           4 * sim.Microsecond,
 		MemCopyBytesPerSec: 16_000_000,

@@ -19,7 +19,6 @@ import (
 	"nectar/internal/proto/datalink"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
-	"nectar/internal/rt/hostif"
 	"nectar/internal/rt/mailbox"
 	"nectar/internal/rt/threads"
 )
@@ -32,9 +31,7 @@ const MTU = 1500
 // Driver is the host-side network-interface driver plus its CAB-side
 // server thread.
 type Driver struct {
-	dl    *datalink.Layer
-	rt    *mailbox.Runtime
-	iface *hostif.IF
+	dl *datalink.Layer
 
 	outPool *mailbox.Mailbox // host -> CAB: packets to transmit
 	inPool  *mailbox.Mailbox // CAB -> host: received packets
@@ -47,11 +44,9 @@ type txMeta struct{ dst wire.NodeID }
 
 // New installs the network-device level on a node. It coexists with the
 // CAB-resident stacks (its frames use a dedicated datalink type).
-func New(dl *datalink.Layer, rt *mailbox.Runtime, iface *hostif.IF) *Driver {
+func New(dl *datalink.Layer, rt *mailbox.Runtime) *Driver {
 	d := &Driver{
 		dl:      dl,
-		rt:      rt,
-		iface:   iface,
 		outPool: rt.Create("netdev.out"),
 		inPool:  rt.Create("netdev.in"),
 	}

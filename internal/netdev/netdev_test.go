@@ -37,8 +37,8 @@ func twoNodes(t *testing.T) (*sim.Kernel, *node, *node) {
 		h.ConnectOut(port, fiber.NewLink(k, cost, "down", c))
 		rt := mailbox.NewRuntime(c)
 		rt.AttachHost(f)
-		dl := datalink.NewLayer(c, rt)
-		return &node{cab: c, host: ho, drv: New(dl, rt, f)}
+		dl := datalink.NewLayer(c)
+		return &node{cab: c, host: ho, drv: New(dl, rt)}
 	}
 	a := mk(1, 0)
 	b := mk(2, 1)

@@ -41,7 +41,6 @@ const (
 	LayerDatagram Layer = "datagram" // Nectar datagram transport
 	LayerRMP      Layer = "rmp"      // Nectar reliable message protocol
 	LayerRRP      Layer = "rrp"      // Nectar request-response protocol
-	LayerHost     Layer = "host"     // host process side of an experiment
 )
 
 // Kind distinguishes instantaneous events from span boundaries.

@@ -241,7 +241,6 @@ func (tl *timeline) rescale() {
 // single-writer discipline as the shard kernels themselves. The
 // scheduler's waits are its barrier phase, so shard 0 records none.
 type Worker struct {
-	shard  int
 	baseNs int64 // profile start, for timeline bucketing
 
 	computeNs int64  // wall time inside the shard's windows
@@ -330,7 +329,7 @@ func New(shards int) *Profile {
 	p := &Profile{startNs: nowNanos()}
 	p.workers = make([]*Worker, shards)
 	for i := range p.workers {
-		p.workers[i] = &Worker{shard: i, baseNs: p.startNs}
+		p.workers[i] = &Worker{baseNs: p.startNs}
 	}
 	p.drainInj = make([]uint64, shards)
 	p.drainBytes = make([]uint64, shards)

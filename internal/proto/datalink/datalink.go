@@ -45,7 +45,6 @@ type Protocol interface {
 // Layer is the datalink software on one CAB.
 type Layer struct {
 	cab    *cab.CAB
-	rt     *mailbox.Runtime
 	cost   *model.CostModel
 	protos map[uint8]Protocol
 
@@ -87,10 +86,10 @@ type rxFrame struct {
 	deliverFn func(t *threads.Thread)
 }
 
-// NewLayer installs the datalink layer on a CAB. The mailbox runtime
-// provides input-mailbox storage.
-func NewLayer(c *cab.CAB, rt *mailbox.Runtime) *Layer {
-	l := &Layer{cab: c, rt: rt, cost: c.Cost(), protos: make(map[uint8]Protocol)}
+// NewLayer installs the datalink layer on a CAB. Each bound protocol
+// provides the input mailbox its frames are received into.
+func NewLayer(c *cab.CAB) *Layer {
+	l := &Layer{cab: c, cost: c.Cost(), protos: make(map[uint8]Protocol)}
 	if c.RxInterruptMode() {
 		c.OnReceive(func(t *threads.Thread, d *cab.RxDesc) { l.receive(t, d) })
 	} else {
@@ -262,7 +261,6 @@ func (f *rxFrame) deliver(t *threads.Thread) {
 		l.obs.End(span, int(l.cab.Node()), obs.LayerDatalink, "rx")
 	} else {
 		l.delivered++
-		m.Span = span // protocols parent their delivery spans on the rx span
 		f.p.EndOfData(t, f.src, m)
 		l.obs.End(span, int(l.cab.Node()), obs.LayerDatalink, "rx")
 	}

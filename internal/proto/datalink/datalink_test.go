@@ -41,7 +41,7 @@ func newRig(t *testing.T, rxThread bool) *rig {
 	b.SetRoute(1, []byte{0})
 	rta := mailbox.NewRuntime(a)
 	rtb := mailbox.NewRuntime(b)
-	return &rig{k: k, a: a, b: b, la: NewLayer(a, rta), lb: NewLayer(b, rtb), rta: rta, rtb: rtb}
+	return &rig{k: k, a: a, b: b, la: NewLayer(a), lb: NewLayer(b), rta: rta, rtb: rtb}
 }
 
 // echoProto is a test protocol that records deliveries.

@@ -32,7 +32,7 @@ func twoNodes(t *testing.T) (*sim.Kernel, *node, *node) {
 		c.ConnectFiber(fiber.NewLink(k, cost, "up", h.InPort(port)))
 		h.ConnectOut(port, fiber.NewLink(k, cost, "down", c))
 		rt := mailbox.NewRuntime(c)
-		dl := datalink.NewLayer(c, rt)
+		dl := datalink.NewLayer(c)
 		l := ip.NewLayer(dl, rt)
 		return &node{cab: c, ip: l, icmp: NewLayer(l)}
 	}

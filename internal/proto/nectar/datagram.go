@@ -49,9 +49,6 @@ func (d *Datagram) Gauges(emit func(layer obs.Layer, name, scope string, v uint6
 	emit(obs.LayerDatagram, "no_box", scope, d.noBox)
 }
 
-// SendBox returns the send-request mailbox (for latency instrumentation).
-func (d *Datagram) SendBox() *mailbox.Mailbox { return d.sendBox }
-
 // Send submits a datagram for transmission to the remote mailbox dst.
 // srcBox names the sender's reply mailbox (0 if none); status, if
 // non-nil, receives a completion code once the datagram has been handed

@@ -29,7 +29,6 @@ const (
 	StatusOK      uint32 = 1 // delivered (RMP/RRP: acknowledged)
 	StatusTimeout uint32 = 2 // retransmissions exhausted
 	StatusNoRoute uint32 = 3 // destination unknown to the datalink layer
-	StatusNoBox   uint32 = 4 // RRP: reply arrived but carried an error
 )
 
 // RTO is the retransmission timeout of RMP and RRP. The prototype's fiber

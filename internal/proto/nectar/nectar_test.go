@@ -42,7 +42,7 @@ func twoNodes(t *testing.T) (*sim.Kernel, *node, *node) {
 		rt := mailbox.NewRuntime(c)
 		rt.AttachHost(f)
 		pool := syncs.NewPool(f)
-		dl := datalink.NewLayer(c, rt)
+		dl := datalink.NewLayer(c)
 		return &node{cab: c, host: ho, rt: rt, pool: pool, trans: Attach(dl, rt)}
 	}
 	a := mk(1, 0)

@@ -39,7 +39,7 @@ func newLockRig() *lockRig {
 	k := sim.NewKernel()
 	cb := cab.New(k, model.Default1990(), 1)
 	rt := mailbox.NewRuntime(cb)
-	l := NewLayer(ip.NewLayer(datalink.NewLayer(cb, rt), rt), rt)
+	l := NewLayer(ip.NewLayer(datalink.NewLayer(cb), rt), rt)
 	c := l.newConn(connKey{lport: localPort, rip: peerIP, rport: peerPort})
 	c.state = Established
 	return &lockRig{k: k, sched: cb.Sched, l: l, c: c, probe: rt.Create("probe")}
@@ -113,9 +113,9 @@ func TestSegmentWaitsForTransmit(t *testing.T) {
 
 // TestWaitsReleaseConnMutex: a sender waiting for an ACK in sendData's
 // window loop, in Close's drain loop, and in Close's wait for the
-// peer's FIN does not hold Conn.mu. Each segment's handler finds the
-// lock free while the sender is reported waiting on the connection's
-// Cond, and the connection closes.
+// peer's FIN does not hold Conn.mu. Each segment's handler takes and
+// releases the lock without the clock moving while the sender is
+// reported waiting on the connection's Cond, and the connection closes.
 func TestWaitsReleaseConnMutex(t *testing.T) {
 	r := newLockRig()
 	c := r.c
@@ -129,15 +129,21 @@ func TestWaitsReleaseConnMutex(t *testing.T) {
 		closed = true
 	})
 	var waits []string
+	probed := 0
 	deliver := func(at sim.Duration, flags uint8) {
 		r.k.At(sim.Time(at), func() {
 			r.sched.Fork("input", threads.SystemPriority, func(th *threads.Thread) {
 				waits = append(waits, sender.Describe())
-				if !c.mu.TryLock(th) {
-					t.Errorf("at %v the conn mutex is held while the sender waits (%s)", th.Now(), sender.Describe())
-					return
-				}
+				// A free mutex is taken in zero time; a held one blocks
+				// the input thread until its holder lets go.
+				at := th.Now()
+				c.mu.Lock(th)
 				c.mu.Unlock(th)
+				probed++
+				if th.Now() != at {
+					t.Errorf("at %v the conn mutex is held while the sender waits (%s); the input thread got it at %v",
+						at, waits[len(waits)-1], th.Now())
+				}
 				r.segment(th, flags, c.rcvNxt, c.sndNxt)
 			})
 		})
@@ -147,6 +153,9 @@ func TestWaitsReleaseConnMutex(t *testing.T) {
 	deliver(6*sim.Millisecond, wire.TCPFin|wire.TCPAck) // Close's FIN wait
 	if err := r.k.RunUntil(sim.Time(8 * sim.Millisecond)); err != nil {
 		t.Fatal(err)
+	}
+	if probed != 3 {
+		t.Errorf("%d of 3 segments took the conn mutex; the rest still wait for it", probed)
 	}
 	if want := []string{connCond, connCond, connCond}; !slices.Equal(waits, want) {
 		t.Errorf("sender at each segment: %q, want %q", waits, want)

@@ -195,8 +195,6 @@ func (t *Layer) Stats() Stats {
 
 // Listener accepts incoming connections on a port.
 type Listener struct {
-	layer   *Layer
-	port    uint16
 	backlog []*Conn
 	cond    *threads.Cond
 }
@@ -206,10 +204,7 @@ func (t *Layer) Listen(port uint16) (*Listener, error) {
 	if _, ok := t.listeners[port]; ok {
 		return nil, fmt.Errorf("tcp: port %d already listening", port)
 	}
-	ln := &Listener{
-		layer: t, port: port,
-		cond: threads.NewCond(fmt.Sprintf("tcp.accept%d", port)),
-	}
+	ln := &Listener{cond: threads.NewCond(fmt.Sprintf("tcp.accept%d", port))}
 	t.listeners[port] = ln
 	return ln, nil
 }
@@ -239,7 +234,6 @@ type Conn struct {
 	sndWnd uint32
 
 	// Receive sequence space.
-	irs    uint32
 	rcvNxt uint32
 
 	retransQ []*txSeg
@@ -256,10 +250,9 @@ type Conn struct {
 
 	// mu is held across transmit's compute, so a segment for the
 	// connection waits for a send in progress.
-	mu    *threads.Mutex
-	cond  *threads.Cond // state changes, window openings, ack arrivals
-	mss   int
-	timeW sim.Timer
+	mu   *threads.Mutex
+	cond *threads.Cond // state changes, window openings, ack arrivals
+	mss  int
 	// hdr is the header transmit builds, under mu. IP's output copies it
 	// into the frame before it returns, so one per connection serves
 	// every segment.
@@ -335,10 +328,6 @@ func (t *Layer) Connect(ctx exec.Context, dstIP uint32, dstPort uint16) (*Conn, 
 
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
-
-// RecvBox returns the user's receive mailbox; data segments are Enqueued
-// here with headers already deleted (paper §4.2).
-func (c *Conn) RecvBox() *mailbox.Mailbox { return c.rcvBox }
 
 // Send queues data for transmission. From a host process the request goes
 // through the TCP send-request mailbox (paper §4.2), the data crossing
@@ -753,7 +742,6 @@ func (t *Layer) handleSegment(ctx exec.Context, m *mailbox.Msg) {
 func (c *Conn) listenerAccept(ctx exec.Context, ln *Listener, h wire.TCPHeader) {
 	c.mu.Lock(ctx.T)
 	c.state = SynRcvd
-	c.irs = h.Seq
 	c.rcvNxt = h.Seq + 1
 	c.sndWnd = uint32(h.Window)
 	c.acceptLn = ln
@@ -787,7 +775,6 @@ func (c *Conn) processSegment(ctx exec.Context, h wire.TCPHeader, payload []byte
 	switch c.state {
 	case SynSent:
 		if h.Flags&(wire.TCPSyn|wire.TCPAck) == wire.TCPSyn|wire.TCPAck && h.Ack == c.iss+1 {
-			c.irs = h.Seq
 			c.rcvNxt = h.Seq + 1
 			c.sndUna = h.Ack
 			c.sndWnd = uint32(h.Window)
@@ -919,7 +906,7 @@ func (c *Conn) enterTimeWait() {
 	c.state = TimeWaitState
 	t := c.layer
 	k := t.rt.CAB().Kernel()
-	c.timeW = k.After(TimeWait, func() {
+	k.After(TimeWait, func() {
 		delete(t.conns, c.key)
 		c.state = Closed
 	})

@@ -16,7 +16,7 @@ func layer(t *testing.T) *Layer {
 	k := sim.NewKernel()
 	c := cab.New(k, model.Default1990(), 1)
 	rt := mailbox.NewRuntime(c)
-	dl := datalink.NewLayer(c, rt)
+	dl := datalink.NewLayer(c)
 	return NewLayer(ip.NewLayer(dl, rt), rt)
 }
 

@@ -211,10 +211,6 @@ type Msg struct {
 	// to its request). On the real CAB this is a one-word CAB-memory
 	// address inside the request; here it is an opaque reference.
 	Meta any
-	// Span is the trace span this message currently belongs to (0 when
-	// tracing is off). Layers handing a message across a queue set it so
-	// the consumer can parent its own spans causally.
-	Span obs.SpanID
 
 	queuedAt sim.Time // when the message entered its current queue
 }

@@ -499,22 +499,22 @@ func TestWarmPutGetAllocs(t *testing.T) {
 
 // TestReleasedMsgReuse checks that End_Get hands the record back to the
 // runtime cleared: the next Begin_Put reuses it, and it carries none of
-// the previous message's sender, tag, metadata or span.
+// the previous message's sender, tag or metadata.
 func TestReleasedMsgReuse(t *testing.T) {
 	r := newRig(t)
 	mb := r.rt.Create("box")
 	r.c.Sched.Fork("putget", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
 		m := mb.BeginPut(ctx, 8)
-		m.From, m.Tag, m.Meta, m.Span = wire.MailboxAddr{Node: 3, Box: 4}, 5, "meta", 6
+		m.From, m.Tag, m.Meta = wire.MailboxAddr{Node: 3, Box: 4}, 5, "meta"
 		mb.EndPut(ctx, m)
 		mb.EndGet(ctx, mb.BeginGet(ctx))
 		m2 := mb.BeginPut(ctx, 300) // a heap buffer this time, not the cached one
 		if m2 != m {
 			r.k.Fatalf("Begin_Put did not reuse the released record")
 		}
-		if m2.From != (wire.MailboxAddr{}) || m2.Tag != 0 || m2.Meta != nil || m2.Span != 0 {
-			r.k.Fatalf("reused record keeps From=%v Tag=%d Meta=%v Span=%d", m2.From, m2.Tag, m2.Meta, m2.Span)
+		if m2.From != (wire.MailboxAddr{}) || m2.Tag != 0 || m2.Meta != nil {
+			r.k.Fatalf("reused record keeps From=%v Tag=%d Meta=%v", m2.From, m2.Tag, m2.Meta)
 		}
 		if m2.Len() != 300 {
 			r.k.Fatalf("reused record has Len %d, want 300", m2.Len())

@@ -31,7 +31,6 @@ import (
 // Pool manages the two per-side free lists of sync objects for one CAB.
 type Pool struct {
 	iface *hostif.IF
-	sched *threads.Sched
 	cost  *model.CostModel
 
 	cabFree  pool.FreeList[*Sync]
@@ -43,7 +42,6 @@ type Pool struct {
 func NewPool(iface *hostif.IF) *Pool {
 	return &Pool{
 		iface: iface,
-		sched: iface.CAB().Sched,
 		cost:  iface.CAB().Cost(),
 	}
 }
@@ -190,9 +188,6 @@ func (s *Sync) cancelOnCAB(ctx exec.Context) {
 	}
 	s.canceled = true
 }
-
-// Written reports whether the sync has been written (for tests).
-func (s *Sync) Written() bool { return s.written }
 
 // PoolSizes returns the lengths of the CAB and host free lists.
 func (p *Pool) PoolSizes() (cabFree, hostFree int) {

@@ -42,16 +42,6 @@ func (m *Mutex) Lock(t *Thread) {
 	}
 }
 
-// TryLock acquires the mutex if it is free, without blocking. It reports
-// whether the lock was acquired. Safe from interrupt handlers.
-func (m *Mutex) TryLock(t *Thread) bool {
-	if m.owner != nil {
-		return false
-	}
-	m.owner = t
-	return true
-}
-
 // Unlock releases the mutex, handing it to the longest-waiting thread.
 func (m *Mutex) Unlock(t *Thread) {
 	if m.owner != t {

@@ -264,28 +264,6 @@ func TestMutexFIFO(t *testing.T) {
 	}
 }
 
-func TestTryLock(t *testing.T) {
-	k, s := zeroCostSched()
-	m := NewMutex("m")
-	var got []bool
-	s.Fork("a", SystemPriority, func(th *Thread) {
-		got = append(got, m.TryLock(th)) // true
-		got = append(got, m.TryLock(th)) // false (already held)
-		th.Sleep(50 * sim.Microsecond)   // hold across a blocking point
-		m.Unlock(th)
-	})
-	s.Fork("b", SystemPriority, func(th *Thread) {
-		got = append(got, m.TryLock(th)) // false: a holds it across its sleep
-		th.Sleep(100 * sim.Microsecond)
-		got = append(got, m.TryLock(th)) // true: released
-		m.Unlock(th)
-	})
-	mustRun(t, k)
-	if want := []bool{true, false, false, true}; !reflect.DeepEqual(got, want) {
-		t.Errorf("got = %v, want %v", got, want)
-	}
-}
-
 func TestRecursiveLockPanics(t *testing.T) {
 	k, s := zeroCostSched()
 	s.Fork("a", SystemPriority, func(th *Thread) {

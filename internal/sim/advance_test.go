@@ -62,7 +62,7 @@ func TestAdvanceRunUntilHorizon(t *testing.T) {
 		past = k.Advance(horizon + 1)
 		upTo = k.Advance(horizon)
 		now = k.Now()
-		p.Sleep(1)
+		sleep(p, 1)
 	})
 	if err := k.RunUntil(horizon); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestZeroAllocAdvance(t *testing.T) {
 		for {
 			for k.Advance(Microsecond) {
 			}
-			p.Sleep(Microsecond)
+			sleep(p, Microsecond)
 		}
 	})
 	round := func() {

@@ -15,7 +15,7 @@ func TestDrivePanicSurfaces(t *testing.T) {
 		k := NewKernel()
 		woke := false
 		a := k.Go("a", func(p *Proc) {
-			p.Sleep(10)
+			sleep(p, 10)
 			woke = true
 		})
 		k.At(5, func() { panic("boom") })
@@ -28,7 +28,7 @@ func TestDrivePanicSurfaces(t *testing.T) {
 		if got != "boom" {
 			t.Fatalf("Run panicked with %v (err %v), want boom", got, err)
 		}
-		if a.dead || a.state != procSleeping || woke || k.failure != nil {
+		if a.dead || a.state != procSuspended || woke || k.failure != nil {
 			t.Errorf("after the panic: a dead %v, %s, woke %v, failure %v; want a asleep and no failure",
 				a.dead, a.label(), woke, k.failure)
 		}
@@ -40,7 +40,7 @@ func TestDrivePanicSurfaces(t *testing.T) {
 		k := NewKernel()
 		woke, late := false, false
 		a := k.Go("a", func(p *Proc) {
-			p.Sleep(10)
+			sleep(p, 10)
 			woke = true
 		})
 		k.At(5, func() { k.Fatalf("stop at %v", k.Now()) })
@@ -50,7 +50,7 @@ func TestDrivePanicSurfaces(t *testing.T) {
 		if err == nil || err.Error() != "stop at 0.005us" {
 			t.Fatalf("Run = %v, want the Fatalf error", err)
 		}
-		if woke || late || a.dead || a.state != procSleeping {
+		if woke || late || a.dead || a.state != procSuspended {
 			t.Errorf("after Fatalf: woke %v, later event ran %v, a %s; want nothing more to run", woke, late, a.label())
 		}
 		// The start and the failing callback.
@@ -94,7 +94,7 @@ func (s *orderServer) Step() bool {
 func (s *orderServer) Handle() {
 	s.handled++
 	s.l.add("srv handle %d", s.handled)
-	s.p.Sleep(5)
+	sleep(s.p, 5)
 	s.l.add("srv handled %d", s.handled)
 }
 
@@ -123,7 +123,7 @@ func driveScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label st
 			if send != nil {
 				send(p.Now()+5, fmt.Sprintf("recv %d", i))
 			}
-			p.Sleep(6)
+			sleep(p, 6)
 		}
 		l.add("sleeper done")
 	})
@@ -139,7 +139,7 @@ func driveScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label st
 			return false
 		})
 		l.add("spinner done")
-		p.Sleep(3)
+		sleep(p, 3)
 		l.add("spinner end")
 	})
 	s := &orderServer{l: l}
@@ -151,7 +151,7 @@ func driveScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label st
 	parker := k.Go("parker", func(p *Proc) {
 		p.Suspend()
 		l.add("parker resumed")
-		p.Sleep(2)
+		sleep(p, 2)
 		l.add("parker slept")
 		p.Suspend()
 		l.add("parker resumed again")
@@ -161,7 +161,7 @@ func driveScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label st
 	var ping, pong *Proc
 	ping = k.Go("ping", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			p.Sleep(1)
+			sleep(p, 1)
 			l.add("ping %d", i)
 			pong.Resume()
 			p.Suspend()
@@ -171,7 +171,7 @@ func driveScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label st
 		for i := 0; i < 3; i++ {
 			p.Suspend()
 			l.add("pong %d", i)
-			p.Sleep(2)
+			sleep(p, 2)
 			ping.Resume()
 		}
 	})

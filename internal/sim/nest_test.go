@@ -53,7 +53,7 @@ func (r *nestRing) Step() bool {
 func (r *nestRing) Handle() {
 	r.handled++
 	r.l.add("ring2 handle %d", r.handled)
-	r.members[2].Sleep(3)
+	sleep(r.members[2], 3)
 	r.l.add("ring2 handled %d", r.handled)
 	r.give(3)
 }
@@ -105,7 +105,7 @@ func nestScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label str
 			if send != nil {
 				send(p.Now()+5, fmt.Sprintf("ring3 %d", i))
 			}
-			p.Sleep(2)
+			sleep(p, 2)
 			r.give(0)
 		}
 	})
@@ -126,7 +126,7 @@ func nestScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label str
 		for i := 0; i < 4; i++ {
 			l.add("sleeper %d advance=%v", i, k.Advance(2))
 			job()
-			p.Sleep(4 + 4*Duration(i%2))
+			sleep(p, 4+4*Duration(i%2))
 		}
 		l.add("sleeper done")
 	})
@@ -138,7 +138,7 @@ func nestScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label str
 			}
 			jobs--
 			l.add("helper job")
-			p.Sleep(5)
+			sleep(p, 5)
 			l.add("helper slept")
 		}
 	})
@@ -451,7 +451,7 @@ func TestNestPanicSurfaces(t *testing.T) {
 			if i+1 < len(procs) {
 				procs[i+1].Resume()
 			}
-			p.Sleep(100)
+			sleep(p, 100)
 		})
 	}
 	k.At(1, procs[0].Resume)
@@ -477,7 +477,7 @@ func TestNestPanicSurfaces(t *testing.T) {
 		t.Errorf("%d procs were nested when the callback panicked, want %d", depth, len(procs))
 	}
 	for _, p := range procs {
-		if p.dead || p.nested || p.state != procSleeping {
+		if p.dead || p.nested || p.state != procSuspended {
 			t.Errorf("after the panic %s: dead %v, nested %v, %s; want it asleep", p.name, p.dead, p.nested, p.label())
 		}
 	}

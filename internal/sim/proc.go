@@ -23,9 +23,9 @@ import (
 // server Proc (Kernel.Serve) waits for work as a Spin step and borrows a
 // coroutine only while its handler runs, so an idle server holds none.
 //
-// A Proc blocks in one of two ways: Sleep(d) wakes it d later, and
-// Suspend waits for a Resume. Resume is the one wake-up: it schedules
-// the Proc's prebuilt wake event at the current instant. Spin suspends a
+// A Proc blocks with Suspend, which waits for a Resume. Resume is the
+// one wake-up: it schedules the Proc's prebuilt wake event at the
+// current instant. Spin suspends a
 // Proc over a loop of such waits, whose body the wake event runs as a
 // step (the package doc, "Spin steps"). Wait queues and timeouts are built above
 // this (Signal here; Cond, Mutex and Sleep in the threads package).
@@ -96,7 +96,6 @@ type procState uint8
 const (
 	procStarting procState = iota
 	procRunning
-	procSleeping
 	procSuspended // Suspend, or Wait on p.on
 	procResumed   // Resume has scheduled the wake-up, which has not run
 	procSpinning  // a wake-up is calling the Spin step, in kernel context
@@ -431,8 +430,6 @@ func (p *Proc) label() string {
 	switch p.state {
 	case procStarting:
 		return "starting"
-	case procSleeping:
-		return "sleeping"
 	case procSuspended:
 		if p.desc != nil {
 			return p.desc.Describe()
@@ -457,15 +454,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
-
-// Sleep blocks the proc for d of virtual time.
-func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.k.schedule(p.k.now+Time(d), p.wakeFn)
-	p.yield(procSleeping, nil)
-}
 
 // Suspend blocks the proc until Resume. A suspended Proc that nobody
 // resumes is a deadlock when the queue drains, unless its Describer
@@ -504,7 +492,7 @@ func (p *Proc) Spin(step func() bool) {
 // Resume wakes a suspended proc: its wake-up runs at the current
 // instant, after the events already scheduled for it. A spinning proc's
 // wake-up waits in its spin slot, with the key the heap would give it.
-// Resuming a proc that is running, sleeping, or already resumed panics.
+// Resuming a proc that is running or already resumed panics.
 //
 //nectar:hotpath
 func (p *Proc) Resume() {
@@ -592,9 +580,6 @@ func (s *Signal) Signal() {
 		p.Resume()
 	}
 }
-
-// HasWaiters reports whether any proc is waiting on s.
-func (s *Signal) HasWaiters() bool { return len(s.waiters) > 0 }
 
 // PopFront removes q[0] and shifts the rest down, so a FIFO queue keeps
 // its capacity: a queue drained and refilled never reallocates, as one

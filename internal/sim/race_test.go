@@ -33,7 +33,7 @@ func TestConcurrentKernels(t *testing.T) {
 		})
 		k.Go("signaler", func(p *Proc) {
 			for i := 0; i < 100; i++ {
-				p.Sleep(Microsecond)
+				sleep(p, Microsecond)
 				k.After(Microsecond, func() { fired++ })
 			}
 			done = true

@@ -47,7 +47,7 @@ func (s *testServer) Handle() {
 	}
 	s.handled = append(s.handled, s.k.Now())
 	if s.hold > 0 {
-		s.p.Sleep(s.hold)
+		sleep(s.p, s.hold)
 	}
 }
 

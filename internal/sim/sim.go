@@ -6,9 +6,10 @@
 // events scheduled for the same instant fire in the order they were
 // scheduled. Simulated activities are either callbacks (At/After, which must
 // not block) or Procs — coroutines that the kernel runs one at a time,
-// SimPy-style. A Proc blocks with Sleep (virtual time) or Suspend, and
-// Resume wakes it; Signal is a small FIFO of suspended Procs. Every other
-// wait queue and timeout lives in the threads package above.
+// SimPy-style. A Proc blocks with Suspend, and Resume wakes it; Signal
+// is a small FIFO of suspended Procs. Every other wait queue and timeout,
+// and sleeping for a span of virtual time, lives in the threads package
+// above.
 //
 // The kernel itself is single-threaded: exactly one flow of control (either
 // the event loop or one Proc) is ever executing simulation code. A Proc
@@ -123,6 +124,15 @@
 // heap operation, no wake event and no deferred recover per call: a
 // step's panic is recovered once per dispatch loop.
 //
+// The side queue and the split callback (a slice end's accounting, then
+// the wake-up) are kept because both simpler forms measured slower on
+// nectar-perf's rtt workload (2-core VM, seed 1, alternating 6 s pairs).
+// Keeping slot events in the heap, with no side queue, fell from 93.6k
+// to 85.2k msgs/s (-9.0%; the current form won 7 of 8 pairs, and
+// allocs/msg rose from 3.704 to 3.726). Slots that run the heap's
+// callback, with threads.Sched.sliceEnd folded back into sliceDone and
+// one SpinAfter callback, fell from 99.7k to 92.8k (-6.9%, 6 of 6 pairs).
+//
 // # Servers
 //
 // Most Procs of a protocol stack are servers: a brief burst of work per
@@ -145,13 +155,13 @@
 // # Waits drive the loop
 //
 // A switch into a coroutine and back costs two runtime.coroswitch calls
-// (BenchmarkProcHandoff). So a Proc that blocks (Sleep, Suspend, Wait,
-// Spin) does not hand control back at once. With the kernel
-// context restored (no Proc current), it pops and runs the events ahead
-// of its wake-up itself, on its own coroutine, exactly as the kernel's
-// loop would and up to the same bound. When its own wake-up comes up it
-// returns into its body without a switch; a spinning Proc returns only
-// once its step is done.
+// (BenchmarkProcHandoff). So a Proc that blocks (Suspend, Wait, Spin)
+// does not hand control back at once. With the kernel context restored
+// (no Proc current), it pops and runs the events ahead of its wake-up
+// itself, on its own coroutine, exactly as the kernel's loop would and up
+// to the same bound. When its own wake-up comes up it returns into its
+// body without a switch; a spinning Proc returns only once its step is
+// done.
 //
 // When a wake-up it dispatched must switch into another Proc, the
 // driving Proc switches into it itself, from its own coroutine, before
@@ -244,7 +254,6 @@ func Micros(us float64) Duration { return Duration(us * 1e3) }
 // handles are detected without per-timer allocation.
 type event struct {
 	at      Time
-	seq     uint64
 	fn      func()
 	gen     uint64
 	heapIdx int32 // index into Kernel.heap while queued, inSpins in a spin slot
@@ -407,7 +416,6 @@ func (k *Kernel) schedule(at Time, fn func()) int32 {
 	slot := k.newSlot()
 	e := &k.arena[slot]
 	e.at = at
-	e.seq = k.seq
 	e.fn = fn
 	k.heapPush(heapEntry{at: at, seq: k.seq, slot: slot})
 	return slot

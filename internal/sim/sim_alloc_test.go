@@ -7,7 +7,6 @@ package sim
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -164,7 +163,7 @@ func TestZeroAllocProcPingPong(t *testing.T) {
 	})
 	k.Go("a", func(p *Proc) {
 		for {
-			p.Sleep(Microsecond)
+			sleep(p, Microsecond)
 			pong.Signal()
 			p.Wait(ping)
 		}
@@ -225,49 +224,45 @@ func TestZeroAllocSpin(t *testing.T) {
 
 // TestZeroAllocDrive guards a driven wait: a Proc that sleeps across 100
 // callback events dispatches them on its own coroutine and returns from
-// Sleep without a switch, so after its start it allocates nothing and
-// is not resumed. The run is measured once, from the start, because a
-// run that began with the Proc asleep would switch into it to wake it.
+// its wait without a switch. Each round of the sleeper's loop starts
+// with its wake-up one past the round's start, which switches into it;
+// it then queues 100 callbacks, sleeps across them to a wake-up inside
+// the round, and sleeps again past the round's end. A round resumes it
+// once, and once warm it must not allocate. AllocsPerRun averages over
+// many rounds, so an allocation elsewhere in the process, such as the
+// race detector's, cannot fail it.
 func TestZeroAllocDrive(t *testing.T) {
 	k := NewKernel()
 	ticks := 0
 	tick := func() { ticks++ }
-	// Warm the arena, heap and free list, and leave an idle coroutine in
-	// the pool so the start does not create one.
-	for i := 0; i < 128; i++ {
-		k.At(0, tick)
-	}
-	k.Go("warm", func(*Proc) {})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ticks = 0
-	for i := 1; i <= 100; i++ {
-		k.At(Time(i), tick)
-	}
-	var woke Time
 	k.Go("sleeper", func(p *Proc) {
-		p.Sleep(200)
-		woke = p.Now()
+		sleep(p, 1)
+		for {
+			for i := 1; i <= 100; i++ {
+				k.At(p.Now()+Time(i), tick)
+			}
+			sleep(p, 101)
+			sleep(p, 99)
+		}
 	})
-	r0 := k.Resumes()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	m0 := ms.Mallocs
-	err := k.Run()
-	runtime.ReadMemStats(&ms)
-	allocs := ms.Mallocs - m0
-	if err != nil {
-		t.Fatal(err)
+	round := func() {
+		if err := k.RunFor(200); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if ticks != 100 || woke != 200 {
-		t.Fatalf("%d callbacks ran and the sleeper woke at %v ns; want 100 and 200", ticks, woke.Nanos())
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	t0, r0 := ticks, k.Resumes()
+	round()
+	if n := ticks - t0; n != 100 {
+		t.Fatalf("%d callbacks ran in a round, want 100", n)
 	}
 	if r := k.Resumes() - r0; r != 1 {
-		t.Errorf("the sleeper was resumed %d times, want 1 (its start)", r)
+		t.Errorf("the sleeper was resumed %d times in a round, want 1 (its wake-up at the round's start)", r)
 	}
-	if allocs != 0 {
-		t.Errorf("a wait driven across 100 callbacks allocates %d times, want 0", allocs)
+	if got := testing.AllocsPerRun(200, round); got != 0 {
+		t.Errorf("a wait driven across 100 callbacks allocates %.1f allocs/round, want 0", got)
 	}
 }
 
@@ -287,7 +282,7 @@ func TestZeroAllocNestRing(t *testing.T) {
 			for {
 				p.Suspend()
 				if i == len(ring)-1 {
-					p.Sleep(Microsecond)
+					sleep(p, Microsecond)
 				}
 				next.Resume()
 			}

@@ -116,12 +116,19 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 }
 
+// sleep blocks p for d of virtual time the way the threads package's
+// Sleep does: it queues p's wake-up at now+d and suspends.
+func sleep(p *Proc, d Duration) {
+	p.k.schedule(p.k.now+Time(d), p.wakeFn)
+	p.Suspend()
+}
+
 func TestProcSleep(t *testing.T) {
 	k := NewKernel()
 	var stamps []Time
 	k.Go("sleeper", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			p.Sleep(7 * Microsecond)
+			sleep(p, 7*Microsecond)
 			stamps = append(stamps, p.Now())
 		}
 	})
@@ -146,11 +153,11 @@ func TestSignalWakesFIFO(t *testing.T) {
 		})
 	}
 	k.Go("waker", func(p *Proc) {
-		p.Sleep(1 * Microsecond)
+		sleep(p, 1*Microsecond)
 		s.Signal()
-		p.Sleep(1 * Microsecond)
+		sleep(p, 1*Microsecond)
 		s.Signal()
-		p.Sleep(1 * Microsecond)
+		sleep(p, 1*Microsecond)
 		s.Signal()
 	})
 	if err := k.Run(); err != nil {
@@ -201,20 +208,13 @@ func mustPanic(t *testing.T, fn func()) string {
 
 func TestResumeRunningOrSleepingPanics(t *testing.T) {
 	k := NewKernel()
-	var running, sleeping string
-	sleeper := k.Go("sleeper", func(p *Proc) { p.Sleep(Microsecond) })
-	k.Go("runner", func(p *Proc) {
-		running = mustPanic(t, p.Resume)
-		sleeping = mustPanic(t, sleeper.Resume)
-	})
+	var running string
+	k.Go("runner", func(p *Proc) { running = mustPanic(t, p.Resume) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(running, `"runner", which is running`) {
 		t.Errorf("Resume of a running proc panicked with %q", running)
-	}
-	if !strings.Contains(sleeping, `"sleeper", which is sleeping`) {
-		t.Errorf("Resume of a sleeping proc panicked with %q", sleeping)
 	}
 }
 
@@ -292,7 +292,7 @@ func TestIdleIsNotDeadlock(t *testing.T) {
 func TestProcPanicPropagates(t *testing.T) {
 	k := NewKernel()
 	k.Go("bomb", func(p *Proc) {
-		p.Sleep(1 * Microsecond)
+		sleep(p, 1*Microsecond)
 		panic("boom")
 	})
 	err := k.Run()
@@ -307,7 +307,7 @@ func TestProcPanicPropagates(t *testing.T) {
 func TestProcPanicReportsStack(t *testing.T) {
 	k := NewKernel()
 	k.Go("bomb", func(p *Proc) {
-		p.Sleep(Microsecond)
+		sleep(p, Microsecond)
 		panic("boom")
 	})
 	err := k.Run()
@@ -340,12 +340,12 @@ func TestProcSpawnsProc(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	k.Go("parent", func(p *Proc) {
-		p.Sleep(1 * Microsecond)
+		sleep(p, 1*Microsecond)
 		k.Go("child", func(c *Proc) {
-			c.Sleep(1 * Microsecond)
+			sleep(c, 1*Microsecond)
 			order = append(order, "child")
 		})
-		p.Sleep(5 * Microsecond)
+		sleep(p, 5*Microsecond)
 		order = append(order, "parent")
 	})
 	if err := k.Run(); err != nil {
@@ -378,14 +378,14 @@ func TestPendingEvents(t *testing.T) {
 func TestBlockingFromOutsideProcPanics(t *testing.T) {
 	k := NewKernel()
 	var p *Proc
-	p = k.Go("p", func(self *Proc) { self.Sleep(Microsecond) })
+	p = k.Go("p", func(self *Proc) { sleep(self, Microsecond) })
 	k.After(0, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("Sleep from kernel context did not panic")
 			}
 		}()
-		p.Sleep(Microsecond)
+		sleep(p, Microsecond)
 	})
 	_ = k.Run() // panic is recovered inside the event; run may or may not error
 }
@@ -457,7 +457,7 @@ func TestDeterminismProperty(t *testing.T) {
 			}
 			k.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
 				for j, d := range delays {
-					p.Sleep(d)
+					sleep(p, d)
 					trace = append(trace, fmt.Sprintf("p%d.%d@%v", i, j, p.Now()))
 				}
 			})

@@ -168,7 +168,7 @@ func TestSpinStepMustNotBlock(t *testing.T) {
 		first := true
 		p.Spin(func() bool {
 			if !first {
-				p.Sleep(Microsecond)
+				sleep(p, Microsecond)
 			}
 			first = false
 			k.After(Microsecond, p.Resume)
