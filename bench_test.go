@@ -6,6 +6,7 @@
 package nectar_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -205,13 +206,33 @@ func BenchmarkAblation_RMPWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkFatTreeBuild builds the 1,024-host FatTree(16) cluster of
-// nectar-perf's fabric workload: 320 HUBs, 4,096 trunk fibers and the
-// compact node arena, each HUB and fiber registering its gauges. Run with
-// -benchmem: a registration regression shows as allocations per build.
+// BenchmarkFatTreeBuild builds a fat-tree cluster with 8 declared
+// cross-pod flows and no node materialized, as nectar-perf's fabric
+// workload does: at k=16 the 1,024-host FatTree(16) of 320 HUBs and 4,096
+// trunk fibers, at k=64 the 65,536-host one. The HUBs and the trunks are
+// each one slab registering once, so allocs/op is the same at both sizes.
+// Run with -benchmem: a per-HUB or per-trunk allocation shows as
+// allocations per build.
 func BenchmarkFatTreeBuild(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		nectar.NewCluster(&nectar.Config{Topology: fabric.FatTree(16)})
+	for _, k := range []int{16, 64} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			flows := crossPodFlows(k, 8)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				nectar.NewCluster(&nectar.Config{Topology: fabric.FatTree(k), Flows: flows})
+			}
+		})
 	}
+}
+
+// crossPodFlows declares n flows on FatTree(k), flow i from the first host
+// of pod i to the second host of pod i+k/2, so every flow crosses the
+// core tier. It needs n <= k/2.
+func crossPodFlows(k, n int) [][2]int {
+	perPod := k * k / 4
+	flows := make([][2]int, n)
+	for i := range flows {
+		flows[i] = [2]int{i * perPod, (i+k/2)*perPod + 1}
+	}
+	return flows
 }

@@ -153,7 +153,7 @@ type Cluster struct {
 	topo       *fabric.Topology
 	mat        []*Node
 	free       int
-	trunks     []*fiber.Link
+	trunks     fiber.Links
 	trunkOwner []int32 // directed trunk -> owning shard; nil with one shard
 
 	// Execution: the coupling of one domain per shard.
@@ -604,8 +604,8 @@ func (cl *Cluster) CrossShardFrames() uint64 {
 			n += up.CrossShardFrames()
 		}
 	}
-	for _, tr := range cl.trunks {
-		n += tr.CrossShardFrames()
+	for i := range cl.trunks {
+		n += cl.trunks[i].CrossShardFrames()
 	}
 	return n
 }

@@ -1,11 +1,13 @@
 package nectar
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"nectar/internal/fabric"
 	"nectar/internal/hw/fiber"
 	"nectar/internal/hw/hub"
+	"nectar/internal/obs"
 	"nectar/internal/sim"
 )
 
@@ -13,6 +15,12 @@ import (
 // crossbars and trunk fibers — is built up front from data, while nodes
 // stay *compact* (a few bytes of arena state per attachment point) until
 // Node(i) or AddNode materializes a full host/CAB pair.
+//
+// The fabric is built as slabs, one allocation per kind of object rather
+// than one per object: the HUBs are one hub.Slab with all their port
+// tables in one more, the trunks one fiber.Links, and every HUB and trunk
+// name is cut from one string. Each slab registers its gauges once, as
+// one obs.Source, so a 4,096-trunk fabric adds two registry entries.
 //
 // A fabric of more than one shard assigns every directed trunk an owning
 // shard: the trunk's link and the input port it feeds run on the owner's
@@ -36,12 +44,18 @@ func (cl *Cluster) buildFabric(topo *fabric.Topology) {
 		sim.Panicf("nectar: Config.Flows references node %d; the topology has %d attachment points",
 			len(cl.flowPeers)-1, n)
 	}
-	for i, ports := range topo.HubPorts {
-		h := hub.New(cl.K, cl.Cost, fmt.Sprintf("hub%d", i), ports)
+	names := newFabricNames(topo)
+	hubNames := make([]string, len(topo.HubPorts))
+	for i := range hubNames {
+		hubNames[i] = names.hub(i)
+	}
+	hubs := hub.NewSlab(cl.K, cl.Cost, hubNames, topo.HubPorts)
+	cl.Hubs = make([]*hub.Hub, len(hubs))
+	for i := range hubs {
 		if len(cl.domains) > 1 {
-			h.SetSharded()
+			hubs[i].SetSharded()
 		}
-		cl.Hubs = append(cl.Hubs, h)
+		cl.Hubs[i] = &hubs[i]
 	}
 
 	// The compact node arena: materialized pointer, uplink slot and (with
@@ -55,17 +69,21 @@ func (cl *Cluster) buildFabric(topo *fabric.Topology) {
 		cl.nodeShard = make([]int32, n)
 		cl.trunkOwner, reach = cl.planTrunks()
 	}
-	cl.trunks = make([]*fiber.Link, len(topo.Trunks))
+	cl.trunks = make(fiber.Links, len(topo.Trunks))
+	if len(cl.trunks) > 0 {
+		// Each trunk runs on its owner's kernel; the slab's gauges sum
+		// into the merged snapshot from any one registry.
+		obs.Ensure(cl.K).Metrics().Register(cl.trunks)
+	}
 	for ti, tr := range topo.Trunks {
 		dom := cl.domains[0]
 		if cl.trunkOwner != nil {
 			dom = cl.domains[cl.trunkOwner[ti]]
 		}
-		l := fiber.NewLink(dom.Kernel(), cl.Cost, fmt.Sprintf("hub%d.%d->hub%d", tr.FromHub, tr.FromPort, tr.ToHub),
-			cl.Hubs[tr.ToHub].InPortOn(tr.ToPort, dom))
+		l := &cl.trunks[ti]
+		l.Init(dom.Kernel(), cl.Cost, names.trunk(tr), cl.Hubs[tr.ToHub].InPortOn(tr.ToPort, dom))
 		cl.Hubs[tr.FromHub].ConnectOut(tr.FromPort, l)
 		cl.Hubs[tr.FromHub].SetOutDomain(tr.FromPort, dom)
-		cl.trunks[ti] = l
 		if cl.trunkOwner == nil {
 			continue // one shard: no gateways
 		}
@@ -86,6 +104,68 @@ func (cl *Cluster) buildFabric(topo *fabric.Topology) {
 			dom.AddGateway(l)
 		}
 	}
+}
+
+// fabricNames cuts a fabric's HUB names ("hub<i>") and trunk names
+// ("hub<a>.<p>->hub<b>"), byte for byte the names fmt.Sprintf gives, from
+// one buffer sized up front for all of them. A name is a substring of the
+// buffer's bytes, which later writes only append to.
+type fabricNames struct {
+	b   strings.Builder
+	num [20]byte
+}
+
+func newFabricNames(topo *fabric.Topology) *fabricNames {
+	size := 0
+	for i := range topo.HubPorts {
+		size += hubNameLen(i)
+	}
+	for _, tr := range topo.Trunks {
+		size += trunkNameLen(tr)
+	}
+	f := new(fabricNames)
+	f.b.Grow(size)
+	return f
+}
+
+// hub returns HUB i's name.
+func (f *fabricNames) hub(i int) string {
+	start := f.b.Len()
+	f.writeHub(i)
+	return f.b.String()[start:]
+}
+
+// trunk returns trunk tr's name.
+func (f *fabricNames) trunk(tr fabric.Trunk) string {
+	start := f.b.Len()
+	f.writeHub(tr.FromHub)
+	f.b.WriteByte('.')
+	f.b.Write(strconv.AppendInt(f.num[:0], int64(tr.FromPort), 10))
+	f.b.WriteString("->")
+	f.writeHub(tr.ToHub)
+	return f.b.String()[start:]
+}
+
+func (f *fabricNames) writeHub(i int) {
+	f.b.WriteString("hub")
+	f.b.Write(strconv.AppendInt(f.num[:0], int64(i), 10))
+}
+
+// hubNameLen is the length of HUB i's name.
+func hubNameLen(i int) int { return len("hub") + digits(i) }
+
+// trunkNameLen is the length of trunk tr's name.
+func trunkNameLen(tr fabric.Trunk) int {
+	return hubNameLen(tr.FromHub) + len(".") + digits(tr.FromPort) + len("->") + hubNameLen(tr.ToHub)
+}
+
+// digits is the number of decimal digits of v >= 0.
+func digits(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // planTrunks assigns every directed trunk an owning shard and computes its
@@ -261,7 +341,3 @@ func (cl *Cluster) MaterializedNodes() int { return len(cl.Nodes) }
 
 // Topology returns the fabric this cluster was built from.
 func (cl *Cluster) Topology() *fabric.Topology { return cl.topo }
-
-// TrunkLink returns the fiber link realizing directed trunk ti of the
-// fabric (tests use it for fault injection on inter-HUB paths).
-func (cl *Cluster) TrunkLink(ti int) *fiber.Link { return cl.trunks[ti] }

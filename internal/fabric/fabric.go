@@ -64,9 +64,14 @@ type Topology struct {
 	// fat-tree parameter (k-ary: k pods, (k/2)^2 cores, k^3/4 hosts).
 	k int
 
-	// trunkAt[hub][port] is the index into Trunks of the trunk leaving
-	// hub at port, or -1. Built once by ensureIndex.
-	trunkAt [][]int32
+	// portBase[h] is the offset of hub h's first port in the flat
+	// per-port tables below and in Validate's claim table;
+	// portBase[len(HubPorts)] is the fabric's port count. Built once by
+	// ports.
+	portBase []int32
+	// trunkAt[portBase[hub]+port] is the index into Trunks of the trunk
+	// leaving hub at port, or -1. Built once by ensureIndex.
+	trunkAt []int32
 }
 
 // Star builds the paper's basic installation (§2.1): one crossbar of
@@ -106,6 +111,7 @@ func LeafSpine(leaves, spines, perLeaf int) *Topology {
 	t := &Topology{
 		Name: fmt.Sprintf("leaf-spine %dx%d+%d", leaves, perLeaf, spines),
 		kind: kindLeafSpine, leaves: leaves, spines: spines, perLeaf: perLeaf,
+		Trunks: make([]Trunk, 0, 2*leaves*spines),
 	}
 	t.HubPorts = make([]int, leaves+spines)
 	for l := 0; l < leaves; l++ {
@@ -151,6 +157,8 @@ func FatTree(k int) *Topology {
 	t := &Topology{
 		Name: fmt.Sprintf("fat-tree k=%d", k),
 		kind: kindFatTree, k: k,
+		// Two directed trunks per edge-agg and per agg-core pair: k^3.
+		Trunks: make([]Trunk, 0, 2*(edges*half+aggs*half)),
 	}
 	t.HubPorts = make([]int, edges+aggs+cores)
 	for i := range t.HubPorts {
@@ -246,20 +254,32 @@ func (t *Topology) HubPath(src, dst int) ([]byte, bool) {
 	return nil, false
 }
 
+// ports returns the per-HUB port offsets, building them on first use:
+// every per-port table of the fabric is one flat slice indexed by
+// portBase[hub]+port.
+func (t *Topology) ports() []int32 {
+	if t.portBase == nil {
+		base := make([]int32, len(t.HubPorts)+1)
+		for h, n := range t.HubPorts {
+			base[h+1] = base[h] + int32(n)
+		}
+		t.portBase = base
+	}
+	return t.portBase
+}
+
 // ensureIndex builds the (hub, port) -> trunk index.
 func (t *Topology) ensureIndex() {
 	if t.trunkAt != nil {
 		return
 	}
-	idx := make([][]int32, len(t.HubPorts))
-	for h, ports := range t.HubPorts {
-		idx[h] = make([]int32, ports)
-		for p := range idx[h] {
-			idx[h][p] = -1
-		}
+	base := t.ports()
+	idx := make([]int32, base[len(t.HubPorts)])
+	for i := range idx {
+		idx[i] = -1
 	}
 	for ti, tr := range t.Trunks {
-		idx[tr.FromHub][tr.FromPort] = int32(ti)
+		idx[base[tr.FromHub]+int32(tr.FromPort)] = int32(ti)
 	}
 	t.trunkAt = idx
 }
@@ -267,10 +287,10 @@ func (t *Topology) ensureIndex() {
 // TrunkIndex resolves the trunk leaving hub at output port, if any.
 func (t *Topology) TrunkIndex(hub, port int) (int, bool) {
 	t.ensureIndex()
-	if hub < 0 || hub >= len(t.trunkAt) || port < 0 || port >= len(t.trunkAt[hub]) {
+	if hub < 0 || hub >= len(t.HubPorts) || port < 0 || port >= t.HubPorts[hub] {
 		return 0, false
 	}
-	ti := t.trunkAt[hub][port]
+	ti := t.trunkAt[t.portBase[hub]+int32(port)]
 	if ti < 0 {
 		return 0, false
 	}
@@ -289,16 +309,17 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("fabric: hub %d has %d ports; route bytes allow 1..256", h, ports)
 		}
 	}
-	used := make(map[int64]bool, len(t.Trunks)+len(t.NodeHub))
+	base := t.ports()
+	used := make([]bool, base[len(t.HubPorts)])
 	claim := func(hub, port int) error {
 		if hub < 0 || hub >= len(t.HubPorts) || port < 0 || port >= t.HubPorts[hub] {
 			return fmt.Errorf("fabric: port (hub %d, port %d) out of range", hub, port)
 		}
-		key := int64(hub)<<16 | int64(port)
-		if used[key] {
+		i := base[hub] + int32(port)
+		if used[i] {
 			return fmt.Errorf("fabric: output port (hub %d, port %d) used twice", hub, port)
 		}
-		used[key] = true
+		used[i] = true
 		return nil
 	}
 	for _, tr := range t.Trunks {

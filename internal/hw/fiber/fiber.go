@@ -115,17 +115,32 @@ type Link struct {
 	crossSent uint64 // cross-capable sends (next hop leaves the shard)
 
 	obs *obs.Observer
+
+	// Pads a Link to 192 bytes, a multiple of the 64-byte cache line, so
+	// the elements of a Links slab start on line boundaries and two
+	// shards' links never share a line.
+	_ [8]byte
 }
 
-// NewLink creates a fiber link delivering to dst.
+// NewLink creates a fiber link delivering to dst and registers it as its
+// own obs.Source.
 func NewLink(k *sim.Kernel, cost *model.CostModel, name string, dst Endpoint) *Link {
+	l := new(Link)
+	l.Init(k, cost, name, dst)
+	l.obs.Metrics().Register(l)
+	return l
+}
+
+// Init sets up l, which must be zero, as a fiber link on k delivering to
+// dst. It is the one way to set up a link. It does not register the
+// link's gauges: NewLink registers the link itself, and a Links slab
+// registers once for all of its elements.
+func (l *Link) Init(k *sim.Kernel, cost *model.CostModel, name string, dst Endpoint) {
 	if dst == nil {
 		panic("fiber: link with nil destination")
 	}
-	l := &Link{k: k, cost: cost, name: name, dst: dst}
+	l.k, l.cost, l.name, l.dst = k, cost, name, dst
 	l.obs = obs.Ensure(k)
-	l.obs.Metrics().Register(l)
-	return l
 }
 
 // Gauges reports the link's traffic and fault counts (obs.Source).
@@ -134,6 +149,21 @@ func (l *Link) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) 
 	emit(obs.LayerFiber, "bytes", l.name, l.bytes)
 	emit(obs.LayerFiber, "dropped", l.name, l.dropped)
 	emit(obs.LayerFiber, "corrupted", l.name, l.corrupted)
+}
+
+// Links is a slab of links allocated together, such as a fabric's
+// trunks. Each element is set up with Init. The slab is one obs.Source:
+// registering it once reports every element's gauges, in slab order,
+// exactly as registering each link would. A snapshot sums gauges across
+// registries, so elements set up on other kernels may register with any
+// one of them.
+type Links []Link
+
+// Gauges reports every link's gauges (obs.Source).
+func (ls Links) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	for i := range ls {
+		ls[i].Gauges(emit)
+	}
 }
 
 // Name returns the link name.

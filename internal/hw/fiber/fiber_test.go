@@ -2,6 +2,7 @@ package fiber
 
 import (
 	"testing"
+	"unsafe"
 
 	"nectar/internal/model"
 	"nectar/internal/sim"
@@ -116,4 +117,17 @@ func TestNilDestinationPanics(t *testing.T) {
 		}
 	}()
 	NewLink(sim.NewKernel(), model.Default1990(), "l", nil)
+}
+
+// TestLinkSizeIsLineMultiple keeps a Link a whole number of 64-byte cache
+// lines, so the elements of a Links slab each start a line. An unpadded
+// 184-byte Link made the fabric workload's run phase slower; a field
+// added to Link must shrink or grow the padding to keep this.
+func TestLinkSizeIsLineMultiple(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the padding is sized for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Link{}); n%64 != 0 {
+		t.Errorf("fiber.Link is %d bytes, want a multiple of 64", n)
+	}
 }

@@ -35,10 +35,8 @@ type Hub struct {
 	k       *sim.Kernel
 	cost    *model.CostModel
 	name    string
-	out     []*fiber.Link // indexed by output port; nil = unconnected
-	outDom  []*sim.Domain // owning shard of each output link; nil = local
-	circ    []int         // output port -> input port holding a circuit, -1 = none
-	sharded bool          // input ports run on several shards; circuits refused
+	ports   []hubPort // indexed by port number
+	sharded bool      // input ports run on several shards; circuits refused
 	stats   struct {
 		// forwarded is atomic because, under sharded execution, input
 		// ports on different shards forward concurrently. setupOps stays
@@ -48,14 +46,55 @@ type Hub struct {
 	}
 }
 
-// New creates a HUB with n ports.
-func New(k *sim.Kernel, cost *model.CostModel, name string, n int) *Hub {
-	h := &Hub{k: k, cost: cost, name: name, out: make([]*fiber.Link, n), outDom: make([]*sim.Domain, n), circ: make([]int, n)}
-	for i := range h.circ {
-		h.circ[i] = -1
+// hubPort is one port's entry in its HUB's port table: the output side's
+// fiber, owning shard and circuit reservation, and the input side's
+// endpoint, which InPort and InPortOn hand out.
+type hubPort struct {
+	out    *fiber.Link // nil = unconnected
+	outDom *sim.Domain // owning shard of the output link; nil = local
+	circ   int         // input port holding a circuit on this output, -1 = none
+	in     inPort
+}
+
+// Slab is a set of HUBs built together, such as a fabric's crossbars:
+// the HUBs are one allocation and all their port tables one more, and
+// the slab registers its gauges as one obs.Source, HUB by HUB in slab
+// order.
+type Slab []Hub
+
+// NewSlab creates len(ports) HUBs on kernel k: HUB i is named names[i]
+// and has ports[i] ports.
+func NewSlab(k *sim.Kernel, cost *model.CostModel, names []string, ports []int) Slab {
+	if len(names) != len(ports) {
+		sim.Panicf("hub: %d names for %d HUBs", len(names), len(ports))
 	}
-	obs.Ensure(k).Metrics().Register(h)
-	return h
+	total := 0
+	for _, n := range ports {
+		total += n
+	}
+	hs := make(Slab, len(ports))
+	tab := make([]hubPort, total)
+	for i := range tab {
+		tab[i].circ = -1
+	}
+	for i, n := range ports {
+		hs[i] = Hub{k: k, cost: cost, name: names[i], ports: tab[:n:n]}
+		tab = tab[n:]
+	}
+	obs.Ensure(k).Metrics().Register(hs)
+	return hs
+}
+
+// New creates a HUB with n ports: a slab of one.
+func New(k *sim.Kernel, cost *model.CostModel, name string, n int) *Hub {
+	return &NewSlab(k, cost, []string{name}, []int{n})[0]
+}
+
+// Gauges reports every HUB's gauges (obs.Source).
+func (hs Slab) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	for i := range hs {
+		hs[i].Gauges(emit)
+	}
 }
 
 // Gauges reports the HUB's forwards and controller commands (obs.Source).
@@ -69,30 +108,38 @@ func (h *Hub) Name() string { return h.name }
 
 // ConnectOut attaches the fiber leaving output port p.
 func (h *Hub) ConnectOut(p int, l *fiber.Link) {
-	if h.out[p] != nil {
+	if h.ports[p].out != nil {
 		sim.Panicf("hub %s: output port %d already connected", h.name, p)
 	}
-	h.out[p] = l
+	h.ports[p].out = l
 }
 
 // InPort returns the endpoint for fibers terminating at this HUB. All
 // input ports share forwarding logic; the port identity only matters for
 // circuit bookkeeping.
 func (h *Hub) InPort(p int) fiber.Endpoint {
-	return &inPort{hub: h, port: p, k: h.k}
+	return h.inPort(p, h.k, nil)
 }
 
 // InPortOn returns the endpoint for input port p executing on domain
 // dom's kernel: the port runs on the shard of the CAB or trunk whose fiber
 // feeds it, so arrival events never cross shards — only forwards do.
 func (h *Hub) InPortOn(p int, dom *sim.Domain) fiber.Endpoint {
-	return &inPort{hub: h, port: p, k: dom.Kernel(), dom: dom}
+	return h.inPort(p, dom.Kernel(), dom)
+}
+
+// inPort sets up input port p's endpoint in the port table and returns
+// it, so connecting a port allocates nothing.
+func (h *Hub) inPort(p int, k *sim.Kernel, dom *sim.Domain) *inPort {
+	ip := &h.ports[p].in
+	*ip = inPort{hub: h, port: p, k: k, dom: dom}
+	return ip
 }
 
 // SetOutDomain records which shard owns the link leaving output port p.
 // Forwards from an input port on a different shard are routed through the
 // coupling as timestamped inter-domain messages instead of local events.
-func (h *Hub) SetOutDomain(p int, d *sim.Domain) { h.outDom[p] = d }
+func (h *Hub) SetOutDomain(p int, d *sim.Domain) { h.ports[p].outDom = d }
 
 // OutDomain returns the shard owning the link leaving output port p (nil
 // when the port is local, unconnected, or out of range). Gateway cross
@@ -100,19 +147,19 @@ func (h *Hub) SetOutDomain(p int, d *sim.Domain) { h.outDom[p] = d }
 // out-of-range bytes resolve to nil here and fail with a proper diagnostic
 // when the forward executes.
 func (h *Hub) OutDomain(p int) *sim.Domain {
-	if p < 0 || p >= len(h.outDom) {
+	if p < 0 || p >= len(h.ports) {
 		return nil
 	}
-	return h.outDom[p]
+	return h.ports[p].outDom
 }
 
 // OutLink returns the link leaving output port p (nil if unconnected or
 // out of range).
 func (h *Hub) OutLink(p int) *fiber.Link {
-	if p < 0 || p >= len(h.out) {
+	if p < 0 || p >= len(h.ports) {
 		return nil
 	}
-	return h.out[p]
+	return h.ports[p].out
 }
 
 // SetSharded marks the HUB as spanning shards: controller circuit commands
@@ -150,15 +197,16 @@ func (ip *inPort) PacketArriving(pkt *fiber.Packet, end sim.Time) {
 	}
 	outPort := int(pkt.Route[0])
 	pkt.Route = pkt.Route[1:]
-	if outPort >= len(h.out) || h.out[outPort] == nil {
+	if outPort >= len(h.ports) || h.ports[outPort].out == nil {
 		ip.misroute(pkt, fmt.Sprintf("route names unconnected output port %d", outPort))
 		return
 	}
-	if h.circ[outPort] >= 0 && !pkt.Circuit {
-		ip.misroute(pkt, fmt.Sprintf("packet-switched frame to output port %d which is circuit-reserved by input %d", outPort, h.circ[outPort]))
+	op := &h.ports[outPort]
+	if op.circ >= 0 && !pkt.Circuit {
+		ip.misroute(pkt, fmt.Sprintf("packet-switched frame to output port %d which is circuit-reserved by input %d", outPort, op.circ))
 		return
 	}
-	if pkt.Circuit && h.circ[outPort] != ip.port {
+	if pkt.Circuit && op.circ != ip.port {
 		ip.misroute(pkt, fmt.Sprintf("circuit frame to output port %d but no circuit from input %d", outPort, ip.port))
 		return
 	}
@@ -169,15 +217,15 @@ func (ip *inPort) PacketArriving(pkt *fiber.Packet, end sim.Time) {
 	}
 	h.stats.forwarded.Add(1)
 	t := ip.k.Now() + sim.Time(delay)
-	if dst := h.outDom[outPort]; dst != nil && ip.dom != nil && dst != ip.dom {
+	if dst := op.outDom; dst != nil && ip.dom != nil && dst != ip.dom {
 		// Cross-shard forward: the destination shard owns the output
 		// link. The packet leaves its origin shard for good, so detach
 		// it from its (single-threaded) pool first.
 		pkt.Disown()
-		ip.dom.SendSized(dst, t, pkt.WireLen(), pkt.Hop(h.out[outPort], t))
+		ip.dom.SendSized(dst, t, pkt.WireLen(), pkt.Hop(op.out, t))
 		return
 	}
-	ip.k.At(t, pkt.Hop(h.out[outPort], t))
+	ip.k.At(t, pkt.Hop(op.out, t))
 }
 
 // misroute reports a forwarding failure through the owning kernel with
@@ -216,21 +264,21 @@ func (h *Hub) OpenCircuit(in, out int) error {
 	if h.sharded {
 		return fmt.Errorf("hub %s: circuits are not available under sharded execution (zero-lookahead forwarding)", h.name)
 	}
-	if h.circ[out] >= 0 {
-		return fmt.Errorf("hub %s: port %d already reserved by input %d", h.name, out, h.circ[out])
+	if c := h.ports[out].circ; c >= 0 {
+		return fmt.Errorf("hub %s: port %d already reserved by input %d", h.name, out, c)
 	}
-	h.circ[out] = in
+	h.ports[out].circ = in
 	h.stats.setupOps++
 	return nil
 }
 
 // CloseCircuit releases the circuit on output port out.
 func (h *Hub) CloseCircuit(out int) {
-	h.circ[out] = -1
+	h.ports[out].circ = -1
 }
 
 // CircuitHolder returns the input port holding a circuit on out, or -1.
-func (h *Hub) CircuitHolder(out int) int { return h.circ[out] }
+func (h *Hub) CircuitHolder(out int) int { return h.ports[out].circ }
 
 // Forwarded returns the number of packets forwarded.
 func (h *Hub) Forwarded() uint64 { return h.stats.forwarded.Load() }

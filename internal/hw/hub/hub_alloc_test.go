@@ -75,10 +75,12 @@ func TestForwardingAllocations(t *testing.T) {
 }
 
 // TestRegistrationAllocations pins the cost of building a fabric: on a
-// warm registry, fiber.NewLink allocates only its Link, and New only its
-// Hub and the three per-port tables. A link's and a HUB's gauges are their
-// own fields, read at snapshot time, so registering them allocates
-// nothing per metric.
+// warm registry, fiber.NewLink allocates only its Link, and New only the
+// HUB slab of one, its port table and the slab's registration. Input
+// ports are entries of the port table, so connecting all 16 of them
+// allocates nothing more. A link's and a HUB's gauges are their own
+// fields, read at snapshot time, so registering them allocates nothing
+// per metric.
 func TestRegistrationAllocations(t *testing.T) {
 	k := sim.NewKernel()
 	cost := model.Default1990()
@@ -91,7 +93,13 @@ func TestRegistrationAllocations(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { fiber.NewLink(k, cost, "link", dst) }); avg != 1 {
 		t.Errorf("fiber.NewLink allocates %.1f objects, want 1 (the Link)", avg)
 	}
-	if avg := testing.AllocsPerRun(100, func() { New(k, cost, "hub", DefaultPorts) }); avg != 4 {
-		t.Errorf("hub.New allocates %.1f objects, want 4 (the Hub and its port tables)", avg)
+	dom := sim.NewCoupling().AddDomain(k)
+	if avg := testing.AllocsPerRun(100, func() {
+		h := New(k, cost, "hub", DefaultPorts)
+		for p := 0; p < DefaultPorts; p++ {
+			h.InPortOn(p, dom)
+		}
+	}); avg != 3 {
+		t.Errorf("hub.New with 16 input ports connected allocates %.1f objects, want 3 (the slab, its port table, its registration)", avg)
 	}
 }
