@@ -7,6 +7,7 @@ import (
 
 	"nectar/internal/fabric"
 	"nectar/internal/nectarine"
+	"nectar/internal/obs"
 	"nectar/internal/proto/nectar"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
@@ -231,8 +232,7 @@ func TestRMPRetransmitOnDrop(t *testing.T) {
 	if got != len("must-arrive") {
 		t.Fatalf("got %d bytes", got)
 	}
-	_, _, retrans, _, _ := a.Transports.RMP.Stats()
-	if retrans == 0 {
+	if cl.MetricsSnapshot().Value(obs.LayerRMP, "retransmits", a.CAB.Scope()) == 0 {
 		t.Error("no retransmission recorded despite the drop")
 	}
 }
@@ -261,15 +261,9 @@ func TestRMPCorruptionDetectedByCRC(t *testing.T) {
 	if status != nectar.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
-	_, _, _, crcErr := crcStats(b)
-	if crcErr == 0 {
+	if cl.MetricsSnapshot().Value(obs.LayerCAB, "crc_errors", b.CAB.Scope()) == 0 {
 		t.Error("receiver CAB recorded no CRC error")
 	}
-}
-
-func crcStats(n *Node) (tx, rx, drops, crcErr uint64) {
-	tx, rx, crcErr = n.CAB.Stats()
-	return tx, rx, 0, crcErr
 }
 
 func TestRRPCallReply(t *testing.T) {
@@ -343,10 +337,7 @@ func TestRRPDuplicateSuppression(t *testing.T) {
 	if served != 1 {
 		t.Errorf("service executed %d times, want 1 (at-most-once)", served)
 	}
-	_, _, _, dedup := a.Transports.RRP.Stats()
-	_ = dedup
-	_, _, _, dedupB := b.Transports.RRP.Stats()
-	if dedupB == 0 {
+	if cl.MetricsSnapshot().Value(obs.LayerRRP, "dedup_hits", b.CAB.Scope()) == 0 {
 		t.Error("server recorded no dedup hit")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"nectar"
+	"nectar/internal/obs"
 	np "nectar/internal/proto/nectar"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
@@ -144,11 +145,11 @@ func runStats(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if r := a.TCP.Stats().Retransmits; r == 0 {
+	snap := cl.MetricsSnapshot()
+	if snap.Value(obs.LayerTCP, "retransmits", a.CAB.Scope()) == 0 {
 		return fmt.Errorf("tcp: fault injection produced no retransmission")
 	}
 
-	snap := cl.MetricsSnapshot()
 	if *format == "json" {
 		stdout.Write(snap.JSON())
 		fmt.Fprintln(stdout)

@@ -17,6 +17,7 @@ import (
 
 	"nectar"
 	"nectar/internal/fabric"
+	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/mailbox"
@@ -107,10 +108,12 @@ func main() {
 	fmt.Printf("virtual time: %v   aggregate goodput: %.1f Mbit/s\n",
 		elapsed, float64(totalBytes)*8/elapsed.Seconds()/1e6)
 	fmt.Printf("\n%-6s %10s %10s %10s %12s %12s\n", "node", "tx", "rx", "crcErr", "switches", "interrupts")
+	snap := cl.MetricsSnapshot()
 	for i, n := range ns {
-		tx, rx, crcErr := n.CAB.Stats()
-		fmt.Printf("cab%-3d %10d %10d %10d %12d %12d\n",
-			i+1, tx, rx, crcErr, n.CAB.Sched.Switches(), n.CAB.Sched.Interrupts())
+		scope := n.CAB.Scope()
+		fmt.Printf("cab%-3d %10d %10d %10d %12d %12d\n", i+1, snap.Value(obs.LayerCAB, "tx_frames", scope),
+			snap.Value(obs.LayerCAB, "rx_frames", scope), snap.Value(obs.LayerCAB, "crc_errors", scope),
+			n.CAB.Sched.Switches(), n.CAB.Sched.Interrupts())
 	}
 	for i, h := range cl.Hubs {
 		fmt.Printf("hub%-3d forwarded %d frames\n", i, h.Forwarded())

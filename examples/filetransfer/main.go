@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"nectar"
+	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/threads"
@@ -95,8 +96,9 @@ func main() {
 	}
 
 	gotSum := crc32.ChecksumIEEE(received)
-	retrans := a.TCP.Stats().Retransmits
-	_, _, crcErr := b.CAB.Stats()
+	snap := cl.MetricsSnapshot()
+	retrans := snap.Value(obs.LayerTCP, "retransmits", a.CAB.Scope())
+	crcErr := snap.Value(obs.LayerCAB, "crc_errors", b.CAB.Scope())
 	fmt.Printf("transferred %d bytes in %v virtual time (%.1f Mbit/s effective)\n",
 		len(received), elapsed, float64(len(received))*8/elapsed.Seconds()/1e6)
 	fmt.Printf("integrity: sent crc32=%08x received crc32=%08x match=%v bytes-equal=%v\n",

@@ -12,6 +12,7 @@ import (
 
 	"nectar"
 	"nectar/internal/nectarine"
+	"nectar/internal/obs"
 	"nectar/internal/sim"
 )
 
@@ -67,8 +68,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	txA, _, _ := a.CAB.Stats()
-	_, rxB, _ := b.CAB.Stats()
+	snap := cl.MetricsSnapshot()
+	txA := snap.Value(obs.LayerCAB, "tx_frames", a.CAB.Scope())
+	rxB := snap.Value(obs.LayerCAB, "rx_frames", b.CAB.Scope())
 	fmt.Printf("\nhardware: CAB A transmitted %d frames, CAB B received %d frames\n", txA, rxB)
 	fmt.Printf("CAB B heap in use: %d bytes (all message buffers returned)\n", b.CAB.Heap.Used())
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nectar/internal/obs"
 	"nectar/internal/proto/nectar"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
@@ -166,8 +167,7 @@ func TestTCPStreamIntegrityUnderRandomFaults(t *testing.T) {
 				t.Fatalf("stream corrupted: %d bytes received, want %d (equal=%v)",
 					len(received), len(payload), bytes.Equal(received, payload))
 			}
-			retrans := a.TCP.Stats().Retransmits
-			if retrans == 0 {
+			if cl.MetricsSnapshot().Value(obs.LayerTCP, "retransmits", a.CAB.Scope()) == 0 {
 				t.Error("fault injection never triggered a retransmission")
 			}
 		})

@@ -59,8 +59,9 @@
 //	deadstate  — unread state and unused code: within one package's
 //	             non-test files, no unexported struct field is written
 //	             but never read, and no unexported package-level func,
-//	             method, var, const or type goes unused. Exported API is
-//	             out of scope.
+//	             method, var, const or type goes unused; with the
+//	             whole-program view, no exported nectar/internal/ name
+//	             lacks a non-test use unless //nectar:api <reason> keeps it.
 //
 // The types below mirror the golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Diagnostic) so the analyzers read idiomatically and
@@ -210,19 +211,15 @@ var emissionSurfaces = map[string]emissionKind{
 	"(*nectar/internal/obs.Observer).Instant":       emitTrace,
 	"(*nectar/internal/obs.Observer).InstantSeq":    emitTrace,
 	"(*nectar/internal/obs.Observer).InstantArg":    emitTrace,
-	"(*nectar/internal/obs.Observer).Begin":         emitTrace,
 	"(*nectar/internal/obs.Observer).BeginSeq":      emitTrace,
 	"(*nectar/internal/obs.Observer).End":           emitTrace,
 	"(*nectar/internal/obs.Observer).CapturePacket": emitCapture,
 	"(*nectar/internal/obs.Counter).Inc":            emitMetric,
-	"(*nectar/internal/obs.Counter).Add":            emitMetric,
 	"(*nectar/internal/obs.Histogram).Observe":      emitMetric,
 	"(*nectar/internal/obs.Observer).emit":          emitSink,
 	"(*nectar/internal/obs.Capture).add":            emitSink,
 	"(nectar/internal/obs.Sink).Event":              emitSink,
 	"(*nectar/internal/obs.Recorder).Event":         emitSink,
-	"(nectar/internal/obs.SinkFunc).Event":          emitSink,
-	"(*nectar/internal/sim.Domain).Send":            emitOutbox,
 	"(*nectar/internal/sim.Domain).SendSized":       emitOutbox,
 }
 

@@ -44,6 +44,8 @@ import (
 
 // TestData returns the absolute path of the calling test's testdata
 // directory.
+//
+//nectar:api the analyzer fixtures' harness, called from the analyzers' _test.go files
 func TestData() string {
 	p, err := filepath.Abs("testdata")
 	if err != nil {
@@ -90,9 +92,29 @@ func sharedLoader(root string) *loader {
 
 // Run loads each package dir testdata/src/<path>, applies a to it, and
 // reports mismatches between diagnostics and // want expectations.
+//
+//nectar:api the analyzer fixtures' harness, called from the analyzers' _test.go files
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	run(t, testdata, a, pkgPaths...)
+}
+
+// RunProgram is Run with the whole-program view nectar-vet ./... gives
+// the analyzers: the packages are loaded into one Program, and each is
+// analyzed with it and checked against its own expectations.
+//
+//nectar:api the analyzer fixtures' harness, called from the analyzers' _test.go files
+func RunProgram(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
+	t.Helper()
+	ld := sharedLoader(filepath.Join(testdata, "src"))
+	pkgs := make([]*analysis.Package, len(pkgPaths))
+	for i, path := range pkgPaths {
+		pkgs[i] = ld.mustLoad(t, path)
+	}
+	prog := analysis.NewProgram(pkgs)
+	for _, pkg := range pkgs {
+		check(t, ld, a, pkg, prog)
+	}
 }
 
 // run is Run behind the TB seam (so the harness can test itself).
@@ -100,11 +122,13 @@ func run(t TB, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	ld := sharedLoader(filepath.Join(testdata, "src"))
 	for _, path := range pkgPaths {
-		runOne(t, ld, a, path)
+		check(t, ld, a, ld.mustLoad(t, path), nil)
 	}
 }
 
-func runOne(t TB, ld *loader, a *analysis.Analyzer, pkgPath string) {
+// mustLoad loads pkgPath, failing t on a load error and reporting its
+// type errors.
+func (ld *loader) mustLoad(t TB, pkgPath string) *analysis.Package {
 	t.Helper()
 	pkg, err := ld.load(pkgPath)
 	if err != nil {
@@ -113,7 +137,14 @@ func runOne(t TB, ld *loader, a *analysis.Analyzer, pkgPath string) {
 	for _, terr := range pkg.TypeErrors {
 		t.Errorf("%s: typecheck: %v", pkgPath, terr)
 	}
-	diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a})
+	return pkg
+}
+
+// check applies a to pkg, with prog's whole-program view when prog is
+// not nil, and reports mismatches with pkg's // want expectations.
+func check(t TB, ld *loader, a *analysis.Analyzer, pkg *analysis.Package, prog *analysis.Program) {
+	t.Helper()
+	diags, err := analysis.RunAnalyzersWith(prog, pkg, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}

@@ -123,6 +123,16 @@ func TestUnitsafe(t *testing.T) {
 
 func TestDeadstate(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.Deadstate,
-		"deadstatetest", // unread fields, unused identifiers, exemptions, test-only uses
+		"deadstatetest",                // unread fields, unused identifiers, exemptions, test-only uses
+		"nectar/internal/deadexp/solo", // exported half: silent in the per-package view
+	)
+}
+
+// TestDeadstateExported runs the exported half over a two-package
+// program, with determinism's directive pass for the bare waiver.
+func TestDeadstateExported(t *testing.T) {
+	analysistest.RunProgram(t, analysistest.TestData(), together(analysis.Deadstate, analysis.Determinism),
+		"nectar/internal/deadexp/lib", // unused, test-only, exempt and waived names
+		"nectar/cmd/deadexp",          // a non-test user outside nectar/internal/
 	)
 }

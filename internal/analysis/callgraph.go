@@ -29,7 +29,7 @@ import (
 //     the enclosing function) and named functions/method values passed
 //     as call arguments or launched by go statements — the shape in
 //     which callbacks reach the approved spawn surfaces (Kernel.At/
-//     After, Domain.Send, Kernel.Go, the parallel sweep pool).
+//     After, Domain.SendSized, Kernel.Go, the parallel sweep pool).
 //
 // Calls through func-typed variables and fields are not edges: their
 // targets are whatever values flowed there, which the value edges above
@@ -140,6 +140,8 @@ type Program struct {
 
 	shardOnce  bool
 	shardFacts *shardFactTable
+
+	deadDiags map[string][]Diagnostic // pkg path -> deadstate's exported findings
 }
 
 // NewProgram creates a Program over pkgs. Graphs and facts are built on

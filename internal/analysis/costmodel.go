@@ -10,7 +10,7 @@ import (
 
 // Costmodel proves latency-model soundness: every path from protocol or
 // datalink code to a hardware transmit — a fiber Link.Send/SendAt or a
-// VME Bus.PIO/PIOBytes/Reserve/DMA — must charge at least one latency
+// VME Bus.PIO/PIOBytes/Reserve — must charge at least one latency
 // from the paper's explicit cost model (a selector on model.CostModel:
 // a field like cost.DatalinkProcess or a derived method like
 // cost.FiberTime) somewhere before the transmit. A send path that
@@ -50,7 +50,6 @@ var costSinks = map[string]string{
 	"(*nectar/internal/hw/vme.Bus).PIO":       "VME transfer Bus.PIO",
 	"(*nectar/internal/hw/vme.Bus).PIOBytes":  "VME transfer Bus.PIOBytes",
 	"(*nectar/internal/hw/vme.Bus).Reserve":   "VME transfer Bus.Reserve",
-	"(*nectar/internal/hw/vme.Bus).DMA":       "VME transfer Bus.DMA",
 }
 
 // costModelPkg/costModelType name the cost-model type whose selectors

@@ -55,6 +55,11 @@ import (
 //	//nectar:leak-ok <reason>          — waive a poollife leak finding for
 //	                                     a deliberate sink (same placement
 //	                                     rules as allow-walltime).
+//	//nectar:api <reason>              — keep an exported nectar/internal
+//	                                     name that no non-test file uses
+//	                                     (deadstate's exported half); on a
+//	                                     type it covers the type's methods
+//	                                     and fields.
 
 const (
 	dirPrefix        = "//nectar:"
@@ -67,6 +72,7 @@ const (
 	DirDiagHelper    = "diag-helper"
 	DirTakesOwner    = "takes-ownership"
 	DirLeakOK        = "leak-ok"
+	DirAPI           = "api"
 )
 
 // placement is where a directive may sit.
@@ -81,6 +87,9 @@ const (
 	// onLineOrFunc: anywhere; it covers its own line and the next, or a
 	// whole function from its doc comment (see suppressor).
 	onLineOrFunc
+	// onDecl: the doc comment of a func, type, var or const declaration
+	// or spec, or a struct field's doc or line comment.
+	onDecl
 )
 
 // directiveRule is one verb's row in directiveTable.
@@ -129,6 +138,10 @@ var directiveTable = []directiveRule{
 		place: onFuncDoc, waiver: true, pkgs: []string{"nectar/internal/hw/", "nectar/internal/proto/"}},
 	{verb: DirLeakOK, words: 1, needs: "a reason", example: "the popped slot is returned through the Peek alias",
 		place: onLineOrFunc, waiver: true, pkgs: []string{"nectar/internal/hw/", "nectar/internal/proto/"}},
+	// Exported API with no non-test caller keeps its place only with a
+	// reason; deadstate's exported half judges nectar/internal/ alone.
+	{verb: DirAPI, words: 1, needs: "a reason", example: "safety check the heap tests run after every operation",
+		place: onDecl, waiver: true, pkgs: []string{"nectar/internal/"}},
 }
 
 // ruleFor returns verb's row, or nil for an unknown verb.
@@ -204,8 +217,9 @@ func hasWaiver(fset *token.FileSet, fd *ast.FuncDecl, verb string) bool {
 }
 
 // docSites maps each comment group in f that documents a declaration to
-// that declaration: a *ast.FuncDecl, a type *ast.GenDecl or
-// *ast.TypeSpec, or a struct *ast.Field (doc or line comment).
+// that declaration: a *ast.FuncDecl, a type, var or const *ast.GenDecl,
+// an *ast.TypeSpec or *ast.ValueSpec, or a struct *ast.Field (doc or
+// line comment).
 func docSites(f *ast.File) map[*ast.CommentGroup]ast.Node {
 	sites := make(map[*ast.CommentGroup]ast.Node)
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -213,14 +227,14 @@ func docSites(f *ast.File) map[*ast.CommentGroup]ast.Node {
 		case *ast.FuncDecl:
 			sites[n.Doc] = n
 		case *ast.GenDecl:
-			if n.Tok == token.TYPE {
+			if n.Tok != token.IMPORT {
 				sites[n.Doc] = n
-				for _, spec := range n.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok {
-						sites[ts.Doc] = ts
-					}
-				}
 			}
+		case *ast.TypeSpec:
+			sites[n.Doc] = n
+		case *ast.ValueSpec:
+			sites[n.Doc] = n
+			sites[n.Comment] = n
 		case *ast.StructType:
 			for _, fld := range n.Fields.List {
 				sites[fld.Doc] = fld
@@ -267,10 +281,15 @@ func checkDirectives(pass *Pass, f *ast.File) {
 					pass.Reportf(d.pos, "//nectar:%s must be part of a function declaration's doc comment", r.verb)
 				}
 			case onTypeOrField:
-				switch site.(type) {
-				case *ast.GenDecl, *ast.TypeSpec, *ast.Field:
-				default:
+				gd, isGen := site.(*ast.GenDecl)
+				_, isSpec := site.(*ast.TypeSpec)
+				_, isField := site.(*ast.Field)
+				if !(isGen && gd.Tok == token.TYPE || isSpec || isField) {
 					pass.Reportf(d.pos, "//nectar:%s must annotate a type declaration or a struct field", r.verb)
+				}
+			case onDecl:
+				if site == nil {
+					pass.Reportf(d.pos, "//nectar:%s must be part of a declaration's doc comment or a struct field's comment", r.verb)
 				}
 			}
 		}

@@ -212,16 +212,10 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 	return mi.fallback.Import(path)
 }
 
-// RunAnalyzers applies each analyzer to pkg and returns the diagnostics
-// in (analyzer, position) order. The interprocedural analyzers see only
-// pkg itself; use RunAnalyzersWith to give them whole-program context.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAnalyzersWith(nil, pkg, analyzers)
-}
-
-// RunAnalyzersWith is RunAnalyzers with an explicit Program supplying
-// cross-package syntax and facts to the interprocedural analyzers
-// (hotpath, shardsafe, costmodel, poollife). A nil prog makes each such analyzer fall back to
+// RunAnalyzersWith applies each analyzer to pkg and returns the
+// diagnostics in (analyzer, position) order. prog supplies cross-package
+// syntax and facts to the interprocedural analyzers (hotpath, shardsafe,
+// costmodel, poollife, deadstate's exported half); a nil prog gives them
 // a single-package view of pkg.
 func RunAnalyzersWith(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic

@@ -11,6 +11,7 @@ import (
 	"strconv"
 
 	"nectar/internal/obs"
+	"nectar/internal/sim"
 )
 
 // --- direct costly arguments ---
@@ -138,12 +139,12 @@ func captureUnguarded(o *obs.Observer, frame []byte, id int) {
 
 // --- metrics are always on: no guard excuses an allocating argument ---
 
-func metricAlloc(c *obs.Counter, n int) {
-	c.Add(uint64(len(fmt.Sprintf("%d", n)))) // want `obs metric Add has no disabled state, but its argument calls fmt\.Sprintf`
+func metricAlloc(h *obs.Histogram, n int) {
+	h.Observe(sim.Duration(len(fmt.Sprintf("%d", n)))) // want `obs metric Observe has no disabled state, but its argument calls fmt\.Sprintf`
 }
 
-func metricClean(c *obs.Counter, n uint64) {
-	c.Inc()   // ok
-	c.Add(n)  // ok
-	c.Add(64) // ok
+func metricClean(c *obs.Counter, h *obs.Histogram, d sim.Duration) {
+	c.Inc()                         // ok
+	h.Observe(d)                    // ok
+	h.Observe(64 * sim.Microsecond) // ok
 }

@@ -19,8 +19,8 @@ func sendUncharged(l *fiber.Link, p *fiber.Packet) { // want `cmpos\.sendUncharg
 	l.Send(p)
 }
 
-func dmaUncharged(b *vme.Bus) { // want `cmpos\.dmaUncharged reaches VME transfer Bus\.DMA \(cmpos\.dmaUncharged\) without charging`
-	b.DMA(64, nil)
+func reserveUncharged(b *vme.Bus) { // want `cmpos\.reserveUncharged reaches VME transfer Bus\.Reserve \(cmpos\.reserveUncharged\) without charging`
+	b.Reserve(16)
 }
 
 // The chain is flagged once, at its entry point; forward is inside the

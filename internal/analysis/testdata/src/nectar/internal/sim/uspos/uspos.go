@@ -65,7 +65,7 @@ func ok(d sim.Duration, t sim.Time) (sim.Duration, float64) {
 	_ = zero
 	half := d / 2   // scalar scaling keeps the unit
 	scaled := 3 * d // ditto
-	m := sim.Micros(1.5)
+	m := 1500 * sim.Nanosecond
 	w := setupLookahead
 	_ = t.Micros() // the audited unit-dropping exits
 	_ = d.Nanos()

@@ -7,12 +7,13 @@ import (
 	"fmt"
 
 	"nectar/internal/obs"
+	"nectar/internal/sim"
 )
 
 func unguarded(o *obs.Observer, n int) {
 	o.InstantArg(0, obs.LayerFiber, "tx", fmt.Sprintf("seq=%d", n), 0, 0)
 }
 
-func metricAlloc(c *obs.Counter, n int) {
-	c.Add(uint64(len(fmt.Sprintf("%d", n))))
+func metricAlloc(h *obs.Histogram, n int) {
+	h.Observe(sim.Duration(len(fmt.Sprintf("%d", n))))
 }

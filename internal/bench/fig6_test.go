@@ -30,7 +30,7 @@ func TestFig6Attribution(t *testing.T) {
 			var mu sync.Mutex
 			var events []obs.Event
 			for _, k := range cl.Kernels() {
-				obs.Ensure(k).SetSink(obs.SinkFunc(func(e obs.Event) {
+				obs.Ensure(k).SetSink(sinkFunc(func(e obs.Event) {
 					mu.Lock()
 					events = append(events, e)
 					mu.Unlock()
@@ -66,3 +66,8 @@ func TestFig6Attribution(t *testing.T) {
 		})
 	}
 }
+
+// sinkFunc adapts a function to obs.Sink.
+type sinkFunc func(obs.Event)
+
+func (f sinkFunc) Event(e obs.Event) { f(e) }

@@ -129,11 +129,6 @@ type CAB struct {
 	obs *obs.Observer
 }
 
-// New creates a CAB for the given node with default memory geometry.
-func New(k *sim.Kernel, cost *model.CostModel, node wire.NodeID) *CAB {
-	return NewSized(k, cost, node, 0)
-}
-
 // NewSized creates a CAB with dataBytes of packet memory (0 selects the
 // default 1 MB, the prototype's geometry). Scale experiments shrink it so
 // tens of thousands of materialized nodes fit in host memory; behavior is
@@ -202,6 +197,8 @@ func (c *CAB) SetRoute(dst wire.NodeID, route []byte) {
 func (c *CAB) OnRouteMiss(fn func(dst wire.NodeID)) { c.routeMiss = fn }
 
 // Route returns the source route to dst.
+//
+//nectar:api the route-table oracle of the cluster and fabric tests; routes publish no gauge
 func (c *CAB) Route(dst wire.NodeID) ([]byte, bool) {
 	r, ok := c.routes[dst]
 	return r, ok
@@ -438,10 +435,3 @@ func (c *CAB) newDesc() *RxDesc {
 	d.dmaFn = d.dmaComplete
 	return d
 }
-
-// Pool returns the CAB's frame/packet pool (stats are exposed for tests
-// and the perf report).
-func (c *CAB) Pool() *fiber.Pool { return c.pool }
-
-// Stats returns (frames transmitted, frames received, CRC errors).
-func (c *CAB) Stats() (tx, rx, crcErr uint64) { return c.txFrames, c.rxFrames, c.crcErrors }

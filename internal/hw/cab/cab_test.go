@@ -17,8 +17,8 @@ func wired(t *testing.T) (*sim.Kernel, *CAB, *CAB) {
 	k := sim.NewKernel()
 	cost := model.Default1990()
 	h := hub.New(k, cost, "hub", hub.DefaultPorts)
-	a := New(k, cost, 1)
-	b := New(k, cost, 2)
+	a := NewSized(k, cost, 1, 0)
+	b := NewSized(k, cost, 2, 0)
 	a.ConnectFiber(fiber.NewLink(k, cost, "a->h", h.InPort(0)))
 	h.ConnectOut(0, fiber.NewLink(k, cost, "h->a", a))
 	b.ConnectFiber(fiber.NewLink(k, cost, "b->h", h.InPort(1)))
@@ -97,9 +97,8 @@ func TestCRCDetectsWireCorruption(t *testing.T) {
 	if ok {
 		t.Error("hardware CRC accepted a corrupted frame")
 	}
-	_, _, crcErr := b.Stats()
-	if crcErr != 1 {
-		t.Errorf("crcErr = %d", crcErr)
+	if b.crcErrors != 1 {
+		t.Errorf("crcErr = %d", b.crcErrors)
 	}
 }
 
@@ -185,7 +184,7 @@ func TestRxDMAUndersizedBufferReleasesDesc(t *testing.T) {
 	// dropped the descriptor on the floor, stranding it (and its frame)
 	// instead of returning it to the CAB's free list.
 	k := sim.NewKernel()
-	c := New(k, model.Default1990(), 1)
+	c := NewSized(k, model.Default1990(), 1, 0)
 	d := c.getDesc()
 	d.Frame = make([]byte, wire.DatalinkHeaderLen+8+wire.CRCLen) // 8-byte payload
 	c.StartRxDMA(d, make([]byte, 4), func(ok bool) {

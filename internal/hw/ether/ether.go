@@ -87,4 +87,6 @@ func (i *Iface) Send(ctx exec.Context, dst int, n int) {
 }
 
 // Stats returns (frames, payload bytes) carried by the segment.
+//
+//nectar:api the Ethernet baseline's frame and byte counts, which its tests read; no gauge publishes them
 func (s *Segment) Stats() (frames, bytes uint64) { return s.frames, s.bytes }

@@ -15,8 +15,8 @@ func rig(t *testing.T) (*sim.Kernel, *model.CostModel, *host.Host, *host.Host, *
 	t.Helper()
 	k := sim.NewKernel()
 	cost := model.Default1990()
-	ca := cab.New(k, cost, 1)
-	cb := cab.New(k, cost, 2)
+	ca := cab.NewSized(k, cost, 1, 0)
+	cb := cab.NewSized(k, cost, 2, 0)
 	ha := host.New(k, cost, "hostA", ca)
 	hb := host.New(k, cost, "hostB", cb)
 	return k, cost, ha, hb, NewSegment(k, cost)

@@ -351,16 +351,12 @@ func (l *Link) EarliestOutputTo(dst int, actFloor sim.Time) sim.Time {
 	return e + sim.Time(l.gwDelay)
 }
 
-// Busy reports whether the fiber is occupied at the current instant.
-func (l *Link) Busy() bool { return l.freeAt > l.k.Now() }
-
-// FreeAt returns when the fiber becomes free.
-func (l *Link) FreeAt() sim.Time { return l.freeAt }
-
 // DropNext discards the next n packets presented for transmission.
 func (l *Link) DropNext(n int) { l.dropNext += n }
 
 // CorruptNext flips a bit in each of the next n packets.
+//
+//nectar:api fault hook the CRC-rejection tests of cab, datalink, hub, icmp and the cluster corrupt frames with
 func (l *Link) CorruptNext(n int) { l.corruptNext += n }
 
 // SetFaultFn installs a deterministic per-packet fault pattern: fn is
@@ -368,11 +364,6 @@ func (l *Link) CorruptNext(n int) { l.corruptNext += n }
 // corrupted. Tests use it to subject reliable protocols to arbitrary
 // loss patterns. Pass nil to clear.
 func (l *Link) SetFaultFn(fn func(seq uint64) (drop, corrupt bool)) { l.faultFn = fn }
-
-// Stats returns (packets sent, packets dropped, packets corrupted, bytes).
-func (l *Link) Stats() (sent, dropped, corrupted, bytes uint64) {
-	return l.sent, l.dropped, l.corrupted, l.bytes
-}
 
 // CrossShardFrames reports how many frames this gateway link carried whose
 // next route hop left the shard. It is deliberately kept out of the obs

@@ -47,9 +47,8 @@ func TestFaultFnPattern(t *testing.T) {
 	if len(s.got) != 3 {
 		t.Errorf("delivered %d of 6, want 3", len(s.got))
 	}
-	sent, dropped, _, _ := l.Stats()
-	if sent != 3 || dropped != 3 {
-		t.Errorf("stats sent=%d dropped=%d", sent, dropped)
+	if l.sent != 3 || l.dropped != 3 {
+		t.Errorf("stats sent=%d dropped=%d", l.sent, l.dropped)
 	}
 	l.SetFaultFn(nil)
 	k.After(0, func() { l.Send(packet(nil, make([]byte, 10))) })
@@ -67,11 +66,11 @@ func TestBusyAndFreeAt(t *testing.T) {
 	l := NewLink(k, model.Default1990(), "l", s)
 	k.After(0, func() {
 		l.Send(packet(nil, make([]byte, 1249))) // 1250 wire bytes = 100us
-		if !l.Busy() {
+		if l.freeAt <= k.Now() {
 			k.Fatalf("link not busy during transmission")
 		}
-		if l.FreeAt() != sim.Time(100*sim.Microsecond) {
-			k.Fatalf("FreeAt = %v", l.FreeAt())
+		if l.freeAt != sim.Time(100*sim.Microsecond) {
+			k.Fatalf("freeAt = %v", l.freeAt)
 		}
 	})
 	if err := k.Run(); err != nil {

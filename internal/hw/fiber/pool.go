@@ -30,10 +30,6 @@ import "nectar/internal/pool"
 type Pool struct {
 	frames  pool.FreeList[[]byte]
 	packets pool.FreeList[*Packet]
-
-	// Stats: hits (reuses) vs misses (fresh allocations).
-	frameHits, frameMisses uint64
-	pktHits, pktMisses     uint64
 }
 
 // GetFrame returns a frame buffer of length n, reusing pooled storage when
@@ -46,12 +42,10 @@ func (p *Pool) GetFrame(n int) []byte {
 	if p != nil {
 		if f, ok := p.frames.Peek(); ok && cap(f) >= n {
 			p.frames.Get() //nectar:leak-ok the popped slot is f, already in hand from the preceding Peek
-			p.frameHits++
 			return f[:n]
 		}
 		// Empty, or the top frame is too small for this send: leave it
 		// for a smaller one.
-		p.frameMisses++
 	}
 	return make([]byte, n)
 }
@@ -64,10 +58,8 @@ func (p *Pool) GetFrame(n int) []byte {
 func (p *Pool) GetPacket() *Packet {
 	if p != nil {
 		if pkt, ok := p.packets.Get(); ok {
-			p.pktHits++
 			return pkt
 		}
-		p.pktMisses++
 	}
 	return p.newPacket()
 }
@@ -101,13 +93,4 @@ func (pkt *Packet) Release() {
 	pkt.Circuit = false
 	pkt.via, pkt.out = nil, nil
 	p.packets.Put(pkt)
-}
-
-// Stats reports (frame reuses, frame allocations, packet reuses, packet
-// allocations).
-func (p *Pool) Stats() (frameHits, frameMisses, pktHits, pktMisses uint64) {
-	if p == nil {
-		return
-	}
-	return p.frameHits, p.frameMisses, p.pktHits, p.pktMisses
 }

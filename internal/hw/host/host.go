@@ -89,11 +89,3 @@ func (h *Host) WriteCAB(t *threads.Thread, dst []byte, src []byte) {
 	h.Bus.PIOBytes(t, len(src))
 	copy(dst, src)
 }
-
-// Touch charges the cost of words uncached accesses to mapped CAB memory
-// (shared data-structure manipulation from the host side).
-//
-//nectar:free-hop the per-word VME cost is charged inside Bus.PIO; Touch only counts the words
-func (h *Host) Touch(t *threads.Thread, words int) {
-	h.Bus.PIO(t, words)
-}

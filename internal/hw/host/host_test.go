@@ -14,7 +14,7 @@ func rig(t *testing.T) (*sim.Kernel, *Host, *cab.CAB) {
 	t.Helper()
 	k := sim.NewKernel()
 	cost := model.Default1990()
-	c := cab.New(k, cost, 1)
+	c := cab.NewSized(k, cost, 1, 0)
 	h := New(k, cost, "host1", c)
 	return k, h, c
 }
@@ -81,12 +81,14 @@ func TestProcessesArePreemptedByDriver(t *testing.T) {
 	}
 }
 
+// TestTouchChargesBus: a host process touching mapped CAB memory pays
+// one VME word per access on its bus.
 func TestTouchChargesBus(t *testing.T) {
 	k, h, _ := rig(t)
 	var elapsed sim.Duration
 	h.Run("proc", func(th *threads.Thread) {
 		start := th.Now()
-		h.Touch(th, 10)
+		h.Bus.PIO(th, 10)
 		elapsed = sim.Duration(th.Now() - start)
 	})
 	if err := k.Run(); err != nil {

@@ -155,6 +155,8 @@ func (h *Hub) OutDomain(p int) *sim.Domain {
 
 // OutLink returns the link leaving output port p (nil if unconnected or
 // out of range).
+//
+//nectar:api the fabric tests check every trunk is its HUB's output link through it
 func (h *Hub) OutLink(p int) *fiber.Link {
 	if p < 0 || p >= len(h.ports) {
 		return nil
@@ -271,14 +273,6 @@ func (h *Hub) OpenCircuit(in, out int) error {
 	h.stats.setupOps++
 	return nil
 }
-
-// CloseCircuit releases the circuit on output port out.
-func (h *Hub) CloseCircuit(out int) {
-	h.ports[out].circ = -1
-}
-
-// CircuitHolder returns the input port holding a circuit on out, or -1.
-func (h *Hub) CircuitHolder(out int) int { return h.ports[out].circ }
 
 // Forwarded returns the number of packets forwarded.
 func (h *Hub) Forwarded() uint64 { return h.stats.forwarded.Load() }

@@ -5,6 +5,7 @@ import (
 
 	"nectar/internal/hw/fiber"
 	"nectar/internal/model"
+	"nectar/internal/obs"
 	"nectar/internal/sim"
 )
 
@@ -114,7 +115,10 @@ func TestLinkDropAndCorrupt(t *testing.T) {
 			t.Error("packet not corrupted")
 		}
 	}
-	sent, dropped, corrupted, _ := l.Stats()
+	snap := obs.MergeSnapshots(k.Now(), obs.Ensure(k).Metrics())
+	sent := snap.Value(obs.LayerFiber, "frames", "l")
+	dropped := snap.Value(obs.LayerFiber, "dropped", "l")
+	corrupted := snap.Value(obs.LayerFiber, "corrupted", "l")
 	if sent != 2 || dropped != 1 || corrupted != 2 {
 		t.Errorf("stats = %d/%d/%d, want 2/1/2", sent, dropped, corrupted)
 	}
@@ -266,10 +270,6 @@ func TestCircuitSwitching(t *testing.T) {
 	}
 	if sink.arrived[0].first != 0 {
 		t.Errorf("circuit packet first byte at %v, want 0 (no setup)", sink.arrived[0].first)
-	}
-	h.CloseCircuit(1)
-	if h.CircuitHolder(1) != -1 {
-		t.Error("circuit not released")
 	}
 }
 

@@ -42,41 +42,15 @@ func NewRegion(name string, size int) *Region {
 // Size returns the region size in bytes.
 func (r *Region) Size() int { return len(r.bytes) }
 
-// Bytes returns the raw backing slice (hardware/DMA view: no protection).
-func (r *Region) Bytes() []byte { return r.bytes }
-
 // Slice returns the byte window [addr, addr+n). It panics on out-of-range,
-// which models a bus error. The returned slice deliberately keeps the full
-// backing capacity so that AddrOf can recover the physical address of any
-// (re)slice by capacity arithmetic; callers must never append to it.
+// which models a bus error. The returned slice keeps the region's backing
+// capacity past its end, so callers must never append to it.
 func (r *Region) Slice(addr Addr, n int) []byte {
 	if int(addr)+n > len(r.bytes) {
 		sim.Panicf("mem: bus error: [%d,%d) outside region %q (size %d)",
 			addr, int(addr)+n, r.name, len(r.bytes))
 	}
 	return r.bytes[addr : int(addr)+n]
-}
-
-// AddrOf returns the region-physical address of a slice previously obtained
-// from this region. It panics if b does not alias the region.
-func (r *Region) AddrOf(b []byte) Addr {
-	if len(b) == 0 {
-		return 0
-	}
-	// Compare capacities of sub-slices to locate b's offset. We use the
-	// unsafe-free trick: scan is O(1) via capacity arithmetic.
-	base := &r.bytes[0]
-	_ = base
-	// cap from b's end to region end identifies the offset uniquely.
-	off := len(r.bytes) - cap(b)
-	if off < 0 || off+len(b) > len(r.bytes) {
-		sim.Panicf("mem: AddrOf: slice not within region %q", r.name)
-	}
-	// Verify aliasing by identity of the first element.
-	if &r.bytes[off] != &b[0] {
-		sim.Panicf("mem: AddrOf: slice does not alias region %q", r.name)
-	}
-	return Addr(off)
 }
 
 // Heap is a first-fit allocator with free-list coalescing over a Region,
@@ -87,9 +61,7 @@ type Heap struct {
 	free   []span // sorted by addr, coalesced
 	inUse  map[Addr]int
 	used   int
-	peak   int
 	allocs uint64
-	fails  uint64
 }
 
 type span struct {
@@ -131,13 +103,9 @@ func (h *Heap) Alloc(n int) (buf []byte, addr Addr, ok bool) {
 		}
 		h.inUse[addr] = n
 		h.used += n
-		if h.used > h.peak {
-			h.peak = h.used
-		}
 		h.allocs++
 		return h.region.Slice(addr, n), addr, true
 	}
-	h.fails++
 	return nil, 0, false
 }
 
@@ -174,30 +142,16 @@ func (h *Heap) coalesce(i int) {
 // Used returns the number of allocated bytes.
 func (h *Heap) Used() int { return h.used }
 
-// Peak returns the high-water mark of allocated bytes.
-func (h *Heap) Peak() int { return h.peak }
-
 // Allocs returns the number of successful allocations.
+//
+//nectar:api the mailbox tests check which messages take heap space; the heap publishes no gauge
 func (h *Heap) Allocs() uint64 { return h.allocs }
-
-// Fails returns the number of failed allocations.
-func (h *Heap) Fails() uint64 { return h.fails }
-
-// FreeSpans returns the number of free-list entries (fragmentation gauge).
-func (h *Heap) FreeSpans() int { return len(h.free) }
-
-// TotalFree returns the total free bytes.
-func (h *Heap) TotalFree() int {
-	n := 0
-	for _, s := range h.free {
-		n += s.size
-	}
-	return n
-}
 
 // CheckInvariants verifies allocator consistency: free spans sorted,
 // non-overlapping, non-adjacent (fully coalesced), and disjoint from
 // allocations. Used by property tests.
+//
+//nectar:api safety check the heap and mailbox property tests run after every operation
 func (h *Heap) CheckInvariants() error {
 	for i := 1; i < len(h.free); i++ {
 		prev, cur := h.free[i-1], h.free[i]

@@ -26,26 +26,6 @@ func TestRegionSliceBusError(t *testing.T) {
 	r.Slice(Addr(PageSize-8), 16)
 }
 
-func TestAddrOfRoundTrip(t *testing.T) {
-	r := NewRegion("data", 16*PageSize)
-	for _, off := range []Addr{0, 8, 1024, 16000} {
-		b := r.Slice(off, 64)
-		if got := r.AddrOf(b); got != off {
-			t.Errorf("AddrOf(Slice(%d)) = %d", off, got)
-		}
-	}
-}
-
-func TestAddrOfForeignSlicePanics(t *testing.T) {
-	r := NewRegion("data", PageSize)
-	defer func() {
-		if recover() == nil {
-			t.Error("AddrOf of foreign slice did not panic")
-		}
-	}()
-	r.AddrOf(make([]byte, 16))
-}
-
 func TestHeapAllocFree(t *testing.T) {
 	r := NewRegion("data", 8*PageSize)
 	h := NewHeap(r, 0, r.Size())
@@ -63,8 +43,8 @@ func TestHeapAllocFree(t *testing.T) {
 	if h.Used() != 0 {
 		t.Errorf("Used() = %d after free", h.Used())
 	}
-	if h.FreeSpans() != 1 {
-		t.Errorf("free spans = %d, want 1 (coalesced)", h.FreeSpans())
+	if len(h.free) != 1 {
+		t.Errorf("free spans = %d, want 1 (coalesced)", len(h.free))
 	}
 }
 
@@ -74,9 +54,6 @@ func TestHeapExhaustion(t *testing.T) {
 	_, _, ok := h.Alloc(PageSize + 1)
 	if ok {
 		t.Error("oversized alloc succeeded")
-	}
-	if h.Fails() != 1 {
-		t.Errorf("fails = %d, want 1", h.Fails())
 	}
 	// Fill completely, then one more should fail.
 	_, a1, ok := h.Alloc(PageSize / 2)
@@ -111,11 +88,11 @@ func TestHeapCoalescing(t *testing.T) {
 	for _, i := range []int{1, 3, 5, 7, 0, 2, 4, 6} {
 		h.Free(addrs[i])
 	}
-	if h.FreeSpans() != 1 {
-		t.Errorf("free spans = %d, want 1 after freeing everything", h.FreeSpans())
+	if len(h.free) != 1 {
+		t.Errorf("free spans = %d, want 1 after freeing everything", len(h.free))
 	}
-	if h.TotalFree() != r.Size() {
-		t.Errorf("total free = %d, want %d", h.TotalFree(), r.Size())
+	if len(h.free) != 1 || h.free[0].size != r.Size() {
+		t.Errorf("free spans = %+v, want one of %d bytes", h.free, r.Size())
 	}
 }
 
@@ -190,22 +167,9 @@ func TestHeapInvariantsProperty(t *testing.T) {
 		for _, a := range live {
 			h.Free(a.addr)
 		}
-		return h.FreeSpans() == 1 && h.Used() == 0
+		return len(h.free) == 1 && h.Used() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHeapPeakTracking(t *testing.T) {
-	r := NewRegion("data", 4*PageSize)
-	h := NewHeap(r, 0, r.Size())
-	_, a1, _ := h.Alloc(1000)
-	_, a2, _ := h.Alloc(1000)
-	peak := h.Used()
-	h.Free(a1)
-	h.Free(a2)
-	if h.Peak() != peak {
-		t.Errorf("peak = %d, want %d", h.Peak(), peak)
 	}
 }

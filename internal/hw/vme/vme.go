@@ -1,12 +1,13 @@
 // Package vme models the VME backplane connecting a host to its CAB
-// (paper §2.2, §6). The bus supports programmed I/O — each 32-bit word
-// read or write costs about 1 µs (§6.1) — and block DMA transfers at about
-// 30 Mbit/s (§6.3), which is the bottleneck that caps host-to-host
-// throughput in Figure 8.
+// (paper §2.2, §6). Host↔CAB bytes cross it by programmed I/O: each
+// 32-bit word read or write costs about 1 µs (§6.1), so data moves at
+// about 30 Mbit/s (§6.3), the bottleneck that caps host-to-host
+// throughput in Figure 8. The board's block DMA has no caller and is not
+// modelled.
 //
-// The bus is a serially-reusable resource: PIO accesses and DMA bursts
-// occupy it exclusively, so a host polling loop contends with an in-flight
-// block transfer, as on the real backplane.
+// The bus is a serially-reusable resource: accesses occupy it
+// exclusively, so a host polling loop contends with every other access
+// in flight, as on the real backplane.
 package vme
 
 import (
@@ -37,6 +38,7 @@ func New(k *sim.Kernel, cost *model.CostModel, name string) *Bus {
 // Gauges reports the words and bytes the bus has moved (obs.Source).
 func (b *Bus) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
 	emit(obs.LayerVME, "pio_words", b.name, b.pioWords)
+	// No transfer uses block DMA, so dma_bytes reads 0; the row stays for the snapshot goldens and nectar-perf.
 	emit(obs.LayerVME, "dma_bytes", b.name, b.dmaBytes)
 }
 
@@ -73,24 +75,3 @@ func (b *Bus) Reserve(words int) sim.Duration {
 func (b *Bus) PIOBytes(t *threads.Thread, n int) {
 	b.PIO(t, (n+3)/4)
 }
-
-// DMA reserves the bus for a block transfer of n bytes and calls done when
-// the transfer completes. The reservation includes the DMA setup cost.
-// Callable from any context; the transfer proceeds without CPU involvement.
-func (b *Bus) DMA(n int, done func()) {
-	now := b.k.Now()
-	start := now
-	if b.freeAt > start {
-		start = b.freeAt
-	}
-	end := start + sim.Time(b.cost.VMEDMASetup+b.cost.VMEDMATime(n))
-	b.freeAt = end
-	b.dmaBytes += uint64(n)
-	b.k.At(end, done)
-}
-
-// FreeAt returns when the bus next becomes free.
-func (b *Bus) FreeAt() sim.Time { return b.freeAt }
-
-// Stats returns cumulative (PIO words, DMA bytes).
-func (b *Bus) Stats() (pioWords, dmaBytes uint64) { return b.pioWords, b.dmaBytes }

@@ -10,7 +10,7 @@ import (
 
 func rig() (*sim.Kernel, *threads.Sched, *Bus) {
 	k := sim.NewKernel()
-	cost := model.Default1990().Clone()
+	cost := model.Default1990()
 	cost.ContextSwitch = 0
 	s := threads.New(k, cost, "host")
 	return k, s, New(k, cost, "vme0")
@@ -46,27 +46,12 @@ func TestPIOBytesRoundsUpToWords(t *testing.T) {
 	}
 }
 
-func TestDMABandwidth(t *testing.T) {
-	k, _, b := rig()
-	var doneAt sim.Time
-	k.After(0, func() {
-		b.DMA(3750, func() { doneAt = k.Now() }) // 3750B at 3.75MB/s = 1ms
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := sim.Time(sim.Millisecond + 8*sim.Microsecond) // + setup
-	if doneAt != want {
-		t.Errorf("DMA done at %v, want %v", doneAt, want)
-	}
-}
-
 func TestBusContention(t *testing.T) {
-	// PIO issued during a DMA burst waits for the bus.
+	// PIO issued while another access holds the bus waits for it.
 	k, s, b := rig()
 	var pioEnd sim.Time
 	k.After(0, func() {
-		b.DMA(3750, func() {}) // bus busy ~1008us
+		b.Reserve(1000) // bus busy until 1000us
 	})
 	s.Fork("p", threads.SystemPriority, func(th *threads.Thread) {
 		th.Sleep(100 * sim.Microsecond)
@@ -77,7 +62,7 @@ func TestBusContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pioEnd < sim.Time(sim.Millisecond) {
-		t.Errorf("PIO completed at %v during the DMA burst", pioEnd)
+		t.Errorf("PIO completed at %v while the bus was held", pioEnd)
 	}
 }
 
@@ -86,12 +71,11 @@ func TestStats(t *testing.T) {
 	s.Fork("p", threads.SystemPriority, func(th *threads.Thread) {
 		b.PIO(th, 3)
 	})
-	k.After(0, func() { b.DMA(100, func() {}) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	pw, db := b.Stats()
-	if pw != 3 || db != 100 {
-		t.Errorf("stats = %d/%d, want 3/100", pw, db)
+	// No transfer uses block DMA: host-CAB bytes move by PIO.
+	if b.pioWords != 3 || b.dmaBytes != 0 {
+		t.Errorf("stats = %d/%d, want 3/0", b.pioWords, b.dmaBytes)
 	}
 }

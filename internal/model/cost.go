@@ -27,12 +27,6 @@ type CostModel struct {
 	// word across the VME bus. Paper: "each read or write over the VME bus
 	// takes about 1 µs".
 	VMEWord sim.Duration
-	// VMEDMABytesPerSec is the block-transfer bandwidth of the VME bus used
-	// by the CAB DMA engine. Paper: "the VME bus ... is about 30 Mbit/sec".
-	VMEDMABytesPerSec int64
-	// VMEDMASetup is the fixed cost to program one VME DMA transfer.
-	// Calibrated (Figure 8 flattening point).
-	VMEDMASetup sim.Duration
 
 	// --- CAB CPU & runtime (paper §2.2, §3.1) ---
 
@@ -143,9 +137,7 @@ func Default1990() *CostModel {
 		FiberBytesPerSec: 100_000_000 / 8, // 100 Mbit/s (§2.1)
 		HubSetup:         700 * sim.Nanosecond,
 
-		VMEWord:           1 * sim.Microsecond, // §6.1
-		VMEDMABytesPerSec: 30_000_000 / 8,      // §6.3
-		VMEDMASetup:       8 * sim.Microsecond, // calibrated
+		VMEWord: 1 * sim.Microsecond, // §6.1
 
 		ContextSwitch:  20 * sim.Microsecond, // §3.1
 		InterruptEntry: 4 * sim.Microsecond,  // calibrated (Fig 6)
@@ -187,20 +179,9 @@ func Default1990() *CostModel {
 	}
 }
 
-// Clone returns a deep copy, for ablations that perturb single costs.
-func (c *CostModel) Clone() *CostModel {
-	d := *c
-	return &d
-}
-
 // FiberTime is the serialization time of n bytes on the fiber.
 func (c *CostModel) FiberTime(n int) sim.Duration {
 	return bytesTime(n, c.FiberBytesPerSec)
-}
-
-// VMEDMATime is the block-DMA time for n bytes across the VME bus.
-func (c *CostModel) VMEDMATime(n int) sim.Duration {
-	return bytesTime(n, c.VMEDMABytesPerSec)
 }
 
 // ChecksumTime is the software checksum time over n bytes on the CAB CPU.
@@ -216,12 +197,6 @@ func (c *CostModel) MemCopyTime(n int) sim.Duration {
 // EtherTime is the serialization time of n bytes on the Ethernet baseline.
 func (c *CostModel) EtherTime(n int) sim.Duration {
 	return bytesTime(n, c.EtherBytesPerSec)
-}
-
-// VMEWords is the PIO cost of transferring n bytes word-by-word.
-func (c *CostModel) VMEWords(n int) sim.Duration {
-	words := (n + 3) / 4
-	return sim.Duration(words) * c.VMEWord
 }
 
 func bytesTime(n int, bytesPerSec int64) sim.Duration {

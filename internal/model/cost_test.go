@@ -17,30 +17,6 @@ func TestFiberTimeMatchesLineRate(t *testing.T) {
 	}
 }
 
-func TestVMEDMATimeMatchesBusRate(t *testing.T) {
-	c := Default1990()
-	// 3750 bytes at 30 Mbit/s = 1 ms.
-	if got := c.VMEDMATime(3750); got != sim.Millisecond {
-		t.Errorf("VMEDMATime(3750) = %v, want 1ms", got)
-	}
-}
-
-func TestVMEWordsRoundsUp(t *testing.T) {
-	c := Default1990()
-	if got := c.VMEWords(5); got != 2*sim.Microsecond {
-		t.Errorf("VMEWords(5) = %v, want 2us", got)
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	a := Default1990()
-	b := a.Clone()
-	b.ContextSwitch = 999
-	if a.ContextSwitch == b.ContextSwitch {
-		t.Error("Clone shares storage with the original")
-	}
-}
-
 func TestPaperAnchorsPresent(t *testing.T) {
 	c := Default1990()
 	if c.HubSetup != 700*sim.Nanosecond {
@@ -54,8 +30,5 @@ func TestPaperAnchorsPresent(t *testing.T) {
 	}
 	if c.FiberBytesPerSec != 100_000_000/8 {
 		t.Errorf("fiber rate = %d, paper says 100 Mbit/s", c.FiberBytesPerSec)
-	}
-	if c.VMEDMABytesPerSec != 30_000_000/8 {
-		t.Errorf("VME DMA rate = %d, paper says ~30 Mbit/s", c.VMEDMABytesPerSec)
 	}
 }

@@ -86,6 +86,8 @@ func (ep *Endpoint) NewSync() *syncs.Sync {
 // --- Message construction/consumption (two-phase mailbox interface) ---
 
 // Put writes data into box as one message (Begin_Put/Write/End_Put).
+//
+//nectar:api Nectarine's mailbox put from the paper, covered by the root Nectarine tests
 func (ep *Endpoint) Put(box *mailbox.Mailbox, data []byte) {
 	m := box.BeginPut(ep.ctx, len(data))
 	m.Write(ep.ctx, 0, data)

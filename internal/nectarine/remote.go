@@ -25,6 +25,8 @@ const (
 // RegisterTask makes fn startable by name from remote nodes (closures
 // cannot travel over the network, so tasks are registered on the node
 // that will run them and started remotely by name).
+//
+//nectar:api Nectarine's remote-task interface from the paper, covered by the root Nectarine tests
 func (a *API) RegisterTask(name string, fn func(ep *Endpoint)) {
 	a.tasks[name] = fn
 }
@@ -66,6 +68,8 @@ func (a *API) handleControl(ctx exec.Context, req []byte) []byte {
 // CreateRemoteMailbox creates a mailbox on another node and returns its
 // network-wide address (paper §3.5). The caller can then pass the address
 // to transports or remote tasks.
+//
+//nectar:api Nectarine's remote-task interface from the paper, covered by the root Nectarine tests
 func (ep *Endpoint) CreateRemoteMailbox(node wire.NodeID, name string) (wire.MailboxAddr, error) {
 	reply, err := ep.control(node, append([]byte{ctlCreateMailbox}, name...))
 	if err != nil {
@@ -79,6 +83,8 @@ func (ep *Endpoint) CreateRemoteMailbox(node wire.NodeID, name string) (wire.Mai
 
 // StartRemoteTask starts a task registered (by name) on another node's
 // Nectarine instance, executing on that node's CAB (paper §3.5).
+//
+//nectar:api Nectarine's remote-task interface from the paper, covered by the root Nectarine tests
 func (ep *Endpoint) StartRemoteTask(node wire.NodeID, name string) error {
 	reply, err := ep.control(node, append([]byte{ctlStartTask}, name...))
 	if err != nil {

@@ -46,6 +46,8 @@ func (c *Capture) add(at sim.Time, link string, frame []byte, dropped, corrupted
 }
 
 // Text renders the capture as a tcpdump-style listing.
+//
+//nectar:api sharded identity helper: the determinism tests compare captures in this form
 func (c *Capture) Text() string {
 	var b strings.Builder
 	for _, p := range c.Packets {

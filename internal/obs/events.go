@@ -118,9 +118,3 @@ type Recorder struct {
 
 // Event implements Sink.
 func (r *Recorder) Event(e Event) { r.Events = append(r.Events, e) }
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Event)
-
-// Event implements Sink.
-func (f SinkFunc) Event(e Event) { f(e) }

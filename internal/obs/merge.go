@@ -23,7 +23,7 @@ import (
 // at bucket level, and the result is sorted by (layer, name, scope) — so
 // merging the per-shard registries of a run yields the same JSON for every
 // shard count. Gauges are read here, from each registry's sources. It is
-// the one export: Registry.Snapshot merges one registry.
+// the one export, of one registry or of many.
 func MergeSnapshots(at sim.Time, regs ...*Registry) *Snapshot {
 	s := &Snapshot{AtUS: at.Micros()}
 	counters := make(map[metricKey]uint64)
@@ -148,6 +148,8 @@ func CanonicalTrace(streams ...[]Event) []Event {
 
 // FormatEvents renders events one per line (Event.String), the form the
 // determinism tests compare byte-for-byte.
+//
+//nectar:api sharded identity helper: the determinism tests compare traces in this form
 func FormatEvents(events []Event) string {
 	var b strings.Builder
 	for _, e := range events {
@@ -160,6 +162,8 @@ func FormatEvents(events []Event) string {
 // CanonicalCapture merges per-shard wire captures into one Capture whose
 // packets are stable-sorted by content (virtual time, then link, then the
 // decoded fields). Raw frames are not carried over.
+//
+//nectar:api sharded identity helper: the determinism tests merge per-shard captures with it
 func CanonicalCapture(caps ...*Capture) *Capture {
 	merged := &Capture{}
 	for _, c := range caps {

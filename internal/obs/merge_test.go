@@ -34,13 +34,13 @@ func TestMergeSnapshotsEmpty(t *testing.T) {
 }
 
 // TestMergeSnapshotsSingle pins the single-shard identity: merging one
-// registry — which is what Registry.Snapshot does — must serialize to the
+// registry must serialize to the
 // JSON a direct per-registry export always produced, entries sorted by
 // (layer, name, scope); MergeSnapshots may not reorder, rename, or
 // restate anything.
 func TestMergeSnapshotsSingle(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(LayerFiber, "frames", "hub").Add(7)
+	add(r.Counter(LayerFiber, "frames", "hub"), 7)
 	r.Counter(LayerTCP, "retransmits", "cab0").Inc()
 	r.Register(&testGauge{LayerMailbox, "depth", "n1", 3})
 	h := r.Histogram(LayerTCP, "ack_rtt", "cab0")
@@ -93,9 +93,6 @@ func TestMergeSnapshotsSingle(t *testing.T) {
 	if got := string(MergeSnapshots(at, r).JSON()); got != want {
 		t.Errorf("single-registry merge:\n%s\nwant:\n%s", got, want)
 	}
-	if got := string(r.Snapshot(at).JSON()); got != want {
-		t.Errorf("Registry.Snapshot:\n%s\nwant:\n%s", got, want)
-	}
 }
 
 // TestMergeSnapshotsSums checks cross-shard composition: counters and
@@ -103,8 +100,8 @@ func TestMergeSnapshotsSingle(t *testing.T) {
 // only one shard survive, and a nil shard in the middle is skipped.
 func TestMergeSnapshotsSums(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Counter(LayerFiber, "frames", "hub").Add(10)
-	b.Counter(LayerFiber, "frames", "hub").Add(32)
+	add(a.Counter(LayerFiber, "frames", "hub"), 10)
+	add(b.Counter(LayerFiber, "frames", "hub"), 32)
 	a.Counter(LayerRMP, "timeouts", "cab0").Inc() // shard-a only
 	a.Register(&testGauge{LayerMailbox, "depth", "n1", 2})
 	b.Register(&testGauge{LayerMailbox, "depth", "n1", 5})
@@ -137,7 +134,7 @@ func TestMergeSnapshotsHistogramBuckets(t *testing.T) {
 			b.Histogram(LayerTCP, "ack_rtt", "cab0").Observe(d)
 		}
 	}
-	seq, ok := one.Snapshot(0).Get(LayerTCP, "ack_rtt", "cab0")
+	seq, ok := MergeSnapshots(0, one).Get(LayerTCP, "ack_rtt", "cab0")
 	if !ok {
 		t.Fatal("sequential histogram missing")
 	}

@@ -29,21 +29,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Histogram accumulates virtual-time durations into log2 buckets: a
 // prof.Hist over nanoseconds, typed by sim.Duration. Observe is
 // allocation-free; percentiles are derived at snapshot time.
@@ -66,12 +51,6 @@ type HistStats struct {
 	P90US float64 `json:"p90_us"`
 	P99US float64 `json:"p99_us"`
 	MaxUS float64 `json:"max_us"`
-}
-
-// Stats summarizes the histogram: count, sum, min/max, and the p50, p90
-// and p99 upper bounds at bucket resolution.
-func (h *Histogram) Stats() *HistStats {
-	return h.stats()
 }
 
 // stats summarizes the histogram in microseconds.
@@ -182,10 +161,6 @@ type Snapshot struct {
 	AtUS    float64 `json:"at_us"` // virtual time of the snapshot
 	Entries []Entry `json:"metrics"`
 }
-
-// Snapshot samples every counter, gauge, and histogram: a merge of one
-// registry.
-func (r *Registry) Snapshot(at sim.Time) *Snapshot { return MergeSnapshots(at, r) }
 
 // Get returns the entry for (layer, name, scope), if present.
 func (s *Snapshot) Get(layer Layer, name, scope string) (Entry, bool) {

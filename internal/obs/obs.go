@@ -30,12 +30,6 @@ func Ensure(k *sim.Kernel) *Observer {
 	return o
 }
 
-// Get returns the kernel's Observer or nil if none is installed.
-func Get(k *sim.Kernel) *Observer {
-	o, _ := k.Observer().(*Observer)
-	return o
-}
-
 // Metrics returns the observer's registry (nil-tolerant).
 func (o *Observer) Metrics() *Registry {
 	if o == nil {
@@ -56,6 +50,8 @@ func (o *Observer) SetSink(s Sink) {
 func (o *Observer) Tracing() bool { return o != nil && o.sink != nil }
 
 // SetCapture installs (or removes, with nil) the wire-capture tap.
+//
+//nectar:api sharded identity helper: the determinism tests install their wire taps with it
 func (o *Observer) SetCapture(c *Capture) {
 	if o != nil {
 		o.cap = c
@@ -63,6 +59,8 @@ func (o *Observer) SetCapture(c *Capture) {
 }
 
 // CaptureLog returns the installed capture, or nil.
+//
+//nectar:api the capture guard obsgate recognizes; a capture argument that allocates must sit under it
 func (o *Observer) CaptureLog() *Capture {
 	if o == nil {
 		return nil
@@ -98,12 +96,6 @@ func (o *Observer) InstantArg(node int, layer Layer, name, arg string, seq uint6
 		return
 	}
 	o.emit(Event{Node: node, Layer: layer, Kind: Instant, Name: name, Arg: arg, Seq: seq, Bytes: bytes})
-}
-
-// Begin opens a span and returns its id (0 when tracing is off, which
-// every span-taking method accepts).
-func (o *Observer) Begin(node int, layer Layer, name string, parent SpanID) SpanID {
-	return o.BeginSeq(node, layer, name, parent, 0, 0)
 }
 
 // BeginSeq opens a span carrying packet identity.

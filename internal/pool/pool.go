@@ -31,6 +31,8 @@ type FreeList[T any] struct {
 // offending release. The scan is O(n) per Put, so the guard is for
 // tests and debug builds; production paths leave it unset. Pass nil to
 // remove the guard.
+//
+//nectar:api safety check: the double-Put guard the pool and protocol tests switch on
 func (f *FreeList[T]) SetCheck(eq func(a, b T) bool) { f.check = eq }
 
 // Put pushes v onto the list. The append is to a struct field, so its

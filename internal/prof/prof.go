@@ -336,14 +336,6 @@ func New(shards int) *Profile {
 	return p
 }
 
-// Shards returns the number of per-shard collectors.
-func (p *Profile) Shards() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.workers)
-}
-
 // Worker returns shard i's collector (nil when the profile is nil or i is
 // out of range, which downstream methods tolerate).
 func (p *Profile) Worker(i int) *Worker {

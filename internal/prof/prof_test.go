@@ -139,7 +139,6 @@ func TestNilCollectorsZeroCost(t *testing.T) {
 		w.Compute(0, 3)
 		_ = p.Now()
 		_ = p.Worker(0)
-		_ = p.Shards()
 		p.RunEnd(0)
 		p.SpawnJoin(0)
 		p.Choose(0, 10, 2)

@@ -274,8 +274,3 @@ func (l *Layer) queueEnd(f *rxFrame) {
 	l.rx.q = append(l.rx.q, rxItem{end: f})
 	l.rxCond.Signal()
 }
-
-// Stats returns drop/delivery counters.
-func (l *Layer) Stats() (delivered, unknownType, noBuffer, crcDrops, vetoed uint64) {
-	return l.delivered, l.unknownType, l.noBuffer, l.crcDrops, l.vetoed
-}

@@ -27,8 +27,8 @@ func newRig(t *testing.T, rxThread bool) *rig {
 	k := sim.NewKernel()
 	cost := model.Default1990()
 	h := hub.New(k, cost, "hub", hub.DefaultPorts)
-	a := cab.New(k, cost, 1)
-	b := cab.New(k, cost, 2)
+	a := cab.NewSized(k, cost, 1, 0)
+	b := cab.NewSized(k, cost, 2, 0)
 	if rxThread {
 		a.SetRxInterruptMode(false)
 		b.SetRxInterruptMode(false)
@@ -109,7 +109,7 @@ func TestUnknownTypeDropped(t *testing.T) {
 	if err := r.k.RunFor(5 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	_, unknown, _, _, _ := r.lb.Stats()
+	unknown := r.lb.unknownType
 	if unknown != 1 {
 		t.Errorf("unknownType = %d, want 1", unknown)
 	}
@@ -131,7 +131,7 @@ func TestStartOfDataVetoDropsFrame(t *testing.T) {
 	if len(p.got) != 1 || string(p.got[0]) != "good" {
 		t.Fatalf("got %q, want only the non-vetoed frame", p.got)
 	}
-	_, _, _, _, vetoed := r.lb.Stats()
+	vetoed := r.lb.vetoed
 	if vetoed != 1 {
 		t.Errorf("vetoed = %d", vetoed)
 	}
@@ -157,7 +157,7 @@ func TestCorruptedFrameDroppedByCRC(t *testing.T) {
 	if len(p.got) != 1 || string(p.got[0]) != "clean" {
 		t.Fatalf("got %q", p.got)
 	}
-	_, _, _, crcDrops, _ := r.lb.Stats()
+	crcDrops := r.lb.crcDrops
 	if crcDrops != 1 {
 		t.Errorf("crcDrops = %d", crcDrops)
 	}
@@ -178,7 +178,7 @@ func TestNoBufferDrop(t *testing.T) {
 	if len(p.got) != 0 {
 		t.Fatal("oversized frame delivered despite no buffer")
 	}
-	_, _, noBuf, _, _ := r.lb.Stats()
+	noBuf := r.lb.noBuffer
 	if noBuf != 1 {
 		t.Errorf("noBuffer = %d", noBuf)
 	}

@@ -14,6 +14,8 @@ import (
 )
 
 // Layer is the ICMP instance on one CAB.
+//
+//nectar:api ICMP is a library layer exercised by this package's tests; no cluster boots it
 type Layer struct {
 	ip    *ip.Layer
 	inBox *mailbox.Mailbox
@@ -28,6 +30,8 @@ type pingWait struct {
 }
 
 // NewLayer installs ICMP on an IP layer as an input-mailbox upcall.
+//
+//nectar:api ICMP is a library layer exercised by this package's tests; no cluster boots it
 func NewLayer(l *ip.Layer) *Layer {
 	ic := &Layer{
 		ip:      l,

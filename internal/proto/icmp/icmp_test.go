@@ -28,7 +28,7 @@ func twoNodes(t *testing.T) (*sim.Kernel, *node, *node) {
 	cost := model.Default1990()
 	h := hub.New(k, cost, "hub", hub.DefaultPorts)
 	mk := func(id wire.NodeID, port int) *node {
-		c := cab.New(k, cost, id)
+		c := cab.NewSized(k, cost, id, 0)
 		c.ConnectFiber(fiber.NewLink(k, cost, "up", h.InPort(port)))
 		h.ConnectOut(port, fiber.NewLink(k, cost, "down", c))
 		rt := mailbox.NewRuntime(c)

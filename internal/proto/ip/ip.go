@@ -129,6 +129,8 @@ func (l *Layer) OnUnreachable(fn func(ctx exec.Context, h wire.IPv4Header, datag
 }
 
 // SetMTU overrides the MTU (tests use this to force fragmentation).
+//
+//nectar:api the fragmentation tests force small datagrams with it; a cluster's MTU is the fiber frame's
 func (l *Layer) SetMTU(mtu int) {
 	if mtu < wire.IPv4HeaderLen+8 {
 		panic("ip: MTU too small")
@@ -453,9 +455,4 @@ func (l *Layer) expire(ctx exec.Context, key reasmKey) {
 	for _, fm := range st.frags {
 		l.inBox.AbortPut(ctx, fm)
 	}
-}
-
-// Stats returns IP counters.
-func (l *Layer) Stats() (delivered, fragsIn, reassembled, badCksum, noProto uint64) {
-	return l.inDelivers, l.inFragments, l.reassembled, l.badChecksum, l.noProto
 }

@@ -134,8 +134,3 @@ func (d *Datagram) EndOfData(t *threads.Thread, src wire.NodeID, m *mailbox.Msg)
 		d.obs.InstantSeq(d.node, obs.LayerDatagram, "deliver", uint64(h.DstBox), n)
 	}
 }
-
-// Stats returns (sent, delivered, dropped-for-unknown-mailbox).
-func (d *Datagram) Stats() (sent, delivered, noBox uint64) {
-	return d.sent, d.delivered, d.noBox
-}

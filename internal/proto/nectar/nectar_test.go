@@ -34,7 +34,7 @@ func twoNodes(t *testing.T) (*sim.Kernel, *node, *node) {
 	cost := model.Default1990()
 	h := hub.New(k, cost, "hub", hub.DefaultPorts)
 	mk := func(id wire.NodeID, port int) *node {
-		c := cab.New(k, cost, id)
+		c := cab.NewSized(k, cost, id, 0)
 		ho := host.New(k, cost, "host", c)
 		f := hostif.New(ho, c)
 		c.ConnectFiber(fiber.NewLink(k, cost, "up", h.InPort(port)))
@@ -106,7 +106,7 @@ func TestDatagramUnknownMailboxDropped(t *testing.T) {
 	if err := k.RunFor(10 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	_, _, noBox := b.trans.Datagram.Stats()
+	noBox := b.trans.Datagram.noBox
 	if noBox != 1 {
 		t.Errorf("noBox = %d", noBox)
 	}
@@ -130,7 +130,7 @@ func TestRMPTimeoutExhaustsRetries(t *testing.T) {
 	if st != StatusTimeout {
 		t.Errorf("status = %d, want Timeout", st)
 	}
-	_, _, retrans, _, _ := a.trans.RMP.Stats()
+	retrans := a.trans.RMP.retrans
 	if retrans != uint64(MaxRetries) {
 		t.Errorf("retrans = %d, want %d", retrans, MaxRetries)
 	}
@@ -191,7 +191,7 @@ func TestRMPDuplicateSuppressedOnAckLoss(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want exactly 1", delivered)
 	}
-	_, _, _, _, dups := b.trans.RMP.Stats()
+	dups := b.trans.RMP.dups
 	if dups != 1 {
 		t.Errorf("dups = %d, want 1", dups)
 	}
@@ -225,7 +225,7 @@ func TestRRPRequestLossRecovered(t *testing.T) {
 	if string(reply) != "pong" {
 		t.Fatalf("reply = %q", reply)
 	}
-	_, _, retrans, _ := a.trans.RRP.Stats()
+	retrans := a.trans.RRP.retrans
 	if retrans == 0 {
 		t.Error("no retransmission recorded")
 	}
@@ -360,7 +360,7 @@ func TestRMPWindowedKeepsPipelineFull(t *testing.T) {
 		if done {
 			return
 		}
-		sent, acked, _, _, _ := a.trans.RMP.Stats()
+		sent, acked := a.trans.RMP.sent, a.trans.RMP.acked
 		if d := int(sent - acked); d > maxOutstanding {
 			maxOutstanding = d
 		}

@@ -376,11 +376,6 @@ func (r *RMP) EndOfData(t *threads.Thread, src wire.NodeID, m *mailbox.Msg) {
 	}
 }
 
-// Stats returns RMP counters.
-func (r *RMP) Stats() (sent, acked, retrans, delivered, dups uint64) {
-	return r.sent, r.acked, r.retrans, r.delivered, r.dups
-}
-
 func (r *RMP) String() string {
 	return fmt.Sprintf("rmp(node %d)", r.rt.CAB().Node())
 }

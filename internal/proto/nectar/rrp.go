@@ -357,8 +357,3 @@ func (r *RRP) EndOfData(t *threads.Thread, src wire.NodeID, m *mailbox.Msg) {
 		r.inBox.AbortPut(ctx, m)
 	}
 }
-
-// Stats returns RRP counters.
-func (r *RRP) Stats() (calls, replies, retrans, dedupHits uint64) {
-	return r.calls, r.replies, r.retrans, r.dedupHits
-}

@@ -37,7 +37,7 @@ type lockRig struct {
 
 func newLockRig() *lockRig {
 	k := sim.NewKernel()
-	cb := cab.New(k, model.Default1990(), 1)
+	cb := cab.NewSized(k, model.Default1990(), 1, 0)
 	rt := mailbox.NewRuntime(cb)
 	l := NewLayer(ip.NewLayer(datalink.NewLayer(cb), rt), rt)
 	c := l.newConn(connKey{lport: localPort, rip: peerIP, rport: peerPort})

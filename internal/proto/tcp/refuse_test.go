@@ -27,7 +27,7 @@ func TestRefusedSegmentsNotCounted(t *testing.T) {
 	if r.c.sndNxt != r.c.iss+MSS {
 		t.Fatalf("sndNxt %d, want iss+MSS %d: the segment was not sent", r.c.sndNxt, r.c.iss+MSS)
 	}
-	if n := r.l.Stats().SegsOut; n != 0 {
+	if n := r.l.counter("segs_out"); n != 0 {
 		t.Errorf("segs_out = %d after two segments IP refused, want 0", n)
 	}
 }
@@ -55,8 +55,8 @@ func TestConnectOffNetwork(t *testing.T) {
 		t.Errorf("Connect took %v to fail, want the cost of one SYN's output", took)
 	}
 	// Only the rig's own connection remains.
-	if len(r.l.conns) != 1 || r.l.Stats().SegsOut != 0 {
-		t.Errorf("%d conns and %d segs_out after the refused SYN, want 1 and 0", len(r.l.conns), r.l.Stats().SegsOut)
+	if len(r.l.conns) != 1 || r.l.counter("segs_out") != 0 {
+		t.Errorf("%d conns and %d segs_out after the refused SYN, want 1 and 0", len(r.l.conns), r.l.counter("segs_out"))
 	}
 }
 

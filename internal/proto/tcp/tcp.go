@@ -120,7 +120,7 @@ type Layer struct {
 	checksum bool // software data checksum on/off (Figure 7 ablation)
 
 	// Counters live in the observability registry (metric layer "tcp",
-	// scope "cab<N>"); Stats() snapshots them for callers.
+	// scope "cab<N>").
 	segsIn, segsOut, badChecksum, retransmits, drops *obs.Counter
 	ackRTT                                           *obs.Histogram // send-to-cumulative-ack latency
 
@@ -170,28 +170,6 @@ func (t *Layer) SetChecksum(on bool) { t.checksum = on }
 
 // InputMailbox implements ip.Upper.
 func (t *Layer) InputMailbox() *mailbox.Mailbox { return t.inBox }
-
-// Stats is a snapshot of a TCP layer's counters. The same values are
-// published through the observability registry (layer "tcp", scope
-// "cab<N>"); this struct is the stable programmatic interface.
-type Stats struct {
-	SegsIn      uint64 // segments accepted by a connection's state machine
-	SegsOut     uint64 // segments transmitted (including RSTs and pure ACKs)
-	BadChecksum uint64 // segments discarded by the software checksum
-	Retransmits uint64 // RTO-driven retransmissions
-	Drops       uint64 // segments dropped (no connection, or out of order)
-}
-
-// Stats returns a snapshot of the TCP counters.
-func (t *Layer) Stats() Stats {
-	return Stats{
-		SegsIn:      t.segsIn.Value(),
-		SegsOut:     t.segsOut.Value(),
-		BadChecksum: t.badChecksum.Value(),
-		Retransmits: t.retransmits.Value(),
-		Drops:       t.drops.Value(),
-	}
-}
 
 // Listener accepts incoming connections on a port.
 type Listener struct {
@@ -325,9 +303,6 @@ func (t *Layer) Connect(ctx exec.Context, dstIP uint32, dstPort uint16) (*Conn, 
 	}
 	return c, nil
 }
-
-// State returns the connection state.
-func (c *Conn) State() State { return c.state }
 
 // Send queues data for transmission. From a host process the request goes
 // through the TCP send-request mailbox (paper §4.2), the data crossing

@@ -71,7 +71,8 @@ func TestProtocolConstantsSane(t *testing.T) {
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	// Stats must mirror the registry-backed counters field for field.
+	// A snapshot publishes each registry-backed counter under the tcp
+	// layer, field for field.
 	r := obs.NewRegistry()
 	l := &Layer{
 		segsIn:      r.Counter(obs.LayerTCP, "segs_in", "cab1"),
@@ -80,18 +81,22 @@ func TestStatsSnapshot(t *testing.T) {
 		retransmits: r.Counter(obs.LayerTCP, "retransmits", "cab1"),
 		drops:       r.Counter(obs.LayerTCP, "drops", "cab1"),
 	}
-	l.segsIn.Add(3)
-	l.segsOut.Add(5)
-	l.badChecksum.Inc()
-	l.retransmits.Add(2)
-	l.drops.Add(4)
-	got := l.Stats()
-	want := Stats{SegsIn: 3, SegsOut: 5, BadChecksum: 1, Retransmits: 2, Drops: 4}
-	if got != want {
-		t.Errorf("Stats() = %+v, want %+v", got, want)
+	for _, c := range []struct {
+		c    *obs.Counter
+		name string
+		n    uint64
+	}{{l.segsIn, "segs_in", 3}, {l.segsOut, "segs_out", 5}, {l.badChecksum, "bad_checksum", 1},
+		{l.retransmits, "retransmits", 2}, {l.drops, "drops", 4}} {
+		for range c.n {
+			c.c.Inc()
+		}
+		if v := obs.MergeSnapshots(0, r).Value(obs.LayerTCP, c.name, "cab1"); v != c.n {
+			t.Errorf("registry %s = %d, want %d", c.name, v, c.n)
+		}
 	}
-	// The registry sees the same values under the tcp layer.
-	if v := r.Snapshot(0).Value(obs.LayerTCP, "segs_out", "cab1"); v != 5 {
-		t.Errorf("registry segs_out = %d, want 5", v)
-	}
+}
+
+// counter reads one of l's registry counters through a snapshot.
+func (l *Layer) counter(name string) uint64 {
+	return obs.MergeSnapshots(0, l.obs.Metrics()).Value(obs.LayerTCP, name, l.rt.CAB().Scope())
 }

@@ -177,8 +177,3 @@ func (u *Layer) handle(ctx exec.Context, m *mailbox.Msg) {
 	}
 	u.inBox.Enqueue(ctx, m, s.Box)
 }
-
-// Stats returns UDP counters.
-func (u *Layer) Stats() (delivered, badChecksum, noPort uint64) {
-	return u.delivered, u.badChecksum, u.noPort
-}

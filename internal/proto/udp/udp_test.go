@@ -14,7 +14,7 @@ import (
 func layer(t *testing.T) *Layer {
 	t.Helper()
 	k := sim.NewKernel()
-	c := cab.New(k, model.Default1990(), 1)
+	c := cab.NewSized(k, model.Default1990(), 1, 0)
 	rt := mailbox.NewRuntime(c)
 	dl := datalink.NewLayer(c)
 	return NewLayer(ip.NewLayer(dl, rt), rt)

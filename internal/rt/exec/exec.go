@@ -33,6 +33,8 @@ func (c Context) IsHost() bool { return c.Host != nil }
 func (c Context) Cost() *model.CostModel { return c.T.Sched().Cost() }
 
 // Now returns the current virtual time.
+//
+//nectar:api cmd/nectar-perf calls it; that module is the benchmark's and builds against this tree
 func (c Context) Now() sim.Time { return c.T.Now() }
 
 // Compute charges d of CPU time to the executing thread.

@@ -15,7 +15,7 @@ func rig(t *testing.T) (*sim.Kernel, *cab.CAB, *host.Host) {
 	t.Helper()
 	k := sim.NewKernel()
 	cost := model.Default1990()
-	c := cab.New(k, cost, 1)
+	c := cab.NewSized(k, cost, 1, 0)
 	h := host.New(k, cost, "h", c)
 	return k, c, h
 }

@@ -32,7 +32,6 @@ const CABQueueCap = 256
 
 // IF is the host-CAB interface for one host/CAB pair.
 type IF struct {
-	host *host.Host
 	cab  *cab.CAB
 	k    *sim.Kernel
 	cost *model.CostModel
@@ -59,7 +58,7 @@ type cabReq struct {
 // New wires the interface for a host and its CAB, registering both
 // interrupt handlers.
 func New(h *host.Host, c *cab.CAB) *IF {
-	f := &IF{host: h, cab: c, k: h.Kernel(), cost: h.Cost()}
+	f := &IF{cab: c, k: h.Kernel(), cost: h.Cost()}
 	c.OnHostDoorbell(f.cabISR)
 	h.OnCABInterrupt(f.hostISR)
 	f.obs = obs.Ensure(f.k)
@@ -78,9 +77,6 @@ func (f *IF) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
 	emit(obs.LayerHostIF, "doorbells", scope, f.doorbells)
 	emit(obs.LayerHostIF, "host_interrupts", scope, f.hostIntr)
 }
-
-// Host returns the host side of the pair.
-func (f *IF) Host() *host.Host { return f.host }
 
 // CAB returns the CAB side of the pair.
 func (f *IF) CAB() *cab.CAB { return f.cab }

@@ -11,21 +11,21 @@ import (
 	"nectar/internal/sim"
 )
 
-func pair(t *testing.T) (*sim.Kernel, *IF) {
+func pair(t *testing.T) (*sim.Kernel, *IF, *host.Host) {
 	t.Helper()
 	k := sim.NewKernel()
 	cost := model.Default1990()
-	c := cab.New(k, cost, 1)
+	c := cab.NewSized(k, cost, 1, 0)
 	h := host.New(k, cost, "host1", c)
-	return k, New(h, c)
+	return k, New(h, c), h
 }
 
 func TestPostToCABRunsInInterruptContext(t *testing.T) {
-	k, f := pair(t)
+	k, f, h := pair(t)
 	ran := false
 	var wasIntr bool
-	f.Host().Run("proc", func(th *threads.Thread) {
-		f.PostToCAB(exec.OnHost(th, f.Host()), "ping", func(ct *threads.Thread) {
+	h.Run("proc", func(th *threads.Thread) {
+		f.PostToCAB(exec.OnHost(th, h), "ping", func(ct *threads.Thread) {
 			ran = true
 			wasIntr = ct.IsInterrupt()
 		})
@@ -42,7 +42,7 @@ func TestPostToCABRunsInInterruptContext(t *testing.T) {
 }
 
 func TestPostToCABFromCABPanics(t *testing.T) {
-	k, f := pair(t)
+	k, f, _ := pair(t)
 	f.CAB().Sched.Fork("bad", threads.SystemPriority, func(th *threads.Thread) {
 		f.PostToCAB(exec.OnCAB(th), "x", func(*threads.Thread) {})
 	})
@@ -52,11 +52,11 @@ func TestPostToCABFromCABPanics(t *testing.T) {
 }
 
 func TestHostCondPollingWait(t *testing.T) {
-	k, f := pair(t)
+	k, f, h := pair(t)
 	hc := f.NewHostCond("c")
 	var wokeAt sim.Time
-	f.Host().Run("waiter", func(th *threads.Thread) {
-		ctx := exec.OnHost(th, f.Host())
+	h.Run("waiter", func(th *threads.Thread) {
+		ctx := exec.OnHost(th, h)
 		since := hc.Poll(ctx)
 		hc.WaitPoll(ctx, since)
 		wokeAt = th.Now()
@@ -81,11 +81,11 @@ func TestHostCondPollingWait(t *testing.T) {
 }
 
 func TestHostCondBlockingWait(t *testing.T) {
-	k, f := pair(t)
+	k, f, h := pair(t)
 	hc := f.NewHostCond("c")
 	var wokeAt sim.Time
-	f.Host().Run("server", func(th *threads.Thread) {
-		ctx := exec.OnHost(th, f.Host())
+	h.Run("server", func(th *threads.Thread) {
+		ctx := exec.OnHost(th, h)
 		since := hc.Poll(ctx)
 		hc.WaitBlocking(ctx, since)
 		wokeAt = th.Now()
@@ -105,11 +105,11 @@ func TestHostCondBlockingWait(t *testing.T) {
 func TestHostCondBlockingNoMissedWakeup(t *testing.T) {
 	// Signal arrives between Poll and WaitBlocking: the since-guard must
 	// prevent a lost wakeup.
-	k, f := pair(t)
+	k, f, h := pair(t)
 	hc := f.NewHostCond("c")
 	done := false
-	f.Host().Run("waiter", func(th *threads.Thread) {
-		ctx := exec.OnHost(th, f.Host())
+	h.Run("waiter", func(th *threads.Thread) {
+		ctx := exec.OnHost(th, h)
 		since := hc.Poll(ctx)
 		// Simulate a delay during which the CAB signals.
 		th.Sleep(300 * sim.Microsecond)
@@ -131,18 +131,18 @@ func TestHostCondBlockingNoMissedWakeup(t *testing.T) {
 func TestHostSignalsHostCond(t *testing.T) {
 	// Both CAB threads and host processes can signal a host condition
 	// (paper §3.2).
-	k, f := pair(t)
+	k, f, h := pair(t)
 	hc := f.NewHostCond("c")
 	woke := false
-	f.Host().Run("waiter", func(th *threads.Thread) {
-		ctx := exec.OnHost(th, f.Host())
+	h.Run("waiter", func(th *threads.Thread) {
+		ctx := exec.OnHost(th, h)
 		since := hc.Poll(ctx)
 		hc.WaitBlocking(ctx, since)
 		woke = true
 	})
-	f.Host().Run("signaler", func(th *threads.Thread) {
+	h.Run("signaler", func(th *threads.Thread) {
 		th.Sleep(100 * sim.Microsecond)
-		hc.Signal(exec.OnHost(th, f.Host()))
+		hc.Signal(exec.OnHost(th, h))
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -153,11 +153,11 @@ func TestHostSignalsHostCond(t *testing.T) {
 }
 
 func TestCallCAB(t *testing.T) {
-	k, f := pair(t)
+	k, f, h := pair(t)
 	var got uint32
 	var when sim.Time
-	f.Host().Run("caller", func(th *threads.Thread) {
-		ctx := exec.OnHost(th, f.Host())
+	h.Run("caller", func(th *threads.Thread) {
+		ctx := exec.OnHost(th, h)
 		got = f.CallCAB(ctx, "add", func(ct *threads.Thread) uint32 {
 			ct.Compute(10 * sim.Microsecond)
 			return 41 + 1
@@ -177,10 +177,10 @@ func TestCallCAB(t *testing.T) {
 
 func TestCallCABSerialization(t *testing.T) {
 	// Two RPCs from one host process complete in order with sane timing.
-	k, f := pair(t)
+	k, f, h := pair(t)
 	var results []uint32
-	f.Host().Run("caller", func(th *threads.Thread) {
-		ctx := exec.OnHost(th, f.Host())
+	h.Run("caller", func(th *threads.Thread) {
+		ctx := exec.OnHost(th, h)
 		for i := uint32(0); i < 3; i++ {
 			i := i
 			r := f.CallCAB(ctx, "echo", func(*threads.Thread) uint32 { return i })
@@ -196,10 +196,10 @@ func TestCallCABSerialization(t *testing.T) {
 }
 
 func TestManyPostsDrainInOrder(t *testing.T) {
-	k, f := pair(t)
+	k, f, h := pair(t)
 	var order []int
-	f.Host().Run("poster", func(th *threads.Thread) {
-		ctx := exec.OnHost(th, f.Host())
+	h.Run("poster", func(th *threads.Thread) {
+		ctx := exec.OnHost(th, h)
 		for i := 0; i < 10; i++ {
 			i := i
 			f.PostToCAB(ctx, "n", func(*threads.Thread) { order = append(order, i) })

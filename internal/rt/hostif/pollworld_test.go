@@ -7,6 +7,7 @@ import (
 
 	"nectar/internal/hw/cab"
 	"nectar/internal/hw/host"
+	"nectar/internal/hw/vme"
 	"nectar/internal/model"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
@@ -22,8 +23,8 @@ import (
 // horizon and in every counter: every event, and so every key, is the
 // loop's.
 
-// dmaBurst is a chain of count DMA transfers on a host's bus, the first
-// started at at, each later one as the previous one ends.
+// dmaBurst is a chain of count block transfers on a host's bus, the
+// first started at at, each later one as the previous one ends.
 type dmaBurst struct {
 	at    sim.Time
 	bytes int
@@ -97,6 +98,7 @@ type worldPair struct {
 	k        *sim.Kernel
 	dom      *sim.Domain
 	f        *IF
+	h        *host.Host
 	hc       *HostCond
 	waiter   *threads.Thread
 	exits    []sim.Time
@@ -125,15 +127,15 @@ func (w pollWorld) run(wait waitFn) worldOutcome {
 		if doms != nil {
 			p.dom = doms[i%len(doms)]
 		}
-		cb := cab.New(p.k, cost, wire.NodeID(i+1))
+		cb := cab.NewSized(p.k, cost, wire.NodeID(i+1), 0)
 		h := host.New(p.k, cost, fmt.Sprintf("host%d", i+1), cb)
-		p.f = New(h, cb)
+		p.f, p.h = New(h, cb), h
 		p.hc = p.f.NewHostCond("c")
 		pairs[i] = p
 	}
 	for i, spec := range w.hosts {
 		p := pairs[i]
-		h := p.f.Host()
+		h := p.h
 		p.waiter = h.Run("poller", func(th *threads.Thread) {
 			ctx := exec.OnHost(th, h)
 			th.Compute(spec.delay)
@@ -161,7 +163,7 @@ func (w pollWorld) run(wait waitFn) worldOutcome {
 			var burst func()
 			burst = func() {
 				if left--; left >= 0 {
-					bus.DMA(b.bytes, burst)
+					blockTransfer(p.k, bus, b.bytes, burst)
 				}
 			}
 			p.k.At(b.at, burst)
@@ -190,7 +192,7 @@ func (w pollWorld) run(wait waitFn) worldOutcome {
 		}
 	}
 	for _, p := range pairs {
-		r := &pollRig{k: p.k, f: p.f, hc: p.hc, waiter: p.waiter}
+		r := &pollRig{k: p.k, f: p.f, h: p.h, hc: p.hc, waiter: p.waiter}
 		if n := len(p.exits); n > 0 {
 			r.exit = p.exits[n-1]
 		}
@@ -211,7 +213,7 @@ func (p *worldPair) send(to *worldPair, at sim.Time) {
 		})
 	}
 	if p.dom != nil {
-		p.dom.Send(to.dom, at, signal)
+		p.dom.SendSized(to.dom, at, 0, signal)
 		return
 	}
 	p.k.At(at, signal)
@@ -237,7 +239,7 @@ func TestWaitPollPairMatchesLoop(t *testing.T) {
 	at := func(d sim.Duration) sim.Time { return sim.Time(d) }
 	// As in TestWaitPollSignalAtCheck, a poller checks at 25, 29, 33 µs,
 	// ...; a signal computed for 11 µs lands at the 33 µs check, and one
-	// computed for 13 µs at the 35 µs check that a DMA from 26 µs moves
+	// computed for 13 µs at the 35 µs check that a block transfer from 26 µs moves
 	// the word to.
 	cabFirst := pollHost{waits: 1, signals: []sim.Duration{11 * us}}
 	hostFirst := pollHost{waits: 1, signals: []sim.Duration{13 * us}, dma: []dmaBurst{{at(26 * us), 0, 1}}}
@@ -366,4 +368,15 @@ func FuzzWaitPollMatchesLoop(f *testing.F) {
 			t.Fatal(diff)
 		}
 	})
+}
+
+// blockTransferWords is how many word times a block transfer of n bytes
+// holds the bus: 8 for its setup, then one per 4-byte word.
+func blockTransferWords(n int) int { return 8 + (n+3)/4 }
+
+// blockTransfer holds bus for a block transfer of n bytes from now, as
+// another bus master would, and calls done when it ends. The bus books it
+// with its programmed-I/O words: the model has no VME DMA engine.
+func blockTransfer(k *sim.Kernel, bus *vme.Bus, n int, done func()) {
+	k.After(bus.Reserve(blockTransferWords(n)), done)
 }

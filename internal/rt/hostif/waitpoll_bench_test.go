@@ -7,6 +7,7 @@ import (
 	"nectar/internal/hw/cab"
 	"nectar/internal/hw/host"
 	"nectar/internal/model"
+	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/threads"
@@ -30,7 +31,7 @@ func newPollers(n int) (*sim.Kernel, []*IF, []*HostCond) {
 	fs := make([]*IF, n)
 	hcs := make([]*HostCond, n)
 	for i := range n {
-		c := cab.New(k, cost, wire.NodeID(i+1))
+		c := cab.NewSized(k, cost, wire.NodeID(i+1), 0)
 		h := host.New(k, cost, fmt.Sprintf("host%d", i+1), c)
 		f := New(h, c)
 		hc := f.NewHostCond("c")
@@ -45,15 +46,10 @@ func newPollers(n int) (*sim.Kernel, []*IF, []*HostCond) {
 	return k, fs, hcs
 }
 
-// pioWords sums the PIO words of every pair's bus: one per poll
+// pioWords sums the PIO words of every bus on k: one per poll
 // iteration, plus one per Poll.
-func pioWords(fs []*IF) uint64 {
-	var n uint64
-	for _, f := range fs {
-		w, _ := f.Host().Bus.Stats()
-		n += w
-	}
-	return n
+func pioWords(k *sim.Kernel) uint64 {
+	return obs.MergeSnapshots(k.Now(), obs.Ensure(k).Metrics()).Sum(obs.LayerVME, "pio_words")
 }
 
 // benchWaitPoll measures n pollers on one kernel that are never
@@ -64,7 +60,7 @@ func benchWaitPoll(b *testing.B, n int) {
 	if err := k.RunFor(100 * sim.Microsecond); err != nil {
 		b.Fatal(err)
 	}
-	words := pioWords(fs)
+	words := pioWords(k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	// n pollers make n iterations per pollIteration of virtual time.
@@ -72,7 +68,7 @@ func benchWaitPoll(b *testing.B, n int) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	if got := pioWords(fs) - words; got+uint64(n) < uint64(b.N) || got > uint64(b.N)+uint64(n) {
+	if got := pioWords(k) - words; got+uint64(n) < uint64(b.N) || got > uint64(b.N)+uint64(n) {
 		b.Fatalf("%d poll iterations in a run sized for %d", got, b.N)
 	}
 }

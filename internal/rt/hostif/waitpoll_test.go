@@ -8,6 +8,7 @@ import (
 	"nectar/internal/hw/cab"
 	"nectar/internal/hw/host"
 	"nectar/internal/model"
+	"nectar/internal/obs"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/threads"
 	"nectar/internal/sim"
@@ -40,6 +41,7 @@ func oracleWait(hc *HostCond, ctx exec.Context, since uint32) { loopWaitPoll(hc,
 type pollRig struct {
 	k      *sim.Kernel
 	f      *IF
+	h      *host.Host
 	hc     *HostCond
 	waiter *threads.Thread
 	exit   sim.Time // when the wait returned, 0 until it has
@@ -48,9 +50,9 @@ type pollRig struct {
 func newPollRig(wait waitFn) *pollRig {
 	k := sim.NewKernel()
 	cost := model.Default1990()
-	c := cab.New(k, cost, 1)
+	c := cab.NewSized(k, cost, 1, 0)
 	h := host.New(k, cost, "host1", c)
-	r := &pollRig{k: k, f: New(h, c)}
+	r := &pollRig{k: k, f: New(h, c), h: h}
 	r.hc = r.f.NewHostCond("c")
 	r.waiter = h.Run("poller", func(th *threads.Thread) {
 		ctx := exec.OnHost(th, h)
@@ -76,25 +78,26 @@ func (r *pollRig) signalAfter(d sim.Duration, at *sim.Time) {
 type pollOutcome struct {
 	exit                      sim.Time
 	cpu                       sim.Duration
-	hostBusy, cabBusy         sim.Duration
+	hostBusy, cabBusy         uint64 // busy_ns gauges
 	hostSwitches, cabSwitches uint64
 	pioWords, dmaBytes        uint64
 	dispatched                uint64
 }
 
 func (r *pollRig) outcome() pollOutcome {
-	h := r.f.Host()
-	o := pollOutcome{
+	h := r.h
+	snap := obs.MergeSnapshots(r.k.Now(), obs.Ensure(r.k).Metrics())
+	return pollOutcome{
 		exit:         r.exit,
 		cpu:          r.waiter.CPUTime(),
-		hostBusy:     h.Sched.BusyTime(),
-		cabBusy:      r.f.CAB().Sched.BusyTime(),
+		hostBusy:     snap.Value(obs.LayerSched, "busy_ns", h.Sched.Name()),
+		cabBusy:      snap.Value(obs.LayerSched, "busy_ns", r.f.CAB().Sched.Name()),
 		hostSwitches: h.Sched.Switches(),
 		cabSwitches:  r.f.CAB().Sched.Switches(),
+		pioWords:     snap.Value(obs.LayerVME, "pio_words", h.Bus.Name()),
+		dmaBytes:     snap.Value(obs.LayerVME, "dma_bytes", h.Bus.Name()),
 		dispatched:   r.k.Dispatched(),
 	}
-	o.pioWords, o.dmaBytes = h.Bus.Stats()
-	return o
 }
 
 // samePolling runs scenario once with the oracle loop and once with
@@ -123,17 +126,17 @@ func mustRunRig(t *testing.T, r *pollRig) {
 // TestWaitPollSignalAtCheck: a CAB Signal whose Compute ends at the very
 // instant of a poll check. Without bus contention the CAB's 2 µs SyncOp
 // slice is queued before the host's 1 µs word, and the check sees the new
-// value. With a DMA holding the bus, the word waits for it and is queued
+// value. With a block transfer holding the bus, the word waits for it and is queued
 // first, so the check misses the signal and the poller spins once more.
 // Both orders must match the loop.
 func TestWaitPollSignalAtCheck(t *testing.T) {
 	// The host process runs at 20 µs (one context switch), reads the poll
 	// value (1 µs) and then checks every 4 µs (3 µs of loop, 1 µs word):
-	// at 25, 29, 33 µs, ... A DMA from 26 to 34 µs holds the word begun at
+	// at 25, 29, 33 µs, ... A transfer from 26 to 34 µs holds the word begun at
 	// 28 µs until 35 µs. The CAB signaler also runs at 20 µs.
 	for _, tc := range []struct {
 		name  string
-		dmaAt sim.Time // 0: no DMA
+		dmaAt sim.Time // 0: no block transfer
 		check sim.Time
 		seen  bool // the check at the signal's instant sees it
 	}{
@@ -143,7 +146,7 @@ func TestWaitPollSignalAtCheck(t *testing.T) {
 		run := func(wait waitFn, signaled *sim.Time) *pollRig {
 			r := newPollRig(wait)
 			if tc.dmaAt != 0 {
-				r.k.At(tc.dmaAt, func() { r.f.Host().Bus.DMA(0, func() {}) })
+				r.k.At(tc.dmaAt, func() { blockTransfer(r.k, r.h.Bus, 0, func() {}) })
 			}
 			r.signalAfter(sim.Duration(tc.check)-20*sim.Microsecond-r.f.cost.SyncOp, signaled)
 			mustRunRig(t, r)
@@ -169,19 +172,19 @@ func TestWaitPollSignalAtCheck(t *testing.T) {
 	}
 }
 
-// TestWaitPollDMAHoldsBus: CAB-side DMA bursts of 64 bytes (25 µs each),
+// TestWaitPollDMAHoldsBus: CAB-side block transfers of 64 bytes (24 µs each),
 // each started as the previous one ends, hold the VME bus across several
 // poll words: each word waits inside its compute for the burst in
 // progress, and the next burst then waits for the word.
 func TestWaitPollDMAHoldsBus(t *testing.T) {
 	got := samePolling(t, func(t *testing.T, wait waitFn) pollOutcome {
 		r := newPollRig(wait)
-		bus := r.f.Host().Bus
+		bus := r.h.Bus
 		bursts := 0
 		var burst func()
 		burst = func() {
 			if bursts++; bursts <= 4 {
-				bus.DMA(64, burst)
+				blockTransfer(r.k, bus, 64, burst)
 			}
 		}
 		r.k.At(sim.Time(26500*sim.Nanosecond), burst)
@@ -189,9 +192,11 @@ func TestWaitPollDMAHoldsBus(t *testing.T) {
 		mustRunRig(t, r)
 		return r.outcome()
 	})
-	// Without the bursts a poll word would come every 4 µs.
-	if span := sim.Duration(got.exit) - 21*sim.Microsecond; int(got.pioWords-1)*4 >= int(span/sim.Microsecond) {
-		t.Errorf("%d poll words in %v: the DMA bursts never delayed one", got.pioWords-1, span)
+	// Without the bursts a poll word would come every 4 µs. The bus
+	// counts the bursts' words with the poller's.
+	polls := int(got.pioWords) - 1 - 4*blockTransferWords(64)
+	if span := sim.Duration(got.exit) - 21*sim.Microsecond; polls*4 >= int(span/sim.Microsecond) {
+		t.Errorf("%d poll words in %v: the bursts never delayed one", polls, span)
 	}
 }
 
@@ -200,7 +205,7 @@ func TestWaitPollDMAHoldsBus(t *testing.T) {
 func TestWaitPollInterruptMidSlice(t *testing.T) {
 	got := samePolling(t, func(t *testing.T, wait waitFn) pollOutcome {
 		r := newPollRig(wait)
-		sched := r.f.Host().Sched
+		sched := r.h.Sched
 		handler := func(th *threads.Thread) { th.Compute(7 * sim.Microsecond) }
 		// Checks fall at 25 and 29 µs, so 30.5 is inside a loop compute.
 		// The first interrupt's entry, handler, exit and the switch back
@@ -244,7 +249,7 @@ func TestWaitPollAcrossRunFor(t *testing.T) {
 func TestZeroAllocWaitPoll(t *testing.T) {
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("pollers=%d", n), func(t *testing.T) {
-			k, fs, hcs := newPollers(n)
+			k, _, hcs := newPollers(n)
 			bump := func() {
 				for _, hc := range hcs {
 					hc.poll++
@@ -259,11 +264,11 @@ func TestZeroAllocWaitPoll(t *testing.T) {
 			for i := 0; i < 64; i++ {
 				round()
 			}
-			words := pioWords(fs)
+			words := pioWords(k)
 			if got := testing.AllocsPerRun(200, round); got != 0 {
 				t.Errorf("a warm WaitPoll allocates %.1f allocs/round, want 0", got)
 			}
-			if pioWords(fs) == words {
+			if pioWords(k) == words {
 				t.Error("the pollers did not poll")
 			}
 		})

@@ -254,18 +254,6 @@ func (m *Msg) TrimPrefix(ctx exec.Context, n int) {
 	m.n -= n
 }
 
-// TrimSuffix removes n bytes from the end of the message in place.
-//
-//nectar:hotpath
-func (m *Msg) TrimSuffix(ctx exec.Context, n int) {
-	if n < 0 || n > m.n {
-		sim.Panicf("mailbox: TrimSuffix(%d) of %d-byte message", n, m.n)
-	}
-	ctx.Compute(m.rt.cost.MailboxEnqueue / 2)
-	ctx.Words(2)
-	m.n -= n
-}
-
 // Write copies src into the message at offset off, charging the caller's
 // data-path costs (PIO words from a host, a memory copy on the CAB).
 func (m *Msg) Write(ctx exec.Context, off int, src []byte) {
@@ -337,11 +325,6 @@ func (mb *Mailbox) Pending() int { return len(mb.queue) }
 
 // QueuedBytes returns the number of message bytes sitting in the queue.
 func (mb *Mailbox) QueuedBytes() int { return mb.queued }
-
-// Stats returns cumulative (puts, gets, enqueues).
-func (mb *Mailbox) Stats() (puts, gets, enqueues uint64) {
-	return mb.puts, mb.gets, mb.enqueues
-}
 
 // hostSide is a mailbox's host-facing state, built on first host use:
 // the host conditions host readers and writers wait on, and the requests

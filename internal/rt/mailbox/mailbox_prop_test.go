@@ -156,3 +156,14 @@ func TestMailboxSinglePathFIFO(t *testing.T) {
 		}
 	}
 }
+
+// TrimSuffix removes n bytes from the end of the message in place, at
+// TrimPrefix's cost. Only the tests trim a message's tail.
+func (m *Msg) TrimSuffix(ctx exec.Context, n int) {
+	if n < 0 || n > m.n {
+		sim.Panicf("mailbox: TrimSuffix(%d) of %d-byte message", n, m.n)
+	}
+	ctx.Compute(m.rt.cost.MailboxEnqueue / 2)
+	ctx.Words(2)
+	m.n -= n
+}

@@ -28,7 +28,7 @@ func newRig(t *testing.T) *rig {
 	t.Helper()
 	k := sim.NewKernel()
 	cost := model.Default1990()
-	c := cab.New(k, cost, 1)
+	c := cab.NewSized(k, cost, 1, 0)
 	h := host.New(k, cost, "host1", c)
 	f := hostif.New(h, c)
 	rt := NewRuntime(c)

@@ -7,6 +7,7 @@ import (
 
 	"nectar/internal/hw/cab"
 	"nectar/internal/model"
+	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/threads"
@@ -45,7 +46,7 @@ type serveRig struct {
 }
 
 func newServeRig(k *sim.Kernel, node int, serve serveFn) *serveRig {
-	c := cab.New(k, model.Default1990(), wire.NodeID(node))
+	c := cab.NewSized(k, model.Default1990(), wire.NodeID(node), 0)
 	return &serveRig{k: k, c: c, rt: NewRuntime(c), serve: serve}
 }
 
@@ -88,7 +89,7 @@ func (r *serveRig) injectAt(at sim.Time, mb *Mailbox, tag uint32) {
 type serveOutcome struct {
 	Log        []string
 	CPU        []sim.Duration
-	Busy       sim.Duration
+	BusyNs     uint64
 	Switches   uint64
 	Interrupts uint64
 	Dispatched uint64
@@ -98,7 +99,7 @@ type serveOutcome struct {
 func (r *serveRig) outcome() serveOutcome {
 	o := serveOutcome{
 		Log:        append([]string(nil), r.log...),
-		Busy:       r.c.Sched.BusyTime(),
+		BusyNs:     obs.MergeSnapshots(r.k.Now(), obs.Ensure(r.k).Metrics()).Value(obs.LayerSched, "busy_ns", r.c.Sched.Name()),
 		Switches:   r.c.Sched.Switches(),
 		Interrupts: r.c.Sched.Interrupts(),
 		Dispatched: r.k.Dispatched(),
@@ -303,7 +304,7 @@ func TestServeMatchesLoopSharded(t *testing.T) {
 			boxes[i] = rigs[i].box(fmt.Sprintf("box%d", i), threads.SystemPriority, 12*sim.Microsecond, func(ctx exec.Context, m *Msg) {
 				if tag := m.Tag; tag < 12 {
 					dst := boxes[1-i]
-					doms[i].Send(doms[1-i], ctx.Now()+sim.Time(latency), func() { inject(dst, tag+1) })
+					doms[i].SendSized(doms[1-i], ctx.Now()+sim.Time(latency), 0, func() { inject(dst, tag+1) })
 				}
 			})
 		}
@@ -332,7 +333,7 @@ func (l lookahead) EarliestOutputTo(dst int, floor sim.Time) sim.Time {
 // waits. It allocates nothing.
 func TestZeroAllocServe(t *testing.T) {
 	k := sim.NewKernel()
-	c := cab.New(k, model.Default1990(), 1)
+	c := cab.NewSized(k, model.Default1990(), 1, 0)
 	rt := NewRuntime(c)
 	mb := rt.Create("box")
 	served := 0

@@ -166,6 +166,8 @@ func (s *Sync) Read(ctx exec.Context) uint32 {
 
 // Cancel tells the runtime the reader is no longer interested: the sync
 // is freed now if written, or upon the eventual Write otherwise.
+//
+//nectar:api the paper's sync interface (§3.4), covered by this package's tests
 func (s *Sync) Cancel(ctx exec.Context) {
 	if ctx.IsHost() {
 		s.pool.iface.PostToCAB(ctx, "sync.Cancel", func(t *threads.Thread) {
@@ -187,9 +189,4 @@ func (s *Sync) cancelOnCAB(ctx exec.Context) {
 		return
 	}
 	s.canceled = true
-}
-
-// PoolSizes returns the lengths of the CAB and host free lists.
-func (p *Pool) PoolSizes() (cabFree, hostFree int) {
-	return p.cabFree.Len(), p.hostFree.Len()
 }

@@ -23,7 +23,7 @@ func newRig(t *testing.T) *rig {
 	t.Helper()
 	k := sim.NewKernel()
 	cost := model.Default1990()
-	c := cab.New(k, cost, 1)
+	c := cab.NewSized(k, cost, 1, 0)
 	h := host.New(k, cost, "host1", c)
 	f := hostif.New(h, c)
 	return &rig{k: k, c: c, h: h, p: NewPool(f)}
@@ -119,12 +119,12 @@ func TestCancelBeforeWriteFreesOnWrite(t *testing.T) {
 		ctx := exec.OnCAB(th)
 		s := r.p.Alloc(ctx)
 		s.Cancel(ctx)
-		cf, _ := r.p.PoolSizes()
+		cf := r.p.cabFree.Len()
 		if cf != 0 {
 			r.k.Fatalf("sync freed at Cancel before Write")
 		}
 		s.Write(ctx, 5) // write after cancel frees the sync
-		cf, _ = r.p.PoolSizes()
+		cf = r.p.cabFree.Len()
 		if cf != 1 {
 			r.k.Fatalf("sync not freed by Write-after-Cancel (free=%d)", cf)
 		}
@@ -139,7 +139,7 @@ func TestCancelAfterWriteFreesNow(t *testing.T) {
 		s := r.p.Alloc(ctx)
 		s.Write(ctx, 5)
 		s.Cancel(ctx)
-		cf, _ := r.p.PoolSizes()
+		cf := r.p.cabFree.Len()
 		if cf != 1 {
 			r.k.Fatalf("sync not freed by Cancel-after-Write")
 		}
@@ -163,7 +163,7 @@ func TestSeparatePools(t *testing.T) {
 		s.Read(ctx)
 	})
 	r.run(t)
-	cf, hf := r.p.PoolSizes()
+	cf, hf := r.p.cabFree.Len(), r.p.hostFree.Len()
 	if cf != 1 || hf != 1 {
 		t.Errorf("pools = %d/%d, want 1/1 (freed to their own pools)", cf, hf)
 	}

@@ -25,7 +25,7 @@ func (l *intrLog) add(s *Sched, src string, app *Thread) {
 		st = stateNames[app.state]
 	}
 	fmt.Fprintf(&l.b, "%d %s %s app=%s sw=%d intr=%d busy=%d pend=%d\n",
-		l.k.Now(), s.Name(), src, st, s.Switches(), s.Interrupts(), s.BusyTime(), len(s.pendingIntr))
+		l.k.Now(), s.Name(), src, st, s.Switches(), s.Interrupts(), s.busyTime, len(s.pendingIntr))
 }
 
 func (l *intrLog) note(format string, args ...any) {

@@ -79,7 +79,7 @@ func TestServeMatchesLoop(t *testing.T) {
 		})
 		err := k.Run()
 		return append(log,
-			fmt.Sprintf("end %v cpu %v busy %v switches %d dispatched %d", k.Now(), srv.CPUTime(), s.BusyTime(), s.Switches(), k.Dispatched()),
+			fmt.Sprintf("end %v cpu %v busy %v switches %d dispatched %d", k.Now(), srv.CPUTime(), s.busyTime, s.Switches(), k.Dispatched()),
 			fmt.Sprint(err))
 	}
 	want, got := run(loopServe), run(stepServe)

@@ -164,9 +164,6 @@ func (s *Sched) Gauges(emit func(layer obs.Layer, name, scope string, v uint64))
 	emit(obs.LayerSched, "busy_ns", s.name, uint64(s.busyTime.Nanos()))
 }
 
-// Kernel returns the sim kernel this scheduler runs on.
-func (s *Sched) Kernel() *sim.Kernel { return s.k }
-
 // Cost returns the scheduler's cost model.
 func (s *Sched) Cost() *model.CostModel { return s.cost }
 
@@ -178,9 +175,6 @@ func (s *Sched) Switches() uint64 { return s.switches }
 
 // Interrupts returns the number of interrupts taken so far.
 func (s *Sched) Interrupts() uint64 { return s.interrupts }
-
-// BusyTime returns the total CPU time consumed by threads and switches.
-func (s *Sched) BusyTime() sim.Duration { return s.busyTime }
 
 // Fork creates and starts a new thread running fn at the given priority.
 // The thread becomes runnable immediately; whether it preempts the caller
@@ -316,6 +310,8 @@ func (t *Thread) Cost() *model.CostModel { return t.sched.cost }
 func (t *Thread) IsInterrupt() bool { return t.intr }
 
 // CPUTime returns the total CPU time this thread has consumed.
+//
+//nectar:api per-thread CPU time the serve and poll oracles of threads, mailbox and hostif compare; no gauge behind it
 func (t *Thread) CPUTime() sim.Duration { return t.cpuTime }
 
 // Compute consumes d of CPU time. The thread may be preempted by
@@ -422,6 +418,8 @@ func (t *Thread) Sleep(d sim.Duration) {
 
 // Yield releases the CPU to an equal-or-higher-priority ready thread, if
 // any, charging a context switch; otherwise it continues immediately.
+//
+//nectar:api cmd/nectar-perf calls it; that module is the benchmark's and builds against this tree
 func (t *Thread) Yield() {
 	s := t.sched
 	t.assertRunning("Yield")
@@ -437,6 +435,8 @@ func (t *Thread) Yield() {
 }
 
 // Join blocks until u terminates.
+//
+//nectar:api C Threads' join, part of the CAB thread package's interface, covered by the threads tests
 func (t *Thread) Join(u *Thread) {
 	if u.exitC == nil {
 		u.exitC = NewCond(u.name + ".exit")
@@ -447,6 +447,8 @@ func (t *Thread) Join(u *Thread) {
 }
 
 // Done reports whether the thread has terminated.
+//
+//nectar:api the threads and tcp lock tests check a thread finished; no gauge behind it
 func (t *Thread) Done() bool { return t.state == stateDone }
 
 // DisableInterrupts masks interrupt delivery (nestable). The paper's

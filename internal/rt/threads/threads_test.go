@@ -21,7 +21,7 @@ func testSched(t *testing.T) (*sim.Kernel, *Sched) {
 // for tests that check pure ordering.
 func zeroCostSched() (*sim.Kernel, *Sched) {
 	k := sim.NewKernel()
-	c := model.Default1990().Clone()
+	c := model.Default1990()
 	c.ContextSwitch = 0
 	c.InterruptEntry = 0
 	c.InterruptExit = 0
@@ -607,8 +607,8 @@ func TestCPUTimeAccounting(t *testing.T) {
 	if got := th.CPUTime(); got != 50*sim.Microsecond {
 		t.Errorf("cpu time = %v, want 50us", got)
 	}
-	if s.BusyTime() != 50*sim.Microsecond {
-		t.Errorf("busy time = %v, want 50us", s.BusyTime())
+	if s.busyTime != 50*sim.Microsecond {
+		t.Errorf("busy time = %v, want 50us", s.busyTime)
 	}
 }
 

@@ -121,7 +121,7 @@ func driveScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label st
 		for i := 0; i < 6; i++ {
 			l.add("sleeper %d advance=%v", i, k.Advance(1))
 			if send != nil {
-				send(p.Now()+5, fmt.Sprintf("recv %d", i))
+				send(p.k.now+5, fmt.Sprintf("recv %d", i))
 			}
 			sleep(p, 6)
 		}
@@ -214,7 +214,7 @@ func TestDriveDispatchOrder(t *testing.T) {
 			peer := doms[1-i]
 			pl := logs[1-i]
 			driveScenario(d.Kernel(), logs[i], Time(i), func(at Time, label string) {
-				d.Send(peer, at, func() { pl.add("%s from %d", label, i) })
+				d.SendSized(peer, at, 0, func() { pl.add("%s from %d", label, i) })
 			})
 		}
 		for _, d := range driveHorizons {

@@ -103,7 +103,7 @@ func nestScenario(k *Kernel, l *orderLog, off Time, send func(at Time, label str
 			r.take(p, 3)
 			l.add("ring3 %d", i)
 			if send != nil {
-				send(p.Now()+5, fmt.Sprintf("ring3 %d", i))
+				send(p.k.now+5, fmt.Sprintf("ring3 %d", i))
 			}
 			sleep(p, 2)
 			r.give(0)
@@ -183,7 +183,7 @@ func TestNestDispatchOrder(t *testing.T) {
 			peer := doms[1-i]
 			pl := logs[1-i]
 			jobs[i] = nestScenario(d.Kernel(), logs[i], Time(i), func(at Time, label string) {
-				d.Send(peer, at, func() {
+				d.SendSized(peer, at, 0, func() {
 					pl.add("recv %s from %d", label, i)
 					jobs[1-i]()
 				})

@@ -25,7 +25,7 @@
 // g.EarliestOutputTo(A, act(owner)) >= B(A). Excluding A's own gateways
 // means a domain never throttles itself on its own potential emissions,
 // which is what lets windows coalesce. Inter-domain messages produced
-// inside the window (Domain.Send) are buffered in per-source outboxes and
+// inside the window (Domain.SendSized) are buffered in per-source outboxes and
 // injected into their destination kernels at the barrier, in deterministic
 // (source domain index, emission order) order, before the next window is
 // chosen.
@@ -278,13 +278,6 @@ func (d *Domain) ID() int { return d.id }
 // by a gateway, or the safe bound would be wrong.
 func (d *Domain) AddGateway(g Gateway) { d.gateways = append(d.gateways, g) }
 
-// Send delivers fn at virtual time at in dst. Same-domain sends degenerate
-// to Kernel.At. Cross-domain sends are buffered and injected at the next
-// window barrier; at must be >= the current safe bound, which holds by
-// construction when at carries a gateway's lookahead. Send must be called
-// from within d's executing window (i.e. from an event on d's kernel).
-func (d *Domain) Send(dst *Domain, at Time, fn func()) { d.SendSized(dst, at, 0, fn) }
-
 // SendSized is Send carrying the message's wire size in bytes, which the
 // wall-clock profiler attributes to the source shard's cross-shard drain
 // volume. Pass 0 when no meaningful size exists.
@@ -360,12 +353,6 @@ func (c *Coupling) AddDomain(k *Kernel) *Domain {
 	return d
 }
 
-// Domains returns the number of domains.
-func (c *Coupling) Domains() int { return len(c.domains) }
-
-// Domain returns domain i.
-func (c *Coupling) Domain(i int) *Domain { return c.domains[i] }
-
 // Now returns the coupling's virtual time: the maximum over domain clocks
 // (all clocks agree after RunUntil/RunFor).
 //
@@ -386,6 +373,8 @@ func (c *Coupling) Run() error { return c.run(MaxTime, true) }
 
 // RunUntil executes events with timestamps <= horizon in every domain and
 // then advances all clocks to horizon.
+//
+//nectar:api the coupling tests of sim, mailbox and tcp run to absolute horizons with it
 func (c *Coupling) RunUntil(horizon Time) error { return c.run(horizon, false) }
 
 // RunFor is RunUntil(Now()+d).

@@ -25,7 +25,7 @@ func profiledPingPong(t *testing.T, profiled bool) ([]Time, *prof.Report) {
 	b.AddGateway(fixedLookahead{latency})
 	var p *prof.Profile
 	if profiled {
-		p = prof.New(c.Domains())
+		p = prof.New(len(c.domains))
 		c.SetProfile(p)
 	}
 
@@ -37,7 +37,7 @@ func profiledPingPong(t *testing.T, profiled bool) ([]Time, *prof.Report) {
 		if len(arrivals) >= rounds {
 			return
 		}
-		self.Send(peer, now+Time(latency), func() { bounce(peer, self) })
+		self.SendSized(peer, now+Time(latency), 0, func() { bounce(peer, self) })
 	}
 	a.Kernel().At(0, func() { bounce(a, b) })
 

@@ -40,7 +40,7 @@ func TestCouplingPingPong(t *testing.T) {
 		if len(arrivals) >= rounds {
 			return
 		}
-		self.Send(peer, now+Time(latency), func() { bounce(peer, self) })
+		self.SendSized(peer, now+Time(latency), 0, func() { bounce(peer, self) })
 	}
 	a.Kernel().At(0, func() { bounce(a, b) })
 
@@ -103,7 +103,7 @@ func TestCouplingMatchesSequential(t *testing.T) {
 	parLog, err := run(func(int) (func(int, Time, func()), func(int) Time) {
 		return func(dst int, at Time, fn func()) {
 				src := doms[cur.Load()]
-				src.Send(doms[dst], at, func() { cur.Store(int32(dst)); fn() })
+				src.SendSized(doms[dst], at, 0, func() { cur.Store(int32(dst)); fn() })
 			}, func(i int) Time {
 				return doms[i].Kernel().Now()
 			}

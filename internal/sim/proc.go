@@ -449,12 +449,6 @@ func (p *Proc) label() string {
 // Name returns the proc's name.
 func (p *Proc) Name() string { return p.name }
 
-// Kernel returns the kernel this proc runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.k.now }
-
 // Suspend blocks the proc until Resume. A suspended Proc that nobody
 // resumes is a deadlock when the queue drains, unless its Describer
 // describes it as idle.
@@ -560,11 +554,14 @@ type Signal struct {
 }
 
 // NewSignal creates a named Signal for procs on k.
+//
+//nectar:api cmd/nectar-perf calls it; that module is the benchmark's and builds against this tree
 func (k *Kernel) NewSignal(name string) *Signal { return &Signal{name: name} }
 
 // Wait suspends p on s until s is signaled.
 //
 //nectar:hotpath
+//nectar:api cmd/nectar-perf calls it; that module is the benchmark's and builds against this tree
 func (p *Proc) Wait(s *Signal) {
 	s.waiters = append(s.waiters, p)
 	p.yield(procSuspended, s)

@@ -246,14 +246,10 @@ func (t Time) Micros() float64 { return float64(t) / 1e3 }
 // virtual epoch; like Duration.Nanos, the audited unit-dropping exit.
 func (t Time) Nanos() int64 { return int64(t) }
 
-// Micros constructs a Duration from fractional microseconds.
-func Micros(us float64) Duration { return Duration(us * 1e3) }
-
 // event is one slot in the kernel's event arena. Slots are recycled through
 // a free list; gen distinguishes successive occupancies so stale Timer
 // handles are detected without per-timer allocation.
 type event struct {
-	at      Time
 	fn      func()
 	gen     uint64
 	heapIdx int32 // index into Kernel.heap while queued, inSpins in a spin slot
@@ -311,20 +307,6 @@ func (t Timer) Stop() bool {
 // Pending reports whether the timer has not yet fired or been stopped.
 func (t Timer) Pending() bool {
 	return t.k != nil && t.k.arena[t.slot].gen == t.gen
-}
-
-// When reports the virtual time at which the timer will fire. For a zero,
-// stopped, or already-fired timer it returns the zero Time (use Pending to
-// distinguish a live timer scheduled for t=0).
-func (t Timer) When() Time {
-	if t.k == nil {
-		return 0
-	}
-	e := &t.k.arena[t.slot]
-	if e.gen != t.gen {
-		return 0
-	}
-	return e.at
 }
 
 // Kernel is the discrete-event simulation kernel.
@@ -415,7 +397,6 @@ func (k *Kernel) schedule(at Time, fn func()) int32 {
 	k.seq++
 	slot := k.newSlot()
 	e := &k.arena[slot]
-	e.at = at
 	e.fn = fn
 	k.heapPush(heapEntry{at: at, seq: k.seq, slot: slot})
 	return slot
@@ -610,6 +591,8 @@ func (k *Kernel) Dispatched() uint64 { return k.steps }
 // the waiting Proc's own dispatch loop reaches, or that unwinds a chain
 // of nested Procs down to it: it returns into the body on the coroutine
 // it is already on (the package doc, "Waits drive the loop").
+//
+//nectar:api coroutine-switch count the 11-resume pin and the serve tests read; no gauge behind it
 func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // Run executes events until the queue is empty. It returns an error if a
@@ -639,6 +622,8 @@ func (k *Kernel) RunUntil(horizon Time) error {
 }
 
 // RunFor is RunUntil(Now()+d).
+//
+//nectar:api the single-kernel driver of every layer's unit tests; clusters run through Coupling.RunFor
 func (k *Kernel) RunFor(d Duration) error { return k.RunUntil(k.now + Time(d)) }
 
 // blockedNames appends the blocked procs, with their blocking labels, to
@@ -659,9 +644,6 @@ func deadlock(at Time, names []string) error {
 	sort.Strings(names)
 	return fmt.Errorf("sim: deadlock at %v: blocked procs: %s", at, strings.Join(names, ", "))
 }
-
-// Idle reports whether no events are pending.
-func (k *Kernel) Idle() bool { return len(k.heap) == 0 && len(k.spins) == 0 }
 
 // NextEventAt reports the timestamp of the earliest pending event, in the
 // heap or a spin slot, or (0, false) when the queue is empty. The
@@ -760,4 +742,6 @@ func (k *Kernel) advanceTo(t Time) {
 // and the spin slots. Stopped timers are removed eagerly, so this is
 // simply the queues' length — O(1), where it used to scan the queue
 // filtering dead entries.
+//
+//nectar:api queue-length oracle of the sim, threads, hostif and tcp tests; no gauge behind it
 func (k *Kernel) PendingEvents() int { return len(k.heap) + len(k.spins) }

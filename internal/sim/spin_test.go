@@ -71,7 +71,7 @@ func TestSpinStepRunsInWakeEvent(t *testing.T) {
 	k.Go("p", func(p *Proc) {
 		s = &stepper{t: t, p: p, wakes: 3}
 		p.Spin(s.step)
-		end = p.Now()
+		end = p.k.now
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestSpinAfterMatchesAfter(t *testing.T) {
 			}
 			next, ok := k.NextEventAt()
 			log = append(log, fmt.Sprintf("horizon %v dispatched=%d pending=%d next=%v,%v idle=%v",
-				k.Now(), k.Dispatched(), k.PendingEvents(), next, ok, k.Idle()))
+				k.Now(), k.Dispatched(), k.PendingEvents(), next, ok, k.PendingEvents() == 0))
 		}
 		return log
 	}

@@ -42,7 +42,6 @@ func (p *Proc) SpinAfter(d Duration, end, fn func()) Timer {
 	}
 	at := k.now + Time(max(d, 0))
 	k.seq++
-	e.at = at
 	e.fn = end
 	e.heapIdx = inSpins
 	k.spins = append(k.spins, spinEntry{})

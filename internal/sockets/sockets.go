@@ -161,11 +161,3 @@ func (sk *Socket) Close(ctx exec.Context) error {
 		return true
 	})
 }
-
-// State exposes the underlying connection state (diagnostics).
-func (sk *Socket) State() tcp.State {
-	if sk.conn == nil {
-		return tcp.Closed
-	}
-	return sk.conn.State()
-}

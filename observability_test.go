@@ -65,7 +65,7 @@ func obsWorkload(t *testing.T) (events string, snap *obs.Snapshot, snapJSON []by
 		sb.WriteString(e.String())
 		sb.WriteByte('\n')
 	}
-	snap = o.Metrics().Snapshot(cl.Now())
+	snap = obs.MergeSnapshots(cl.Now(), o.Metrics())
 	return sb.String(), snap, snap.JSON(), tap.Text()
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nectar/internal/obs"
 	"nectar/internal/proto/icmp"
 	"nectar/internal/proto/tcp"
 	"nectar/internal/proto/wire"
@@ -114,7 +115,9 @@ func TestIPFragmentationReassembly(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("reassembled %d bytes, want %d (content match: %v)", len(got), len(payload), bytes.Equal(got, payload))
 	}
-	_, fragsIn, reassembled, _, _ := b.IP.Stats()
+	snap := cl.MetricsSnapshot()
+	fragsIn := snap.Value(obs.LayerIP, "in_fragments", b.CAB.Scope())
+	reassembled := snap.Value(obs.LayerIP, "reassembled", b.CAB.Scope())
 	if fragsIn < 6 || reassembled != 1 {
 		t.Errorf("fragsIn=%d reassembled=%d", fragsIn, reassembled)
 	}
@@ -290,8 +293,7 @@ func TestTCPRetransmitOnLoss(t *testing.T) {
 	if string(received) != "lost-then-recovered" {
 		t.Fatalf("received %q", received)
 	}
-	retrans := a.TCP.Stats().Retransmits
-	if retrans == 0 {
+	if cl.MetricsSnapshot().Value(obs.LayerTCP, "retransmits", a.CAB.Scope()) == 0 {
 		t.Error("no TCP retransmission recorded")
 	}
 }
