@@ -211,8 +211,10 @@ func BenchmarkAblation_RMPWindow(b *testing.B) {
 // workload does: at k=16 the 1,024-host FatTree(16) of 320 HUBs and 4,096
 // trunk fibers, at k=64 the 65,536-host one. The HUBs and the trunks are
 // each one slab registering once, so allocs/op is the same at both sizes.
-// Run with -benchmem: a per-HUB or per-trunk allocation shows as
-// allocations per build.
+// k=16/shards=2 builds FatTree(16) on 2 shards without declared flows,
+// so every trunk is a gateway; the gateways are one more slab. Run with
+// -benchmem: a per-HUB or per-trunk allocation shows as allocations per
+// build.
 func BenchmarkFatTreeBuild(b *testing.B) {
 	for _, k := range []int{16, 64} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
@@ -223,6 +225,12 @@ func BenchmarkFatTreeBuild(b *testing.B) {
 			}
 		})
 	}
+	b.Run("k=16/shards=2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			nectar.NewCluster(&nectar.Config{Topology: fabric.FatTree(16), Shards: 2})
+		}
+	})
 }
 
 // crossPodFlows declares n flows on FatTree(k), flow i from the first host

@@ -69,7 +69,8 @@ type Node struct {
 	API     *nectarine.API // the application interface (paper §3.5)
 	Sockets *sockets.API   // the Berkeley-socket emulation (paper §5.2)
 
-	idx int // attachment point in the cluster's topology
+	idx int           // attachment point in the cluster's topology
+	gw  fiber.Gateway // the CAB->HUB uplink's gateway role; zero with one shard
 }
 
 // Config adjusts cluster construction.
@@ -149,18 +150,19 @@ type Cluster struct {
 	// Fabric state. mat holds the materialized node at each attachment
 	// point (nil = compact), free the lowest attachment point AddNode may
 	// still fill; trunks holds the directed inter-HUB links in
-	// fabric.Trunks order.
+	// fabric.Trunks order, and gateways the trunk gateways, in the same
+	// order.
 	topo       *fabric.Topology
 	mat        []*Node
 	free       int
 	trunks     fiber.Links
-	trunkOwner []int32 // directed trunk -> owning shard; nil with one shard
+	trunkOwner []int32 // directed trunk -> owning shard; nil = shard 0 (one shard, or undeclared flows)
+	gateways   []fiber.Gateway
 
 	// Execution: the coupling of one domain per shard.
 	coupling  *sim.Coupling
 	domains   []*sim.Domain // one per shard
 	nodeShard []int32       // node index -> shard+1, memoized by shard (0 = not yet asked); nil with one shard
-	uplinks   []*fiber.Link // node index -> its CAB->HUB link (the shard gateway); nil = compact
 
 	// Declared traffic matrix (Config.Flows): node index -> set of peer
 	// node indices it may exchange frames with. nil when undeclared.
@@ -251,6 +253,8 @@ func (cl *Cluster) bootNode(idx int) *Node {
 	h := host.New(k, cl.Cost, fmt.Sprintf("host%d", id), c)
 	f := hostif.New(h, c)
 
+	n := &Node{ID: id, CAB: c, Host: h, IF: f, idx: idx}
+
 	// Fibers: CAB -> hub input port, hub output port -> CAB.
 	hb := cl.Hubs[hubIdx]
 	up := fiber.NewLink(k, cl.Cost, fmt.Sprintf("cab%d->hub%d", id, hubIdx), hb.InPortOn(port, dom))
@@ -266,7 +270,7 @@ func (cl *Cluster) bootNode(idx int) *Node {
 		// destination shard (per-channel lookahead). On multi-HUB
 		// fabrics the hop may enter a trunk, whose owning shard the
 		// HUB's output-domain table resolves the same way.
-		up.SetGateway(sim.Duration(cl.Cost.HubSetup), crossFn(hb, dom))
+		//
 		// Transmit-preparation floor: every frame this CAB can put on the
 		// uplink goes through datalink.Send, which consumes DatalinkProcess
 		// + DMASetup of CAB CPU time between the event that triggers it
@@ -281,13 +285,14 @@ func (cl *Cluster) bootNode(idx int) *Node {
 		// 700 ns HUB setup — is what grows safe windows enough for
 		// sharding to win.
 		margin := sim.Time(cl.Cost.DatalinkProcess + cl.Cost.DMASetup)
-		up.SetTxFloor(func(actFloor sim.Time) sim.Time {
+		txFloor := func(actFloor sim.Time) sim.Time {
 			e := actFloor + margin
 			if at, ok := c.TxReadyAt(); ok && at < e {
 				e = max(at, actFloor)
 			}
 			return e
-		})
+		}
+		var reach []bool
 		if cl.flowPeers != nil {
 			// Declared channel topology: this gateway only constrains the
 			// safe bound of the domains the *first* forward after this
@@ -295,17 +300,12 @@ func (cl *Cluster) bootNode(idx int) *Node {
 			// farther peers to the owner of the path's first trunk; later
 			// hops are covered by trunk gateways). With a flow-affinity
 			// partition that is no domain at all, and windows stretch to
-			// the scheduling horizon. Precomputed into a bitmap — the
-			// closure runs per (gateway, destination) in every window
-			// choose phase.
-			reach := cl.firstHopReach(idx)
-			up.SetReach(func(dstDom int) bool {
-				return dstDom >= 0 && dstDom < len(reach) && reach[dstDom]
-			})
+			// the scheduling horizon.
+			reach = cl.firstHopReach(idx)
 		}
-		dom.AddGateway(up)
+		n.gw.Init(up, sim.Duration(cl.Cost.HubSetup), crossFn(hb, dom), txFloor, reach)
+		dom.AddGateway(&n.gw)
 	}
-	cl.uplinks[idx] = up
 	if cl.flowPeers != nil {
 		// The declaration is enforced on every send, whatever the shard
 		// count, so a violating workload fails identically at every
@@ -324,12 +324,7 @@ func (cl *Cluster) bootNode(idx int) *Node {
 	mrt.AttachHost(f)
 	pool := syncs.NewPool(f)
 	dl := datalink.NewLayer(c)
-
-	n := &Node{
-		ID: id, CAB: c, Host: h, IF: f,
-		Mailboxes: mrt, Syncs: pool, Datalink: dl,
-		idx: idx,
-	}
+	n.Mailboxes, n.Syncs, n.Datalink = mrt, pool, dl
 
 	// Protocol stacks.
 	n.Transports = nectar.Attach(dl, mrt)
@@ -594,20 +589,18 @@ func (cl *Cluster) ProfileReport() *prof.Report {
 	return r
 }
 
-// CrossShardFrames sums, over every gateway link (node uplinks and fabric
-// trunks), the frames that left their shard through the coupling. Zero
-// with one shard; only call between runs.
+// CrossShardFrames sums, over every gateway the cluster registered (node
+// uplinks and fabric trunks), the frames that left their shard through
+// the coupling. Zero with one shard; only call between runs.
 func (cl *Cluster) CrossShardFrames() uint64 {
-	var n uint64
-	for _, up := range cl.uplinks {
-		if up != nil { // compact (unmaterialized) attachment points
-			n += up.CrossShardFrames()
-		}
+	var sum uint64
+	for _, n := range cl.Nodes {
+		sum += n.gw.CrossShardFrames()
 	}
-	for i := range cl.trunks {
-		n += cl.trunks[i].CrossShardFrames()
+	for i := range cl.gateways {
+		sum += cl.gateways[i].CrossShardFrames()
 	}
-	return n
+	return sum
 }
 
 // MetricsSnapshot exports the cluster's metrics at the current virtual

@@ -58,17 +58,23 @@ func (cl *Cluster) buildFabric(topo *fabric.Topology) {
 		cl.Hubs[i] = &hubs[i]
 	}
 
-	// The compact node arena: materialized pointer, uplink slot and (with
-	// more than one shard) memoized shard per attachment point.
-	// Everything else a node needs before it first carries traffic lives
-	// in the topology's own arrays (hub, port).
+	// The compact node arena: materialized pointer and (with more than
+	// one shard) memoized shard per attachment point. Everything else a
+	// node needs before it first carries traffic lives in the topology's
+	// own arrays (hub, port).
 	cl.mat = make([]*Node, n)
-	cl.uplinks = make([]*fiber.Link, n)
 	var reach [][]bool
+	var crosses []func(port byte) (int, bool)
 	if len(cl.domains) > 1 {
 		cl.nodeShard = make([]int32, n)
-		cl.trunkOwner, reach = cl.planTrunks()
+		var gateways int
+		cl.trunkOwner, reach, gateways = cl.planTrunks()
+		cl.gateways = make([]fiber.Gateway, gateways)
+		// Trunks into one HUB on one shard resolve route bytes alike,
+		// so they share one cross function.
+		crosses = make([]func(port byte) (int, bool), len(cl.Hubs)*len(cl.domains))
 	}
+	gws := cl.gateways
 	cl.trunks = make(fiber.Links, len(topo.Trunks))
 	if len(cl.trunks) > 0 {
 		// Each trunk runs on its owner's kernel; the slab's gauges sum
@@ -84,25 +90,28 @@ func (cl *Cluster) buildFabric(topo *fabric.Topology) {
 		l.Init(dom.Kernel(), cl.Cost, names.trunk(tr), cl.Hubs[tr.ToHub].InPortOn(tr.ToPort, dom))
 		cl.Hubs[tr.FromHub].ConnectOut(tr.FromPort, l)
 		cl.Hubs[tr.FromHub].SetOutDomain(tr.FromPort, dom)
-		if cl.trunkOwner == nil {
+		if len(cl.domains) == 1 {
 			continue // one shard: no gateways
 		}
 		// Gateway role. With declared flows, only trunks whose forwards
-		// can actually enter another shard register (reach non-nil) —
+		// can actually enter another shard are gateways (reach non-nil):
 		// the rest provably never emit cross-shard, and skipping them
 		// keeps the coupling's choose phase O(active gateways), not
 		// O(trunks), on 262k-trunk fabrics. Without declared flows every
-		// trunk must register conservatively with unrestricted reach.
-		if cl.flowPeers == nil {
-			l.SetGateway(sim.Duration(cl.Cost.HubSetup), crossFn(cl.Hubs[tr.ToHub], dom))
-			dom.AddGateway(l)
-		} else if rb := reach[ti]; rb != nil {
-			l.SetGateway(sim.Duration(cl.Cost.HubSetup), crossFn(cl.Hubs[tr.ToHub], dom))
-			l.SetReach(func(dstDom int) bool {
-				return dstDom >= 0 && dstDom < len(rb) && rb[dstDom]
-			})
-			dom.AddGateway(l)
+		// trunk is a gateway with unrestricted reach.
+		var rb []bool
+		if reach != nil {
+			if rb = reach[ti]; rb == nil {
+				continue
+			}
 		}
+		cross := &crosses[tr.ToHub*len(cl.domains)+dom.ID()]
+		if *cross == nil {
+			*cross = crossFn(cl.Hubs[tr.ToHub], dom)
+		}
+		gws[0].Init(l, sim.Duration(cl.Cost.HubSetup), *cross, nil, rb)
+		dom.AddGateway(&gws[0])
+		gws = gws[1:]
 	}
 }
 
@@ -168,21 +177,22 @@ func digits(v int) int {
 	return n
 }
 
-// planTrunks assigns every directed trunk an owning shard and computes its
-// cross-shard reach. Ownership is by majority vote of the declared flows
-// traversing the trunk (voting with the flow's source shard; ties to the
-// lowest shard), so with a flow-affinity partition a trunk is owned by the
-// shard whose traffic uses it. reach[ti] is the set of domains the next
-// forward after trunk ti can enter over declared flows — nil when every
-// next hop stays on the owner (the trunk then needs no gateway at all).
-// With undeclared traffic reach is nil and every trunk defaults to shard 0
-// with an unrestricted gateway.
-func (cl *Cluster) planTrunks() (owner []int32, reach [][]bool) {
+// planTrunks assigns every directed trunk an owning shard, computes its
+// cross-shard reach and counts the trunks that need a gateway. Ownership
+// is by majority vote of the declared flows traversing the trunk (voting
+// with the flow's source shard; ties to the lowest shard), so with a
+// flow-affinity partition a trunk is owned by the shard whose traffic
+// uses it. reach[ti] is the set of domains the next forward after trunk
+// ti can enter over declared flows — nil when every next hop stays on the
+// owner (the trunk then needs no gateway at all). With undeclared traffic
+// owner and reach are nil: every trunk stays on shard 0 with an
+// unrestricted gateway.
+func (cl *Cluster) planTrunks() (owner []int32, reach [][]bool, gateways int) {
 	nt := len(cl.topo.Trunks)
-	owner = make([]int32, nt)
 	if cl.flowPeers == nil {
-		return owner, nil
+		return nil, nil, nt
 	}
+	owner = make([]int32, nt)
 	shards := len(cl.domains)
 	votes := make([]int32, nt*shards)
 	cl.eachFlowDirection(func(src, dst int) {
@@ -212,12 +222,13 @@ func (cl *Cluster) planTrunks() (owner []int32, reach [][]bool) {
 			if next != owner[ti] {
 				if reach[ti] == nil {
 					reach[ti] = make([]bool, shards)
+					gateways++
 				}
 				reach[ti][next] = true
 			}
 		}
 	})
-	return owner, reach
+	return owner, reach, gateways
 }
 
 // eachFlowDirection visits every declared flow in both directions (frames

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nectar/internal/fabric"
+	"nectar/internal/hw/fiber"
 	"nectar/internal/nectarine"
 	"nectar/internal/obs"
 	"nectar/internal/proto/nectar"
@@ -209,8 +210,8 @@ func TestRMPRetransmitOnDrop(t *testing.T) {
 	box := b.Mailboxes.Create("sink")
 	// Drop the first transmission on the wire: RMP must retransmit.
 	// The a->hub link carries the data frame.
-	aOut := findLinkFrom(t, cl, a)
-	aOut.DropNext(1)
+	aOut := a.CAB.OutLink()
+	aOut.SetFaultFn(fiber.DropThenCorrupt(1, 0))
 	var status uint32
 	var got int
 	a.CAB.Sched.Fork("tx", threads.SystemPriority, func(th *threads.Thread) {
@@ -240,8 +241,8 @@ func TestRMPRetransmitOnDrop(t *testing.T) {
 func TestRMPCorruptionDetectedByCRC(t *testing.T) {
 	cl, a, b := twoNodes(t, nil)
 	box := b.Mailboxes.Create("sink")
-	aOut := findLinkFrom(t, cl, a)
-	aOut.CorruptNext(1)
+	aOut := a.CAB.OutLink()
+	aOut.SetFaultFn(fiber.DropThenCorrupt(0, 1))
 	var status uint32
 	a.CAB.Sched.Fork("tx", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
@@ -305,14 +306,14 @@ func TestRRPDuplicateSuppression(t *testing.T) {
 	cl, a, b := twoNodes(t, nil)
 	service := b.Mailboxes.Create("service")
 	replyBox := a.Mailboxes.Create("reply")
-	bOut := findLinkFrom(t, cl, b)
+	bOut := b.CAB.OutLink()
 	served := 0
 	b.CAB.Sched.Fork("server", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
 		for {
 			m := service.BeginGet(ctx)
 			served++
-			bOut.DropNext(1) // lose this reply; force a client retransmit
+			bOut.SetFaultFn(fiber.DropThenCorrupt(1, 0)) // lose this reply; force a client retransmit
 			b.Transports.RRP.Reply(ctx, m, []byte("done"))
 			service.EndGet(ctx, m)
 		}
@@ -370,19 +371,6 @@ func TestNectarineEndToEnd(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
-
-func findLinkFrom(t *testing.T, cl *Cluster, n *Node) *linkHandle {
-	t.Helper()
-	return &linkHandle{n: n}
-}
-
-// linkHandle exposes fault injection on a node's outgoing fiber. The CAB
-// does not export its link, so we inject through a tiny shim in the
-// cluster for tests.
-type linkHandle struct{ n *Node }
-
-func (l *linkHandle) DropNext(k int)    { l.n.CAB.OutLink().DropNext(k) }
-func (l *linkHandle) CorruptNext(k int) { l.n.CAB.OutLink().CorruptNext(k) }
 
 func TestDeterministicCluster(t *testing.T) {
 	run := func() string {

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"nectar"
+	"nectar/internal/hw/fiber"
 	"nectar/internal/obs"
 	np "nectar/internal/proto/nectar"
 	"nectar/internal/proto/wire"
@@ -77,7 +78,7 @@ func runStats(args []string, stdout, stderr io.Writer) error {
 	// the sender exhausts its retries and reports StatusTimeout — followed
 	// by a successful send to the live receiver (a separate peer, so its
 	// stop-and-wait sequence stream is unaffected by the loss).
-	a.CAB.OutLink().DropNext(np.MaxRetries + 1)
+	a.CAB.OutLink().SetFaultFn(fiber.DropThenCorrupt(np.MaxRetries+1, 0))
 	deadAddr := wire.MailboxAddr{Node: c.ID, Box: sink.ID()}
 	p2 := false
 	a.Host.Run("rmp-sender", func(t *threads.Thread) {
@@ -137,7 +138,7 @@ func runStats(args []string, stdout, stderr io.Writer) error {
 			failed = err
 			return
 		}
-		a.CAB.OutLink().DropNext(1) // lose the first data segment
+		a.CAB.OutLink().SetFaultFn(fiber.DropThenCorrupt(1, 0)) // lose the first data segment
 		c.Send(ctx, payload)
 		c.Close(ctx)
 	})

@@ -113,9 +113,9 @@ func main() {
 		scope := n.CAB.Scope()
 		fmt.Printf("cab%-3d %10d %10d %10d %12d %12d\n", i+1, snap.Value(obs.LayerCAB, "tx_frames", scope),
 			snap.Value(obs.LayerCAB, "rx_frames", scope), snap.Value(obs.LayerCAB, "crc_errors", scope),
-			n.CAB.Sched.Switches(), n.CAB.Sched.Interrupts())
+			snap.Value(obs.LayerSched, "context_switches", scope), snap.Value(obs.LayerSched, "interrupts", scope))
 	}
 	for i, h := range cl.Hubs {
-		fmt.Printf("hub%-3d forwarded %d frames\n", i, h.Forwarded())
+		fmt.Printf("hub%-3d forwarded %d frames\n", i, snap.Value(obs.LayerFiber, "hub_forwarded", h.Name()))
 	}
 }

@@ -115,7 +115,8 @@ func runFabricWorkload(t *testing.T, shards int, seed uint64, opts ...fabricOpts
 
 	// Every flow spans leaves, so the spine crossbars (hubs 4 and 5 of a
 	// 4-leaf topology) must have forwarded; frames crossed >= 2 HUB tiers.
-	if cl.Hubs[4].Forwarded()+cl.Hubs[5].Forwarded() == 0 {
+	snap := cl.MetricsSnapshot()
+	if snap.Value(obs.LayerFiber, "hub_forwarded", cl.Hubs[4].Name())+snap.Value(obs.LayerFiber, "hub_forwarded", cl.Hubs[5].Name()) == 0 {
 		t.Fatalf("no spine forwards: flows did not cross HUB tiers (shards=%d)", shards)
 	}
 
@@ -232,10 +233,11 @@ func TestFabricFatTreeDelivery(t *testing.T) {
 	}
 	// Data and acks cross all three tiers; every tier must have forwarded.
 	tiers := [][2]int{{0, 3}, {8, 11}, {16, 19}} // edge, agg, core hub ranges of FatTree(4)
+	snap := cl.MetricsSnapshot()
 	for _, r := range tiers {
 		var fwd uint64
 		for h := r[0]; h <= r[1]; h++ {
-			fwd += cl.Hubs[h].Forwarded()
+			fwd += snap.Value(obs.LayerFiber, "hub_forwarded", cl.Hubs[h].Name())
 		}
 		if fwd == 0 {
 			t.Errorf("no forwards in hub tier %d..%d", r[0], r[1])

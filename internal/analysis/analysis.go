@@ -105,9 +105,9 @@ type Pass struct {
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
 	// Program supplies whole-program context (call graph, cross-package
-	// facts) to the interprocedural analyzers. It is nil under
-	// analysistest, which sees one package at a time; those analyzers
-	// then degrade to a single-package view built from this pass.
+	// facts) to the interprocedural analyzers. nectar-vet and
+	// TestRepoLintClean load the whole module into it; analysistest.Run
+	// gives each fixture package a Program of its own.
 	Program *Program
 }
 

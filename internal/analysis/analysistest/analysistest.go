@@ -117,12 +117,14 @@ func RunProgram(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ..
 	}
 }
 
-// run is Run behind the TB seam (so the harness can test itself).
+// run is Run behind the TB seam (so the harness can test itself). Each
+// package is a program of its own.
 func run(t TB, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	ld := sharedLoader(filepath.Join(testdata, "src"))
 	for _, path := range pkgPaths {
-		check(t, ld, a, ld.mustLoad(t, path), nil)
+		pkg := ld.mustLoad(t, path)
+		check(t, ld, a, pkg, analysis.NewProgram([]*analysis.Package{pkg}))
 	}
 }
 
@@ -140,8 +142,8 @@ func (ld *loader) mustLoad(t TB, pkgPath string) *analysis.Package {
 	return pkg
 }
 
-// check applies a to pkg, with prog's whole-program view when prog is
-// not nil, and reports mismatches with pkg's // want expectations.
+// check applies a to pkg in program prog and reports mismatches with
+// pkg's // want expectations.
 func check(t TB, ld *loader, a *analysis.Analyzer, pkg *analysis.Package, prog *analysis.Program) {
 	t.Helper()
 	diags, err := analysis.RunAnalyzersWith(prog, pkg, []*analysis.Analyzer{a})

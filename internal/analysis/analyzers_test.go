@@ -123,8 +123,7 @@ func TestUnitsafe(t *testing.T) {
 
 func TestDeadstate(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.Deadstate,
-		"deadstatetest",                // unread fields, unused identifiers, exemptions, test-only uses
-		"nectar/internal/deadexp/solo", // exported half: silent in the per-package view
+		"deadstatetest", // unread fields, unused identifiers, exemptions, test-only uses
 	)
 }
 

@@ -150,22 +150,6 @@ func NewProgram(pkgs []*Package) *Program {
 	return &Program{Packages: pkgs}
 }
 
-// programFor returns the pass's Program, or a single-package Program
-// synthesized from the pass itself (analysistest), whose
-// analyses degrade gracefully to an intra-package view.
-func programFor(pass *Pass) *Program {
-	if pass.Program != nil {
-		return pass.Program
-	}
-	return NewProgram([]*Package{{
-		PkgPath:   pass.PkgPath,
-		Fset:      pass.Fset,
-		Files:     pass.Files,
-		Types:     pass.Pkg,
-		TypesInfo: pass.TypesInfo,
-	}})
-}
-
 // funcID returns the stable identity of a declared function, resolving
 // generic instantiations to their origin declaration.
 func funcID(obj *types.Func) string { return obj.Origin().FullName() }

@@ -60,7 +60,7 @@ const (
 )
 
 func runCostmodel(pass *Pass) (any, error) {
-	prog := programFor(pass)
+	prog := pass.Program
 	prog.ensureCost()
 	for _, d := range prog.costDiags[canonicalPkgPath(pass.PkgPath)] {
 		pass.Report(d)
@@ -211,8 +211,8 @@ func costChain(n *FuncNode, reach map[*FuncNode]bool, touches map[*FuncNode][]st
 // method values escaping as arguments or into variables/fields. It
 // returns the label of each sink touched, in source order. Sinks
 // are resolved by type information, not graph membership, so the check
-// holds under single-package drivers where fiber/vme declarations are
-// not loaded.
+// holds in a program that does not load the fiber/vme declarations, such
+// as a fixture package's own.
 func sinkTouches(n *FuncNode) []string {
 	body := n.Body()
 	if body == nil {

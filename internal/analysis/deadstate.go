@@ -22,15 +22,15 @@ import (
 // reached through it), and the fields of struct types compared as whole
 // values (==, !=, switch tags, map keys), which the comparison reads.
 //
-// The exported half needs the whole-program view (nectar-vet ./... at
-// the module root, TestRepoLintClean) and is silent without it: it
-// reports every exported func, method, type, var, const and struct field
-// declared under nectar/internal/ that no non-test file of the loaded
-// program uses, so test-only API and dead API read alike. Exempt are
-// methods matching a method of an interface in the program or in a
-// package it imports, and json-tagged fields; API that earns its place
-// carries //nectar:api <reason> on its declaration, and a waiver on a
-// type covers its methods and fields.
+// The exported half reads the driver's program (the whole module under
+// nectar-vet ./... at the root and TestRepoLintClean, one fixture package
+// under analysistest.Run): it reports every exported func, method, type,
+// var, const and struct field declared under nectar/internal/ that no
+// non-test file of the program uses, so test-only API and dead API read
+// alike. Exempt are methods matching a method of an interface in the
+// program or in a package it imports, and json-tagged fields; API that
+// earns its place carries //nectar:api <reason> on its declaration, and
+// a waiver on a type covers its methods and fields.
 var Deadstate = &Analyzer{
 	Name: "deadstate",
 	Doc: "unread state and unused code: unexported struct fields that are written but never read, unexported " +
@@ -53,10 +53,8 @@ func newDeadUses() *deadUses {
 }
 
 func runDeadstate(pass *Pass) (any, error) {
-	if pass.Program != nil {
-		for _, d := range pass.Program.deadExported()[canonicalPkgPath(pass.PkgPath)] {
-			pass.Report(d)
-		}
+	for _, d := range pass.Program.deadExported()[canonicalPkgPath(pass.PkgPath)] {
+		pass.Report(d)
 	}
 	info := pass.TypesInfo
 	u := newDeadUses()

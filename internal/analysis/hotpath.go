@@ -62,7 +62,7 @@ var hotpathFmtMethods = map[string]bool{
 }
 
 func runHotpath(pass *Pass) (any, error) {
-	prog := programFor(pass)
+	prog := pass.Program
 	prog.ensureHot()
 	for _, d := range prog.hotDiags[canonicalPkgPath(pass.PkgPath)] {
 		pass.Report(d)

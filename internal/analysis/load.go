@@ -213,10 +213,10 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 // RunAnalyzersWith applies each analyzer to pkg and returns the
-// diagnostics in (analyzer, position) order. prog supplies cross-package
-// syntax and facts to the interprocedural analyzers (hotpath, shardsafe,
-// costmodel, poollife, deadstate's exported half); a nil prog gives them
-// a single-package view of pkg.
+// diagnostics in (analyzer, position) order. prog, which must hold pkg,
+// supplies cross-package syntax and facts to the interprocedural
+// analyzers (hotpath, shardsafe, costmodel, poollife, deadstate's
+// exported half).
 func RunAnalyzersWith(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {

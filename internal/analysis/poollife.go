@@ -120,7 +120,7 @@ func runPoollife(pass *Pass) (any, error) {
 	if !IsDeterministicPkg(canonicalPkgPath(pass.PkgPath)) {
 		return nil, nil
 	}
-	prog := programFor(pass)
+	prog := pass.Program
 	prog.ensureGraph()
 	for _, f := range pass.Files {
 		test := pass.IsTestFile(f.Pos())

@@ -104,7 +104,7 @@ func (t *shardFactTable) record(info *types.Info, site ast.Node) {
 }
 
 func runShardsafe(pass *Pass) (any, error) {
-	prog := programFor(pass)
+	prog := pass.Program
 	facts := prog.ensureShardFacts()
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {

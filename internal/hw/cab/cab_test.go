@@ -83,7 +83,7 @@ func TestGatherTransmit(t *testing.T) {
 
 func TestCRCDetectsWireCorruption(t *testing.T) {
 	k, a, b := wired(t)
-	a.OutLink().CorruptNext(1)
+	a.OutLink().SetFaultFn(fiber.DropThenCorrupt(0, 1))
 	var ok = true
 	b.OnReceive(func(th *threads.Thread, d *RxDesc) {
 		b.StartRxDMA(d, make([]byte, len(d.Payload())), func(o bool) { ok = o })

@@ -10,9 +10,14 @@
 // datalink layer's start-of-data upcall runs "while the remainder of the
 // packet is being received", §4.1).
 //
-// Links support fault injection (drop or corrupt the next N packets) so
-// tests can exercise the retransmission paths of RMP and TCP with real
-// CRC/checksum failures.
+// A link takes one fault hook, SetFaultFn, which drops or corrupts each
+// packet by its ordinal; DropThenCorrupt builds the common "drop the next
+// d, then corrupt the next c" pattern. Tests use it to exercise the
+// retransmission paths of RMP and TCP with real CRC/checksum failures.
+//
+// Under sharded execution a link that feeds a HUB input port whose
+// forwards may leave the shard also has a Gateway, which bounds the
+// shard's earliest cross-shard output for the coupling scheduler.
 package fiber
 
 import (
@@ -41,7 +46,7 @@ type Packet struct {
 	// The packet's one pending step. A packet in flight has exactly one
 	// event outstanding: its arrival at the far end of via (first byte at
 	// the event's instant, last byte at end; gwPop when the arrival
-	// retires a gateway's gwPending entry), or its next hop on out no
+	// retires its link's oldest gateway entry), or its next hop on out no
 	// earlier than at (Hop). The step's state rides here and the event
 	// is one of the two callbacks GetPacket built, so scheduling a step
 	// allocates nothing.
@@ -85,41 +90,21 @@ type Link struct {
 
 	freeAt sim.Time
 
-	// Gateway role (sharded execution): when this link feeds a HUB input
-	// port whose forwards may cross shard boundaries, it doubles as the
-	// shard's sim.Gateway, bounding the earliest
-	// possible cross-shard output. gwDelay is the HUB setup latency added
-	// to every forward; gwCross resolves a packet's next route hop to the
-	// destination domain it would leave the shard for (cross=false for
-	// local forwards); gwPending holds the cross-capable deliveries
-	// already in flight on this link, in monotonically non-decreasing
-	// start order (links serialize); gwTxFloor, when set, lower-bounds
-	// the start of any *future* transmission on this link given the
-	// owning domain's activity floor (see SetTxFloor).
-	gwDelay   sim.Duration
-	gwCross   func(port byte) (dst int, cross bool)
-	gwTxFloor func(actFloor sim.Time) sim.Time
-	gwReach   func(dst int) bool
-	gwPending []gwFrame
-
-	// Fault injection.
-	dropNext    int
-	corruptNext int
-	faultFn     func(seq uint64) (drop, corrupt bool)
+	gw      *Gateway // shard-boundary role; nil on ordinary links
+	faultFn func(seq uint64) (drop, corrupt bool)
 
 	// Stats.
 	sent      uint64
 	dropped   uint64
 	corrupted uint64
 	bytes     uint64
-	crossSent uint64 // cross-capable sends (next hop leaves the shard)
 
 	obs *obs.Observer
 
-	// Pads a Link to 192 bytes, a multiple of the 64-byte cache line, so
+	// Pads a Link to 128 bytes, a multiple of the 64-byte cache line, so
 	// the elements of a Links slab start on line boundaries and two
 	// shards' links never share a line.
-	_ [8]byte
+	_ [16]byte
 }
 
 // NewLink creates a fiber link delivering to dst and registers it as its
@@ -196,22 +181,14 @@ func (l *Link) SendAt(pkt *Packet, t sim.Time) {
 	if l.faultFn != nil {
 		drop, corrupt = l.faultFn(l.sent + l.dropped)
 	}
-	if l.dropNext > 0 || drop {
-		if l.dropNext > 0 {
-			l.dropNext--
-		}
+	if drop {
 		l.dropped++
 		l.obs.CapturePacket(l.name, pkt.Frame, true, false)
 		pkt.Release() // frame dead: the capture tap decodes synchronously
 		return
 	}
-	corrupted := false
-	if l.corruptNext > 0 || corrupt {
-		if l.corruptNext > 0 {
-			l.corruptNext--
-		}
+	if corrupt {
 		l.corrupted++
-		corrupted = true
 		// Flip a bit mid-frame; the CRC trailer will expose it.
 		if len(pkt.Frame) > 0 {
 			pkt.Frame[len(pkt.Frame)/2] ^= 0x10
@@ -219,20 +196,12 @@ func (l *Link) SendAt(pkt *Packet, t sim.Time) {
 	}
 	l.sent++
 	l.bytes += uint64(pkt.WireLen())
-	l.obs.CapturePacket(l.name, pkt.Frame, false, corrupted)
+	l.obs.CapturePacket(l.name, pkt.Frame, false, corrupt)
 	if l.obs.Tracing() {
 		l.obs.InstantArg(0, obs.LayerFiber, "tx", l.name, 0, pkt.WireLen())
 	}
-	if l.gwCross != nil && len(pkt.Route) > 0 {
-		if dstDom, cross := l.gwCross(pkt.Route[0]); cross {
-			// Cross-capable: its arrival constrains the shard's earliest
-			// output toward dstDom until the delivery fires (deliveries
-			// fire in start order, so popping the front matches this
-			// append).
-			l.crossSent++
-			l.gwPending = append(l.gwPending, gwFrame{start: start, dst: int32(dstDom)})
-			pkt.gwPop = true
-		}
+	if l.gw != nil {
+		pkt.gwPop = l.gw.send(pkt, start)
 	}
 	pkt.via = l
 	pkt.end = end
@@ -245,7 +214,7 @@ func (pkt *Packet) arrive() {
 	l := pkt.via
 	if pkt.gwPop {
 		pkt.gwPop = false
-		l.gwPending = sim.PopFront(l.gwPending)
+		l.gw.pending = sim.PopFront(l.gw.pending)
 	}
 	l.dst.PacketArriving(pkt, pkt.end)
 }
@@ -267,109 +236,29 @@ func (pkt *Packet) Hop(out *Link, at sim.Time) func() {
 //nectar:free-hop the HUB charged its setup latency (cost.HubSetup) into at before scheduling the hop
 func (pkt *Packet) hop() { pkt.out.SendAt(pkt, pkt.at) }
 
-// gwFrame is one cross-capable delivery in flight on a gateway link: when
-// its transmission started and which domain its next route hop forwards
-// into.
-type gwFrame struct {
-	start sim.Time
-	dst   int32
+// DropThenCorrupt returns a fault pattern for SetFaultFn that drops the
+// next drop packets presented for transmission, then corrupts the next
+// corrupt ones, and passes every packet after that.
+func DropThenCorrupt(drop, corrupt int) func(seq uint64) (drop, corrupt bool) {
+	return func(uint64) (bool, bool) {
+		switch {
+		case drop > 0:
+			drop--
+			return true, false
+		case corrupt > 0:
+			corrupt--
+			return false, true
+		}
+		return false, false
+	}
 }
 
-// SetGateway marks the link as a shard-boundary gateway: forwards of
-// packets arriving at its destination HUB port incur delay (the HUB setup
-// latency), and cross resolves a packet's next route hop to the domain it
-// would leave the shard for (cross=false when the forward stays local).
-// The link then implements sim.Gateway.
-func (l *Link) SetGateway(delay sim.Duration, cross func(port byte) (dst int, crossShard bool)) {
-	l.gwDelay = delay
-	l.gwCross = cross
-}
-
-// SetTxFloor installs a lower bound on the start time of any future
-// transmission on this link, as a function of the owning domain's activity
-// floor (the earliest instant any event can execute in the domain's
-// current window). The sharded cluster wires it to the sending CAB's
-// transmit-preparation state: a frame send always consumes datalink
-// processing plus DMA setup CPU time between the event that triggers it
-// and the fiber transmission, so an idle CAB cannot start a frame before
-// actFloor plus that margin, and a CAB already preparing a frame cannot
-// start one before the preparation completes. Pass nil to clear (the
-// bound degrades to actFloor itself).
-func (l *Link) SetTxFloor(fn func(actFloor sim.Time) sim.Time) { l.gwTxFloor = fn }
-
-// SetReach installs the link's declared channel topology: reach(dst)
-// reports whether any frame this link can ever carry may be forwarded
-// into domain dst. Wired by clusters whose Config declares the complete
-// traffic matrix (Config.Flows); destinations outside the declared reach
-// then return an unbounded EarliestOutputTo, which is what lets a
-// well-partitioned cluster run whole horizons per window. Pass nil to
-// clear (every destination reachable — the conservative default).
-func (l *Link) SetReach(fn func(dst int) bool) { l.gwReach = fn }
-
-// EarliestOutputTo implements sim.Gateway: a lower bound on the timestamp
-// of any future forward from this link into domain dst, given actFloor —
-// a lower bound on the earliest instant the owning domain can execute any
-// event. Two sources bound it: cross-capable deliveries to dst already in
-// flight (gwPending; deliveries to *other* domains do not cap it), and
-// hypothetical future sends, which cannot start before the link is free
-// nor before the transmit floor (the CPU time every frame send provably
-// consumes before reaching the fiber). Every forward then adds the HUB
-// setup delay — the lookahead that makes conservative windows
-// non-trivial even at zero queueing. Zero-allocation: called per
-// (gateway, destination) pair in every window choose phase.
-//
-//nectar:hotpath
-func (l *Link) EarliestOutputTo(dst int, actFloor sim.Time) sim.Time {
-	if l.gwReach != nil && !l.gwReach(dst) {
-		// Declared channel topology: no frame this link carries can ever
-		// be forwarded into dst, so this gateway does not constrain it.
-		return sim.MaxTime
-	}
-	e := sim.MaxTime
-	if actFloor < sim.MaxTime {
-		e = actFloor
-		if l.gwTxFloor != nil {
-			e = l.gwTxFloor(actFloor)
-		}
-		if l.freeAt > e {
-			e = l.freeAt
-		}
-	}
-	// In-flight deliveries serialize, so starts are non-decreasing and
-	// the first entry destined to dst is the earliest.
-	for i := range l.gwPending {
-		if int(l.gwPending[i].dst) == dst {
-			if l.gwPending[i].start < e {
-				e = l.gwPending[i].start
-			}
-			break
-		}
-	}
-	if e >= sim.MaxTime {
-		return sim.MaxTime
-	}
-	return e + sim.Time(l.gwDelay)
-}
-
-// DropNext discards the next n packets presented for transmission.
-func (l *Link) DropNext(n int) { l.dropNext += n }
-
-// CorruptNext flips a bit in each of the next n packets.
-//
-//nectar:api fault hook the CRC-rejection tests of cab, datalink, hub, icmp and the cluster corrupt frames with
-func (l *Link) CorruptNext(n int) { l.corruptNext += n }
-
-// SetFaultFn installs a deterministic per-packet fault pattern: fn is
-// called with the packet's ordinal and decides whether it is dropped or
-// corrupted. Tests use it to subject reliable protocols to arbitrary
-// loss patterns. Pass nil to clear.
+// SetFaultFn installs the link's one fault hook, replacing any earlier
+// one: fn is called with each packet's ordinal on the link and decides
+// whether the packet is dropped or corrupted (a bit flipped mid-frame,
+// which the CRC trailer exposes). Tests use it to subject reliable
+// protocols to arbitrary loss patterns. Pass nil to clear.
 func (l *Link) SetFaultFn(fn func(seq uint64) (drop, corrupt bool)) { l.faultFn = fn }
-
-// CrossShardFrames reports how many frames this gateway link carried whose
-// next route hop left the shard. It is deliberately kept out of the obs
-// registry: the metric only exists under sharded execution, and the merged
-// snapshot must stay byte-identical to a sequential run's.
-func (l *Link) CrossShardFrames() uint64 { return l.crossSent }
 
 func (l *Link) String() string {
 	return fmt.Sprintf("fiber(%s)", l.name)

@@ -1,0 +1,107 @@
+package fiber
+
+import "nectar/internal/sim"
+
+// Gateway is a link's shard-boundary role under sharded execution. A link
+// feeding a HUB input port whose forwards may enter another shard carries
+// one, and its shard registers it with the coupling: it bounds, per
+// destination domain, the earliest cross-shard forward the link's frames
+// can cause (sim.Gateway), and counts the frames whose next hop leaves the
+// shard.
+type Gateway struct {
+	link    *Link
+	delay   sim.Duration                               // HUB setup latency added to every forward
+	cross   func(port byte) (dst int, crossShard bool) // next route hop -> domain it leaves the shard for
+	txFloor func(actFloor sim.Time) sim.Time           // earliest start of a future send; nil = actFloor
+	reach   []bool                                     // domains the link's frames may enter; nil = every domain
+	pending []gwFrame                                  // cross frames in flight, in start order
+	frames  uint64                                     // cross frames sent
+}
+
+// gwFrame is one cross-shard frame in flight on a gateway's link: when its
+// transmission started and which domain its next route hop forwards into.
+type gwFrame struct {
+	start sim.Time
+	dst   int32
+}
+
+// Init makes g, which must be zero, link l's gateway; it is the one way
+// to set one up. delay is the HUB setup latency every forward adds: the
+// lookahead that keeps windows non-trivial at zero queueing. cross
+// resolves a frame's next route hop to the domain the forward enters.
+// txFloor, if not nil, lower-bounds the start of any future send on l
+// given the owning domain's activity floor: the CPU time every frame
+// send provably spends before the fiber. reach, if not nil, declares the
+// domains any frame l can carry may be forwarded into; the others get an
+// unbounded EarliestOutputTo, which lets a well-partitioned cluster run
+// whole horizons per window.
+func (g *Gateway) Init(l *Link, delay sim.Duration, cross func(port byte) (dst int, crossShard bool),
+	txFloor func(actFloor sim.Time) sim.Time, reach []bool) {
+	*g = Gateway{link: l, delay: delay, cross: cross, txFloor: txFloor, reach: reach}
+	l.gw = g
+}
+
+// send records a frame its link starts transmitting at start, and reports
+// whether the frame's next hop leaves the shard. Such a frame bounds the
+// shard's earliest output toward that domain until its arrival retires
+// the entry; arrivals come in start order, so they pop the front.
+func (g *Gateway) send(pkt *Packet, start sim.Time) bool {
+	if len(pkt.Route) == 0 {
+		return false
+	}
+	dst, cross := g.cross(pkt.Route[0])
+	if !cross {
+		return false
+	}
+	g.frames++
+	g.pending = append(g.pending, gwFrame{start: start, dst: int32(dst)})
+	return true
+}
+
+// CrossShardFrames reports how many frames the gateway's link carried
+// whose next route hop left the shard. It is deliberately kept out of the
+// obs registry: the metric only exists under sharded execution, and the
+// merged snapshot must stay byte-identical to a sequential run's.
+func (g *Gateway) CrossShardFrames() uint64 { return g.frames }
+
+// EarliestOutputTo implements sim.Gateway: a lower bound on the timestamp
+// of any future forward from the gateway's link into domain dst, given
+// actFloor, a lower bound on the earliest instant the owning domain can
+// execute any event. Two sources bound it: cross-shard frames toward dst
+// already in flight (frames toward other domains do not cap it), and
+// future sends, which cannot start before the link is free nor before the
+// transmit floor. Every forward then adds the HUB setup delay.
+// Zero-allocation: called per (gateway, destination) pair in every window
+// choose phase.
+//
+//nectar:hotpath
+func (g *Gateway) EarliestOutputTo(dst int, actFloor sim.Time) sim.Time {
+	if g.reach != nil && (dst < 0 || dst >= len(g.reach) || !g.reach[dst]) {
+		// No frame this link carries can ever be forwarded into dst.
+		return sim.MaxTime
+	}
+	e := sim.MaxTime
+	if actFloor < sim.MaxTime {
+		e = actFloor
+		if g.txFloor != nil {
+			e = g.txFloor(actFloor)
+		}
+		if g.link.freeAt > e {
+			e = g.link.freeAt
+		}
+	}
+	// In-flight frames serialize, so starts are non-decreasing and the
+	// first entry destined to dst is the earliest.
+	for i := range g.pending {
+		if int(g.pending[i].dst) == dst {
+			if g.pending[i].start < e {
+				e = g.pending[i].start
+			}
+			break
+		}
+	}
+	if e >= sim.MaxTime {
+		return sim.MaxTime
+	}
+	return e + sim.Time(g.delay)
+}

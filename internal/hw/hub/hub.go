@@ -273,6 +273,3 @@ func (h *Hub) OpenCircuit(in, out int) error {
 	h.stats.setupOps++
 	return nil
 }
-
-// Forwarded returns the number of packets forwarded.
-func (h *Hub) Forwarded() uint64 { return h.stats.forwarded.Load() }

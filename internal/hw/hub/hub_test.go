@@ -90,8 +90,7 @@ func TestLinkDropAndCorrupt(t *testing.T) {
 	cost := model.Default1990()
 	sink := &capture{k: k}
 	l := fiber.NewLink(k, cost, "l", sink)
-	l.DropNext(1)
-	l.CorruptNext(2) // applies to the two packets after the drop
+	l.SetFaultFn(fiber.DropThenCorrupt(1, 2)) // drop one, corrupt the next two
 	k.After(0, func() {
 		for i := 0; i < 3; i++ {
 			l.Send(packet(nil, frame(100)))
@@ -194,7 +193,7 @@ func TestMultiHopRoute(t *testing.T) {
 	if want := sim.Time(1400 * sim.Nanosecond); sink.arrived[0].first != want {
 		t.Errorf("first byte at %v, want %v (2 hops x 700ns)", sink.arrived[0].first, want)
 	}
-	if h0.Forwarded() != 1 || h1.Forwarded() != 1 {
+	if h0.stats.forwarded.Load() != 1 || h1.stats.forwarded.Load() != 1 {
 		t.Error("forward counters wrong")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"nectar/internal/hw/fiber"
 	"nectar/internal/hw/hub"
 	"nectar/internal/model"
+	"nectar/internal/obs"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
 	"nectar/internal/rt/mailbox"
@@ -145,7 +146,7 @@ func TestCorruptedFrameDroppedByCRC(t *testing.T) {
 	r := newRig(t, false)
 	p := newEchoProto(r.rtb)
 	r.lb.Register(wire.TypeDatagram, p)
-	r.a.OutLink().CorruptNext(1)
+	r.a.OutLink().SetFaultFn(fiber.DropThenCorrupt(0, 1))
 	r.a.Sched.Fork("tx", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
 		_ = r.la.Send(ctx, wire.TypeDatagram, 2, []byte("mangled"))
@@ -210,7 +211,7 @@ func TestRxThreadModeDelivers(t *testing.T) {
 	}
 	// No start-of-packet interrupts should have been taken for data
 	// frames (only the queue handoff runs in kernel context).
-	if got := r.b.Sched.Interrupts(); got != 0 {
+	if got := obs.MergeSnapshots(r.k.Now(), obs.Ensure(r.k).Metrics()).Value(obs.LayerSched, "interrupts", r.b.Scope()); got != 0 {
 		t.Errorf("interrupts = %d in rx-thread mode, want 0", got)
 	}
 }

@@ -73,7 +73,7 @@ func TestCorruptedICMPDropped(t *testing.T) {
 	// checksum from a hand-built frame path: simplest is corrupting on
 	// the wire and confirming no echo is served).
 	k, a, b := twoNodes(t)
-	a.cab.OutLink().CorruptNext(1)
+	a.cab.OutLink().SetFaultFn(fiber.DropThenCorrupt(0, 1))
 	a.cab.Sched.Fork("ping", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
 		_ = a.icmp.Ping(ctx, wire.NodeIP(2), 1, 1, []byte("mangled"), nil)

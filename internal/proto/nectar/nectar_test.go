@@ -118,7 +118,7 @@ func TestDatagramUnknownMailboxDropped(t *testing.T) {
 func TestRMPTimeoutExhaustsRetries(t *testing.T) {
 	k, a, b := twoNodes(t)
 	sink := b.rt.Create("sink")
-	a.cab.OutLink().DropNext(1 + MaxRetries) // kill original + all retries
+	a.cab.OutLink().SetFaultFn(fiber.DropThenCorrupt(1+MaxRetries, 0)) // kill original + all retries
 	var st uint32
 	a.cab.Sched.Fork("tx", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
@@ -169,7 +169,7 @@ func TestRMPDuplicateSuppressedOnAckLoss(t *testing.T) {
 	// again but deliver only once.
 	k, a, b := twoNodes(t)
 	sink := b.rt.Create("sink")
-	b.cab.OutLink().DropNext(1) // the receiver's first ack
+	b.cab.OutLink().SetFaultFn(fiber.DropThenCorrupt(1, 0)) // the receiver's first ack
 	delivered := 0
 	a.cab.Sched.Fork("tx", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
@@ -201,7 +201,7 @@ func TestRRPRequestLossRecovered(t *testing.T) {
 	k, a, b := twoNodes(t)
 	service := b.rt.Create("svc")
 	replyBox := a.rt.Create("rep")
-	a.cab.OutLink().DropNext(1) // lose the request; client must retransmit
+	a.cab.OutLink().SetFaultFn(fiber.DropThenCorrupt(1, 0)) // lose the request; client must retransmit
 	b.cab.Sched.Fork("server", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
 		m := service.BeginGet(ctx)
@@ -298,7 +298,7 @@ func TestRMPWindowedDeliveryInOrder(t *testing.T) {
 	k, a, b := twoNodes(t)
 	a.trans.RMP.SetWindow(4)
 	sink := b.rt.Create("sink")
-	a.cab.OutLink().DropNext(3) // lose an early burst
+	a.cab.OutLink().SetFaultFn(fiber.DropThenCorrupt(3, 0)) // lose an early burst
 	var got []byte
 	a.host.Run("send", func(th *threads.Thread) {
 		ctx := exec.OnHost(th, a.host)

@@ -97,11 +97,12 @@ type serveOutcome struct {
 }
 
 func (r *serveRig) outcome() serveOutcome {
+	snap := obs.MergeSnapshots(r.k.Now(), obs.Ensure(r.k).Metrics())
 	o := serveOutcome{
 		Log:        append([]string(nil), r.log...),
-		BusyNs:     obs.MergeSnapshots(r.k.Now(), obs.Ensure(r.k).Metrics()).Value(obs.LayerSched, "busy_ns", r.c.Sched.Name()),
+		BusyNs:     snap.Value(obs.LayerSched, "busy_ns", r.c.Sched.Name()),
 		Switches:   r.c.Sched.Switches(),
-		Interrupts: r.c.Sched.Interrupts(),
+		Interrupts: snap.Value(obs.LayerSched, "interrupts", r.c.Sched.Name()),
 		Dispatched: r.k.Dispatched(),
 		Now:        r.k.Now(),
 	}

@@ -171,10 +171,9 @@ func (s *Sched) Cost() *model.CostModel { return s.cost }
 func (s *Sched) Name() string { return s.name }
 
 // Switches returns the number of context switches performed so far.
+//
+//nectar:api cmd/nectar-perf calls it; that module is the benchmark's and builds against this tree
 func (s *Sched) Switches() uint64 { return s.switches }
-
-// Interrupts returns the number of interrupts taken so far.
-func (s *Sched) Interrupts() uint64 { return s.interrupts }
 
 // Fork creates and starts a new thread running fn at the given priority.
 // The thread becomes runnable immediately; whether it preempts the caller

@@ -436,8 +436,8 @@ func TestInterruptPreemptsThread(t *testing.T) {
 	if appEnd <= intrAt {
 		t.Errorf("app finished at %v, before interrupt completion", appEnd)
 	}
-	if s.Interrupts() != 1 {
-		t.Errorf("interrupts = %d, want 1", s.Interrupts())
+	if s.interrupts != 1 {
+		t.Errorf("interrupts = %d, want 1", s.interrupts)
 	}
 }
 

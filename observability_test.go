@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nectar/internal/hw/fiber"
 	"nectar/internal/obs"
 	np "nectar/internal/proto/nectar"
 	"nectar/internal/proto/wire"
@@ -43,7 +44,7 @@ func obsWorkload(t *testing.T) (events string, snap *obs.Snapshot, snapJSON []by
 		for i := 0; i < 3; i++ {
 			a.Transports.Datagram.Send(ctx, addr, 0, []byte{byte(i), 1, 2, 3}, nil)
 		}
-		a.CAB.OutLink().DropNext(1) // force one RMP retransmission
+		a.CAB.OutLink().SetFaultFn(fiber.DropThenCorrupt(1, 0)) // force one RMP retransmission
 		st := a.Syncs.Alloc(ctx)
 		a.Transports.RMP.Send(ctx, addr, 0, []byte("reliable"), st)
 		if got := st.Read(ctx); got != np.StatusOK {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nectar/internal/hw/fiber"
 	"nectar/internal/obs"
 	"nectar/internal/proto/icmp"
 	"nectar/internal/proto/tcp"
@@ -128,11 +129,11 @@ func TestIPFragmentLossTimesOut(t *testing.T) {
 	a.IP.SetMTU(512)
 	sa, _ := a.UDP.Bind(1111)
 	sb, _ := b.UDP.Bind(2222)
-	aOut := findLinkFrom(t, cl, a)
+	aOut := a.CAB.OutLink()
 	var got bool
 	a.CAB.Sched.Fork("tx", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
-		aOut.DropNext(1) // lose the first fragment
+		aOut.SetFaultFn(fiber.DropThenCorrupt(1, 0)) // lose the first fragment
 		_ = sa.SendTo(ctx, wire.NodeIP(b.ID), 2222, bytes.Repeat([]byte{1}, 2000))
 	})
 	b.CAB.Sched.Fork("rx", threads.SystemPriority, func(th *threads.Thread) {
@@ -263,7 +264,7 @@ func TestTCPLargeTransfer(t *testing.T) {
 func TestTCPRetransmitOnLoss(t *testing.T) {
 	cl, a, b := twoNodes(t, nil)
 	ln, _ := b.TCP.Listen(80)
-	aOut := findLinkFrom(t, cl, a)
+	aOut := a.CAB.OutLink()
 	var received []byte
 	b.CAB.Sched.Fork("server", threads.SystemPriority, func(th *threads.Thread) {
 		ctx := exec.OnCAB(th)
@@ -283,7 +284,7 @@ func TestTCPRetransmitOnLoss(t *testing.T) {
 		if err != nil {
 			cl.K.Fatalf("connect: %v", err)
 		}
-		aOut.DropNext(1) // lose the first data segment
+		aOut.SetFaultFn(fiber.DropThenCorrupt(1, 0)) // lose the first data segment
 		c.Send(ctx, []byte("lost-then-recovered"))
 		c.Close(ctx)
 	})

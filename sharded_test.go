@@ -128,7 +128,7 @@ func runShardedWorkload(t *testing.T, shards int, seed uint64, opts ...shardedOp
 	if got := cl.Shards(); got != shards {
 		t.Fatalf("cluster has %d shards, want %d", got, shards)
 	}
-	if cl.Hubs[0].Forwarded() == 0 {
+	if cl.MetricsSnapshot().Value(obs.LayerFiber, "hub_forwarded", cl.Hubs[0].Name()) == 0 {
 		t.Fatal("no HUB forwards: flows did not cross the switch")
 	}
 
@@ -421,44 +421,71 @@ func TestShardedCircuitRefused(t *testing.T) {
 	}
 }
 
-// TestProfileReportCountsTrunkCrossShardFrames pins the profile's
-// cross-shard count to Cluster.CrossShardFrames: on a fabric, frames
-// leave their shard through trunk gateways as well as node uplinks, and
-// the report must count both. Its wire counts must equal the snapshot's
-// fiber sums.
+// TestProfileReportCountsTrunkCrossShardFrames checks the cluster's
+// cross-shard count against an independent one: a gateway counts a frame
+// when it enters the link toward the HUB that forwards it across, and the
+// profiler counts the forward when the coupling drains it. HUB forwards
+// are the only cross-domain sends, so once every frame has arrived the
+// two agree, on a fabric whose frames also leave through trunk gateways
+// and on a star whose only gateways are node uplinks. The report's wire
+// counts must equal the snapshot's fiber sums.
 func TestProfileReportCountsTrunkCrossShardFrames(t *testing.T) {
-	cl := NewCluster(&Config{Topology: fabric.LeafSpine(2, 1, 4), Shards: 2})
-	cl.EnableProfiling()
-	src, dst := cl.Node(1), cl.Node(5) // different leaves
-	sink := dst.Mailboxes.Create("sink")
-	addr := wire.MailboxAddr{Node: dst.ID, Box: sink.ID()}
-	const msgs = 10
-	dst.CAB.Sched.Fork("drain", threads.SystemPriority, func(th *threads.Thread) {
-		ctx := exec.OnCAB(th)
-		for i := 0; i < msgs; i++ {
-			sink.EndGet(ctx, sink.BeginGet(ctx))
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		flows   [][2]int
+		declare bool // pass flows as Config.Flows
+	}{
+		// Leaves 0-1 on shard 0 and leaves 2-3 on shard 1, every flow
+		// crossing the cut, every other one reversed.
+		{"leaf-spine cross-cut", Config{
+			Topology: fabric.LeafSpine(4, 2, 16), Shards: 2,
+			ShardOf: func(n int) int { return n / 32 },
+		}, [][2]int{{0, 32}, {34, 2}, {4, 36}, {38, 6}}, true},
+		// Round-robin: every flow joins the two shards.
+		{"star", Config{Shards: 2}, [][2]int{{0, 1}, {3, 2}, {4, 5}}, false},
+	} {
+		if c.declare {
+			c.cfg.Flows = c.flows
 		}
-	})
-	src.CAB.Sched.Fork("send", threads.SystemPriority, func(th *threads.Thread) {
-		ctx := exec.OnCAB(th)
-		for i := 0; i < msgs; i++ {
-			src.Transports.RMP.SendBlocking(ctx, addr, 0, make([]byte, 256))
+		cl := NewCluster(&c.cfg)
+		cl.EnableProfiling()
+		const msgs = 10
+		for _, f := range c.flows {
+			src, dst := cl.Node(f[0]), cl.Node(f[1])
+			sink := dst.Mailboxes.Create("sink")
+			addr := wire.MailboxAddr{Node: dst.ID, Box: sink.ID()}
+			dst.CAB.Sched.Fork("drain", threads.SystemPriority, func(th *threads.Thread) {
+				ctx := exec.OnCAB(th)
+				for i := 0; i < msgs; i++ {
+					sink.EndGet(ctx, sink.BeginGet(ctx))
+				}
+			})
+			src.CAB.Sched.Fork("send", threads.SystemPriority, func(th *threads.Thread) {
+				ctx := exec.OnCAB(th)
+				for i := 0; i < msgs; i++ {
+					src.Transports.RMP.SendBlocking(ctx, addr, 0, make([]byte, 256))
+				}
+			})
 		}
-	})
-	if err := cl.RunFor(sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	rep := cl.ProfileReport()
-	want := cl.CrossShardFrames()
-	if got := rep.CrossShardFrames; got != want || want == 0 {
-		t.Errorf("ProfileReport().CrossShardFrames = %d, Cluster.CrossShardFrames() = %d", got, want)
-	}
-	// The wire counts are the fiber gauges a snapshot reports.
-	snap := cl.MetricsSnapshot()
-	frames, nbytes := snap.Sum(obs.LayerFiber, "frames"), snap.Sum(obs.LayerFiber, "bytes")
-	if rep.WireFrames != frames || rep.WireBytes != nbytes || frames == 0 {
-		t.Errorf("ProfileReport() wire = %d frames, %d bytes; snapshot fiber sums = %d, %d",
-			rep.WireFrames, rep.WireBytes, frames, nbytes)
+		if err := cl.RunFor(sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		rep := cl.ProfileReport()
+		var drained uint64
+		for _, s := range rep.PerShard {
+			drained += s.DrainOutInjections
+		}
+		if cross := cl.CrossShardFrames(); cross != drained || cross == 0 {
+			t.Errorf("%s: Cluster.CrossShardFrames() = %d, drained cross-shard forwards = %d", c.name, cross, drained)
+		}
+		// The wire counts are the fiber gauges a snapshot reports.
+		snap := cl.MetricsSnapshot()
+		frames, nbytes := snap.Sum(obs.LayerFiber, "frames"), snap.Sum(obs.LayerFiber, "bytes")
+		if rep.WireFrames != frames || rep.WireBytes != nbytes || frames == 0 {
+			t.Errorf("%s: ProfileReport() wire = %d frames, %d bytes; snapshot fiber sums = %d, %d",
+				c.name, rep.WireFrames, rep.WireBytes, frames, nbytes)
+		}
 	}
 }
 
