@@ -14,7 +14,7 @@ import (
 const framePeriod = sim.Millisecond
 
 // assertWarmFramesAllocFree runs a warm cluster one framePeriod at a time,
-// one datagram per period, and fails unless a period allocates nothing.
+// one message per period, and fails unless a period allocates nothing.
 // Warm-up fills every pool the frame path draws on (packets, frames,
 // receive descriptors, end-of-data records, message records, waiters);
 // after that, a frame's hops through fiber, HUB, CAB, datalink and mailbox
@@ -34,10 +34,10 @@ func assertWarmFramesAllocFree(t *testing.T, cl *Cluster, delivered *int) {
 	allocs := testing.AllocsPerRun(runs, run)
 	// AllocsPerRun runs once more to warm up.
 	if got := *delivered - before; got != runs+1 {
-		t.Fatalf("delivered %d datagrams in %d periods, want one per period", got, runs+1)
+		t.Fatalf("delivered %d messages in %d periods, want one per period", got, runs+1)
 	}
 	if allocs != 0 {
-		t.Errorf("a warm datagram allocates %.2f objects, want 0", allocs)
+		t.Errorf("a warm message allocates %.2f objects, want 0", allocs)
 	}
 }
 

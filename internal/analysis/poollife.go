@@ -82,7 +82,6 @@ var plAcquires = map[string]plAcquireSpec{
 	"(*nectar/internal/hw/fiber.Pool).GetPacket": {label: "pooled packet"},
 	"(*nectar/internal/hw/cab.CAB).getDesc":      {label: "receive descriptor"},
 	"(*nectar/internal/proto/ip.Layer).getHdr":   {label: "pooled header buffer"},
-	"(*nectar/internal/proto/ip.Layer).getSpans": {label: "pooled span slice"},
 	"(*nectar/internal/sim.Kernel).At":           {label: "timer", mayDiscard: true},
 	"(*nectar/internal/sim.Kernel).After":        {label: "timer", mayDiscard: true},
 }

@@ -58,6 +58,13 @@ func (g *Gateway) send(pkt *Packet, start sim.Time) bool {
 	return true
 }
 
+// Cross resolves a next route hop as the gateway does for every frame
+// its link starts: the domain the HUB forward enters, and whether that
+// leaves the gateway's shard.
+//
+//nectar:api the cross-decision test compares it with the HUB's own decision
+func (g *Gateway) Cross(port byte) (dst int, crossShard bool) { return g.cross(port) }
+
 // CrossShardFrames reports how many frames the gateway's link carried
 // whose next route hop left the shard. It is deliberately kept out of the
 // obs registry: the metric only exists under sharded execution, and the

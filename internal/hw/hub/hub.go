@@ -219,7 +219,7 @@ func (ip *inPort) PacketArriving(pkt *fiber.Packet, end sim.Time) {
 	}
 	h.stats.forwarded.Add(1)
 	t := ip.k.Now() + sim.Time(delay)
-	if dst := op.outDom; dst != nil && ip.dom != nil && dst != ip.dom {
+	if dst := ip.crossTo(op); dst != nil {
 		// Cross-shard forward: the destination shard owns the output
 		// link. The packet leaves its origin shard for good, so detach
 		// it from its (single-threaded) pool first.
@@ -228,6 +228,30 @@ func (ip *inPort) PacketArriving(pkt *fiber.Packet, end sim.Time) {
 		return
 	}
 	ip.k.At(t, pkt.Hop(op.out, t))
+}
+
+// crossTo returns the shard a forward from ip through output op enters
+// when it leaves ip's shard, or nil when it stays on it.
+func (ip *inPort) crossTo(op *hubPort) *sim.Domain {
+	if dst := op.outDom; dst != nil && ip.dom != nil && dst != ip.dom {
+		return dst
+	}
+	return nil
+}
+
+// ForwardDomain returns the shard a forward from input port in through
+// output port out enters when it leaves the input port's shard, or nil
+// when it stays there or the output port is unconnected: the decision
+// PacketArriving makes for every frame. A gateway's cross function must
+// agree with it for the gateway's bound to cover every cross-shard
+// forward.
+//
+//nectar:api the cross-decision test compares every gateway's cross function with it
+func (h *Hub) ForwardDomain(in, out int) *sim.Domain {
+	if out < 0 || out >= len(h.ports) || h.ports[out].out == nil {
+		return nil
+	}
+	return h.ports[in].in.crossTo(&h.ports[out])
 }
 
 // misroute reports a forwarding failure through the owning kernel with

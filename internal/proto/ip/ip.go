@@ -64,14 +64,12 @@ type Layer struct {
 	badHeader, badChecksum, noProto, ttlExceeded        uint64
 	outPackets, outFragments                            uint64
 
-	// Per-send scratch recycling: header marshal buffers and gather-span
-	// slices are dead as soon as dl.Send returns (the CAB copies spans
-	// into the frame synchronously), so Output reuses them instead of
-	// allocating per packet. Free lists rather than single buffers
-	// because Compute yields virtual time, so several sends can be
-	// in flight on one CAB.
-	hdrFree  pool.FreeList[[]byte]
-	spanFree pool.FreeList[[][]byte]
+	// Per-send scratch recycling: header marshal buffers are dead as
+	// soon as dl.Send returns (the CAB copies spans into the frame
+	// synchronously), so Output reuses them instead of allocating per
+	// packet. A free list rather than a single buffer because Compute
+	// yields virtual time, so several sends can be in flight on one CAB.
+	hdrFree pool.FreeList[[]byte]
 
 	obs  *obs.Observer
 	node int
@@ -148,7 +146,9 @@ func (l *Layer) Runtime() *mailbox.Runtime { return l.rt }
 // Protocol, Src (0 = this node) and Dst filled in by the caller; IP fills
 // in the remaining fields (length, ID, TTL, checksum), fragments if
 // needed, and hands the frame(s) to the datalink layer. The payload spans
-// are gathered without copying.
+// are gathered without copying, into a span list on Output's stack:
+// nothing keeps a payload span once Output returns, so a caller's buffer
+// does not escape to the heap by being sent.
 func (l *Layer) Output(ctx exec.Context, tpl wire.IPv4Header, payload ...[]byte) error {
 	cost := ctx.Cost()
 	ctx.Compute(cost.IPOutput)
@@ -161,6 +161,9 @@ func (l *Layer) Output(ctx exec.Context, tpl wire.IPv4Header, payload ...[]byte)
 	node, ok := wire.IPNode(tpl.Dst)
 	if !ok {
 		return fmt.Errorf("ip: %s is not on the Nectar network", wire.FormatIP(tpl.Dst))
+	}
+	if len(payload) >= gatherSpans {
+		sim.Panicf("ip: Output of %d payload spans, at most %d", len(payload), gatherSpans-1)
 	}
 	n := 0
 	for _, p := range payload {
@@ -180,10 +183,8 @@ func (l *Layer) Output(ctx exec.Context, tpl wire.IPv4Header, payload ...[]byte)
 		if l.obs.Tracing() {
 			l.obs.InstantSeq(l.node, obs.LayerIP, "output", uint64(tpl.ID), n)
 		}
-		spans := append(l.getSpans(), hdr)
-		spans = append(spans, payload...)
-		err := l.dl.Send(ctx, wire.TypeIP, node, spans...)
-		l.putSpans(spans)
+		spans, k := gatherRange([gatherSpans][]byte{hdr}, 1, payload, 0, n)
+		err := l.dl.Send(ctx, wire.TypeIP, node, spans[:k]...)
 		l.putHdr(hdr)
 		return err
 	}
@@ -217,9 +218,8 @@ func (l *Layer) Output(ctx exec.Context, tpl wire.IPv4Header, payload ...[]byte)
 		if l.obs.Tracing() {
 			l.obs.InstantSeq(l.node, obs.LayerIP, "output.frag", uint64(tpl.ID), end-off)
 		}
-		spans := gatherRange(append(l.getSpans(), hdr), payload, off, end-off)
-		err := l.dl.Send(ctx, wire.TypeIP, node, spans...)
-		l.putSpans(spans)
+		spans, k := gatherRange([gatherSpans][]byte{hdr}, 1, payload, off, end-off)
+		err := l.dl.Send(ctx, wire.TypeIP, node, spans[:k]...)
 		l.putHdr(hdr)
 		if err != nil {
 			return err
@@ -241,27 +241,16 @@ func (l *Layer) getHdr() []byte {
 //nectar:takes-ownership h pooled immediately
 func (l *Layer) putHdr(h []byte) { l.hdrFree.Put(h) }
 
-// getSpans returns an empty gather-span slice from the free list.
-func (l *Layer) getSpans() [][]byte {
-	if s, ok := l.spanFree.Get(); ok {
-		return s[:0]
-	}
-	return make([][]byte, 0, 4)
-}
+// gatherSpans is how many spans Output gathers on its stack: the IP
+// header and up to three payload spans (TCP and UDP pass two).
+const gatherSpans = 4
 
-// putSpans returns a gather-span slice to the free list, dropping payload
-// references first so pooled spans do not pin dead buffers.
-//
-//nectar:takes-ownership s pooled after clearing its payload references
-func (l *Layer) putSpans(s [][]byte) {
-	for i := range s {
-		s[i] = nil // drop payload references while pooled
-	}
-	l.spanFree.Put(s)
-}
-
-// gatherRange appends the sub-spans of payload covering [off, off+n) to out.
-func gatherRange(out [][]byte, payload [][]byte, off, n int) [][]byte {
+// gatherRange stores the sub-spans of payload covering [off, off+n) in
+// out from out[k] on and returns out and the count of spans in it. out
+// is an array passed and returned by value, so the spans Output gathers
+// stay on its stack and a payload span it sends does not escape to the
+// heap.
+func gatherRange(out [gatherSpans][]byte, k int, payload [][]byte, off, n int) ([gatherSpans][]byte, int) {
 	for _, p := range payload {
 		if n == 0 {
 			break
@@ -274,11 +263,12 @@ func gatherRange(out [][]byte, payload [][]byte, off, n int) [][]byte {
 		if take > n {
 			take = n
 		}
-		out = append(out, p[off:off+take])
+		out[k] = p[off : off+take]
+		k++
 		off = 0
 		n -= take
 	}
-	return out
+	return out, k
 }
 
 // --- datalink.Protocol ---

@@ -93,6 +93,17 @@ func Attach(dl *datalink.Layer, rt *mailbox.Runtime) *Transports {
 	}
 }
 
+// CheckPools switches on the double-Put guard (pool.FreeList.SetCheck)
+// of RMP's request pool and RRP's call pools, so a record released twice
+// panics at the second release. Every release then scans its pool.
+//
+//nectar:api safety check: the warm-transport pins switch the double-Put guard on
+func (t *Transports) CheckPools() {
+	t.RMP.reqFree.SetCheck(func(a, b *rmpReq) bool { return a == b })
+	t.RRP.callFree.SetCheck(func(a, b *rrpCall) bool { return a == b })
+	t.RRP.metaFree.SetCheck(func(a, b *rrpSubmitMeta) bool { return a == b })
+}
+
 // writeStatus writes st to the sync attached to a send request, if any.
 func writeStatus(ctx exec.Context, m *mailbox.Msg, st uint32) {
 	if s, ok := m.Meta.(*syncs.Sync); ok && s != nil {

@@ -30,11 +30,20 @@ type node struct {
 
 func twoNodes(t *testing.T) (*sim.Kernel, *node, *node) {
 	t.Helper()
+	return twoNodesRx(t, true)
+}
+
+// twoNodesRx is twoNodes with the CABs' receive mode chosen: rxInterrupt
+// false hands arriving frames to the datalink layer's polling rx thread
+// (the §3.1 ablation).
+func twoNodesRx(t *testing.T, rxInterrupt bool) (*sim.Kernel, *node, *node) {
+	t.Helper()
 	k := sim.NewKernel()
 	cost := model.Default1990()
 	h := hub.New(k, cost, "hub", hub.DefaultPorts)
 	mk := func(id wire.NodeID, port int) *node {
 		c := cab.NewSized(k, cost, id, 0)
+		c.SetRxInterruptMode(rxInterrupt)
 		ho := host.New(k, cost, "host", c)
 		f := hostif.New(ho, c)
 		c.ConnectFiber(fiber.NewLink(k, cost, "up", h.InPort(port)))
@@ -228,6 +237,70 @@ func TestRRPRequestLossRecovered(t *testing.T) {
 	retrans := a.trans.RRP.retrans
 	if retrans == 0 {
 		t.Error("no retransmission recorded")
+	}
+}
+
+// TestRRPReplyWhileRTOPending answers a call after its retransmission
+// timer has fired but before the timer's interrupt is handled, and then
+// makes the next call before the handler runs. The client masks
+// interrupts across a long compute, so the rrp-rto interrupt pends, and
+// the reply reaches it through the rx thread, which preempts the
+// client's compute. When the client unmasks, the handler finds its call
+// completed and must do nothing; had the record been reused for the
+// second call, the handler would retransmit that call instead.
+func TestRRPReplyWhileRTOPending(t *testing.T) {
+	k, a, b := twoNodesRx(t, false)
+	service := b.rt.Create("svc")
+	replyBox := a.rt.Create("rep")
+	served := 0
+	b.cab.Sched.Fork("server", threads.SystemPriority, func(th *threads.Thread) {
+		ctx := exec.OnCAB(th)
+		for {
+			m := service.BeginGet(ctx)
+			served++
+			if served == 1 {
+				th.Compute(RTO + sim.Millisecond) // answer after the client's RTO
+			}
+			b.trans.RRP.Reply(ctx, m, []byte("pong"))
+			service.EndGet(ctx, m)
+		}
+	})
+	var st1, st2 uint32
+	var first *rrpCall
+	a.cab.Sched.Fork("client", threads.AppPriority, func(th *threads.Thread) {
+		ctx := exec.OnCAB(th)
+		s1 := a.pool.Alloc(ctx)
+		a.trans.RRP.Call(ctx, service.Addr(), []byte("one"), replyBox, s1)
+		first = a.trans.RRP.pending[a.trans.RRP.nextXID]
+		th.DisableInterrupts()
+		th.Compute(2 * RTO) // the RTO fires and pends; the reply arrives
+		if a.trans.RRP.pending[first.xid] == first {
+			k.Fatalf("first call still pending after its reply was due")
+		}
+		st1 = s1.Read(ctx)
+		m := replyBox.BeginGet(ctx)
+		replyBox.EndGet(ctx, m)
+		s2 := a.pool.Alloc(ctx)
+		a.trans.RRP.Call(ctx, service.Addr(), []byte("two"), replyBox, s2)
+		if a.trans.RRP.pending[a.trans.RRP.nextXID] == first {
+			k.Fatalf("second call reuses the first call's record while its RTO interrupt is pending")
+		}
+		th.EnableInterrupts() // the first call's RTO handler runs
+		st2 = s2.Read(ctx)
+		m = replyBox.BeginGet(ctx)
+		replyBox.EndGet(ctx, m)
+	})
+	if err := k.RunFor(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st1 != StatusOK || st2 != StatusOK {
+		t.Fatalf("statuses %d, %d, want %d, %d", st1, st2, StatusOK, StatusOK)
+	}
+	if r := a.trans.RRP.retrans; r != 0 {
+		t.Errorf("retransmits = %d, want 0", r)
+	}
+	if served != 2 {
+		t.Errorf("server handled %d requests, want 2", served)
 	}
 }
 

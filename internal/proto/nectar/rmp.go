@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nectar/internal/obs"
+	"nectar/internal/pool"
 	"nectar/internal/proto/datalink"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
@@ -27,6 +28,8 @@ type RMP struct {
 	inBox   *mailbox.Mailbox
 	peers   map[wire.NodeID]*rmpPeer
 	window  int // max outstanding messages per peer (1 = paper's stop-and-wait)
+
+	reqFree pool.FreeList[*rmpReq] // request records; see rmpReq
 
 	sent, acked, retrans, delivered, dups, noBox uint64
 	timeouts                                     *obs.Counter // requests failed after MaxRetries
@@ -53,17 +56,39 @@ type rmpPeer struct {
 	rxExpected uint32
 }
 
-// rmpReq is one queued reliable send.
+// rmpReq is one queued reliable send. Records come from RMP.reqFree and
+// go back to it once nothing reads them: completeHead returns the record
+// of a host request (one sendRequest took), and SendBlocking returns its
+// own after it reads doneSt. done is named once per record, so a CAB
+// sender blocks on a Cond whose waiter slice is already grown.
 type rmpReq struct {
 	dst     wire.MailboxAddr
 	srcBox  wire.MailboxID
 	data    []byte       // payload to transmit (CAB memory or caller bytes)
 	reqMsg  *mailbox.Msg // send-box message to release on completion (nil for direct sends)
 	status  *syncs.Sync
-	done    *threads.Cond // for blocking direct senders
+	done    threads.Cond // for blocking direct senders
 	doneSt  uint32
 	seq     uint32
 	retries int
+}
+
+// newReq takes a request record from the pool.
+func (r *RMP) newReq() *rmpReq {
+	req, ok := r.reqFree.Get()
+	if !ok {
+		req = &rmpReq{}
+		req.done.Init("rmp.done", "")
+	}
+	return req
+}
+
+// freeReq returns a record nothing reads any more to the pool, dropping
+// its references so the pool pins no buffer.
+func (r *RMP) freeReq(req *rmpReq) {
+	req.data, req.reqMsg, req.status = nil, nil, nil
+	req.doneSt, req.retries = 0, 0
+	r.reqFree.Put(req)
 }
 
 // NewRMP installs the reliable message protocol on a CAB.
@@ -137,15 +162,15 @@ func (r *RMP) SendBlocking(ctx exec.Context, dst wire.MailboxAddr, srcBox wire.M
 	if ctx.IsHost() {
 		panic("rmp: SendBlocking from host context; use Send")
 	}
-	req := &rmpReq{
-		dst: dst, srcBox: srcBox, data: data,
-		done: threads.NewCond("rmp.done"),
-	}
+	req := r.newReq()
+	req.dst, req.srcBox, req.data = dst, srcBox, data
 	r.enqueue(ctx, req)
 	for req.doneSt == 0 {
 		req.done.Wait(ctx.T)
 	}
-	return req.doneSt
+	st := req.doneSt
+	r.freeReq(req)
+	return st
 }
 
 // sendRequest is the send thread's handler for one send request.
@@ -153,12 +178,9 @@ func (r *RMP) sendRequest(ctx exec.Context, m *mailbox.Msg) {
 	var rh reqHeader
 	rh.unmarshal(m.Data())
 	m.TrimPrefix(ctx, reqHeaderLen)
-	req := &rmpReq{
-		dst:    wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox},
-		srcBox: rh.SrcBox,
-		data:   m.Data(),
-		reqMsg: m,
-	}
+	req := r.newReq()
+	req.dst = wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox}
+	req.srcBox, req.data, req.reqMsg = rh.SrcBox, m.Data(), m
 	if s, ok := m.Meta.(*syncs.Sync); ok {
 		req.status = s
 	}
@@ -296,8 +318,8 @@ func (r *RMP) completeHead(ctx exec.Context, p *rmpPeer, st uint32) {
 	}
 	if req.reqMsg != nil {
 		r.sendBox.EndGet(ctx, req.reqMsg)
-	}
-	if req.done != nil {
+		r.freeReq(req)
+	} else {
 		req.doneSt = st
 		req.done.Broadcast()
 	}

@@ -2,6 +2,7 @@ package nectar
 
 import (
 	"nectar/internal/obs"
+	"nectar/internal/pool"
 	"nectar/internal/proto/datalink"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
@@ -26,13 +27,22 @@ type RRP struct {
 	pending map[uint32]*rrpCall
 	dedup   map[wire.MailboxAddr]*rrpServerEntry
 
+	callFree pool.FreeList[*rrpCall]       // call records; see rrpCall
+	metaFree pool.FreeList[*rrpSubmitMeta] // host call records; see rrpSubmitMeta
+
 	calls, replies, retrans, dedupHits, noBox uint64
 
 	obs  *obs.Observer
 	node int
 }
 
-// rrpCall is an outstanding client request.
+// rrpCall is an outstanding client request. Records come from
+// RRP.callFree, and finishCall returns a finished call's record to it
+// unless the call's rrp-rto interrupt has been raised and not yet
+// handled: then the handler (RRP.timeout) returns it, once it finds the
+// call finished. A record reused while its interrupt pends would pass the
+// handler's r.pending[c.xid] == c check under the next call's xid, and
+// the handler would retransmit that call.
 type rrpCall struct {
 	r        *RRP
 	xid      uint32
@@ -44,11 +54,30 @@ type rrpCall struct {
 	replyBox *mailbox.Mailbox
 	timer    sim.Timer
 	retries  int
+	raised   bool // the rrp-rto interrupt is raised and not yet handled
 
-	// The retransmission timer's event and interrupt handler, built by
-	// the call's first transmission and reused by its retransmissions.
+	// The retransmission timer's event and interrupt handler, built once
+	// per record.
 	onRTO     func()
 	onTimeout func(t *threads.Thread)
+}
+
+// newCall takes a call record from the pool.
+func (r *RRP) newCall() *rrpCall {
+	c, ok := r.callFree.Get()
+	if !ok {
+		c = &rrpCall{r: r}
+		c.onRTO, c.onTimeout = c.rto, c.timeout
+	}
+	return c
+}
+
+// freeCall returns a finished call's record to the pool, dropping its
+// references so the pool pins no buffer.
+func (r *RRP) freeCall(c *rrpCall) {
+	c.data, c.reqMsg, c.status, c.replyBox = nil, nil, nil, nil
+	c.retries = 0
+	r.callFree.Put(c)
 }
 
 // rrpServerEntry is the per-client duplicate-suppression state.
@@ -110,15 +139,25 @@ func (r *RRP) Call(ctx exec.Context, dst wire.MailboxAddr, data []byte, replyBox
 		if len(data) > 0 {
 			m.Write(ctx, reqHeaderLen, data)
 		}
-		m.Meta = &rrpSubmitMeta{status: status, replyBox: replyBox}
+		meta, ok := r.metaFree.Get()
+		if !ok {
+			meta = &rrpSubmitMeta{}
+		}
+		meta.status, meta.replyBox = status, replyBox
+		m.Meta = meta
 		r.sendBox.EndPut(ctx, m)
 		return
 	}
-	r.startCall(ctx, &rrpCall{dst: dst, srcBox: replyBox.ID(), data: data, status: status, replyBox: replyBox})
+	c := r.newCall()
+	c.dst, c.srcBox, c.data = dst, replyBox.ID(), data
+	c.status, c.replyBox = status, replyBox
+	r.startCall(ctx, c)
 }
 
 // rrpSubmitMeta carries the client references a host request needs on the
-// CAB side.
+// CAB side. Records come from RRP.metaFree; sendRequest returns each once
+// it has copied it into the call. A node's host and CAB run on one
+// kernel, so the host side takes from the pool the CAB side fills.
 type rrpSubmitMeta struct {
 	status   *syncs.Sync
 	replyBox *mailbox.Mailbox
@@ -151,18 +190,16 @@ func (r *RRP) sendRequest(ctx exec.Context, m *mailbox.Msg) {
 	m.TrimPrefix(ctx, reqHeaderLen)
 	switch rh.Kind {
 	case kindSend:
-		meta, _ := m.Meta.(*rrpSubmitMeta)
-		call := &rrpCall{
-			dst:    wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox},
-			srcBox: rh.SrcBox,
-			data:   m.Data(),
-			reqMsg: m,
+		c := r.newCall()
+		c.dst = wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox}
+		c.srcBox, c.data, c.reqMsg = rh.SrcBox, m.Data(), m
+		if meta, ok := m.Meta.(*rrpSubmitMeta); ok {
+			c.status, c.replyBox = meta.status, meta.replyBox
+			m.Meta = nil
+			meta.status, meta.replyBox = nil, nil
+			r.metaFree.Put(meta)
 		}
-		if meta != nil {
-			call.status = meta.status
-			call.replyBox = meta.replyBox
-		}
-		r.startCall(ctx, call)
+		r.startCall(ctx, c)
 	case kindReply:
 		r.sendReply(ctx, wire.MailboxAddr{Node: rh.DstNode, Box: rh.DstBox}, rh.XID, m.Data())
 		r.sendBox.EndGet(ctx, m)
@@ -175,7 +212,6 @@ func (r *RRP) sendRequest(ctx exec.Context, m *mailbox.Msg) {
 func (r *RRP) startCall(ctx exec.Context, c *rrpCall) {
 	r.nextXID++
 	c.xid = r.nextXID
-	c.r = r
 	r.pending[c.xid] = c
 	r.calls++
 	if r.obs.Tracing() {
@@ -196,28 +232,29 @@ func (r *RRP) transmitReq(ctx exec.Context, c *rrpCall) {
 		r.finishCall(ctx, c, StatusNoRoute)
 		return
 	}
-	if c.onRTO == nil {
-		c.onRTO = c.rto
-	}
 	c.timer = r.rt.CAB().Kernel().After(RTO, c.onRTO)
 }
 
 // rto is the retransmission timer's event: the timeout runs as an
-// interrupt on the CAB. The handler is built when a call first times
-// out, which most calls never do.
+// interrupt on the CAB. From here until the handler runs, the record
+// stays out of the pool.
 func (c *rrpCall) rto() {
-	if c.onTimeout == nil {
-		c.onTimeout = c.timeout
-	}
+	c.raised = true
 	c.r.rt.CAB().Sched.RaiseInterrupt("rrp-rto", c.onTimeout)
 }
 
 // timeout is the retransmission interrupt's handler.
-func (c *rrpCall) timeout(t *threads.Thread) { c.r.timeout(exec.OnCAB(t), c) }
+func (c *rrpCall) timeout(t *threads.Thread) {
+	c.raised = false
+	c.r.timeout(exec.OnCAB(t), c)
+}
 
 func (r *RRP) timeout(ctx exec.Context, c *rrpCall) {
 	if r.pending[c.xid] != c {
-		return // completed while the interrupt was pending
+		// Completed while the interrupt was pending: finishCall left
+		// the record to this handler.
+		r.freeCall(c)
+		return
 	}
 	c.retries++
 	if c.retries > MaxRetries {
@@ -243,6 +280,9 @@ func (r *RRP) finishCall(ctx exec.Context, c *rrpCall, st uint32) {
 	}
 	if c.status != nil {
 		c.status.Write(ctx, st)
+	}
+	if !c.raised {
+		r.freeCall(c)
 	}
 }
 

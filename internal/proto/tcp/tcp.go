@@ -199,7 +199,11 @@ func (ln *Listener) Accept(ctx exec.Context) *Conn {
 	return c
 }
 
-// Conn is one TCP connection.
+// Conn is one TCP connection. Its unacknowledged segments, the FIN among
+// them, sit in retransQ by value: the ack path pops each acknowledged one
+// and releases the send request its last segment carries, and
+// stopRetransmit drops the rest. Both keep the queue's capacity, so a
+// warm connection queues a segment without allocating.
 type Conn struct {
 	layer *Layer
 	key   connKey
@@ -214,7 +218,7 @@ type Conn struct {
 	// Receive sequence space.
 	rcvNxt uint32
 
-	retransQ []*txSeg
+	retransQ []txSeg
 	rtoTimer sim.Timer
 	onRTO    func() // c.rto, built by the first armRTO
 
@@ -363,7 +367,7 @@ func (c *Conn) sendData(ctx exec.Context, data []byte, owner *mailbox.Msg) {
 		if c.state != Established && c.state != CloseWait {
 			break
 		}
-		seg := &txSeg{seq: c.sndNxt, data: data[off : off+n], sentAt: c.layer.now()}
+		seg := txSeg{seq: c.sndNxt, data: data[off : off+n], sentAt: c.layer.now()}
 		if off+n == len(data) {
 			seg.owner = owner
 			seg.last = true
@@ -442,8 +446,7 @@ func (c *Conn) Close(ctx exec.Context) {
 		return
 	}
 	c.sentFin = true
-	fin := &txSeg{seq: c.sndNxt, fin: true, sentAt: c.layer.now()}
-	c.retransQ = append(c.retransQ, fin)
+	c.retransQ = append(c.retransQ, txSeg{seq: c.sndNxt, fin: true, sentAt: c.layer.now()})
 	c.transmit(ctx, wire.TCPFin|wire.TCPAck, c.sndNxt, nil)
 	c.sndNxt++
 	c.armRTO()
@@ -900,7 +903,8 @@ func (c *Conn) stopRetransmit(ctx exec.Context) {
 			c.layer.sendBox.EndGet(ctx, s.owner)
 		}
 	}
-	c.retransQ = nil
+	clear(c.retransQ)
+	c.retransQ = c.retransQ[:0]
 }
 
 // teardown closes immediately, releasing any send-request buffers still

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"nectar/internal/obs"
+	"nectar/internal/pool"
 	"nectar/internal/proto/ip"
 	"nectar/internal/proto/wire"
 	"nectar/internal/rt/exec"
@@ -22,13 +23,19 @@ type Layer struct {
 	sendBox *mailbox.Mailbox // host send requests (like TCP's, §4.2)
 	ports   map[uint16]*Socket
 
+	metaFree pool.FreeList[*udpSendMeta]             // host send records; see udpSendMeta
+	hdrFree  pool.FreeList[*[wire.UDPHeaderLen]byte] // headers SendTo builds
+
 	delivered, badChecksum, noPort uint64
 
 	obs  *obs.Observer
 	node int
 }
 
-// udpSendMeta routes a host send request to its socket.
+// udpSendMeta routes a host send request to its socket. Records come
+// from Layer.metaFree; the send thread's handler (send) returns each
+// once the datagram is out. A node's host and CAB run on one kernel, so
+// the host side takes from the pool the CAB side fills.
 type udpSendMeta struct {
 	sock    *Socket
 	dstIP   uint32
@@ -72,8 +79,20 @@ func (u *Layer) Gauges(emit func(layer obs.Layer, name, scope string, v uint64))
 func (u *Layer) send(ctx exec.Context, m *mailbox.Msg) {
 	if meta, ok := m.Meta.(*udpSendMeta); ok {
 		_ = meta.sock.SendTo(ctx, meta.dstIP, meta.dstPort, m.Data())
+		m.Meta, meta.sock = nil, nil
+		u.metaFree.Put(meta)
 	}
 	u.sendBox.EndGet(ctx, m)
+}
+
+// CheckPools switches on the double-Put guard (pool.FreeList.SetCheck)
+// of the send-record and header pools, so a record released twice panics
+// at the second release. Every release then scans its pool.
+//
+//nectar:api safety check: the warm-transport pins switch the double-Put guard on
+func (u *Layer) CheckPools() {
+	u.metaFree.SetCheck(func(a, b *udpSendMeta) bool { return a == b })
+	u.hdrFree.SetCheck(func(a, b *[wire.UDPHeaderLen]byte) bool { return a == b })
 }
 
 // InputMailbox implements ip.Upper.
@@ -95,7 +114,8 @@ func (u *Layer) Bind(port uint16) (*Socket, error) {
 
 // SendTo transmits a datagram from this socket. The UDP checksum is
 // computed in software over the real bytes (and charged at the CAB's
-// software checksum rate).
+// software checksum rate). The header and the payload go to IP as two
+// spans, which IP's output copies into the frame before it returns.
 func (s *Socket) SendTo(ctx exec.Context, dstIP uint32, dstPort uint16, data []byte) error {
 	u := s.layer
 	if ctx.IsHost() {
@@ -104,19 +124,29 @@ func (s *Socket) SendTo(ctx exec.Context, dstIP uint32, dstPort uint16, data []b
 		// exactly once, into the request buffer).
 		m := u.sendBox.BeginPut(ctx, len(data))
 		m.Write(ctx, 0, data)
-		m.Meta = &udpSendMeta{sock: s, dstIP: dstIP, dstPort: dstPort}
+		meta, ok := u.metaFree.Get()
+		if !ok {
+			meta = &udpSendMeta{}
+		}
+		meta.sock, meta.dstIP, meta.dstPort = s, dstIP, dstPort
+		m.Meta = meta
 		u.sendBox.EndPut(ctx, m)
 		return nil
 	}
 	ctx.Compute(ctx.Cost().UDPProcess)
-	dg := make([]byte, wire.UDPHeaderLen+len(data))
-	h := wire.UDPHeader{SrcPort: s.port, DstPort: dstPort, Len: uint16(len(dg))}
-	h.Marshal(dg)
-	copy(dg[wire.UDPHeaderLen:], data)
-	ctx.Compute(ctx.Cost().ChecksumTime(len(dg)))
-	c := wire.ChecksumUDP(u.ip.Addr(), dstIP, dg)
-	dg[6], dg[7] = byte(c>>8), byte(c)
-	return u.ip.Output(ctx, wire.IPv4Header{Protocol: wire.ProtoUDP, Dst: dstIP}, dg)
+	hb, ok := u.hdrFree.Get()
+	if !ok {
+		hb = new([wire.UDPHeaderLen]byte)
+	}
+	n := wire.UDPHeaderLen + len(data)
+	h := wire.UDPHeader{SrcPort: s.port, DstPort: dstPort, Len: uint16(n)}
+	h.Marshal(hb[:])
+	ctx.Compute(ctx.Cost().ChecksumTime(n))
+	c := wire.ChecksumUDP(u.ip.Addr(), dstIP, hb[:], data)
+	hb[6], hb[7] = byte(c>>8), byte(c)
+	err := u.ip.Output(ctx, wire.IPv4Header{Protocol: wire.ProtoUDP, Dst: dstIP}, hb[:], data)
+	u.hdrFree.Put(hb)
+	return err
 }
 
 // Recv blocks until a datagram arrives on this socket and returns its
@@ -152,7 +182,7 @@ func (u *Layer) handle(ctx exec.Context, m *mailbox.Msg) {
 	_ = h.Unmarshal(dg)
 	if h.Checksum != 0 {
 		ctx.Compute(ctx.Cost().ChecksumTime(len(dg)))
-		want := wire.ChecksumUDP(iph.Src, iph.Dst, dg)
+		want := wire.ChecksumUDP(iph.Src, iph.Dst, dg[:wire.UDPHeaderLen], dg[wire.UDPHeaderLen:])
 		if want != h.Checksum {
 			u.badChecksum++
 			u.inBox.EndGet(ctx, m)

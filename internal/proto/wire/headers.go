@@ -326,13 +326,15 @@ func VerifyTCP(src, dst uint32, seg []byte) bool {
 	return FinishChecksum(sum) == 0
 }
 
-// ChecksumUDP computes the UDP checksum over the pseudo-header and the
-// datagram (header + payload) in dg, with the checksum field treated as
-// zero. Per RFC 768, a computed zero is transmitted as 0xFFFF.
-func ChecksumUDP(src, dst uint32, dg []byte) uint16 {
-	sum := PseudoHeaderSum(src, dst, ProtoUDP, len(dg))
-	sum = SumWords(sum, dg[:6])
-	sum = SumWords(sum, dg[8:])
+// ChecksumUDP computes the UDP checksum over the pseudo-header, the
+// UDP header hdr (its checksum field treated as zero) and the payload
+// data, which need not follow hdr in memory. Per RFC 768, a computed zero
+// is transmitted as 0xFFFF.
+func ChecksumUDP(src, dst uint32, hdr, data []byte) uint16 {
+	sum := PseudoHeaderSum(src, dst, ProtoUDP, len(hdr)+len(data))
+	sum = SumWords(sum, hdr[:6])
+	sum = SumWords(sum, hdr[8:])
+	sum = SumWords(sum, data)
 	c := FinishChecksum(sum)
 	if c == 0 {
 		c = 0xFFFF

@@ -217,8 +217,33 @@ func TestUDPChecksumNeverZero(t *testing.T) {
 	dg := make([]byte, UDPHeaderLen+3)
 	h := UDPHeader{SrcPort: 0, DstPort: 0, Len: uint16(len(dg))}
 	h.Marshal(dg)
-	if ChecksumUDP(0, 0, dg) == 0 {
+	if ChecksumUDP(0, 0, dg[:UDPHeaderLen], dg[UDPHeaderLen:]) == 0 {
 		t.Error("UDP checksum returned 0")
+	}
+}
+
+// TestUDPChecksumSpans checks that the header and the payload as two
+// spans checksum like the contiguous datagram: the RFC 768 sum over the
+// pseudo-header and the datagram with its checksum field zeroed.
+func TestUDPChecksumSpans(t *testing.T) {
+	src, dst := IPAddr(10, 9, 0, 1), IPAddr(10, 9, 0, 2)
+	for n := 0; n < 70; n++ {
+		dg := make([]byte, UDPHeaderLen+n)
+		h := UDPHeader{SrcPort: 1000, DstPort: 2000, Len: uint16(len(dg)), Checksum: 0xbeef}
+		h.Marshal(dg)
+		for i := UDPHeaderLen; i < len(dg); i++ {
+			dg[i] = byte(i*37 + n)
+		}
+		ref := make([]byte, len(dg))
+		copy(ref, dg)
+		ref[6], ref[7] = 0, 0
+		want := FinishChecksum(SumWords(PseudoHeaderSum(src, dst, ProtoUDP, len(ref)), ref))
+		if want == 0 {
+			want = 0xFFFF
+		}
+		if got := ChecksumUDP(src, dst, dg[:UDPHeaderLen], dg[UDPHeaderLen:]); got != want {
+			t.Fatalf("%d-byte payload: checksum %#04x, want %#04x", n, got, want)
+		}
 	}
 }
 

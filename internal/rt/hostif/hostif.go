@@ -50,9 +50,8 @@ type IF struct {
 }
 
 type cabReq struct {
-	name string
-	fn   func(t *threads.Thread)
-	at   sim.Time // when the host posted the request
+	fn func(t *threads.Thread)
+	at sim.Time // when the host posted the request
 }
 
 // New wires the interface for a host and its CAB, registering both
@@ -84,8 +83,10 @@ func (f *IF) CAB() *cab.CAB { return f.cab }
 // PostToCAB places a request in the CAB signal queue and rings the CAB's
 // doorbell (paper §3.2: "Host processes wake up CAB threads by placing a
 // request in the CAB signal queue and interrupting the CAB"). fn runs on
-// the CAB in interrupt context. Must be called from a host context.
-func (f *IF) PostToCAB(ctx exec.Context, name string, fn func(t *threads.Thread)) {
+// the CAB in interrupt context. Must be called from a host context. The
+// request is traced as name+role, which is only concatenated when
+// tracing is on.
+func (f *IF) PostToCAB(ctx exec.Context, name, role string, fn func(t *threads.Thread)) {
 	if !ctx.IsHost() {
 		panic("hostif: PostToCAB from CAB context")
 	}
@@ -96,9 +97,9 @@ func (f *IF) PostToCAB(ctx exec.Context, name string, fn func(t *threads.Thread)
 	ctx.Words(2 + 1) // queue element (opcode + parameter) plus doorbell register
 	f.posts++
 	if f.obs.Tracing() {
-		f.obs.InstantArg(int(f.cab.Node()), obs.LayerHostIF, "post", name, 0, 0)
+		f.obs.InstantArg(int(f.cab.Node()), obs.LayerHostIF, "post", name+role, 0, 0)
 	}
-	f.cabQ = append(f.cabQ, cabReq{name, fn, f.k.Now()})
+	f.cabQ = append(f.cabQ, cabReq{fn, f.k.Now()})
 	f.cab.RingFromHost()
 }
 
@@ -136,19 +137,37 @@ func (f *IF) hostISR(t *threads.Thread) {
 
 // HostCond is a host condition variable (paper §3.2). It conceptually
 // lives in CAB memory; every access from the host side is charged as a
-// VME word access.
+// VME word access. Its label is name+role+"#"+index, where index counts
+// the conditions of its interface; String formats it, which only a trace
+// or a deadlock report asks for.
 type HostCond struct {
-	f       *IF
-	name    string
-	poll    uint32
-	waiters []*threads.Thread // host processes blocked in the driver
-	queued  bool              // already in the host signal queue
+	f          *IF
+	name, role string
+	index      uint64
+	poll       uint32
+	waiters    []*threads.Thread // host processes blocked in the driver
+	queued     bool              // already in the host signal queue
 }
 
-// NewHostCond allocates a host condition in CAB memory.
-func (f *IF) NewHostCond(name string) *HostCond {
+// NewHostCond allocates a host condition in CAB memory (see Init).
+func (f *IF) NewHostCond(name, role string) *HostCond {
+	hc := &HostCond{}
+	hc.Init(f, name, role)
+	return hc
+}
+
+// Init sets up a zero host condition held by value, as the next
+// condition of f, labelled name+role+"#"+index. An object that owns
+// several conditions passes its own name and a constant role for each
+// (".notEmpty"), so setting them up builds no string.
+func (hc *HostCond) Init(f *IF, name, role string) {
 	f.conds++
-	return &HostCond{f: f, name: fmt.Sprintf("%s#%d", name, f.conds)}
+	hc.f, hc.name, hc.role, hc.index = f, name, role, f.conds
+}
+
+// String returns the condition's label.
+func (hc *HostCond) String() string {
+	return fmt.Sprintf("%s%s#%d", hc.name, hc.role, hc.index)
 }
 
 // Poll reads the condition's poll value (one mapped read).
@@ -166,7 +185,7 @@ func (hc *HostCond) Signal(ctx exec.Context) {
 	ctx.Compute(hc.f.cost.SyncOp)
 	ctx.Words(1)
 	if hc.f.obs.Tracing() {
-		hc.f.obs.InstantArg(int(hc.f.cab.Node()), obs.LayerHostIF, "signal", hc.name, 0, 0)
+		hc.f.obs.InstantArg(int(hc.f.cab.Node()), obs.LayerHostIF, "signal", hc.String(), 0, 0)
 	}
 	hc.poll++
 	if len(hc.waiters) == 0 {
@@ -292,7 +311,7 @@ func (hc *HostCond) WaitBlocking(ctx exec.Context, since uint32) {
 		return // already signaled
 	}
 	hc.waiters = append(hc.waiters, ctx.T)
-	ctx.T.BlockOn("hostcond", hc.name)
+	ctx.T.BlockOnObject("hostcond", hc)
 	ctx.Compute(hc.f.cost.HostSyscall / 2) // return path from the driver
 }
 
@@ -303,10 +322,10 @@ func (hc *HostCond) WaitBlocking(ctx exec.Context, since uint32) {
 // equivalent synchronization for general use; the driver-internal variant
 // here keeps the packages layered.
 func (f *IF) CallCAB(ctx exec.Context, name string, fn func(t *threads.Thread) uint32) uint32 {
-	done := f.NewHostCond("rpc:" + name)
+	done := f.NewHostCond("rpc:", name)
 	var result uint32
 	since := done.Poll(ctx)
-	f.PostToCAB(ctx, name, func(t *threads.Thread) {
+	f.PostToCAB(ctx, name, "", func(t *threads.Thread) {
 		result = fn(t)
 		done.Signal(exec.OnCAB(t))
 	})

@@ -1,6 +1,7 @@
 package hostif
 
 import (
+	"strings"
 	"testing"
 
 	"nectar/internal/hw/cab"
@@ -25,7 +26,7 @@ func TestPostToCABRunsInInterruptContext(t *testing.T) {
 	ran := false
 	var wasIntr bool
 	h.Run("proc", func(th *threads.Thread) {
-		f.PostToCAB(exec.OnHost(th, h), "ping", func(ct *threads.Thread) {
+		f.PostToCAB(exec.OnHost(th, h), "ping", "", func(ct *threads.Thread) {
 			ran = true
 			wasIntr = ct.IsInterrupt()
 		})
@@ -44,16 +45,37 @@ func TestPostToCABRunsInInterruptContext(t *testing.T) {
 func TestPostToCABFromCABPanics(t *testing.T) {
 	k, f, _ := pair(t)
 	f.CAB().Sched.Fork("bad", threads.SystemPriority, func(th *threads.Thread) {
-		f.PostToCAB(exec.OnCAB(th), "x", func(*threads.Thread) {})
+		f.PostToCAB(exec.OnCAB(th), "x", "", func(*threads.Thread) {})
 	})
 	if err := k.Run(); err == nil {
 		t.Error("PostToCAB from CAB context did not fail")
 	}
 }
 
+// TestHostCondLabel checks a host condition's label, name+role+"#"+index,
+// in the deadlock report of a process blocked on it in the driver; the
+// label is formatted only then.
+func TestHostCondLabel(t *testing.T) {
+	k, f, h := pair(t)
+	f.NewHostCond("first", "")
+	hc := f.NewHostCond("box", ".notEmpty")
+	h.Run("waiter", func(th *threads.Thread) {
+		ctx := exec.OnHost(th, h)
+		hc.WaitBlocking(ctx, hc.Poll(ctx))
+	})
+	err := k.Run()
+	const want = "hostcond:box.notEmpty#2"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("deadlock report %v does not name %q", err, want)
+	}
+	if got := hc.String(); got != "box.notEmpty#2" {
+		t.Errorf("label %q, want %q", got, "box.notEmpty#2")
+	}
+}
+
 func TestHostCondPollingWait(t *testing.T) {
 	k, f, h := pair(t)
-	hc := f.NewHostCond("c")
+	hc := f.NewHostCond("c", "")
 	var wokeAt sim.Time
 	h.Run("waiter", func(th *threads.Thread) {
 		ctx := exec.OnHost(th, h)
@@ -82,7 +104,7 @@ func TestHostCondPollingWait(t *testing.T) {
 
 func TestHostCondBlockingWait(t *testing.T) {
 	k, f, h := pair(t)
-	hc := f.NewHostCond("c")
+	hc := f.NewHostCond("c", "")
 	var wokeAt sim.Time
 	h.Run("server", func(th *threads.Thread) {
 		ctx := exec.OnHost(th, h)
@@ -106,7 +128,7 @@ func TestHostCondBlockingNoMissedWakeup(t *testing.T) {
 	// Signal arrives between Poll and WaitBlocking: the since-guard must
 	// prevent a lost wakeup.
 	k, f, h := pair(t)
-	hc := f.NewHostCond("c")
+	hc := f.NewHostCond("c", "")
 	done := false
 	h.Run("waiter", func(th *threads.Thread) {
 		ctx := exec.OnHost(th, h)
@@ -132,7 +154,7 @@ func TestHostSignalsHostCond(t *testing.T) {
 	// Both CAB threads and host processes can signal a host condition
 	// (paper §3.2).
 	k, f, h := pair(t)
-	hc := f.NewHostCond("c")
+	hc := f.NewHostCond("c", "")
 	woke := false
 	h.Run("waiter", func(th *threads.Thread) {
 		ctx := exec.OnHost(th, h)
@@ -202,7 +224,7 @@ func TestManyPostsDrainInOrder(t *testing.T) {
 		ctx := exec.OnHost(th, h)
 		for i := 0; i < 10; i++ {
 			i := i
-			f.PostToCAB(ctx, "n", func(*threads.Thread) { order = append(order, i) })
+			f.PostToCAB(ctx, "n", "", func(*threads.Thread) { order = append(order, i) })
 		}
 	})
 	if err := k.Run(); err != nil {

@@ -130,7 +130,7 @@ func (w pollWorld) run(wait waitFn) worldOutcome {
 		cb := cab.NewSized(p.k, cost, wire.NodeID(i+1), 0)
 		h := host.New(p.k, cost, fmt.Sprintf("host%d", i+1), cb)
 		p.f, p.h = New(h, cb), h
-		p.hc = p.f.NewHostCond("c")
+		p.hc = p.f.NewHostCond("c", "")
 		pairs[i] = p
 	}
 	for i, spec := range w.hosts {

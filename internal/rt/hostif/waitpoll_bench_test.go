@@ -34,7 +34,7 @@ func newPollers(n int) (*sim.Kernel, []*IF, []*HostCond) {
 		c := cab.NewSized(k, cost, wire.NodeID(i+1), 0)
 		h := host.New(k, cost, fmt.Sprintf("host%d", i+1), c)
 		f := New(h, c)
-		hc := f.NewHostCond("c")
+		hc := f.NewHostCond("c", "")
 		fs[i], hcs[i] = f, hc
 		h.Run("poller", func(th *threads.Thread) {
 			ctx := exec.OnHost(th, h)

@@ -53,7 +53,7 @@ func newPollRig(wait waitFn) *pollRig {
 	c := cab.NewSized(k, cost, 1, 0)
 	h := host.New(k, cost, "host1", c)
 	r := &pollRig{k: k, f: New(h, c), h: h}
-	r.hc = r.f.NewHostCond("c")
+	r.hc = r.f.NewHostCond("c", "")
 	r.waiter = h.Run("poller", func(th *threads.Thread) {
 		ctx := exec.OnHost(th, h)
 		wait(r.hc, ctx, r.hc.Poll(ctx))

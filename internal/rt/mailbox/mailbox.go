@@ -241,7 +241,10 @@ func (m *Msg) useAfterRelease(op string) {
 
 // TrimPrefix removes n bytes from the front of the message in place
 // (paper §3.3: "removing a prefix or suffix of the message without doing
-// any copying").
+// any copying"). A reserved message's trimmed bytes leave its mailbox's
+// reservation with it: End_Put, Enqueue and AbortPut release the
+// reservation by the message's length, so it must shrink with the
+// message.
 //
 //nectar:hotpath
 func (m *Msg) TrimPrefix(ctx exec.Context, n int) {
@@ -252,6 +255,9 @@ func (m *Msg) TrimPrefix(ctx exec.Context, n int) {
 	ctx.Words(2)
 	m.off += n
 	m.n -= n
+	if m.state == stateReserved {
+		m.owner.reserved -= n
+	}
 }
 
 // Write copies src into the message at offset off, charging the caller's
@@ -327,45 +333,40 @@ func (mb *Mailbox) Pending() int { return len(mb.queue) }
 func (mb *Mailbox) QueuedBytes() int { return mb.queued }
 
 // hostSide is a mailbox's host-facing state, built on first host use:
-// the host conditions host readers and writers wait on, and the requests
-// host operations post to the CAB signal queue to wake CAB threads.
+// the host conditions host readers and writers wait on, and the
+// CAB-side handlers of the requests host operations post to the CAB
+// signal queue to wake CAB threads. The conditions are held by value and
+// labelled by the mailbox's name and a constant role, so setting them up
+// builds no string, and the handlers are built with the hostSide, so a
+// post allocates nothing.
 type hostSide struct {
-	notEmpty, notFull *hostif.HostCond // created by hostConds
+	notEmpty, notFull hostif.HostCond
+	conds             bool // notEmpty and notFull are set up (hostConds)
 
-	// Built by hostPosts, so that a post allocates nothing.
-	signalName, spaceName string
-	signalFn, spaceFn     func(*threads.Thread)
+	signalFn, spaceFn func(*threads.Thread)
 }
 
 func (mb *Mailbox) hostSide() *hostSide {
 	if mb.host == nil {
-		mb.host = &hostSide{}
+		mb.host = &hostSide{
+			signalFn: func(*threads.Thread) { mb.notEmpty.Signal() },
+			spaceFn:  func(*threads.Thread) { mb.notFull.Broadcast() },
+		}
 	}
 	return mb.host
 }
 
-func (mb *Mailbox) hostConds() (*hostif.HostCond, *hostif.HostCond) {
+// hostConds sets up, on a mailbox's first host-side wait, the host
+// conditions its host readers and writers wait on.
+func (mb *Mailbox) hostConds() *hostSide {
 	h := mb.hostSide()
-	if h.notEmpty == nil {
+	if !h.conds {
 		if mb.rt.iface == nil {
 			sim.Panicf("mailbox %s: host operation with no host attached", mb.name)
 		}
-		h.notEmpty = mb.rt.iface.NewHostCond(mb.name + ".notEmpty")
-		h.notFull = mb.rt.iface.NewHostCond(mb.name + ".notFull")
-	}
-	return h.notEmpty, h.notFull
-}
-
-// hostPosts builds, on a mailbox's first host-side wakeup, the request
-// names and CAB-side handlers its host operations post to the CAB signal
-// queue.
-func (mb *Mailbox) hostPosts() *hostSide {
-	h := mb.hostSide()
-	if h.signalFn == nil {
-		h.signalName = mb.name + ".signal"
-		h.spaceName = mb.name + ".space"
-		h.signalFn = func(*threads.Thread) { mb.notEmpty.Signal() }
-		h.spaceFn = func(*threads.Thread) { mb.notFull.Broadcast() }
+		h.notEmpty.Init(mb.rt.iface, mb.name, ".notEmpty")
+		h.notFull.Init(mb.rt.iface, mb.name, ".notFull")
+		h.conds = true
 	}
 	return h
 }
@@ -472,14 +473,14 @@ func (mb *Mailbox) deliver(ctx exec.Context, m *Msg) {
 		mb.rt.obs.InstantArg(int(mb.rt.cab.Node()), obs.LayerMailbox, "put", mb.name, uint64(m.Tag), m.n)
 	}
 	mb.signalCAB(ctx)
-	if h := mb.host; h != nil && h.notEmpty != nil {
+	if h := mb.host; h != nil && h.conds {
 		h.notEmpty.Signal(ctx)
 	}
 	if mb.upcall != nil {
 		if ctx.IsHost() {
 			// The upcall body must run on the CAB; ship it over.
 			up := mb.upcall
-			mb.rt.iface.PostToCAB(ctx, mb.name+".upcall", func(t *threads.Thread) { up(t, mb) })
+			mb.rt.iface.PostToCAB(ctx, mb.name, ".upcall", func(t *threads.Thread) { up(t, mb) })
 		} else {
 			mb.upcall(ctx.T, mb)
 		}
@@ -609,12 +610,11 @@ func (mb *Mailbox) release(ctx exec.Context, m *Msg) {
 	*m = Msg{rt: m.rt, state: stateFree}
 	m.rt.msgFree.Put(m)
 	if ctx.IsHost() && mb.notFull.HasWaiters() {
-		h := mb.hostPosts()
-		mb.rt.iface.PostToCAB(ctx, h.spaceName, h.spaceFn)
+		mb.rt.iface.PostToCAB(ctx, mb.name, ".space", mb.hostSide().spaceFn)
 	} else {
 		mb.notFull.Broadcast()
 	}
-	if h := mb.host; h != nil && h.notFull != nil {
+	if h := mb.host; h != nil && h.conds {
 		h.notFull.Signal(ctx)
 	}
 }
@@ -627,8 +627,7 @@ func (mb *Mailbox) release(ctx exec.Context, m *Msg) {
 func (mb *Mailbox) signalCAB(ctx exec.Context) {
 	if ctx.IsHost() {
 		if mb.notEmpty.HasWaiters() {
-			h := mb.hostPosts()
-			mb.rt.iface.PostToCAB(ctx, h.signalName, h.signalFn)
+			mb.rt.iface.PostToCAB(ctx, mb.name, ".signal", mb.hostSide().signalFn)
 		}
 		return
 	}
@@ -670,7 +669,7 @@ func (mb *Mailbox) Enqueue(ctx exec.Context, m *Msg, dst *Mailbox) {
 // selectable per mailbox) ---
 
 func (mb *Mailbox) beginPutHost(ctx exec.Context, n int) *Msg {
-	_, notFull := mb.hostConds()
+	notFull := &mb.hostConds().notFull
 	for {
 		var m *Msg
 		if mb.hostRPC {
@@ -716,7 +715,7 @@ func (mb *Mailbox) endPutHost(ctx exec.Context, m *Msg) {
 }
 
 func (mb *Mailbox) beginGetHost(ctx exec.Context, poll bool) *Msg {
-	notEmpty, _ := mb.hostConds()
+	notEmpty := &mb.hostConds().notEmpty
 	for {
 		var m *Msg
 		if mb.hostRPC {

@@ -227,6 +227,42 @@ func TestTrimPrefixSuffix(t *testing.T) {
 	}
 }
 
+// TestTrimmedReservationReleased trims the header off reserved messages
+// and enqueues them elsewhere, the way a protocol's input upcall delivers
+// a frame, many times over the input mailbox's capacity: the trimmed
+// bytes must leave the reservation, or every message leaks them and the
+// mailbox refuses frames once the leak reaches its capacity.
+func TestTrimmedReservationReleased(t *testing.T) {
+	r := newRig(t)
+	in := r.rt.Create("in")
+	sink := r.rt.Create("sink")
+	const size, hdr = 80, 16
+	n := 2 * DefaultCapacity / hdr
+	delivered := 0
+	r.c.Sched.Fork("w", threads.SystemPriority, func(th *threads.Thread) {
+		ctx := exec.OnCAB(th)
+		for i := 0; i < n; i++ {
+			m := in.BeginPutNB(ctx, size)
+			if m == nil {
+				r.k.Fatalf("input mailbox full after %d messages (reserved %d)", i, in.reserved)
+				return
+			}
+			m.TrimPrefix(ctx, hdr)
+			in.Enqueue(ctx, m, sink)
+			g := sink.BeginGet(ctx)
+			sink.EndGet(ctx, g)
+			delivered++
+		}
+	})
+	r.run(t)
+	if delivered != n {
+		t.Fatalf("delivered %d of %d", delivered, n)
+	}
+	if in.reserved != 0 || in.queued != 0 {
+		t.Errorf("input mailbox holds reserved %d, queued %d bytes, want 0", in.reserved, in.queued)
+	}
+}
+
 func TestEnqueueMovesWithoutCopy(t *testing.T) {
 	r := newRig(t)
 	a := r.rt.Create("a")

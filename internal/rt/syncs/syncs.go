@@ -106,7 +106,7 @@ func (s *Sync) free() {
 // mechanism (paper §3.4).
 func (s *Sync) Write(ctx exec.Context, v uint32) {
 	if ctx.IsHost() {
-		s.pool.iface.PostToCAB(ctx, "sync.Write", func(t *threads.Thread) {
+		s.pool.iface.PostToCAB(ctx, "sync.Write", "", func(t *threads.Thread) {
 			s.writeOnCAB(exec.OnCAB(t), v)
 		})
 		return
@@ -145,7 +145,7 @@ func (s *Sync) Read(ctx exec.Context) uint32 {
 	ctx.Words(1)
 	if ctx.IsHost() {
 		if s.hostCond == nil {
-			s.hostCond = s.pool.iface.NewHostCond("sync")
+			s.hostCond = s.pool.iface.NewHostCond("sync", "")
 		}
 		for !s.written {
 			since := s.hostCond.Poll(ctx)
@@ -170,7 +170,7 @@ func (s *Sync) Read(ctx exec.Context) uint32 {
 //nectar:api the paper's sync interface (§3.4), covered by this package's tests
 func (s *Sync) Cancel(ctx exec.Context) {
 	if ctx.IsHost() {
-		s.pool.iface.PostToCAB(ctx, "sync.Cancel", func(t *threads.Thread) {
+		s.pool.iface.PostToCAB(ctx, "sync.Cancel", "", func(t *threads.Thread) {
 			s.cancelOnCAB(exec.OnCAB(t))
 		})
 		return

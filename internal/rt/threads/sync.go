@@ -93,7 +93,7 @@ func (c *Cond) Wait(t *Thread) {
 // Once t is woken, the step calls finish on the returned record.
 func (c *Cond) startWait(t *Thread) *waiter {
 	w := t.sched.newWaiter(c, t)
-	t.startBlock("cond", c.name, c.role)
+	t.startBlock("cond", c.name, c.role, nil)
 	return w
 }
 
@@ -102,7 +102,7 @@ func (c *Cond) startWait(t *Thread) *waiter {
 func (c *Cond) WaitTimeout(t *Thread, d sim.Duration) bool {
 	w := t.sched.newWaiter(c, t)
 	w.arm(d)
-	t.startBlock("cond", c.name, c.role)
+	t.startBlock("cond", c.name, c.role, nil)
 	t.proc.Suspend()
 	timedOut := w.timedOut
 	w.finish()

@@ -48,6 +48,7 @@ package threads
 
 import (
 	"container/heap"
+	"fmt"
 
 	"nectar/internal/model"
 	"nectar/internal/obs"
@@ -99,8 +100,10 @@ type Thread struct {
 	handler func(t *Thread)
 
 	// The current Block's reason, formatted as "kind:name" + role only
-	// when a deadlock report asks (Describe).
+	// when a deadlock report asks (Describe). blockObj, when set, names
+	// the block in place of name + role.
 	blockKind, blockName, blockRole string
+	blockObj                        fmt.Stringer
 
 	// Join's exit condition, created by the first Join.
 	exitC *Cond
@@ -289,11 +292,17 @@ func (t *Thread) Describe() string {
 }
 
 // blockReason formats the reason given to the latest Block.
+//
+//nectar:hotpath-exempt formats for a panic or a deadlock report only, never on a block's own path
 func (t *Thread) blockReason() string {
-	if t.blockKind == "" {
-		return t.blockName + t.blockRole
+	name := t.blockName + t.blockRole
+	if t.blockObj != nil {
+		name = t.blockObj.String()
 	}
-	return t.blockKind + ":" + t.blockName + t.blockRole
+	if t.blockKind == "" {
+		return name
+	}
+	return t.blockKind + ":" + name
 }
 
 // Sched returns the scheduler this thread runs on.
@@ -381,17 +390,27 @@ func (t *Thread) Block(reason string) { t.BlockOn("", reason) }
 // deadlock report or a panic needs it, so blocking on a named object
 // allocates nothing.
 func (t *Thread) BlockOn(kind, name string) {
-	t.startBlock(kind, name, "")
+	t.startBlock(kind, name, "", nil)
+	t.proc.Suspend()
+}
+
+// BlockOnObject is BlockOn with the name given by obj's String method,
+// which runs only when a deadlock report or a panic needs the reason: an
+// object whose name has several parts blocks a thread without building
+// it.
+func (t *Thread) BlockOnObject(kind string, obj fmt.Stringer) {
+	t.startBlock(kind, "", "", obj)
 	t.proc.Suspend()
 }
 
 // startBlock is BlockOn without the wait, for a step that returns false
 // after it: it releases the CPU and leaves the thread blocked until
-// Unblock. role completes name in the reason ("kind:name" + role).
-func (t *Thread) startBlock(kind, name, role string) {
+// Unblock. role completes name in the reason ("kind:name" + role), and a
+// non-nil obj names the block instead.
+func (t *Thread) startBlock(kind, name, role string, obj fmt.Stringer) {
 	s := t.sched
 	t.assertRunning("Block")
-	t.blockKind, t.blockName, t.blockRole = kind, name, role
+	t.blockKind, t.blockName, t.blockRole, t.blockObj = kind, name, role, obj
 	if t.intr {
 		sim.Panicf("threads: interrupt handler %q attempted to block (%s)", t.Name(), t.blockReason())
 	}

@@ -60,7 +60,7 @@ func (a *API) runOnCAB(ctx exec.Context, name string, op func(ct exec.Context) b
 		return nil
 	}
 	status := a.pool.Alloc(ctx)
-	a.iface.PostToCAB(ctx, "socket."+name, func(t *threads.Thread) {
+	a.iface.PostToCAB(ctx, "socket.", name, func(t *threads.Thread) {
 		// Interrupt context: fork the worker that may block.
 		a.rt.CAB().Sched.Fork("socket-"+name, threads.SystemPriority, func(w *threads.Thread) {
 			wctx := exec.OnCAB(w)
