@@ -230,8 +230,8 @@ func (cl *Cluster) AddNode() *Node {
 }
 
 // bootNode builds and boots the full host/CAB pair for attachment point
-// idx: hardware, fibers with their gateway role, runtime system and
-// protocol stacks. Route installation is the caller's job.
+// idx: hardware, fibers, runtime system with the uplink's gateway role,
+// and protocol stacks. Route installation is the caller's job.
 //
 // The whole node — CAB, host, interface, runtime, protocol stacks, and
 // both of its fiber endpoints — is built on its shard's kernel: the
@@ -261,51 +261,6 @@ func (cl *Cluster) bootNode(idx int) *Node {
 	c.ConnectFiber(up)
 	hb.ConnectOut(port, fiber.NewLink(k, cl.Cost, fmt.Sprintf("hub%d.%d->cab%d", hubIdx, port, id), c))
 	hb.SetOutDomain(port, dom)
-	if len(cl.domains) > 1 {
-		// The uplink is the shard's gateway: every cross-shard forward
-		// is of a packet it delivered to the HUB input port, so its
-		// earliest-output bound (delivery + HubSetup) covers them all.
-		// The cross closure resolves the next route hop to the shard it
-		// forwards into, giving the coupling one safe bound per
-		// destination shard (per-channel lookahead). On multi-HUB
-		// fabrics the hop may enter a trunk, whose owning shard the
-		// HUB's output-domain table resolves the same way.
-		//
-		// Transmit-preparation floor: every frame this CAB can put on the
-		// uplink goes through datalink.Send, which consumes DatalinkProcess
-		// + DMASetup of CAB CPU time between the event that triggers it
-		// and the fiber transmission (and brackets that compute with
-		// BeginTxPrep/EndTxPrep). So with no preparation in flight, no
-		// frame can start before the domain's activity floor plus that
-		// margin; with one in flight, none can start before the earliest
-		// outstanding ready time, and none before the activity floor
-		// either: a preparation that was delayed (preempted, or blocked
-		// before its compute) keeps its old ready time, but its transmit
-		// still happens at an event of this domain. This margin — not the
-		// 700 ns HUB setup — is what grows safe windows enough for
-		// sharding to win.
-		margin := sim.Time(cl.Cost.DatalinkProcess + cl.Cost.DMASetup)
-		txFloor := func(actFloor sim.Time) sim.Time {
-			e := actFloor + margin
-			if at, ok := c.TxReadyAt(); ok && at < e {
-				e = max(at, actFloor)
-			}
-			return e
-		}
-		var reach []bool
-		if cl.flowPeers != nil {
-			// Declared channel topology: this gateway only constrains the
-			// safe bound of the domains the *first* forward after this
-			// node's HUB can enter (same-HUB peers resolve to their shard,
-			// farther peers to the owner of the path's first trunk; later
-			// hops are covered by trunk gateways). With a flow-affinity
-			// partition that is no domain at all, and windows stretch to
-			// the scheduling horizon.
-			reach = cl.firstHopReach(idx)
-		}
-		n.gw.Init(up, sim.Duration(cl.Cost.HubSetup), crossFn(hb, dom), txFloor, reach)
-		dom.AddGateway(&n.gw)
-	}
 	if cl.flowPeers != nil {
 		// The declaration is enforced on every send, whatever the shard
 		// count, so a violating workload fails identically at every
@@ -325,6 +280,30 @@ func (cl *Cluster) bootNode(idx int) *Node {
 	pool := syncs.NewPool(f)
 	dl := datalink.NewLayer(c)
 	n.Mailboxes, n.Syncs, n.Datalink = mrt, pool, dl
+	if len(cl.domains) > 1 {
+		// The uplink is the shard's gateway: every cross-shard forward
+		// is of a packet it delivered to the HUB input port, whose
+		// Forward answers which shard each forward enters and the setup
+		// delay it adds, giving the coupling one safe bound per
+		// destination shard (per-channel lookahead). Every frame the CAB
+		// puts on the uplink goes through datalink.Send, so the datalink
+		// layer's TxFloor bounds when the next one can start. That
+		// preparation margin, not the 700 ns HUB setup, is what grows
+		// safe windows enough for sharding to win.
+		var reach []bool
+		if cl.flowPeers != nil {
+			// Declared channel topology: this gateway only constrains the
+			// safe bound of the domains the *first* forward after this
+			// node's HUB can enter (same-HUB peers resolve to their shard,
+			// farther peers to the owner of the path's first trunk; later
+			// hops are covered by trunk gateways). With a flow-affinity
+			// partition that is no domain at all, and windows stretch to
+			// the scheduling horizon.
+			reach = cl.firstHopReach(idx)
+		}
+		n.gw.Init(up, dl.TxFloor, reach)
+		dom.AddGateway(&n.gw)
+	}
 
 	// Protocol stacks.
 	n.Transports = nectar.Attach(dl, mrt)
@@ -336,21 +315,6 @@ func (cl *Cluster) bootNode(idx int) *Node {
 
 	cl.Nodes = append(cl.Nodes, n)
 	return n
-}
-
-// crossFn builds the gateway cross-resolution closure for a link feeding
-// an input port of hb on domain own: a route byte crosses shards when the
-// HUB output port it names is owned by another domain. Unconnected or
-// out-of-range ports resolve local and fail with a routing diagnostic when
-// the forward executes.
-func crossFn(hb *hub.Hub, own *sim.Domain) func(out byte) (int, bool) {
-	return func(out byte) (int, bool) {
-		d := hb.OutDomain(int(out))
-		if d == nil || d == own {
-			return 0, false
-		}
-		return d.ID(), true
-	}
 }
 
 // RouteTableStats reports the shared route table's deduplicated size:

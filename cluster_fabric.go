@@ -64,15 +64,11 @@ func (cl *Cluster) buildFabric(topo *fabric.Topology) {
 	// own arrays (hub, port).
 	cl.mat = make([]*Node, n)
 	var reach [][]bool
-	var crosses []func(port byte) (int, bool)
 	if len(cl.domains) > 1 {
 		cl.nodeShard = make([]int32, n)
 		var gateways int
 		cl.trunkOwner, reach, gateways = cl.planTrunks()
 		cl.gateways = make([]fiber.Gateway, gateways)
-		// Trunks into one HUB on one shard resolve route bytes alike,
-		// so they share one cross function.
-		crosses = make([]func(port byte) (int, bool), len(cl.Hubs)*len(cl.domains))
 	}
 	gws := cl.gateways
 	cl.trunks = make(fiber.Links, len(topo.Trunks))
@@ -105,11 +101,7 @@ func (cl *Cluster) buildFabric(topo *fabric.Topology) {
 				continue
 			}
 		}
-		cross := &crosses[tr.ToHub*len(cl.domains)+dom.ID()]
-		if *cross == nil {
-			*cross = crossFn(cl.Hubs[tr.ToHub], dom)
-		}
-		gws[0].Init(l, sim.Duration(cl.Cost.HubSetup), *cross, nil, rb)
+		gws[0].Init(l, nil, rb)
 		dom.AddGateway(&gws[0])
 		gws = gws[1:]
 	}

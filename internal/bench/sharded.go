@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -85,7 +86,8 @@ type ShardedPoint struct {
 	RouteBytes   int `json:"route_bytes"`
 
 	// Each leg's seconds span the cluster build, the run and the metrics
-	// snapshot (when compared); the bytes/node GCs fall outside.
+	// snapshot (when compared); the bytes/node GCs fall outside. A side
+	// reports its median run (see minSideSeconds).
 	SequentialSeconds float64 `json:"sequential_seconds"`
 	ShardedSeconds    float64 `json:"sharded_seconds"`
 	Speedup           float64 `json:"speedup"`
@@ -237,17 +239,61 @@ func runLeg(cost *model.CostModel, sp *pointSpec, shards int, profiled bool) (*l
 	return l, nil
 }
 
-// runPoint runs a point's sequential and sharded legs and compares them;
-// profiled puts the sharded leg under the wall-clock profiler.
+// minSideSeconds is the wall clock each side of a point runs for at
+// least: a leg shorter than that repeats, and the side reports its median
+// run, so a speedup compares medians instead of two single runs of a few
+// milliseconds. The sides take turns, so a slow stretch of the host slows
+// both alike. A leg that alone takes longer runs once.
+const minSideSeconds = 0.1
+
+// side is the runs of a point's leg at one shard count.
+type side struct {
+	shards   int
+	profiled bool
+	runs     []*leg
+	total    float64 // wall-clock seconds of all runs
+}
+
+// run runs the leg once more. Virtual time does not depend on the
+// repeat, so every run's flow table and metrics must equal the first
+// run's.
+func (sd *side) run(cost *model.CostModel, sp *pointSpec) error {
+	l, err := runLeg(cost, sp, sd.shards, sd.profiled)
+	if err != nil {
+		return err
+	}
+	if len(sd.runs) > 0 && (l.table != sd.runs[0].table || !bytes.Equal(l.metrics, sd.runs[0].metrics)) {
+		return fmt.Errorf("run %d's output differs from the first run's", len(sd.runs)+1)
+	}
+	sd.runs = append(sd.runs, l)
+	sd.total += l.wallS
+	return nil
+}
+
+// median returns the run of median wall clock.
+func (sd *side) median() *leg {
+	slices.SortStableFunc(sd.runs, func(a, b *leg) int { return cmp.Compare(a.wallS, b.wallS) })
+	return sd.runs[len(sd.runs)/2]
+}
+
+// runPoint runs a point's sequential and sharded sides in turns until
+// each has run minSideSeconds, and compares their median runs; profiled
+// puts the sharded leg under the wall-clock profiler.
 func runPoint(cost *model.CostModel, sp *pointSpec, profiled bool) (*ShardedPoint, error) {
-	seq, err := runLeg(cost, sp, 1, false)
-	if err != nil {
-		return nil, fmt.Errorf("sequential leg: %w", err)
+	seqSide, shdSide := &side{shards: 1}, &side{shards: sp.shards, profiled: profiled}
+	for seqSide.total < minSideSeconds || shdSide.total < minSideSeconds {
+		if seqSide.total < minSideSeconds {
+			if err := seqSide.run(cost, sp); err != nil {
+				return nil, fmt.Errorf("sequential leg: %w", err)
+			}
+		}
+		if shdSide.total < minSideSeconds {
+			if err := shdSide.run(cost, sp); err != nil {
+				return nil, fmt.Errorf("sharded leg: %w", err)
+			}
+		}
 	}
-	shd, err := runLeg(cost, sp, sp.shards, profiled)
-	if err != nil {
-		return nil, fmt.Errorf("sharded leg: %w", err)
-	}
+	seq, shd := seqSide.median(), shdSide.median()
 	p := &ShardedPoint{
 		Name: sp.name, Fabric: shd.topo.Name, Nodes: sp.nodes,
 		Hubs: shd.topo.Hubs(), Trunks: len(shd.topo.Trunks), Tiers: shd.topo.Tiers(),

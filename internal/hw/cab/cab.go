@@ -105,22 +105,6 @@ type CAB struct {
 	txFrames, rxFrames uint64
 	crcErrors          uint64
 
-	// Transmit-preparation window (sharded execution). The datalink layer
-	// brackets every Send between BeginTxPrep/EndTxPrep around the CPU
-	// compute it charges before Transmit, so the shard gateway can bound
-	// the board's earliest future transmission: while no bracket is open,
-	// a transmit needs a fresh event dispatch plus the full preparation
-	// compute; while one is open, no transmit can beat the earliest
-	// outstanding ready time. txReadyAt tracks the minimum ready time over
-	// open brackets; begins happen at non-decreasing virtual times, so the
-	// first open bracket holds the minimum. The value can go stale: it
-	// outlives its bracket while others remain open, and a delayed
-	// preparation keeps its bracket open past its ready time. A stale
-	// value can lie behind the domain's activity floor, so the gateway
-	// clamps it there (a transmit happens at an event of the domain).
-	txPrep    int
-	txReadyAt sim.Time
-
 	// Fast-path recycling (see fiber.Pool): outbound frame/packet reuse
 	// and receive-descriptor reuse.
 	pool     *fiber.Pool
@@ -245,35 +229,6 @@ func (c *CAB) SetRxInterruptMode(on bool) { c.rxInterrupt = on }
 
 // RxInterruptMode reports the current delivery mode.
 func (c *CAB) RxInterruptMode() bool { return c.rxInterrupt }
-
-// BeginTxPrep opens a transmit-preparation bracket: the calling context
-// is about to charge preparation compute and then Transmit, and ready is
-// the earliest virtual instant that Transmit can occur (current time plus
-// the compute about to be charged; preemption can only push it later).
-// The sharded cluster's gateway reads the aggregate through TxReadyAt.
-//
-//nectar:hotpath
-func (c *CAB) BeginTxPrep(ready sim.Time) {
-	if c.txPrep == 0 || ready < c.txReadyAt {
-		c.txReadyAt = ready
-	}
-	c.txPrep++
-}
-
-// EndTxPrep closes the bracket opened by the matching BeginTxPrep.
-//
-//nectar:hotpath
-func (c *CAB) EndTxPrep() { c.txPrep-- }
-
-// TxReadyAt returns the earliest virtual instant any open transmit
-// preparation can reach the fiber, and whether one is open at all. Only
-// meaningful between events (the shard scheduler's window choose phase).
-func (c *CAB) TxReadyAt() (sim.Time, bool) {
-	if c.txPrep == 0 {
-		return 0, false
-	}
-	return c.txReadyAt, true
-}
 
 // Transmit builds a frame around the given datalink header template and
 // payload spans, appends the hardware CRC, and starts the output DMA. The

@@ -84,11 +84,9 @@ func TestBusyAndFreeAt(t *testing.T) {
 // there multiplies into the scheduler's critical path.
 func TestEarliestOutputZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
-	s := &sink{k: k}
-	l := NewLink(k, model.Default1990(), "gw", s)
+	l := NewLink(k, model.Default1990(), "gw", newForwarder(k, 2))
 	g := new(Gateway)
-	g.Init(l, 700, func(port byte) (int, bool) { return int(port) % 2, port%2 == 1 },
-		func(actFloor sim.Time) sim.Time { return actFloor + 12000 }, nil)
+	g.Init(l, func(actFloor sim.Time) sim.Time { return actFloor + 12000 }, nil)
 	// Populate the in-flight frames so the destination scan runs.
 	k.After(0, func() {
 		for i := 0; i < 4; i++ {

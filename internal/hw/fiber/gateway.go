@@ -2,6 +2,20 @@ package fiber
 
 import "nectar/internal/sim"
 
+// Forwarder is the endpoint of a gateway's link: a HUB input port, which
+// forwards every frame on by its next route byte. It is the one place
+// that decides where a forward goes and when; the gateway asks it rather
+// than restating the decision.
+type Forwarder interface {
+	Endpoint
+	// Forward answers for a packet-switched forward by route byte b: the
+	// domain it enters when that is not the forwarder's own (nil when it
+	// stays), and the setup delay it adds after the frame arrives. The
+	// delay is the same for every b, so it also bounds the forwards of
+	// frames whose route is not known yet.
+	Forward(b byte) (to *sim.Domain, delay sim.Duration)
+}
+
 // Gateway is a link's shard-boundary role under sharded execution. A link
 // feeding a HUB input port whose forwards may enter another shard carries
 // one, and its shard registers it with the coupling: it bounds, per
@@ -10,12 +24,11 @@ import "nectar/internal/sim"
 // shard.
 type Gateway struct {
 	link    *Link
-	delay   sim.Duration                               // HUB setup latency added to every forward
-	cross   func(port byte) (dst int, crossShard bool) // next route hop -> domain it leaves the shard for
-	txFloor func(actFloor sim.Time) sim.Time           // earliest start of a future send; nil = actFloor
-	reach   []bool                                     // domains the link's frames may enter; nil = every domain
-	pending []gwFrame                                  // cross frames in flight, in start order
-	frames  uint64                                     // cross frames sent
+	fwd     Forwarder                        // the link's endpoint
+	txFloor func(actFloor sim.Time) sim.Time // earliest start of a future send; nil = actFloor
+	reach   []bool                           // domains the link's frames may enter; nil = every domain
+	pending []gwFrame                        // cross frames in flight, in start order
+	frames  uint64                           // cross frames sent
 }
 
 // gwFrame is one cross-shard frame in flight on a gateway's link: when its
@@ -26,18 +39,20 @@ type gwFrame struct {
 }
 
 // Init makes g, which must be zero, link l's gateway; it is the one way
-// to set one up. delay is the HUB setup latency every forward adds: the
-// lookahead that keeps windows non-trivial at zero queueing. cross
-// resolves a frame's next route hop to the domain the forward enters.
-// txFloor, if not nil, lower-bounds the start of any future send on l
-// given the owning domain's activity floor: the CPU time every frame
-// send provably spends before the fiber. reach, if not nil, declares the
+// to set one up. l's endpoint must be a Forwarder: it tells the gateway
+// which domain each forward enters and the setup delay it adds, the
+// lookahead that keeps windows non-trivial at zero queueing. txFloor, if
+// not nil, lower-bounds the start of any future send on l given the
+// owning domain's activity floor. reach, if not nil, declares the
 // domains any frame l can carry may be forwarded into; the others get an
 // unbounded EarliestOutputTo, which lets a well-partitioned cluster run
 // whole horizons per window.
-func (g *Gateway) Init(l *Link, delay sim.Duration, cross func(port byte) (dst int, crossShard bool),
-	txFloor func(actFloor sim.Time) sim.Time, reach []bool) {
-	*g = Gateway{link: l, delay: delay, cross: cross, txFloor: txFloor, reach: reach}
+func (g *Gateway) Init(l *Link, txFloor func(actFloor sim.Time) sim.Time, reach []bool) {
+	fwd, ok := l.dst.(Forwarder)
+	if !ok {
+		sim.Panicf("fiber: gateway on link %s, whose endpoint forwards nothing", l.name)
+	}
+	*g = Gateway{link: l, fwd: fwd, txFloor: txFloor, reach: reach}
 	l.gw = g
 }
 
@@ -49,21 +64,14 @@ func (g *Gateway) send(pkt *Packet, start sim.Time) bool {
 	if len(pkt.Route) == 0 {
 		return false
 	}
-	dst, cross := g.cross(pkt.Route[0])
-	if !cross {
+	to, _ := g.fwd.Forward(pkt.Route[0])
+	if to == nil {
 		return false
 	}
 	g.frames++
-	g.pending = append(g.pending, gwFrame{start: start, dst: int32(dst)})
+	g.pending = append(g.pending, gwFrame{start: start, dst: int32(to.ID())})
 	return true
 }
-
-// Cross resolves a next route hop as the gateway does for every frame
-// its link starts: the domain the HUB forward enters, and whether that
-// leaves the gateway's shard.
-//
-//nectar:api the cross-decision test compares it with the HUB's own decision
-func (g *Gateway) Cross(port byte) (dst int, crossShard bool) { return g.cross(port) }
 
 // CrossShardFrames reports how many frames the gateway's link carried
 // whose next route hop left the shard. It is deliberately kept out of the
@@ -77,7 +85,7 @@ func (g *Gateway) CrossShardFrames() uint64 { return g.frames }
 // execute any event. Two sources bound it: cross-shard frames toward dst
 // already in flight (frames toward other domains do not cap it), and
 // future sends, which cannot start before the link is free nor before the
-// transmit floor. Every forward then adds the HUB setup delay.
+// transmit floor. Every forward then adds the endpoint's setup delay.
 // Zero-allocation: called per (gateway, destination) pair in every window
 // choose phase.
 //
@@ -110,5 +118,8 @@ func (g *Gateway) EarliestOutputTo(dst int, actFloor sim.Time) sim.Time {
 	if e >= sim.MaxTime {
 		return sim.MaxTime
 	}
-	return e + sim.Time(g.delay)
+	// The delay does not depend on the route byte (Forwarder), so any
+	// byte answers for future sends and in-flight frames alike.
+	_, delay := g.fwd.Forward(0)
+	return e + sim.Time(delay)
 }

@@ -8,8 +8,31 @@ import (
 	"nectar/internal/sim"
 )
 
-// gatewayOn makes l a gateway with a 700 ns setup delay whose route byte
-// p forwards into domain p, crossing for every p but 0. reach nil means
+// forwarder is a test Forwarder on domain 0 of a coupling of n domains:
+// route byte b forwards into domain b mod n after a 700 ns setup,
+// crossing unless that is domain 0.
+type forwarder struct {
+	sink
+	doms []*sim.Domain
+}
+
+func newForwarder(k *sim.Kernel, n int) *forwarder {
+	c := sim.NewCoupling()
+	f := &forwarder{sink: sink{k: k}}
+	for range n {
+		f.doms = append(f.doms, c.AddDomain(sim.NewKernel()))
+	}
+	return f
+}
+
+func (f *forwarder) Forward(b byte) (*sim.Domain, sim.Duration) {
+	if d := int(b) % len(f.doms); d != 0 {
+		return f.doms[d], 700
+	}
+	return nil, 700
+}
+
+// gatewayOn makes l, which feeds a forwarder, a gateway. reach nil means
 // every domain; floor adds a 12 µs transmit-preparation floor.
 func gatewayOn(l *Link, reach []bool, floor bool) *Gateway {
 	var txFloor func(sim.Time) sim.Time
@@ -17,14 +40,15 @@ func gatewayOn(l *Link, reach []bool, floor bool) *Gateway {
 		txFloor = func(act sim.Time) sim.Time { return act + 12000 }
 	}
 	g := new(Gateway)
-	g.Init(l, 700, func(port byte) (int, bool) { return int(port), port != 0 }, txFloor, reach)
+	g.Init(l, txFloor, reach)
 	return g
 }
 
 // TestGatewayEarliestOutputTo pins a gateway's bound per destination,
 // with nil and partial reach and with and without a transmit floor,
 // while frames toward domains 1 and 2 are in flight and once the link
-// is idle again. Four 64-byte frames leave at 0 on routes 2, 1, 0, 1:
+// is idle again. Route byte p forwards into domain p of three, crossing
+// for every p but 0. Four 64-byte frames leave at 0 on routes 2, 1, 0, 1:
 // each takes 5,280 ns, so the link is free at 21,120 ns, and the first
 // frames toward domains 2 and 1 start at 0 and 5,280 ns.
 func TestGatewayEarliestOutputTo(t *testing.T) {
@@ -59,7 +83,7 @@ func TestGatewayEarliestOutputTo(t *testing.T) {
 			[]sim.Time{M, 21820, M, M, 32700, M, M, M, M, M}},
 	} {
 		k := sim.NewKernel()
-		l := NewLink(k, model.Default1990(), "gw", &sink{k: k})
+		l := NewLink(k, model.Default1990(), "gw", newForwarder(k, 3))
 		g := gatewayOn(l, c.reach, c.floor)
 		eval := func() []sim.Time {
 			var out []sim.Time

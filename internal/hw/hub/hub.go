@@ -15,6 +15,13 @@
 // and packet-switched traffic to a reserved port is an error (the paper's
 // HUB command set provides low-level flow control; our model surfaces
 // misuse as a simulation failure rather than silently queueing).
+//
+// Under sharded execution an input port runs on the shard of the fiber
+// that feeds it, and a forward to an output link owned by another shard
+// crosses through the coupling. The input port's Forward is the one
+// place that decides which shard a forward enters and the setup delay it
+// adds: the port takes that decision for every frame, and the link's
+// shard gateway asks it for its bound (fiber.Forwarder).
 package hub
 
 import (
@@ -117,14 +124,14 @@ func (h *Hub) ConnectOut(p int, l *fiber.Link) {
 // InPort returns the endpoint for fibers terminating at this HUB. All
 // input ports share forwarding logic; the port identity only matters for
 // circuit bookkeeping.
-func (h *Hub) InPort(p int) fiber.Endpoint {
+func (h *Hub) InPort(p int) fiber.Forwarder {
 	return h.inPort(p, h.k, nil)
 }
 
 // InPortOn returns the endpoint for input port p executing on domain
 // dom's kernel: the port runs on the shard of the CAB or trunk whose fiber
 // feeds it, so arrival events never cross shards — only forwards do.
-func (h *Hub) InPortOn(p int, dom *sim.Domain) fiber.Endpoint {
+func (h *Hub) InPortOn(p int, dom *sim.Domain) fiber.Forwarder {
 	return h.inPort(p, dom.Kernel(), dom)
 }
 
@@ -140,18 +147,6 @@ func (h *Hub) inPort(p int, k *sim.Kernel, dom *sim.Domain) *inPort {
 // Forwards from an input port on a different shard are routed through the
 // coupling as timestamped inter-domain messages instead of local events.
 func (h *Hub) SetOutDomain(p int, d *sim.Domain) { h.ports[p].outDom = d }
-
-// OutDomain returns the shard owning the link leaving output port p (nil
-// when the port is local, unconnected, or out of range). Gateway cross
-// closures use it to resolve a route byte to the domain a forward enters —
-// out-of-range bytes resolve to nil here and fail with a proper diagnostic
-// when the forward executes.
-func (h *Hub) OutDomain(p int) *sim.Domain {
-	if p < 0 || p >= len(h.ports) {
-		return nil
-	}
-	return h.ports[p].outDom
-}
 
 // OutLink returns the link leaving output port p (nil if unconnected or
 // out of range).
@@ -212,46 +207,40 @@ func (ip *inPort) PacketArriving(pkt *fiber.Packet, end sim.Time) {
 		ip.misroute(pkt, fmt.Sprintf("circuit frame to output port %d but no circuit from input %d", outPort, ip.port))
 		return
 	}
-	delay := h.cost.HubSetup
+	to, delay := ip.Forward(byte(outPort))
 	if pkt.Circuit {
 		// The crossbar is already configured: only propagation remains.
 		delay = 0
 	}
 	h.stats.forwarded.Add(1)
 	t := ip.k.Now() + sim.Time(delay)
-	if dst := ip.crossTo(op); dst != nil {
+	if to != nil {
 		// Cross-shard forward: the destination shard owns the output
 		// link. The packet leaves its origin shard for good, so detach
 		// it from its (single-threaded) pool first.
 		pkt.Disown()
-		ip.dom.SendSized(dst, t, pkt.WireLen(), pkt.Hop(op.out, t))
+		ip.dom.SendSized(to, t, pkt.WireLen(), pkt.Hop(op.out, t))
 		return
 	}
 	ip.k.At(t, pkt.Hop(op.out, t))
 }
 
-// crossTo returns the shard a forward from ip through output op enters
-// when it leaves ip's shard, or nil when it stays on it.
-func (ip *inPort) crossTo(op *hubPort) *sim.Domain {
-	if dst := op.outDom; dst != nil && ip.dom != nil && dst != ip.dom {
-		return dst
-	}
-	return nil
-}
-
-// ForwardDomain returns the shard a forward from input port in through
-// output port out enters when it leaves the input port's shard, or nil
-// when it stays there or the output port is unconnected: the decision
-// PacketArriving makes for every frame. A gateway's cross function must
-// agree with it for the gateway's bound to cover every cross-shard
-// forward.
+// Forward implements fiber.Forwarder, for PacketArriving and the gateway
+// alike: a packet-switched forward by route byte b leaves HubSetup after
+// the frame arrives, and enters the shard owning output port b's link
+// when that is not the port's own. An unconnected or out-of-range port
+// stays local: its forward fails with a misroute diagnostic when it
+// executes.
 //
-//nectar:api the cross-decision test compares every gateway's cross function with it
-func (h *Hub) ForwardDomain(in, out int) *sim.Domain {
-	if out < 0 || out >= len(h.ports) || h.ports[out].out == nil {
-		return nil
+//nectar:hotpath
+func (ip *inPort) Forward(b byte) (to *sim.Domain, delay sim.Duration) {
+	h := ip.hub
+	if int(b) < len(h.ports) {
+		if d := h.ports[b].outDom; d != nil && ip.dom != nil && d != ip.dom {
+			to = d
+		}
 	}
-	return h.ports[in].in.crossTo(&h.ports[out])
+	return to, h.cost.HubSetup
 }
 
 // misroute reports a forwarding failure through the owning kernel with

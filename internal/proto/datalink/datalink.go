@@ -12,6 +12,11 @@
 // cab.SetRxInterruptMode(false) before NewLayer; arriving frames are then
 // queued to a dedicated rx thread and processed there, paying extra
 // context switches but spending less time with interrupts disabled.
+//
+// Every frame leaves through Send, which charges the per-frame
+// preparation before the CAB transmits. The layer is the one owner of
+// that fact: TxFloor bounds the board's next transmission from the same
+// preparation time, for the gateway of a sharded cluster's uplink.
 package datalink
 
 import (
@@ -53,6 +58,23 @@ type Layer struct {
 	rxCond *threads.Cond
 
 	rxFree pool.FreeList[*rxFrame] // end-of-data records ready for reuse
+
+	// Transmit preparation (sharded execution). Send brackets the CPU
+	// compute it charges before the frame reaches the CAB (prepTime), so
+	// TxFloor can bound the board's earliest future transmission for the
+	// shard gateway: while no bracket is open, a transmit needs a fresh
+	// event dispatch plus the full preparation compute; while one is
+	// open, no transmit can beat the earliest outstanding ready time.
+	// txReadyAt tracks the minimum ready time over open brackets;
+	// brackets open at non-decreasing virtual times, so the first open
+	// one holds the minimum. The value can go stale: it outlives its
+	// bracket while others remain open, and a delayed preparation
+	// (preempted, or blocked before its compute) keeps its bracket open
+	// past its ready time. A stale value can lie behind the domain's
+	// activity floor, so TxFloor clamps it there: a transmit happens at
+	// an event of the domain.
+	txPrep    int
+	txReadyAt sim.Time
 
 	// Drop counters.
 	unknownType uint64
@@ -123,15 +145,12 @@ func (l *Layer) Register(typ uint8, p Protocol) { l.protos[typ] = p }
 // Send transmits a frame of the given type to dst, gathering the payload
 // spans without copying (paper §4.1's IP_Output: header template from one
 // buffer, data from another). Callable from CAB threads and interrupt
-// handlers.
+// handlers. Every transmit goes through it, inside a preparation bracket
+// that closes on every path.
 func (l *Layer) Send(ctx exec.Context, typ uint8, dst wire.NodeID, payload ...[]byte) error {
-	// Transmit-preparation bracket: every transmit path goes through this
-	// function and consumes the datalink+DMA compute below before the
-	// frame can reach the fiber, which is what lets a shard gateway bound
-	// the board's earliest future transmission (see CAB.BeginTxPrep).
-	prep := l.cost.DatalinkProcess + l.cost.DMASetup
-	l.cab.BeginTxPrep(l.cab.Kernel().Now() + sim.Time(prep))
-	defer l.cab.EndTxPrep()
+	prep := l.prepTime()
+	l.beginPrep(l.cab.Kernel().Now() + sim.Time(prep))
+	defer l.endPrep()
 	ctx.Compute(prep)
 	if l.obs.Tracing() {
 		n := 0
@@ -141,6 +160,41 @@ func (l *Layer) Send(ctx exec.Context, typ uint8, dst wire.NodeID, payload ...[]
 		l.obs.InstantSeq(int(l.cab.Node()), obs.LayerDatalink, "tx", uint64(dst), n)
 	}
 	return l.cab.Transmit(dst, wire.DatalinkHeader{Type: typ}, false, payload...)
+}
+
+// prepTime is the CAB CPU time Send spends on a frame before the fiber:
+// the datalink processing and the output DMA's setup.
+func (l *Layer) prepTime() sim.Duration { return l.cost.DatalinkProcess + l.cost.DMASetup }
+
+// beginPrep opens a preparation bracket whose transmit can occur no
+// earlier than ready (preemption can only push it later).
+//
+//nectar:hotpath
+func (l *Layer) beginPrep(ready sim.Time) {
+	if l.txPrep == 0 || ready < l.txReadyAt {
+		l.txReadyAt = ready
+	}
+	l.txPrep++
+}
+
+// endPrep closes the bracket the matching beginPrep opened.
+//
+//nectar:hotpath
+func (l *Layer) endPrep() { l.txPrep-- }
+
+// TxFloor lower-bounds the start of the board's next transmission, given
+// actFloor, a lower bound on the earliest instant the CAB's domain can
+// execute any event: with no preparation open, actFloor plus the full
+// preparation time Send charges; with one open, the earliest outstanding
+// ready time, but never before actFloor. The shard gateway of the CAB's
+// uplink bounds its future sends with it. Only meaningful between events
+// (the coupling's window choose phase).
+func (l *Layer) TxFloor(actFloor sim.Time) sim.Time {
+	e := actFloor + sim.Time(l.prepTime())
+	if l.txPrep > 0 && l.txReadyAt < e {
+		e = max(l.txReadyAt, actFloor)
+	}
+	return e
 }
 
 // rxQueue is the work of the polling-mode input thread (ablation A1), a

@@ -16,7 +16,7 @@ import (
 	"nectar/internal/sim"
 )
 
-var updateSnapshot = flag.Bool("update", false, "rewrite testdata/fabric_snapshot.golden from the current simulator")
+var updateSnapshot = flag.Bool("update", false, "rewrite the goldens under testdata (fabric snapshot, gateway bounds) from the current simulator")
 
 // snapshotFlows are the cross-pod flows of runSnapshotFabric: a FatTree(4)
 // has four pods of four hosts, and each flow leaves its pod, so frames
