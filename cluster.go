@@ -302,7 +302,12 @@ func (cl *Cluster) bootNode(idx int) *Node {
 			reach = cl.firstHopReach(idx)
 		}
 		n.gw.Init(up, dl.TxFloor, reach)
-		dom.AddGateway(&n.gw)
+		// A gateway whose reach names no other shard answers MaxTime
+		// toward every other shard at every horizon, so the coupling
+		// need not ask it; trunks are skipped the same way (buildFabric).
+		if reachesOther(reach, dom.ID()) {
+			dom.AddGateway(&n.gw)
+		}
 	}
 
 	// Protocol stacks.

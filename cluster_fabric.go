@@ -280,6 +280,20 @@ func (cl *Cluster) firstHopReach(idx int) []bool {
 	return reach
 }
 
+// reachesOther reports whether a gateway of domain own with reach (nil:
+// every domain) can emit into some other domain.
+func reachesOther(reach []bool, own int) bool {
+	if reach == nil {
+		return true
+	}
+	for d, r := range reach {
+		if r && d != own {
+			return true
+		}
+	}
+	return false
+}
+
 // Node returns the node at attachment point i, materializing the full
 // host/CAB pair on first use — wire IDs, trace names and routes follow
 // materialization order, so workloads that must compare byte-identically

@@ -147,6 +147,7 @@ type HostCond struct {
 	poll       uint32
 	waiters    []*threads.Thread // host processes blocked in the driver
 	queued     bool              // already in the host signal queue
+	streaming  *poller           // a WaitPoll whose loop streams; it settles before poll changes
 }
 
 // NewHostCond allocates a host condition in CAB memory (see Init).
@@ -187,6 +188,9 @@ func (hc *HostCond) Signal(ctx exec.Context) {
 	if hc.f.obs.Tracing() {
 		hc.f.obs.InstantArg(int(hc.f.cab.Node()), obs.LayerHostIF, "signal", hc.String(), 0, 0)
 	}
+	if w := hc.streaming; w != nil {
+		w.stream.Settle()
+	}
 	hc.poll++
 	if len(hc.waiters) == 0 {
 		return
@@ -224,9 +228,22 @@ func (hc *HostCond) wakeAll() {
 // to wait for its compute or its bus word continues from the thread's
 // wake-up instead of switching into the host process. The slice ends and
 // wake-ups of such waits skip the kernel's heap: they wait in the
-// thread's spin slot under the keys the heap would give them, so two
-// hosts polling on one kernel cost no heap operation per iteration (the
-// sim package doc, "Spin slots").
+// thread's spin slot under the keys the heap would give them (the sim
+// package doc, "Spin slots").
+//
+// When an iteration starts with the value still at since, the bus free
+// and no higher-priority thread ready, nothing but an observer can change
+// what the loop does next, and it becomes a poll stream
+// (threads.Thread.Stream): the kernel dispatches its slice ends and
+// wake-ups by arithmetic, under the keys and with the Dispatched count
+// the loop's would have, and runs no step until the stream settles (the
+// sim package doc, "Poll streams"). The loop's CPU time, bus words, bus
+// time, slice and phase are brought up to date when something can
+// observe them: a Signal of the condition, anything that readies a
+// thread on the host CPU, any other use of the bus, the slice Timer, the
+// thread's CPUTime, and the Sched's and the bus's gauges. The step then
+// runs on from the settled slot, and streams again at its next
+// iteration.
 func (hc *HostCond) WaitPoll(ctx exec.Context, since uint32) {
 	if !ctx.IsHost() {
 		panic("hostif: WaitPoll from CAB context")
@@ -252,6 +269,7 @@ type poller struct {
 	since  uint32
 	phase  pollPhase
 	stepFn func() bool // w.step
+	stream sim.Stream  // the loop as a poll stream (startStream)
 }
 
 // pollPhase is where a poller's step resumes.
@@ -266,6 +284,7 @@ const (
 func newPoller() *poller {
 	w := &poller{}
 	w.stepFn = w.step
+	w.stream.Init(w)
 	return w
 }
 
@@ -279,6 +298,9 @@ func (w *poller) step() bool {
 	for {
 		switch w.phase {
 		case pollCompute:
+			if w.hc.poll == w.since && w.startStream() {
+				return false
+			}
 			w.phase = pollWord
 			if !w.t.StartCompute(w.hc.f.cost.HostPollIteration) {
 				return false
@@ -295,6 +317,35 @@ func (w *poller) step() bool {
 			w.phase = pollCompute
 		}
 	}
+}
+
+// startStream turns the loop, about to start an iteration whose check
+// would fail unless a Signal comes first, into a poll stream and reports
+// whether it did. Every word of the stream finds the
+// bus free, since any other use of the bus settles the stream first.
+func (w *poller) startStream() bool {
+	word, free := w.bus.Word()
+	if !free || w.hc.streaming != nil || !w.t.Stream(&w.stream, w.hc.f.cost.HostPollIteration, word) {
+		return false
+	}
+	w.bus.Defer(&w.stream)
+	w.hc.streaming = w
+	return true
+}
+
+// Settled brings the loop up to date once its stream stops
+// (sim.StreamOwner): the thread's charges and slice, the bus's words and
+// when the last ends, and the phase after the last compute started.
+func (w *poller) Settled(st *sim.Stream) {
+	w.t.SettleStream(st)
+	i, start, _ := st.Last()
+	w.phase = pollWord
+	if i == 1 {
+		w.phase = pollCheck
+		start += sim.Time(st.Compute(1))
+	}
+	w.bus.Book(st.Started(1), start)
+	w.hc.streaming = nil
 }
 
 // WaitBlocking enters the CAB driver and sleeps the calling process until

@@ -18,7 +18,7 @@ import (
 // A poll world is 1–3 host/CAB pairs whose host processes poll their own
 // host conditions, on one kernel or split across the two domains of a
 // coupling, each pair with a script of CAB signals, DMA bursts on its
-// host's bus and host interrupts. Running the same world once with
+// host's bus, host and CAB interrupts and higher-priority host threads. Running the same world once with
 // loopWaitPoll and once with WaitPoll must end identically, at every
 // horizon and in every counter: every event, and so every key, is the
 // loop's.
@@ -31,7 +31,8 @@ type dmaBurst struct {
 	count int
 }
 
-// hostIntr raises a host interrupt at at whose handler computes handler.
+// hostIntr raises an interrupt at at whose handler computes handler (or
+// readies a thread that computes it).
 type hostIntr struct {
 	at      sim.Time
 	handler sim.Duration
@@ -39,12 +40,19 @@ type hostIntr struct {
 
 // pollHost is one pair's script.
 type pollHost struct {
-	delay   sim.Duration   // the host process computes this before its first Poll
-	waits   int            // WaitPolls in a row, each since a fresh Poll
-	signals []sim.Duration // the CAB signaler computes each, then signals
-	relay   int            // 1 + the pair whose condition each signal also signals through a message; 0: none
-	dma     []dmaBurst
-	intrs   []hostIntr
+	delay    sim.Duration   // the host process computes this before its first Poll
+	waits    int            // WaitPolls in a row, each since a fresh Poll
+	signals  []sim.Duration // the CAB signaler computes each, then signals
+	relay    int            // 1 + the pair whose condition each signal also signals through a message; 0: none
+	dma      []dmaBurst
+	intrs    []hostIntr
+	forks    []hostIntr // a system-priority host thread readied at at computes handler
+	cabIntrs []hostIntr // CAB interrupts, which preempt the signaler
+	// lateForks are forks readied by an event scheduled 1 ns before at,
+	// so that it comes after every slice end due at at: one that ends
+	// the poller's slice finds its wake-up queued, and the poller in a
+	// zero-time window, which readying a thread does not preempt.
+	lateForks []hostIntr
 }
 
 // pollWorld is the whole scenario. horizons are the RunFor steps; a
@@ -54,6 +62,7 @@ type pollWorld struct {
 	hosts    []pollHost
 	coupled  bool // pair i runs on domain i%2 of a 2-domain coupling
 	horizons []sim.Duration
+	snapshot bool // read every pair's metrics at every horizon
 }
 
 // worldLookahead is the coupling's gateway delay, and the delay of a
@@ -90,6 +99,7 @@ type worldOutcome struct {
 	exits    [][]sim.Time    // per pair, when each wait returned
 	signaled [][]sim.Time    // per pair, when each of its CAB signals landed
 	horizons [][]kernelState // per horizon, per kernel
+	snaps    [][]pollOutcome // per horizon, per pair, when the world snapshots
 	err      string
 }
 
@@ -172,6 +182,19 @@ func (w pollWorld) run(wait waitFn) worldOutcome {
 			handler := func(th *threads.Thread) { th.Compute(in.handler) }
 			p.k.At(in.at, func() { h.Sched.RaiseInterrupt("test", handler) })
 		}
+		for _, in := range spec.cabIntrs {
+			handler := func(th *threads.Thread) { th.Compute(in.handler) }
+			p.k.At(in.at, func() { p.f.CAB().Sched.RaiseInterrupt("test", handler) })
+		}
+		for _, in := range spec.forks {
+			body := func(th *threads.Thread) { th.Compute(in.handler) }
+			p.k.At(in.at, func() { h.Sched.Fork("system", threads.SystemPriority, body) })
+		}
+		for _, in := range spec.lateForks {
+			body := func(th *threads.Thread) { th.Compute(in.handler) }
+			fork := func() { h.Sched.Fork("system", threads.SystemPriority, body) }
+			p.k.At(in.at-1, func() { p.k.At(in.at, fork) })
+		}
 	}
 	var o worldOutcome
 	for _, d := range w.horizons {
@@ -186,13 +209,32 @@ func (w pollWorld) run(wait waitFn) worldOutcome {
 			states[i] = stateOf(k)
 		}
 		o.horizons = append(o.horizons, states)
+		if w.snapshot {
+			// A registry snapshot settles every poller on its kernel, so
+			// it goes first at odd horizons only. At even ones every
+			// pair's direct readers run first, taking turns at leading.
+			h := len(o.snaps)
+			snaps := make([]pollOutcome, len(pairs))
+			for i, p := range pairs {
+				if h%2 == 1 {
+					p.rig().registry(&snaps[i])
+				}
+				p.rig().direct(&snaps[i], (h/2+i)%2 == 0)
+			}
+			for i, p := range pairs {
+				if h%2 == 0 {
+					p.rig().registry(&snaps[i])
+				}
+			}
+			o.snaps = append(o.snaps, snaps)
+		}
 		if err != nil {
 			o.err = err.Error()
 			break
 		}
 	}
 	for _, p := range pairs {
-		r := &pollRig{k: p.k, f: p.f, h: p.h, hc: p.hc, waiter: p.waiter}
+		r := p.rig()
 		if n := len(p.exits); n > 0 {
 			r.exit = p.exits[n-1]
 		}
@@ -201,6 +243,11 @@ func (w pollWorld) run(wait waitFn) worldOutcome {
 		o.signaled = append(o.signaled, p.signaled)
 	}
 	return o
+}
+
+// rig views the pair as a pollRig, whose outcome reads its counters.
+func (p *worldPair) rig() *pollRig {
+	return &pollRig{k: p.k, f: p.f, h: p.h, hc: p.hc, waiter: p.waiter}
 }
 
 // send has a CAB thread of to signal to's condition at at, through a
@@ -244,11 +291,12 @@ func TestWaitPollPairMatchesLoop(t *testing.T) {
 	cabFirst := pollHost{waits: 1, signals: []sim.Duration{11 * us}}
 	hostFirst := pollHost{waits: 1, signals: []sim.Duration{13 * us}, dma: []dmaBurst{{at(26 * us), 0, 1}}}
 	end := []sim.Duration{sim.Millisecond}
-	for _, tc := range []struct {
+	type pairCase struct {
 		name  string
 		world pollWorld
 		check func(t *testing.T, o worldOutcome)
-	}{
+	}
+	cases := []pairCase{
 		{"signal-at-check/cab-host", pollWorld{hosts: []pollHost{cabFirst, hostFirst}, horizons: end},
 			func(t *testing.T, o worldOutcome) { seesSignal(t, o, 0, true); seesSignal(t, o, 1, false) }},
 		{"signal-at-check/host-cab", pollWorld{hosts: []pollHost{hostFirst, cabFirst}, horizons: end},
@@ -279,7 +327,52 @@ func TestWaitPollPairMatchesLoop(t *testing.T) {
 			{waits: 2, signals: []sim.Duration{40 * us, 30 * us}, relay: 2},
 			{waits: 2, delay: 1500, signals: []sim.Duration{90 * us}, dma: []dmaBurst{{at(30 * us), 32, 3}}},
 		}, coupled: true, horizons: []sim.Duration{50500, 20 * us, sim.Millisecond}}, nil},
-	} {
+		// Three pollers that start together: every slice end and wake-up
+		// of each shares its instant with the other two's.
+		{"three-coincide", pollWorld{hosts: []pollHost{
+			{waits: 2, signals: []sim.Duration{60 * us, 30 * us}},
+			{waits: 2, signals: []sim.Duration{60 * us, 30 * us}},
+			{waits: 2, signals: []sim.Duration{60 * us, 30 * us}},
+		}, horizons: []sim.Duration{41 * us, sim.Millisecond}, snapshot: true}, nil},
+	}
+	// Whatever can observe a poller between its checks, swept across one
+	// 4 µs poll cycle in steps of 500 ns, so that it lands inside a
+	// compute, inside a word, on a slice end and on a check. Host 1 polls
+	// beside host 2, which polls until 100 µs. As above, host 1 checks at
+	// 25, 29, 33 µs, ..., and its words end there.
+	other := pollHost{waits: 1, delay: 1500, signals: []sim.Duration{100 * us}}
+	for off := sim.Duration(0); off < 4*us; off += 500 {
+		sweep := func(name string, h pollHost, horizons []sim.Duration, snapshot bool) {
+			cases = append(cases, pairCase{fmt.Sprintf("%s/+%dns", name, off.Nanos()),
+				pollWorld{hosts: []pollHost{h, other}, horizons: horizons, snapshot: snapshot}, nil})
+		}
+		// A CAB signal whose SyncOp slice is scheduled before the word
+		// it lands on starts (+2000ns lands on the 33 µs check), then
+		// one whose word a transfer moves to end at 35 µs, so that the
+		// signal's slice is scheduled after the word's (+2000ns).
+		sweep("signal", pollHost{waits: 1, signals: []sim.Duration{9*us + off}}, end, false)
+		sweep("signal-behind-transfer", pollHost{waits: 1, signals: []sim.Duration{11*us + off},
+			dma: []dmaBurst{{at(26 * us), 0, 1}}}, end, false)
+		// A CAB interrupt preempts the signaler inside its 2 µs SyncOp
+		// (31–33 µs), which resumes after the interrupt and a switch
+		// back: at +1500ns its last 500 ns start at 60.5 µs and end on
+		// the 61 µs check, a slice scheduled after that word's start.
+		sweep("signal-after-cab-interrupt", pollHost{waits: 1, signals: []sim.Duration{11 * us},
+			cabIntrs: []hostIntr{{at(31*us + off), 2 * us}}}, end, false)
+		sweep("host-interrupt", pollHost{waits: 1, signals: []sim.Duration{120 * us},
+			intrs: []hostIntr{{at(40*us + off), 3 * us}}}, end, false)
+		sweep("higher-priority-thread", pollHost{waits: 1, signals: []sim.Duration{120 * us},
+			forks: []hostIntr{{at(40*us + off), 5 * us}}}, end, false)
+		// +1000ns readies it after the 41 µs word's slice end, with the
+		// poller's wake-up queued behind it.
+		sweep("higher-priority-thread-late", pollHost{waits: 1, signals: []sim.Duration{120 * us},
+			lateForks: []hostIntr{{at(40*us + off), 5 * us}}}, end, false)
+		sweep("transfer-reserves-bus", pollHost{waits: 1, signals: []sim.Duration{120 * us},
+			dma: []dmaBurst{{at(40*us + off), 16, 2}}}, end, false)
+		sweep("runfor-then-snapshot", pollHost{waits: 2, signals: []sim.Duration{60 * us, 40 * us}},
+			[]sim.Duration{40*us + off, 30*us + off, sim.Millisecond}, true)
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o, diff := sameWorld(tc.world)
 			if diff != "" {
@@ -354,11 +447,27 @@ func decodeWorld(data []byte) pollWorld {
 		w.horizons = append(w.horizons, half(1+r.next()%200))
 	}
 	w.horizons = append(w.horizons, 2*sim.Millisecond)
+	// Read last, so that an input written before these existed keeps
+	// its meaning.
+	w.snapshot = r.next()%2 == 1
+	for i := range w.hosts {
+		h := &w.hosts[i]
+		for range r.next() % 3 {
+			h.forks = append(h.forks, hostIntr{at: sim.Time(half(r.next())), handler: half(1 + r.next()%16)})
+		}
+		for range r.next() % 3 {
+			h.cabIntrs = append(h.cabIntrs, hostIntr{at: sim.Time(half(r.next())), handler: half(1 + r.next()%16)})
+		}
+		for range r.next() % 3 {
+			h.lateForks = append(h.lateForks, hostIntr{at: sim.Time(half(1 + r.next())), handler: half(1 + r.next()%16)})
+		}
+	}
 	return w
 }
 
 // FuzzWaitPollMatchesLoop decodes 1–3 polling pairs, their signals, DMA
-// bursts, interrupts and RunFor horizons, on one kernel or across a
+// bursts, interrupts, higher-priority threads and RunFor horizons, with
+// or without a snapshot at each, on one kernel or across a
 // coupling, and fails if WaitPoll's outcome differs from the loop's.
 func FuzzWaitPollMatchesLoop(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 1, 0, 1, 22, 0, 0, 0, 1, 0, 1, 26, 1, 0, 0})

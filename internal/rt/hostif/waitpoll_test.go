@@ -81,23 +81,51 @@ type pollOutcome struct {
 	hostBusy, cabBusy         uint64 // busy_ns gauges
 	hostSwitches, cabSwitches uint64
 	pioWords, dmaBytes        uint64
+	busWords                  uint64 // pio_words as the bus's own Gauges reports it
 	dispatched                uint64
 }
 
 func (r *pollRig) outcome() pollOutcome {
+	var o pollOutcome
+	r.direct(&o, true)
+	r.registry(&o)
+	return o
+}
+
+// direct reads into o the poller's exit, its CPU time and the host bus's
+// own pio_words gauge, the CPU time first when cpuFirst. Read before any
+// snapshot of the registry, each must bring a streaming poller up to
+// date by itself.
+func (r *pollRig) direct(o *pollOutcome, cpuFirst bool) {
+	o.exit = r.exit
+	cpu := func() { o.cpu = r.waiter.CPUTime() }
+	bus := func() {
+		r.h.Bus.Gauges(func(_ obs.Layer, name, _ string, v uint64) {
+			if name == "pio_words" {
+				o.busWords = v
+			}
+		})
+	}
+	if cpuFirst {
+		cpu()
+		bus()
+	} else {
+		bus()
+		cpu()
+	}
+}
+
+// registry reads the rest of o from a snapshot of the metrics registry,
+// the schedulers and the kernel.
+func (r *pollRig) registry(o *pollOutcome) {
 	h := r.h
 	snap := obs.MergeSnapshots(r.k.Now(), obs.Ensure(r.k).Metrics())
-	return pollOutcome{
-		exit:         r.exit,
-		cpu:          r.waiter.CPUTime(),
-		hostBusy:     snap.Value(obs.LayerSched, "busy_ns", h.Sched.Name()),
-		cabBusy:      snap.Value(obs.LayerSched, "busy_ns", r.f.CAB().Sched.Name()),
-		hostSwitches: h.Sched.Switches(),
-		cabSwitches:  r.f.CAB().Sched.Switches(),
-		pioWords:     snap.Value(obs.LayerVME, "pio_words", h.Bus.Name()),
-		dmaBytes:     snap.Value(obs.LayerVME, "dma_bytes", h.Bus.Name()),
-		dispatched:   r.k.Dispatched(),
-	}
+	o.hostBusy = snap.Value(obs.LayerSched, "busy_ns", h.Sched.Name())
+	o.cabBusy = snap.Value(obs.LayerSched, "busy_ns", r.f.CAB().Sched.Name())
+	o.pioWords = snap.Value(obs.LayerVME, "pio_words", h.Bus.Name())
+	o.dmaBytes = snap.Value(obs.LayerVME, "dma_bytes", h.Bus.Name())
+	o.hostSwitches, o.cabSwitches = h.Sched.Switches(), r.f.CAB().Sched.Switches()
+	o.dispatched = r.k.Dispatched()
 }
 
 // samePolling runs scenario once with the oracle loop and once with
@@ -242,17 +270,17 @@ func TestWaitPollAcrossRunFor(t *testing.T) {
 }
 
 // TestZeroAllocWaitPoll guards the warm WaitPoll: its state record comes
-// from the IF's free list and its step is built with the record, so a
-// poll that spins across compute slices allocates nothing, alone on its
-// kernel or beside a second poller, whose slice ends keep every wait in
-// a spin slot.
+// from the IF's free list and its step and poll stream are built with the
+// record, so a poll that streams, settles and returns allocates nothing,
+// alone on its kernel or beside one or two other pollers, whose slice
+// ends keep every wait in a spin slot.
 func TestZeroAllocWaitPoll(t *testing.T) {
-	for _, n := range []int{1, 2} {
+	for _, n := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("pollers=%d", n), func(t *testing.T) {
 			k, _, hcs := newPollers(n)
 			bump := func() {
 				for _, hc := range hcs {
-					hc.poll++
+					hc.bump()
 				}
 			}
 			round := func() {
@@ -272,5 +300,40 @@ func TestZeroAllocWaitPoll(t *testing.T) {
 				t.Error("the pollers did not poll")
 			}
 		})
+	}
+}
+
+// bump changes the poll value as a Signal does, without its charges: a
+// poll stream on hc settles first.
+func (hc *HostCond) bump() {
+	if w := hc.streaming; w != nil {
+		w.stream.Settle()
+	}
+	hc.poll++
+}
+
+// TestWaitPollStreams pins the poll stream itself: two hosts polling on
+// one kernel for 10,000 unsignalled poll cycles run their steps a few
+// times per WaitPoll, not once per iteration, while every iteration's
+// bus word is still booked.
+func TestWaitPollStreams(t *testing.T) {
+	const pollers, cycles = 2, 10000
+	k, fs, _ := newPollers(pollers)
+	steps := 0
+	for _, f := range fs {
+		w, _ := f.pollers.Get()
+		step := w.step
+		w.stepFn = func() bool { steps++; return step() }
+		f.pollers.Put(w)
+	}
+	if err := k.RunFor(sim.Duration(cycles) * pollIteration(fs[0].cost)); err != nil {
+		t.Fatal(err)
+	}
+	// Each process's one WaitPoll never returns.
+	if waits := pollers; steps > 2*waits {
+		t.Errorf("%d step calls for %d WaitPolls: the loop did not stream", steps, waits)
+	}
+	if words := pioWords(k); words < pollers*(cycles-10) {
+		t.Errorf("%d bus words booked for %d pollers of %d cycles", words, pollers, cycles)
 	}
 }

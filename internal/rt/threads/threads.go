@@ -26,6 +26,19 @@
 // under the key the event would have had in the heap. Preemption stops
 // it through its Timer as any other slice end.
 //
+// A spinning thread whose step has become a loop of two Computes that
+// only its own events can change, such as a host's poll loop with its
+// bus free, can go one step further (Thread.Stream): the kernel
+// dispatches the loop's slice ends and wake-ups as a poll stream, by
+// arithmetic and under the same keys (the sim package doc, "Poll
+// streams"), and charges nothing until the stream settles. Whatever
+// reads the thread's charges or its CPU's slice settles it first:
+// readying a thread on the CPU (onReady, and so RaiseInterrupt and
+// preempt), the slice Timer, which is the stream's while it runs, the
+// Sched's gauges and CPUTime. The stream's owner then charges the
+// Computes that are done and restores the last one's slice
+// (SettleStream), as the loop would have left them.
+//
 // A protocol server thread (Serve) is a loop that charges the cost of a
 // take, takes the next item of a queue, waits on a Cond while there is
 // none, and handles the item. Everything up to the handler runs as a step
@@ -162,6 +175,7 @@ func New(k *sim.Kernel, cost *model.CostModel, name string) *Sched {
 // Gauges reports the CPU's context switches, interrupts and busy time
 // (obs.Source).
 func (s *Sched) Gauges(emit func(layer obs.Layer, name, scope string, v uint64)) {
+	s.settle()
 	emit(obs.LayerSched, "context_switches", s.name, s.switches)
 	emit(obs.LayerSched, "interrupts", s.name, s.interrupts)
 	emit(obs.LayerSched, "busy_ns", s.name, uint64(s.busyTime.Nanos()))
@@ -320,7 +334,10 @@ func (t *Thread) IsInterrupt() bool { return t.intr }
 // CPUTime returns the total CPU time this thread has consumed.
 //
 //nectar:api per-thread CPU time the serve and poll oracles of threads, mailbox and hostif compare; no gauge behind it
-func (t *Thread) CPUTime() sim.Duration { return t.cpuTime }
+func (t *Thread) CPUTime() sim.Duration {
+	t.proc.Settle()
+	return t.cpuTime
+}
 
 // Compute consumes d of CPU time. The thread may be preempted by
 // higher-priority threads or interrupts and resumed; Compute returns only
@@ -378,6 +395,40 @@ func (t *Thread) StartCompute(d sim.Duration) bool {
 func (t *Thread) Spin(step func() bool) {
 	t.assertRunning("Spin")
 	t.proc.Spin(step)
+}
+
+// Stream turns t's Spin step, t running, into a poll stream of its loop
+// of Computes a then b (sim.Proc.Stream), where the step would next call
+// StartCompute(a). It reports false, and starts nothing, when a
+// higher-priority thread is ready, so that the loop's next Compute would
+// switch away, or when the kernel declines. While the stream runs, the
+// CPU's slice Timer is the stream's, and whatever reads the thread's
+// charges or its slice (onReady, preempt, Gauges, CPUTime) settles it
+// first; the stream's owner calls SettleStream from its Settled.
+func (t *Thread) Stream(st *sim.Stream, a, b sim.Duration) bool {
+	s := t.sched
+	t.assertRunning("Stream")
+	if s.preemptible(t) || !t.proc.Stream(st, a, b, s.sliceEndFn) {
+		return false
+	}
+	s.sliceTimer = st.Timer()
+	return true
+}
+
+// SettleStream charges t the computes of its settled stream st that are
+// done, and restores the CPU's slice as the loop left it: the last
+// compute's slice pending, or ended with its wake-up queued.
+func (t *Thread) SettleStream(st *sim.Stream) {
+	s := t.sched
+	d := st.Done()
+	t.cpuTime += d
+	s.busyTime += d
+	i, start, pending := st.Last()
+	s.sliceStart = start
+	t.remaining, s.sliceTimer = 0, sim.Timer{}
+	if pending {
+		t.remaining, s.sliceTimer = st.Compute(i), st.Timer()
+	}
 }
 
 // Block releases the CPU and parks the thread until Unblock is called.
@@ -525,7 +576,10 @@ func (s *Sched) preemptible(t *Thread) bool {
 }
 
 // onReady makes t runnable and preempts the running thread if warranted.
+// A running thread's poll stream settles first, so that its slice is the
+// loop's.
 func (s *Sched) onReady(t *Thread) {
+	s.settle()
 	t.state = stateReady
 	s.enqueue(t)
 	switch {
@@ -561,6 +615,14 @@ func (s *Sched) preempt() {
 	s.sliceTimer = sim.Timer{}
 	s.requeue(t)
 	s.startSwitch(s.pop())
+}
+
+// settle stops the running thread's poll stream, if it has one
+// (Thread.Stream).
+func (s *Sched) settle() {
+	if t := s.running; t != nil {
+		t.proc.Settle()
+	}
 }
 
 // requeue puts a preempted running thread back on the ready queue.

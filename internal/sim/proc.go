@@ -51,6 +51,7 @@ type Proc struct {
 	co     *coro       // the coroutine running the body, nil while none is
 	wakeFn func()      // wakeup's event, built once so wake-ups do not allocate
 	spin   func() bool // the step of a Spin in progress
+	stream *Stream     // the poll stream the step has become, if any
 	slot   int32       // p's spin slot in the kernel's arena, -1 until p first spins
 	nested bool        // co runs, or is suspended inside an enter it called
 
@@ -490,6 +491,7 @@ func (p *Proc) Spin(step func() bool) {
 //
 //nectar:hotpath
 func (p *Proc) Resume() {
+	p.Settle()
 	p.setResumed()
 	if p.spin != nil {
 		p.SpinAfter(0, nil, p.wakeFn)
@@ -524,6 +526,7 @@ func (p *Proc) badResume() {
 //nectar:hotpath
 func (p *Proc) ResumeInPlace() {
 	k := p.k
+	p.Settle()
 	if !k.wakesInPlace() {
 		p.Resume()
 		return

@@ -133,6 +133,48 @@
 // callback, with threads.Sched.sliceEnd folded back into sliceDone and
 // one SpinAfter callback, fell from 99.7k to 92.8k (-6.9%, 6 of 6 pairs).
 //
+// # Poll streams
+//
+// A spinning Proc whose step has settled into a loop of two computes, a
+// then b, that nothing but its own events can change, such as a host
+// polling a word in CAB memory, need not run its step at all: every
+// event of the loop follows from the queue's head by arithmetic.
+// Proc.Stream turns such a step into a poll stream where the step would
+// next start a. The stream's pending key stays in the Proc's spin slot
+// in Kernel.spins, so every head read above already merges it, and the
+// slot's event is marked inStream. Dispatching it (stepStreams) does
+// what the slot's callback, the wake-up and the step would do, by one
+// rule, with bound the earliest of the loop's bound and every other
+// queued key:
+//
+//   - a slice end at now takes the sequence number of the wake-up, which
+//     runs in place, and counts in Dispatched, when now is below bound
+//     and no Proc is current (ResumeInPlace), and is queued in the slot
+//     at now otherwise;
+//   - a wake-up runs the computes on from now: each of d advances in
+//     place when now+d is below bound (Advance), whole cycles of a and b
+//     in one jump, and the first that does not becomes a slice that
+//     takes the next sequence number, with its key at its end.
+//
+// So every key, every sequence number and Dispatched are the loop's,
+// while no step, slice-end callback, SpinAfter or owner's accounting
+// runs. While only streams are due, the heap's top stays put, and the
+// dispatch loop keeps the clock and the counters in locals.
+//
+// The loop's own state (the CPU time it charged, its bus words, its
+// slice and its phase) is left where the stream began until something
+// can observe it. Every observer first settles the stream
+// (Stream.Settle, Proc.Settle): the slot becomes the loop's own again,
+// under the same key, a slice end with its callback or a queued
+// wake-up, and the owner (StreamOwner.Settled) charges every compute
+// that is done and restores the slice of the last. The kernel's own
+// observers are the slot's Timer (Pending, Stop) and a Resume of the
+// Proc; the owners name theirs (threads.Thread.Stream, hostif's
+// WaitPoll). After a settle the step runs on from the slot, and it may
+// start a new stream at its next loop. NextEventAt, PendingEvents and
+// every horizon read the stream's key in the side queue, as they read a
+// slot's, so they observe nothing to settle.
+//
 // # Servers
 //
 // Most Procs of a protocol stack are servers: a brief burst of work per
@@ -252,7 +294,7 @@ func (t Time) Nanos() int64 { return int64(t) }
 type event struct {
 	fn      func()
 	gen     uint64
-	heapIdx int32 // index into Kernel.heap while queued, inSpins in a spin slot
+	heapIdx int32 // index into Kernel.heap while queued, inSpins in a spin slot, inStream in a poll stream
 }
 
 // heapEntry is one node of the 4-ary min-heap. The ordering key is stored
@@ -291,6 +333,9 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	e := &k.arena[t.slot]
+	if e.heapIdx == inStream {
+		k.settleSlot(t.slot)
+	}
 	if e.gen != t.gen {
 		return false
 	}
@@ -305,8 +350,17 @@ func (t Timer) Stop() bool {
 }
 
 // Pending reports whether the timer has not yet fired or been stopped.
+// A poll stream's Timer settles the stream first.
 func (t Timer) Pending() bool {
-	return t.k != nil && t.k.arena[t.slot].gen == t.gen
+	k := t.k
+	if k == nil {
+		return false
+	}
+	e := &k.arena[t.slot]
+	if e.heapIdx == inStream {
+		k.settleSlot(t.slot)
+	}
+	return e.gen == t.gen
 }
 
 // Kernel is the discrete-event simulation kernel.

@@ -270,3 +270,158 @@ func TestSpinAfterMatchesAfter(t *testing.T) {
 		t.Errorf("spin slots:\n%s\nheap callbacks:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// computeLoop is a Spin step over a loop of two computes, a then b, each
+// advanced in place when it can be and otherwise a slice in the Proc's
+// spin slot whose end charges it, as threads.Thread.StartCompute does
+// for a thread that nothing preempts. With stream set it becomes a poll
+// stream whenever it is about to compute a, and Settled restores it.
+type computeLoop struct {
+	p       *Proc
+	name    string
+	a, b    Duration
+	stream  bool
+	next    int      // the compute the step starts next: 0 for a, 1 for b
+	started int      // computes started
+	done    Duration // compute time charged
+	start   Time     // the last slice's start
+	slice   Duration // the pending slice's length, 0 when none is
+	timer   Timer
+	s       Stream
+	end, fn func()
+}
+
+func newComputeLoop(k *Kernel, name string, a, b Duration, stream bool) *computeLoop {
+	l := &computeLoop{name: name, a: a, b: b, stream: stream}
+	l.s.Init(l)
+	l.end = func() { l.done += l.slice; l.slice, l.timer = 0, Timer{} }
+	l.fn = func() { l.end(); l.p.ResumeInPlace() }
+	k.Go(name, func(p *Proc) {
+		l.p = p
+		p.Spin(l.step)
+	})
+	return l
+}
+
+func (l *computeLoop) step() bool {
+	k := l.p.k
+	for {
+		if l.next == 0 && l.stream && l.p.Stream(&l.s, l.a, l.b, l.end) {
+			// As threads does, the slice Timer is the stream's while it
+			// runs, so that reading it settles the stream.
+			l.timer = l.s.Timer()
+			return false
+		}
+		d := l.a
+		if l.next == 1 {
+			d = l.b
+		}
+		l.next ^= 1
+		l.started++
+		if k.Advance(d) {
+			l.done += d
+			continue
+		}
+		l.start, l.slice = k.Now(), d
+		l.timer = l.p.SpinAfter(d, l.end, l.fn)
+		return false
+	}
+}
+
+// Settled restores the loop from its stream (StreamOwner).
+func (l *computeLoop) Settled(s *Stream) {
+	l.done += s.Done()
+	l.started += int(s.Started(0) + s.Started(1))
+	i, start, pending := s.Last()
+	l.next, l.start, l.slice, l.timer = 1-i, start, 0, Timer{}
+	if pending {
+		l.slice, l.timer = s.Compute(i), s.Timer()
+	}
+}
+
+// observe logs what can be seen of the kernel and of each loop, settling
+// any stream first, as every reader of a loop's state must.
+func observe(k *Kernel, loops []*computeLoop, log *[]string) {
+	next, ok := k.NextEventAt()
+	*log = append(*log, fmt.Sprintf("%v seq=%d dispatched=%d pending=%d next=%v,%v",
+		k.Now(), k.seq, k.Dispatched(), k.PendingEvents(), next, ok))
+	for _, l := range loops {
+		l.p.Settle()
+		*log = append(*log, fmt.Sprintf("  %s next=%d started=%d done=%v start=%v slice=%v timer=%v,%v",
+			l.name, l.next, l.started, l.done, l.start, l.slice, l.timer.Pending(), l.timer.When()))
+	}
+}
+
+// TestSpinStreamMatchesLoop: loops of two computes that become poll
+// streams run exactly as the same loops that dispatch every slice end
+// and wake-up: alone on the kernel (whole cycles in one jump), two and
+// three of them whose instants coincide or interleave, beside callbacks
+// at slice ends and mid-compute, across RunFor horizons, and with a
+// slice stopped and the loop resumed, as a preemption does. Every
+// observation settles the streams, and the logs must be identical.
+func TestSpinStreamMatchesLoop(t *testing.T) {
+	type spec struct {
+		delay Duration
+		a, b  Duration
+	}
+	for _, tc := range []struct {
+		name      string
+		loops     []spec
+		callbacks []Time // callbacks that observe
+		stops     []Time // callbacks that stop loop 0's pending slice and resume it
+		// late stops are scheduled 1 ns before they run, after any slice
+		// end due then: one that ends loop 0's slice leaves it in a
+		// zero-time window, its wake-up queued and its Timer not pending.
+		lateStops []Time
+		horizons  []Duration
+	}{
+		{"solo", []spec{{0, 3000, 1000}}, []Time{40_000, 40_500}, nil, []Time{60_000}, []Duration{100_000, 4_000_000}},
+		{"solo-horizons", []spec{{0, 3000, 1000}}, nil, nil, nil, []Duration{10_500, 3000, 1000, 64_000}},
+		{"pair-lockstep", []spec{{0, 3000, 1000}, {0, 3000, 1000}}, []Time{21_000, 33_500}, nil, []Time{36_000}, []Duration{50_000, 7_000}},
+		{"pair-offset", []spec{{0, 3000, 1000}, {1500, 3000, 1000}}, []Time{10_000, 10_500, 18_000}, []Time{12_700}, []Time{20_000, 27_000}, []Duration{30_000}},
+		{"pair-unequal", []spec{{0, 3000, 1000}, {500, 2000, 1500}}, []Time{7_000}, []Time{25_250}, []Time{11_000}, []Duration{9_999, 40_000}},
+		{"three-coincide", []spec{{0, 3000, 1000}, {0, 3000, 1000}, {0, 3000, 1000}}, []Time{16_000}, []Time{17_500}, []Time{20_000, 23_000}, []Duration{30_000, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(stream bool) []string {
+				k := NewKernel()
+				var log []string
+				var loops []*computeLoop
+				for i, sp := range tc.loops {
+					k.At(Time(sp.delay), func() {
+						loops = append(loops, newComputeLoop(k, fmt.Sprintf("l%d", i), sp.a, sp.b, stream))
+					})
+				}
+				for _, at := range tc.callbacks {
+					k.At(at, func() { observe(k, loops, &log) })
+				}
+				stop := func() {
+					l := loops[0]
+					pending := l.timer.Pending()
+					log = append(log, fmt.Sprintf("%v %s pending=%v", k.Now(), l.name, pending))
+					if pending && l.timer.Stop() {
+						l.slice, l.timer = 0, Timer{}
+						l.p.Resume()
+					}
+				}
+				for _, at := range tc.stops {
+					k.At(at, stop)
+				}
+				for _, at := range tc.lateStops {
+					k.At(at-1, func() { k.At(at, stop) })
+				}
+				for _, d := range tc.horizons {
+					if err := k.RunFor(d); err != nil {
+						t.Fatal(err)
+					}
+					observe(k, loops, &log)
+				}
+				return log
+			}
+			want, got := run(false), run(true)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("streams:\n%s\nloops:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		})
+	}
+}

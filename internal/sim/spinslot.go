@@ -40,17 +40,24 @@ func (p *Proc) SpinAfter(d Duration, end, fn func()) Timer {
 	if e.heapIdx == inSpins {
 		return k.After(d, fn)
 	}
-	at := k.now + Time(max(d, 0))
 	k.seq++
 	e.fn = end
 	e.heapIdx = inSpins
+	k.spinPush(k.now+Time(max(d, 0)), p)
+	return Timer{k: k, slot: p.slot, gen: e.gen}
+}
+
+// spinPush queues p's spin slot at at under the sequence number just
+// taken, after every key at or before at.
+//
+//nectar:hotpath
+func (k *Kernel) spinPush(at Time, p *Proc) {
 	k.spins = append(k.spins, spinEntry{})
 	i := len(k.spins) - 1
 	for ; i > 0 && k.spins[i-1].at > at; i-- {
 		k.spins[i] = k.spins[i-1]
 	}
 	k.spins[i] = spinEntry{at: at, seq: k.seq, p: p}
-	return Timer{k: k, slot: p.slot, gen: e.gen}
 }
 
 // freeSpinSlot gives a finished p's idle spin slot back to the arena.
@@ -115,41 +122,56 @@ func (k *Kernel) spinFirst() bool {
 // spin slot and no wake-up has stopped a driving Proc's loop (Proc.drive).
 // A slot runs its callback, if it has one, and then its Proc's wake-up,
 // in place or queued as ResumeInPlace would, straight into the Proc's
-// step, without its wake event.
+// step, without its wake event. A poll stream's slot runs by arithmetic
+// (stepStreams).
 //
 //nectar:hotpath
 func (k *Kernel) stepSpin() {
 	for {
-		top := k.spins[0]
-		k.spinDelete(0)
-		if top.at < k.now {
-			panic("sim: time went backwards")
+		if k.spins[0].p.stream != nil {
+			k.stepStreams()
+		} else {
+			k.stepSlot()
+			if k.woken != nil {
+				return
+			}
 		}
-		k.now = top.at
-		k.steps++
-		p := top.p
-		e := &k.arena[p.slot]
-		fn := e.fn
-		k.spinDone(e)
-		// A queued wake-up runs now. One that follows a callback is
-		// ResumeInPlace's: in place, or queued in p's slot, now idle,
-		// when another event shares the instant.
-		if fn != nil {
-			fn()
-		}
-		switch {
-		case fn == nil:
-			p.wakeSpin()
-		case k.wakesInPlace():
-			p.setResumed()
-			k.seq++
-			k.steps++
-			p.wakeSpin()
-		default:
-			p.Resume()
-		}
-		if k.woken != nil || !k.due() || !k.spinFirst() {
+		if !k.due() || !k.spinFirst() {
 			return
 		}
+	}
+}
+
+// stepSlot dispatches the spin slot at the head of Kernel.spins.
+//
+//nectar:hotpath
+func (k *Kernel) stepSlot() {
+	top := k.spins[0]
+	k.spinDelete(0)
+	if top.at < k.now {
+		panic("sim: time went backwards")
+	}
+	k.now = top.at
+	k.steps++
+	p := top.p
+	e := &k.arena[p.slot]
+	fn := e.fn
+	k.spinDone(e)
+	// A queued wake-up runs now. One that follows a callback is
+	// ResumeInPlace's: in place, or queued in p's slot, now idle, when
+	// another event shares the instant.
+	if fn != nil {
+		fn()
+	}
+	switch {
+	case fn == nil:
+		p.wakeSpin()
+	case k.wakesInPlace():
+		p.setResumed()
+		k.seq++
+		k.steps++
+		p.wakeSpin()
+	default:
+		p.Resume()
 	}
 }
